@@ -16,9 +16,7 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +94,6 @@ class _TrackSet(argparse.Action):
 def _add_common(sub):
     sub.add_argument("--config", default=None, action=_TrackSet)
     sub.add_argument("--tol", default="1e-9", action=_TrackSet)
-    sub.add_argument("--threads",
-                     default=os.environ.get("GFSL_THREADS", "1"),
-                     action=_TrackSet)
     sub.add_argument("--out", default=".", action=_TrackSet)
     sub.add_argument("--format", default="csv", choices=("csv", "json"),
                      action=_TrackSet)
@@ -114,22 +109,15 @@ def cmd_spherical_check(args):
               for lam in lams]
     params += [("complementary", nu, spherical.SpectralParam.complementary(nu))
                for nu in nus]
-
-    def one(job):
-        regime, val, p = job
+    rows = []
+    for regime, val, p in params:
         ops = spherical.build_k_matrices(p, k_ord)
-        rows = []
-        for branch, renorm in (("plus", False), ("minus", False)):
-            tab = (spherical.coeffs_plus(p, n_ord, k_ord) if branch == "plus"
-                   else spherical.coeffs_minus(p, n_ord, k_ord, renormalized=renorm))
-            res = spherical.intertwine_residual(p, tab, ops)
-            for rel in ("X", "U", "S"):
-                rows.append((regime, val, f"{branch}:{rel}", res[rel]))
-        return rows
-
-    with ThreadPoolExecutor(max_workers=max(1, int(args.threads))) as pool:
-        chunks = list(pool.map(one, params))
-    rows = [r for chunk in chunks for r in chunk]
+        for branch, build in (("plus", spherical.coeffs_plus),
+                              ("minus", spherical.coeffs_minus)):
+            # no table outlives its audit, which bounds peak memory
+            res = spherical.intertwine_residual(p, build(p, n_ord, k_ord), ops)
+            rows += [(regime, val, f"{branch}:{rel}", res[rel])
+                     for rel in ("X", "U", "S")]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,19 +225,13 @@ def cmd_means(args):
     tol = float(args.tol)
     lams = _parse_floats(args.lam)
     m_top = int(args.m)
-
-    def conv_rows(lam):
-        rows = []
-        t = 3.0
+    conv = []
+    t = 3.0
+    for lam in lams:
         target = legendre_conical(lam, t)
         for m in range(m_top + 1):
             val = means.hc_partial_sum(lam, t, m)
-            rows.append((lam, t, m, val, abs(val - target)))
-        return rows
-
-    with ThreadPoolExecutor(max_workers=max(1, int(args.threads))) as pool:
-        chunks = list(pool.map(conv_rows, lams))
-    conv = [r for c in chunks for r in c]
+            conv.append((lam, t, m, val, abs(val - target)))
     conv.sort(key=lambda r: (r[0], r[2]))
     rows = []
     ok = True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .spherical import KBandedOperator
+from .spherical import KBandedOperator, ladder_residual, require_finite
 from .specfun import taylor_two_factor
 
 
@@ -83,19 +83,23 @@ def cayley_coeffs(l, N, K):
     lb = np.array([math.lgamma(l + n) - math.lgamma(n + 1) - math.lgamma(l)
                    for n in range(max(N, K) + 1)])
     half = 0.5 * lb
-    fwd = np.zeros((N + 1, K + 1), dtype=complex)
     cay_f = (1.0 + 1j) ** l
-    for k in range(K + 1):
-        a = taylor_two_factor(-l - k, k, N)
-        const = cay_f * (-1.0) ** k * math.exp(half[k])
-        fwd[:, k] = const * a * np.exp(-half[: N + 1])
-    bwd = np.zeros((K + 1, N + 1), dtype=complex)
+    ks = np.arange(K + 1)
+    fwd = taylor_two_factor(-l - ks, ks, N)
+    const = np.array([cay_f * (-1.0) ** k * math.exp(half[k])
+                      for k in range(K + 1)])
+    np.multiply(const, fwd, out=fwd)
+    fwd *= np.exp(-half[: N + 1])[:, None]
     cay_b = (1.0 - 1j) ** l
     im = np.array([(-1j) ** m for m in range(N + K + 2)])
-    for n in range(N + 1):
-        a = taylor_two_factor(n, -l - n, K)
-        const = cay_b * math.exp(half[n])
-        bwd[:, n] = const * a * im[n : n + K + 1] * np.exp(-half[: K + 1])
+    ns = np.arange(N + 1)
+    bwd = taylor_two_factor(ns, -l - ns, K)
+    const = np.array([cay_b * math.exp(half[n]) for n in range(N + 1)])
+    np.multiply(const, bwd, out=bwd)
+    bwd *= im[ks[:, None] + ns]           # (-i)^(n+k) at [k, n]
+    bwd *= np.exp(-half[: K + 1])[:, None]
+    for name, tab in (("forward", fwd), ("backward", bwd)):
+        require_finite(tab, f"cayley {name} table at l = {l}, N = {N}, K = {K}")
     return DiskCoeffTable(l, N, K, fwd, bwd)
 
 
@@ -108,28 +112,16 @@ def intertwine_residual_ds(l, table, ops):
         S:  -sqrt(n+l) sqrt(n+1) f_{n+1,k}
     U and S are assembled from N+-, N- and Theta on the disk side.
     """
-    N, K = table.n_max, table.k_max
+    K = table.k_max
     npl, nmi, th = ops["Nplus"], ops["Nminus"], ops["Theta"]
     u_op = KBandedOperator(0, K, -0.5j * th.diag, -0.5j * npl.sup, 0.5j * nmi.sub)
     s_op = KBandedOperator(0, K, 0.5j * th.diag, -0.5j * npl.sup, 0.5j * nmi.sub)
-    f = table.forward
-    res = {"X": 0.0, "U": 0.0, "S": 0.0}
-
-    def upd(name, lhs, rhs):
-        lhs = lhs[1:-1]
-        rhs = rhs[1:-1]
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-        res[name] = max(res[name], float(np.max(np.abs(lhs - rhs))) / scale)
-
-    for n in range(N + 1):
-        upd("X", -(n + l / 2.0) * f[n], ops["X"].transform_row(f[n]))
-        if n >= 1:
-            lhs = math.sqrt(n) * math.sqrt(n - 1 + l) * f[n - 1]
-            upd("U", lhs, u_op.transform_row(f[n]))
-        if n <= N - 1:
-            lhs = -math.sqrt(n + l) * math.sqrt(n + 1) * f[n + 1]
-            upd("S", lhs, s_op.transform_row(f[n]))
-    return res
+    ns = range(table.n_max + 1)
+    return ladder_residual(table.forward, {
+        "X": (ops["X"], [-(n + l / 2.0) for n in ns], 0),
+        "U": (u_op, [math.sqrt(n) * math.sqrt(n - 1 + l) for n in ns], -1),
+        "S": (s_op, [-math.sqrt(n + l) * math.sqrt(n + 1) for n in ns], 1),
+    })
 
 
 def composition_identity(l, k_out, k_in):

@@ -3,9 +3,11 @@
 Everything downstream (branch transforms, Harish-Chandra coefficients,
 trace identities) reduces to four primitives implemented here: the
 principal-branch complex log-Gamma, Gamma ratios with an explicit
-pole-limit mode, Taylor coefficients of (1+ix)^a (1-ix)^b, the
-regularized line integral of the same two-factor function, and the
-conical Legendre function by periodic-trapezoid quadrature.
+pole-limit mode, a column-vectorized three-term recurrence that yields
+the Taylor coefficients of (1+ix)^a (1-ix)^b and the moment tables of
+the branch transforms, the regularized line integral of the same
+two-factor function, and the conical Legendre function by
+periodic-trapezoid quadrature.
 """
 
 import cmath
@@ -121,10 +123,45 @@ def gamma_ratio(z, w, pole_limit=False):
     return cmath.exp(log_gamma(z) - log_gamma(w))
 
 
+def recurrence_columns(a, s, e, x0, n_max):
+    """Columns x[:, j] of the forward three-term recurrence
+
+        (n+1+e) x_{n+1} = a x_n + (s-(n-1)) x_{n-1},   x_{-1} = 0,
+
+    for n = 0..n_max, with a, s, e and the seed x0 given per column
+    (scalars broadcast).  Every column advances together, one row per step.
+    Products are formed from separately rounded real and imaginary parts,
+    as in scalar complex arithmetic, so each column equals a one-column
+    scalar run bit for bit; numpy's SIMD complex multiply fuses one
+    product and would not.  Overflow gives inf/nan entries without a
+    warning; callers check the finished table.
+    """
+    if n_max < 0:
+        raise DomainError("recurrence_columns: n_max must be >= 0")
+    a, s, e, x0 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=complex)) for v in (a, s, e, x0)))
+    x = np.zeros((n_max + 1, a.size), dtype=complex)
+    x[0] = x0
+    xr, xi = x.real, x.imag
+    ar, ai, sr, si = a.real, a.imag, s.real, s.imag
+    zero = np.zeros(a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max):
+            qr, qi = xr[n], xi[n]
+            pr, pi = (xr[n - 1], xi[n - 1]) if n else (zero, zero)
+            cr = sr - (n - 1)
+            xr[n + 1] = (ar * qr - ai * qi) + (cr * pr - si * pi)
+            xi[n + 1] = (ar * qi + ai * qr) + (cr * pi + si * pr)
+            np.divide(x[n + 1], (n + 1.0) + e, out=x[n + 1])
+    return x
+
+
 def taylor_two_factor(alpha, beta, n_max):
     """Taylor coefficients a_n of (1+ix)^alpha (1-ix)^beta, n = 0..n_max.
 
-    Uses the exact two-term recurrence obtained from
+    alpha and beta are scalars, giving a 1-D result, or equal-length 1-D
+    arrays, giving one column per (alpha, beta) pair.  Uses the exact
+    two-term recurrence obtained from
     (1+x^2) f' = (i(alpha-beta) + (alpha+beta) x) f:
         (n+1) a_{n+1} = i(alpha-beta) a_n + (alpha+beta-(n-1)) a_{n-1}.
     Both fundamental solutions are polynomially bounded, so the forward
@@ -132,17 +169,13 @@ def taylor_two_factor(alpha, beta, n_max):
     """
     if n_max < 0:
         raise DomainError("taylor_two_factor: n_max must be >= 0")
-    alpha = complex(alpha)
-    beta = complex(beta)
-    a = np.zeros(n_max + 1, dtype=complex)
-    a[0] = 1.0
-    if n_max >= 1:
-        a[1] = 1j * (alpha - beta)
-    d = 1j * (alpha - beta)
-    s = alpha + beta
-    for n in range(1, n_max):
-        a[n + 1] = (d * a[n] + (s - (n - 1)) * a[n - 1]) / (n + 1)
-    return a
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    if alpha.shape != beta.shape or alpha.ndim > 1:
+        raise DomainError("taylor_two_factor: alpha and beta must be scalars "
+                          "or equal-length 1-D arrays")
+    a = recurrence_columns(1j * (alpha - beta), alpha + beta, 0.0, 1.0, n_max)
+    return a[:, 0] if alpha.ndim == 0 else a
 
 
 def log_beta_line(alpha, beta):
@@ -237,19 +270,3 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
             achieved=abs(val.imag))
     return val.real
 
-
-def logsumexp_signed(log_mag, phases):
-    """Stable sum of terms phases[j] * exp(log_mag[j]).
-
-    log_mag is real, phases are unit-modulus complex factors.  Returns
-    (log_abs, phase) of the total, with phase = 0 when the sum vanishes.
-    """
-    log_mag = np.asarray(log_mag, dtype=float)
-    phases = np.asarray(phases, dtype=complex)
-    m = float(np.max(log_mag))
-    if not np.isfinite(m):
-        return -math.inf, 0.0 + 0.0j
-    s = complex(np.sum(phases * np.exp(log_mag - m)))
-    if s == 0:
-        return -math.inf, 0.0 + 0.0j
-    return m + math.log(abs(s)), s / abs(s)

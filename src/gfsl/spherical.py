@@ -24,9 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
-from .specfun import log_beta_line, log_gamma, taylor_two_factor
+from .specfun import (log_beta_line, log_gamma, recurrence_columns,
+                      taylor_two_factor)
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# Rows per block in the intertwining audit.  Its temporaries then grow
+# with K only, not with N; 16 rows was also the fastest block size at
+# (N, K) = (1000, 100).
+AUDIT_BLOCK_ROWS = 16
 
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
@@ -115,18 +121,15 @@ class KBandedOperator:
             raise DomainError(f"KBandedOperator: k = {k} outside band")
         return k - self.k_min
 
-    def transform_row(self, row):
-        """Given row_i = c_{n, k_min+i}, return sum_j O_{jk} c_{n,j} on interior k.
+    def apply_interior(self, rows):
+        """Given rows[r, i] = c_{n_r, k_min+i}, return sum_j O_{jk} c_{n_r,j}.
 
-        Boundary columns (k = k_min, k_max) are returned as NaN since the
-        truncation corrupts them.
+        Only interior columns k_min < k < k_max are returned, since the
+        truncation corrupts the boundary ones.
         """
-        row = np.asarray(row, dtype=complex)
-        out = np.full_like(row, np.nan + 0.0j)
-        out[1:-1] = (self.diag[1:-1] * row[1:-1]
-                     + self.sup[1:-1] * row[2:]
-                     + self.sub[1:-1] * row[:-2])
-        return out
+        return (self.diag[1:-1] * rows[:, 1:-1]
+                + self.sup[1:-1] * rows[:, 2:]
+                + self.sub[1:-1] * rows[:, :-2])
 
     def as_dense(self):
         """Matrix M[j, k] acting on coefficient vectors of functions."""
@@ -205,54 +208,34 @@ class CoeffTable:
     gauge_log: np.ndarray
     dual: np.ndarray | None = None
 
-    @property
-    def gauge(self):
-        with np.errstate(over="ignore"):
-            return np.exp(self.gauge_log)
-
     def entry(self, n, k):
         return self.s[n, k + self.k_max]
 
-    def dual_entry(self, n, k):
-        if self.dual is None:
-            raise DomainError("CoeffTable: dual rows not built")
-        return self.dual[n, k + self.k_max]
 
+def _moments(lam, K, n_max, renormalized=False):
+    """Regularized moments M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx, |k| <= K.
 
-def _moment_seq(lam, k, n_max):
-    """Regularized moments M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx.
-
-    Seeded by the beta line integral and advanced by the three-term
-    recurrence (n+1+2 i lam) M_{n+1} = -2 i k M_n - n M_{n-1}, the moment
-    form of (1+x^2) f' = (2ik + (2b) x) f.  Both fundamental solutions stay
+    Column k+K holds M_n for n = 0..n_max.  Each column is seeded by the
+    beta line integral and advanced by the three-term recurrence
+    (n+1+2 i lam) M_{n+1} = -2 i k M_n - n M_{n-1}, the moment form of
+    (1+x^2) f' = (2ik + (2b) x) f.  Both fundamental solutions stay
     polynomially bounded, so forward recursion is stable.
+
+    renormalized=True returns rho(lam) * M_n: the pole of Gamma(-2 i lam)
+    in M_0 is cancelled exactly, rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
+    (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)), finite for all real lam
+    including 0; the recurrence is unchanged.
     """
-    b = -0.5 + 1j * lam
-    lm0 = log_beta_line(b + k, b - k)
-    m = np.zeros(n_max + 1, dtype=complex)
-    m[0] = cmath.exp(lm0)
-    if n_max >= 1:
-        m[1] = -2j * k * m[0] / (1.0 + 2j * lam)
-    for n in range(1, n_max):
-        m[n + 1] = (-2j * k * m[n] - n * m[n - 1]) / (n + 1.0 + 2j * lam)
-    return m
-
-
-def _moment_seq_renormalized(lam, k, n_max):
-    """rho(lam) * M_n: the pole of Gamma(-2 i lam) in M_0 is cancelled exactly.
-
-    rho(lam) M_0 = Gamma(1/2 - i lam)^2 / (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)),
-    finite for all real lam including 0; the recurrence is unchanged.
-    """
-    lhalf = log_gamma(0.5 - 1j * lam)
-    lm0 = 2.0 * lhalf - log_gamma(0.5 - 1j * lam - k) - log_gamma(0.5 - 1j * lam + k)
-    m = np.zeros(n_max + 1, dtype=complex)
-    m[0] = cmath.exp(lm0)
-    if n_max >= 1:
-        m[1] = -2j * k * m[0] / (1.0 + 2j * lam)
-    for n in range(1, n_max):
-        m[n + 1] = (-2j * k * m[n] - n * m[n - 1]) / (n + 1.0 + 2j * lam)
-    return m
+    ks = range(-K, K + 1)
+    if renormalized:
+        lhalf = log_gamma(0.5 - 1j * lam)
+        seeds = [cmath.exp(2.0 * lhalf - log_gamma(0.5 - 1j * lam - k)
+                           - log_gamma(0.5 - 1j * lam + k)) for k in ks]
+    else:
+        b = -0.5 + 1j * lam
+        seeds = [cmath.exp(log_beta_line(b + k, b - k)) for k in ks]
+    return recurrence_columns(-2j * np.arange(-K, K + 1), -1.0, 2j * lam,
+                              seeds, n_max)
 
 
 def rho(lam):
@@ -263,36 +246,40 @@ def rho(lam):
     return cmath.exp(log_gamma(0.5 - 1j * lam) - log_gamma(-1j * lam)) / _SQRT_PI
 
 
-def i_nk_binomial(lam, k, n):
-    """The moment integral by its binomial/beta closed form (reference route).
-
-    I_{n,k} = pi 2^(n+1+2 i lam) (2i)^(-n) Gamma(-n - 2 i lam)
-              * sum_j (-1)^(n-j) C(n,j) /
-                (Gamma(1/2-i lam-k-j) Gamma(1/2-i lam+k-n+j)).
-    Stable log-magnitude/phase accumulation; used as a cross-check of the
-    recurrence route in the tests.
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise PoleError("i_nk_binomial: Gamma(-n - 2 i lam) pole at lam = 0")
-    logs = np.empty(n + 1, dtype=complex)
-    for j in range(n + 1):
-        lb = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        logs[j] = (lb - log_gamma(0.5 - 1j * lam - k - j)
-                   - log_gamma(0.5 - 1j * lam + k - n + j))
-        if (n - j) % 2:
-            logs[j] += 1j * math.pi
-    mx = float(np.max(logs.real))
-    total = complex(np.sum(np.exp(logs - mx)))
-    pref = (math.log(math.pi) + (n + 1 + 2j * lam) * math.log(2.0)
-            - n * cmath.log(2j) + log_gamma(-n - 2j * lam))
-    return cmath.exp(pref + mx) * total
-
-
 def _phase(k, sign):
     # exp(sign * i k pi / 2) exactly on the 4th roots of unity
     r = (sign * k) % 4
     return (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)[r]
+
+
+def _phases(K, sign):
+    """Row of exp(sign * i k pi / 2) / sqrt(pi) over |k| <= K."""
+    return np.array([_phase(k, sign) / _SQRT_PI for k in range(-K, K + 1)])
+
+
+def _scaled(pre, cols, row):
+    """(pre[n] * cols[n, j]) * row[j], multiplied in place in that order.
+
+    The order is kept fixed because numpy's fused complex multiply is not
+    bitwise commutative.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(pre[:, None], cols, out=cols)
+        cols *= row
+    return cols
+
+
+def require_finite(table, where):
+    """Return table, or raise AccuracyError naming `where` if it has inf/nan."""
+    if not np.all(np.isfinite(table)):
+        raise AccuracyError(
+            f"{where} has non-finite entries (double precision overflow)")
+    return table
+
+
+def _table_name(branch, p, N, K):
+    par = f"lam = {p.lam.real!r}" if p.lam.imag == 0 else f"nu = {p.lam.imag!r}"
+    return f"{branch} table at {par}, N = {N}, K = {K}"
 
 
 def coeffs_plus(p, N, K):
@@ -300,11 +287,10 @@ def coeffs_plus(p, N, K):
     glog = gauge_log(p, BRANCH_PLUS, N)
     half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
     pre = np.exp(glog + half_lf)
-    s = np.zeros((N + 1, 2 * K + 1), dtype=complex)
-    b = p.b_plus
-    for k in range(-K, K + 1):
-        a = taylor_two_factor(b + k, b - k, N)
-        s[:, k + K] = pre * a * (_phase(k, +1) / _SQRT_PI)
+    ks = np.arange(-K, K + 1)
+    a = taylor_two_factor(p.b_plus + ks, p.b_plus - ks, N)
+    s = _scaled(pre, a, _phases(K, +1))
+    require_finite(s, _table_name("plus-branch", p, N, K))
     return CoeffTable(BRANCH_PLUS, N, K, s, glog)
 
 
@@ -318,19 +304,17 @@ def coeffs_minus(p, N, K, renormalized=False):
     glog = gauge_log(p, BRANCH_MINUS, N)
     half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
     pre = np.exp(glog - half_lf)
-    s = np.zeros((N + 1, 2 * K + 1), dtype=complex)
     if renormalized:
         parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-        for k in range(-K, K + 1):
-            m = _moment_seq_renormalized(lam, k, N)
-            s[:, k + K] = parity * pre * m * (_phase(k, -1) / _SQRT_PI)
+        m = _moments(lam, K, N, renormalized=True)
+        s = _scaled(parity * pre, m, _phases(K, -1))
+        require_finite(s, _table_name("renormalized minus-branch", p, N, K))
         return CoeffTable(BRANCH_MINUS_RENORMALIZED, N, K, s, glog)
     if lam == 0:
         raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
                         "use renormalized=True")
-    for k in range(-K, K + 1):
-        m = _moment_seq(lam, k, N)
-        s[:, k + K] = pre * m * (_phase(k, -1) / _SQRT_PI)
+    s = _scaled(pre, _moments(lam, K, N), _phases(K, -1))
+    require_finite(s, _table_name("minus-branch", p, N, K))
     return CoeffTable(BRANCH_MINUS, N, K, s, glog)
 
 
@@ -345,21 +329,17 @@ def dual_coeffs(p, N, K, branch):
     glog = gauge_log(p, branch, N)
     half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
     parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    v = np.zeros((N + 1, 2 * K + 1), dtype=complex)
     if branch == BRANCH_PLUS:
         pre = parity * np.exp(-glog - half_lf)
-        for k in range(-K, K + 1):
-            m = _moment_seq(-lam, k, N)
-            v[:, k + K] = pre * m * (_phase(k, -1) / _SQRT_PI)
-        return v
-    if branch == BRANCH_MINUS:
+        v = _scaled(pre, _moments(-lam, K, N), _phases(K, -1))
+    elif branch == BRANCH_MINUS:
         pre = parity * np.exp(half_lf - glog)
-        bm = p.b_minus
-        for k in range(-K, K + 1):
-            a = taylor_two_factor(bm + k, bm - k, N)
-            v[:, k + K] = pre * a * (_phase(k, +1) / _SQRT_PI)
-        return v
-    raise DomainError(f"dual_coeffs: unsupported branch {branch}")
+        ks = np.arange(-K, K + 1)
+        a = taylor_two_factor(p.b_minus + ks, p.b_minus - ks, N)
+        v = _scaled(pre, a, _phases(K, +1))
+    else:
+        raise DomainError(f"dual_coeffs: unsupported branch {branch}")
+    return require_finite(v, _table_name(f"{branch}-branch dual", p, N, K))
 
 
 def full_table(p, N, K, branch, renormalized=False):
@@ -382,6 +362,40 @@ def full_table(p, N, K, branch, renormalized=False):
     return tab
 
 
+def ladder_residual(table, relations):
+    """Max relative residual of ladder identities checked row by row.
+
+    relations maps a name to (op, coef, shift) and states, for every row n
+    with 0 <= n + shift < len(table),
+        coef[n] * table[n + shift, k] = sum_j O_{jk} table[n, j]
+    on the interior columns k, with O the KBandedOperator op.  Each row
+    scores max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) and the
+    relation reports its worst row.  Rows go through in blocks of
+    AUDIT_BLOCK_ROWS to keep the temporaries small.  A non-finite residual
+    raises AccuracyError instead of being dropped.
+    """
+    n_rows = table.shape[0]
+    res = {}
+    for name, (op, coef, shift) in relations.items():
+        coef = np.asarray(coef, dtype=complex)
+        first, stop = max(0, -shift), min(n_rows, n_rows - shift)
+        worst = 0.0
+        for n0 in range(first, stop, AUDIT_BLOCK_ROWS):
+            n1 = min(n0 + AUDIT_BLOCK_ROWS, stop)
+            lhs = coef[n0:n1, None] * table[n0 + shift:n1 + shift, 1:-1]
+            rhs = op.apply_interior(table[n0:n1])
+            scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1),
+                                          np.abs(rhs).max(axis=1)), 1e-300)
+            block = float(np.max(np.abs(lhs - rhs).max(axis=1) / scale))
+            if not math.isfinite(block):
+                raise AccuracyError(
+                    f"intertwining audit: {name} residual is not finite in "
+                    f"rows {n0}..{n1 - 1}")
+            worst = max(worst, block)
+        res[name] = worst
+    return res
+
+
 def intertwine_residual(p, table, ops):
     """Max relative residual of the X / U / S intertwining identities.
 
@@ -402,24 +416,14 @@ def intertwine_residual(p, table, ops):
     ssign = 1.0 if plus else -1.0
     if table.branch == BRANCH_MINUS_RENORMALIZED:
         usign, ssign = -usign, -ssign
-    s = table.s
-    res = {"X": 0.0, "U": 0.0, "S": 0.0}
-
-    def upd(name, lhs, rhs):
-        lhs = lhs[1:-1]
-        rhs = rhs[1:-1]
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-        res[name] = max(res[name], float(np.max(np.abs(lhs - rhs))) / scale)
-
-    for n in range(N + 1):
-        upd("X", (-n + b) * s[n], ops["X"].transform_row(s[n]))
-        if n >= 1:
-            lhs = usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b) * s[n - 1]
-            upd("U", lhs, ops["U"].transform_row(s[n]))
-        if n <= N - 1:
-            lhs = ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1) * s[n + 1]
-            upd("S", lhs, ops["S"].transform_row(s[n]))
-    return res
+    ns = range(N + 1)
+    return ladder_residual(table.s, {
+        "X": (ops["X"], [-n + b for n in ns], 0),
+        "U": (ops["U"], [usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b)
+                         for n in ns], -1),
+        "S": (ops["S"], [ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1)
+                         for n in ns], 1),
+    })
 
 
 def _threshold_rationals(k, n_max):

@@ -3,15 +3,20 @@
 Each oracle follows a different computational route from the library code
 it checks: arbitrary-precision special functions (mpmath), brute-force
 series products, adaptive quadrature, characteristics ODE integration, and
-dense matrix exponentials.
+dense matrix exponentials.  The row-at-a-time intertwining audits are the
+exception: they are the reference the blocked library audit must match
+exactly.
 """
 
+import cmath
 import math
 
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+
+from gfsl.spherical import KBandedOperator
 
 mp.mp.dps = 30
 
@@ -39,6 +44,16 @@ def cauchy_two_factor(alpha, beta, n_max):
     c1 = binom_series(complex(alpha), +1)
     c2 = binom_series(complex(beta), -1)
     return np.convolve(c1, c2)[: n_max + 1]
+
+
+def recurrence_scalar(a, s, e, x0, n_max):
+    """One column of (n+1+e) x_{n+1} = a x_n + (s-(n-1)) x_{n-1}, scalar loop."""
+    x = np.zeros(n_max + 1, dtype=complex)
+    x[0] = x0
+    for n in range(n_max):
+        prev = x[n - 1] if n else 0.0
+        x[n + 1] = (a * x[n] + (s - (n - 1)) * prev) / (n + 1.0 + e)
+    return x
 
 
 def beta_line_quad(alpha, beta):
@@ -139,6 +154,64 @@ def i_nk_reference(lam, k, n):
     pref = (mp.pi * mp.mpf(2) ** (n + 1 + 2 * il) / (2j) ** n
             * mp.gamma(-n - 2 * il))
     return complex(pref * total)
+
+
+def _banded_row(op, row):
+    """Interior column action of a tridiagonal KBandedOperator on one row."""
+    return (op.diag[1:-1] * row[1:-1] + op.sup[1:-1] * row[2:]
+            + op.sub[1:-1] * row[:-2])
+
+
+def _row_loop_audit(rows, relations):
+    """Intertwining residuals one coefficient row at a time.
+
+    relations: name -> (op, coef(n), shift), stating
+    coef(n) * rows[n + shift] = op applied to rows[n] on interior columns.
+    """
+    res = dict.fromkeys(relations, 0.0)
+    n_rows = len(rows)
+    for n in range(n_rows):
+        for name, (op, coef, shift) in relations.items():
+            if not 0 <= n + shift < n_rows:
+                continue
+            lhs = (coef(n) * rows[n + shift])[1:-1]
+            rhs = _banded_row(op, rows[n])
+            scale = max(float(np.max(np.abs(lhs))),
+                        float(np.max(np.abs(rhs))), 1e-300)
+            res[name] = max(res[name],
+                            float(np.max(np.abs(lhs - rhs))) / scale)
+    return res
+
+
+def intertwine_residual_rows(p, table, ops):
+    """Row-loop reference for spherical.intertwine_residual."""
+    plus = table.branch == "plus"
+    b = p.b_plus if plus else p.b_minus
+    usign = -1.0 if plus else 1.0
+    ssign = 1.0 if plus else -1.0
+    if table.branch == "minus_renormalized":
+        usign, ssign = -usign, -ssign
+    return _row_loop_audit(table.s, {
+        "X": (ops["X"], lambda n: -n + b, 0),
+        "U": (ops["U"],
+              lambda n: usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b), -1),
+        "S": (ops["S"],
+              lambda n: ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1), 1),
+    })
+
+
+def intertwine_residual_ds_rows(l, table, ops):
+    """Row-loop reference for discrete.intertwine_residual_ds."""
+    npl, nmi, th = ops["Nplus"], ops["Nminus"], ops["Theta"]
+    u_op = KBandedOperator(0, table.k_max, -0.5j * th.diag,
+                           -0.5j * npl.sup, 0.5j * nmi.sub)
+    s_op = KBandedOperator(0, table.k_max, 0.5j * th.diag,
+                           -0.5j * npl.sup, 0.5j * nmi.sub)
+    return _row_loop_audit(table.forward, {
+        "X": (ops["X"], lambda n: -(n + l / 2.0), 0),
+        "U": (u_op, lambda n: math.sqrt(n) * math.sqrt(n - 1 + l), -1),
+        "S": (s_op, lambda n: -math.sqrt(n + l) * math.sqrt(n + 1), 1),
+    })
 
 
 def bolza_words_oracle(max_letters=2):

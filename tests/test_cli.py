@@ -26,14 +26,13 @@ class TestSphericalCheck:
                     "--n", "25", "--k", "5", "--tol", "1e-16"])
         assert code == cli.EXIT_VERIFY
 
-    def test_deterministic_across_threads(self, tmp_path):
-        run(["spherical-check", "--out", str(tmp_path / "a"),
-             "--n", "25", "--k", "5", "--threads", "1"])
-        run(["spherical-check", "--out", str(tmp_path / "b"),
-             "--n", "25", "--k", "5", "--threads", "4"])
-        a = (tmp_path / "a" / "spherical_residuals.csv").read_bytes()
-        b = (tmp_path / "b" / "spherical_residuals.csv").read_bytes()
-        assert a == b
+    def test_overflowing_tables_fail_loudly(self, tmp_path, capsys):
+        code = run(["spherical-check", "--out", str(tmp_path),
+                    "--lambda", "5", "--nu", "0.3", "--n", "2000", "--k", "250"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "plus-branch" in err and "non-finite" in err
+        assert not (tmp_path / "spherical_residuals.csv").exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gfsl import discrete
-from gfsl.errors import DomainError
+from gfsl.errors import AccuracyError, DomainError
 
-from oracles import galerkin_exp_oracle
+from oracles import galerkin_exp_oracle, intertwine_residual_ds_rows
 
 
 class TestDiskBasis:
@@ -96,6 +96,13 @@ class TestCayleyCoeffs:
             assert np.all(np.abs(tab.forward[:, k]) <= bound)
 
 
+    def test_overflow_rejected(self):
+        with pytest.raises(AccuracyError) as info:
+            discrete.cayley_coeffs(2, 2000, 200)
+        msg = str(info.value)
+        assert "l = 2" in msg and "N = 2000" in msg and "K = 200" in msg
+
+
 class TestIntertwining:
     @pytest.mark.parametrize("l", [2, 8])
     def test_residuals(self, l):
@@ -104,6 +111,13 @@ class TestIntertwining:
         res = discrete.intertwine_residual_ds(l, tab, ops)
         for rel, val in res.items():
             assert val < 1e-10, (l, rel, val)
+
+    @pytest.mark.parametrize("l", [2, 8])
+    def test_blocked_audit_equals_row_loop(self, l):
+        ops = discrete.build_disk_matrices(l, 40)
+        tab = discrete.cayley_coeffs(l, 40, 40)
+        got = discrete.intertwine_residual_ds(l, tab, ops)
+        assert got == intertwine_residual_ds_rows(l, tab, ops)
 
 
 class TestCorrelation:

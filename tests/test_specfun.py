@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gfsl import specfun
 from gfsl.errors import DomainError, PoleError
 
-from oracles import beta_line_quad, cauchy_two_factor, legendre_oracle, loggamma_oracle
+from oracles import (beta_line_quad, cauchy_two_factor, legendre_oracle,
+                     loggamma_oracle, recurrence_scalar)
 
 
 class TestLogGamma:
@@ -101,6 +102,22 @@ class TestTaylorTwoFactor:
         want = cauchy_two_factor(b + 1, b - 1, 20)
         assert np.max(np.abs(a - want) / np.maximum(np.abs(want), 1e-30)) < 1e-12
 
+    def test_column_batched(self):
+        b = -0.5 + 1.3j
+        ks = np.arange(-4, 5)
+        table = specfun.taylor_two_factor(b + ks, b - ks, 30)
+        assert table.shape == (31, ks.size)
+        for j, k in enumerate(ks):
+            col = table[:, j]
+            want = cauchy_two_factor(b + k, b - k, 30)
+            # parity zeros at k = 0 make entrywise relative errors meaningless
+            assert np.max(np.abs(col - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(col, specfun.taylor_two_factor(b + k, b - k, 30))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(DomainError):
+            specfun.taylor_two_factor([1.0, 2.0], [1.0], 5)
+
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
     def test_conjugate_swap_symmetry(self, ar, ai, br, bi):
@@ -110,6 +127,22 @@ class TestTaylorTwoFactor:
         swapped = specfun.taylor_two_factor(beta.conjugate(), alpha.conjugate(), 12)
         assert np.max(np.abs(swapped - np.conj(a))) <= 1e-12 * max(
             1.0, float(np.max(np.abs(a))))
+
+
+class TestRecurrenceColumns:
+    def test_columns_equal_scalar_loop_bitwise(self):
+        # the tables must not change in the last bit when columns are
+        # batched, since the reports print residuals at full precision
+        rng = np.random.default_rng(11)
+        m = 24
+        a = rng.uniform(-20, 20, m) + 1j * rng.uniform(-20, 20, m)
+        s = rng.uniform(-20, 20, m) + 1j * rng.uniform(-20, 20, m)
+        e = np.where(np.arange(m) % 2, 0.0, 2j * rng.uniform(0, 10, m))
+        x0 = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
+        table = specfun.recurrence_columns(a, s, e, x0, 80)
+        for j in range(m):
+            want = recurrence_scalar(a[j], s[j], e[j], x0[j], 80)
+            assert np.array_equal(table[:, j], want), j
 
 
 class TestBetaLineIntegral:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from gfsl import means, spherical
-from gfsl.errors import ConsistencyError, DomainError, PoleError
+from gfsl.errors import (AccuracyError, ConsistencyError, DomainError,
+                         PoleError)
 from gfsl.specfun import beta_line_integral, legendre_conical
 
-from oracles import characteristics_correlation, i_nk_reference
+from oracles import (characteristics_correlation, i_nk_reference,
+                     intertwine_residual_rows)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -164,6 +166,17 @@ class TestCoeffTables:
         assert np.max(np.abs(sp - sm)) <= 1e-12 * max(1.0, np.max(np.abs(sp)))
 
 
+class TestOverflow:
+    def test_large_tables_rejected(self):
+        # the plus table overflows near (N, K) = (2000, 250) at lam = 5
+        p = spherical.SpectralParam.principal(5.0)
+        with pytest.raises(AccuracyError) as info:
+            spherical.coeffs_plus(p, 2000, 250)
+        msg = str(info.value)
+        assert "plus-branch" in msg and "lam = 5.0" in msg
+        assert "N = 2000" in msg and "K = 250" in msg
+
+
 class TestDualCoeffs:
     def test_dual_plus_origin(self):
         v = spherical.dual_coeffs(P1, 4, 2, spherical.BRANCH_PLUS)
@@ -188,15 +201,24 @@ class TestDualCoeffs:
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
+ALL_REGIMES = [
+    spherical.SpectralParam.principal(0.3),
+    spherical.SpectralParam.principal(1.0),
+    spherical.SpectralParam.principal(5.0),
+    spherical.SpectralParam.complementary(0.1),
+    spherical.SpectralParam.complementary(0.3),
+    spherical.SpectralParam.complementary(0.49),
+]
+
+
+def _branch_tables(p, N, K):
+    yield spherical.coeffs_plus(p, N, K)
+    yield spherical.coeffs_minus(p, N, K)
+    yield spherical.coeffs_minus(p, N, K, renormalized=True)
+
+
 class TestIntertwining:
-    @pytest.mark.parametrize("p", [
-        spherical.SpectralParam.principal(0.3),
-        spherical.SpectralParam.principal(1.0),
-        spherical.SpectralParam.principal(5.0),
-        spherical.SpectralParam.complementary(0.1),
-        spherical.SpectralParam.complementary(0.3),
-        spherical.SpectralParam.complementary(0.49),
-    ])
+    @pytest.mark.parametrize("p", ALL_REGIMES)
     def test_residuals_all_regimes(self, p):
         ops = spherical.build_k_matrices(p, 8)
         for branch, renorm in (("plus", False), ("minus", False), ("minus", True)):
@@ -205,6 +227,21 @@ class TestIntertwining:
             res = spherical.intertwine_residual(p, tab, ops)
             for rel, val in res.items():
                 assert val < 1e-10, (branch, renorm, rel, val)
+
+    @pytest.mark.parametrize("p", ALL_REGIMES)
+    def test_blocked_audit_equals_row_loop(self, p):
+        # 40 + 1 rows: two full audit blocks and a partial one
+        ops = spherical.build_k_matrices(p, 8)
+        for tab in _branch_tables(p, 40, 8):
+            got = spherical.intertwine_residual(p, tab, ops)
+            assert got == intertwine_residual_rows(p, tab, ops), tab.branch
+
+    def test_non_finite_residual_raises(self):
+        ops = spherical.build_k_matrices(P1, 6)
+        tab = spherical.coeffs_plus(P1, 20, 6)
+        tab.s[10, 6] = np.nan
+        with pytest.raises(AccuracyError):
+            spherical.intertwine_residual(P1, tab, ops)
 
     def test_range_mismatch_rejected(self):
         ops = spherical.build_k_matrices(P1, 6)
