@@ -13,14 +13,9 @@ global_traces  resonance enumeration, block semigroup, global trace forms
 selberg        Bolza group, length spectrum, tanh identity, wave-trace pair
 means          Harish-Chandra expansion, wave residual, envelope decay
 cli            batch front end (entry point `gfsl`)
+
+Submodules are imported on demand (`from gfsl import selberg`), so a
+run loads only what it uses.
 """
-
-from . import (cli, discrete, errors, global_traces, means, oscillator,
-               selberg, specfun, spherical)
-
-__all__ = [
-    "cli", "discrete", "errors", "global_traces", "means", "oscillator",
-    "selberg", "specfun", "spherical",
-]
 
 __version__ = "0.1.0"

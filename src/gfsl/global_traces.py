@@ -25,42 +25,65 @@ _THRESHOLD_TOL = 1e-12
 
 @dataclass
 class LaplaceSpectrum:
-    """Positive Laplace eigenvalues (mu, multiplicity) on a genus-g surface."""
+    """Positive Laplace eigenvalues (mu, multiplicity) on a genus-g surface.
+
+    `mu` and `mult` are float arrays of the entries, built once at
+    construction; `entries` is not to be mutated afterwards.
+    """
 
     entries: list
     genus: int
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
+    mult: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
             raise DomainError("LaplaceSpectrum: genus must be >= 2")
-        mus = [m for m, _ in self.entries]
-        if any(m <= 0 for m in mus):
+        self.mu = np.array([m for m, _ in self.entries], dtype=float)
+        self.mult = np.array([d for _, d in self.entries], dtype=float)
+        if not np.all(np.isfinite(self.mu)):
+            raise DomainError("LaplaceSpectrum: eigenvalues must be finite")
+        if np.any(self.mu <= 0):
             raise DomainError("LaplaceSpectrum: eigenvalues must be > 0")
-        if any(b <= a for a, b in zip(mus, mus[1:])):
+        if np.any(self.mu[1:] <= self.mu[:-1]):
             raise DomainError("LaplaceSpectrum: eigenvalues must be strictly increasing")
-        if any(d < 1 for _, d in self.entries):
+        if not np.all(self.mult >= 1):
             raise DomainError("LaplaceSpectrum: multiplicities must be >= 1")
 
     def weyl_ratio(self):
         """count(mu <= R^2 + 1/4) / ((g-1) R^2) at the largest ingested scale."""
         if not self.entries:
             return None
-        top = max(m for m, _ in self.entries)
-        r2 = max(top - 0.25, 1e-12)
-        count = sum(d for m, d in self.entries if m <= r2 + 0.25)
+        r2 = max(float(self.mu[-1]) - 0.25, 1e-12)
+        count = float(self.mult[self.mu <= r2 + 0.25].sum())
         return count / ((self.genus - 1) * r2)
 
     @classmethod
     def from_csv(cls, path, genus):
+        """Read a `mu,multiplicity` CSV; blank lines are skipped.
+
+        Every other row must have exactly two fields, a float and an int.
+        """
         entries = []
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [f.strip() for f in reader.fieldnames] != ["mu", "multiplicity"]:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or \
+                    [f.strip() for f in header] != ["mu", "multiplicity"]:
                 raise DomainError(
                     f"laplace file {path}: header must be 'mu,multiplicity'")
             for row in reader:
-                entries.append((float(row["mu"]), int(row["multiplicity"])))
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise DomainError(
+                        f"laplace file {path}, line {reader.line_num}: "
+                        f"expected 2 fields, got {len(row)}")
+                try:
+                    entries.append((float(row[0]), int(row[1])))
+                except ValueError as exc:
+                    raise DomainError(
+                        f"laplace file {path}, line {reader.line_num}: {exc}") from exc
         spec = cls(entries, genus)
         ratio = spec.weyl_ratio()
         if ratio is not None and not 0.2 <= ratio <= 5.0:
@@ -155,6 +178,24 @@ def _discrete_series_sum(genus, t, q_max):
     return total
 
 
+def _spherical_sum(spec, t):
+    # sum_j d_j cos(t sqrt(mu_j - 1/4)), added left to right in entry order
+    # (np.cumsum, not the pairwise np.sum) so it is bit-identical to a
+    # scalar loop.  mu increases, so the complementary entries (mu < 1/4,
+    # where cos(t sqrt(mu - 1/4)) = cosh(t sqrt(1/4 - mu))) are a prefix;
+    # they go through math.cosh one by one, because np.cosh differs from
+    # libm in the last bit.
+    mu, mult = spec.mu, spec.mult
+    if mu.size == 0:
+        return 0.0
+    k = int(np.searchsorted(mu, 0.25))
+    terms = np.empty(mu.size)
+    terms[:k] = [d * math.cosh(t * math.sqrt(0.25 - m))
+                 for m, d in zip(mu[:k].tolist(), mult[:k].tolist())]
+    terms[k:] = mult[k:] * np.cos(t * np.sqrt(mu[k:] - 0.25))
+    return float(np.cumsum(terms)[-1])
+
+
 def global_trace(spec, t, form=POST_RR, q_max=200):
     """Global spectral trace of the propagator at time t > 0.
 
@@ -165,11 +206,7 @@ def global_trace(spec, t, form=POST_RR, q_max=200):
     if t <= 0:
         raise DomainError("global_trace: t must be > 0")
     x = math.exp(-t)
-    sph = 0.0
-    for mu, d in spec.entries:
-        r = sqrt_shifted(mu)
-        sph += d * (cmath.cos(t * r)).real
-    base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * sph
+    base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * _spherical_sum(spec, t)
     if form == PRE_RR:
         return base + 2.0 / (1.0 - x) * _discrete_series_sum(spec.genus, t, q_max)
     if form == POST_RR:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (BudgetError, ConstructionError, DomainError, SupportError)
 
@@ -373,7 +372,11 @@ class SelbergReport:
 
 
 def _identity_term(g, chi_abs):
-    # |chi| * int hat g(r) r tanh(pi r) dr; even real integrand
+    # |chi| * int hat g(r) r tanh(pi r) dr; even real integrand.  scipy is
+    # imported here, not at module top, so runs that never integrate this
+    # term do not pay for loading it.
+    from scipy.integrate import quad
+
     def integrand(r):
         return (g.fourier(r) * r * math.tanh(math.pi * r)).real
 

@@ -11,6 +11,7 @@ periodic-trapezoid quadrature.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -226,6 +227,41 @@ def beta_line_integral(alpha, beta):
     return cmath.exp(log_beta_line(alpha, beta))
 
 
+# Nodes per block of the quadrature: every temporary array stays at
+# 512 KiB or below however far the node count doubles.
+_CONICAL_BLOCK = 1 << 15
+
+
+def _conical_nodes(b, t, n, lo, hi):
+    """(cosh t + sinh t cos theta_k)^b at theta_k = 2 pi k / n, lo <= k < hi."""
+    theta = 2.0 * math.pi * np.arange(lo, hi) / n
+    # cosh t + sinh t cos(theta), grouped to avoid the cancellation at
+    # theta = pi that would cost a factor e^{2t} in precision
+    base = math.exp(-t) + 2.0 * math.sinh(t) * np.cos(theta / 2.0) ** 2
+    return np.exp(b * np.log(base))
+
+
+def _conical_mean_exact(b, t, n):
+    """Exactly rounded mean of the n quadrature nodes, block by block.
+
+    The real parts stream into one math.fsum; the imaginary parts are
+    kept (8 bytes a node) for a second.  Both sums are exactly rounded,
+    so the result does not depend on the block size.
+    """
+    imag = []
+
+    def real_parts(lo):
+        nodes = _conical_nodes(b, t, n, lo, min(lo + _CONICAL_BLOCK, n))
+        imag.append(nodes.imag.copy())
+        return nodes.real.tolist()
+
+    re = math.fsum(itertools.chain.from_iterable(
+        map(real_parts, range(0, n, _CONICAL_BLOCK))))
+    im = math.fsum(itertools.chain.from_iterable(
+        part.tolist() for part in imag))
+    return complex(re / n, im / n)
+
+
 def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
     """P_{-1/2 + i lam}(cosh t) for t >= 0, real lam.
 
@@ -243,17 +279,12 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
     prev = None
     val = None
     while n <= max_nodes:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        # cosh t + sinh t cos(theta), grouped to avoid the cancellation at
-        # theta = pi that would cost a factor e^{2t} in precision
-        base = math.exp(-t) + 2.0 * math.sinh(t) * np.cos(theta / 2.0) ** 2
-        nodes = np.exp(b * np.log(base))
         if n >= 1 << 14:
             # exactly-rounded mean: plain summation wanders at the level of
             # eps * e^{t/2}, above tight tolerances once t is large
-            val = complex(math.fsum(nodes.real) / n, math.fsum(nodes.imag) / n)
+            val = _conical_mean_exact(b, t, n)
         else:
-            val = complex(np.mean(nodes))
+            val = complex(np.mean(_conical_nodes(b, t, n, 0, n)))
         if (prev is not None
                 and abs(val - prev) <= tol * max(1.0, abs(val))
                 and abs(val.imag) <= 1e-12):

@@ -3,9 +3,10 @@
 Each oracle follows a different computational route from the library code
 it checks: arbitrary-precision special functions (mpmath), brute-force
 series products, adaptive quadrature, characteristics ODE integration, and
-dense matrix exponentials.  The row-at-a-time intertwining audits are the
-exception: they are the reference the blocked library audit must match
-exactly.
+dense matrix exponentials.  The row-at-a-time intertwining audits, the
+scalar global-trace loop and the whole-array conical quadrature are the
+exception: they are the references the blocked library audit, the
+vectorized global trace and the block-wise quadrature must match exactly.
 """
 
 import cmath
@@ -16,6 +17,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from gfsl.discrete import rr_multiplicity
+from gfsl.global_traces import POST_RR, PRE_RR, sqrt_shifted
 from gfsl.spherical import KBandedOperator
 
 mp.mp.dps = 30
@@ -212,6 +215,49 @@ def intertwine_residual_ds_rows(l, table, ops):
         "U": (u_op, lambda n: math.sqrt(n) * math.sqrt(n - 1 + l), -1),
         "S": (s_op, lambda n: -math.sqrt(n + l) * math.sqrt(n + 1), 1),
     })
+
+
+def global_trace_loop(spec, t, form, q_max=200):
+    """Scalar-loop reference for global_traces.global_trace."""
+    x = math.exp(-t)
+    sph = 0.0
+    for mu, d in spec.entries:
+        r = sqrt_shifted(mu)
+        sph += d * (cmath.cos(t * r)).real
+    base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * sph
+    if form == PRE_RR:
+        ds = 0.0
+        for q in range(1, q_max + 1):
+            ds += rr_multiplicity(spec.genus, 2 * q) * x ** q
+        return base + 2.0 / (1.0 - x) * ds
+    assert form == POST_RR
+    chi = abs(2 - 2 * spec.genus)
+    return base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3
+
+
+def legendre_conical_whole(lam, t, tol=1e-12, max_nodes=1 << 21):
+    """Whole-array reference for specfun.legendre_conical: every doubling
+    evaluates all n nodes in one array and fsums its real and imaginary
+    parts."""
+    if t == 0.0:
+        return 1.0
+    b = -0.5 + 1j * lam
+    n, prev = 16, None
+    while n <= max_nodes:
+        theta = 2.0 * math.pi * np.arange(n) / n
+        base = math.exp(-t) + 2.0 * math.sinh(t) * np.cos(theta / 2.0) ** 2
+        nodes = np.exp(b * np.log(base))
+        if n >= 1 << 14:
+            val = complex(math.fsum(nodes.real) / n, math.fsum(nodes.imag) / n)
+        else:
+            val = complex(np.mean(nodes))
+        if (prev is not None
+                and abs(val - prev) <= tol * max(1.0, abs(val))
+                and abs(val.imag) <= 1e-12):
+            return val.real
+        prev = val
+        n *= 2
+    raise AssertionError("legendre_conical_whole: no convergence")
 
 
 def bolza_words_oracle(max_letters=2):

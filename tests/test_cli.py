@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gfsl import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv):
@@ -71,6 +77,27 @@ class TestTraces:
         for r in by_name["pre_rr_vs_post_rr"]:
             assert r["abs_err"] < 1e-10
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_error_fails(self, tmp_path):
+        code = run(["traces", "--out", str(tmp_path), "--t", "nan"])
+        assert code == cli.EXIT_VERIFY
+        rows = json.loads((tmp_path / "traces.json").read_text())["identities"]
+        assert any(math.isnan(r["abs_err"]) for r in rows)
+
+    @pytest.mark.parametrize("row,match", [
+        ("nan,1", "eigenvalues must be finite"),
+        ("1.5", "line 3: expected 2 fields, got 1"),
+        ("0.5,1,7", "line 3: expected 2 fields, got 3"),
+    ])
+    def test_bad_laplace_row(self, tmp_path, capsys, row, match):
+        path = tmp_path / "laplace.csv"
+        path.write_text(f"mu,multiplicity\n0.3,1\n{row}\n")
+        code = run(["traces", "--out", str(tmp_path),
+                    "--laplace-file", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "traces.json").exists()
+
 
 class TestSelberg:
     def test_harness_small_cutoff(self, tmp_path):
@@ -103,6 +130,22 @@ class TestUsage:
         with pytest.raises(SystemExit):
             run(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [["traces", "--format", "json"],
+                                      ["means", "--tau", "2"]])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            run(argv)
+
+    @pytest.mark.parametrize("command,field", [("traces", "format"),
+                                               ("means", "tau")])
+    def test_removed_config_fields_rejected(self, tmp_path, capsys,
+                                            command, field):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\n{field} = 1\n")
+        code = run([command, "--out", str(tmp_path), "--config", str(cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"unknown field '{field}'" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         code = run(["traces", "--out", str(tmp_path),
                     "--config", str(tmp_path / "nope.cfg")])
@@ -117,3 +160,27 @@ class TestUsage:
         monkeypatch.setattr(cli.selberg, "length_spectrum", exhausted)
         code = run(["selberg", "--out", str(tmp_path), "--lmax", "5"])
         assert code == cli.EXIT_BUDGET
+
+
+def _python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        proc = _python(["-c", "import gfsl.cli, sys; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy'))"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_module_entry_point_warns_nothing(self, tmp_path):
+        proc = _python(["-W", "error::RuntimeWarning", "-m", "gfsl.cli",
+                        "traces", "--t", "1", "--out", str(tmp_path)],
+                       tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "traces.json").exists()

@@ -5,6 +5,14 @@ import pytest
 
 from gfsl import discrete, global_traces as gt, spherical
 from gfsl.errors import ConsistencyError, DomainError
+from oracles import global_trace_loop
+
+
+# complementary entries, mu = 1/4 exactly, principal entries and
+# multiplicities above 1
+MIXED = ([(0.25 * (j + 0.5) / 40, 1 + j % 3) for j in range(40)] + [(0.25, 2)]
+         + [(0.35 + 0.37 * j ** 1.3, 1 + j % 4) for j in range(300)])
+TRACE_TIMES = (0.1, 0.5, math.log(2.0), 1.0, 3.0, 7.0, 40.0)
 
 
 def toy_spectrum(entries=((2.0, 1),), genus=2):
@@ -22,6 +30,38 @@ class TestLaplaceSpectrum:
         spec.to_csv(path)
         back = gt.LaplaceSpectrum.from_csv(path, 2)
         assert back.entries == spec.entries
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, mu):
+        with pytest.raises(DomainError, match="finite"):
+            gt.LaplaceSpectrum([(0.5, 1), (mu, 1)], 2)
+
+    def test_arrays_follow_entries(self):
+        spec = toy_spectrum([(0.16, 1), (2.0, 3)])
+        assert spec.mu.tolist() == [0.16, 2.0]
+        assert spec.mult.tolist() == [1.0, 3.0]
+        assert spec == toy_spectrum([(0.16, 1), (2.0, 3)])
+
+    @pytest.mark.parametrize("row,line,match", [
+        ("nan,1", 3, "eigenvalues must be finite"),
+        ("1.5", 4, "line 4: expected 2 fields, got 1"),
+        ("0.5,1,7", 2, "line 2: expected 2 fields, got 3"),
+        ("2.0,x", 3, "line 3: invalid literal"),
+    ])
+    def test_bad_row_rejected(self, tmp_path, row, line, match):
+        path = tmp_path / "laplace.csv"
+        rows = ["mu,multiplicity", "0.3,1", "", "5.0,1"]
+        rows.insert(line - 1, row)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DomainError) as err:
+            gt.LaplaceSpectrum.from_csv(path, 2)
+        assert match in str(err.value)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "laplace.csv"
+        path.write_text("mu,multiplicity\n\n0.9,2\n\n2.0,1\n\n")
+        spec = gt.LaplaceSpectrum.from_csv(path, 2)
+        assert spec.entries == [(0.9, 2), (2.0, 1)]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -104,6 +144,24 @@ class TestGlobalTrace:
         # geometric decay at rate e^{-t}
         assert gaps[1] / gaps[0] < 1.5 * math.exp(-5 * t)
         assert gaps[2] / gaps[1] < 1.5 * math.exp(-5 * t)
+
+    @pytest.mark.parametrize("entries", [[], MIXED], ids=["empty", "mixed"])
+    def test_matches_scalar_loop_exactly(self, entries):
+        # the vectorized sum must not move a bit
+        spec = toy_spectrum(entries, genus=3)
+        for t in TRACE_TIMES:
+            for form in (gt.PRE_RR, gt.POST_RR):
+                assert gt.global_trace(spec, t, form) == \
+                    global_trace_loop(spec, t, form)
+
+    def test_each_term_matches_scalar_loop_exactly(self):
+        # one entry at a time, so a last-bit change in a single term is not
+        # rounded away by the running sum
+        for entry in MIXED:
+            spec = toy_spectrum([entry])
+            for t in TRACE_TIMES:
+                assert gt.global_trace(spec, t, gt.POST_RR) == \
+                    global_trace_loop(spec, t, gt.POST_RR)
 
     def test_large_time_limit(self):
         spec = toy_spectrum([], genus=2)

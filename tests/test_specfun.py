@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gfsl import specfun
 from gfsl.errors import DomainError, PoleError
 
-from oracles import (beta_line_quad, cauchy_two_factor, legendre_oracle,
+from oracles import (beta_line_quad, cauchy_two_factor,
+                     legendre_conical_whole, legendre_oracle,
                      loggamma_oracle, recurrence_scalar)
 
 
@@ -197,3 +198,12 @@ class TestLegendreConical:
     def test_negative_t_rejected(self):
         with pytest.raises(DomainError):
             specfun.legendre_conical(1.0, -0.1)
+
+    def test_blocks_match_whole_array_exactly(self):
+        # (0.575, 8.73) and (12.9, 6.8) double to 2^18 and 2^16 nodes, eight
+        # and two blocks; the others stay below the exact-sum threshold
+        for lam, t, tol in [(1.0, 2.0, 1e-12), (3.0, 5.5, 1e-13),
+                            (0.575379, 8.731020259333233, 1e-14),
+                            (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)]:
+            assert (specfun.legendre_conical(lam, t, tol=tol)
+                    == legendre_conical_whole(lam, t, tol=tol))
