@@ -51,8 +51,19 @@ def write_json(path, payload):
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_float(flag, text):
+    """A finite float from a flag's text; GfslError (exit 1) otherwise."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise GfslError(f"{flag}: expected a finite number, got {text!r}")
+    return val
+
+
+def _parse_floats(flag, text):
+    return [_parse_float(flag, x) for x in text.split(",") if x.strip()]
 
 
 def _load_config(path):
@@ -98,15 +109,17 @@ def _add_common(sub):
 
 
 def cmd_spherical_check(args):
-    tol = float(args.tol)
-    lams = _parse_floats(args.lam)
-    nus = _parse_floats(args.nu)
+    tol = _parse_float("--tol", args.tol)
+    lams = _parse_floats("--lambda", args.lam)
+    nus = _parse_floats("--nu", args.nu)
     n_ord = int(args.n)
     k_ord = int(args.k)
     params = [("principal", lam, spherical.SpectralParam.principal(lam))
               for lam in lams]
     params += [("complementary", nu, spherical.SpectralParam.complementary(nu))
                for nu in nus]
+    if not params:
+        raise GfslError("--lambda and --nu: expected at least one number")
     rows = []
     for regime, val, p in params:
         ops = spherical.build_k_matrices(p, k_ord)
@@ -127,8 +140,10 @@ def cmd_spherical_check(args):
 
 
 def cmd_traces(args):
-    tol = float(args.tol)
-    ts = _parse_floats(args.t)
+    tol = _parse_float("--tol", args.tol)
+    ts = _parse_floats("--t", args.t)
+    if not ts:
+        raise GfslError("--t: expected at least one number")
     genus = int(args.genus)
     if args.laplace_file:
         spec = global_traces.LaplaceSpectrum.from_csv(args.laplace_file, genus)
@@ -180,7 +195,9 @@ def cmd_traces(args):
 def cmd_selberg(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    l_max = float(args.lmax)
+    l_max = _parse_float("--lmax", args.lmax)
+    center = _parse_float("--center", args.center)
+    sigma = _parse_float("--sigma", args.sigma)
     if l_max > 8.0:
         raise GfslError("--lmax must be <= 8 (desk scale)")
     try:
@@ -195,7 +212,7 @@ def cmd_selberg(args):
     checks["systole"] = ls.systole
     checks["systole_error"] = abs(ls.systole - sys_expect)
     ok = checks["relator_residual"] < 1e-9 and checks["systole_error"] < 1e-9
-    g = selberg.GaussianTestFn(float(args.center), float(args.sigma), 1.0)
+    g = selberg.GaussianTestFn(center, sigma, 1.0)
     laplace = [(0.0, 1)]
     discs = []
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]
@@ -219,8 +236,10 @@ def cmd_selberg(args):
 
 
 def cmd_means(args):
-    tol = float(args.tol)
-    lams = _parse_floats(args.lam)
+    tol = _parse_float("--tol", args.tol)
+    lams = _parse_floats("--lambda", args.lam)
+    if not lams:
+        raise GfslError("--lambda: expected at least one number")
     m_top = int(args.m)
     conv = []
     t = 3.0

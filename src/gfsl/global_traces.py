@@ -203,8 +203,8 @@ def global_trace(spec, t, form=POST_RR, q_max=200):
     uses the closed form with the |Euler characteristic| term.  The two
     agree up to the geometric q_max tail.
     """
-    if t <= 0:
-        raise DomainError("global_trace: t must be > 0")
+    if not t > 0:
+        raise DomainError(f"global_trace: t must be > 0, got {t}")
     x = math.exp(-t)
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * _spherical_sum(spec, t)
     if form == PRE_RR:

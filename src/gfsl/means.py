@@ -86,8 +86,16 @@ def wave_residual(lam, t_grid=None, h=1e-3, shift=None):
     if shift is None:
         shift = lam * lam
 
+    cache = {}
+
     def big_e(t):
-        return math.exp(t / 2.0) * legendre_conical(lam, t, tol=1e-14)
+        # each distinct t is evaluated once: the shift term and the noise
+        # floor reuse the values the second differences computed
+        key = float(t)
+        if key not in cache:
+            phi = legendre_conical(lam, t, tol=1e-14)
+            cache[key] = math.exp(t / 2.0) * phi
+        return cache[key]
 
     def residual_at(t):
         second = (big_e(t + h) - 2.0 * big_e(t) + big_e(t - h)) / (h * h)

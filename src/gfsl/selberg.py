@@ -10,6 +10,7 @@ elements are conjugate iff those sets coincide.  Orientation convention: a
 class and its inverse count separately unless actually conjugate.
 """
 
+import csv
 import heapq
 import json
 import math
@@ -215,17 +216,38 @@ class LengthSpectrum:
 
     @classmethod
     def from_csv(cls, path, cutoff=None):
+        """Read a `length,multiplicity,is_primitive` CSV (as to_csv writes).
+
+        Blank lines are skipped.  Every other row must have exactly three
+        fields: a finite float, an int and 0 or 1; anything else raises
+        DomainError naming the file and the line.
+        """
         prims = []
         top = 0.0
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "length,multiplicity,is_primitive":
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["length", "multiplicity", "is_primitive"]:
                 raise DomainError(f"length file {path}: bad header {header!r}")
-            for line in fh:
-                ell_s, mult_s, prim_s = line.strip().split(",")
-                top = max(top, float(ell_s))
-                if prim_s == "1":
-                    prims.append((float(ell_s), int(mult_s)))
+            for row in reader:
+                if not row:
+                    continue
+                where = f"length file {path}, line {reader.line_num}"
+                if len(row) != 3:
+                    raise DomainError(
+                        f"{where}: expected 3 fields, got {len(row)}")
+                try:
+                    ell, mult = float(row[0]), int(row[1])
+                except ValueError as exc:
+                    raise DomainError(f"{where}: {exc}") from exc
+                if not math.isfinite(ell):
+                    raise DomainError(f"{where}: length must be finite")
+                if row[2] not in ("0", "1"):
+                    raise DomainError(
+                        f"{where}: is_primitive must be 0 or 1, got {row[2]!r}")
+                top = max(top, ell)
+                if row[2] == "1":
+                    prims.append((ell, mult))
         return cls(prims, cutoff if cutoff is not None else top)
 
 

@@ -11,7 +11,6 @@ periodic-trapezoid quadrature.
 """
 
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -241,25 +240,45 @@ def _conical_nodes(b, t, n, lo, hi):
     return np.exp(b * np.log(base))
 
 
+def _exact_parts(x):
+    """A few floats whose exact sum is the exact sum of the 1-D array x.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    2008): with 2^m >= n + 2, max|x| < 2^e and sigma = 2^(m+e), every
+    q = (sigma + x) - sigma is a multiple of ulp(sigma)/2 and |sum q| <
+    sigma, so np.sum(q) is exact in any order and x - q is exact.  Each
+    pass strips at least 52 - m bits; two or three passes finish a block
+    of quadrature nodes.  A block holding inf or nan, or one so large
+    that sigma would overflow, goes to math.fsum whole, which keeps its
+    inf, nan and ValueError behaviour.
+    """
+    m = (x.size + 1).bit_length()
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not top < math.ldexp(1.0, 1023 - m):
+        return [math.fsum(x.tolist())]
+    parts = []
+    while top > 0.0:
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+        q = (sigma + x) - sigma
+        parts.append(float(np.sum(q)))
+        x = x - q
+        top = float(np.max(np.abs(x)))
+    return parts
+
+
 def _conical_mean_exact(b, t, n):
     """Exactly rounded mean of the n quadrature nodes, block by block.
 
-    The real parts stream into one math.fsum; the imaginary parts are
-    kept (8 bytes a node) for a second.  Both sums are exactly rounded,
+    Each block is reduced to a few exact parts of its real and of its
+    imaginary sum; one math.fsum over the parts rounds the total once,
     so the result does not depend on the block size.
     """
-    imag = []
-
-    def real_parts(lo):
+    re, im = [], []
+    for lo in range(0, n, _CONICAL_BLOCK):
         nodes = _conical_nodes(b, t, n, lo, min(lo + _CONICAL_BLOCK, n))
-        imag.append(nodes.imag.copy())
-        return nodes.real.tolist()
-
-    re = math.fsum(itertools.chain.from_iterable(
-        map(real_parts, range(0, n, _CONICAL_BLOCK))))
-    im = math.fsum(itertools.chain.from_iterable(
-        part.tolist() for part in imag))
-    return complex(re / n, im / n)
+        re += _exact_parts(nodes.real)
+        im += _exact_parts(nodes.imag)
+    return complex(math.fsum(re) / n, math.fsum(im) / n)
 
 
 def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
@@ -268,10 +287,17 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
     Periodic-trapezoid quadrature of the circle integral with node doubling
     until the relative change drops below tol.  The exact value is real;
     doubling continues until the imaginary residue also falls below 1e-12,
-    after which it is discarded.
+    after which it is discarded.  max_nodes must allow two levels (>= 32)
+    so that convergence can be tested.
     """
+    if not (math.isfinite(lam) and math.isfinite(t)):
+        raise DomainError(
+            f"legendre_conical: lam and t must be finite, got {lam}, {t}")
     if t < 0:
         raise DomainError("legendre_conical: t must be >= 0")
+    if max_nodes < 32:
+        raise DomainError(
+            f"legendre_conical: max_nodes must be >= 32, got {max_nodes}")
     if t == 0.0:
         return 1.0
     b = -0.5 + 1j * lam

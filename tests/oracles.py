@@ -4,9 +4,10 @@ Each oracle follows a different computational route from the library code
 it checks: arbitrary-precision special functions (mpmath), brute-force
 series products, adaptive quadrature, characteristics ODE integration, and
 dense matrix exponentials.  The row-at-a-time intertwining audits, the
-scalar global-trace loop and the whole-array conical quadrature are the
-exception: they are the references the blocked library audit, the
-vectorized global trace and the block-wise quadrature must match exactly.
+scalar global-trace loop, the whole-array conical quadrature and the
+uncached wave residual are the exception: they are the references the
+blocked library audit, the vectorized global trace, the block-wise
+quadrature and the cached wave residual must match exactly.
 """
 
 import cmath
@@ -19,6 +20,7 @@ from scipy.linalg import expm
 
 from gfsl.discrete import rr_multiplicity
 from gfsl.global_traces import POST_RR, PRE_RR, sqrt_shifted
+from gfsl.specfun import legendre_conical
 from gfsl.spherical import KBandedOperator
 
 mp.mp.dps = 30
@@ -258,6 +260,28 @@ def legendre_conical_whole(lam, t, tol=1e-12, max_nodes=1 << 21):
         prev = val
         n *= 2
     raise AssertionError("legendre_conical_whole: no convergence")
+
+
+def wave_residual_uncached(lam, h=1e-3):
+    """Reference for means.wave_residual on its default grid that
+    recomputes E(t) = e^{t/2} phi_lam(t) wherever it is used; returns
+    (slope, residuals, floor_limited)."""
+    t_grid = np.linspace(2.0, 6.0, 9)
+
+    def big_e(t):
+        return math.exp(t / 2.0) * legendre_conical(lam, t, tol=1e-14)
+
+    def residual_at(t):
+        second = (big_e(t + h) - 2.0 * big_e(t) + big_e(t - h)) / (h * h)
+        return second + lam * lam * big_e(t)
+
+    quarter = math.pi / (2.0 * lam)
+    res = np.array([residual_at(t) for t in t_grid])
+    res_q = np.array([residual_at(t + quarter) for t in t_grid])
+    env = np.hypot(res, math.exp(2.0 * quarter) * res_q)
+    floor = 16.0 * 2.2e-16 * max(abs(big_e(t)) for t in t_grid) / (h * h)
+    slope = float(np.polyfit(t_grid, np.log(env), 1)[0])
+    return slope, res, bool(np.max(env) < 10.0 * floor)
 
 
 def bolza_words_oracle(max_letters=2):

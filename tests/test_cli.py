@@ -77,9 +77,16 @@ class TestTraces:
         for r in by_name["pre_rr_vs_post_rr"]:
             assert r["abs_err"] < 1e-10
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_nan_error_fails(self, tmp_path):
+    def test_nan_error_fails(self, tmp_path, capsys):
         code = run(["traces", "--out", str(tmp_path), "--t", "nan"])
+        assert code == cli.EXIT_CONFIG
+        assert "--t: expected a finite number, got 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "traces.json").exists()
+
+    def test_nan_trace_error_fails_verification(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.global_traces, "global_trace",
+                            lambda *args, **kwargs: math.nan)
+        code = run(["traces", "--out", str(tmp_path), "--t", "1"])
         assert code == cli.EXIT_VERIFY
         rows = json.loads((tmp_path / "traces.json").read_text())["identities"]
         assert any(math.isnan(r["abs_err"]) for r in rows)
@@ -145,6 +152,48 @@ class TestUsage:
         code = run([command, "--out", str(tmp_path), "--config", str(cfg)])
         assert code == cli.EXIT_CONFIG
         assert f"unknown field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["traces", "--t", "1,inf"], "--t", "inf"),
+        (["traces", "--tol", "nan"], "--tol", "nan"),
+        (["means", "--lambda", "nan"], "--lambda", "nan"),
+        (["means", "--lambda", "2,x"], "--lambda", "x"),
+        (["spherical-check", "--nu=-inf"], "--nu", "-inf"),
+        (["selberg", "--center", "nan"], "--center", "nan"),
+        (["selberg", "--sigma", "inf"], "--sigma", "inf"),
+        (["selberg", "--lmax", "nan"], "--lmax", "nan"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, argv, flag,
+                                         value):
+        code = run(argv + ["--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{flag}: expected a finite number, got {value!r}" in err
+        assert not [p for p in tmp_path.iterdir() if p.is_file()]
+
+    @pytest.mark.parametrize("argv", [
+        ["traces", "--t", ","], ["means", "--lambda", ""],
+        ["spherical-check", "--lambda", " , ", "--nu", ""]])
+    def test_empty_sweep_rejected(self, tmp_path, capsys, argv):
+        # an empty --t list used to check nothing and exit 0
+        code = run(argv + ["--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "expected at least one number" in capsys.readouterr().err
+        assert not [p for p in tmp_path.iterdir() if p.is_file()]
+
+    def test_one_empty_regime_allowed(self, tmp_path):
+        code = run(["spherical-check", "--lambda", "1", "--nu", "", "--n", "25",
+                    "--k", "5", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        lines = (tmp_path / "spherical_residuals.csv").read_text().splitlines()
+        assert len(lines) == 1 + 6
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[means]\nlambda = 1,nan\n")
+        code = run(["means", "--out", str(tmp_path), "--config", str(cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "--lambda: expected a finite number" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = run(["traces", "--out", str(tmp_path),

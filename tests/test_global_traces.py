@@ -163,6 +163,11 @@ class TestGlobalTrace:
                 assert gt.global_trace(spec, t, gt.POST_RR) == \
                     global_trace_loop(spec, t, gt.POST_RR)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_time_rejected(self, t):
+        with pytest.raises(DomainError, match="t must be > 0"):
+            gt.global_trace(toy_spectrum(), t)
+
     def test_large_time_limit(self):
         spec = toy_spectrum([], genus=2)
         assert abs(gt.global_trace(spec, 40.0, gt.POST_RR) - 1.0) < 1e-12

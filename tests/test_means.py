@@ -8,7 +8,7 @@ from gfsl import means
 from gfsl.errors import DomainError, PoleError
 from gfsl.specfun import legendre_conical, log_gamma
 
-from oracles import hc_residual_analytic
+from oracles import hc_residual_analytic, wave_residual_uncached
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -94,6 +94,23 @@ class TestWaveResidual:
             r_exact = hc_residual_analytic(lam, t)
             # centered second difference carries an O(h^2 E'''') error
             assert abs(r_fd - r_exact) < 5e-3 * max(1.0, abs(r_exact))
+
+    @pytest.mark.parametrize("lam", [0.5979, 2.0, 12.875992])
+    def test_each_t_evaluated_once(self, monkeypatch, lam):
+        # 9 grid points and their quarter shifts, each with t - h, t, t + h
+        calls = []
+
+        def counting(lam_, t, tol=1e-12):
+            calls.append(float(t))
+            return legendre_conical(lam_, t, tol=tol)
+
+        monkeypatch.setattr(means, "legendre_conical", counting)
+        fit = means.wave_residual(lam)
+        assert len(calls) == 54 and len(set(calls)) == 54
+        slope, residuals, floor_limited = wave_residual_uncached(lam)
+        assert fit.slope == slope
+        assert np.array_equal(fit.residuals, residuals)
+        assert fit.floor_limited == floor_limited
 
     def test_grid_domain(self):
         with pytest.raises(DomainError):

@@ -83,6 +83,31 @@ class TestLengthSpectrum:
         back = selberg.LengthSpectrum.from_csv(path, cutoff=8.0)
         assert back.primitives == spectrum8.primitives  # repr round-trips
 
+    @pytest.mark.parametrize("row,match", [
+        ("3.5,24", "line 3: expected 3 fields, got 2"),
+        ("3.5,24,1,7", "line 3: expected 3 fields, got 4"),
+        ("abc,24,1", "line 3: could not convert"),
+        ("3.5,2.5,1", "line 3: invalid literal for int"),
+        ("3.5,24,yes", "line 3: is_primitive must be 0 or 1, got 'yes'"),
+        ("nan,24,1", "line 3: length must be finite"),
+    ])
+    def test_csv_bad_row(self, tmp_path, row, match):
+        path = tmp_path / "lengths.csv"
+        path.write_text(f"length,multiplicity,is_primitive\n3.0,24,1\n{row}\n")
+        with pytest.raises(DomainError, match=match) as exc_info:
+            selberg.LengthSpectrum.from_csv(path)
+        assert str(path) in str(exc_info.value)
+
+    def test_csv_bad_header_and_blank_lines(self, tmp_path):
+        path = tmp_path / "lengths.csv"
+        path.write_text("length,mult\n3.0,24,1\n")
+        with pytest.raises(DomainError, match="bad header"):
+            selberg.LengthSpectrum.from_csv(path)
+        path.write_text("length,multiplicity,is_primitive\n3.0,24,1\n\n"
+                        "6.0,24,0\n\n")
+        back = selberg.LengthSpectrum.from_csv(path)
+        assert back.primitives == [(3.0, 24)] and back.cutoff == 6.0
+
     def test_budget_error(self, bolza):
         with pytest.raises(Exception) as exc_info:
             selberg.length_spectrum(bolza, 8.0, element_budget=100)

@@ -199,11 +199,103 @@ class TestLegendreConical:
         with pytest.raises(DomainError):
             specfun.legendre_conical(1.0, -0.1)
 
+    @pytest.mark.parametrize("lam,t", [(math.nan, 2.0), (math.inf, 2.0),
+                                       (1.0, math.nan), (1.0, math.inf),
+                                       (-math.inf, 0.0)])
+    def test_non_finite_rejected(self, lam, t):
+        with pytest.raises(DomainError, match="finite"):
+            specfun.legendre_conical(lam, t)
+
+    @pytest.mark.parametrize("max_nodes", [0, 8, 16, 31])
+    def test_too_few_nodes_rejected(self, max_nodes):
+        # below 32 nodes there is no second level to test convergence on
+        with pytest.raises(DomainError, match="max_nodes"):
+            specfun.legendre_conical(1.0, 2.0, max_nodes=max_nodes)
+
     def test_blocks_match_whole_array_exactly(self):
         # (0.575, 8.73) and (12.9, 6.8) double to 2^18 and 2^16 nodes, eight
-        # and two blocks; the others stay below the exact-sum threshold
+        # and two blocks; the others stay below the exact-sum threshold.
+        # The means hot path: t = 8.63 doubles to 2^18 nodes, t = 6 stops
+        # at the first exact level, 2^14
+        hot = [(lam, t, 1e-14) for lam in (0.5979, 1.345) for t in (6.0, 8.63)]
         for lam, t, tol in [(1.0, 2.0, 1e-12), (3.0, 5.5, 1e-13),
                             (0.575379, 8.731020259333233, 1e-14),
-                            (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)]:
+                            (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)] + hot:
             assert (specfun.legendre_conical(lam, t, tol=tol)
                     == legendre_conical_whole(lam, t, tol=tol))
+
+
+def _fsum_outcome(values):
+    """repr of math.fsum over the values, or the ValueError raised."""
+    try:
+        return repr(math.fsum(values()))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def float_blocks(draw):
+    n = draw(st.integers(1, 1 << 15))
+    kind = draw(st.sampled_from(["mixed", "wide", "subnormal", "near_top",
+                                 "cancel", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sign = rng.choice([-1.0, 1.0], n)
+    m = (n + 1).bit_length()
+    if kind == "mixed":
+        x = sign * np.exp(rng.uniform(-10.0, 10.0, n))
+    elif kind == "wide":
+        x = np.ldexp(sign * rng.uniform(0.5, 1.0, n), rng.integers(-600, 600, n))
+    elif kind == "subnormal":
+        # subnormals, with a few of the smallest normals mixed in
+        x = sign * rng.integers(0, 1 << 52, n) * 2.0 ** -1074
+        x[rng.random(n) < 0.05] *= 4.0
+    elif kind == "near_top":
+        # just below 2^(1023-m), where sigma reaches 2^1023; every other
+        # draw puts one value at 2^(1023-m), which takes the fsum fallback
+        x = sign * rng.uniform(0.5, 1.0, n) * 2.0 ** (1022 - m)
+        x[: draw(st.integers(0, 1))] = 2.0 ** (1023 - m)
+    elif kind == "cancel":
+        half = np.exp(rng.uniform(-10.0, 10.0, (n + 1) // 2))
+        x = np.concatenate([half, -half])[:n]
+        x[::7] += rng.uniform(-1e-300, 1e-300, x[::7].size)
+        rng.shuffle(x)
+    else:
+        x = sign * 0.0
+    return x
+
+
+class TestExactParts:
+    @settings(max_examples=80, deadline=None)
+    @given(float_blocks())
+    def test_sum_of_parts_is_fsum(self, x):
+        parts = specfun._exact_parts(x)
+        assert repr(math.fsum(parts)) == repr(math.fsum(x.tolist()))
+        # each pass strips 52 - m bits of the 2098 between 2^1024 and 2^-1074
+        assert len(parts) <= 2 + 2098 // (52 - (x.size + 1).bit_length())
+
+    def test_strided_view(self):
+        # the quadrature passes the real and imaginary views of a complex block
+        rng = np.random.default_rng(4)
+        z = np.exp(rng.uniform(-9, 9, 5000) + 1j * rng.uniform(-4, 4, 5000))
+        for x in (z.real, z.imag):
+            assert math.fsum(specfun._exact_parts(x)) == math.fsum(x.tolist())
+
+    def test_empty_block(self):
+        assert specfun._exact_parts(np.zeros(0)) == []
+
+    @pytest.mark.parametrize("specials", [
+        [math.nan], [math.inf], [-math.inf], [math.inf, -math.inf],
+        [math.nan, math.inf], [math.inf, math.inf], [math.nan, -math.inf]])
+    def test_non_finite_blocks_match_fsum(self, specials):
+        x = np.linspace(-3.0, 5.0, 100)
+        x[[7, 60][:len(specials)]] = specials
+        assert (_fsum_outcome(lambda: specfun._exact_parts(x))
+                == _fsum_outcome(x.tolist))
+
+    def test_non_finite_parts_combine_like_fsum(self):
+        # infinities of both signs in different blocks meet in the final fsum
+        a, b = np.ones(10), np.ones(10)
+        a[3], b[5] = math.inf, -math.inf
+        assert (_fsum_outcome(lambda: specfun._exact_parts(a)
+                              + specfun._exact_parts(b))
+                == _fsum_outcome(lambda: a.tolist() + b.tolist()))
