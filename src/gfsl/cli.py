@@ -66,6 +66,17 @@ def _parse_floats(flag, text):
     return [_parse_float(flag, x) for x in text.split(",") if x.strip()]
 
 
+def _parse_int(flag, text, minimum):
+    """An integer >= minimum from a flag's text; GfslError (exit 1) otherwise."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = None
+    if val is None or val < minimum:
+        raise GfslError(f"{flag}: expected an integer >= {minimum}, got {text!r}")
+    return val
+
+
 def _load_config(path):
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -96,15 +107,26 @@ def _apply_config(args, flat):
     return args
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means a failed
+    verification; usage errors exit EXIT_CONFIG instead.  Subparsers are
+    built from the same class, so they inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 class _TrackSet(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         setattr(namespace, f"_set_{self.dest}", True)
 
 
-def _add_common(sub):
+def _add_common(sub, tol=True):
     sub.add_argument("--config", default=None, action=_TrackSet)
-    sub.add_argument("--tol", default="1e-9", action=_TrackSet)
+    if tol:
+        sub.add_argument("--tol", default="1e-9", action=_TrackSet)
     sub.add_argument("--out", default=".", action=_TrackSet)
 
 
@@ -112,8 +134,8 @@ def cmd_spherical_check(args):
     tol = _parse_float("--tol", args.tol)
     lams = _parse_floats("--lambda", args.lam)
     nus = _parse_floats("--nu", args.nu)
-    n_ord = int(args.n)
-    k_ord = int(args.k)
+    n_ord = _parse_int("--n", args.n, 0)
+    k_ord = _parse_int("--k", args.k, 2)
     params = [("principal", lam, spherical.SpectralParam.principal(lam))
               for lam in lams]
     params += [("complementary", nu, spherical.SpectralParam.complementary(nu))
@@ -144,7 +166,7 @@ def cmd_traces(args):
     ts = _parse_floats("--t", args.t)
     if not ts:
         raise GfslError("--t: expected at least one number")
-    genus = int(args.genus)
+    genus = _parse_int("--genus", args.genus, 2)
     if args.laplace_file:
         spec = global_traces.LaplaceSpectrum.from_csv(args.laplace_file, genus)
     else:
@@ -240,7 +262,7 @@ def cmd_means(args):
     lams = _parse_floats("--lambda", args.lam)
     if not lams:
         raise GfslError("--lambda: expected at least one number")
-    m_top = int(args.m)
+    m_top = _parse_int("--m", args.m, 0)
     conv = []
     t = 3.0
     for lam in lams:
@@ -275,7 +297,7 @@ def cmd_means(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gfsl",
         description="verification suites for the geodesic-flow Hilbert models")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -297,7 +319,8 @@ def build_parser():
     tr.set_defaults(func=cmd_traces)
 
     se = subs.add_parser("selberg", help="Bolza length spectrum + wave-trace pair")
-    _add_common(se)
+    # the selberg gates are fixed, so it takes no --tol
+    _add_common(se, tol=False)
     se.add_argument("--lmax", default="8", action=_TrackSet)
     se.add_argument("--center", default="5.5", action=_TrackSet)
     se.add_argument("--sigma", default="0.5", action=_TrackSet)

@@ -311,3 +311,23 @@ def bolza_words_oracle(max_letters=2):
                 nxt.append((mm, i))
         frontier = nxt
     return sorted(lengths)
+
+
+def identity_term_mp(center, sigma, amplitude=1.0, chi_abs=2):
+    """|chi| int hat g(r) r tanh(pi r) dr by mpmath Gauss-Legendre panels.
+
+    Integrates the real part amplitude sigma sqrt(2 pi) e^{-sigma^2 r^2/2}
+    cos(center r) of the Gaussian's transform over [0, max(8/sigma, 40)],
+    the range the library truncates to, in panels no wider than 2 (at most
+    two periods of the cosine for |center| <= 6.5) or 1/sigma (the
+    envelope's width).
+    """
+    with mp.workdps(20):
+        c, s = mp.mpf(center), mp.mpf(sigma)
+        top = max(8.0 / sigma, 40.0)
+        panels = math.ceil(top / min(2.0, 1.0 / sigma))
+        pts = [mp.mpf(top) * k / panels for k in range(panels + 1)]
+        val = mp.quad(lambda r: mp.exp(-(s * r) ** 2 / 2) * mp.cos(c * r)
+                      * r * mp.tanh(mp.pi * r), pts, method="gauss-legendre")
+        return float(2 * chi_abs * mp.mpf(amplitude) * s
+                     * mp.sqrt(2 * mp.pi) * val)

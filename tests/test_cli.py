@@ -117,6 +117,16 @@ class TestSelberg:
         assert report["checks"]["relator_residual"] < 1e-9
         assert abs(report["checks"]["systole"] - 3.0571418389619963) < 1e-9
 
+    def test_unconverged_identity_term_fails_loudly(self, tmp_path, capsys):
+        # quad used to warn, return a wrong value and exit 0 here
+        code = run(["selberg", "--out", str(tmp_path), "--lmax", "5",
+                    "--sigma", "1e-5"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "identity term (center 5.5, sigma 1e-05)" in err
+        assert "not converged to 1e-14 at 1048576 nodes" in err
+        assert not (tmp_path / "selberg_report.json").exists()
+
 
 class TestMeans:
     def test_reports(self, tmp_path):
@@ -134,17 +144,54 @@ class TestMeans:
 
 class TestUsage:
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
+        assert exc.value.code == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [["traces", "--format", "json"],
-                                      ["means", "--tau", "2"]])
+                                      ["means", "--tau", "2"],
+                                      ["selberg", "--tol", "1e-300"]])
     def test_removed_flags_rejected(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["selberg", "--help"])
+        assert exc.value.code == cli.EXIT_OK
+        assert "--tol" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,flag,value,minimum", [
+        (["spherical-check", "--n", "x"], "--n", "x", 0),
+        (["spherical-check", "--n", "-3"], "--n", "-3", 0),
+        (["spherical-check", "--k", "1"], "--k", "1", 2),
+        (["spherical-check", "--k", "8.0"], "--k", "8.0", 2),
+        (["traces", "--genus", "2.5"], "--genus", "2.5", 2),
+        (["traces", "--genus", "1"], "--genus", "1", 2),
+        (["means", "--lambda", "2", "--m", "-1"], "--m", "-1", 0),
+        (["means", "--lambda", "2", "--m", ""], "--m", "", 0),
+    ])
+    def test_bad_integers_rejected(self, tmp_path, capsys, argv, flag, value,
+                                   minimum):
+        code = run(argv + ["--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{flag}: expected an integer >= {minimum}, got {value!r}" in err
+        assert not [p for p in tmp_path.iterdir() if p.is_file()]
+
+    def test_bad_integer_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[spherical]\nn = forty\n")
+        code = run(["spherical-check", "--out", str(tmp_path),
+                    "--config", str(cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "--n: expected an integer >= 0, got 'forty'" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command,field", [("traces", "format"),
-                                               ("means", "tau")])
+                                               ("means", "tau"),
+                                               ("selberg", "tol")])
     def test_removed_config_fields_rejected(self, tmp_path, capsys,
                                             command, field):
         cfg = tmp_path / "run.cfg"
@@ -219,7 +266,36 @@ def _python(args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
+_SUBCOMMANDS_SMALL = [
+    ["spherical-check", "--n", "20", "--k", "4"],
+    ["traces", "--t", "1"],
+    ["selberg", "--lmax", "5"],
+    ["means", "--lambda", "2", "--m", "4"],
+]
+
+_RUN_ALL = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # any import of scipy now fails
+from gfsl import cli
+codes = [cli.main(argv + ["--out", sys.argv[2]]) for argv in {argv!r}]
+print(codes)
+"""
+
+
 class TestImport:
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: every subcommand exits as
+        # it does with scipy importable
+        script = _RUN_ALL.format(argv=_SUBCOMMANDS_SMALL)
+        blocked = _python(["-c", script, "block", str(tmp_path / "b")],
+                          tmp_path)
+        free = _python(["-c", script, "free", str(tmp_path / "f")], tmp_path)
+        assert free.returncode == 0, free.stderr
+        assert blocked.returncode == 0, blocked.stderr
+        assert blocked.stdout == free.stdout
+        assert json.loads(free.stdout.splitlines()[-1]) == [cli.EXIT_OK] * 4
+
     def test_cli_import_loads_no_scipy(self, tmp_path):
         proc = _python(["-c", "import gfsl.cli, sys; "
                         "print(sorted(m for m in sys.modules "

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gfsl import selberg
-from gfsl.errors import ConstructionError, DomainError, SupportError
+from gfsl.errors import (AccuracyError, ConstructionError, DomainError,
+                         SupportError)
 
-from oracles import bolza_words_oracle
+from oracles import bolza_words_oracle, identity_term_mp
 
 SYSTOLE = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 
@@ -231,6 +232,52 @@ class TestWaveTracePair:
         for key in ("geometric_side", "spectral_side", "identity_term",
                     "orbit_term", "cutoff", "discrepancy"):
             assert key in payload
+
+
+def _heat_gaussian(s):
+    # the even heat Gaussian heat_pair builds for time s
+    amp = math.exp(-s / 4.0) / (2.0 * math.sqrt(math.pi * s))
+    return (0.0, math.sqrt(2.0 * s), amp)
+
+
+class TestIdentityTerm:
+    # bench grid of centre x sigma, the heat Gaussians of the Weyl checks
+    # and the ones below them, narrow spectra (quad was off by ~1e-9
+    # there) and a wide Gaussian whose coarse levels sample only zeros
+    @pytest.mark.parametrize(
+        "center,sigma,amp",
+        [(c, s, 1.0) for c in (4.5, 5.5, 6.5) for s in (0.3, 0.5, 0.7)]
+        + [_heat_gaussian(s) for s in (0.05, 0.1, 0.2, 0.8, 1.5)]
+        + [(5.5, 0.05, 1.0), (5.5, 0.01, 1.0), (5.5, 30.0, 1.0)])
+    def test_vs_mpmath(self, center, sigma, amp):
+        g = selberg.GaussianTestFn(center, sigma, amp)
+        want = identity_term_mp(center, sigma, amp, chi_abs=2)
+        got = selberg._identity_term(g, 2)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_node_cap_fails_loudly(self):
+        g = selberg.GaussianTestFn(5.5, 1e-5)
+        with pytest.raises(AccuracyError, match=r"identity term \(center 5\.5, "
+                           r"sigma 1e-05\).* not converged .* at 1048576 nodes"):
+            selberg._identity_term(g, 2)
+
+    def test_non_finite_sum_fails_loudly(self):
+        g = selberg.GaussianTestFn(5.5, 0.5, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AccuracyError, match="non-finite trapezoid sum"):
+                selberg._identity_term(g, 2)
+
+    def test_fourier_array_matches_scalar_calls(self):
+        # the spectral side calls fourier on scalars, the identity term on
+        # arrays: both must give the same bits
+        g = selberg.GaussianTestFn(5.5, 0.5, 1.0)
+        r = np.concatenate([np.linspace(0.0, 40.0, 257),
+                            1j * np.linspace(-0.5, 0.5, 9),
+                            np.linspace(-3.0, 3.0, 7) + 0.25j])
+        arr = g.fourier(r)
+        for i, ri in enumerate(r):
+            one = g.fourier(ri)
+            assert (one.real, one.imag) == (arr[i].real, arr[i].imag)
 
 
 class TestWeylConsistency:
