@@ -215,13 +215,20 @@ def cmd_traces(args):
 
 
 def cmd_selberg(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     l_max = _parse_float("--lmax", args.lmax)
     center = _parse_float("--center", args.center)
     sigma = _parse_float("--sigma", args.sigma)
     if l_max > 8.0:
         raise GfslError("--lmax must be <= 8 (desk scale)")
+    sys_expect = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
+    if not l_max >= sys_expect:
+        raise GfslError(f"--lmax must be >= the systole {sys_expect!r}, "
+                        f"got {args.lmax!r}")
+    # a bad test function fails here, before the enumeration or any report
+    g = selberg.GaussianTestFn(center, sigma, 1.0)
+    selberg._identity_term(g, 2)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         group = selberg.bolza_group()
         ls = selberg.length_spectrum(group, l_max)
@@ -230,11 +237,9 @@ def cmd_selberg(args):
         return EXIT_BUDGET
     ls.to_csv(out / "length_spectrum.csv")
     checks = {"relator_residual": group.relator_residual()}
-    sys_expect = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
     checks["systole"] = ls.systole
     checks["systole_error"] = abs(ls.systole - sys_expect)
     ok = checks["relator_residual"] < 1e-9 and checks["systole_error"] < 1e-9
-    g = selberg.GaussianTestFn(center, sigma, 1.0)
     laplace = [(0.0, 1)]
     discs = []
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]

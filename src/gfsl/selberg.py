@@ -78,24 +78,25 @@ def bolza_group():
     return FuchsianGroup(gens, BOLZA_RELATOR)
 
 
-def _psl_key(m):
-    flat = m.reshape(-1)
-    for x in flat:
-        if abs(x) > 1e-8:
-            if x < 0:
-                m = -m
-            break
-    return tuple(np.round(m.reshape(-1), _KEY_DECIMALS))
+def _psl_keys(stack):
+    """Keys of a stack of 2x2 matrices (or of one) up to overall sign.
 
-
-def _frob(m):
-    return float((m * m).sum())
+    Each matrix is negated when its first entry with |x| > 1e-8 is
+    negative, and its entries are rounded to _KEY_DECIMALS.  Returns a
+    list of 4-tuples of floats, one per matrix.
+    """
+    flat = stack.reshape(-1, 4)
+    big = np.abs(flat) > 1e-8
+    lead = flat[np.arange(len(flat)), big.argmax(axis=1)]
+    flip = big.any(axis=1) & (lead < 0)
+    signed = np.where(flip[:, None], -flat, flat)
+    return list(map(tuple, signed.round(_KEY_DECIMALS).tolist()))
 
 
 def _ball(letters, max_cosh, budget):
     """All group elements with cosh d(i, g i) = ||g||_F^2 / 2 <= max_cosh."""
     eye = np.eye(2)
-    seen = {_psl_key(eye)}
+    seen = set(_psl_keys(eye))
     mats = [eye]
     frontier = np.array([eye])
     larr = np.array(letters)
@@ -104,8 +105,7 @@ def _ball(letters, max_cosh, budget):
         fr = (prod ** 2).sum(axis=(1, 2)) / 2.0
         keep = prod[fr <= max_cosh]
         fresh = []
-        for m in keep:
-            key = _psl_key(m)
+        for m, key in zip(keep, _psl_keys(keep)):
             if key not in seen:
                 seen.add(key)
                 mats.append(m)
@@ -118,6 +118,11 @@ def _ball(letters, max_cosh, budget):
     return mats
 
 
+# Energy slack of the class-key search: conjugates whose squared Frobenius
+# norm exceeds the running minimum by more than this factor are dropped.
+_KEY_SLACK = 40.0
+
+
 class _ClassKeyer:
     """Canonical conjugacy-class keys via minimal-displacement conjugates.
 
@@ -125,31 +130,35 @@ class _ClassKeyer:
     class-intrinsic set; a best-first search over generator conjugations
     (allowing a bounded energy slack above the running minimum) finds it
     from any starting member.  Every matrix visited on the way shares the
-    class, so keys are memoized for all of them.
+    class, so keys are memoized for all of them.  The conjugates of a
+    visited matrix by all letters are formed, normed and keyed as one
+    stack.
     """
 
-    def __init__(self, letters, slack=40.0):
-        self.letters = letters
-        self.inv = [np.linalg.inv(a) for a in letters]
-        self.slack = slack
+    def __init__(self, letters):
+        self.letters = np.array(letters)
+        self.inv = np.array([np.linalg.inv(a) for a in letters])
         self.cache = {}
 
+    def _conjugates(self, m):
+        """a^-1 m a for every letter a, their squared norms and keys."""
+        cs = self.inv @ m @ self.letters
+        return cs, (cs * cs).sum(axis=(1, 2)).tolist(), _psl_keys(cs)
+
     def key(self, m):
-        k0 = _psl_key(m)
+        k0 = _psl_keys(m)[0]
         hit = self.cache.get(k0)
         if hit is not None:
             return hit
-        best = _frob(m)
-        nodes = {k0: m}
+        best = (m * m).sum().item()
+        nodes = {k0: (best, m)}
         heap = [(best, k0)]
         while heap:
             f, kk = heapq.heappop(heap)
-            if f > best * self.slack:
+            if f > best * _KEY_SLACK:
                 continue
-            mm = nodes[kk]
-            for a, ai in zip(self.letters, self.inv):
-                c = ai @ mm @ a
-                ck = _psl_key(c)
+            cs, norms, keys = self._conjugates(nodes[kk][1])
+            for c, fc, ck in zip(cs, norms, keys):
                 if ck in nodes:
                     continue
                 known = self.cache.get(ck)
@@ -158,16 +167,14 @@ class _ClassKeyer:
                     for seen_key in nodes:
                         self.cache[seen_key] = known
                     return known
-                fc = _frob(c)
-                if fc > best * self.slack:
+                if fc > best * _KEY_SLACK:
                     continue
-                nodes[ck] = c
+                nodes[ck] = (fc, c)
                 heapq.heappush(heap, (fc, ck))
                 if fc < best:
                     best = fc
-        members = [kk for kk, mm in nodes.items()
-                   if _frob(mm) <= best * (1.0 + 1e-9)]
-        ckey = min(members)
+        ckey = min(kk for kk, (fc, _) in nodes.items()
+                   if fc <= best * (1.0 + 1e-9))
         for kk in nodes:
             self.cache[kk] = ckey
         return ckey
@@ -258,13 +265,51 @@ class LengthSpectrum:
 _OCT_COSH_R = 1.0 + _SQRT2
 
 
+def _trace_pair(tr):
+    """The integers (a, b) with tr = a + b sqrt(2) and |a - b sqrt(2)| <= 2.
+
+    Bolza traces lie in Z[sqrt 2] (Aurich, Bogomolny & Steiner, Physica D
+    48, 1991) and, the group being arithmetic, their Galois conjugates
+    lie in [-2, 2].  So 2 b sqrt(2) is within 2 of tr, which leaves at most
+    two candidates for b.  Raises AccuracyError unless exactly one pair
+    matches tr to 1e-7.
+    """
+    lo = math.ceil((tr - 2.0 - 1e-7) / (2.0 * _SQRT2))
+    hi = math.floor((tr + 2.0 + 1e-7) / (2.0 * _SQRT2))
+    found = []
+    for b in range(lo, hi + 1):
+        a = round(tr - b * _SQRT2)
+        if abs(tr - a - b * _SQRT2) <= 1e-7 and abs(a - b * _SQRT2) <= 2.0:
+            found.append((a, b))
+    if len(found) != 1:
+        raise AccuracyError(f"trace {tr!r}: {len(found)} pairs (a, b) in "
+                            "Z[sqrt 2] match it to 1e-7, expected one")
+    return found[0]
+
+
+def _power_pairs(q, m_top):
+    """Trace pairs of the m-th powers of a class with trace pair q.
+
+    Yields (m, t_m) for 2 <= m <= m_top from t_0 = 2, t_1 = q and
+    t_m = q t_{m-1} - t_{m-2}, in exact Z[sqrt 2] arithmetic.
+    """
+    (qa, qb), prev, cur = q, (2, 0), q
+    for m in range(2, m_top + 1):
+        prev, cur = cur, (qa * cur[0] + 2 * qb * cur[1] - prev[0],
+                          qa * cur[1] + qb * cur[0] - prev[1])
+        yield m, cur
+
+
 def length_spectrum(group, l_max, element_budget=2_000_000):
     """Oriented primitive conjugacy classes with length <= l_max.
 
     Enumerates the matrix ball that is guaranteed to contain a
     minimal-displacement member of every class with ell <= l_max,
     canonicalizes every hyperbolic candidate to its class key, and splits
-    primitives from proper powers by root search along equal axes.
+    primitives from proper powers by root search among the classes whose
+    exact trace powers to the class's own.  Lengths are bucketed by their
+    exact trace pairs, so a group whose traces are not of the Bolza form
+    (see _trace_pair) raises AccuracyError.
     """
     if l_max > 8.0:
         raise DomainError("length_spectrum: desk scale stops at L_max = 8")
@@ -283,28 +328,32 @@ def length_spectrum(group, l_max, element_budget=2_000_000):
             continue
         ck = keyer.key(m)
         if ck not in classes:
-            classes[ck] = (ell, m)
-    # mark proper powers: a class is an m-th iterate iff some class at
-    # ell/m has an m-th power conjugate to it
-    by_len = {}
-    for ck, (ell, m) in classes.items():
-        by_len.setdefault(round(ell, 9), []).append(ck)
+            classes[ck] = (ell, m, _trace_pair(float(tr)))
+    by_pair = {}
+    for ck, (ell, m, pair) in classes.items():
+        by_pair.setdefault(pair, []).append(ck)
+    # mark proper powers: a class is an m-th iterate iff some class whose
+    # m-th trace is its own has an m-th power conjugate to it
     primitive = {ck: True for ck in classes}
     if classes:
         min_len = min(v[0] for v in classes.values())
-        for ck, (ell, m) in classes.items():
+        root_pair = {}
+        for q in by_pair:
+            for mm, t in _power_pairs(q, int(l_max / min_len) + 1):
+                root_pair[mm, t] = q
+        for ck, (ell, m, pair) in classes.items():
             mm = 2
             while primitive[ck] and ell / mm >= min_len - 1e-9:
-                for rk in by_len.get(round(ell / mm, 9), ()):
+                for rk in by_pair.get(root_pair.get((mm, pair)), ()):
                     root = classes[rk][1]
                     if keyer.key(np.linalg.matrix_power(root, mm)) == ck:
                         primitive[ck] = False
                         break
                 mm += 1
     buckets = {}
-    for ck, (ell, m) in classes.items():
+    for ck, (ell, m, pair) in classes.items():
         if primitive[ck]:
-            buckets.setdefault(round(ell, 9), []).append(ell)
+            buckets.setdefault(pair, []).append(ell)
     prims = sorted((float(np.mean(v)), len(v)) for v in buckets.values())
     return LengthSpectrum(prims, l_max, classes={k: v[0] for k, v in classes.items()})
 

@@ -7,10 +7,14 @@ dense matrix exponentials.  The row-at-a-time intertwining audits, the
 scalar global-trace loop, the whole-array conical quadrature and the
 uncached wave residual are the exception: they are the references the
 blocked library audit, the vectorized global trace, the block-wise
-quadrature and the cached wave residual must match exactly.
+quadrature and the cached wave residual must match exactly.  So is the
+per-matrix Selberg class keyer (`psl_key_one`, `ball_one`,
+`ClassKeyerOne`, `length_spectrum_one`), the reference for the batched
+keyer and the trace-pair buckets.
 """
 
 import cmath
+import heapq
 import math
 
 import mpmath as mp
@@ -331,3 +335,129 @@ def identity_term_mp(center, sigma, amplitude=1.0, chi_abs=2):
                       * r * mp.tanh(mp.pi * r), pts, method="gauss-legendre")
         return float(2 * chi_abs * mp.mpf(amplitude) * s
                      * mp.sqrt(2 * mp.pi) * val)
+
+
+def psl_key_one(m):
+    """Key of one 2x2 matrix up to sign: negate when the first entry with
+    |x| > 1e-8 is negative, round to 7 decimals."""
+    flat = m.reshape(-1)
+    for x in flat:
+        if abs(x) > 1e-8:
+            if x < 0:
+                m = -m
+            break
+    return tuple(np.round(m.reshape(-1), 7))
+
+
+def ball_one(letters, max_cosh):
+    """Breadth-first ball enumeration keying one matrix at a time."""
+    eye = np.eye(2)
+    seen = {psl_key_one(eye)}
+    mats = [eye]
+    frontier = np.array([eye])
+    larr = np.array(letters)
+    while len(frontier):
+        prod = np.einsum("fij,ljk->flik", frontier, larr).reshape(-1, 2, 2)
+        fr = (prod ** 2).sum(axis=(1, 2)) / 2.0
+        fresh = []
+        for m in prod[fr <= max_cosh]:
+            key = psl_key_one(m)
+            if key not in seen:
+                seen.add(key)
+                mats.append(m)
+                fresh.append(m)
+        frontier = np.array(fresh) if fresh else np.empty((0, 2, 2))
+    return mats
+
+
+def _frob_one(m):
+    return float((m * m).sum())
+
+
+class ClassKeyerOne:
+    """Best-first class-key search conjugating and keying one matrix at a
+    time (slack 40 above the running minimum of the squared norm)."""
+
+    def __init__(self, letters):
+        self.letters = letters
+        self.inv = [np.linalg.inv(a) for a in letters]
+        self.cache = {}
+
+    def key(self, m):
+        k0 = psl_key_one(m)
+        hit = self.cache.get(k0)
+        if hit is not None:
+            return hit
+        best = _frob_one(m)
+        nodes = {k0: m}
+        heap = [(best, k0)]
+        while heap:
+            f, kk = heapq.heappop(heap)
+            if f > best * 40.0:
+                continue
+            mm = nodes[kk]
+            for a, ai in zip(self.letters, self.inv):
+                c = ai @ mm @ a
+                ck = psl_key_one(c)
+                if ck in nodes:
+                    continue
+                known = self.cache.get(ck)
+                if known is not None:
+                    for seen_key in nodes:
+                        self.cache[seen_key] = known
+                    return known
+                fc = _frob_one(c)
+                if fc > best * 40.0:
+                    continue
+                nodes[ck] = c
+                heapq.heappush(heap, (fc, ck))
+                if fc < best:
+                    best = fc
+        members = [kk for kk, mm in nodes.items()
+                   if _frob_one(mm) <= best * (1.0 + 1e-9)]
+        ckey = min(members)
+        for kk in nodes:
+            self.cache[kk] = ckey
+        return ckey
+
+
+def length_spectrum_one(group, l_max):
+    """(primitives, {class key: length}) by the per-matrix keyer, with
+    lengths bucketed and roots matched by length rounded to 9 decimals."""
+    letters = group.letters()
+    cosh_r = 1.0 + math.sqrt(2.0)
+    disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * cosh_r)
+    mats = ball_one(letters, math.cosh(disp) * (1.0 + 1e-9))
+    keyer = ClassKeyerOne(letters)
+    classes = {}
+    for m in mats:
+        tr = abs(m[0, 0] + m[1, 1])
+        if tr <= 2.0 + 1e-12:
+            continue
+        ell = 2.0 * math.asinh(math.sqrt((tr - 2.0) * (tr + 2.0)) / 2.0) \
+            if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
+        if ell > l_max + 1e-9:
+            continue
+        ck = keyer.key(m)
+        if ck not in classes:
+            classes[ck] = (ell, m)
+    by_len = {}
+    for ck, (ell, m) in classes.items():
+        by_len.setdefault(round(ell, 9), []).append(ck)
+    primitive = {ck: True for ck in classes}
+    min_len = min(v[0] for v in classes.values())
+    for ck, (ell, m) in classes.items():
+        mm = 2
+        while primitive[ck] and ell / mm >= min_len - 1e-9:
+            for rk in by_len.get(round(ell / mm, 9), ()):
+                root = classes[rk][1]
+                if keyer.key(np.linalg.matrix_power(root, mm)) == ck:
+                    primitive[ck] = False
+                    break
+            mm += 1
+    buckets = {}
+    for ck, (ell, m) in classes.items():
+        if primitive[ck]:
+            buckets.setdefault(round(ell, 9), []).append(ell)
+    prims = sorted((float(np.mean(v)), len(v)) for v in buckets.values())
+    return prims, {k: v[0] for k, v in classes.items()}

@@ -128,6 +128,29 @@ class TestSelberg:
         assert not (tmp_path / "selberg_report.json").exists()
 
 
+    @pytest.mark.parametrize("flag,value,match", [
+        ("--lmax", "-1", "--lmax must be >= the systole 3.057141838961996, "
+                         "got '-1'"),
+        ("--lmax", "0.5", "--lmax must be >= the systole 3.057141838961996, "
+                          "got '0.5'"),
+        ("--sigma", "-1", "sigma must be > 0"),
+        ("--sigma", "1e-5", "identity term (center 5.5, sigma 1e-05)"),
+    ], ids=["lmax_negative", "lmax_below_systole", "sigma_negative",
+            "sigma_unconverged"])
+    def test_bad_input_rejected_before_enumerating(self, tmp_path, capsys,
+                                                   monkeypatch, flag, value,
+                                                   match):
+        def enumerated(*args, **kwargs):
+            raise AssertionError("length_spectrum called")
+
+        monkeypatch.setattr(cli.selberg, "length_spectrum", enumerated)
+        code = run(["selberg", "--out", str(tmp_path), flag, value])
+        assert code == cli.EXIT_CONFIG
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "length_spectrum.csv").exists()
+        assert not (tmp_path / "selberg_report.json").exists()
+
+
 class TestMeans:
     def test_reports(self, tmp_path):
         code = run(["means", "--out", str(tmp_path), "--lambda", "2", "--m", "8"])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gfsl import selberg
-from gfsl.errors import (AccuracyError, ConstructionError, DomainError,
-                         SupportError)
+from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
+                         DomainError, SupportError)
 
-from oracles import bolza_words_oracle, identity_term_mp
+from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle,
+                     identity_term_mp, length_spectrum_one, psl_key_one)
 
 SYSTOLE = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 
@@ -110,9 +111,9 @@ class TestLengthSpectrum:
         assert back.primitives == [(3.0, 24)] and back.cutoff == 6.0
 
     def test_budget_error(self, bolza):
-        with pytest.raises(Exception) as exc_info:
+        with pytest.raises(BudgetError) as exc_info:
             selberg.length_spectrum(bolza, 8.0, element_budget=100)
-        assert exc_info.value.partial is not None
+        assert len(exc_info.value.partial) > 100
 
     def test_class_key_stability(self, bolza):
         # conjugating any class representative by a generator and
@@ -141,6 +142,114 @@ class TestLengthSpectrum:
             for a in letters:
                 conj = np.linalg.inv(a) @ m @ a
                 assert keyer.key(conj) == key
+
+
+def _ball_cosh(l_max):
+    # the displacement bound length_spectrum enumerates to
+    disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * (1.0 + math.sqrt(2.0)))
+    return math.cosh(disp) * (1.0 + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def ball8(bolza):
+    return selberg._ball(bolza.letters(), _ball_cosh(8.0), 10 ** 6)
+
+
+def _hyperbolic_traces(mats, l_max):
+    out = []
+    for m in mats:
+        tr = float(abs(m[0, 0] + m[1, 1]))
+        if tr > 2.0 + 1e-12 and 2.0 * math.acosh(tr / 2.0) <= l_max + 1e-9:
+            out.append(tr)
+    return out
+
+
+class TestBatchedKeyer:
+    # the batched keyer must give exactly what the per-matrix keyer in
+    # oracles.py gives: same keys, same ball, same classes
+
+    def test_ball_matches_reference(self, bolza, ball8):
+        ref = ball_one(bolza.letters(), _ball_cosh(8.0))
+        assert len(ball8) == len(ref) == 4401
+        assert all(np.array_equal(a, b) for a, b in zip(ball8, ref))
+
+    def test_keys_match_reference_on_ball(self, ball8):
+        keys = selberg._psl_keys(np.array(ball8))
+        assert keys == [psl_key_one(m) for m in ball8]
+
+    @pytest.mark.parametrize("m", [
+        -np.eye(2),
+        [[1e-8, -2.0], [0.5, 3.0]],
+        [[-1e-8, 2.0], [-0.5, 3.0]],
+        [[0.0, -1.0], [1.0, 0.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[-2.0, 0.5], [1.0, -0.75]],
+        [[-1e-9, -1e-9], [0.0, 1e-9]],
+    ], ids=["minus_identity", "lead_plus_1e-8", "lead_minus_1e-8",
+            "zero_first_negative_second", "zero_first_positive_second",
+            "negative_first", "all_tiny"])
+    def test_sign_edge_cases(self, m):
+        m = np.array(m, dtype=float)
+        want = psl_key_one(m)
+        assert selberg._psl_keys(m) == [want]
+        # the same matrix inside a stack, after a matrix keyed the other way
+        stack = np.array([np.eye(2), m, -np.eye(2)])
+        assert selberg._psl_keys(stack)[1] == want
+
+    def test_conjugate_stack_matches_loop(self, bolza, ball8):
+        letters = bolza.letters()
+        inv = [np.linalg.inv(a) for a in letters]
+        keyer = selberg._ClassKeyer(letters)
+        for m in ball8:
+            cs, norms, keys = keyer._conjugates(m)
+            ref = np.array([ai @ m @ a for a, ai in zip(letters, inv)])
+            assert np.array_equal(cs, ref)
+            assert norms == [float((c * c).sum()) for c in ref]
+            assert keys == [psl_key_one(c) for c in ref]
+
+    def test_class_keys_match_reference(self, bolza, ball8):
+        keyer = selberg._ClassKeyer(bolza.letters())
+        ref = ClassKeyerOne(bolza.letters())
+        for m in ball8[::7]:
+            assert keyer.key(m) == ref.key(m)
+        assert keyer.cache == ref.cache
+
+    def test_length_spectrum_matches_reference(self, bolza, spectrum8):
+        prims, classes = length_spectrum_one(bolza, 8.0)
+        assert spectrum8.primitives == prims
+        assert len(spectrum8.classes) == len(classes) == 416
+        assert np.array_equal(np.array(list(spectrum8.classes)),
+                              np.array(list(classes)))
+        assert list(spectrum8.classes.values()) == list(classes.values())
+
+
+class TestTracePairs:
+    def test_ball_traces_in_nine_pairs(self, ball8):
+        pairs = {selberg._trace_pair(tr)
+                 for tr in _hyperbolic_traces(ball8, 8.0)}
+        assert pairs == {(2, 2), (6, 4), (10, 6), (10, 8), (14, 10),
+                         (18, 12), (18, 14), (22, 16), (26, 18)}
+        for a, b in pairs:
+            assert abs(a - b * math.sqrt(2.0)) <= 2.0
+
+    def test_not_in_ring_fails_loudly(self):
+        with pytest.raises(AccuracyError, match=r"trace 3\.3: 0 pairs"):
+            selberg._trace_pair(3.3)
+        # within 1e-7 of a + b sqrt 2, but its conjugate is far outside [-2, 2]
+        with pytest.raises(AccuracyError, match="0 pairs"):
+            selberg._trace_pair(20.0 + math.sqrt(2.0))
+
+    def test_power_pairs_are_powers(self):
+        s2 = math.sqrt(2.0)
+        for q in ((2, 2), (6, 4), (10, 6)):
+            t = q[0] + q[1] * s2
+            ell = 2.0 * math.acosh(t / 2.0)
+            got = dict(selberg._power_pairs(q, 4))
+            assert sorted(got) == [2, 3, 4]
+            for m, (a, b) in got.items():
+                want = 2.0 * math.cosh(m * ell / 2.0)
+                assert abs(a + b * s2 - want) <= 1e-12 * want
+        assert dict(selberg._power_pairs((2, 2), 2)) == {2: (10, 8)}
 
 
 class TestFlowTrace:
