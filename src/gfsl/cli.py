@@ -62,6 +62,14 @@ def _parse_float(flag, text):
     return val
 
 
+def _parse_tol(text):
+    """--tol as a finite number > 0; GfslError (exit 1) otherwise."""
+    tol = _parse_float("--tol", text)
+    if not tol > 0.0:
+        raise GfslError(f"--tol: expected a number > 0, got {text!r}")
+    return tol
+
+
 def _parse_floats(flag, text):
     return [_parse_float(flag, x) for x in text.split(",") if x.strip()]
 
@@ -131,7 +139,7 @@ def _add_common(sub, tol=True):
 
 
 def cmd_spherical_check(args):
-    tol = _parse_float("--tol", args.tol)
+    tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     nus = _parse_floats("--nu", args.nu)
     n_ord = _parse_int("--n", args.n, 0)
@@ -162,7 +170,7 @@ def cmd_spherical_check(args):
 
 
 def cmd_traces(args):
-    tol = _parse_float("--tol", args.tol)
+    tol = _parse_tol(args.tol)
     ts = _parse_floats("--t", args.t)
     if not ts:
         raise GfslError("--t: expected at least one number")
@@ -263,7 +271,7 @@ def cmd_selberg(args):
 
 
 def cmd_means(args):
-    tol = _parse_float("--tol", args.tol)
+    tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     if not lams:
         raise GfslError("--lambda: expected at least one number")

@@ -231,9 +231,10 @@ def beta_line_integral(alpha, beta):
 _CONICAL_BLOCK = 1 << 15
 
 
-def _conical_nodes(b, t, n, lo, hi):
-    """(cosh t + sinh t cos theta_k)^b at theta_k = 2 pi k / n, lo <= k < hi."""
-    theta = 2.0 * math.pi * np.arange(lo, hi) / n
+def _conical_nodes(b, t, n, start, stop, stride):
+    """(cosh t + sinh t cos theta_k)^b at theta_k = 2 pi k / n for k in
+    range(start, stop, stride)."""
+    theta = 2.0 * math.pi * np.arange(start, stop, stride) / n
     # cosh t + sinh t cos(theta), grouped to avoid the cancellation at
     # theta = pi that would cost a factor e^{2t} in precision
     base = math.exp(-t) + 2.0 * math.sinh(t) * np.cos(theta / 2.0) ** 2
@@ -266,35 +267,39 @@ def _exact_parts(x):
     return parts
 
 
-def _conical_mean_exact(b, t, n):
-    """Exactly rounded mean of the n quadrature nodes, block by block.
-
-    Each block is reduced to a few exact parts of its real and of its
-    imaginary sum; one math.fsum over the parts rounds the total once,
-    so the result does not depend on the block size.
-    """
-    re, im = [], []
-    for lo in range(0, n, _CONICAL_BLOCK):
-        nodes = _conical_nodes(b, t, n, lo, min(lo + _CONICAL_BLOCK, n))
-        re += _exact_parts(nodes.real)
-        im += _exact_parts(nodes.imag)
-    return complex(math.fsum(re) / n, math.fsum(im) / n)
-
-
 def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
-    """P_{-1/2 + i lam}(cosh t) for t >= 0, real lam.
+    """P_{-1/2 + i lam}(cosh t) for real lam and 0 <= t <= 709.78, where
+    2 sinh t is still a finite float.
 
     Periodic-trapezoid quadrature of the circle integral with node doubling
     until the relative change drops below tol.  The exact value is real;
     doubling continues until the imaginary residue also falls below 1e-12,
     after which it is discarded.  max_nodes must allow two levels (>= 32)
-    so that convergence can be tested.
+    so that convergence can be tested; AccuracyError if the level after
+    the last one it allows is still unconverged.
+
+    The nodes of level n are the even nodes of level 2n, bit for bit, so
+    each doubling evaluates only its n new (odd) nodes.  Below 2^14 nodes
+    they are interleaved into the previous level's array and averaged by
+    np.mean.  From 2^14 nodes on the real and imaginary sums are kept as
+    exact parts (_exact_parts), block by block, and one math.fsum over
+    all parts gives the exactly rounded mean: plain summation wanders at
+    the level of eps * e^{t/2}, above tight tolerances once t is large.
     """
     if not (math.isfinite(lam) and math.isfinite(t)):
         raise DomainError(
             f"legendre_conical: lam and t must be finite, got {lam}, {t}")
     if t < 0:
         raise DomainError("legendre_conical: t must be >= 0")
+    try:
+        # the quadrature's base reaches 2 sinh t at theta = 0
+        finite = math.isfinite(2.0 * math.sinh(t))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"legendre_conical: 2 sinh t is not a finite float at t={t} "
+            f"(lam={lam}); t must stay below about 709.78")
     if max_nodes < 32:
         raise DomainError(
             f"legendre_conical: max_nodes must be >= 32, got {max_nodes}")
@@ -302,28 +307,40 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
         return 1.0
     b = -0.5 + 1j * lam
     n = 16
-    prev = None
-    val = None
-    while n <= max_nodes:
-        if n >= 1 << 14:
-            # exactly-rounded mean: plain summation wanders at the level of
-            # eps * e^{t/2}, above tight tolerances once t is large
-            val = _conical_mean_exact(b, t, n)
+    nodes = _conical_nodes(b, t, n, 0, n, 1)
+    re = im = prev = None
+    while True:
+        if re is None:
+            val = complex(np.mean(nodes))
         else:
-            val = complex(np.mean(_conical_nodes(b, t, n, 0, n)))
+            val = complex(math.fsum(re) / n, math.fsum(im) / n)
         if (prev is not None
                 and abs(val - prev) <= tol * max(1.0, abs(val))
                 and abs(val.imag) <= 1e-12):
             break
+        if 2 * n > max_nodes:
+            raise AccuracyError(
+                f"legendre_conical: no convergence for lam={lam}, "
+                f"t={t} at tol={tol} with {max_nodes} nodes (last "
+                f"change {abs(val - prev):.3g}, imaginary residue "
+                f"{abs(val.imag):.3g})", achieved=abs(val - prev))
         prev = val
         n *= 2
-    else:
-        raise AccuracyError(
-            f"legendre_conical: no convergence at tol={tol} with "
-            f"{max_nodes} nodes", achieved=abs(val - prev))
-    if abs(val.imag) > 1e-12:
-        raise AccuracyError(
-            "legendre_conical: imaginary residue above 1e-12",
-            achieved=abs(val.imag))
+        if re is None:
+            # the new level's array holds the same values in the same order
+            # as a whole-level evaluation, so np.mean sums it identically
+            new = np.empty(n, dtype=complex)
+            new[0::2] = nodes
+            new[1::2] = _conical_nodes(b, t, n, 1, n, 2)
+            nodes = new
+            if n >= 1 << 14:
+                re, im = _exact_parts(nodes.real), _exact_parts(nodes.imag)
+                nodes = None
+        else:
+            for lo in range(1, n, 2 * _CONICAL_BLOCK):
+                odd = _conical_nodes(b, t, n, lo,
+                                     min(lo + 2 * _CONICAL_BLOCK, n), 2)
+                re += _exact_parts(odd.real)
+                im += _exact_parts(odd.imag)
     return val.real
 

@@ -23,6 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from gfsl.discrete import rr_multiplicity
+from gfsl.errors import AccuracyError
 from gfsl.global_traces import POST_RR, PRE_RR, sqrt_shifted
 from gfsl.specfun import legendre_conical
 from gfsl.spherical import KBandedOperator
@@ -244,11 +245,12 @@ def global_trace_loop(spec, t, form, q_max=200):
 def legendre_conical_whole(lam, t, tol=1e-12, max_nodes=1 << 21):
     """Whole-array reference for specfun.legendre_conical: every doubling
     evaluates all n nodes in one array and fsums its real and imaginary
-    parts."""
+    parts.  Past max_nodes it raises AccuracyError carrying the change
+    between the last two levels."""
     if t == 0.0:
         return 1.0
     b = -0.5 + 1j * lam
-    n, prev = 16, None
+    n, prev, change = 16, None, None
     while n <= max_nodes:
         theta = 2.0 * math.pi * np.arange(n) / n
         base = math.exp(-t) + 2.0 * math.sinh(t) * np.cos(theta / 2.0) ** 2
@@ -257,13 +259,14 @@ def legendre_conical_whole(lam, t, tol=1e-12, max_nodes=1 << 21):
             val = complex(math.fsum(nodes.real) / n, math.fsum(nodes.imag) / n)
         else:
             val = complex(np.mean(nodes))
-        if (prev is not None
-                and abs(val - prev) <= tol * max(1.0, abs(val))
-                and abs(val.imag) <= 1e-12):
-            return val.real
+        if prev is not None:
+            change = abs(val - prev)
+            if change <= tol * max(1.0, abs(val)) and abs(val.imag) <= 1e-12:
+                return val.real
         prev = val
         n *= 2
-    raise AssertionError("legendre_conical_whole: no convergence")
+    raise AccuracyError("legendre_conical_whole: no convergence",
+                        achieved=change)
 
 
 def wave_residual_uncached(lam, h=1e-3):

@@ -164,6 +164,20 @@ class TestMeans:
         assert abs(float(row[1]) + 2.0) < 0.1
         assert float(row[3]) == 1.0
 
+    @pytest.mark.parametrize("lam,message", [
+        # the quarter-period shift pi/(2 lam) of wave_residual
+        ("1e-4", "legendre_conical: 2 sinh t is not a finite float at "
+                 "t=15709.964267948964 (lam=0.0001)"),
+        ("1e6", "legendre_conical: no convergence for lam=1000000.0, t=3.0 "
+                "at tol=1e-12 with 2097152 nodes (last change ")],
+        ids=["overflow", "unconverged"])
+    def test_quadrature_failure_fails_loudly(self, tmp_path, capsys, lam,
+                                             message):
+        code = run(["means", "--out", str(tmp_path), "--lambda", lam])
+        assert code == cli.EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -257,6 +271,26 @@ class TestUsage:
         assert code == cli.EXIT_OK
         lines = (tmp_path / "spherical_residuals.csv").read_text().splitlines()
         assert len(lines) == 1 + 6
+
+    @pytest.mark.parametrize("command", ["spherical-check", "traces", "means"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_positive_tol_rejected(self, tmp_path, capsys, command, value,
+                                       source):
+        # --tol -1 used to run the whole sweep and fail every relation
+        # (exit 2); means silently raised it to 1e-10
+        if source == "flag":
+            extra = [f"--tol={value}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"[run]\ntol = {value}\n")
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        code = run([command, "--out", str(out)] + extra)
+        assert code == cli.EXIT_CONFIG
+        assert (f"--tol: expected a number > 0, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_non_finite_config_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

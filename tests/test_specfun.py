@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfsl import specfun
-from gfsl.errors import DomainError, PoleError
+from gfsl.errors import AccuracyError, DomainError, PoleError
 
 from oracles import (beta_line_quad, cauchy_two_factor,
                      legendre_conical_whole, legendre_oracle,
@@ -213,16 +213,78 @@ class TestLegendreConical:
             specfun.legendre_conical(1.0, 2.0, max_nodes=max_nodes)
 
     def test_blocks_match_whole_array_exactly(self):
-        # (0.575, 8.73) and (12.9, 6.8) double to 2^18 and 2^16 nodes, eight
-        # and two blocks; the others stay below the exact-sum threshold.
+        # (0.575, 8.73) and (12.9, 6.8) double to 2^18 and 2^16 nodes, whose
+        # new nodes span four blocks and one; (1, 2), (3, 5.5) and (-1.3, 4)
+        # stay below the exact-sum threshold.
         # The means hot path: t = 8.63 doubles to 2^18 nodes, t = 6 stops
         # at the first exact level, 2^14
         hot = [(lam, t, 1e-14) for lam in (0.5979, 1.345) for t in (6.0, 8.63)]
+        grid = [(lam, t, tol) for lam in (0.5, 0.58, 1.345, 5.0, 13.0)
+                for t in (0.5, 3.0, 7.0, 9.0) for tol in (1e-12, 1e-13, 1e-14)]
         for lam, t, tol in [(1.0, 2.0, 1e-12), (3.0, 5.5, 1e-13),
                             (0.575379, 8.731020259333233, 1e-14),
-                            (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)] + hot:
+                            (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)
+                            ] + hot + grid:
             assert (specfun.legendre_conical(lam, t, tol=tol)
                     == legendre_conical_whole(lam, t, tol=tol))
+        # capped node counts, on either side of the exact-sum threshold and
+        # between two levels; those that stop short raise with the change
+        # between the last two levels
+        for lam, t, tol in [(0.5979, 8.63, 1e-14), (1.0, 2.0, 1e-12),
+                            (13.0, 9.0, 1e-13), (0.58, 7.0, 1e-14)]:
+            for max_nodes in (32, 64, 100, 1 << 14, 3 << 14, 1 << 15, 1 << 17):
+                assert (_conical_outcome(specfun.legendre_conical, lam, t,
+                                         tol, max_nodes)
+                        == _conical_outcome(legendre_conical_whole, lam, t,
+                                            tol, max_nodes))
+
+    @pytest.mark.parametrize("lam,t,tol,final", [
+        (0.5979, 8.63, 1e-14, 1 << 18), (12.875992, 6.8, 1e-14, 1 << 16),
+        (1.345, 6.0, 1e-14, 1 << 14), (1.0, 2.0, 1e-12, 256)])
+    def test_each_node_evaluated_once(self, monkeypatch, lam, t, tol, final):
+        # a converged call evaluates exactly its final level's nodes: each
+        # doubling adds only the odd nodes of the new level
+        sizes = []
+        nodes = specfun._conical_nodes
+
+        def counting(*args):
+            out = nodes(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(specfun, "_conical_nodes", counting)
+        specfun.legendre_conical(lam, t, tol=tol)
+        assert sum(sizes) == final
+        assert max(sizes) <= specfun._CONICAL_BLOCK
+
+    def test_overflowing_t_rejected(self):
+        # the quadrature's base reaches 2 sinh t, which overflows just
+        # above t = 709.78; wave_residual's quarter-period shift at
+        # lam = 1e-4 lands at t = 15710
+        assert math.isfinite(specfun.legendre_conical(1.0, 709.78))
+        for t in (709.79, 710.48, 15709.964267948964):
+            with pytest.raises(DomainError,
+                               match=f"not a finite float at t={t} "
+                                     r"\(lam=0\.0001\)"):
+                specfun.legendre_conical(1e-4, t)
+
+    def test_no_convergence_names_inputs(self):
+        with pytest.raises(AccuracyError) as exc:
+            specfun.legendre_conical(1.0, 2.0, max_nodes=64)
+        msg = str(exc.value)
+        assert msg.startswith("legendre_conical: no convergence for lam=1.0, "
+                              "t=2.0 at tol=1e-12 with 64 nodes (last change ")
+        assert f"last change {exc.value.achieved:.3g}, imaginary residue " \
+            in msg
+        assert exc.value.achieved > 1e-12
+
+
+def _conical_outcome(f, lam, t, tol, max_nodes):
+    """The value, or the AccuracyError and its achieved bound."""
+    try:
+        return f(lam, t, tol=tol, max_nodes=max_nodes)
+    except AccuracyError as exc:
+        return ("AccuracyError", exc.achieved)
 
 
 def _fsum_outcome(values):
