@@ -3,7 +3,8 @@
 Modules
 -------
 specfun        complex log-Gamma, Gamma ratios, two-factor Taylor series,
-               regularized beta line integrals, conical Legendre function
+               log of the regularized beta line integral, conical Legendre
+               function
 oscillator     polynomial-times-Gaussian weak transforms and flow
 spherical      one spherical irreducible: branch tables, gauge, threshold
                Jordan model, correlation, flat trace

@@ -304,7 +304,7 @@ def cmd_means(args):
                "w_symbol_defect", "w_symbol_bound"], rows)
     final_err = max(r[4] for r in conv if r[2] == m_top)
     print(f"means: worst terminal HC error {final_err:.3e}, checks ok={ok}")
-    if not ok or final_err > max(tol, 1e-10):
+    if not ok or final_err > tol:
         return EXIT_VERIFY
     return EXIT_OK
 

@@ -13,24 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
-from .spherical import KBandedOperator, ladder_residual, require_finite
+from .errors import DomainError
+from .spherical import (CorrelationResult, KBandedOperator, ladder_residual,
+                        require_finite)
 from .specfun import taylor_two_factor
 
 
 @dataclass
 class DiscreteParam:
-    """Lowest K-type l (even, >= 2) and its Casimir value mu = -l(l-2)/4."""
+    """Lowest K-type l (even, >= 2); its Casimir value is -l(l-2)/4."""
 
     l: int
 
     def __post_init__(self):
         if self.l < 2 or self.l % 2:
             raise DomainError(f"DiscreteParam: l = {self.l} must be even and >= 2")
-
-    @property
-    def mu(self):
-        return -0.25 * self.l * (self.l - 2)
 
 
 def disk_basis(l, k):
@@ -124,48 +121,11 @@ def intertwine_residual_ds(l, table, ops):
     })
 
 
-def composition_identity(l, k_out, k_in):
-    """Regularized composition sum_n backward[k_out,n] forward[n,k_in].
-
-    The raw partial sums diverge: the n-th product equals (-1)^n times a
-    polynomial in n of degree k_in + k_out + l - 1 (the basis-normalization
-    square roots cancel between the two tables).  Its Abel limit is
-    therefore the finite Euler sum
-        sum_j (-1)^j (Delta^j c)(0) / 2^(j+1),
-    which this evaluates; the result is delta_{k_out, k_in} in exact
-    arithmetic.  The residual finite differences beyond the polynomial
-    degree double as an audit that the tables have the claimed structure.
-    """
-    deg = k_in + k_out + l - 1
-    n_pts = deg + 6
-    tab = cayley_coeffs(l, n_pts, max(k_out, k_in))
-    prod = tab.backward[k_out, : n_pts + 1] * tab.forward[: n_pts + 1, k_in]
-    signs = np.where(np.arange(n_pts + 1) % 2 == 0, 1.0, -1.0)
-    c = prod * signs
-    scale = max(float(np.max(np.abs(c))), 1e-300)
-    total = 0.0 + 0.0j
-    d = c.copy()
-    for j in range(deg + 1):
-        total += (-1.0) ** j * d[0] / 2.0 ** (j + 1)
-        d = np.diff(d)
-    if float(np.max(np.abs(d[:3]))) > 1e-6 * scale * 2.0 ** deg:
-        raise DomainError(
-            "composition_identity: products are not polynomial times (-1)^n")
-    return complex(total)
-
-
-@dataclass
-class CorrelationResultDS:
-    value: complex
-    tail_bound: float
-    n_max: int
-
-
-def correlation_ds(l, k_out, k_in, tau, N, tol=None, conjugate=False):
+def correlation_ds(l, k_out, k_in, tau, N):
     """Resonance expansion of the disk matrix element of exp(tau X).
 
     value = sum_n exp(-tau (n + l/2)) backward[k_out, n] forward[n, k_in];
-    conjugate=True returns the anti-holomorphic (mirror) series value.
+    the anti-holomorphic (mirror) series value is its complex conjugate.
     """
     if tau <= 0:
         raise DomainError("correlation_ds: tau must be > 0")
@@ -178,13 +138,7 @@ def correlation_ds(l, k_out, k_in, tau, N, tol=None, conjugate=False):
     c_est = float(np.max(np.abs(prod[last]) / (1.0 + n[last]) ** power))
     tail = (c_est * math.exp(-tau * (N + 1 + l / 2.0))
             * (2.0 + N) ** power / (1.0 - math.exp(-tau)))
-    if tol is not None and tail > tol:
-        raise AccuracyError(
-            f"correlation_ds: tail bound {tail:.3e} above requested {tol:.3e}",
-            achieved=tail)
-    if conjugate:
-        value = value.conjugate()
-    return CorrelationResultDS(value, tail, N)
+    return CorrelationResult(value, tail, N)
 
 
 def trace_ds(l, t, n_max=60):

@@ -91,13 +91,6 @@ class LaplaceSpectrum:
                 f"laplace file {path}: Weyl sanity ratio {ratio:.3g} outside [0.2, 5]")
         return spec
 
-    def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["mu", "multiplicity"])
-            for mu, d in self.entries:
-                writer.writerow([repr(float(mu)), d])
-
 
 @dataclass
 class ResonanceSpectrum:

@@ -31,10 +31,6 @@ class GaussPolyFunction:
             raise DomainError(
                 f"GaussPolyFunction: Re(width) = {self.width.real} must be > 0")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=complex)
-        return np.polyval(self.poly[::-1], x) * np.exp(-0.5 * self.width * x * x)
-
 
 def x_times(u):
     """x * u(x) as a GaussPolyFunction."""

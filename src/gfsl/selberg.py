@@ -201,13 +201,12 @@ class LengthSpectrum:
     def systole(self):
         return self.primitives[0][0] if self.primitives else math.inf
 
-    def orbits(self, cutoff=None):
+    def orbits(self):
         """(period, multiplicity, m, primitive_length) over iterates m >= 1."""
-        top = self.cutoff if cutoff is None else min(cutoff, self.cutoff)
         out = []
         for ell, mult in self.primitives:
             m = 1
-            while m * ell <= top + 1e-12:
+            while m * ell <= self.cutoff + 1e-12:
                 out.append((m * ell, mult, m, ell))
                 m += 1
         out.sort()

@@ -1,13 +1,13 @@
 """Complex special-function kernel.
 
-Everything downstream (branch transforms, Harish-Chandra coefficients,
-trace identities) reduces to four primitives implemented here: the
-principal-branch complex log-Gamma, Gamma ratios with an explicit
-pole-limit mode, a column-vectorized three-term recurrence that yields
-the Taylor coefficients of (1+ix)^a (1-ix)^b and the moment tables of
-the branch transforms, the regularized line integral of the same
-two-factor function, and the conical Legendre function by
-periodic-trapezoid quadrature.
+The branch transforms, Harish-Chandra coefficients and trace identities
+rest on the primitives implemented here: the principal-branch complex
+log-Gamma, a column-vectorized three-term recurrence that yields the
+Taylor coefficients of (1+ix)^a (1-ix)^b and the moment tables of the
+branch transforms, the logarithm of the regularized line integral of the
+same two-factor function, and the conical Legendre function by
+periodic-trapezoid quadrature.  It also provides Gamma ratios with an
+explicit pole-limit mode.
 """
 
 import cmath
@@ -75,19 +75,6 @@ def log_gamma(z):
         return log_gamma(z.conjugate()).conjugate()
     # Im z >= 0, Re z < 0.5: reflection with the continuous log-sin.
     return _LOG_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
-
-
-def gamma(z):
-    """Gamma(z) through log_gamma; PoleError at poles."""
-    return cmath.exp(log_gamma(z))
-
-
-def rgamma(z):
-    """1/Gamma(z); zero at the poles of Gamma, never raises."""
-    z = complex(z)
-    if is_gamma_pole(z):
-        return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))
 
 
 def gamma_ratio(z, w, pole_limit=False):
@@ -182,9 +169,9 @@ def log_beta_line(alpha, beta):
     """log of the regularized integral of (1+ix)^alpha (1-ix)^beta over R.
 
     Value: pi 2^(alpha+beta+2) Gamma(-alpha-beta-1) / (Gamma(-alpha) Gamma(-beta)).
-    Raises PoleError when Gamma(-alpha-beta-1) has a pole not cancelled by a
-    denominator pole, and DomainError when the result is identically zero
-    (use beta_line_integral for the value in that case).
+    Raises PoleError when Gamma(-alpha-beta-1) has a pole, and DomainError
+    when Gamma(-alpha) or Gamma(-beta) has one, where the value is zero and
+    has no logarithm.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -196,34 +183,6 @@ def log_beta_line(alpha, beta):
         raise DomainError("log_beta_line: value is zero (denominator pole)")
     return (_LOG_PI + (alpha + beta + 2.0) * _LOG_2 + log_gamma(c)
             - log_gamma(-alpha) - log_gamma(-beta))
-
-
-def beta_line_integral(alpha, beta):
-    """Regularized value of the line integral of (1+ix)^alpha (1-ix)^beta.
-
-    This is the meromorphic continuation of the absolutely convergent case
-    Re(alpha+beta) < -1.  Pole configurations where the numerator Gamma pole
-    is cancelled by a denominator pole are resolved by the limit rule.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    c = -alpha - beta - 1.0
-    pa = is_gamma_pole(-alpha)
-    pb = is_gamma_pole(-beta)
-    if is_gamma_pole(c):
-        if pa:
-            r = gamma_ratio(c, -alpha, pole_limit=True)
-            return (math.pi * cmath.exp((alpha + beta + 2.0) * _LOG_2)
-                    * r * rgamma(-beta))
-        if pb:
-            r = gamma_ratio(c, -beta, pole_limit=True)
-            return (math.pi * cmath.exp((alpha + beta + 2.0) * _LOG_2)
-                    * r * rgamma(-alpha))
-        raise PoleError(
-            f"beta_line_integral: non-continuable pole at -alpha-beta-1 = {c}")
-    if pa or pb:
-        return 0.0 + 0.0j
-    return cmath.exp(log_beta_line(alpha, beta))
 
 
 # Nodes per block of the quadrature: every temporary array stays at
@@ -272,7 +231,8 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
     2 sinh t is still a finite float.
 
     Periodic-trapezoid quadrature of the circle integral with node doubling
-    until the relative change drops below tol.  The exact value is real;
+    until two levels differ by at most tol * max(1, |value|): relative for
+    |P| >= 1, absolute below that.  The exact value is real;
     doubling continues until the imaginary residue also falls below 1e-12,
     after which it is discarded.  max_nodes must allow two levels (>= 32)
     so that convergence can be tested; AccuracyError if the level after

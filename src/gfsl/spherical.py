@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
-from .specfun import (log_beta_line, log_gamma, recurrence_columns,
-                      taylor_two_factor)
+from .specfun import (is_gamma_pole, log_beta_line, log_gamma,
+                      recurrence_columns, taylor_two_factor)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -73,14 +73,6 @@ class SpectralParam:
     def threshold(cls):
         return cls(0.25, 0.0 + 0.0j, -0.5 + 0.0j, -0.5 + 0.0j, THRESHOLD)
 
-    @classmethod
-    def from_mu(cls, mu):
-        if mu <= 0:
-            raise DomainError("from_mu: mu must be > 0")
-        if mu >= 0.25:
-            return cls.principal(math.sqrt(mu - 0.25))
-        return cls.complementary(math.sqrt(0.25 - mu))
-
     def __post_init__(self):
         self.lam = complex(self.lam)
         if abs(self.b_plus * self.b_minus - self.mu) > 1e-14 * max(1.0, abs(self.mu)):
@@ -93,13 +85,6 @@ class SpectralParam:
 
     def branch_b(self, branch):
         return self.b_plus if branch == BRANCH_PLUS else self.b_minus
-
-    def resonances(self, n_max):
-        """z_{n,+}, z_{n,-} for n = 0..n_max as a (n_max+1, 2) array."""
-        n = np.arange(n_max + 1)
-        zp = -n - 0.5 + 1j * self.lam
-        zm = -n - 0.5 - 1j * self.lam
-        return np.stack([zp, zm], axis=1)
 
 
 @dataclass
@@ -115,11 +100,6 @@ class KBandedOperator:
     diag: np.ndarray
     sup: np.ndarray
     sub: np.ndarray
-
-    def index(self, k):
-        if not self.k_min <= k <= self.k_max:
-            raise DomainError(f"KBandedOperator: k = {k} outside band")
-        return k - self.k_min
 
     def apply_interior(self, rows):
         """Given rows[r, i] = c_{n_r, k_min+i}, return sum_j O_{jk} c_{n_r,j}.
@@ -175,7 +155,7 @@ def gauge_log(p, branch, n_max):
     """
     b = p.branch_b(branch if branch != BRANCH_MINUS_RENORMALIZED else BRANCH_MINUS)
     c = -2.0 * b
-    if is_nonpositive_int(c):
+    if is_gamma_pole(c):
         raise DomainError(f"gauge: -2b = {c} hits a branch point")
     expo = -0.5 if branch == BRANCH_PLUS else 0.5
     logs = np.zeros(n_max + 1, dtype=complex)
@@ -184,17 +164,6 @@ def gauge_log(p, branch, n_max):
         acc += expo * cmath.log(c + n)
         logs[n + 1] = acc
     return logs
-
-
-def is_nonpositive_int(z):
-    z = complex(z)
-    return abs(z.imag) == 0.0 and z.real <= 0 and z.real == round(z.real)
-
-
-def gauge_sequence(p, branch, n_max):
-    """The gauge sequence t_n itself (inf for the minus branch at very large n)."""
-    with np.errstate(over="ignore"):
-        return np.exp(gauge_log(p, branch, n_max))
 
 
 @dataclass
@@ -208,9 +177,6 @@ class CoeffTable:
     gauge_log: np.ndarray
     dual: np.ndarray | None = None
 
-    def entry(self, n, k):
-        return self.s[n, k + self.k_max]
-
 
 def _moments(lam, K, n_max, renormalized=False):
     """Regularized moments M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx, |k| <= K.
@@ -221,8 +187,9 @@ def _moments(lam, K, n_max, renormalized=False):
     (1+x^2) f' = (2ik + (2b) x) f.  Both fundamental solutions stay
     polynomially bounded, so forward recursion is stable.
 
-    renormalized=True returns rho(lam) * M_n: the pole of Gamma(-2 i lam)
-    in M_0 is cancelled exactly, rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
+    renormalized=True returns rho(lam) * M_n, with the threshold
+    renormalizer rho(lam) = Gamma(1/2 - i lam) / (sqrt(pi) Gamma(-i lam)):
+    the pole of Gamma(-2 i lam) in M_0 is cancelled exactly, rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
     (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)), finite for all real lam
     including 0; the recurrence is unchanged.
     """
@@ -236,14 +203,6 @@ def _moments(lam, K, n_max, renormalized=False):
         seeds = [cmath.exp(log_beta_line(b + k, b - k)) for k in ks]
     return recurrence_columns(-2j * np.arange(-K, K + 1), -1.0, 2j * lam,
                               seeds, n_max)
-
-
-def rho(lam):
-    """Threshold renormalizer Gamma(1/2 - i lam) / (sqrt(pi) Gamma(-i lam))."""
-    lam = complex(lam)
-    if lam == 0:
-        return 0.0 + 0.0j
-    return cmath.exp(log_gamma(0.5 - 1j * lam) - log_gamma(-1j * lam)) / _SQRT_PI
 
 
 def _phase(k, sign):
@@ -342,23 +301,11 @@ def dual_coeffs(p, N, K, branch):
     return require_finite(v, _table_name(f"{branch}-branch dual", p, N, K))
 
 
-def full_table(p, N, K, branch, renormalized=False):
-    """Coefficient table with dual rows attached."""
-    if branch == BRANCH_PLUS:
-        tab = coeffs_plus(p, N, K)
-        tab.dual = dual_coeffs(p, N, K, BRANCH_PLUS)
-    else:
-        tab = coeffs_minus(p, N, K, renormalized=renormalized)
-        tab.dual = dual_coeffs(p, N, K, BRANCH_MINUS)
-        if renormalized:
-            # renormalization scales s by (-1)^n rho and v by its inverse;
-            # at the threshold rho = 0 and the renormalized dual diverges
-            r = rho(p.lam)
-            if r == 0:
-                tab.dual = None
-            else:
-                parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-                tab.dual = (tab.dual.T * parity).T / r
+def full_table(p, N, K, branch):
+    """Coefficient table of the plus or (raw) minus branch with dual rows."""
+    build = coeffs_plus if branch == BRANCH_PLUS else coeffs_minus
+    tab = build(p, N, K)
+    tab.dual = dual_coeffs(p, N, K, branch)
     return tab
 
 
@@ -531,7 +478,7 @@ class CorrelationResult:
     n_max: int
 
 
-def correlation(p, k_out, k_in, tau, N, tol=None):
+def correlation(p, k_out, k_in, tau, N):
     """Resonance expansion of <psi_kout | exp(tau X) psi_kin>.
 
     Sums exp(tau z_{n,branch}) v[n,k_out] s[n,k_in] over n <= N and both
@@ -559,10 +506,6 @@ def correlation(p, k_out, k_in, tau, N, tol=None):
     tail = (2.0 * c_est * math.exp(-tau * (N + 1.5))
             * (1.0 + (N + 1.0) ** 2) ** (power / 2.0)
             / (1.0 - math.exp(-tau)))
-    if tol is not None and tail > tol:
-        raise AccuracyError(
-            f"correlation: tail bound {tail:.3e} above requested {tol:.3e}",
-            achieved=tail)
     return CorrelationResult(value, tail, N)
 
 

@@ -164,6 +164,16 @@ class TestMeans:
         assert abs(float(row[1]) + 2.0) < 0.1
         assert float(row[3]) == 1.0
 
+    @pytest.mark.parametrize("tol,expected", [("1e-11", cli.EXIT_OK),
+                                              ("1e-14", cli.EXIT_VERIFY)])
+    def test_terminal_error_gated_on_tol(self, tmp_path, capsys, tol,
+                                         expected):
+        # the worst terminal HC error at m = 2 is 5.17e-12, between the two
+        code = run(["means", "--out", str(tmp_path), "--lambda", "2",
+                    "--m", "2", "--tol", tol])
+        assert code == expected
+        assert "worst terminal HC error 5.169e-12" in capsys.readouterr().out
+
     @pytest.mark.parametrize("lam,message", [
         # the quarter-period shift pi/(2 lam) of wave_residual
         ("1e-4", "legendre_conical: 2 sinh t is not a finite float at "
