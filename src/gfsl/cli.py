@@ -178,7 +178,7 @@ def cmd_traces(args):
     if args.laplace_file:
         spec = global_traces.LaplaceSpectrum.from_csv(args.laplace_file, genus)
     else:
-        spec = global_traces.LaplaceSpectrum([], genus)
+        spec = global_traces.LaplaceSpectrum([], [], genus)
     entries = []
     for t in ts:
         tr = spherical.trace_spherical(spherical.SpectralParam.threshold(), t)
@@ -193,12 +193,9 @@ def cmd_traces(args):
             "lhs": td["flat"],
             "rhs": td["spectral_partial"][-1] + td["tail_exact"][-1],
         })
-        entries.append({
-            "identity": "pre_rr_vs_post_rr", "t": t, "genus": genus,
-            "lhs": global_traces.global_trace(spec, t, global_traces.PRE_RR,
-                                              q_max=200),
-            "rhs": global_traces.global_trace(spec, t, global_traces.POST_RR),
-        })
+        pre, post = global_traces.global_trace(spec, t)
+        entries.append({"identity": "pre_rr_vs_post_rr", "t": t,
+                        "genus": genus, "lhs": pre, "rhs": post})
         th = selberg.tanh_transform(t)
         entries.append({
             "identity": "tanh_fourier", "t": t,

@@ -8,7 +8,6 @@ pre- and post-Riemann-Roch closed forms.
 """
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -17,30 +16,33 @@ import numpy as np
 from .discrete import rr_multiplicity
 from .errors import ConsistencyError, DomainError
 
-PRE_RR = "pre_rr"
-POST_RR = "post_rr"
-
 _THRESHOLD_TOL = 1e-12
 
 
-@dataclass
-class LaplaceSpectrum:
-    """Positive Laplace eigenvalues (mu, multiplicity) on a genus-g surface.
+# `np.loadtxt` row type of a Laplace file body
+_LAPLACE_ROW = [("mu", float), ("mult", np.int64)]
 
-    `mu` and `mult` are float arrays of the entries, built once at
-    construction; `entries` is not to be mutated afterwards.
+
+@dataclass(eq=False)
+class LaplaceSpectrum:
+    """Positive Laplace eigenvalues mu with multiplicities on a genus-g surface.
+
+    `mu` (float) and `mult` (int64) are equal-length 1-D arrays, copied,
+    validated once at construction and then made read-only; `entries`
+    lists their (mu, multiplicity) pairs afresh on each access.
     """
 
-    entries: list
+    mu: np.ndarray
+    mult: np.ndarray
     genus: int
-    mu: np.ndarray = field(init=False, repr=False, compare=False)
-    mult: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
             raise DomainError("LaplaceSpectrum: genus must be >= 2")
-        self.mu = np.array([m for m, _ in self.entries], dtype=float)
-        self.mult = np.array([d for _, d in self.entries], dtype=float)
+        self.mu = np.array(self.mu, dtype=float)
+        self.mult = np.array(self.mult, dtype=np.int64)
+        if self.mu.ndim != 1 or self.mu.shape != self.mult.shape:
+            raise DomainError("LaplaceSpectrum: mu and mult must be 1-D, of one length")
         if not np.all(np.isfinite(self.mu)):
             raise DomainError("LaplaceSpectrum: eigenvalues must be finite")
         if np.any(self.mu <= 0):
@@ -49,47 +51,62 @@ class LaplaceSpectrum:
             raise DomainError("LaplaceSpectrum: eigenvalues must be strictly increasing")
         if not np.all(self.mult >= 1):
             raise DomainError("LaplaceSpectrum: multiplicities must be >= 1")
+        self.mu.flags.writeable = self.mult.flags.writeable = False
 
-    def weyl_ratio(self):
-        """count(mu <= R^2 + 1/4) / ((g-1) R^2) at the largest ingested scale."""
-        if not self.entries:
-            return None
-        r2 = max(float(self.mu[-1]) - 0.25, 1e-12)
-        count = float(self.mult[self.mu <= r2 + 0.25].sum())
-        return count / ((self.genus - 1) * r2)
+    @property
+    def entries(self):
+        return list(zip(self.mu.tolist(), self.mult.tolist()))
 
     @classmethod
     def from_csv(cls, path, genus):
         """Read a `mu,multiplicity` CSV; blank lines are skipped.
 
-        Every other row must have exactly two fields, a float and an int.
+        Every other row must have exactly two fields, a float and an int,
+        parsed by one `np.loadtxt` call.  ConsistencyError unless
+        count(mu <= R^2 + 1/4) / ((g-1) R^2) is in [0.2, 5] at the top R.
         """
-        entries = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or \
-                    [f.strip() for f in header] != ["mu", "multiplicity"]:
+        with open(path, encoding="utf-8") as fh:
+            if [f.strip() for f in fh.readline().split(",")] != \
+                    ["mu", "multiplicity"]:
                 raise DomainError(
                     f"laplace file {path}: header must be 'mu,multiplicity'")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DomainError(
-                        f"laplace file {path}, line {reader.line_num}: "
-                        f"expected 2 fields, got {len(row)}")
+            body = fh.tell()
+            # np.loadtxt warns on a body of blank lines; such a body is empty
+            rows = np.empty(0, dtype=_LAPLACE_ROW)
+            if any(line != "\n" for line in fh):
+                fh.seek(body)
                 try:
-                    entries.append((float(row[0]), int(row[1])))
+                    rows = np.loadtxt(fh, delimiter=",", comments=None,
+                                      ndmin=1, dtype=_LAPLACE_ROW)
                 except ValueError as exc:
+                    fh.seek(body)
                     raise DomainError(
-                        f"laplace file {path}, line {reader.line_num}: {exc}") from exc
-        spec = cls(entries, genus)
-        ratio = spec.weyl_ratio()
-        if ratio is not None and not 0.2 <= ratio <= 5.0:
-            raise ConsistencyError(
-                f"laplace file {path}: Weyl sanity ratio {ratio:.3g} outside [0.2, 5]")
+                        f"laplace file {path}, {_bad_row(fh, exc)}") from exc
+        spec = cls(rows["mu"], rows["mult"], genus)
+        if spec.mu.size:
+            r2 = max(float(spec.mu[-1]) - 0.25, 1e-12)
+            ratio = float(spec.mult[spec.mu <= r2 + 0.25].sum()) / ((genus - 1) * r2)
+            if not 0.2 <= ratio <= 5.0:
+                raise ConsistencyError(f"laplace file {path}: Weyl sanity "
+                                       f"ratio {ratio:.3g} outside [0.2, 5]")
         return spec
+
+
+def _bad_row(lines, exc):
+    """'line N: why' for the first Laplace row in `lines` (from line 2)
+    that np.loadtxt rejects alone; else `exc`, its error on them all."""
+    for num, line in enumerate(lines, start=2):
+        if line == "\n":
+            continue
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != 2:
+            return f"line {num}: expected 2 fields, got {len(fields)}"
+        try:
+            np.loadtxt([line], delimiter=",", comments=None, dtype=_LAPLACE_ROW)
+        except ValueError:
+            return (f"line {num}: invalid literal for a float and an int64: "
+                    f"{','.join(fields)!r}")
+    return str(exc)
 
 
 @dataclass
@@ -162,15 +179,6 @@ def enumerate_resonances(spec, n_max, q_max):
     return ResonanceSpectrum(entries)
 
 
-def _discrete_series_sum(genus, t, q_max):
-    # sum over q <= q_max of m_{2q} e^{-t q}
-    x = math.exp(-t)
-    total = 0.0
-    for q in range(1, q_max + 1):
-        total += rr_multiplicity(genus, 2 * q) * x ** q
-    return total
-
-
 def _spherical_sum(spec, t):
     # sum_j d_j cos(t sqrt(mu_j - 1/4)), added left to right in entry order
     # (np.cumsum, not the pairwise np.sum) so it is bit-identical to a
@@ -189,8 +197,9 @@ def _spherical_sum(spec, t):
     return float(np.cumsum(terms)[-1])
 
 
-def global_trace(spec, t, form=POST_RR, q_max=200):
-    """Global spectral trace of the propagator at time t > 0.
+def global_trace(spec, t, q_max=200):
+    """Global spectral trace of the propagator at time t > 0, as the pair
+    (pre_rr, post_rr) of its two closed forms over one spherical sum.
 
     pre_rr sums the discrete multiplicities explicitly to q_max; post_rr
     uses the closed form with the |Euler characteristic| term.  The two
@@ -200,13 +209,12 @@ def global_trace(spec, t, form=POST_RR, q_max=200):
         raise DomainError(f"global_trace: t must be > 0, got {t}")
     x = math.exp(-t)
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * _spherical_sum(spec, t)
-    if form == PRE_RR:
-        return base + 2.0 / (1.0 - x) * _discrete_series_sum(spec.genus, t, q_max)
-    if form == POST_RR:
-        chi = abs(2 - 2 * spec.genus)
-        return (base + 2.0 * x / (1.0 - x)
-                + chi * x * (1.0 + x) / (1.0 - x) ** 3)
-    raise DomainError(f"global_trace: unknown form {form!r}")
+    ds = 0.0  # sum over q <= q_max of m_{2q} e^{-t q}
+    for q in range(1, q_max + 1):
+        ds += rr_multiplicity(spec.genus, 2 * q) * x ** q
+    chi = abs(2 - 2 * spec.genus)
+    return (base + 2.0 / (1.0 - x) * ds,
+            base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3)
 
 
 def block_semigroup(spec, t, n_max, q_list=(1, 2)):

@@ -145,8 +145,10 @@ class _ClassKeyer:
         cs = self.inv @ m @ self.letters
         return cs, (cs * cs).sum(axis=(1, 2)).tolist(), _psl_keys(cs)
 
-    def key(self, m):
-        k0 = _psl_keys(m)[0]
+    def key(self, m, k0=None):
+        """Class key of m; k0, when given, is m's own key (_psl_keys)."""
+        if k0 is None:
+            k0 = _psl_keys(m)[0]
         hit = self.cache.get(k0)
         if hit is not None:
             return hit
@@ -316,16 +318,19 @@ def length_spectrum(group, l_max, element_budget=2_000_000):
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
     mats = _ball(letters, math.cosh(disp) * (1.0 + 1e-9), element_budget)
     keyer = _ClassKeyer(letters)
-    classes = {}
+    hyperbolic = []
     for m in mats:
         tr = abs(m[0, 0] + m[1, 1])
         if tr <= 2.0 + 1e-12:
             continue
         ell = 2.0 * math.asinh(math.sqrt((tr - 2.0) * (tr + 2.0)) / 2.0) \
             if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
-        if ell > l_max + 1e-9:
-            continue
-        ck = keyer.key(m)
+        if ell <= l_max + 1e-9:
+            hyperbolic.append((m, tr, ell))
+    classes = {}
+    keys = _psl_keys(np.array([h[0] for h in hyperbolic]))
+    for (m, tr, ell), k0 in zip(hyperbolic, keys):
+        ck = keyer.key(m, k0)
         if ck not in classes:
             classes[ck] = (ell, m, _trace_pair(float(tr)))
     by_pair = {}

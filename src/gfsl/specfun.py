@@ -38,8 +38,11 @@ _LOG_2 = math.log(2.0)
 
 
 def is_gamma_pole(z, tol=0.0):
-    """True if z is a non-positive integer (a pole of Gamma), within tol."""
+    """True if z is a non-positive integer (a pole of Gamma), within tol;
+    DomainError if z is not finite."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"Gamma argument must be finite, got {z}")
     if abs(z.imag) > tol:
         return False
     r = round(z.real)
@@ -231,9 +234,9 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
     2 sinh t is still a finite float.
 
     Periodic-trapezoid quadrature of the circle integral with node doubling
-    until two levels differ by at most tol * max(1, |value|): relative for
-    |P| >= 1, absolute below that.  The exact value is real;
-    doubling continues until the imaginary residue also falls below 1e-12,
+    until two levels differ by at most tol * max(1, |value|), tol finite
+    and > 0: relative for |P| >= 1, absolute below that.  The exact value
+    is real; doubling continues until the imaginary residue is below 1e-12,
     after which it is discarded.  max_nodes must allow two levels (>= 32)
     so that convergence can be tested; AccuracyError if the level after
     the last one it allows is still unconverged.
@@ -260,9 +263,10 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
         raise DomainError(
             f"legendre_conical: 2 sinh t is not a finite float at t={t} "
             f"(lam={lam}); t must stay below about 709.78")
-    if max_nodes < 32:
+    if max_nodes < 32 or not (math.isfinite(tol) and tol > 0):
         raise DomainError(
-            f"legendre_conical: max_nodes must be >= 32, got {max_nodes}")
+            "legendre_conical: max_nodes must be >= 32 and tol finite and > 0, "
+            f"got max_nodes={max_nodes}, tol={tol}")
     if t == 0.0:
         return 1.0
     b = -0.5 + 1j * lam

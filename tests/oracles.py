@@ -7,13 +7,16 @@ dense matrix exponentials.  The row-at-a-time intertwining audits, the
 scalar global-trace loop, the whole-array conical quadrature and the
 uncached wave residual are the exception: they are the references the
 blocked library audit, the vectorized global trace, the block-wise
-quadrature and the cached wave residual must match exactly.  So is the
+quadrature and the cached wave residual must match exactly.  So are the
+row-by-row `csv`-module Laplace loader (`laplace_csv_rows`), the
+reference for the bulk `LaplaceSpectrum.from_csv`, and the
 per-matrix Selberg class keyer (`psl_key_one`, `ball_one`,
 `ClassKeyerOne`, `length_spectrum_one`), the reference for the batched
 keyer and the trace-pair buckets.
 """
 
 import cmath
+import csv
 import heapq
 import math
 
@@ -23,8 +26,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from gfsl.discrete import rr_multiplicity
-from gfsl.errors import AccuracyError
-from gfsl.global_traces import POST_RR, PRE_RR, sqrt_shifted
+from gfsl.errors import AccuracyError, DomainError
+from gfsl.global_traces import sqrt_shifted
 from gfsl.specfun import legendre_conical
 from gfsl.spherical import KBandedOperator
 
@@ -224,22 +227,51 @@ def intertwine_residual_ds_rows(l, table, ops):
     })
 
 
-def global_trace_loop(spec, t, form, q_max=200):
-    """Scalar-loop reference for global_traces.global_trace."""
+def global_trace_loop(spec, t, q_max=200):
+    """Scalar-loop reference for global_traces.global_trace: the pair
+    (pre_rr, post_rr)."""
     x = math.exp(-t)
     sph = 0.0
     for mu, d in spec.entries:
         r = sqrt_shifted(mu)
         sph += d * (cmath.cos(t * r)).real
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * sph
-    if form == PRE_RR:
-        ds = 0.0
-        for q in range(1, q_max + 1):
-            ds += rr_multiplicity(spec.genus, 2 * q) * x ** q
-        return base + 2.0 / (1.0 - x) * ds
-    assert form == POST_RR
+    ds = 0.0
+    for q in range(1, q_max + 1):
+        ds += rr_multiplicity(spec.genus, 2 * q) * x ** q
     chi = abs(2 - 2 * spec.genus)
-    return base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3
+    return (base + 2.0 / (1.0 - x) * ds,
+            base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3)
+
+
+def laplace_csv_rows(path):
+    """Row-by-row reference for LaplaceSpectrum.from_csv's parse: the
+    (mu, mult) arrays of a `mu,multiplicity` CSV read through the `csv`
+    module, or DomainError naming the file and the line of a bad row.
+    mult is int64 unless a multiplicity does not fit, as it once could."""
+    entries = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or \
+                [f.strip() for f in header] != ["mu", "multiplicity"]:
+            raise DomainError(
+                f"laplace file {path}: header must be 'mu,multiplicity'")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DomainError(
+                    f"laplace file {path}, line {reader.line_num}: "
+                    f"expected 2 fields, got {len(row)}")
+            try:
+                entries.append((float(row[0]), int(row[1])))
+            except ValueError as exc:
+                raise DomainError(
+                    f"laplace file {path}, line {reader.line_num}: {exc}") from exc
+    return (np.array([m for m, _ in entries], dtype=float),
+            np.array([d for _, d in entries], dtype=np.int64
+                     if all(d < 2 ** 63 for _, d in entries) else object))
 
 
 def legendre_conical_whole(lam, t, tol=1e-12, max_nodes=1 << 21):

@@ -162,14 +162,13 @@ def test_criterion_06_correlation_equals_spherical_function():
 def test_criterion_07_global_trace_algebra():
     worst = 0.0
     for genus in (2, 3):
-        spec = gt.LaplaceSpectrum([(0.16, 1), (2.0, 2)], genus)
+        spec = gt.LaplaceSpectrum([0.16, 2.0], [1, 2], genus)
         for t in (0.5, 0.7, 1.0, 2.0, 5.0):
-            pre = gt.global_trace(spec, t, gt.PRE_RR, q_max=200)
-            post = gt.global_trace(spec, t, gt.POST_RR)
+            pre, post = gt.global_trace(spec, t, q_max=200)
             worst = max(worst, abs(pre - post))
     assert worst < 1e-10
-    empty = gt.LaplaceSpectrum([], 2)
-    worked = gt.global_trace(empty, math.log(2.0), gt.POST_RR)
+    empty = gt.LaplaceSpectrum([], [], 2)
+    _, worked = gt.global_trace(empty, math.log(2.0))
     assert abs(worked - 15.0) < 1e-12
     _report(7, f"pre/post Riemann-Roch forms agree (worst {worst:.2e}); "
                f"worked value 15 reproduced")

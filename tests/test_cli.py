@@ -85,7 +85,7 @@ class TestTraces:
 
     def test_nan_trace_error_fails_verification(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.global_traces, "global_trace",
-                            lambda *args, **kwargs: math.nan)
+                            lambda *args, **kwargs: (math.nan, math.nan))
         code = run(["traces", "--out", str(tmp_path), "--t", "1"])
         assert code == cli.EXIT_VERIFY
         rows = json.loads((tmp_path / "traces.json").read_text())["identities"]

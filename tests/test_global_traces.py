@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfsl import discrete, global_traces as gt, spherical
 from gfsl.errors import ConsistencyError, DomainError
-from oracles import global_trace_loop
+from oracles import global_trace_loop, laplace_csv_rows
 
 
 # complementary entries, mu = 1/4 exactly, principal entries and
@@ -16,13 +18,14 @@ TRACE_TIMES = (0.1, 0.5, math.log(2.0), 1.0, 3.0, 7.0, 40.0)
 
 
 def toy_spectrum(entries=((2.0, 1),), genus=2):
-    return gt.LaplaceSpectrum(list(entries), genus)
+    return gt.LaplaceSpectrum([m for m, _ in entries],
+                              [d for _, d in entries], genus)
 
 
 class TestLaplaceSpectrum:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
-            gt.LaplaceSpectrum([(2.0, 1), (1.0, 1)], 2)
+            gt.LaplaceSpectrum([2.0, 1.0], [1, 1], 2)
 
     def test_csv_roundtrip(self, tmp_path):
         # shortest round-trip reprs are read back to the same floats
@@ -36,13 +39,20 @@ class TestLaplaceSpectrum:
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, mu):
         with pytest.raises(DomainError, match="finite"):
-            gt.LaplaceSpectrum([(0.5, 1), (mu, 1)], 2)
+            gt.LaplaceSpectrum([0.5, mu], [1, 1], 2)
 
     def test_arrays_follow_entries(self):
-        spec = toy_spectrum([(0.16, 1), (2.0, 3)])
-        assert spec.mu.tolist() == [0.16, 2.0]
-        assert spec.mult.tolist() == [1.0, 3.0]
-        assert spec == toy_spectrum([(0.16, 1), (2.0, 3)])
+        mu, mult = [0.16, 2.0], np.array([1, 3])
+        spec = gt.LaplaceSpectrum(mu, mult, 2)
+        assert spec.mu.dtype == float and spec.mult.dtype == np.int64
+        assert spec.entries == [(0.16, 1), (2.0, 3)]
+        # copied and read-only, so the validation made at construction holds
+        mult[0] = 0
+        assert spec.mult.tolist() == [1, 3]
+        with pytest.raises(ValueError):
+            spec.mu[0] = -1.0
+        spec.entries.append((3.0, 1))
+        assert len(spec.entries) == 2
 
     @pytest.mark.parametrize("row,line,match", [
         ("nan,1", 3, "eigenvalues must be finite"),
@@ -71,12 +81,80 @@ class TestLaplaceSpectrum:
         with pytest.raises(DomainError):
             gt.LaplaceSpectrum.from_csv(path, 2)
 
+    @pytest.mark.parametrize("text", [
+        "mu,multiplicity\r\n0.9,2\r\n\r\n2.0,1\r\n",
+        "mu,multiplicity\n\n0.9,2\n\n\n2.0,1\n\n\n",
+        " mu , multiplicity \n 0.9 , 2 \n\t2.0,\t1\t\n",
+        "mu,multiplicity\n9e-1,+2\n+2.0E0,1\n",
+        "mu,multiplicity\n2.0,1\n",
+        "mu,multiplicity\n",
+        "mu,multiplicity",
+        "mu,multiplicity\n\n\n",
+        "mu,multiplicity\n0.9,2\n2.0,1",
+    ], ids=["crlf", "blank_lines", "whitespace", "exponent_plus",
+            "single_row", "header_only", "header_no_newline",
+            "header_blank_lines", "no_final_newline"])
+    def test_bulk_parse_matches_csv_rows(self, tmp_path, text):
+        path = tmp_path / "laplace.csv"
+        path.write_bytes(text.encode())
+        _assert_same_parse(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(0.05, 0.95), st.integers(1, 3)),
+                         min_size=1, max_size=40),
+           genus=st.integers(2, 9))
+    def test_bulk_parse_matches_csv_rows_on_reprs(self, tmp_path_factory,
+                                                  rows, genus):
+        # Weyl-law spectra as in the traces workload, written with repr;
+        # the last entry has multiplicity 1 and u >= 0.5 so the Weyl ratio
+        # stays in [1, 2]
+        lines, count = ["mu,multiplicity"], 0
+        rows[-1] = (max(rows[-1][0], 0.5), 1)
+        for u, mult in rows:
+            lines.append(f"{0.25 + (count + u) / (genus - 1)!r},{mult}")
+            count += mult
+        path = tmp_path_factory.mktemp("repr") / "laplace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        _assert_same_parse(path, genus)
+
+    @pytest.mark.parametrize("text,match", [
+        ('mu,multiplicity\n"0.9","2"\n', "line 2: invalid literal"),
+        ('"mu","multiplicity"\n0.9,2\n', "header must be"),
+        ("mu,multiplicity\n0.9,2\n1_0,1\n", "line 3: invalid literal"),
+        ("mu,multiplicity\n0.9,\u0662\n", "line 2: invalid literal"),
+        ("mu,multiplicity\n0.9,9223372036854775808\n",
+         "line 2: invalid literal"),
+    ], ids=["quoted_fields", "quoted_header", "underscore", "unicode_digit",
+            "above_int64"])
+    def test_rows_only_the_bulk_parse_rejects(self, tmp_path, text, match):
+        # the csv-module loader accepted these (README, External file
+        # formats)
+        path = tmp_path / "laplace.csv"
+        path.write_text(text, encoding="utf-8")
+        laplace_csv_rows(path)
+        with pytest.raises(DomainError, match=match):
+            gt.LaplaceSpectrum.from_csv(path, 2)
+
+    def test_first_bad_row_named_by_numpy_verdict(self, tmp_path):
+        # `float` rejects line 4 and accepts line 3, which numpy rejects
+        path = tmp_path / "laplace.csv"
+        path.write_text("mu,multiplicity\n0.9,2\n1_0,1\nx,1\n")
+        with pytest.raises(DomainError, match="line 3: "):
+            gt.LaplaceSpectrum.from_csv(path, 2)
+
     def test_weyl_ingestion_check(self, tmp_path):
         path = tmp_path / "weyl.csv"
         rows = ["mu,multiplicity"] + [f"{mu}.0,50" for mu in range(1, 8)]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ConsistencyError):
             gt.LaplaceSpectrum.from_csv(path, 2)
+
+
+def _assert_same_parse(path, genus=2):
+    mu, mult = laplace_csv_rows(path)
+    spec = gt.LaplaceSpectrum.from_csv(path, genus)
+    assert spec.mu.dtype == mu.dtype and spec.mult.dtype == mult.dtype
+    assert np.array_equal(spec.mu, mu) and np.array_equal(spec.mult, mult)
 
 
 class TestEnumerate:
@@ -127,14 +205,13 @@ class TestGlobalTrace:
     def test_worked_value(self):
         # t = ln 2, g = 2, no spherical entries: 1 + 2 + 12 = 15
         spec = toy_spectrum([], genus=2)
-        assert abs(gt.global_trace(spec, math.log(2.0), gt.POST_RR) - 15.0) < 1e-12
+        assert abs(gt.global_trace(spec, math.log(2.0))[1] - 15.0) < 1e-12
 
     @pytest.mark.parametrize("genus", [2, 3])
     def test_pre_equals_post(self, genus):
         spec = toy_spectrum([(0.16, 1), (2.0, 2), (5.5, 1)], genus)
         for t in (0.5, 1.0, 2.0):
-            pre = gt.global_trace(spec, t, gt.PRE_RR, q_max=200)
-            post = gt.global_trace(spec, t, gt.POST_RR)
+            pre, post = gt.global_trace(spec, t, q_max=200)
             assert abs(pre - post) < 1e-10
 
     def test_qmax_convergence_rate(self):
@@ -142,8 +219,8 @@ class TestGlobalTrace:
         t = 1.0
         gaps = []
         for q_max in (10, 15, 20):
-            gaps.append(abs(gt.global_trace(spec, t, gt.PRE_RR, q_max=q_max)
-                            - gt.global_trace(spec, t, gt.POST_RR)))
+            pre, post = gt.global_trace(spec, t, q_max=q_max)
+            gaps.append(abs(pre - post))
         # geometric decay at rate e^{-t}
         assert gaps[1] / gaps[0] < 1.5 * math.exp(-5 * t)
         assert gaps[2] / gaps[1] < 1.5 * math.exp(-5 * t)
@@ -153,9 +230,7 @@ class TestGlobalTrace:
         # the vectorized sum must not move a bit
         spec = toy_spectrum(entries, genus=3)
         for t in TRACE_TIMES:
-            for form in (gt.PRE_RR, gt.POST_RR):
-                assert gt.global_trace(spec, t, form) == \
-                    global_trace_loop(spec, t, form)
+            assert gt.global_trace(spec, t) == global_trace_loop(spec, t)
 
     def test_each_term_matches_scalar_loop_exactly(self):
         # one entry at a time, so a last-bit change in a single term is not
@@ -163,8 +238,7 @@ class TestGlobalTrace:
         for entry in MIXED:
             spec = toy_spectrum([entry])
             for t in TRACE_TIMES:
-                assert gt.global_trace(spec, t, gt.POST_RR) == \
-                    global_trace_loop(spec, t, gt.POST_RR)
+                assert gt.global_trace(spec, t) == global_trace_loop(spec, t)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
     def test_non_positive_or_nan_time_rejected(self, t):
@@ -173,7 +247,7 @@ class TestGlobalTrace:
 
     def test_large_time_limit(self):
         spec = toy_spectrum([], genus=2)
-        assert abs(gt.global_trace(spec, 40.0, gt.POST_RR) - 1.0) < 1e-12
+        assert abs(gt.global_trace(spec, 40.0)[1] - 1.0) < 1e-12
 
     def test_cross_module_sum(self):
         # sum of per-irrep flat traces with multiplicities equals the global
@@ -197,8 +271,9 @@ class TestGlobalTrace:
             for q in range(1, q_max + 1):
                 ml = discrete.rr_multiplicity(genus, 2 * q)
                 total += 2 * ml * discrete.trace_ds(2 * q, t)["flat"]
-            assert abs(total - gt.global_trace(spec, t, gt.PRE_RR, q_max)) < 1e-10
-            assert abs(total - gt.global_trace(spec, t, gt.POST_RR)) < 1e-9
+            pre, post = gt.global_trace(spec, t, q_max)
+            assert abs(total - pre) < 1e-10
+            assert abs(total - post) < 1e-9
 
 
 class TestBlockSemigroup:

@@ -45,6 +45,16 @@ class TestLogGamma:
         with pytest.raises(PoleError):
             specfun.log_gamma(z)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                                   complex(1.0, math.nan),
+                                   complex(-2.5, math.inf)])
+    def test_non_finite_rejected(self, z):
+        # round() in the pole test used to raise a bare ValueError here
+        with pytest.raises(DomainError, match="must be finite"):
+            specfun.log_gamma(z)
+        with pytest.raises(DomainError, match="must be finite"):
+            specfun.log_beta_line(z, -0.75)
+
     def test_reflection_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -207,6 +217,14 @@ class TestLegendreConical:
         # below 32 nodes there is no second level to test convergence on
         with pytest.raises(DomainError, match="max_nodes"):
             specfun.legendre_conical(1.0, 2.0, max_nodes=max_nodes)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_bad_tol_rejected_before_quadrature(self, monkeypatch, tol):
+        # a nan tol used to double to the 2^21-node cap, then raise
+        # AccuracyError
+        monkeypatch.setattr(specfun, "_conical_nodes", None)
+        with pytest.raises(DomainError, match="tol finite and > 0, got max_nodes=2097152, "):
+            specfun.legendre_conical(1.0, 3.0, tol=tol)
 
     def test_blocks_match_whole_array_exactly(self):
         # (0.575, 8.73) and (12.9, 6.8) double to 2^18 and 2^16 nodes, whose
