@@ -150,15 +150,16 @@ def cmd_spherical_check(args):
                for nu in nus]
     if not params:
         raise GfslError("--lambda and --nu: expected at least one number")
-    rows = []
-    for regime, val, p in params:
-        ops = spherical.build_k_matrices(p, k_ord)
-        for branch, build in (("plus", spherical.coeffs_plus),
-                              ("minus", spherical.coeffs_minus)):
-            # no table outlives its audit, which bounds peak memory
-            res = spherical.intertwine_residual(p, build(p, n_ord, k_ord), ops)
-            rows += [(regime, val, f"{branch}:{rel}", res[rel])
-                     for rel in ("X", "U", "S")]
+    branches = (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)
+    # one stacked build and audit, block by block: no whole table is held
+    residuals = spherical.intertwine_sweep(
+        [(p, branch) for _, _, p in params for branch in branches],
+        n_ord, k_ord)
+    labels = [(regime, val, branch) for regime, val, _ in params
+              for branch in branches]
+    rows = [(regime, val, f"{branch}:{rel}", res[rel])
+            for (regime, val, branch), res in zip(labels, residuals)
+            for rel in ("X", "U", "S")]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

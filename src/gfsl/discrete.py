@@ -118,7 +118,7 @@ def intertwine_residual_ds(l, table, ops):
         "X": (ops["X"], [-(n + l / 2.0) for n in ns], 0),
         "U": (u_op, [math.sqrt(n) * math.sqrt(n - 1 + l) for n in ns], -1),
         "S": (s_op, [-math.sqrt(n + l) * math.sqrt(n + 1) for n in ns], 1),
-    })
+    }, f"cayley forward table at l = {l}, N = {table.n_max}, K = {K}")
 
 
 def correlation_ds(l, k_out, k_in, tau, N):

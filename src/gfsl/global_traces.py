@@ -65,23 +65,27 @@ class LaplaceSpectrum:
         parsed by one `np.loadtxt` call.  ConsistencyError unless
         count(mu <= R^2 + 1/4) / ((g-1) R^2) is in [0.2, 5] at the top R.
         """
-        with open(path, encoding="utf-8") as fh:
-            if [f.strip() for f in fh.readline().split(",")] != \
-                    ["mu", "multiplicity"]:
-                raise DomainError(
-                    f"laplace file {path}: header must be 'mu,multiplicity'")
-            body = fh.tell()
-            # np.loadtxt warns on a body of blank lines; such a body is empty
-            rows = np.empty(0, dtype=_LAPLACE_ROW)
-            if any(line != "\n" for line in fh):
-                fh.seek(body)
-                try:
-                    rows = np.loadtxt(fh, delimiter=",", comments=None,
-                                      ndmin=1, dtype=_LAPLACE_ROW)
-                except ValueError as exc:
-                    fh.seek(body)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                if [f.strip() for f in fh.readline().split(",")] != \
+                        ["mu", "multiplicity"]:
                     raise DomainError(
-                        f"laplace file {path}, {_bad_row(fh, exc)}") from exc
+                        f"laplace file {path}: header must be 'mu,multiplicity'")
+                body = fh.tell()
+                # np.loadtxt warns on a body of blank lines; such a body is empty
+                rows = np.empty(0, dtype=_LAPLACE_ROW)
+                if any(line != "\n" for line in fh):
+                    fh.seek(body)
+                    try:
+                        rows = np.loadtxt(fh, delimiter=",", comments=None,
+                                          ndmin=1, dtype=_LAPLACE_ROW)
+                    except ValueError as exc:
+                        fh.seek(body)
+                        raise DomainError(
+                            f"laplace file {path}, {_bad_row(fh, exc)}") from exc
+        except UnicodeDecodeError as exc:
+            raise DomainError(
+                f"laplace file {path}, {_undecodable_line(path)}") from exc
         spec = cls(rows["mu"], rows["mult"], genus)
         if spec.mu.size:
             r2 = max(float(spec.mu[-1]) - 0.25, 1e-12)
@@ -107,6 +111,20 @@ def _bad_row(lines, exc):
             return (f"line {num}: invalid literal for a float and an int64: "
                     f"{','.join(fields)!r}")
     return str(exc)
+
+
+def _undecodable_line(path):
+    """'line N: why' for the first line of `path` that is not UTF-8 (no
+    UTF-8 sequence holds a newline byte, so lines decode one by one)."""
+    with open(path, "rb") as fh:
+        for num, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (f"line {num}: not UTF-8 text, byte "
+                        f"0x{raw[exc.start]:02x} at column {exc.start + 1} "
+                        f"({exc.reason})")
+    return "not UTF-8 text"
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 The branch transforms, Harish-Chandra coefficients and trace identities
 rest on the primitives implemented here: the principal-branch complex
-log-Gamma, a column-vectorized three-term recurrence that yields the
-Taylor coefficients of (1+ix)^a (1-ix)^b and the moment tables of the
-branch transforms, the logarithm of the regularized line integral of the
-same two-factor function, and the conical Legendre function by
-periodic-trapezoid quadrature.  It also provides Gamma ratios with an
-explicit pole-limit mode.
+log-Gamma, a three-term recurrence that advances any number of stacked
+columns together and yields its rows block by block (the Taylor
+coefficients of (1+ix)^a (1-ix)^b and the moment tables of the branch
+transforms, one table or a whole sweep of them at once), the logarithm
+of the regularized line integral of the same two-factor function, and
+the conical Legendre function by periodic-trapezoid quadrature.  It also
+provides Gamma ratios with an explicit pole-limit mode.
 """
 
 import cmath
@@ -113,37 +114,62 @@ def gamma_ratio(z, w, pole_limit=False):
     return cmath.exp(log_gamma(z) - log_gamma(w))
 
 
-def recurrence_columns(a, s, e, x0, n_max):
-    """Columns x[:, j] of the forward three-term recurrence
+def recurrence_blocks(a, s, e, x0, n_max, rows):
+    """Rows x_0..x_{n_max} of the forward three-term recurrence
 
         (n+1+e) x_{n+1} = a x_n + (s-(n-1)) x_{n-1},   x_{-1} = 0,
 
-    for n = 0..n_max, with a, s, e and the seed x0 given per column
-    (scalars broadcast).  Every column advances together, one row per step.
-    Products are formed from separately rounded real and imaginary parts,
-    as in scalar complex arithmetic, so each column equals a one-column
-    scalar run bit for bit; numpy's SIMD complex multiply fuses one
-    product and would not.  Overflow gives inf/nan entries without a
-    warning; callers check the finished table.
+    one column per entry of a, s, e and the seed x0 (scalars broadcast),
+    yielded as (n0, x[n0:n1]) in blocks of `rows` rows (the last may be
+    shorter).  Every column advances together, one row per step.  Only the
+    block and the two rows before it are held: the next block overwrites
+    the yielded buffer, which the caller may change in place.  Products
+    are formed from separately rounded real and imaginary parts, as in
+    scalar complex arithmetic, so each column equals a one-column scalar
+    run bit for bit, whatever the columns beside it and the block size;
+    numpy's SIMD complex multiply fuses one product and would not.
+    Overflow gives inf/nan entries without a warning; callers check them.
     """
     if n_max < 0:
-        raise DomainError("recurrence_columns: n_max must be >= 0")
+        raise DomainError("recurrence_blocks: n_max must be >= 0")
+    if rows < 1:
+        raise DomainError("recurrence_blocks: rows must be >= 1")
     a, s, e, x0 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=complex)) for v in (a, s, e, x0)))
-    x = np.zeros((n_max + 1, a.size), dtype=complex)
-    x[0] = x0
-    xr, xi = x.real, x.imag
+    rows = min(rows, n_max + 1)
+    # rows 0 and 1 carry x_{n0-2} and x_{n0-1}; x_{-2} = x_{-1} = 0
+    buf = np.zeros((rows + 2, a.size), dtype=complex)
+    xr, xi = buf.real, buf.imag
     ar, ai, sr, si = a.real, a.imag, s.real, s.imag
-    zero = np.zeros(a.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_max):
-            qr, qi = xr[n], xi[n]
-            pr, pi = (xr[n - 1], xi[n - 1]) if n else (zero, zero)
-            cr = sr - (n - 1)
-            xr[n + 1] = (ar * qr - ai * qi) + (cr * pr - si * pi)
-            xi[n + 1] = (ar * qi + ai * qr) + (cr * pi + si * pr)
-            np.divide(x[n + 1], (n + 1.0) + e, out=x[n + 1])
+    for n0 in range(0, n_max + 1, rows):
+        n1 = min(n0 + rows, n_max + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, n in enumerate(range(n0, n1), start=2):
+                if n == 0:
+                    buf[i] = x0
+                    continue
+                # step n - 1 -> n
+                qr, qi, pr, pi = xr[i - 1], xi[i - 1], xr[i - 2], xi[i - 2]
+                cr = sr - (n - 2)
+                xr[i] = (ar * qr - ai * qi) + (cr * pr - si * pi)
+                xi[i] = (ar * qi + ai * qr) + (cr * pi + si * pr)
+                np.divide(buf[i], float(n) + e, out=buf[i])
+        block = buf[2:n1 - n0 + 2]
+        buf[:2] = buf[n1 - n0:n1 - n0 + 2]
+        yield n0, block
+
+
+def recurrence_columns(a, s, e, x0, n_max):
+    """The whole table x[n, j], n = 0..n_max, of recurrence_blocks: its
+    one-block case."""
+    ((_, x),) = recurrence_blocks(a, s, e, x0, n_max, n_max + 1)
     return x
+
+
+def two_factor_columns(alpha, beta):
+    """(a, s, e, x0) of recurrence_blocks whose columns are the Taylor
+    coefficients of (1+ix)^alpha (1-ix)^beta (see taylor_two_factor)."""
+    return 1j * (alpha - beta), alpha + beta, 0.0, 1.0
 
 
 def taylor_two_factor(alpha, beta, n_max):
@@ -164,7 +190,7 @@ def taylor_two_factor(alpha, beta, n_max):
     if alpha.shape != beta.shape or alpha.ndim > 1:
         raise DomainError("taylor_two_factor: alpha and beta must be scalars "
                           "or equal-length 1-D arrays")
-    a = recurrence_columns(1j * (alpha - beta), alpha + beta, 0.0, 1.0, n_max)
+    a = recurrence_columns(*two_factor_columns(alpha, beta), n_max)
     return a[:, 0] if alpha.ndim == 0 else a
 
 
@@ -191,6 +217,14 @@ def log_beta_line(alpha, beta):
 # Nodes per block of the quadrature: every temporary array stays at
 # 512 KiB or below however far the node count doubles.
 _CONICAL_BLOCK = 1 << 15
+
+# Default node cap of the quadrature, and the largest t it resolves: the
+# integrand's peak at theta = pi has width ~2 e^{-t}, so past
+# ln(2^21/pi) ~ 13.41 it is narrower than the finest grid's spacing and
+# every level agrees on a wrong value (1.2e-13 at lam = 1, t = 120, where
+# P ~ e^{-60}).
+_CONICAL_MAX_NODES = 1 << 21
+_CONICAL_MAX_T = math.log(_CONICAL_MAX_NODES / math.pi)
 
 
 def _conical_nodes(b, t, n, start, stop, stride):
@@ -229,9 +263,10 @@ def _exact_parts(x):
     return parts
 
 
-def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
-    """P_{-1/2 + i lam}(cosh t) for real lam and 0 <= t <= 709.78, where
-    2 sinh t is still a finite float.
+def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
+    """P_{-1/2 + i lam}(cosh t) for real lam and 0 <= t <= _CONICAL_MAX_T
+    (~13.41); a larger t raises DomainError, naming the overflow of
+    2 sinh t above t ~ 709.78.
 
     Periodic-trapezoid quadrature of the circle integral with node doubling
     until two levels differ by at most tol * max(1, |value|), tol finite
@@ -263,6 +298,11 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=1 << 21):
         raise DomainError(
             f"legendre_conical: 2 sinh t is not a finite float at t={t} "
             f"(lam={lam}); t must stay below about 709.78")
+    if t > _CONICAL_MAX_T:
+        raise DomainError(
+            f"legendre_conical: t={t} (lam={lam}) is past the quadrature's "
+            f"envelope t <= {_CONICAL_MAX_T!r}, where its theta = pi peak "
+            f"is narrower than the {_CONICAL_MAX_NODES}-node grid")
     if max_nodes < 32 or not (math.isfinite(tol) and tol > 0):
         raise DomainError(
             "legendre_conical: max_nodes must be >= 32 and tol finite and > 0, "

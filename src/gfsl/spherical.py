@@ -6,6 +6,9 @@ dual (inverse-transform) rows, the per-coefficient intertwining audits,
 the threshold coalescence data with its 2x2 Jordan model, the correlation
 expansion and the flat-vs-spectral trace identity.
 
+One kernel builds every table: a recurrence over the stacked columns of
+one or several tables, scaled, checked and audited block by block of rows.
+
 Conventions.  The spectral parameter is lam with mu = lam^2 + 1/4 and
 b_pm = -1/2 +- i lam; the complementary regime is the substitution
 lam = i nu, 0 < nu < 1/2, everywhere in the same algebraic formulas.
@@ -25,14 +28,18 @@ import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
 from .specfun import (is_gamma_pole, log_beta_line, log_gamma,
-                      recurrence_columns, taylor_two_factor)
+                      recurrence_blocks, two_factor_columns)
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Rows per block in the intertwining audit.  Its temporaries then grow
-# with K only, not with N; 16 rows was also the fastest block size at
-# (N, K) = (1000, 100).
-AUDIT_BLOCK_ROWS = 16
+# Entries (rows x tables x columns) per block of a stacked build and
+# audit; the recurrence buffer, the scaled rows and each audit temporary
+# hold about this many however large N is and however many tables are
+# stacked.  On a 12-table sweep at (N, K) = (1000, 100) (2-core x86-64
+# host, numpy 2.4), 2^13..2^16 ran equally fast (0.30-0.34 s), 2^17 more
+# slowly, and 2^14 kept the CLI's peak RSS at 33.8 MiB (2^15: 34.8 MiB;
+# one whole table at a time: 34.3 MiB).
+BLOCK_ELEMENTS = 1 << 14
 
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
@@ -101,16 +108,6 @@ class KBandedOperator:
     sup: np.ndarray
     sub: np.ndarray
 
-    def apply_interior(self, rows):
-        """Given rows[r, i] = c_{n_r, k_min+i}, return sum_j O_{jk} c_{n_r,j}.
-
-        Only interior columns k_min < k < k_max are returned, since the
-        truncation corrupts the boundary ones.
-        """
-        return (self.diag[1:-1] * rows[:, 1:-1]
-                + self.sup[1:-1] * rows[:, 2:]
-                + self.sub[1:-1] * rows[:, :-2])
-
     def as_dense(self):
         """Matrix M[j, k] acting on coefficient vectors of functions."""
         m = self.k_max - self.k_min + 1
@@ -178,31 +175,40 @@ class CoeffTable:
     dual: np.ndarray | None = None
 
 
-def _moments(lam, K, n_max, renormalized=False):
-    """Regularized moments M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx, |k| <= K.
+def block_rows(n_cols):
+    """Rows per block when n_cols columns (over all tables) are stacked."""
+    return max(1, BLOCK_ELEMENTS // n_cols)
 
-    Column k+K holds M_n for n = 0..n_max.  Each column is seeded by the
-    beta line integral and advanced by the three-term recurrence
-    (n+1+2 i lam) M_{n+1} = -2 i k M_n - n M_{n-1}, the moment form of
-    (1+x^2) f' = (2ik + (2b) x) f.  Both fundamental solutions stay
-    polynomially bounded, so forward recursion is stable.
 
-    renormalized=True returns rho(lam) * M_n, with the threshold
-    renormalizer rho(lam) = Gamma(1/2 - i lam) / (sqrt(pi) Gamma(-i lam)):
-    the pole of Gamma(-2 i lam) in M_0 is cancelled exactly, rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
-    (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)), finite for all real lam
-    including 0; the recurrence is unchanged.
+def _moment_seeds(lam, K, renormalized=False):
+    """M_0 of each moment column |k| <= K; every moment seed is made here.
+
+    Raw: the beta line integral, one log_beta_line per column.
+    Renormalized: rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
+    (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)), finite for all real lam.
     """
     ks = range(-K, K + 1)
     if renormalized:
         lhalf = log_gamma(0.5 - 1j * lam)
-        seeds = [cmath.exp(2.0 * lhalf - log_gamma(0.5 - 1j * lam - k)
-                           - log_gamma(0.5 - 1j * lam + k)) for k in ks]
-    else:
-        b = -0.5 + 1j * lam
-        seeds = [cmath.exp(log_beta_line(b + k, b - k)) for k in ks]
-    return recurrence_columns(-2j * np.arange(-K, K + 1), -1.0, 2j * lam,
-                              seeds, n_max)
+        return [cmath.exp(2.0 * lhalf - log_gamma(0.5 - 1j * lam - k)
+                          - log_gamma(0.5 - 1j * lam + k)) for k in ks]
+    b = -0.5 + 1j * lam
+    return [cmath.exp(log_beta_line(b + k, b - k)) for k in ks]
+
+
+def _moment_columns(lam, K, renormalized=False):
+    """(a, s, e, x0) of recurrence_blocks for the regularized moments
+    M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx, one column per |k| <= K.
+
+    The recurrence (n+1+2 i lam) M_{n+1} = -2 i k M_n - n M_{n-1} is the
+    moment form of (1+x^2) f' = (2ik + (2b) x) f.  Both fundamental
+    solutions stay polynomially bounded, so forward recursion is stable.
+    renormalized=True gives rho(lam) * M_n, with the threshold
+    renormalizer rho(lam) = Gamma(1/2 - i lam) / (sqrt(pi) Gamma(-i lam)),
+    which cancels the pole of Gamma(-2 i lam) in M_0 exactly.
+    """
+    return (-2j * np.arange(-K, K + 1), -1.0, 2j * lam,
+            _moment_seeds(lam, K, renormalized))
 
 
 def _phase(k, sign):
@@ -214,18 +220,6 @@ def _phase(k, sign):
 def _phases(K, sign):
     """Row of exp(sign * i k pi / 2) / sqrt(pi) over |k| <= K."""
     return np.array([_phase(k, sign) / _SQRT_PI for k in range(-K, K + 1)])
-
-
-def _scaled(pre, cols, row):
-    """(pre[n] * cols[n, j]) * row[j], multiplied in place in that order.
-
-    The order is kept fixed because numpy's fused complex multiply is not
-    bitwise commutative.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(pre[:, None], cols, out=cols)
-        cols *= row
-    return cols
 
 
 def require_finite(table, where):
@@ -241,16 +235,113 @@ def _table_name(branch, p, N, K):
     return f"{branch} table at {par}, N = {N}, K = {K}"
 
 
+class _TableSpec:
+    """One table as a recurrence: entry [n, k+K] is pre[n] * x[n, k+K] *
+    phase[k+K], x the rows of recurrence_blocks(*columns)."""
+
+    def __init__(self, name, columns, pre, phase, glog):
+        self.name, self.columns, self.pre = name, columns, pre
+        self.phase, self.glog = phase, glog
+
+
+def _table_spec(p, N, K, branch, dual=False):
+    """One branch table, or with dual=True the dual rows of the plus or
+    minus branch.  Plus: t_n^+ sqrt(n!) phase_k [x^n] two-factor; minus:
+    moments with t_n^- / sqrt(n!), a Gamma pole at lam = 0 (PoleError);
+    minus_renormalized: the rho-rescaled moments times (-1)^n, finite at
+    lam = 0, where they coalesce with plus."""
+    glog = gauge_log(p, branch, N)
+    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
+    parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    ks = np.arange(-K, K + 1)
+    if dual and branch == BRANCH_PLUS:
+        name, columns, sign = "plus-branch dual", _moment_columns(-p.lam, K), -1
+        pre = parity * np.exp(-glog - half_lf)
+    elif dual and branch == BRANCH_MINUS:
+        name, sign = "minus-branch dual", +1
+        columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
+        pre = parity * np.exp(half_lf - glog)
+    elif dual:
+        raise DomainError(f"dual_coeffs: unsupported branch {branch}")
+    elif branch == BRANCH_PLUS:
+        name, sign = "plus-branch", +1
+        columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
+        pre = np.exp(glog + half_lf)
+    elif branch == BRANCH_MINUS_RENORMALIZED:
+        name, sign = "renormalized minus-branch", -1
+        columns = _moment_columns(p.lam, K, renormalized=True)
+        pre = parity * np.exp(glog - half_lf)
+    elif p.lam == 0:
+        raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
+                        "use renormalized=True")
+    else:
+        name, columns, sign = "minus-branch", _moment_columns(p.lam, K), -1
+        pre = np.exp(glog - half_lf)
+    return _TableSpec(_table_name(name, p, N, K), columns, pre,
+                      _phases(K, sign), glog)
+
+
+def _first_non_finite(values, n0):
+    """None if values[row, table, ...] (rows from n0) is all finite, else
+    the first table with a non-finite value and its first and last rows
+    holding one."""
+    finite = np.isfinite(values).reshape(values.shape[0], values.shape[1], -1)
+    finite = finite.all(axis=2)
+    if finite.all():
+        return None
+    t = int(np.argmin(finite.all(axis=0)))
+    bad = np.flatnonzero(~finite[:, t])
+    return t, n0 + int(bad[0]), n0 + int(bad[-1])
+
+
+def _table_blocks(specs, rows):
+    """Scaled rows of the stacked tables `specs` (common N and K), by block.
+
+    One recurrence advances the columns of every table.  Each block of
+    `rows` rows is scaled as np.multiply(pre, x) and then * phase, in that
+    order (numpy's complex multiply is not bitwise commutative), and
+    checked finite: AccuracyError names the first table with a non-finite
+    entry in the first block holding one, and its rows.  Yields
+    (w0, n0, win), win[i, t, j] being row w0 + i of table t: the block's
+    rows n0.., after row n0 - 1 when n0 > 0, which the U and S relations
+    pair with row n0.  The next block overwrites win.
+    """
+    n_rows, n_cols = specs[0].pre.size, specs[0].phase.size
+    cols = [np.concatenate([np.broadcast_to(np.asarray(c, dtype=complex),
+                                            (n_cols,)) for c in per_col])
+            for per_col in zip(*(spec.columns for spec in specs))]
+    pre = np.stack([spec.pre for spec in specs], axis=1)
+    phase = np.stack([spec.phase for spec in specs])
+    rows = min(rows, n_rows)
+    win = np.empty((rows + 1, len(specs), n_cols), dtype=complex)
+    for n0, x in recurrence_blocks(*cols, n_rows - 1, rows):
+        r = x.shape[0]
+        if n0:
+            win[0] = win[rows]
+        new = win[1:r + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(pre[n0:n0 + r, :, None],
+                        x.reshape(r, len(specs), n_cols), out=new)
+            new *= phase
+        bad = _first_non_finite(new, n0)
+        if bad:
+            raise AccuracyError(
+                f"{specs[bad[0]].name} has non-finite entries in rows "
+                f"{bad[1]}..{bad[2]} (double precision overflow)")
+        yield (n0 - 1, n0, win[:r + 1]) if n0 else (0, 0, new)
+
+
+def _whole_table(spec):
+    """Entries [n, k+K] of one table: the one-table, one-block case of
+    _table_blocks."""
+    ((_, _, win),) = _table_blocks([spec], spec.pre.size)
+    return win[:, 0, :]
+
+
 def coeffs_plus(p, N, K):
     """Plus-branch table s+[n,k] = t_n^+ sqrt(n!) phase_k [x^n] two-factor."""
-    glog = gauge_log(p, BRANCH_PLUS, N)
-    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
-    pre = np.exp(glog + half_lf)
-    ks = np.arange(-K, K + 1)
-    a = taylor_two_factor(p.b_plus + ks, p.b_plus - ks, N)
-    s = _scaled(pre, a, _phases(K, +1))
-    require_finite(s, _table_name("plus-branch", p, N, K))
-    return CoeffTable(BRANCH_PLUS, N, K, s, glog)
+    spec = _table_spec(p, N, K, BRANCH_PLUS)
+    return CoeffTable(BRANCH_PLUS, N, K, _whole_table(spec), spec.glog)
 
 
 def coeffs_minus(p, N, K, renormalized=False):
@@ -259,22 +350,9 @@ def coeffs_minus(p, N, K, renormalized=False):
     Raw mode has a Gamma pole at lam = 0; renormalized mode is finite there
     and coalesces entrywise with the plus branch.
     """
-    lam = p.lam
-    glog = gauge_log(p, BRANCH_MINUS, N)
-    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
-    pre = np.exp(glog - half_lf)
-    if renormalized:
-        parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-        m = _moments(lam, K, N, renormalized=True)
-        s = _scaled(parity * pre, m, _phases(K, -1))
-        require_finite(s, _table_name("renormalized minus-branch", p, N, K))
-        return CoeffTable(BRANCH_MINUS_RENORMALIZED, N, K, s, glog)
-    if lam == 0:
-        raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
-                        "use renormalized=True")
-    s = _scaled(pre, _moments(lam, K, N), _phases(K, -1))
-    require_finite(s, _table_name("minus-branch", p, N, K))
-    return CoeffTable(BRANCH_MINUS, N, K, s, glog)
+    branch = BRANCH_MINUS_RENORMALIZED if renormalized else BRANCH_MINUS
+    spec = _table_spec(p, N, K, branch)
+    return CoeffTable(branch, N, K, _whole_table(spec), spec.glog)
 
 
 def dual_coeffs(p, N, K, branch):
@@ -284,21 +362,7 @@ def dual_coeffs(p, N, K, branch):
     u[n,k] = <e_n | (T^{-1})^dagger psi_k>; written analytically in lam they
     remain valid verbatim in the complementary regime.
     """
-    lam = p.lam
-    glog = gauge_log(p, branch, N)
-    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
-    parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    if branch == BRANCH_PLUS:
-        pre = parity * np.exp(-glog - half_lf)
-        v = _scaled(pre, _moments(-lam, K, N), _phases(K, -1))
-    elif branch == BRANCH_MINUS:
-        pre = parity * np.exp(half_lf - glog)
-        ks = np.arange(-K, K + 1)
-        a = taylor_two_factor(p.b_minus + ks, p.b_minus - ks, N)
-        v = _scaled(pre, a, _phases(K, +1))
-    else:
-        raise DomainError(f"dual_coeffs: unsupported branch {branch}")
-    return require_finite(v, _table_name(f"{branch}-branch dual", p, N, K))
+    return _whole_table(_table_spec(p, N, K, branch, dual=True))
 
 
 def full_table(p, N, K, branch):
@@ -309,68 +373,140 @@ def full_table(p, N, K, branch):
     return tab
 
 
-def ladder_residual(table, relations):
-    """Max relative residual of ladder identities checked row by row.
+def _stack_relations(per_table):
+    """The relations {name: (op, coef, shift)} of ladder_residual, one per
+    table, stacked as _audit takes them: {name: (diag, sup, sub, coef,
+    shift)}, the operator's interior bands [table, column] and coef[n,
+    table]."""
+    return {
+        name: (*(np.stack([getattr(rels[name][0], band)[1:-1]
+                           for rels in per_table])
+                 for band in ("diag", "sup", "sub")),
+               np.stack([np.asarray(rels[name][1], dtype=complex)
+                         for rels in per_table], axis=1), shift)
+        for name, (_, _, shift) in per_table[0].items()}
+
+
+def _audit(windows, relations, names, rows, n_cols):
+    """Worst residuals of stacked ladder relations (_stack_relations) over
+    stacked tables: the one audit loop, for one table or a whole sweep.
+
+    windows yields (w0, n0, win) as _table_blocks does, win holding at
+    most rows + 1 rows; every row pair (n, n + shift) inside win that
+    reaches a row from n0 on is scored, the right side summed as
+    diag*c_k + sup*c_{k+1} + sub*c_{k-1} in that order.  Returns
+    {name: worst score of each table}.  The temporaries are buffers reused
+    by every window and relation.
+    """
+    worst = {name: np.zeros(len(names)) for name in relations}
+    shape = (rows + 1, len(names), n_cols - 2)
+    lhs_buf = np.empty(shape, dtype=complex)
+    rhs_buf = np.empty(shape, dtype=complex)
+    mag_buf = np.empty(shape)
+    for w0, n0, win in windows:
+        w1 = w0 + win.shape[0]
+        for name, (diag, sup, sub, coef, shift) in relations.items():
+            lo = max(w0, w0 - shift, n0 - max(shift, 0))
+            hi = min(w1, w1 - shift)
+            if lo >= hi:
+                continue
+            c, h = win[lo - w0:hi - w0], hi - lo
+            lhs, rhs, mag = lhs_buf[:h], rhs_buf[:h], mag_buf[:h]
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(diag, c[..., 1:-1], out=rhs)
+                np.multiply(sup, c[..., 2:], out=lhs)
+                np.add(rhs, lhs, out=rhs)
+                np.multiply(sub, c[..., :-2], out=lhs)
+                np.add(rhs, lhs, out=rhs)
+                np.multiply(coef[lo:hi, :, None],
+                            win[lo - w0 + shift:hi - w0 + shift, :, 1:-1],
+                            out=lhs)
+                scale = np.abs(lhs, out=mag).max(axis=2)
+                np.maximum(scale, np.abs(rhs, out=mag).max(axis=2), out=scale)
+                np.maximum(scale, 1e-300, out=scale)
+                np.subtract(lhs, rhs, out=lhs)
+                score = np.abs(lhs, out=mag).max(axis=2) / scale
+            bad = _first_non_finite(score, lo)
+            if bad:
+                raise AccuracyError(
+                    f"intertwining audit: {name} residual of {names[bad[0]]} "
+                    f"is not finite in rows {bad[1]}..{bad[2]}")
+            np.maximum(worst[name], score.max(axis=0), out=worst[name])
+    return worst
+
+
+def ladder_residual(table, relations, name):
+    """Max relative residual of ladder identities on one table.
 
     relations maps a name to (op, coef, shift) and states, for every row n
     with 0 <= n + shift < len(table),
         coef[n] * table[n + shift, k] = sum_j O_{jk} table[n, j]
     on the interior columns k, with O the KBandedOperator op.  Each row
     scores max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) and the
-    relation reports its worst row.  Rows go through in blocks of
-    AUDIT_BLOCK_ROWS to keep the temporaries small.  A non-finite residual
-    raises AccuracyError instead of being dropped.
+    relation reports its worst row; a non-finite score raises
+    AccuracyError naming the table (`name`) and the rows.  This is the
+    one-table case of the stacked audit, block_rows rows at a time.
     """
-    n_rows = table.shape[0]
-    res = {}
-    for name, (op, coef, shift) in relations.items():
-        coef = np.asarray(coef, dtype=complex)
-        first, stop = max(0, -shift), min(n_rows, n_rows - shift)
-        worst = 0.0
-        for n0 in range(first, stop, AUDIT_BLOCK_ROWS):
-            n1 = min(n0 + AUDIT_BLOCK_ROWS, stop)
-            lhs = coef[n0:n1, None] * table[n0 + shift:n1 + shift, 1:-1]
-            rhs = op.apply_interior(table[n0:n1])
-            scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1),
-                                          np.abs(rhs).max(axis=1)), 1e-300)
-            block = float(np.max(np.abs(lhs - rhs).max(axis=1) / scale))
-            if not math.isfinite(block):
-                raise AccuracyError(
-                    f"intertwining audit: {name} residual is not finite in "
-                    f"rows {n0}..{n1 - 1}")
-            worst = max(worst, block)
-        res[name] = worst
-    return res
+    n_rows, n_cols = table.shape
+    rows = block_rows(n_cols)
+    windows = ((max(n0 - 1, 0), n0, table[max(n0 - 1, 0):n0 + rows, None])
+               for n0 in range(0, n_rows, rows))
+    worst = _audit(windows, _stack_relations([relations]), [name], rows,
+                   n_cols)
+    return {rel: float(w[0]) for rel, w in worst.items()}
 
 
-def intertwine_residual(p, table, ops):
-    """Max relative residual of the X / U / S intertwining identities.
+def _ladder_relations(p, branch, N, ops):
+    """The X / U / S relations of one branch table, for ladder_residual.
 
     The model actions are
         X:  (-n + b) s_{n,k}
         U:  usign * sqrt(n) (n-1-2b)^(1/2) s_{n-1,k}
         S:  ssign * (n-2b)^(1/2) sqrt(n+1) s_{n+1,k}
-    against the column action of the tridiagonal matrices; asserted on
-    interior indices only.  Square roots are per-factor principal, matching
-    the gauge branch.
+    against the column action of the tridiagonal matrices.  Square roots
+    are per-factor principal, matching the gauge branch.
     """
-    N, K = table.n_max, table.k_max
-    if ops["X"].k_max != K:
-        raise DomainError("intertwine_residual: table and operators disagree in K")
-    plus = table.branch == BRANCH_PLUS
+    plus = branch == BRANCH_PLUS
     b = p.b_plus if plus else p.b_minus
     usign = -1.0 if plus else 1.0
     ssign = 1.0 if plus else -1.0
-    if table.branch == BRANCH_MINUS_RENORMALIZED:
+    if branch == BRANCH_MINUS_RENORMALIZED:
         usign, ssign = -usign, -ssign
     ns = range(N + 1)
-    return ladder_residual(table.s, {
-        "X": (ops["X"], [-n + b for n in ns], 0),
-        "U": (ops["U"], [usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b)
-                         for n in ns], -1),
-        "S": (ops["S"], [ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1)
-                         for n in ns], 1),
-    })
+    return {
+        "X": (ops["X"], np.array([-n + b for n in ns]), 0),
+        "U": (ops["U"], np.array([usign * math.sqrt(n)
+                                  * cmath.sqrt(n - 1 - 2 * b) for n in ns]),
+              -1),
+        "S": (ops["S"], np.array([ssign * cmath.sqrt(n - 2 * b)
+                                  * math.sqrt(n + 1) for n in ns]), 1),
+    }
+
+
+def intertwine_residual(p, table, ops):
+    """Max relative residual of the X / U / S intertwining identities of
+    one table (see _ladder_relations), on interior indices only."""
+    N, K = table.n_max, table.k_max
+    if ops["X"].k_max != K:
+        raise DomainError("intertwine_residual: table and operators disagree in K")
+    return ladder_residual(table.s, _ladder_relations(p, table.branch, N, ops),
+                           _table_name(table.branch, p, N, K))
+
+
+def intertwine_sweep(tables, N, K):
+    """intertwine_residual of each (p, branch) table of `tables`, bit for
+    bit, with the tables built and audited together: no whole table is
+    held.  Every table is set up before any recurrence runs, so a raw
+    minus table at lam = 0 raises its PoleError first."""
+    specs = [_table_spec(p, N, K, branch) for p, branch in tables]
+    relations = _stack_relations(
+        [_ladder_relations(p, branch, N, build_k_matrices(p, K))
+         for p, branch in tables])
+    rows = min(block_rows(len(specs) * (2 * K + 1)), N + 1)
+    worst = _audit(_table_blocks(specs, rows), relations,
+                   [spec.name for spec in specs], rows, 2 * K + 1)
+    return [{rel: float(w[t]) for rel, w in worst.items()}
+            for t in range(len(specs))]
 
 
 def _threshold_rationals(k, n_max):

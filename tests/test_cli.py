@@ -40,6 +40,41 @@ class TestSphericalCheck:
         assert "plus-branch" in err and "non-finite" in err
         assert not (tmp_path / "spherical_residuals.csv").exists()
 
+    @pytest.mark.parametrize("lams", ["0", "1,0"])
+    def test_raw_minus_pole_before_any_table(self, tmp_path, capsys,
+                                             monkeypatch, lams):
+        # the plus table at lam = 0 used to be built (and overflow at
+        # large N) before the minus pole was seen
+        monkeypatch.setattr(cli.spherical, "recurrence_blocks", None)
+        code = run(["spherical-check", "--out", str(tmp_path),
+                    "--lambda", lams, "--n", "2000", "--k", "250"])
+        assert code == cli.EXIT_CONFIG
+        assert ("error: coeffs_minus: raw branch has a pole at lam = 0; "
+                "use renormalized=True") in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_overflow_stops_at_first_block(self, tmp_path, capsys,
+                                           monkeypatch):
+        starts = []
+        blocks = cli.spherical.recurrence_blocks
+
+        def recording(*args):
+            for n0, x in blocks(*args):
+                starts.append(n0)
+                yield n0, x
+
+        monkeypatch.setattr(cli.spherical, "recurrence_blocks", recording)
+        code = run(["spherical-check", "--out", str(tmp_path),
+                    "--lambda", "1", "--nu", "0.2", "--n", "2000",
+                    "--k", "250"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: plus-branch table at lam = 1.0, N = 2000, K = 250 has "
+            "non-finite entries in rows 774..775 (double precision "
+            "overflow)\n")
+        assert starts[-1] == 768 and len(starts) == 97
+        assert not list(tmp_path.iterdir())
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[spherical]\nbogus_field = 3\n")
@@ -103,6 +138,18 @@ class TestTraces:
                     "--laplace-file", str(path)])
         assert code == cli.EXIT_CONFIG
         assert match in capsys.readouterr().err
+        assert not (tmp_path / "traces.json").exists()
+
+
+    def test_non_utf8_laplace_file(self, tmp_path, capsys):
+        path = tmp_path / "laplace.csv"
+        path.write_bytes(b"mu,multiplicity\n0.3,1\n0.5,\xff\n")
+        code = run(["traces", "--out", str(tmp_path),
+                    "--laplace-file", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: laplace file {path}, line 3: not UTF-8 text, byte 0xff "
+            "at column 5 (invalid start byte)\n")
         assert not (tmp_path / "traces.json").exists()
 
 
@@ -179,8 +226,11 @@ class TestMeans:
         ("1e-4", "legendre_conical: 2 sinh t is not a finite float at "
                  "t=15709.964267948964 (lam=0.0001)"),
         ("1e6", "legendre_conical: no convergence for lam=1000000.0, t=3.0 "
-                "at tol=1e-12 with 2097152 nodes (last change ")],
-        ids=["overflow", "unconverged"])
+                "at tol=1e-12 with 2097152 nodes (last change "),
+        # it used to write slope -0.026 from wrong quadratures and exit 2
+        ("0.01", "legendre_conical: t=159.08063267948967 (lam=0.01) is "
+                 "past the quadrature's envelope t <= 13.41136090590945")],
+        ids=["overflow", "unconverged", "envelope"])
     def test_quadrature_failure_fails_loudly(self, tmp_path, capsys, lam,
                                              message):
         code = run(["means", "--out", str(tmp_path), "--lambda", lam])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gfsl import discrete
+from gfsl import discrete, spherical
 from gfsl.errors import AccuracyError, DomainError
 
 from oracles import galerkin_exp_oracle, intertwine_residual_ds_rows
@@ -114,10 +114,23 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("l", [2, 8])
     def test_blocked_audit_equals_row_loop(self, l):
-        ops = discrete.build_disk_matrices(l, 40)
-        tab = discrete.cayley_coeffs(l, 40, 40)
-        got = discrete.intertwine_residual_ds(l, tab, ops)
-        assert got == intertwine_residual_ds_rows(l, tab, ops)
+        # (40, 40) is one audit block; at K = 100 the tables end one row
+        # before, at and after a block boundary
+        b = spherical.block_rows(101)
+        for N, K in [(40, 40), (b - 1, 100), (b, 100), (b + 1, 100)]:
+            ops = discrete.build_disk_matrices(l, K)
+            tab = discrete.cayley_coeffs(l, N, K)
+            got = discrete.intertwine_residual_ds(l, tab, ops)
+            assert got == intertwine_residual_ds_rows(l, tab, ops), N
+
+    def test_non_finite_residual_names_table(self):
+        ops = discrete.build_disk_matrices(2, 6)
+        tab = discrete.cayley_coeffs(2, 20, 6)
+        tab.forward[10, 3] = np.inf
+        with pytest.raises(AccuracyError, match=(
+                r"intertwining audit: X residual of cayley forward table at "
+                r"l = 2, N = 20, K = 6 is not finite in rows 10\.\.10")):
+            discrete.intertwine_residual_ds(2, tab, ops)
 
 
 class TestCorrelation:

@@ -69,6 +69,21 @@ class TestLaplaceSpectrum:
             gt.LaplaceSpectrum.from_csv(path, 2)
         assert match in str(err.value)
 
+    @pytest.mark.parametrize("body,line,column", [
+        (b"0.3,1\n0.5\xff,1\n", 3, 4),      # in the body
+        (b"0.3,1\n" * 5000 + b"7.0,\xff\n", 5002, 5),  # past the first read
+        (b"", 1, 14),                          # in the header
+    ])
+    def test_non_utf8_names_file_and_line(self, tmp_path, body, line, column):
+        path = tmp_path / "laplace.csv"
+        head = b"mu,multiplicity\n" if line > 1 else b"mu,multiplici\xffy\n"
+        path.write_bytes(head + body)
+        with pytest.raises(DomainError) as err:
+            gt.LaplaceSpectrum.from_csv(path, 2)
+        assert str(err.value) == (
+            f"laplace file {path}, line {line}: not UTF-8 text, byte 0xff at "
+            f"column {column} (invalid start byte)")
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "laplace.csv"
         path.write_text("mu,multiplicity\n\n0.9,2\n\n2.0,1\n\n")

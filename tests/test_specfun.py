@@ -155,6 +155,31 @@ class TestRecurrenceColumns:
             want = recurrence_scalar(a[j], s[j], e[j], x0[j], 80)
             assert np.array_equal(table[:, j], want), j
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 70), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_blocks_equal_whole_table_bitwise(self, n_max, rows, m, seed):
+        # any block size, across every block boundary, and whatever the
+        # caller does to a yielded block in place
+        rng = np.random.default_rng(seed)
+        a, s, x0 = (rng.uniform(-20, 20, m) + 1j * rng.uniform(-20, 20, m)
+                    for _ in range(3))
+        e = np.where(np.arange(m) % 2, 0.0, 2j * rng.uniform(0, 10, m))
+        whole = specfun.recurrence_columns(a, s, e, x0, n_max)
+        got, starts = [], []
+        for n0, block in specfun.recurrence_blocks(a, s, e, x0, n_max, rows):
+            starts.append(n0)
+            got.append(block.copy())
+            assert block.shape[0] == min(rows, n_max + 1 - n0)
+            block[:] = np.nan
+        assert starts == list(range(0, n_max + 1, rows))
+        assert np.array_equal(np.concatenate(got), whole)
+
+    @pytest.mark.parametrize("n_max,rows", [(-1, 1), (3, 0)])
+    def test_bad_sizes_rejected(self, n_max, rows):
+        with pytest.raises(DomainError):
+            next(specfun.recurrence_blocks(1.0, 1.0, 0.0, 1.0, n_max, rows))
+
 
 class TestBetaLineIntegral:
     """log_beta_line, the log of the regularized line integral."""
@@ -274,13 +299,34 @@ class TestLegendreConical:
     def test_overflowing_t_rejected(self):
         # the quadrature's base reaches 2 sinh t, which overflows just
         # above t = 709.78; wave_residual's quarter-period shift at
-        # lam = 1e-4 lands at t = 15710
-        assert math.isfinite(specfun.legendre_conical(1.0, 709.78))
+        # lam = 1e-4 lands at t = 15710.  Below that, t = 709.78 is past
+        # the quadrature's envelope (it once returned a finite, wrong value)
+        with pytest.raises(DomainError, match=r"t=709\.78 \(lam=1\.0\) is past "
+                                              "the quadrature's envelope"):
+            specfun.legendre_conical(1.0, 709.78)
         for t in (709.79, 710.48, 15709.964267948964):
             with pytest.raises(DomainError,
                                match=f"not a finite float at t={t} "
                                      r"\(lam=0\.0001\)"):
                 specfun.legendre_conical(1e-4, t)
+
+    @pytest.mark.parametrize("lam,t", [(1.0, 120.0), (0.01, 159.0),
+                                       (1.0, 13.412), (5.0, 50.0)])
+    def test_past_envelope_rejected(self, monkeypatch, lam, t):
+        # every level agreed on a wrong value here: 1.2e-13 at
+        # (1, 120), where P is ~e^-60
+        monkeypatch.setattr(specfun, "_conical_nodes", None)
+        with pytest.raises(DomainError, match=f"t={t} \\(lam={lam}\\) is past "
+                                              r"the quadrature's envelope t <= "
+                                              r"13\.41136"):
+            specfun.legendre_conical(lam, t)
+
+    def test_envelope_edge(self):
+        # ln(2^21 / pi); just inside, the quadrature still runs (and here
+        # fails to converge, loudly)
+        assert specfun._CONICAL_MAX_T == math.log(2.0 ** 21 / math.pi)
+        with pytest.raises(AccuracyError):
+            specfun.legendre_conical(1.0, 13.41)
 
     def test_no_convergence_names_inputs(self):
         with pytest.raises(AccuracyError) as exc:

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfsl import means, spherical
 from gfsl.errors import (AccuracyError, ConsistencyError, DomainError,
-                         PoleError)
+                         GfslError, PoleError)
 from gfsl.specfun import legendre_conical, log_beta_line
 
 from oracles import (characteristics_correlation, i_nk_reference,
@@ -230,11 +232,15 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("p", ALL_REGIMES)
     def test_blocked_audit_equals_row_loop(self, p):
-        # 40 + 1 rows: two full audit blocks and a partial one
-        ops = spherical.build_k_matrices(p, 8)
-        for tab in _branch_tables(p, 40, 8):
-            got = spherical.intertwine_residual(p, tab, ops)
-            assert got == intertwine_residual_rows(p, tab, ops), tab.branch
+        # (40, 8) is one audit block; at K = 100 the tables end one row
+        # before, at and after a block boundary
+        b = spherical.block_rows(201)
+        for N, K in [(40, 8), (b - 1, 100), (b, 100), (b + 1, 100)]:
+            ops = spherical.build_k_matrices(p, K)
+            for tab in _branch_tables(p, N, K):
+                got = spherical.intertwine_residual(p, tab, ops)
+                assert got == intertwine_residual_rows(p, tab, ops), \
+                    (tab.branch, N)
 
     def test_non_finite_residual_raises(self):
         ops = spherical.build_k_matrices(P1, 6)
@@ -248,6 +254,120 @@ class TestIntertwining:
         tab = spherical.coeffs_plus(P1, 10, 8)
         with pytest.raises(DomainError):
             spherical.intertwine_residual(P1, tab, ops)
+
+
+def _per_table(tables, N, K):
+    """intertwine_residual of each whole table, checked against the row
+    loop of the oracle."""
+    out = []
+    for p, branch in tables:
+        tab = (spherical.coeffs_plus(p, N, K) if branch == spherical.BRANCH_PLUS
+               else spherical.coeffs_minus(
+                   p, N, K,
+                   renormalized=branch == spherical.BRANCH_MINUS_RENORMALIZED))
+        ops = spherical.build_k_matrices(p, K)
+        res = spherical.intertwine_residual(p, tab, ops)
+        assert res == intertwine_residual_rows(p, tab, ops), (branch, N, K)
+        out.append(res)
+    return out
+
+
+def _outcome(f, *args):
+    # within an ulp of nu = 1/2 the minus seeds meet a Gamma pole, on
+    # either path
+    try:
+        return f(*args)
+    except GfslError as exc:
+        return type(exc), str(exc)
+
+
+# Below lam, nu ~ 5e-9 the point itself is rejected: mu rounds to 1/4.
+_PARAMS = st.one_of(
+    st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
+    st.floats(1e-7, 0.5, exclude_max=True).map(
+        spherical.SpectralParam.complementary))
+_BRANCHES = st.sampled_from([spherical.BRANCH_PLUS, spherical.BRANCH_MINUS,
+                             spherical.BRANCH_MINUS_RENORMALIZED])
+_TABLES = st.lists(st.tuples(_PARAMS, _BRANCHES), min_size=1, max_size=3)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("K", [2, 3, 100])
+    @pytest.mark.parametrize("at", ["0", "1", "b-1", "b", "b+1"])
+    @settings(max_examples=3, deadline=None)
+    @given(tables=_TABLES, mixed=st.booleans())
+    def test_sweep_equals_per_table_bitwise(self, K, at, tables, mixed):
+        # one parameter point with one or more branches, or a mixed sweep;
+        # N = 0, 1, or b - 1, b, b + 1 around the sweep's block size b
+        if not mixed:
+            tables = [(tables[0][0], branch) for _, branch in tables]
+        b = spherical.block_rows(len(tables) * (2 * K + 1))
+        N = {"0": 0, "1": 1, "b-1": b - 1, "b": b, "b+1": b + 1}[at]
+        assert _outcome(spherical.intertwine_sweep, tables, N, K) == \
+            _outcome(_per_table, tables, N, K)
+
+    def test_cli_sweep_equals_per_table(self):
+        # the shape of a spherical-check sweep: several points, plus and
+        # raw minus each, three full blocks and a partial one
+        params = [spherical.SpectralParam.principal(lam)
+                  for lam in (2.170264, 17.491455)]
+        params.append(spherical.SpectralParam.complementary(0.479578))
+        tables = [(p, branch) for p in params
+                  for branch in (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)]
+        N = 3 * spherical.block_rows(len(tables) * 201) + 5
+        assert spherical.intertwine_sweep(tables, N, 100) == \
+            _per_table(tables, N, 100)
+
+    @pytest.mark.parametrize("branch", [spherical.BRANCH_PLUS,
+                                        spherical.BRANCH_MINUS_RENORMALIZED])
+    def test_blocks_equal_whole_tables_bitwise(self, branch):
+        # stacked blocks of 7 rows against each table built whole
+        tables = [(p, br) for p in (P1, PC, spherical.SpectralParam.principal(5.0))
+                  for br in (branch, spherical.BRANCH_MINUS)]
+        specs = [spherical._table_spec(p, 30, 4, br) for p, br in tables]
+        rows = [win[n0 - w0:].copy()
+                for w0, n0, win in spherical._table_blocks(specs, 7)]
+        assert [len(r) for r in rows] == [7, 7, 7, 7, 3]
+        stacked = np.concatenate(rows)
+        for t, (p, br) in enumerate(tables):
+            whole = (spherical.coeffs_plus(p, 30, 4)
+                     if br == spherical.BRANCH_PLUS
+                     else spherical.coeffs_minus(
+                         p, 30, 4, renormalized=br != spherical.BRANCH_MINUS))
+            assert np.array_equal(stacked[:, t], whole.s), (t, br)
+
+    def test_raw_minus_pole_before_any_recurrence(self, monkeypatch):
+        monkeypatch.setattr(spherical, "recurrence_blocks", None)
+        p0 = spherical.SpectralParam.threshold()
+        tables = [(P1, spherical.BRANCH_PLUS), (p0, spherical.BRANCH_PLUS),
+                  (p0, spherical.BRANCH_MINUS)]
+        with pytest.raises(PoleError, match="raw branch has a pole at lam = 0"):
+            spherical.intertwine_sweep(tables, 10, 3)
+
+    def test_overflow_names_first_block_not_first_table(self, monkeypatch):
+        # the plus table at lam = 5 overflows from row 774, the minus
+        # table at nu = 0.2 from row 768; with twelve stacked tables a
+        # block holds two rows, and the recurrence stops at that block
+        steps = []
+        blocks = spherical.recurrence_blocks
+
+        def counting(*args):
+            for n0, x in blocks(*args):
+                steps.append(n0)
+                yield n0, x
+
+        monkeypatch.setattr(spherical, "recurrence_blocks", counting)
+        p5 = spherical.SpectralParam.principal(5.0)
+        nu = spherical.SpectralParam.complementary(0.2)
+        tables = [(p5, spherical.BRANCH_PLUS), (nu, spherical.BRANCH_MINUS)]
+        tables += [(p5, spherical.BRANCH_PLUS)] * 10
+        assert spherical.block_rows(12 * 501) == 2
+        with pytest.raises(AccuracyError) as info:
+            spherical.intertwine_sweep(tables, 2000, 250)
+        assert str(info.value) == (
+            "minus-branch table at nu = 0.2, N = 2000, K = 250 has non-finite "
+            "entries in rows 768..769 (double precision overflow)")
+        assert steps[-1] == 768
 
 
 class TestThreshold:
