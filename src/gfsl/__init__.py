@@ -12,7 +12,7 @@ discrete       one holomorphic discrete series: disk model, Cayley tables,
                correlation, holomorphic flat trace
 global_traces  resonance enumeration, block semigroup, global trace forms
 selberg        Bolza group, length spectrum, tanh identity, wave-trace pair
-means          Harish-Chandra expansion, wave residual, envelope decay
+means          Harish-Chandra expansion, wave residual, W-symbol defect
 cli            batch front end (entry point `gfsl`)
 
 Submodules are imported on demand (`from gfsl import selberg`), so a

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import discrete, global_traces, means, selberg, spherical
 from .errors import BudgetError, GfslError
-from .specfun import legendre_conical
+from .specfun import _CONICAL_MAX_T, legendre_conical
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -273,6 +273,14 @@ def cmd_means(args):
     lams = _parse_floats("--lambda", args.lam)
     if not lams:
         raise GfslError("--lambda: expected at least one number")
+    for lam in lams:
+        # wave_residual's last time: grid top + quarter period + step h
+        if not (lam > 0.0
+                and 6.0 + math.pi / (2.0 * lam) + 1e-3 <= _CONICAL_MAX_T):
+            raise GfslError(
+                "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + 1e-3 "
+                f"<= {_CONICAL_MAX_T!r}, the quadrature's envelope (lambda "
+                f">= about 0.212), got {lam!r}")
     m_top = _parse_int("--m", args.m, 0)
     conv = []
     t = 3.0

@@ -113,34 +113,6 @@ def wave_residual(lam, t_grid=None, h=1e-3, shift=None):
                         floor_limited)
 
 
-def ratner_decay(lam, t_window=(3.0, 8.0), samples=33):
-    """Envelope decay exponent of the spherical function, nominally -1/2.
-
-    The sign oscillation is removed with a phase-quadrature pair: at each t
-    the envelope is sqrt((e^{t/2} phi(t))^2 + (e^{t'/2} phi(t'))^2) with
-    t' = t + pi/(2 lam), which equals twice the mode amplitude up to
-    exponentially small corrections; the fitted log-slope of envelope *
-    e^{-t/2} is returned.
-    """
-    if lam < 0.5:
-        raise DomainError("ratner_decay: lam must be >= 0.5 "
-                          "(outside the exceptional window)")
-    lo, hi = t_window
-    if lo < 2.0:
-        raise DomainError("ratner_decay: window starts in the transient")
-    quarter = math.pi / (2.0 * lam)
-    ts = np.linspace(lo, hi - quarter, samples)
-    env = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        a = math.exp(t / 2.0) * legendre_conical(lam, t, tol=1e-13)
-        b = math.exp((t + quarter) / 2.0) * legendre_conical(lam, t + quarter,
-                                                             tol=1e-13)
-        env[i] = math.hypot(a, b)
-    log_phi_env = np.log(env) - ts / 2.0
-    slope = float(np.polyfit(ts, log_phi_env, 1)[0])
-    return slope
-
-
 def w_symbol_defect(lam):
     """|sqrt(pi) e^{i pi/4} sqrt(lam) W_{0,lam} - 1|; O(1/(8 lam)) at large lam."""
     if lam <= 0:

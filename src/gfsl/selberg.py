@@ -420,7 +420,11 @@ def tanh_transform(t, n_terms=50):
         raise DomainError("tanh_transform: t must be > 0")
     k = np.arange(n_terms)
     pole_sum = -2.0 * float(np.sum((k + 0.5) * np.exp(-t * (k + 0.5))))
-    closed = -0.5 * math.cosh(t / 2.0) / math.sinh(t / 2.0) ** 2
+    try:
+        closed = -0.5 * math.cosh(t / 2.0) / math.sinh(t / 2.0) ** 2
+    except OverflowError:
+        raise DomainError(f"tanh_transform: sinh(t/2)^2 overflows at "
+                          f"t={t!r}; t must stay below about 711.17") from None
     tail = (2.0 * (n_terms + 0.5) * math.exp(-t * (n_terms + 0.5))
             / (1.0 - math.exp(-t)) ** 2)
     return {"pole_sum": pole_sum, "closed_form": closed, "tail_bound": tail}

@@ -214,9 +214,14 @@ def log_beta_line(alpha, beta):
             - log_gamma(-alpha) - log_gamma(-beta))
 
 
-# Nodes per block of the quadrature: every temporary array stays at
-# 512 KiB or below however far the node count doubles.
+# Nodes per block of the quadrature: no temporary array exceeds 512 KiB
+# however far the node count doubles.  The persistent half-angle tables,
+# _half_cos2(n, 1) per level n, depend on the grid alone, so each is
+# built once per process, read-only, and shared by every call (_odd_cos2).
+# They hold n/2 floats per level n: about 2 MiB for the levels up to
+# 2^18, 16 MiB up to the 2^21 cap.
 _CONICAL_BLOCK = 1 << 15
+_ODD_COS2 = {}
 
 # Default node cap of the quadrature, and the largest t it resolves: the
 # integrand's peak at theta = pi has width ~2 e^{-t}, so past
@@ -227,13 +232,26 @@ _CONICAL_MAX_NODES = 1 << 21
 _CONICAL_MAX_T = math.log(_CONICAL_MAX_NODES / math.pi)
 
 
-def _conical_nodes(b, t, n, start, stop, stride):
-    """(cosh t + sinh t cos theta_k)^b at theta_k = 2 pi k / n for k in
-    range(start, stop, stride)."""
-    theta = 2.0 * math.pi * np.arange(start, stop, stride) / n
+def _half_cos2(n, start):
+    """cos(theta_k / 2)^2 at theta_k = 2 pi k / n for k in range(start, n,
+    start + 1): every node of level n from start = 0, its odd ones from 1."""
+    theta = 2.0 * math.pi * np.arange(start, n, start + 1) / n
+    return np.cos(theta / 2.0) ** 2
+
+
+def _odd_cos2(n):
+    if n not in _ODD_COS2:
+        _ODD_COS2[n] = _half_cos2(n, 1)
+        _ODD_COS2[n].flags.writeable = False
+    return _ODD_COS2[n]
+
+
+def _conical_nodes(b, t, cos2):
+    """(cosh t + sinh t cos theta)^b at the nodes whose cos(theta/2)^2 is
+    cos2."""
     # cosh t + sinh t cos(theta), grouped to avoid the cancellation at
     # theta = pi that would cost a factor e^{2t} in precision
-    base = math.exp(-t) + 2.0 * math.sinh(t) * np.cos(theta / 2.0) ** 2
+    base = math.exp(-t) + 2.0 * math.sinh(t) * cos2
     return np.exp(b * np.log(base))
 
 
@@ -265,8 +283,7 @@ def _exact_parts(x):
 
 def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
     """P_{-1/2 + i lam}(cosh t) for real lam and 0 <= t <= _CONICAL_MAX_T
-    (~13.41); a larger t raises DomainError, naming the overflow of
-    2 sinh t above t ~ 709.78.
+    (~13.41); a larger t raises DomainError.
 
     Periodic-trapezoid quadrature of the circle integral with node doubling
     until two levels differ by at most tol * max(1, |value|), tol finite
@@ -277,11 +294,12 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
     the last one it allows is still unconverged.
 
     The nodes of level n are the even nodes of level 2n, bit for bit, so
-    each doubling evaluates only its n new (odd) nodes.  Below 2^14 nodes
-    they are interleaved into the previous level's array and averaged by
-    np.mean.  From 2^14 nodes on the real and imaginary sums are kept as
-    exact parts (_exact_parts), block by block, and one math.fsum over
-    all parts gives the exactly rounded mean: plain summation wanders at
+    each doubling evaluates only its n new (odd) nodes, from the level's
+    cos(theta/2)^2 table (_odd_cos2).  Below 2^14 nodes they are
+    interleaved into the previous level's array and averaged by np.mean.
+    From 2^14 nodes on the real and imaginary sums are kept as exact parts
+    (_exact_parts), block by block, and one math.fsum over all parts
+    gives the exactly rounded mean: plain summation wanders at
     the level of eps * e^{t/2}, above tight tolerances once t is large.
     """
     if not (math.isfinite(lam) and math.isfinite(t)):
@@ -289,15 +307,6 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
             f"legendre_conical: lam and t must be finite, got {lam}, {t}")
     if t < 0:
         raise DomainError("legendre_conical: t must be >= 0")
-    try:
-        # the quadrature's base reaches 2 sinh t at theta = 0
-        finite = math.isfinite(2.0 * math.sinh(t))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise DomainError(
-            f"legendre_conical: 2 sinh t is not a finite float at t={t} "
-            f"(lam={lam}); t must stay below about 709.78")
     if t > _CONICAL_MAX_T:
         raise DomainError(
             f"legendre_conical: t={t} (lam={lam}) is past the quadrature's "
@@ -311,7 +320,7 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
         return 1.0
     b = -0.5 + 1j * lam
     n = 16
-    nodes = _conical_nodes(b, t, n, 0, n, 1)
+    nodes = _conical_nodes(b, t, _half_cos2(n, 0))
     re = im = prev = None
     while True:
         if re is None:
@@ -335,15 +344,15 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
             # as a whole-level evaluation, so np.mean sums it identically
             new = np.empty(n, dtype=complex)
             new[0::2] = nodes
-            new[1::2] = _conical_nodes(b, t, n, 1, n, 2)
+            new[1::2] = _conical_nodes(b, t, _odd_cos2(n))
             nodes = new
             if n >= 1 << 14:
                 re, im = _exact_parts(nodes.real), _exact_parts(nodes.imag)
                 nodes = None
         else:
-            for lo in range(1, n, 2 * _CONICAL_BLOCK):
-                odd = _conical_nodes(b, t, n, lo,
-                                     min(lo + 2 * _CONICAL_BLOCK, n), 2)
+            cos2 = _odd_cos2(n)
+            for lo in range(0, cos2.size, _CONICAL_BLOCK):
+                odd = _conical_nodes(b, t, cos2[lo:lo + _CONICAL_BLOCK])
                 re += _exact_parts(odd.real)
                 im += _exact_parts(odd.imag)
     return val.real

@@ -655,17 +655,20 @@ def trace_spherical(p, t, n_max=60):
     """
     if t <= 0:
         raise DomainError("trace_spherical: t must be > 0")
+    gap = 1.0 - math.exp(-t)
+    if gap == 0.0:
+        raise DomainError(f"trace_spherical: 1 - e^-t rounds to 0 at t={t!r}")
     lam = p.lam
-    flat = complex(2.0 * np.cos(t * lam)) * math.exp(-t / 2.0) / (1.0 - math.exp(-t))
+    flat = complex(2.0 * np.cos(t * lam)) * math.exp(-t / 2.0) / gap
     n = np.arange(n_max + 1)
     terms = np.exp(t * (-n - 0.5 + 1j * lam)) + np.exp(t * (-n - 0.5 - 1j * lam))
     partial = np.cumsum(terms)
     zp = np.exp(t * (-(n + 1) - 0.5 + 1j * lam))
     zm = np.exp(t * (-(n + 1) - 0.5 - 1j * lam))
-    tail_exact = (zp + zm) / (1.0 - math.exp(-t))
+    tail_exact = (zp + zm) / gap
     return {
         "flat": flat.real,
         "spectral_partial": partial.real,
         "tail_exact": tail_exact.real,
-        "tail_bound": 2.0 * np.exp(-t * (n + 1.5)) / (1.0 - math.exp(-t)),
+        "tail_bound": 2.0 * np.exp(-t * (n + 1.5)) / gap,
     }

@@ -118,6 +118,18 @@ class TestTraces:
         assert "--t: expected a finite number, got 'nan'" in capsys.readouterr().err
         assert not (tmp_path / "traces.json").exists()
 
+    @pytest.mark.parametrize("t,message", [
+        # 1 - e^{-t} rounds to 0 (once a ZeroDivisionError traceback)
+        ("1e-300", "trace_spherical: 1 - e^-t rounds to 0 at t=1e-300"),
+        # (once an OverflowError traceback)
+        ("800", "tanh_transform: sinh(t/2)^2 overflows at t=800.0; "
+                "t must stay below about 711.17")], ids=["tiny", "overflow"])
+    def test_t_out_of_range_is_typed(self, tmp_path, capsys, t, message):
+        code = run(["traces", "--out", str(tmp_path), "--t", t])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_nan_trace_error_fails_verification(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.global_traces, "global_trace",
                             lambda *args, **kwargs: (math.nan, math.nan))
@@ -222,14 +234,17 @@ class TestMeans:
         assert "worst terminal HC error 5.169e-12" in capsys.readouterr().out
 
     @pytest.mark.parametrize("lam,message", [
-        # the quarter-period shift pi/(2 lam) of wave_residual
-        ("1e-4", "legendre_conical: 2 sinh t is not a finite float at "
-                 "t=15709.964267948964 (lam=0.0001)"),
+        # the quarter-period shift pi/(2 lam) of wave_residual would
+        # overflow 2 sinh t; the --lambda envelope rejects it up front
+        ("1e-4", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + "
+                 "1e-3 <= 13.41136090590945, the quadrature's envelope "
+                 "(lambda >= about 0.212), got 0.0001"),
         ("1e6", "legendre_conical: no convergence for lam=1000000.0, t=3.0 "
                 "at tol=1e-12 with 2097152 nodes (last change "),
         # it used to write slope -0.026 from wrong quadratures and exit 2
-        ("0.01", "legendre_conical: t=159.08063267948967 (lam=0.01) is "
-                 "past the quadrature's envelope t <= 13.41136090590945")],
+        ("0.01", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + "
+                 "1e-3 <= 13.41136090590945, the quadrature's envelope "
+                 "(lambda >= about 0.212), got 0.01")],
         ids=["overflow", "unconverged", "envelope"])
     def test_quadrature_failure_fails_loudly(self, tmp_path, capsys, lam,
                                              message):
@@ -237,6 +252,40 @@ class TestMeans:
         assert code == cli.EXIT_CONFIG
         assert f"error: {message}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("lams,bad", [
+        ("-1", "-1.0"), ("0", "0.0"), ("1e-300", "1e-300"),
+        ("1e-9", "1e-09"), ("5e-324", "5e-324"),
+        # 6 + pi/(2 lam) + 1e-3 is 13.4139 here, just past 13.4114
+        ("0.2119", "0.2119"),
+        # a bad value anywhere in the list stops the run before any work
+        ("2,0.01", "0.01")])
+    def test_lambda_envelope_before_any_work(self, tmp_path, capsys,
+                                             monkeypatch, lams, bad):
+        monkeypatch.setattr(cli, "legendre_conical", None)
+        monkeypatch.setattr(cli.means, "hc_partial_sum", None)
+        code = run(["means", "--out", str(tmp_path), "--lambda", lams])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lambda: expected numbers > 0 ")
+        assert err.endswith(f", got {bad}\n") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_lambda_envelope_edge_accepted(self, monkeypatch):
+        # the smallest lambda whose last wave time is inside the envelope
+        # passes the check and reaches the quadrature
+        lam = math.pi / (2.0 * (cli._CONICAL_MAX_T - 6.0 - 1e-3))
+        lam = math.nextafter(lam, math.inf)
+        assert 6.0 + math.pi / (2.0 * lam) + 1e-3 <= cli._CONICAL_MAX_T
+
+        def stop(*args, **kwargs):
+            raise cli.GfslError("reached the quadrature")
+
+        monkeypatch.setattr(cli, "legendre_conical", stop)
+        with pytest.raises(cli.GfslError, match="reached the quadrature"):
+            cli.cmd_means(cli.build_parser().parse_args(
+                ["means", "--lambda", repr(lam)]))
 
 
 class TestUsage:

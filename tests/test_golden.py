@@ -1,0 +1,59 @@
+"""Golden reports: each argv, run through `cli.main`, writes exactly the
+committed bytes under tests/golden/<name>/.
+
+The bytes depend on numpy's and libm's float results; VERSIONS names the
+Python and numpy the goldens were made with.  A change that moves report
+values on purpose regenerates the goldens it moves, so the diff of
+tests/golden/ shows which fields moved.
+"""
+
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gfsl import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "means_default": (["means"], cli.EXIT_OK),
+    # the means bench workload at seed 1; its three top lambda fail the
+    # wave-slope gate (a known defect), hence exit 2
+    "means_seed1": (["means", "--lambda",
+                     "0.590771,1.484606,4.174113,8.91222,9.99661,11.150339"],
+                    cli.EXIT_VERIFY),
+}
+
+
+def _first_difference(want, got):
+    """(line number, wanted line, got line) of the first differing line."""
+    want_lines = want.decode().splitlines(keepends=True)
+    got_lines = got.decode().splitlines(keepends=True)
+    for i, (w, g) in enumerate(zip(want_lines, got_lines), start=1):
+        if w != g:
+            return i, w, g
+    i = min(len(want_lines), len(got_lines)) + 1
+    return (i, "".join(want_lines[i - 1:i]) or "<end of file>",
+            "".join(got_lines[i - 1:i]) or "<end of file>")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reports_match_golden(tmp_path, capsys, name):
+    argv, code = CASES[name]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    want_dir = GOLDEN / name
+    made = (GOLDEN / "VERSIONS").read_text().strip().replace("\n", ", ")
+    here = f"python {platform.python_version()}, numpy {np.__version__}"
+    assert (sorted(p.name for p in tmp_path.iterdir())
+            == sorted(p.name for p in want_dir.iterdir()))
+    for want_path in sorted(want_dir.iterdir()):
+        want = want_path.read_bytes()
+        got = (tmp_path / want_path.name).read_bytes()
+        if got != want:
+            line, w, g = _first_difference(want, got)
+            pytest.fail(f"{name}/{want_path.name} differs from the golden "
+                        f"at line {line}:\n  golden: {w!r}\n  got:    {g!r}\n"
+                        f"goldens made with {made}; this run has {here}")

@@ -117,17 +117,6 @@ class TestWaveResidual:
             means.wave_residual(1.0, t_grid=[1.0, 2.0])
 
 
-class TestRatnerDecay:
-    @pytest.mark.parametrize("lam", [1.0, 5.0])
-    def test_envelope_slope(self, lam):
-        slope = means.ratner_decay(lam)
-        assert abs(slope + 0.5) < 0.05
-
-    def test_exceptional_window_rejected(self):
-        with pytest.raises(DomainError):
-            means.ratner_decay(0.3)
-
-
 class TestWSymbol:
     def test_defect_bound(self):
         for lam in np.linspace(5.0, 100.0, 20):

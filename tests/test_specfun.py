@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfsl import specfun
+from gfsl import cli, specfun
 from gfsl.errors import AccuracyError, DomainError, PoleError
 
 from oracles import (beta_line_quad, cauchy_two_factor,
@@ -252,18 +252,7 @@ class TestLegendreConical:
             specfun.legendre_conical(1.0, 3.0, tol=tol)
 
     def test_blocks_match_whole_array_exactly(self):
-        # (0.575, 8.73) and (12.9, 6.8) double to 2^18 and 2^16 nodes, whose
-        # new nodes span four blocks and one; (1, 2), (3, 5.5) and (-1.3, 4)
-        # stay below the exact-sum threshold.
-        # The means hot path: t = 8.63 doubles to 2^18 nodes, t = 6 stops
-        # at the first exact level, 2^14
-        hot = [(lam, t, 1e-14) for lam in (0.5979, 1.345) for t in (6.0, 8.63)]
-        grid = [(lam, t, tol) for lam in (0.5, 0.58, 1.345, 5.0, 13.0)
-                for t in (0.5, 3.0, 7.0, 9.0) for tol in (1e-12, 1e-13, 1e-14)]
-        for lam, t, tol in [(1.0, 2.0, 1e-12), (3.0, 5.5, 1e-13),
-                            (0.575379, 8.731020259333233, 1e-14),
-                            (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)
-                            ] + hot + grid:
+        for lam, t, tol in CONICAL_CASES:
             assert (specfun.legendre_conical(lam, t, tol=tol)
                     == legendre_conical_whole(lam, t, tol=tol))
         # capped node counts, on either side of the exact-sum threshold and
@@ -276,6 +265,47 @@ class TestLegendreConical:
                                          tol, max_nodes)
                         == _conical_outcome(legendre_conical_whole, lam, t,
                                             tol, max_nodes))
+
+    def test_cold_and_warm_tables_agree_exactly(self, monkeypatch):
+        # cold: every level's half-angle table is built inside the call;
+        # warm: calls at other lam and t have built all of them first
+        cold = []
+        for lam, t, tol in CONICAL_CASES:
+            monkeypatch.setattr(specfun, "_ODD_COS2", {})
+            cold.append(specfun.legendre_conical(lam, t, tol=tol))
+        monkeypatch.setattr(specfun, "_ODD_COS2", {})
+        for lam, t in ((0.57, 8.8), (2.5, 1.0), (7.0, 4.0)):
+            specfun.legendre_conical(lam, t, tol=1e-14)
+        assert max(specfun._ODD_COS2) == 1 << 18
+        warm = [specfun.legendre_conical(lam, t, tol=tol)
+                for lam, t, tol in CONICAL_CASES]
+        assert warm == cold
+
+    def test_tables_read_only(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_ODD_COS2", {})
+        specfun.legendre_conical(0.5979, 8.63, tol=1e-14)
+        assert sorted(specfun._ODD_COS2) == [1 << j for j in range(5, 19)]
+        for n, table in specfun._ODD_COS2.items():
+            assert table.size == n // 2 and not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                table[-8:] *= 2.0
+
+    def test_means_run_builds_each_table_once(self, tmp_path, monkeypatch):
+        built = []
+        half_cos2 = specfun._half_cos2
+
+        def counting(n, start):
+            if start == 1:
+                built.append(n)
+            return half_cos2(n, start)
+
+        monkeypatch.setattr(specfun, "_ODD_COS2", {})
+        monkeypatch.setattr(specfun, "_half_cos2", counting)
+        assert cli.main(["means", "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert sorted(built) == [1 << j for j in range(5, len(built) + 5)]
+        assert sorted(specfun._ODD_COS2) == sorted(built)
 
     @pytest.mark.parametrize("lam,t,tol,final", [
         (0.5979, 8.63, 1e-14, 1 << 18), (12.875992, 6.8, 1e-14, 1 << 16),
@@ -296,18 +326,20 @@ class TestLegendreConical:
         assert sum(sizes) == final
         assert max(sizes) <= specfun._CONICAL_BLOCK
 
-    def test_overflowing_t_rejected(self):
+    def test_overflowing_t_rejected(self, monkeypatch):
         # the quadrature's base reaches 2 sinh t, which overflows just
         # above t = 709.78; wave_residual's quarter-period shift at
-        # lam = 1e-4 lands at t = 15710.  Below that, t = 709.78 is past
-        # the quadrature's envelope (it once returned a finite, wrong value)
+        # lam = 1e-4 lands at t = 15710.  All of these are past the
+        # quadrature's envelope (t = 709.78 once returned a finite, wrong
+        # value), which rejects them before any node is evaluated
+        monkeypatch.setattr(specfun, "_conical_nodes", None)
         with pytest.raises(DomainError, match=r"t=709\.78 \(lam=1\.0\) is past "
                                               "the quadrature's envelope"):
             specfun.legendre_conical(1.0, 709.78)
         for t in (709.79, 710.48, 15709.964267948964):
             with pytest.raises(DomainError,
-                               match=f"not a finite float at t={t} "
-                                     r"\(lam=0\.0001\)"):
+                               match=f"t={t} \\(lam=0\\.0001\\) is past "
+                                     "the quadrature's envelope"):
                 specfun.legendre_conical(1e-4, t)
 
     @pytest.mark.parametrize("lam,t", [(1.0, 120.0), (0.01, 159.0),
@@ -337,6 +369,19 @@ class TestLegendreConical:
         assert f"last change {exc.value.achieved:.3g}, imaginary residue " \
             in msg
         assert exc.value.achieved > 1e-12
+
+
+# legendre_conical cases: (0.575, 8.73) and (12.9, 6.8) double to 2^18
+# and 2^16 nodes, whose new nodes span four blocks and one; (1, 2),
+# (3, 5.5) and (-1.3, 4) stay below the exact-sum threshold.  The means
+# hot path: t = 8.63 doubles to 2^18 nodes, t = 6 stops at the first
+# exact level, 2^14
+CONICAL_CASES = [(1.0, 2.0, 1e-12), (3.0, 5.5, 1e-13),
+                 (0.575379, 8.731020259333233, 1e-14),
+                 (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)] + [
+    (lam, t, 1e-14) for lam in (0.5979, 1.345) for t in (6.0, 8.63)] + [
+    (lam, t, tol) for lam in (0.5, 0.58, 1.345, 5.0, 13.0)
+    for t in (0.5, 3.0, 7.0, 9.0) for tol in (1e-12, 1e-13, 1e-14)]
 
 
 def _conical_outcome(f, lam, t, tol, max_nodes):
