@@ -25,10 +25,6 @@ class ConsistencyError(GfslError):
     """Two routes that must agree numerically do not."""
 
 
-class SupportError(GfslError):
-    """Test-function mass leaks outside the window the formula covers."""
-
-
 class BudgetError(GfslError):
     """Resource budget exhausted; carries whatever partial result exists."""
 

@@ -1,4 +1,4 @@
-"""Flow trace, tanh identity, and a desk-scale Selberg wave-trace harness.
+"""Tanh identity and a desk-scale Selberg wave-trace harness.
 
 The geometric side is driven by a Fuchsian length-spectrum enumerator.
 Conjugacy classes are counted exactly at desk scale: group elements are
@@ -10,16 +10,13 @@ elements are conjugate iff those sets coincide.  Orientation convention: a
 class and its inverse count separately unless actually conjugate.
 """
 
-import csv
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AccuracyError, BudgetError, ConstructionError, DomainError,
-                     SupportError)
+from .errors import AccuracyError, BudgetError, ConstructionError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _KEY_DECIMALS = 7
@@ -118,68 +115,171 @@ def _ball(letters, max_cosh, budget):
     return mats
 
 
+def _keyed(stack):
+    """Squared Frobenius norms and _psl_keys of a (n, 2, 2) stack, as lists."""
+    return (stack * stack).sum(axis=(1, 2)).tolist(), _psl_keys(stack)
+
+
 # Energy slack of the class-key search: conjugates whose squared Frobenius
-# norm exceeds the running minimum by more than this factor are dropped.
+# norm exceeds their component's least norm by more than this factor are
+# dropped.
 _KEY_SLACK = 40.0
+
+# Frontier matrices conjugated per chunk of a class-key wave; each chunk
+# forms, norms and keys KEY_BLOCK * 8 conjugates as one stack.  On a 2-core
+# x86-64 host (numpy 2.4) the L = 8 spectrum took the same time for chunks
+# of 32 to 1024 matrices, while the CLI's selberg peak RSS rose with the
+# chunk (about 34.8 MiB at 128, 35.1 at 256, 37.4 at 1024; 34.1 with the
+# per-matrix search this replaced).
+KEY_BLOCK = 128
+
+# Keys one class may collect before its search is called unconverged.  At
+# L = 8 the largest class collects 26.  A search from one matrix alone can
+# run on without end: each lap around the centralizer may round an entry
+# near a 7-decimal boundary the other way, and rounding error grows lap by
+# lap.  On a fresh keyer, 97 of 1391 lone word-conjugates of L = 8
+# classes did.
+_KEY_NODE_CAP = 1 << 12
+
+# Largest squared Frobenius norm class_keys accepts; rounding error grows
+# with the norm.  Keyed after the L = 8 ball, one stack per element, all
+# 595,696 conjugates of its elements by words of one to three letters
+# with squared norm <= 1e8 keyed to their class; some up to 1e9 did not.
+# length_spectrum's inputs stay below 2e4.
+_KEY_MAX_NORM = 1e8
 
 
 class _ClassKeyer:
     """Canonical conjugacy-class keys via minimal-displacement conjugates.
 
     The members of a class with the smallest Frobenius norm form a finite,
-    class-intrinsic set; a best-first search over generator conjugations
-    (allowing a bounded energy slack above the running minimum) finds it
-    from any starting member.  Every matrix visited on the way shares the
-    class, so keys are memoized for all of them.  The conjugates of a
-    visited matrix by all letters are formed, normed and keyed as one
-    stack.
+    class-intrinsic set; a search over generator conjugations (allowing a
+    bounded energy slack above the least norm found) reaches it from any
+    starting member.  Every distinct key met is a node of one union-find
+    whose components are the classes found so far, and each component
+    tracks its least squared norm.  The search runs in waves: a wave
+    conjugates the frontier nodes within the slack of their component's
+    least norm by every letter, KEY_BLOCK matrices at a time, and norms
+    and keys each chunk's conjugates as one stack.  A conjugate whose key
+    is already a node joins the two components; a new key within the
+    slack becomes a node of the next frontier.  The class key of a
+    component is the smallest key among its nodes of least norm.
     """
 
     def __init__(self, letters):
         self.letters = np.array(letters)
         self.inv = np.array([np.linalg.inv(a) for a in letters])
-        self.cache = {}
+        self.node = {}      # psl key -> node id
+        self.keys = []      # node id -> psl key
+        self.norms = []     # node id -> squared Frobenius norm
+        self.parent = []    # union-find links
+        self.best = []      # at a root: least norm of its component
+        self.size = []      # at a root: node count of its component
+        self.waves = 0
+        self.chunks = 0
 
-    def _conjugates(self, m):
-        """a^-1 m a for every letter a, their squared norms and keys."""
-        cs = self.inv @ m @ self.letters
-        return cs, (cs * cs).sum(axis=(1, 2)).tolist(), _psl_keys(cs)
+    def conjugates(self, stack):
+        """a^-1 m a for every m in stack and every letter a, m-major:
+        rows 8i .. 8i+7 of the (8n, 2, 2) result conjugate stack[i]."""
+        return (self.inv[None] @ stack[:, None] @ self.letters[None]
+                ).reshape(-1, 2, 2)
 
-    def key(self, m, k0=None):
-        """Class key of m; k0, when given, is m's own key (_psl_keys)."""
-        if k0 is None:
-            k0 = _psl_keys(m)[0]
-        hit = self.cache.get(k0)
-        if hit is not None:
-            return hit
-        best = (m * m).sum().item()
-        nodes = {k0: (best, m)}
-        heap = [(best, k0)]
-        while heap:
-            f, kk = heapq.heappop(heap)
-            if f > best * _KEY_SLACK:
-                continue
-            cs, norms, keys = self._conjugates(nodes[kk][1])
-            for c, fc, ck in zip(cs, norms, keys):
-                if ck in nodes:
+    def class_keys(self, stack):
+        """Class key of every matrix in a (n, 2, 2) stack."""
+        ids, fresh = [], []
+        norms, keys = _keyed(stack)
+        top = max(norms, default=0.0)
+        if top > _KEY_MAX_NORM:
+            raise AccuracyError(
+                f"class keys: squared norm {top!r} is above {_KEY_MAX_NORM:g}, "
+                f"where rounding error starts to reach the {_KEY_DECIMALS}-"
+                "decimal keys")
+        for i, (f, k) in enumerate(zip(norms, keys)):
+            nd = self.node.get(k)
+            if nd is None:
+                nd = self._new(k, f, None)
+                fresh.append(i)
+            ids.append(nd)
+        self._search([ids[i] for i in fresh], stack[fresh])
+        return self._class_keys_of(ids)
+
+    def _class_keys_of(self, ids):
+        """Class key of the component of every node in ids."""
+        roots = {self._find(nd) for nd in ids}
+        least = {}
+        for nd, (k, f) in enumerate(zip(self.keys, self.norms)):
+            r = self._find(nd)
+            if r in roots and f <= self.best[r] * (1.0 + 1e-9):
+                if r not in least or k < least[r]:
+                    least[r] = k
+        return [least[self._find(nd)] for nd in ids]
+
+    def _find(self, i):
+        parent = self.parent
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    def _new(self, key, norm, root):
+        """A node for key under root (a new component when root is None)."""
+        nd = len(self.keys)
+        self.node[key] = nd
+        self.keys.append(key)
+        self.norms.append(norm)
+        self.parent.append(nd if root is None else root)
+        self.best.append(norm)
+        self.size.append(1)
+        if root is not None:
+            self.best[root] = min(self.best[root], norm)
+            self._grow(root, 1)
+        return nd
+
+    def _grow(self, root, n):
+        self.size[root] += n
+        if self.size[root] > _KEY_NODE_CAP:
+            raise AccuracyError(
+                f"class-key search: a class collected over {_KEY_NODE_CAP} "
+                f"keys (least squared norm {self.best[root]!r}) without "
+                "closing; rounding keeps giving its matrices new "
+                f"{_KEY_DECIMALS}-decimal keys")
+
+    def _search(self, frontier, mats):
+        """Run waves from frontier (node ids) whose matrices are mats."""
+        n_let = len(self.letters)
+        find, node, best = self._find, self.node, self.best
+        while frontier:
+            self.waves += 1
+            nxt, nxt_mats = [], []
+            for lo in range(0, len(frontier), KEY_BLOCK):
+                rows = [lo + j for j, nd in enumerate(frontier[lo:lo + KEY_BLOCK])
+                        if self.norms[nd] <= _KEY_SLACK * best[find(nd)]]
+                if not rows:
                     continue
-                known = self.cache.get(ck)
-                if known is not None:
-                    # everything visited so far shares this class
-                    for seen_key in nodes:
-                        self.cache[seen_key] = known
-                    return known
-                if fc > best * _KEY_SLACK:
-                    continue
-                nodes[ck] = (fc, c)
-                heapq.heappush(heap, (fc, ck))
-                if fc < best:
-                    best = fc
-        ckey = min(kk for kk, (fc, _) in nodes.items()
-                   if fc <= best * (1.0 + 1e-9))
-        for kk in nodes:
-            self.cache[kk] = ckey
-        return ckey
+                self.chunks += 1
+                cs = self.conjugates(mats[rows])
+                norms, keys = _keyed(cs)
+                picked = []
+                for j, row in enumerate(rows):
+                    # joins and new nodes below keep src a root
+                    src = find(frontier[row])
+                    for p in range(j * n_let, (j + 1) * n_let):
+                        nd = node.get(keys[p])
+                        if nd is not None:
+                            r = find(nd)
+                            if r != src:
+                                self.parent[r] = src
+                                best[src] = min(best[src], best[r])
+                                self._grow(src, self.size[r])
+                        elif norms[p] <= _KEY_SLACK * best[src]:
+                            nxt.append(self._new(keys[p], norms[p], src))
+                            picked.append(p)
+                if picked:
+                    nxt_mats.append(cs[picked])
+            frontier = nxt
+            mats = np.concatenate(nxt_mats) if nxt_mats else None
 
 
 @dataclass
@@ -222,42 +322,6 @@ class LengthSpectrum:
             fh.write("length,multiplicity,is_primitive\n")
             for ell, mult, prim in rows:
                 fh.write(f"{ell!r},{mult},{prim}\n")
-
-    @classmethod
-    def from_csv(cls, path, cutoff=None):
-        """Read a `length,multiplicity,is_primitive` CSV (as to_csv writes).
-
-        Blank lines are skipped.  Every other row must have exactly three
-        fields: a finite float, an int and 0 or 1; anything else raises
-        DomainError naming the file and the line.
-        """
-        prims = []
-        top = 0.0
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["length", "multiplicity", "is_primitive"]:
-                raise DomainError(f"length file {path}: bad header {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                where = f"length file {path}, line {reader.line_num}"
-                if len(row) != 3:
-                    raise DomainError(
-                        f"{where}: expected 3 fields, got {len(row)}")
-                try:
-                    ell, mult = float(row[0]), int(row[1])
-                except ValueError as exc:
-                    raise DomainError(f"{where}: {exc}") from exc
-                if not math.isfinite(ell):
-                    raise DomainError(f"{where}: length must be finite")
-                if row[2] not in ("0", "1"):
-                    raise DomainError(
-                        f"{where}: is_primitive must be 0 or 1, got {row[2]!r}")
-                top = max(top, ell)
-                if row[2] == "1":
-                    prims.append((ell, mult))
-        return cls(prims, cutoff if cutoff is not None else top)
 
 
 # Circumradius of the Bolza Dirichlet octagon: every geodesic meets a
@@ -317,22 +381,21 @@ def length_spectrum(group, l_max, element_budget=2_000_000):
     letters = group.letters()
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
     mats = _ball(letters, math.cosh(disp) * (1.0 + 1e-9), element_budget)
-    keyer = _ClassKeyer(letters)
+    stack = np.array(mats)
+    traces = np.abs(stack[:, 0, 0] + stack[:, 1, 1])
     hyperbolic = []
-    for m in mats:
-        tr = abs(m[0, 0] + m[1, 1])
-        if tr <= 2.0 + 1e-12:
-            continue
+    for i in np.flatnonzero(traces > 2.0 + 1e-12).tolist():
+        tr = float(traces[i])
         ell = 2.0 * math.asinh(math.sqrt((tr - 2.0) * (tr + 2.0)) / 2.0) \
             if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
         if ell <= l_max + 1e-9:
-            hyperbolic.append((m, tr, ell))
+            hyperbolic.append((i, tr, ell))
+    keyer = _ClassKeyer(letters)
     classes = {}
-    keys = _psl_keys(np.array([h[0] for h in hyperbolic]))
-    for (m, tr, ell), k0 in zip(hyperbolic, keys):
-        ck = keyer.key(m, k0)
+    ckeys = keyer.class_keys(stack[[i for i, _, _ in hyperbolic]])
+    for (i, tr, ell), ck in zip(hyperbolic, ckeys):
         if ck not in classes:
-            classes[ck] = (ell, m, _trace_pair(float(tr)))
+            classes[ck] = (ell, mats[i], _trace_pair(tr))
     by_pair = {}
     for ck, (ell, m, pair) in classes.items():
         by_pair.setdefault(pair, []).append(ck)
@@ -345,15 +408,19 @@ def length_spectrum(group, l_max, element_budget=2_000_000):
         for q in by_pair:
             for mm, t in _power_pairs(q, int(l_max / min_len) + 1):
                 root_pair[mm, t] = q
+        cands = []
         for ck, (ell, m, pair) in classes.items():
             mm = 2
-            while primitive[ck] and ell / mm >= min_len - 1e-9:
-                for rk in by_pair.get(root_pair.get((mm, pair)), ()):
-                    root = classes[rk][1]
-                    if keyer.key(np.linalg.matrix_power(root, mm)) == ck:
-                        primitive[ck] = False
-                        break
+            while ell / mm >= min_len - 1e-9:
+                cands += [(ck, rk, mm)
+                          for rk in by_pair.get(root_pair.get((mm, pair)), ())]
                 mm += 1
+        if cands:
+            powers = [np.linalg.matrix_power(classes[rk][1], mm)
+                      for _, rk, mm in cands]
+            for (ck, _, _), pk in zip(cands, keyer.class_keys(np.array(powers))):
+                if pk == ck:
+                    primitive[ck] = False
     buckets = {}
     for ck, (ell, m, pair) in classes.items():
         if primitive[ck]:
@@ -385,8 +452,12 @@ class GaussianTestFn:
         Takes a scalar or an array of r and returns complex values.
         """
         r = np.asarray(r, dtype=complex)
-        return (self.amplitude * self.sigma * math.sqrt(2.0 * math.pi)
-                * np.exp(1j * r * self.center - 0.5 * (self.sigma * r) ** 2))
+        # an overflow gives inf or nan, without a warning: the identity
+        # term's finiteness check and the CLI's --sigma envelope catch it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.amplitude * self.sigma * math.sqrt(2.0 * math.pi)
+                    * np.exp(1j * r * self.center
+                             - 0.5 * (self.sigma * r) ** 2))
 
     def mass_outside(self, lo, hi):
         """Relative mass of |g| outside [lo, hi]."""
@@ -394,19 +465,6 @@ class GaussianTestFn:
         z_hi = (hi - self.center) / (self.sigma * _SQRT2)
         inside = 0.5 * (math.erf(z_hi) - math.erf(z_lo))
         return max(0.0, 1.0 - inside)
-
-
-def flow_trace_geometric(ls, g, check_support=True):
-    """Orbit side of the flow trace paired with g: sum of
-    ell * mult * g(m ell) / (4 sinh^2(m ell / 2)) over periods <= cutoff."""
-    if check_support and g.mass_outside(0.0, ls.cutoff) > 1e-12:
-        raise SupportError(
-            "flow_trace_geometric: test function leaks past the cutoff "
-            f"(relative mass {g.mass_outside(0.0, ls.cutoff):.3e})")
-    total = 0.0
-    for period, mult, m, ell in ls.orbits():
-        total += ell * mult * float(g(period)) / (4.0 * math.sinh(period / 2.0) ** 2)
-    return total
 
 
 def tanh_transform(t, n_terms=50):

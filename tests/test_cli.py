@@ -16,6 +16,11 @@ def run(argv):
     return cli.main(argv)
 
 
+# the --sigma envelope at the default --center 5.5, and the --center edge
+LO_55, HI_55 = 0.00016878156349009287, 74.88832821706646
+CENTER_MAX = 1407.565425786768
+
+
 class TestSphericalCheck:
     def test_default_sweep_passes(self, tmp_path):
         code = run(["spherical-check", "--out", str(tmp_path),
@@ -177,23 +182,28 @@ class TestSelberg:
         assert abs(report["checks"]["systole"] - 3.0571418389619963) < 1e-9
 
     def test_unconverged_identity_term_fails_loudly(self, tmp_path, capsys):
-        # quad used to warn, return a wrong value and exit 0 here
+        # quad used to warn, return a wrong value and exit 0 here; the
+        # trapezoid rule would not converge within its node cap, so the
+        # --sigma envelope rejects sigma = 1e-5 up front
         code = run(["selberg", "--out", str(tmp_path), "--lmax", "5",
                     "--sigma", "1e-5"])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "identity term (center 5.5, sigma 1e-05)" in err
-        assert "not converged to 1e-14 at 1048576 nodes" in err
+        assert err == (f"error: --sigma: expected a number in [{LO_55!r}, "
+                       f"{HI_55!r}] at --center 5.5 (low end 8 (|center| + "
+                       "64) / (pi 2^20), from the identity term's 2^20-node "
+                       "cap; high end sqrt(8 (ln DBL_MAX - 6 - |center|/2)), "
+                       "where the spectral term stays finite), got "
+                       "'1e-5'\n")
         assert not (tmp_path / "selberg_report.json").exists()
-
 
     @pytest.mark.parametrize("flag,value,match", [
         ("--lmax", "-1", "--lmax must be >= the systole 3.057141838961996, "
                          "got '-1'"),
         ("--lmax", "0.5", "--lmax must be >= the systole 3.057141838961996, "
                           "got '0.5'"),
-        ("--sigma", "-1", "sigma must be > 0"),
-        ("--sigma", "1e-5", "identity term (center 5.5, sigma 1e-05)"),
+        ("--sigma", "-1", "--sigma: expected a number in ["),
+        ("--sigma", "1e-5", "--sigma: expected a number in ["),
     ], ids=["lmax_negative", "lmax_below_systole", "sigma_negative",
             "sigma_unconverged"])
     def test_bad_input_rejected_before_enumerating(self, tmp_path, capsys,
@@ -208,6 +218,59 @@ class TestSelberg:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "length_spectrum.csv").exists()
         assert not (tmp_path / "selberg_report.json").exists()
+
+    @pytest.mark.parametrize("argv,flag,bad", [
+        (["--sigma", "1e300"], "--sigma", "'1e300'"),
+        (["--sigma", "100"], "--sigma", "'100'"),
+        (["--sigma", "0"], "--sigma", "'0'"),
+        (["--sigma", "5e-324"], "--sigma", "'5e-324'"),
+        (["--sigma", repr(math.nextafter(LO_55, 0.0))], "--sigma",
+         repr(repr(math.nextafter(LO_55, 0.0)))),
+        (["--sigma", repr(math.nextafter(HI_55, math.inf))], "--sigma",
+         repr(repr(math.nextafter(HI_55, math.inf)))),
+        (["--center", "1e300"], "--center", "'1e300'"),
+        (["--center=-1e4"], "--center", "'-1e4'"),
+        (["--center", repr(math.nextafter(CENTER_MAX, math.inf))], "--center",
+         repr(repr(math.nextafter(CENTER_MAX, math.inf)))),
+        # the centre's own edge leaves no sigma
+        (["--center", repr(CENTER_MAX), "--sigma", "0.1"], "--sigma", "'0.1'"),
+    ], ids=["sigma_huge", "sigma_spectral_overflow", "sigma_zero",
+            "sigma_subnormal", "sigma_below_low_end", "sigma_above_high_end",
+            "center_huge", "center_negative", "center_above_edge",
+            "center_at_edge"])
+    def test_test_fn_envelope_before_any_work(self, tmp_path, capsys,
+                                              monkeypatch, argv, flag, bad):
+        # one line naming the flag and the value, no numpy warning, no
+        # quadrature, no enumeration and no report
+        monkeypatch.setattr(cli.selberg, "_identity_term", None)
+        monkeypatch.setattr(cli.selberg, "length_spectrum", None)
+        code = run(["selberg", "--out", str(tmp_path)] + argv)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: expected ")
+        assert err.endswith(f", got {bad}\n") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("center", [5.5, -1400.0])
+    @pytest.mark.parametrize("end", ["low", "high"])
+    def test_test_fn_envelope_edges_run(self, tmp_path, capsys, center, end):
+        # at either end of the --sigma range the identity term converges
+        # and every report value is finite
+        lo, hi = cli._sigma_range(center)
+        sigma = lo if end == "low" else hi
+        code = run(["selberg", "--out", str(tmp_path), "--lmax", "5",
+                    f"--center={center!r}", "--sigma", repr(sigma)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "selberg_report.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)["spectral_side"] > 0.0
+
+    def test_sigma_range_values(self):
+        # the ends stated in README
+        assert cli._sigma_range(5.5) == (LO_55, HI_55)
+        assert CENTER_MAX == 2.0 * (math.log(sys.float_info.max) - 6.0)
+        assert cli._sigma_range(CENTER_MAX)[1] == 0.0
 
 
 class TestMeans:

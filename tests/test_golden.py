@@ -24,6 +24,10 @@ CASES = {
     "means_seed1": (["means", "--lambda",
                      "0.590771,1.484606,4.174113,8.91222,9.99661,11.150339"],
                     cli.EXIT_VERIFY),
+    "selberg_default": (["selberg"], cli.EXIT_OK),
+    # the selberg bench workload at seed 1
+    "selberg_seed1": (["selberg", "--lmax", "8", "--center", "5.328746",
+                       "--sigma", "0.531748"], cli.EXIT_OK),
 }
 
 

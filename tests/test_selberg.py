@@ -1,11 +1,15 @@
+import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfsl import selberg
 from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
-                         DomainError, SupportError)
+                         DomainError)
 
 from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle,
                      identity_term_mp, length_spectrum_one, psl_key_one)
@@ -82,33 +86,16 @@ class TestLengthSpectrum:
     def test_csv_roundtrip(self, spectrum8, tmp_path):
         path = tmp_path / "lengths.csv"
         spectrum8.to_csv(path)
-        back = selberg.LengthSpectrum.from_csv(path, cutoff=8.0)
-        assert back.primitives == spectrum8.primitives  # repr round-trips
-
-    @pytest.mark.parametrize("row,match", [
-        ("3.5,24", "line 3: expected 3 fields, got 2"),
-        ("3.5,24,1,7", "line 3: expected 3 fields, got 4"),
-        ("abc,24,1", "line 3: could not convert"),
-        ("3.5,2.5,1", "line 3: invalid literal for int"),
-        ("3.5,24,yes", "line 3: is_primitive must be 0 or 1, got 'yes'"),
-        ("nan,24,1", "line 3: length must be finite"),
-    ])
-    def test_csv_bad_row(self, tmp_path, row, match):
-        path = tmp_path / "lengths.csv"
-        path.write_text(f"length,multiplicity,is_primitive\n3.0,24,1\n{row}\n")
-        with pytest.raises(DomainError, match=match) as exc_info:
-            selberg.LengthSpectrum.from_csv(path)
-        assert str(path) in str(exc_info.value)
-
-    def test_csv_bad_header_and_blank_lines(self, tmp_path):
-        path = tmp_path / "lengths.csv"
-        path.write_text("length,mult\n3.0,24,1\n")
-        with pytest.raises(DomainError, match="bad header"):
-            selberg.LengthSpectrum.from_csv(path)
-        path.write_text("length,multiplicity,is_primitive\n3.0,24,1\n\n"
-                        "6.0,24,0\n\n")
-        back = selberg.LengthSpectrum.from_csv(path)
-        assert back.primitives == [(3.0, 24)] and back.cutoff == 6.0
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["length", "multiplicity", "is_primitive"]
+        back = [(float(ell), int(mult)) for ell, mult, prim in rows[1:]
+                if prim == "1"]
+        assert back == spectrum8.primitives  # repr round-trips
+        iterates = [(float(ell), int(mult)) for ell, mult, prim in rows[1:]
+                    if prim == "0"]
+        assert iterates == [(p, mult) for p, mult, m, _ in spectrum8.orbits()
+                            if m > 1]
 
     def test_budget_error(self, bolza):
         with pytest.raises(BudgetError) as exc_info:
@@ -117,31 +104,25 @@ class TestLengthSpectrum:
 
     def test_class_key_stability(self, bolza):
         # conjugating any class representative by a generator and
-        # re-canonicalizing must return the same key (no basin splitting)
+        # re-canonicalizing must return the same key (no basin splitting),
+        # on the keyer that keyed the representatives and on a fresh one
         letters = bolza.letters()
         keyer = selberg._ClassKeyer(letters)
         ls = selberg.length_spectrum(bolza, 6.0)
-        import numpy as np
-        reps = []
         mats = selberg._ball(letters, math.cosh(
             2.0 * math.acosh(math.cosh(3.0) * (1 + math.sqrt(2)))), 10 ** 6)
-        seen = set()
-        for m in mats:
-            tr = abs(m[0, 0] + m[1, 1])
-            if tr <= 2.0 + 1e-12:
-                continue
-            if 2.0 * math.acosh(tr / 2.0) > 6.0:
-                continue
-            key = keyer.key(m)
-            if key in seen:
-                continue
-            seen.add(key)
-            reps.append((key, m))
+        hyp = [m for m in mats if abs(m[0, 0] + m[1, 1]) > 2.0 + 1e-12
+               and 2.0 * math.acosh(abs(m[0, 0] + m[1, 1]) / 2.0) <= 6.0]
+        reps = {}
+        for key, m in zip(keyer.class_keys(np.array(hyp)), hyp):
+            reps.setdefault(key, m)
+        reps = list(reps.items())
         assert len(reps) >= sum(mult for _, mult in ls.primitives)
-        for key, m in reps[:200]:
-            for a in letters:
-                conj = np.linalg.inv(a) @ m @ a
-                assert keyer.key(conj) == key
+        conj = np.array([np.linalg.inv(a) @ m @ a
+                         for _, m in reps[:200] for a in letters])
+        want = [key for key, _ in reps[:200] for _ in letters]
+        assert keyer.class_keys(conj) == want
+        assert selberg._ClassKeyer(letters).class_keys(conj) == want
 
 
 def _ball_cosh(l_max):
@@ -200,19 +181,24 @@ class TestBatchedKeyer:
         letters = bolza.letters()
         inv = [np.linalg.inv(a) for a in letters]
         keyer = selberg._ClassKeyer(letters)
-        for m in ball8:
-            cs, norms, keys = keyer._conjugates(m)
-            ref = np.array([ai @ m @ a for a, ai in zip(letters, inv)])
-            assert np.array_equal(cs, ref)
-            assert norms == [float((c * c).sum()) for c in ref]
-            assert keys == [psl_key_one(c) for c in ref]
+        cs = keyer.conjugates(np.array(ball8))
+        ref = np.array([ai @ m @ a for m in ball8
+                        for a, ai in zip(letters, inv)])
+        assert cs.shape == ref.shape == (8 * 4401, 2, 2)
+        assert cs.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
+        norms, keys = selberg._keyed(cs)
+        assert norms == [float((c * c).sum()) for c in ref]
+        assert keys == [psl_key_one(c) for c in ref]
 
     def test_class_keys_match_reference(self, bolza, ball8):
         keyer = selberg._ClassKeyer(bolza.letters())
         ref = ClassKeyerOne(bolza.letters())
-        for m in ball8[::7]:
-            assert keyer.key(m) == ref.key(m)
-        assert keyer.cache == ref.cache
+        assert keyer.class_keys(np.array(ball8)) == [ref.key(m) for m in ball8]
+        # every key both searches met belongs to the same class in each
+        shared = [k for k in ref.cache if k in keyer.node]
+        assert len(shared) > len(ball8)
+        assert (keyer._class_keys_of([keyer.node[k] for k in shared])
+                == [ref.cache[k] for k in shared])
 
     def test_length_spectrum_matches_reference(self, bolza, spectrum8):
         prims, classes = length_spectrum_one(bolza, 8.0)
@@ -221,6 +207,98 @@ class TestBatchedKeyer:
         assert np.array_equal(np.array(list(spectrum8.classes)),
                               np.array(list(classes)))
         assert list(spectrum8.classes.values()) == list(classes.values())
+
+    def test_keying_runs_in_few_chunked_waves(self, bolza, monkeypatch):
+        # the L = 8 spectrum keys its classes in a few waves; every stack
+        # normed and keyed is a class_keys argument or one chunk of at
+        # most KEY_BLOCK frontier matrices times the 8 letters
+        keyers, sizes = [], []
+        real_keyer, real_keyed = selberg._ClassKeyer, selberg._keyed
+
+        class Recording(real_keyer):
+            def __init__(self, letters):
+                super().__init__(letters)
+                keyers.append(self)
+
+        def keyed(stack):
+            sizes.append(len(stack))
+            return real_keyed(stack)
+
+        monkeypatch.setattr(selberg, "_ClassKeyer", Recording)
+        monkeypatch.setattr(selberg, "_keyed", keyed)
+        ls = selberg.length_spectrum(bolza, 8.0)
+        (keyer,) = keyers
+        assert len(ls.classes) == 416
+        assert 1 <= keyer.waves <= 5
+        assert len(sizes) == keyer.chunks + 2  # hyperbolic stack, powers
+        assert keyer.chunks <= keyer.waves * -(-len(keyer.keys)
+                                              // selberg.KEY_BLOCK)
+        assert max(sizes[1:-1]) <= 8 * selberg.KEY_BLOCK
+
+
+def _hyperbolic(mats, l_max):
+    # the ball elements length_spectrum keys: trace > 2, length <= l_max
+    return [m for m in mats if abs(m[0, 0] + m[1, 1]) > 2.0 + 1e-12
+            and 2.0 * math.acosh(abs(m[0, 0] + m[1, 1]) / 2.0) <= l_max + 1e-9]
+
+
+@pytest.fixture(scope="module")
+def keyed8(bolza, ball8):
+    stack = np.array(_hyperbolic(ball8, 8.0))
+    return stack, selberg._ClassKeyer(bolza.letters()).class_keys(stack)
+
+
+class TestKeyerInvariance:
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_shuffled_stack_gives_shuffled_keys(self, bolza, keyed8, seed):
+        # union order does not matter: a fresh keyer given the stack in
+        # any order returns the same keys in that order
+        stack, keys = keyed8
+        perm = np.random.default_rng(seed).permutation(len(stack)).tolist()
+        got = selberg._ClassKeyer(bolza.letters()).class_keys(stack[perm])
+        assert got == [keys[i] for i in perm]
+
+    @settings(max_examples=5, deadline=None)
+    @given(i=st.integers(0, 2183))
+    def test_word_conjugates_key_to_class(self, bolza, keyed8, i):
+        # m's conjugates by all 584 words of one to three letters, each
+        # applied one letter at a time as the search conjugates, keyed as
+        # one stack on a keyer that has keyed the ball (as length_spectrum
+        # keys its root powers), key to m's class, and the ball's keys do
+        # not move; a conjugate past the keyer's norm envelope is refused
+        stack, keys = keyed8
+        keyer = selberg._ClassKeyer(bolza.letters())
+        assert keyer.class_keys(stack) == keys
+        conj = []
+        for word in itertools.chain.from_iterable(
+                itertools.product(range(8), repeat=n) for n in (1, 2, 3)):
+            c = stack[i]
+            for a in word:
+                c = keyer.inv[a] @ c @ keyer.letters[a]
+            conj.append(c)
+        conj = np.array(conj)
+        inside = (conj * conj).sum(axis=(1, 2)) <= selberg._KEY_MAX_NORM
+        assert keyer.class_keys(conj[inside]) == [keys[i]] * int(inside.sum())
+        assert keyer.class_keys(stack) == keys
+        if not inside.all():
+            with pytest.raises(AccuracyError, match="class keys: squared "
+                               "norm .* is above 1e\\+08"):
+                keyer.class_keys(conj[~inside][:1])
+
+    def test_runaway_search_fails_loudly(self, bolza, keyed8):
+        # alone, without the ball's keys to join, the search from this
+        # conjugate keeps meeting new keys; it stops at the node cap
+        stack, keys = keyed8
+        keyer = selberg._ClassKeyer(bolza.letters())
+        conj = stack[965]
+        for a in (0, 7, 3):
+            conj = keyer.inv[a] @ conj @ keyer.letters[a]
+        assert float((conj * conj).sum()) < selberg._KEY_MAX_NORM
+        with pytest.raises(AccuracyError, match="class-key search: a class "
+                           "collected over 4096 keys"):
+            keyer.class_keys(conj[None])
+        assert len(keyer.keys) <= selberg._KEY_NODE_CAP + 8
 
 
 class TestTracePairs:
@@ -250,35 +328,6 @@ class TestTracePairs:
                 want = 2.0 * math.cosh(m * ell / 2.0)
                 assert abs(a + b * s2 - want) <= 1e-12 * want
         assert dict(selberg._power_pairs((2, 2), 2)) == {2: (10, 8)}
-
-
-class TestFlowTrace:
-    def test_below_systole_vanishes(self, spectrum8):
-        # no orbit in the effective support: contribution at the 1e-12
-        # support-mass convention is indistinguishable from zero
-        g = selberg.GaussianTestFn(1.5, 0.15, 1.0)
-        assert abs(selberg.flow_trace_geometric(spectrum8, g)) < 1e-20
-
-    def test_single_orbit_term(self, spectrum8):
-        ell, mult = spectrum8.primitives[0]
-        g = selberg.GaussianTestFn(ell, 0.12, 1.0)
-        want = ell * mult * 1.0 / (4.0 * math.sinh(ell / 2.0) ** 2)
-        got = selberg.flow_trace_geometric(spectrum8, g)
-        # neighbours are > 1.8 away: their g-values are ~ e^{-100}
-        assert abs(got - want) < 1e-12
-
-    def test_narrower_bump_same_tail_values(self, spectrum8):
-        ell, mult = spectrum8.primitives[0]
-        for sigma in (0.12, 0.06):
-            g = selberg.GaussianTestFn(ell + 0.01, sigma, 1.0)
-            got = selberg.flow_trace_geometric(spectrum8, g)
-            want = ell * mult * float(g(ell)) / (4.0 * math.sinh(ell / 2.0) ** 2)
-            assert abs(got - want) <= 1e-10 * want
-
-    def test_support_leak_raises(self, spectrum8):
-        g = selberg.GaussianTestFn(7.9, 0.5, 1.0)
-        with pytest.raises(SupportError):
-            selberg.flow_trace_geometric(spectrum8, g)
 
 
 class TestTanhIdentity:
