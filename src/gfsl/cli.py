@@ -10,20 +10,19 @@ Subcommands run verification suites and emit CSV/JSON reports:
 Exit codes: 0 pass, 1 usage/config error, 2 verification failure,
 3 resource budget exceeded.  Reports are byte-deterministic: floats are
 written with shortest round-trip repr, keys are sorted, line endings LF.
+
+Each subcommand imports the library modules it runs when it starts, so
+a cold process loads and compiles only those.
 """
 
 import argparse
-import configparser
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import discrete, global_traces, means, selberg, spherical
 from .errors import BudgetError, GfslError
-from .specfun import _CONICAL_MAX_T, legendre_conical
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -47,6 +46,7 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -86,6 +86,7 @@ def _parse_int(flag, text, minimum):
 
 
 def _load_config(path):
+    import configparser
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
@@ -138,12 +139,46 @@ def _add_common(sub, tol=True):
     sub.add_argument("--out", default=".", action=_TrackSet)
 
 
+def _check_spherical_envelope(lams, nus, k_ord):
+    """GfslError naming the flag and value for a --lambda or --nu that
+    double precision cannot tell from another regime or a pole.
+
+    mu = lambda^2 + 1/4 (or 1/4 - nu^2) must not round to the threshold's
+    1/4.  The minus-branch moment seeds take Gamma at 1/2 + nu - k for
+    |k| <= K, rounded as b + k with b = -1/2 - nu; none may round onto a
+    pole, which happens as nu nears 1/2 (within about ulp(K - 1) / 2).
+    Negative and out-of-range values keep the library's own errors.
+    """
+    for lam in lams:
+        if lam > 0.0 and lam * lam + 0.25 == 0.25:
+            raise GfslError(
+                "--lambda: expected 0 or a number whose mu = lambda^2 + 1/4 "
+                "exceeds 1/4 in double precision (lambda >= about 5.3e-9), "
+                f"got {lam!r}")
+    for nu in nus:
+        if not 0.0 < nu < 0.5:
+            continue
+        if 0.25 - nu * nu == 0.25:
+            raise GfslError(
+                "--nu: expected a number whose mu = 1/4 - nu^2 is below 1/4 "
+                f"in double precision (nu >= about 3.7e-9), got {nu!r}")
+        b = -0.5 - nu
+        if any(b + k == k - 1 for k in range(1, k_ord + 1)):
+            raise GfslError(
+                "--nu: expected a number whose minus-branch Gamma arguments "
+                f"1/2 + nu - k, 1 <= k <= --k {k_ord}, stay off the poles in "
+                f"double precision (nu <= 1/2 - about "
+                f"{math.ulp(k_ord - 1) / 2.0:.2g} here), got {nu!r}")
+
+
 def cmd_spherical_check(args):
+    from . import spherical
     tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     nus = _parse_floats("--nu", args.nu)
     n_ord = _parse_int("--n", args.n, 0)
     k_ord = _parse_int("--k", args.k, 2)
+    _check_spherical_envelope(lams, nus, k_ord)
     params = [("principal", lam, spherical.SpectralParam.principal(lam))
               for lam in lams]
     params += [("complementary", nu, spherical.SpectralParam.complementary(nu))
@@ -171,6 +206,7 @@ def cmd_spherical_check(args):
 
 
 def cmd_traces(args):
+    from . import discrete, global_traces, selberg, spherical
     tol = _parse_tol(args.tol)
     ts = _parse_floats("--t", args.t)
     if not ts:
@@ -237,12 +273,16 @@ def _sigma_range(center):
     hat g(i/2) + hat g(-i/2) <= 2 sigma sqrt(2 pi) e^{sigma^2/8 + |center|/2},
     stays finite while sigma^2/8 + |center|/2 <= _LOG_ROOM.
     """
+    from . import selberg
     lo = (8.0 * (abs(center) + 64.0)
           / (math.pi * selberg._IDENTITY_MAX_NODES))
     return lo, math.sqrt(8.0 * max(_LOG_ROOM - abs(center) / 2.0, 0.0))
 
 
 def cmd_selberg(args):
+    import json
+
+    from . import selberg
     l_max = _parse_float("--lmax", args.lmax)
     center = _parse_float("--center", args.center)
     sigma = _parse_float("--sigma", args.sigma)
@@ -303,6 +343,8 @@ def cmd_selberg(args):
 
 
 def cmd_means(args):
+    from . import means
+    from .specfun import _CONICAL_MAX_T, legendre_conical
     tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     if not lams:

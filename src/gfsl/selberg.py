@@ -596,8 +596,20 @@ def wave_trace_pair(ls, g, laplace=None, genus=2):
                 else 1j * math.sqrt(0.25 - mu)
             spectral += d * (g.fourier(r) + g.fourier(-r)).real
         disc = spectral - geometric
+    _require_finite(f"wave-trace pair (center {g.center!r}, sigma "
+                    f"{g.sigma!r}, amplitude {g.amplitude!r})",
+                    [("geometric side", geometric), ("spectral side", spectral),
+                     ("discrepancy", disc)])
     return SelbergReport(geometric, ident, orbit, ls.cutoff, leak,
                          spectral, disc)
+
+
+def _require_finite(where, values):
+    """AccuracyError naming `where` and the first non-finite value of
+    `values`, (name, value) pairs; a value of None was not computed."""
+    for name, val in values:
+        if val is not None and not math.isfinite(val):
+            raise AccuracyError(f"{where}: {name} is {float(val)!r}, not finite")
 
 
 def heat_pair(ls, s, genus=2):
@@ -618,7 +630,9 @@ def heat_pair(ls, s, genus=2):
     orbit = 0.0
     for period, mult, m, ell in ls.orbits():
         orbit += ell * mult * float(g(period)) / math.sinh(period / 2.0)
-    return 0.5 * (ident + orbit)
+    estimate = 0.5 * (ident + orbit)
+    _require_finite(f"heat pair (s {s!r})", [("estimate", estimate)])
+    return estimate
 
 
 def weyl_consistency(ls, s_grid=(0.05, 0.1, 0.2), genus=2, rtol=0.15):

@@ -22,7 +22,6 @@ exp(tau z) * v[n, k_out] * s[n, k_in].
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -244,6 +243,13 @@ class _TableSpec:
         self.phase, self.glog = phase, glog
 
 
+def _exp_quiet(x):
+    """np.exp with overflow to inf and no warning: _table_blocks names the
+    table and rows of every non-finite entry."""
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
 def _table_spec(p, N, K, branch, dual=False):
     """One branch table, or with dual=True the dual rows of the plus or
     minus branch.  Plus: t_n^+ sqrt(n!) phase_k [x^n] two-factor; minus:
@@ -256,27 +262,27 @@ def _table_spec(p, N, K, branch, dual=False):
     ks = np.arange(-K, K + 1)
     if dual and branch == BRANCH_PLUS:
         name, columns, sign = "plus-branch dual", _moment_columns(-p.lam, K), -1
-        pre = parity * np.exp(-glog - half_lf)
+        pre = parity * _exp_quiet(-glog - half_lf)
     elif dual and branch == BRANCH_MINUS:
         name, sign = "minus-branch dual", +1
         columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
-        pre = parity * np.exp(half_lf - glog)
+        pre = parity * _exp_quiet(half_lf - glog)
     elif dual:
         raise DomainError(f"dual_coeffs: unsupported branch {branch}")
     elif branch == BRANCH_PLUS:
         name, sign = "plus-branch", +1
         columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
-        pre = np.exp(glog + half_lf)
+        pre = _exp_quiet(glog + half_lf)
     elif branch == BRANCH_MINUS_RENORMALIZED:
         name, sign = "renormalized minus-branch", -1
         columns = _moment_columns(p.lam, K, renormalized=True)
-        pre = parity * np.exp(glog - half_lf)
+        pre = parity * _exp_quiet(glog - half_lf)
     elif p.lam == 0:
         raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
                         "use renormalized=True")
     else:
         name, columns, sign = "minus-branch", _moment_columns(p.lam, K), -1
-        pre = np.exp(glog - half_lf)
+        pre = _exp_quiet(glog - half_lf)
     return _TableSpec(_table_name(name, p, N, K), columns, pre,
                       _phases(K, sign), glog)
 
@@ -518,6 +524,8 @@ def _threshold_rationals(k, n_max):
     recurrence and q_0 = (-1)^k.  Coalescence is the exact identity
     q_n = (-1)^k r_n; we run both and insist on it.
     """
+    from fractions import Fraction  # no CLI run reaches this
+
     r = [Fraction(1), Fraction(2 * k)]
     q0 = Fraction((-1) ** (k % 2))
     q = [q0, Fraction(2 * k) * q0]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gfsl import cli
+from gfsl import cli, global_traces, means, selberg, specfun, spherical
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -50,7 +50,7 @@ class TestSphericalCheck:
                                              monkeypatch, lams):
         # the plus table at lam = 0 used to be built (and overflow at
         # large N) before the minus pole was seen
-        monkeypatch.setattr(cli.spherical, "recurrence_blocks", None)
+        monkeypatch.setattr(spherical, "recurrence_blocks", None)
         code = run(["spherical-check", "--out", str(tmp_path),
                     "--lambda", lams, "--n", "2000", "--k", "250"])
         assert code == cli.EXIT_CONFIG
@@ -61,14 +61,14 @@ class TestSphericalCheck:
     def test_overflow_stops_at_first_block(self, tmp_path, capsys,
                                            monkeypatch):
         starts = []
-        blocks = cli.spherical.recurrence_blocks
+        blocks = spherical.recurrence_blocks
 
         def recording(*args):
             for n0, x in blocks(*args):
                 starts.append(n0)
                 yield n0, x
 
-        monkeypatch.setattr(cli.spherical, "recurrence_blocks", recording)
+        monkeypatch.setattr(spherical, "recurrence_blocks", recording)
         code = run(["spherical-check", "--out", str(tmp_path),
                     "--lambda", "1", "--nu", "0.2", "--n", "2000",
                     "--k", "250"])
@@ -78,6 +78,56 @@ class TestSphericalCheck:
             "non-finite entries in rows 774..775 (double precision "
             "overflow)\n")
         assert starts[-1] == 768 and len(starts) == 97
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,flag,bad", [
+        # mu = lambda^2 + 1/4 or 1/4 - nu^2 rounds to 1/4
+        (["--lambda", "1e-9"], "--lambda", "1e-09"),
+        (["--lambda", "1,5e-9"], "--lambda", "5e-09"),
+        (["--nu", "1e-9"], "--nu", "1e-09"),
+        (["--nu", "3.7e-9"], "--nu", "3.7e-09"),
+        # 1/2 + nu rounds to 1: Gamma(1/2 + nu - k) sits on a pole
+        (["--nu", "0.49999999999999994"], "--nu", "0.49999999999999994"),
+        # at K = 8 a pole is met within about 4.4e-16 of 1/2
+        (["--nu", "0.3,0.4999999999999998"], "--nu", "0.4999999999999998"),
+    ], ids=["lambda_mu_quarter", "lambda_in_list", "nu_mu_quarter",
+            "nu_below_edge", "nu_half", "nu_near_half"])
+    def test_envelope_before_any_table(self, tmp_path, capsys, monkeypatch,
+                                       argv, flag, bad):
+        monkeypatch.setattr(spherical, "intertwine_sweep", None)
+        code = run(["spherical-check", "--out", str(tmp_path)] + argv)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: expected ")
+        assert "double precision" in err
+        assert err.endswith(f", got {bad}\n") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "5.268356063861754e-09"],
+        ["--nu", "3.725290298461915e-09"],
+        ["--nu", "0.4999999999999995", "--k", "2"],
+    ], ids=["lambda_edge", "nu_edge", "nu_near_half_small_k"])
+    def test_envelope_edge_accepted(self, monkeypatch, argv):
+        # the smallest lambda and nu, and at --k 2 a nu within 5e-16 of
+        # 1/2, pass the envelope and reach the sweep
+        def stop(*args, **kwargs):
+            raise cli.GfslError("reached the sweep")
+
+        monkeypatch.setattr(spherical, "intertwine_sweep", stop)
+        with pytest.raises(cli.GfslError, match="reached the sweep"):
+            cli.cmd_spherical_check(cli.build_parser().parse_args(
+                ["spherical-check", "--lambda", "", "--nu", ""] + argv))
+
+    def test_huge_lambda_overflows_without_warning(self, tmp_path, capsys):
+        # the prefactors overflow to inf quietly; the sweep names the table
+        # and rows (pytest turns any numpy warning into an error)
+        code = run(["spherical-check", "--out", str(tmp_path),
+                    "--lambda", "1e300"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: plus-branch table at lam = 1e+300, N = 40, K = 8 has "
+            "non-finite entries in rows 4..40 (double precision overflow)\n")
         assert not list(tmp_path.iterdir())
 
     def test_malformed_config(self, tmp_path, capsys):
@@ -136,7 +186,7 @@ class TestTraces:
         assert not list(tmp_path.iterdir())
 
     def test_nan_trace_error_fails_verification(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli.global_traces, "global_trace",
+        monkeypatch.setattr(global_traces, "global_trace",
                             lambda *args, **kwargs: (math.nan, math.nan))
         code = run(["traces", "--out", str(tmp_path), "--t", "1"])
         assert code == cli.EXIT_VERIFY
@@ -212,7 +262,7 @@ class TestSelberg:
         def enumerated(*args, **kwargs):
             raise AssertionError("length_spectrum called")
 
-        monkeypatch.setattr(cli.selberg, "length_spectrum", enumerated)
+        monkeypatch.setattr(selberg, "length_spectrum", enumerated)
         code = run(["selberg", "--out", str(tmp_path), flag, value])
         assert code == cli.EXIT_CONFIG
         assert match in capsys.readouterr().err
@@ -242,8 +292,8 @@ class TestSelberg:
                                               monkeypatch, argv, flag, bad):
         # one line naming the flag and the value, no numpy warning, no
         # quadrature, no enumeration and no report
-        monkeypatch.setattr(cli.selberg, "_identity_term", None)
-        monkeypatch.setattr(cli.selberg, "length_spectrum", None)
+        monkeypatch.setattr(selberg, "_identity_term", None)
+        monkeypatch.setattr(selberg, "length_spectrum", None)
         code = run(["selberg", "--out", str(tmp_path)] + argv)
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -326,8 +376,8 @@ class TestMeans:
         ("2,0.01", "0.01")])
     def test_lambda_envelope_before_any_work(self, tmp_path, capsys,
                                              monkeypatch, lams, bad):
-        monkeypatch.setattr(cli, "legendre_conical", None)
-        monkeypatch.setattr(cli.means, "hc_partial_sum", None)
+        monkeypatch.setattr(specfun, "legendre_conical", None)
+        monkeypatch.setattr(means, "hc_partial_sum", None)
         code = run(["means", "--out", str(tmp_path), "--lambda", lams])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -338,14 +388,14 @@ class TestMeans:
     def test_lambda_envelope_edge_accepted(self, monkeypatch):
         # the smallest lambda whose last wave time is inside the envelope
         # passes the check and reaches the quadrature
-        lam = math.pi / (2.0 * (cli._CONICAL_MAX_T - 6.0 - 1e-3))
+        lam = math.pi / (2.0 * (specfun._CONICAL_MAX_T - 6.0 - 1e-3))
         lam = math.nextafter(lam, math.inf)
-        assert 6.0 + math.pi / (2.0 * lam) + 1e-3 <= cli._CONICAL_MAX_T
+        assert 6.0 + math.pi / (2.0 * lam) + 1e-3 <= specfun._CONICAL_MAX_T
 
         def stop(*args, **kwargs):
             raise cli.GfslError("reached the quadrature")
 
-        monkeypatch.setattr(cli, "legendre_conical", stop)
+        monkeypatch.setattr(specfun, "legendre_conical", stop)
         with pytest.raises(cli.GfslError, match="reached the quadrature"):
             cli.cmd_means(cli.build_parser().parse_args(
                 ["means", "--lambda", repr(lam)]))
@@ -482,7 +532,7 @@ class TestUsage:
         def exhausted(*args, **kwargs):
             raise BudgetError("enumeration exceeded budget", partial=[])
 
-        monkeypatch.setattr(cli.selberg, "length_spectrum", exhausted)
+        monkeypatch.setattr(selberg, "length_spectrum", exhausted)
         code = run(["selberg", "--out", str(tmp_path), "--lmax", "5"])
         assert code == cli.EXIT_BUDGET
 
@@ -531,6 +581,32 @@ class TestImport:
                         "if m.split('.')[0] == 'scipy'))"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv,gfsl", [
+        (["selberg", "--lmax", "5"], {"selberg"}),
+        (["means", "--lambda", "2", "--m", "4"], {"specfun", "means"}),
+        (["spherical-check", "--n", "20", "--k", "4"],
+         {"specfun", "spherical"}),
+        # every library module but means and oscillator
+        (["traces", "--t", "1"], {"specfun", "spherical", "discrete",
+                                  "global_traces", "selberg"}),
+    ], ids=["selberg", "means", "spherical-check", "traces"])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, gfsl):
+        # a cold run imports (and compiles) only the library modules its
+        # subcommand calls; fractions and configparser stay unloaded
+        # without --config
+        script = ("import json, sys; from gfsl import cli; "
+                  f"code = cli.main({argv!r} + ['--out', sys.argv[1]]); "
+                  "print(json.dumps([code, sorted(m for m in sys.modules "
+                  "if m in ('fractions', 'configparser') "
+                  "or m.split('.')[0] in ('gfsl', 'scipy'))]))")
+        proc = _python(["-c", script, str(tmp_path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == cli.EXIT_OK
+        want = {"gfsl", "gfsl.cli", "gfsl.errors"}
+        want |= {f"gfsl.{name}" for name in gfsl}
+        assert set(loaded) == want
 
     def test_module_entry_point_warns_nothing(self, tmp_path):
         proc = _python(["-W", "error::RuntimeWarning", "-m", "gfsl.cli",

@@ -391,6 +391,18 @@ class TestWaveTracePair:
                     "orbit_term", "cutoff", "discrepancy"):
             assert key in payload
 
+    def test_non_finite_spectral_side_fails_loudly(self, spectrum8):
+        # hat g(+-i/2) of the constant eigenfunction overflows at sigma 100
+        g = selberg.GaussianTestFn(5.5, 100.0, 1.0)
+        with pytest.raises(AccuracyError, match=r"wave-trace pair \(center "
+                           r"5\.5, sigma 100\.0, amplitude 1\.0\): spectral "
+                           r"side is inf, not finite"):
+            selberg.wave_trace_pair(spectrum8, g, laplace=[(0.0, 1)])
+        # without eigenvalues only the (finite) geometric side is formed
+        rep = selberg.wave_trace_pair(spectrum8, g)
+        assert math.isfinite(rep.geometric_side)
+        assert rep.spectral_side is None and rep.discrepancy is None
+
 
 def _heat_gaussian(s):
     # the even heat Gaussian heat_pair builds for time s
@@ -450,6 +462,12 @@ class TestWeylConsistency:
         # keeps the orbit sum complete up to ~e^{4 - 16/s}
         est = selberg.heat_pair(spectrum8, 1.5)
         assert abs(est - 1.0) < 0.1
+
+    def test_non_finite_estimate_fails_loudly(self, spectrum8, monkeypatch):
+        monkeypatch.setattr(selberg, "_identity_term", lambda g, chi: math.nan)
+        with pytest.raises(AccuracyError,
+                           match=r"heat pair \(s 0\.2\): estimate is nan"):
+            selberg.heat_pair(spectrum8, 0.2)
 
     def test_positivity(self, spectrum8):
         for s in (0.05, 0.2, 0.8, 1.5):
