@@ -11,18 +11,45 @@ Exit codes: 0 pass, 1 usage/config error, 2 verification failure,
 3 resource budget exceeded.  Reports are byte-deterministic: floats are
 written with shortest round-trip repr, keys are sorted, line endings LF.
 
-Each subcommand imports the library modules it runs when it starts, so
-a cold process loads and compiles only those.
+The library modules are bound here but compiled and run on their first
+attribute access (_lazy), so a cold process loads only the modules its
+subcommand calls.
 """
 
 import argparse
+import importlib.util
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, GfslError
+from .errors import BudgetError, DomainError, GfslError
+
+
+def _lazy(name):
+    """The module gfsl.<name>, registered in sys.modules and as an
+    attribute of the package like any import, but compiled and run only
+    when one of its attributes is first read.  Every importer, the
+    library's own modules included, shares this one module object."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+specfun = _lazy("specfun")
+spherical = _lazy("spherical")
+discrete = _lazy("discrete")
+global_traces = _lazy("global_traces")
+selberg = _lazy("selberg")
+means = _lazy("means")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -139,57 +166,40 @@ def _add_common(sub, tol=True):
     sub.add_argument("--out", default=".", action=_TrackSet)
 
 
-def _check_spherical_envelope(lams, nus, k_ord):
-    """GfslError naming the flag and value for a --lambda or --nu that
-    double precision cannot tell from another regime or a pole.
-
-    mu = lambda^2 + 1/4 (or 1/4 - nu^2) must not round to the threshold's
-    1/4.  The minus-branch moment seeds take Gamma at 1/2 + nu - k for
-    |k| <= K, rounded as b + k with b = -1/2 - nu; none may round onto a
-    pole, which happens as nu nears 1/2 (within about ulp(K - 1) / 2).
-    Negative and out-of-range values keep the library's own errors.
-    """
-    for lam in lams:
-        if lam > 0.0 and lam * lam + 0.25 == 0.25:
-            raise GfslError(
-                "--lambda: expected 0 or a number whose mu = lambda^2 + 1/4 "
-                "exceeds 1/4 in double precision (lambda >= about 5.3e-9), "
-                f"got {lam!r}")
-    for nu in nus:
-        if not 0.0 < nu < 0.5:
-            continue
-        if 0.25 - nu * nu == 0.25:
-            raise GfslError(
-                "--nu: expected a number whose mu = 1/4 - nu^2 is below 1/4 "
-                f"in double precision (nu >= about 3.7e-9), got {nu!r}")
-        b = -0.5 - nu
-        if any(b + k == k - 1 for k in range(1, k_ord + 1)):
-            raise GfslError(
-                "--nu: expected a number whose minus-branch Gamma arguments "
-                f"1/2 + nu - k, 1 <= k <= --k {k_ord}, stay off the poles in "
-                f"double precision (nu <= 1/2 - about "
-                f"{math.ulp(k_ord - 1) / 2.0:.2g} here), got {nu!r}")
+def _spectral_params(flag, values, make):
+    """(value, make(value)) for each value of a --lambda or --nu list; the
+    library's DomainError gains the flag's name."""
+    try:
+        return [(val, make(val)) for val in values]
+    except DomainError as exc:
+        raise GfslError(f"{flag}: {exc}") from None
 
 
 def cmd_spherical_check(args):
-    from . import spherical
     tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     nus = _parse_floats("--nu", args.nu)
     n_ord = _parse_int("--n", args.n, 0)
     k_ord = _parse_int("--k", args.k, 2)
-    _check_spherical_envelope(lams, nus, k_ord)
-    params = [("principal", lam, spherical.SpectralParam.principal(lam))
-              for lam in lams]
-    params += [("complementary", nu, spherical.SpectralParam.complementary(nu))
-               for nu in nus]
+    params = [("principal", lam, p) for lam, p in _spectral_params(
+        "--lambda", lams, spherical.SpectralParam.principal)]
+    params += [("complementary", nu, p) for nu, p in _spectral_params(
+        "--nu", nus, spherical.SpectralParam.complementary)]
     if not params:
         raise GfslError("--lambda and --nu: expected at least one number")
     branches = (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)
-    # one stacked build and audit, block by block: no whole table is held
-    residuals = spherical.intertwine_sweep(
-        [(p, branch) for _, _, p in params for branch in branches],
-        n_ord, k_ord)
+    # one stacked build and audit, block by block: no whole table is held;
+    # every table is set up, and so every moment seed checked, first
+    flags = {p.lam: "--lambda" if regime == "principal" else "--nu"
+             for regime, _, p in params}
+    try:
+        residuals = spherical.intertwine_sweep(
+            [(p, branch) for _, _, p in params for branch in branches],
+            n_ord, k_ord)
+    except DomainError as exc:
+        if exc.value not in flags:
+            raise
+        raise GfslError(f"{flags[exc.value]}: {exc}") from None
     labels = [(regime, val, branch) for regime, val, _ in params
               for branch in branches]
     rows = [(regime, val, f"{branch}:{rel}", res[rel])
@@ -206,7 +216,6 @@ def cmd_spherical_check(args):
 
 
 def cmd_traces(args):
-    from . import discrete, global_traces, selberg, spherical
     tol = _parse_tol(args.tol)
     ts = _parse_floats("--t", args.t)
     if not ts:
@@ -273,7 +282,6 @@ def _sigma_range(center):
     hat g(i/2) + hat g(-i/2) <= 2 sigma sqrt(2 pi) e^{sigma^2/8 + |center|/2},
     stays finite while sigma^2/8 + |center|/2 <= _LOG_ROOM.
     """
-    from . import selberg
     lo = (8.0 * (abs(center) + 64.0)
           / (math.pi * selberg._IDENTITY_MAX_NODES))
     return lo, math.sqrt(8.0 * max(_LOG_ROOM - abs(center) / 2.0, 0.0))
@@ -281,8 +289,6 @@ def _sigma_range(center):
 
 def cmd_selberg(args):
     import json
-
-    from . import selberg
     l_max = _parse_float("--lmax", args.lmax)
     center = _parse_float("--center", args.center)
     sigma = _parse_float("--sigma", args.sigma)
@@ -343,25 +349,23 @@ def cmd_selberg(args):
 
 
 def cmd_means(args):
-    from . import means
-    from .specfun import _CONICAL_MAX_T, legendre_conical
     tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     if not lams:
         raise GfslError("--lambda: expected at least one number")
+    t_max = specfun._CONICAL_MAX_T
     for lam in lams:
         # wave_residual's last time: grid top + quarter period + step h
-        if not (lam > 0.0
-                and 6.0 + math.pi / (2.0 * lam) + 1e-3 <= _CONICAL_MAX_T):
+        if not (lam > 0.0 and 6.0 + math.pi / (2.0 * lam) + 1e-3 <= t_max):
             raise GfslError(
                 "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + 1e-3 "
-                f"<= {_CONICAL_MAX_T!r}, the quadrature's envelope (lambda "
+                f"<= {t_max!r}, the quadrature's envelope (lambda "
                 f">= about 0.212), got {lam!r}")
     m_top = _parse_int("--m", args.m, 0)
     conv = []
     t = 3.0
     for lam in lams:
-        target = legendre_conical(lam, t)
+        target = specfun.legendre_conical(lam, t)
         for m in range(m_top + 1):
             val = means.hc_partial_sum(lam, t, m)
             conv.append((lam, t, m, val, abs(val - target)))
@@ -370,7 +374,7 @@ def cmd_means(args):
     ok = True
     for lam in lams:
         fit = means.wave_residual(lam)
-        phi0 = legendre_conical(lam, 0.0)
+        phi0 = specfun.legendre_conical(lam, 0.0)
         defect = means.w_symbol_defect(lam)
         bound = 0.2 / lam if lam >= 5.0 else float("inf")
         rows.append((lam, fit.slope, int(fit.floor_limited), phi0, defect,

@@ -10,7 +10,12 @@ class PoleError(GfslError):
 
 
 class DomainError(GfslError):
-    """Input outside the mathematical domain of the operation."""
+    """Input outside the mathematical domain of the operation; carries the
+    input at fault when the raiser knows it."""
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 class AccuracyError(GfslError):

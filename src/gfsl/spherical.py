@@ -64,16 +64,24 @@ class SpectralParam:
         if lam < 0:
             raise DomainError("principal: lam must be >= 0")
         lam = float(lam)
-        return cls(lam * lam + 0.25, complex(lam),
-                   -0.5 + 1j * lam, -0.5 - 1j * lam,
+        mu = lam * lam + 0.25
+        if lam > 0.0 and mu == 0.25:
+            raise DomainError(
+                "principal: expected lam = 0 or mu = lam^2 + 1/4 above 1/4 in "
+                f"double precision (lam >= about 5.3e-9), got {lam!r}")
+        return cls(mu, complex(lam), -0.5 + 1j * lam, -0.5 - 1j * lam,
                    THRESHOLD if lam == 0.0 else PRINCIPAL)
 
     @classmethod
     def complementary(cls, nu):
         if not 0.0 < nu < 0.5:
             raise DomainError("complementary: nu must lie in (0, 1/2)")
-        lam = 1j * nu
-        return cls(0.25 - nu * nu, lam, -0.5 - nu, -0.5 + nu, COMPLEMENTARY)
+        mu = 0.25 - nu * nu
+        if mu == 0.25:
+            raise DomainError(
+                "complementary: expected mu = 1/4 - nu^2 below 1/4 in double "
+                f"precision (nu >= about 3.7e-9), got {nu!r}")
+        return cls(mu, 1j * nu, -0.5 - nu, -0.5 + nu, COMPLEMENTARY)
 
     @classmethod
     def threshold(cls):
@@ -182,7 +190,8 @@ def block_rows(n_cols):
 def _moment_seeds(lam, K, renormalized=False):
     """M_0 of each moment column |k| <= K; every moment seed is made here.
 
-    Raw: the beta line integral, one log_beta_line per column.
+    Raw: the beta line integral, one log_beta_line per column; a seed that
+    is zero in double precision raises DomainError carrying lam.
     Renormalized: rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
     (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)), finite for all real lam.
     """
@@ -192,7 +201,18 @@ def _moment_seeds(lam, K, renormalized=False):
         return [cmath.exp(2.0 * lhalf - log_gamma(0.5 - 1j * lam - k)
                           - log_gamma(0.5 - 1j * lam + k)) for k in ks]
     b = -0.5 + 1j * lam
-    return [cmath.exp(log_beta_line(b + k, b - k)) for k in ks]
+    seeds = []
+    for k in ks:
+        try:
+            seeds.append(cmath.exp(log_beta_line(b + k, b - k)))
+        except DomainError:
+            raise DomainError(
+                f"moment seeds at {_param_label(lam)}, K = {K}: M_0 of column "
+                f"k = {k} is zero, as b + k or b - k (b = -1/2 + i lam) rounds "
+                "onto an integer >= 0 in double precision; b must lie further "
+                f"than about {math.ulp(K) / 2.0:.2g} from an integer",
+                lam) from None
+    return seeds
 
 
 def _moment_columns(lam, K, renormalized=False):
@@ -229,9 +249,12 @@ def require_finite(table, where):
     return table
 
 
+def _param_label(lam):
+    return f"lam = {lam.real!r}" if lam.imag == 0 else f"nu = {lam.imag!r}"
+
+
 def _table_name(branch, p, N, K):
-    par = f"lam = {p.lam.real!r}" if p.lam.imag == 0 else f"nu = {p.lam.imag!r}"
-    return f"{branch} table at {par}, N = {N}, K = {K}"
+    return f"{branch} table at {_param_label(p.lam)}, N = {N}, K = {K}"
 
 
 class _TableSpec:
@@ -241,13 +264,6 @@ class _TableSpec:
     def __init__(self, name, columns, pre, phase, glog):
         self.name, self.columns, self.pre = name, columns, pre
         self.phase, self.glog = phase, glog
-
-
-def _exp_quiet(x):
-    """np.exp with overflow to inf and no warning: _table_blocks names the
-    table and rows of every non-finite entry."""
-    with np.errstate(over="ignore"):
-        return np.exp(x)
 
 
 def _table_spec(p, N, K, branch, dual=False):
@@ -260,29 +276,34 @@ def _table_spec(p, N, K, branch, dual=False):
     half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
     parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     ks = np.arange(-K, K + 1)
-    if dual and branch == BRANCH_PLUS:
-        name, columns, sign = "plus-branch dual", _moment_columns(-p.lam, K), -1
-        pre = parity * _exp_quiet(-glog - half_lf)
-    elif dual and branch == BRANCH_MINUS:
-        name, sign = "minus-branch dual", +1
-        columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
-        pre = parity * _exp_quiet(half_lf - glog)
-    elif dual:
-        raise DomainError(f"dual_coeffs: unsupported branch {branch}")
-    elif branch == BRANCH_PLUS:
-        name, sign = "plus-branch", +1
-        columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
-        pre = _exp_quiet(glog + half_lf)
-    elif branch == BRANCH_MINUS_RENORMALIZED:
-        name, sign = "renormalized minus-branch", -1
-        columns = _moment_columns(p.lam, K, renormalized=True)
-        pre = parity * _exp_quiet(glog - half_lf)
-    elif p.lam == 0:
-        raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
-                        "use renormalized=True")
-    else:
-        name, columns, sign = "minus-branch", _moment_columns(p.lam, K), -1
-        pre = _exp_quiet(glog - half_lf)
+    # a prefactor may overflow to inf: _table_blocks names the table and
+    # rows of every non-finite entry
+    with np.errstate(over="ignore"):
+        if dual and branch == BRANCH_PLUS:
+            name, sign = "plus-branch dual", -1
+            columns = _moment_columns(-p.lam, K)
+            pre = parity * np.exp(-glog - half_lf)
+        elif dual and branch == BRANCH_MINUS:
+            name, sign = "minus-branch dual", +1
+            columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
+            pre = parity * np.exp(half_lf - glog)
+        elif dual:
+            raise DomainError(f"dual_coeffs: unsupported branch {branch}")
+        elif branch == BRANCH_PLUS:
+            name, sign = "plus-branch", +1
+            columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
+            pre = np.exp(glog + half_lf)
+        elif branch == BRANCH_MINUS_RENORMALIZED:
+            name, sign = "renormalized minus-branch", -1
+            columns = _moment_columns(p.lam, K, renormalized=True)
+            pre = parity * np.exp(glog - half_lf)
+        elif p.lam == 0:
+            raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
+                            "use renormalized=True")
+        else:
+            name, sign = "minus-branch", -1
+            columns = _moment_columns(p.lam, K)
+            pre = np.exp(glog - half_lf)
     return _TableSpec(_table_name(name, p, N, K), columns, pre,
                       _phases(K, sign), glog)
 

@@ -82,25 +82,26 @@ class TestSphericalCheck:
 
     @pytest.mark.parametrize("argv,flag,bad", [
         # mu = lambda^2 + 1/4 or 1/4 - nu^2 rounds to 1/4
-        (["--lambda", "1e-9"], "--lambda", "1e-09"),
-        (["--lambda", "1,5e-9"], "--lambda", "5e-09"),
-        (["--nu", "1e-9"], "--nu", "1e-09"),
-        (["--nu", "3.7e-9"], "--nu", "3.7e-09"),
+        (["--lambda", "1e-9"], "--lambda: principal", "got 1e-09"),
+        (["--lambda", "1,5e-9"], "--lambda: principal", "got 5e-09"),
+        (["--nu", "1e-9"], "--nu: complementary", "got 1e-09"),
+        (["--nu", "3.7e-9"], "--nu: complementary", "got 3.7e-09"),
         # 1/2 + nu rounds to 1: Gamma(1/2 + nu - k) sits on a pole
-        (["--nu", "0.49999999999999994"], "--nu", "0.49999999999999994"),
+        (["--nu", "0.49999999999999994"], "--nu: moment seeds",
+         "at nu = 0.49999999999999994, K = 8"),
         # at K = 8 a pole is met within about 4.4e-16 of 1/2
-        (["--nu", "0.3,0.4999999999999998"], "--nu", "0.4999999999999998"),
+        (["--nu", "0.3,0.4999999999999998"], "--nu: moment seeds",
+         "at nu = 0.4999999999999998, K = 8"),
     ], ids=["lambda_mu_quarter", "lambda_in_list", "nu_mu_quarter",
             "nu_below_edge", "nu_half", "nu_near_half"])
     def test_envelope_before_any_table(self, tmp_path, capsys, monkeypatch,
                                        argv, flag, bad):
-        monkeypatch.setattr(spherical, "intertwine_sweep", None)
+        monkeypatch.setattr(spherical, "recurrence_blocks", None)
         code = run(["spherical-check", "--out", str(tmp_path)] + argv)
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}: expected ")
-        assert "double precision" in err
-        assert err.endswith(f", got {bad}\n") and err.count("\n") == 1
+        assert err.startswith(f"error: {flag}") and bad in err
+        assert "double precision" in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
@@ -110,12 +111,13 @@ class TestSphericalCheck:
     ], ids=["lambda_edge", "nu_edge", "nu_near_half_small_k"])
     def test_envelope_edge_accepted(self, monkeypatch, argv):
         # the smallest lambda and nu, and at --k 2 a nu within 5e-16 of
-        # 1/2, pass the envelope and reach the sweep
+        # 1/2, pass the envelope: every table is set up and the
+        # recurrence is reached
         def stop(*args, **kwargs):
-            raise cli.GfslError("reached the sweep")
+            raise cli.GfslError("reached the recurrence")
 
-        monkeypatch.setattr(spherical, "intertwine_sweep", stop)
-        with pytest.raises(cli.GfslError, match="reached the sweep"):
+        monkeypatch.setattr(spherical, "recurrence_blocks", stop)
+        with pytest.raises(cli.GfslError, match="reached the recurrence"):
             cli.cmd_spherical_check(cli.build_parser().parse_args(
                 ["spherical-check", "--lambda", "", "--nu", ""] + argv))
 
@@ -592,21 +594,52 @@ class TestImport:
                                   "global_traces", "selberg"}),
     ], ids=["selberg", "means", "spherical-check", "traces"])
     def test_subcommand_loads_only_its_modules(self, tmp_path, argv, gfsl):
-        # a cold run imports (and compiles) only the library modules its
-        # subcommand calls; fractions and configparser stay unloaded
-        # without --config
-        script = ("import json, sys; from gfsl import cli; "
+        # a cold run compiles and runs only the library modules its
+        # subcommand calls; the others stay unrun lazy handles, and
+        # fractions and configparser stay unloaded without --config
+        script = ("import json, sys, types; from gfsl import cli; "
                   f"code = cli.main({argv!r} + ['--out', sys.argv[1]]); "
-                  "print(json.dumps([code, sorted(m for m in sys.modules "
-                  "if m in ('fractions', 'configparser') "
-                  "or m.split('.')[0] in ('gfsl', 'scipy'))]))")
+                  "mods = dict(sys.modules); "
+                  "print(json.dumps([code, sorted(n for n, m in mods.items() "
+                  "if n in ('fractions', 'configparser') "
+                  "or n.split('.')[0] == 'scipy' or n.split('.')[0] == 'gfsl' "
+                  "and type(m) is types.ModuleType), "
+                  "sorted(n for n in mods if n.split('.')[0] == 'gfsl')]))")
         proc = _python(["-c", script, str(tmp_path)], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, registered = json.loads(proc.stdout.splitlines()[-1])
         assert code == cli.EXIT_OK
         want = {"gfsl", "gfsl.cli", "gfsl.errors"}
         want |= {f"gfsl.{name}" for name in gfsl}
         assert set(loaded) == want
+        assert set(registered) == {"gfsl", "gfsl.cli", "gfsl.errors"} | {
+            f"gfsl.{name}" for name in ("specfun", "spherical", "discrete",
+                                        "global_traces", "selberg", "means")}
+
+    def test_library_modules_bound_at_cli_import(self, tmp_path):
+        # every library module the CLI calls is in sys.modules once
+        # gfsl.cli is imported, so a function replaced there (as a
+        # profiler wraps it) is the one the subcommand and the library's
+        # own callers run
+        script = (
+            "import sys; from gfsl import cli; "
+            "mods = [m for n, m in sys.modules.items() "
+            "if n.split('.')[0] == 'gfsl']; "
+            "from gfsl import means, specfun; "
+            "assert means in mods and specfun in mods; "
+            "calls = []; raw = specfun.legendre_conical\n"
+            "def counted(*a, **kw):\n"
+            "    calls.append(a); return raw(*a, **kw)\n"
+            "for m in mods:\n"
+            "    for k, v in list(vars(m).items()):\n"
+            "        if v is raw: setattr(m, k, counted)\n"
+            "cli.main(['means', '--lambda', '2', '--m', '1', "
+            "'--out', sys.argv[1]]); print(len(calls))")
+        proc = _python(["-c", script, str(tmp_path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        # the count when gfsl.cli imported every library module eagerly:
+        # the CLI's own target and phi(0), and 54 from the wave fit
+        assert int(proc.stdout.split()[-1]) == 56
 
     def test_module_entry_point_warns_nothing(self, tmp_path):
         proc = _python(["-W", "error::RuntimeWarning", "-m", "gfsl.cli",

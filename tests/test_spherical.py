@@ -36,6 +36,26 @@ class TestSpectralParam:
             spherical.SpectralParam(2.0, 1.0 + 0j, -0.5 + 1j, -0.5 - 1j,
                                     spherical.COMPLEMENTARY)
 
+    @pytest.mark.parametrize("make,val", [
+        (spherical.SpectralParam.principal, 1e-9),
+        (spherical.SpectralParam.complementary, 3.7e-9),
+    ], ids=["principal", "complementary"])
+    def test_mu_rounding_to_threshold_rejected(self, make, val):
+        # mu would round to 1/4, the threshold, in a non-threshold regime
+        with pytest.raises(DomainError,
+                           match=f"double precision .*got {val!r}$"):
+            make(val)
+
+    @pytest.mark.parametrize("nu,k_max", [(0.49999999999999994, 2),
+                                          (0.4999999999999998, 8)])
+    def test_moment_seed_on_pole_names_parameter(self, nu, k_max):
+        # 1/2 + nu - k rounds onto a pole: the seed is zero, before any row
+        p = spherical.SpectralParam.complementary(nu)
+        with pytest.raises(DomainError, match=f"at nu = {nu!r}, K = {k_max}:"
+                           " M_0 of column") as exc:
+            spherical.coeffs_minus(p, 4, k_max)
+        assert exc.value.value == p.lam
+
     def test_interlacing_complementary(self):
         n = np.arange(4)
         z = np.stack([-n - 0.5 + 1j * PC.lam, -n - 0.5 - 1j * PC.lam],
