@@ -2,15 +2,15 @@
 
 Modules
 -------
-specfun        complex log-Gamma, Gamma ratios, two-factor Taylor series,
-               log of the regularized beta line integral, conical Legendre
-               function
-oscillator     polynomial-times-Gaussian weak transforms and flow
-spherical      one spherical irreducible: branch tables, gauge, threshold
-               Jordan model, correlation, flat trace
+specfun        complex log-Gamma, two-factor Taylor series, log of the
+               regularized beta line integral, conical Legendre function
+oscillator     polynomial-times-Gaussian weak transforms
+spherical      one spherical irreducible: branch tables, gauge,
+               intertwining audit, threshold coalescence, correlation,
+               flat trace
 discrete       one holomorphic discrete series: disk model, Cayley tables,
                correlation, holomorphic flat trace
-global_traces  resonance enumeration, block semigroup, global trace forms
+global_traces  Laplace-spectrum ingestion, global trace forms
 selberg        Bolza group, length spectrum, tanh identity, wave-trace pair
 means          Harish-Chandra expansion, wave residual, W-symbol defect
 cli            batch front end (entry point `gfsl`)

@@ -288,7 +288,6 @@ def _sigma_range(center):
 
 
 def cmd_selberg(args):
-    import json
     l_max = _parse_float("--lmax", args.lmax)
     center = _parse_float("--center", args.center)
     sigma = _parse_float("--sigma", args.sigma)
@@ -312,7 +311,7 @@ def cmd_selberg(args):
                         f"got {args.lmax!r}")
     # a bad test function fails here, before the enumeration or any report
     g = selberg.GaussianTestFn(center, sigma, 1.0)
-    selberg._identity_term(g, 2)
+    selberg._identity_term(g, selberg._CHI_ABS)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -340,7 +339,7 @@ def cmd_selberg(args):
     checks["weyl"] = selberg.weyl_consistency(ls)["rows"]
     ok = ok and monotone
     rep = selberg.wave_trace_pair(ls, g, laplace=laplace)
-    payload = json.loads(rep.to_json())
+    payload = rep.to_dict()
     payload["checks"] = checks
     write_json(out / "selberg_report.json", payload)
     print(f"selberg: systole {ls.systole:.9f}, relator residual "

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spherical import (CorrelationResult, KBandedOperator, ladder_residual,
-                        require_finite)
+from .spherical import CorrelationResult, KBandedOperator, require_finite
 from .specfun import taylor_two_factor
 
 
@@ -28,14 +27,6 @@ class DiscreteParam:
     def __post_init__(self):
         if self.l < 2 or self.l % 2:
             raise DomainError(f"DiscreteParam: l = {self.l} must be even and >= 2")
-
-
-def disk_basis(l, k):
-    """Normalization binom(l+k-1, k)^(1/2) of the k-th disk basis monomial."""
-    if k < 0:
-        raise DomainError("disk_basis: k must be >= 0")
-    return math.exp(0.5 * (math.lgamma(l + k) - math.lgamma(k + 1)
-                           - math.lgamma(l)))
 
 
 def build_disk_matrices(l, K):
@@ -98,27 +89,6 @@ def cayley_coeffs(l, N, K):
     for name, tab in (("forward", fwd), ("backward", bwd)):
         require_finite(tab, f"cayley {name} table at l = {l}, N = {N}, K = {K}")
     return DiskCoeffTable(l, N, K, fwd, bwd)
-
-
-def intertwine_residual_ds(l, table, ops):
-    """Max relative residual of the Cayley intertwining identities.
-
-    Model actions on the forward table:
-        X:  -(n + l/2) f_{n,k}
-        U:  sqrt(n) sqrt(n-1+l) f_{n-1,k}
-        S:  -sqrt(n+l) sqrt(n+1) f_{n+1,k}
-    U and S are assembled from N+-, N- and Theta on the disk side.
-    """
-    K = table.k_max
-    npl, nmi, th = ops["Nplus"], ops["Nminus"], ops["Theta"]
-    u_op = KBandedOperator(0, K, -0.5j * th.diag, -0.5j * npl.sup, 0.5j * nmi.sub)
-    s_op = KBandedOperator(0, K, 0.5j * th.diag, -0.5j * npl.sup, 0.5j * nmi.sub)
-    ns = range(table.n_max + 1)
-    return ladder_residual(table.forward, {
-        "X": (ops["X"], [-(n + l / 2.0) for n in ns], 0),
-        "U": (u_op, [math.sqrt(n) * math.sqrt(n - 1 + l) for n in ns], -1),
-        "S": (s_op, [-math.sqrt(n + l) * math.sqrt(n + 1) for n in ns], 1),
-    }, f"cayley forward table at l = {l}, N = {table.n_max}, K = {K}")
 
 
 def correlation_ds(l, k_out, k_in, tau, N):

@@ -1,23 +1,18 @@
-"""Global resonance bookkeeping over an ingested Laplace spectrum.
+"""Global spectral trace over an ingested Laplace spectrum.
 
-Assembles the full resonance list (spherical branches per eigenvalue,
-threshold Jordan pairs, discrete-series integers with Riemann-Roch
-multiplicities, the trivial zero), the block semigroup of the propagator,
-the elementary resolvent bound, and the global spectral trace in its
-pre- and post-Riemann-Roch closed forms.
+Reads a Laplace spectrum (eigenvalues with multiplicities) and sums the
+global spectral trace of the propagator in its pre- and post-Riemann-Roch
+closed forms: the spherical branches per eigenvalue, the discrete series
+with Riemann-Roch multiplicities and the trivial representation.
 """
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete import rr_multiplicity
 from .errors import ConsistencyError, DomainError
-
-_THRESHOLD_TOL = 1e-12
-
 
 # `np.loadtxt` row type of a Laplace file body
 _LAPLACE_ROW = [("mu", float), ("mult", np.int64)]
@@ -127,76 +122,6 @@ def _undecodable_line(path):
     return "not UTF-8 text"
 
 
-@dataclass
-class ResonanceSpectrum:
-    """Entries (value, multiplicity, jordan_size) sorted by decreasing Re."""
-
-    entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for z, mult, jsize in self.entries:
-            if complex(z).real > 1e-12:
-                raise DomainError("ResonanceSpectrum: resonances must have Re <= 0")
-            if jsize not in (1, 2):
-                raise DomainError("ResonanceSpectrum: jordan_size must be 1 or 2")
-            if mult < 1:
-                raise DomainError("ResonanceSpectrum: multiplicity must be >= 1")
-
-    def values(self):
-        return np.array([z for z, _, _ in self.entries])
-
-    def jordan_values(self):
-        return np.array([z for z, _, j in self.entries if j == 2])
-
-
-def sqrt_shifted(mu):
-    """sqrt(mu - 1/4) with the upper-branch convention i sqrt(1/4 - mu)."""
-    if mu >= 0.25:
-        return complex(math.sqrt(mu - 0.25))
-    return 1j * math.sqrt(0.25 - mu)
-
-
-def enumerate_resonances(spec, n_max, q_max):
-    """Full resonance list from a Laplace spectrum plus Riemann-Roch data.
-
-    Spherical: z = -n - 1/2 +- i sqrt(mu - 1/4) per eigenvalue (threshold
-    eigenvalues emit one entry with jordan_size 2).  Discrete: z = -j with
-    multiplicity sum of 2 m_{2q} over q <= min(j, q_max), n = j - q <= n_max.
-    The trivial representation contributes {0}.  Coinciding values are
-    merged with summed multiplicities.
-    """
-    if n_max < 1 or q_max < 1:
-        raise DomainError("enumerate_resonances: n_max, q_max must be >= 1")
-    acc = {}
-
-    def add(z, mult, jsize):
-        key = (round(z.real, 12), round(z.imag, 12), jsize)
-        if key in acc:
-            acc[key] = (acc[key][0], acc[key][1] + mult, jsize)
-        else:
-            acc[key] = (complex(key[0], key[1]), mult, jsize)
-
-    add(0.0 + 0.0j, 1, 1)
-    for mu, d in spec.entries:
-        for n in range(n_max + 1):
-            base = -n - 0.5
-            if abs(mu - 0.25) <= _THRESHOLD_TOL:
-                add(complex(base), d, 2)
-            else:
-                r = sqrt_shifted(mu)
-                add(base + 1j * r, d, 1)
-                add(base - 1j * r, d, 1)
-    for j in range(1, n_max + q_max + 1):
-        mult = 0
-        for q in range(1, min(j, q_max) + 1):
-            if j - q <= n_max:
-                mult += 2 * rr_multiplicity(spec.genus, 2 * q)
-        if mult:
-            add(complex(-j), mult, 1)
-    entries = sorted(acc.values(), key=lambda e: (-e[0].real, e[0].imag))
-    return ResonanceSpectrum(entries)
-
-
 def _spherical_sum(spec, t):
     # sum_j d_j cos(t sqrt(mu_j - 1/4)), added left to right in entry order
     # (np.cumsum, not the pairwise np.sum) so it is bit-identical to a
@@ -233,54 +158,3 @@ def global_trace(spec, t, q_max=200):
     chi = abs(2 - 2 * spec.genus)
     return (base + 2.0 / (1.0 - x) * ds,
             base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3)
-
-
-def block_semigroup(spec, t, n_max, q_list=(1, 2)):
-    """Blockwise propagator: wave 2x2 blocks, threshold Jordan, discrete scalars.
-
-    Returns a dict keyed by ('sph', mu) -> (n_max+1, 2, 2) complex blocks,
-    ('thr',) -> the same shape when mu = 1/4 is present, and ('ds', q) ->
-    (n_max+1,) scalars exp(-t(n + 1/2 + Lambda)) with Lambda = q - 1/2.
-    Every block carries the oscillator factor exp(-t(n+1/2)).
-    """
-    if t < 0:
-        raise DomainError("block_semigroup: t must be >= 0")
-    n = np.arange(n_max + 1)
-    osc = np.exp(-t * (n + 0.5))
-    out = {}
-    for mu, _ in spec.entries:
-        if abs(mu - 0.25) <= _THRESHOLD_TOL:
-            blk = np.zeros((n_max + 1, 2, 2), dtype=complex)
-            blk[:, 0, 0] = osc
-            blk[:, 1, 1] = osc
-            blk[:, 0, 1] = t * osc
-            out[("thr",)] = blk
-        else:
-            r = sqrt_shifted(mu)
-            blk = np.zeros((n_max + 1, 2, 2), dtype=complex)
-            blk[:, 0, 0] = osc * cmath.exp(1j * t * r)
-            blk[:, 1, 1] = osc * cmath.exp(-1j * t * r)
-            out[("sph", mu)] = blk
-    for q in q_list:
-        lam_ds = q - 0.5
-        out[("ds", q)] = osc * math.exp(-t * lam_ds)
-    return out
-
-
-def resolvent_bound(z, rs):
-    """Elementary resolvent bound 1/dist + (Jordan) 1/dist^2."""
-    z = complex(z)
-    vals = rs.values()
-    if vals.size == 0:
-        raise DomainError("resolvent_bound: empty spectrum")
-    d = float(np.min(np.abs(vals - z)))
-    if d == 0.0:
-        raise DomainError(f"resolvent_bound: z = {z} lies in the spectrum")
-    bound = 1.0 / d
-    jvals = rs.jordan_values()
-    if jvals.size:
-        dj = float(np.min(np.abs(jvals - z)))
-        if dj == 0.0:
-            raise DomainError(f"resolvent_bound: z = {z} lies in the Jordan set")
-        bound += 1.0 / dj ** 2
-    return bound

@@ -94,30 +94,3 @@ def t_minus(u, n_max):
         out[n] = np.dot(u.poly, mom[n : n + deg + 1])
         out[n] *= math.exp(-0.5 * math.lgamma(n + 1))
     return out
-
-
-def gaussian_flow(beta, alpha):
-    """Flow of the quadratic generator on Gaussian widths.
-
-    Maps the width parameter beta to beta + alpha and returns the
-    accompanying prefactor (sin(beta)/sin(beta+alpha))^(1/2) on the
-    continuous branch.  Both endpoints must sit in the strip
-    0 < Re < pi/2.
-    """
-    beta = complex(beta)
-    out = beta + alpha
-    for name, val in (("beta", beta), ("beta+alpha", out)):
-        if not (0.0 < val.real < math.pi / 2.0):
-            raise DomainError(
-                f"gaussian_flow: {name} = {val} outside the strip (0, pi/2)")
-    pref = cmath.sqrt(cmath.sin(beta) / cmath.sin(out))
-    return out, pref
-
-
-def ladder_matrices(n_max):
-    """Dense A, a+, a- on the first n_max+1 basis vectors of l2(N)."""
-    n = np.arange(n_max + 1)
-    a_num = np.diag(n.astype(float))
-    a_plus = np.diag(np.sqrt(n[1:].astype(float)), -1)
-    a_minus = np.diag(np.sqrt(n[1:].astype(float)), 1)
-    return a_num, a_plus, a_minus

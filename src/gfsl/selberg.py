@@ -10,7 +10,6 @@ elements are conjugate iff those sets coincide.  Orientation convention: a
 class and its inverse count separately unless actually conjugate.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,14 @@ from .errors import AccuracyError, BudgetError, ConstructionError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _KEY_DECIMALS = 7
+
+# The Bolza surface: genus 2, |Euler characteristic| 2g - 2 = 2.
+_GENUS = 2
+_CHI_ABS = 2 * _GENUS - 2
+# Heat times of the small-s Weyl check, and its tolerance on the ratio of
+# the heat estimate to its leading term (g - 1)/s.
+_WEYL_S_GRID = (0.05, 0.1, 0.2)
+_WEYL_RTOL = 0.15
 
 BOLZA_RELATOR = ((0, 1), (1, -1), (2, 1), (3, -1), (0, -1), (1, 1), (2, -1), (3, 1))
 
@@ -498,7 +505,9 @@ class SelbergReport:
     spectral_side: float | None = None
     discrepancy: float | None = None
 
-    def to_json(self):
+    def to_dict(self):
+        """The report's fields; spectral_side and discrepancy only when
+        eigenvalues were paired."""
         payload = {
             "geometric_side": self.geometric_side,
             "identity_term": self.identity_term,
@@ -509,7 +518,7 @@ class SelbergReport:
         if self.spectral_side is not None:
             payload["spectral_side"] = self.spectral_side
             payload["discrepancy"] = self.discrepancy
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return payload
 
 
 # Trapezoid rule for the identity term (see _identity_term): relative
@@ -568,7 +577,7 @@ def _identity_term(g, chi_abs):
         achieved=change)
 
 
-def wave_trace_pair(ls, g, laplace=None, genus=2):
+def wave_trace_pair(ls, g, laplace=None):
     """Both sides of the wave-trace identity paired with the Gaussian g.
 
     geometric = |chi| int hat g(r) r tanh(pi r) dr
@@ -581,8 +590,7 @@ def wave_trace_pair(ls, g, laplace=None, genus=2):
     support_leakage rather than raised.
     """
     leak = g.mass_outside(0.0, ls.cutoff)
-    chi_abs = 2 * genus - 2
-    ident = _identity_term(g, chi_abs)
+    ident = _identity_term(g, _CHI_ABS)
     orbit = 0.0
     for period, mult, m, ell in ls.orbits():
         orbit += ell * mult * float(g(period)) / (2.0 * math.sinh(period / 2.0))
@@ -612,7 +620,7 @@ def _require_finite(where, values):
             raise AccuracyError(f"{where}: {name} is {float(val)!r}, not finite")
 
 
-def heat_pair(ls, s, genus=2):
+def heat_pair(ls, s):
     """Heat-trace estimate sum_j e^{-s mu_j} from the geometric side.
 
     Pairs the identity with the even heat Gaussian g(t) =
@@ -625,8 +633,7 @@ def heat_pair(ls, s, genus=2):
         raise DomainError("heat_pair: s must be > 0")
     amp = math.exp(-s / 4.0) / (2.0 * math.sqrt(math.pi * s))
     g = GaussianTestFn(0.0, math.sqrt(2.0 * s), amp)
-    chi_abs = 2 * genus - 2
-    ident = _identity_term(g, chi_abs)
+    ident = _identity_term(g, _CHI_ABS)
     orbit = 0.0
     for period, mult, m, ell in ls.orbits():
         orbit += ell * mult * float(g(period)) / math.sinh(period / 2.0)
@@ -635,14 +642,15 @@ def heat_pair(ls, s, genus=2):
     return estimate
 
 
-def weyl_consistency(ls, s_grid=(0.05, 0.1, 0.2), genus=2, rtol=0.15):
-    """Small-s heat consistency: estimate/(g-1) * s must stay within rtol of 1."""
+def weyl_consistency(ls):
+    """Small-s heat consistency: estimate/(g-1) * s must stay within
+    _WEYL_RTOL of 1 at each s of _WEYL_S_GRID."""
     rows = []
     ok = True
-    for s in s_grid:
-        est = heat_pair(ls, s, genus=genus)
-        lead = (genus - 1) / s
+    for s in _WEYL_S_GRID:
+        est = heat_pair(ls, s)
+        lead = (_GENUS - 1) / s
         ratio = est / lead
-        ok = ok and abs(ratio - 1.0) <= rtol
+        ok = ok and abs(ratio - 1.0) <= _WEYL_RTOL
         rows.append({"s": s, "estimate": est, "leading": lead, "ratio": ratio})
     return {"ok": ok, "rows": rows}

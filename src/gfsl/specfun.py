@@ -7,8 +7,7 @@ columns together and yields its rows block by block (the Taylor
 coefficients of (1+ix)^a (1-ix)^b and the moment tables of the branch
 transforms, one table or a whole sweep of them at once), the logarithm
 of the regularized line integral of the same two-factor function, and
-the conical Legendre function by periodic-trapezoid quadrature.  It also
-provides Gamma ratios with an explicit pole-limit mode.
+the conical Legendre function by periodic-trapezoid quadrature.
 """
 
 import cmath
@@ -81,39 +80,6 @@ def log_gamma(z):
     return _LOG_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
 
 
-def gamma_ratio(z, w, pole_limit=False):
-    """Gamma(z)/Gamma(w) via log differences.
-
-    With pole_limit=True both arguments must be poles z = -m, w = -n and
-    the limiting value (-1)^(m-n) n!/m! along a common approach is
-    returned; this is the rule that turns Gamma(-n-2*i*lam)/Gamma(-2*i*lam)
-    into (-1)^n/n! at lam = 0.
-    """
-    z = complex(z)
-    w = complex(w)
-    pz, pw = is_gamma_pole(z), is_gamma_pole(w)
-    if pole_limit:
-        if not (pz and pw):
-            raise DomainError(
-                "gamma_ratio: pole_limit requires both arguments at poles, "
-                f"got z = {z}, w = {w}")
-        m = -round(z.real)
-        n = -round(w.real)
-        sign = -1.0 if (m - n) % 2 else 1.0
-        return complex(sign * math.exp(math.lgamma(n + 1) - math.lgamma(m + 1)))
-    if z == w:
-        return 1.0 + 0.0j
-    if pz and pw:
-        raise DomainError(
-            "gamma_ratio: both arguments are poles; pass pole_limit=True "
-            "to take the limit")
-    if pz:
-        raise PoleError(f"gamma_ratio: numerator pole at z = {z}")
-    if pw:
-        return 0.0 + 0.0j
-    return cmath.exp(log_gamma(z) - log_gamma(w))
-
-
 def recurrence_blocks(a, s, e, x0, n_max, rows):
     """Rows x_0..x_{n_max} of the forward three-term recurrence
 
@@ -159,13 +125,6 @@ def recurrence_blocks(a, s, e, x0, n_max, rows):
         yield n0, block
 
 
-def recurrence_columns(a, s, e, x0, n_max):
-    """The whole table x[n, j], n = 0..n_max, of recurrence_blocks: its
-    one-block case."""
-    ((_, x),) = recurrence_blocks(a, s, e, x0, n_max, n_max + 1)
-    return x
-
-
 def two_factor_columns(alpha, beta):
     """(a, s, e, x0) of recurrence_blocks whose columns are the Taylor
     coefficients of (1+ix)^alpha (1-ix)^beta (see taylor_two_factor)."""
@@ -190,7 +149,8 @@ def taylor_two_factor(alpha, beta, n_max):
     if alpha.shape != beta.shape or alpha.ndim > 1:
         raise DomainError("taylor_two_factor: alpha and beta must be scalars "
                           "or equal-length 1-D arrays")
-    a = recurrence_columns(*two_factor_columns(alpha, beta), n_max)
+    ((_, a),) = recurrence_blocks(*two_factor_columns(alpha, beta), n_max,
+                                  n_max + 1)
     return a[:, 0] if alpha.ndim == 0 else a
 
 

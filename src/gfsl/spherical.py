@@ -2,12 +2,13 @@
 
 Builds the tridiagonal generator matrices on the circle-mode basis, the
 two branch-transform coefficient tables with their diagonal gauges, the
-dual (inverse-transform) rows, the per-coefficient intertwining audits,
-the threshold coalescence data with its 2x2 Jordan model, the correlation
-expansion and the flat-vs-spectral trace identity.
+dual (inverse-transform) rows, the per-coefficient intertwining audit,
+the threshold coalescence data, the correlation expansion and the
+flat-vs-spectral trace identity.
 
 One kernel builds every table: a recurrence over the stacked columns of
-one or several tables, scaled, checked and audited block by block of rows.
+one or several tables, scaled and checked block by block of rows, which
+the intertwining sweep audits as they come.
 
 Conventions.  The spectral parameter is lam with mu = lam^2 + 1/4 and
 b_pm = -1/2 +- i lam; the complementary regime is the substitution
@@ -170,18 +171,6 @@ def gauge_log(p, branch, n_max):
     return logs
 
 
-@dataclass
-class CoeffTable:
-    """Branch-transform coefficients s[n, k+K] with their gauge, plus dual rows."""
-
-    branch: str
-    n_max: int
-    k_max: int
-    s: np.ndarray
-    gauge_log: np.ndarray
-    dual: np.ndarray | None = None
-
-
 def block_rows(n_cols):
     """Rows per block when n_cols columns (over all tables) are stacked."""
     return max(1, BLOCK_ELEMENTS // n_cols)
@@ -261,9 +250,9 @@ class _TableSpec:
     """One table as a recurrence: entry [n, k+K] is pre[n] * x[n, k+K] *
     phase[k+K], x the rows of recurrence_blocks(*columns)."""
 
-    def __init__(self, name, columns, pre, phase, glog):
-        self.name, self.columns, self.pre = name, columns, pre
-        self.phase, self.glog = phase, glog
+    def __init__(self, name, columns, pre, phase):
+        self.name, self.columns = name, columns
+        self.pre, self.phase = pre, phase
 
 
 def _table_spec(p, N, K, branch, dual=False):
@@ -288,7 +277,7 @@ def _table_spec(p, N, K, branch, dual=False):
             columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
             pre = parity * np.exp(half_lf - glog)
         elif dual:
-            raise DomainError(f"dual_coeffs: unsupported branch {branch}")
+            raise DomainError(f"dual rows: unsupported branch {branch}")
         elif branch == BRANCH_PLUS:
             name, sign = "plus-branch", +1
             columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
@@ -298,14 +287,15 @@ def _table_spec(p, N, K, branch, dual=False):
             columns = _moment_columns(p.lam, K, renormalized=True)
             pre = parity * np.exp(glog - half_lf)
         elif p.lam == 0:
-            raise PoleError("coeffs_minus: raw branch has a pole at lam = 0; "
-                            "use renormalized=True")
+            raise PoleError(f"{_table_name('minus-branch', p, N, K)}: raw "
+                            "branch has a pole at lam = 0; use "
+                            f"{BRANCH_MINUS_RENORMALIZED}")
         else:
             name, sign = "minus-branch", -1
             columns = _moment_columns(p.lam, K)
             pre = np.exp(glog - half_lf)
     return _TableSpec(_table_name(name, p, N, K), columns, pre,
-                      _phases(K, sign), glog)
+                      _phases(K, sign))
 
 
 def _first_non_finite(values, n0):
@@ -358,51 +348,24 @@ def _table_blocks(specs, rows):
         yield (n0 - 1, n0, win[:r + 1]) if n0 else (0, 0, new)
 
 
-def _whole_table(spec):
-    """Entries [n, k+K] of one table: the one-table, one-block case of
-    _table_blocks."""
+def coeff_table(p, N, K, branch, dual=False):
+    """Entries [n, k+K] of one branch table (plus, minus or
+    minus_renormalized; see _table_spec), or with dual=True the dual rows
+    v[n, k] = <psi_k | T_branch^{-1} e_n> of the plus or minus branch.
+
+    For real lam the dual rows are the conjugates of the weak dual
+    coefficients u[n,k] = <e_n | (T^{-1})^dagger psi_k>; written
+    analytically in lam they remain valid verbatim in the complementary
+    regime.  The table is the one-table, one-block case of _table_blocks.
+    """
+    spec = _table_spec(p, N, K, branch, dual)
     ((_, _, win),) = _table_blocks([spec], spec.pre.size)
     return win[:, 0, :]
 
 
-def coeffs_plus(p, N, K):
-    """Plus-branch table s+[n,k] = t_n^+ sqrt(n!) phase_k [x^n] two-factor."""
-    spec = _table_spec(p, N, K, BRANCH_PLUS)
-    return CoeffTable(BRANCH_PLUS, N, K, _whole_table(spec), spec.glog)
-
-
-def coeffs_minus(p, N, K, renormalized=False):
-    """Minus-branch table; renormalized applies the parity-rho rescaling.
-
-    Raw mode has a Gamma pole at lam = 0; renormalized mode is finite there
-    and coalesces entrywise with the plus branch.
-    """
-    branch = BRANCH_MINUS_RENORMALIZED if renormalized else BRANCH_MINUS
-    spec = _table_spec(p, N, K, branch)
-    return CoeffTable(branch, N, K, _whole_table(spec), spec.glog)
-
-
-def dual_coeffs(p, N, K, branch):
-    """Dual rows v[n,k] = <psi_k | T_branch^{-1} e_n> (inverse-gauge weighting).
-
-    For real lam these are the conjugates of the weak dual coefficients
-    u[n,k] = <e_n | (T^{-1})^dagger psi_k>; written analytically in lam they
-    remain valid verbatim in the complementary regime.
-    """
-    return _whole_table(_table_spec(p, N, K, branch, dual=True))
-
-
-def full_table(p, N, K, branch):
-    """Coefficient table of the plus or (raw) minus branch with dual rows."""
-    build = coeffs_plus if branch == BRANCH_PLUS else coeffs_minus
-    tab = build(p, N, K)
-    tab.dual = dual_coeffs(p, N, K, branch)
-    return tab
-
-
 def _stack_relations(per_table):
-    """The relations {name: (op, coef, shift)} of ladder_residual, one per
-    table, stacked as _audit takes them: {name: (diag, sup, sub, coef,
+    """The relations {name: (op, coef, shift)} of _ladder_relations, one
+    per table, stacked as _audit takes them: {name: (diag, sup, sub, coef,
     shift)}, the operator's interior bands [table, column] and coef[n,
     table]."""
     return {
@@ -416,7 +379,7 @@ def _stack_relations(per_table):
 
 def _audit(windows, relations, names, rows, n_cols):
     """Worst residuals of stacked ladder relations (_stack_relations) over
-    stacked tables: the one audit loop, for one table or a whole sweep.
+    stacked tables: the audit loop of intertwine_sweep.
 
     windows yields (w0, n0, win) as _table_blocks does, win holding at
     most rows + 1 rows; every row pair (n, n + shift) inside win that
@@ -462,29 +425,8 @@ def _audit(windows, relations, names, rows, n_cols):
     return worst
 
 
-def ladder_residual(table, relations, name):
-    """Max relative residual of ladder identities on one table.
-
-    relations maps a name to (op, coef, shift) and states, for every row n
-    with 0 <= n + shift < len(table),
-        coef[n] * table[n + shift, k] = sum_j O_{jk} table[n, j]
-    on the interior columns k, with O the KBandedOperator op.  Each row
-    scores max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) and the
-    relation reports its worst row; a non-finite score raises
-    AccuracyError naming the table (`name`) and the rows.  This is the
-    one-table case of the stacked audit, block_rows rows at a time.
-    """
-    n_rows, n_cols = table.shape
-    rows = block_rows(n_cols)
-    windows = ((max(n0 - 1, 0), n0, table[max(n0 - 1, 0):n0 + rows, None])
-               for n0 in range(0, n_rows, rows))
-    worst = _audit(windows, _stack_relations([relations]), [name], rows,
-                   n_cols)
-    return {rel: float(w[0]) for rel, w in worst.items()}
-
-
 def _ladder_relations(p, branch, N, ops):
-    """The X / U / S relations of one branch table, for ladder_residual.
+    """The X / U / S relations of one branch table, for intertwine_sweep.
 
     The model actions are
         X:  (-n + b) s_{n,k}
@@ -510,21 +452,21 @@ def _ladder_relations(p, branch, N, ops):
     }
 
 
-def intertwine_residual(p, table, ops):
-    """Max relative residual of the X / U / S intertwining identities of
-    one table (see _ladder_relations), on interior indices only."""
-    N, K = table.n_max, table.k_max
-    if ops["X"].k_max != K:
-        raise DomainError("intertwine_residual: table and operators disagree in K")
-    return ladder_residual(table.s, _ladder_relations(p, table.branch, N, ops),
-                           _table_name(table.branch, p, N, K))
-
-
 def intertwine_sweep(tables, N, K):
-    """intertwine_residual of each (p, branch) table of `tables`, bit for
-    bit, with the tables built and audited together: no whole table is
-    held.  Every table is set up before any recurrence runs, so a raw
-    minus table at lam = 0 raises its PoleError first."""
+    """Max relative residual of the X / U / S intertwining identities of
+    each (p, branch) table of `tables`, one {relation: residual} per table.
+
+    Relation (op, coef, shift) of _ladder_relations states, for every row
+    n with 0 <= n + shift <= N,
+        coef[n] * table[n + shift, k] = sum_j O_{jk} table[n, j]
+    on the interior columns k, with O the KBandedOperator op.  Each row
+    scores max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) and the
+    relation reports its worst row; a non-finite score raises
+    AccuracyError naming the table and the rows.  The tables are built and
+    audited together, block_rows rows at a time: no whole table is held.
+    Every table is set up before any recurrence runs, so a raw minus table
+    at lam = 0 raises its PoleError first.
+    """
     specs = [_table_spec(p, N, K, branch) for p, branch in tables]
     relations = _stack_relations(
         [_ladder_relations(p, branch, N, build_k_matrices(p, K))
@@ -584,8 +526,8 @@ def threshold_tables(N, K, h=1e-4):
     s_tab = s_plus
     # double-precision pipelines should tell the same story
     p0 = SpectralParam.threshold()
-    sp = coeffs_plus(p0, N, K).s
-    sm = coeffs_minus(p0, N, K, renormalized=True).s
+    sp = coeff_table(p0, N, K, BRANCH_PLUS)
+    sm = coeff_table(p0, N, K, BRANCH_MINUS_RENORMALIZED)
     float_gap = float(np.max(np.abs(sp - sm)))
     if float_gap > 1e-9 * scale:
         raise ConsistencyError(
@@ -593,8 +535,8 @@ def threshold_tables(N, K, h=1e-4):
 
     def divided(hh):
         pp = SpectralParam.principal(hh)
-        a = coeffs_plus(pp, N, K).s
-        bren = coeffs_minus(pp, N, K, renormalized=True).s
+        a = coeff_table(pp, N, K, BRANCH_PLUS)
+        bren = coeff_table(pp, N, K, BRANCH_MINUS_RENORMALIZED)
         return (a - bren) / (2j * hh)
 
     d_coarse = divided(h)
@@ -611,29 +553,6 @@ def threshold_tables(N, K, h=1e-4):
         "richardson_error": err,
         "float_gap": float_gap,
     }
-
-
-@dataclass
-class JordanBlockModel:
-    """Size-2 Jordan ladder at the threshold: eigenvalues z_n = -n - 1/2."""
-
-    n_max: int
-
-    @property
-    def l_diag(self):
-        return -(np.arange(self.n_max + 1) + 0.5)
-
-
-def jordan_semigroup(model, tau):
-    """Per-n blocks of exp(tau J): [[e, tau e], [0, e]], e = exp(tau z_n)."""
-    if tau < 0:
-        raise DomainError("jordan_semigroup: tau must be >= 0")
-    e = np.exp(tau * model.l_diag)
-    out = np.zeros((model.n_max + 1, 2, 2))
-    out[:, 0, 0] = e
-    out[:, 1, 1] = e
-    out[:, 0, 1] = tau * e
-    return out
 
 
 @dataclass
@@ -655,13 +574,15 @@ def correlation(p, k_out, k_in, tau, N):
     if p.regime == THRESHOLD:
         raise DomainError("correlation: defined for principal/complementary only")
     K = max(abs(k_out), abs(k_in))
-    tp = full_table(p, N, K, BRANCH_PLUS)
-    tm = full_table(p, N, K, BRANCH_MINUS)
+    sp = coeff_table(p, N, K, BRANCH_PLUS)
+    vp = coeff_table(p, N, K, BRANCH_PLUS, dual=True)
+    sm = coeff_table(p, N, K, BRANCH_MINUS)
+    vm = coeff_table(p, N, K, BRANCH_MINUS, dual=True)
     n = np.arange(N + 1)
     ep = np.exp(tau * (-n - 0.5 + 1j * p.lam))
     em = np.exp(tau * (-n - 0.5 - 1j * p.lam))
-    prod_p = tp.dual[:, k_out + K] * tp.s[:, k_in + K]
-    prod_m = tm.dual[:, k_out + K] * tm.s[:, k_in + K]
+    prod_p = vp[:, k_out + K] * sp[:, k_in + K]
+    prod_m = vm[:, k_out + K] * sm[:, k_in + K]
     value = complex(np.sum(ep * prod_p) + np.sum(em * prod_m))
     power = abs(k_in) + abs(k_out) - 1
     last = slice(max(0, N - 4), N + 1)

@@ -3,7 +3,7 @@
 Each oracle follows a different computational route from the library code
 it checks: arbitrary-precision special functions (mpmath), brute-force
 series products, adaptive quadrature, characteristics ODE integration, and
-dense matrix exponentials.  The row-at-a-time intertwining audits, the
+dense matrix exponentials.  The row-at-a-time intertwining audit, the
 scalar global-trace loop, the whole-array conical quadrature and the
 uncached wave residual are the exception: they are the references the
 blocked library audit, the vectorized global trace, the block-wise
@@ -27,9 +27,7 @@ from scipy.linalg import expm
 
 from gfsl.discrete import rr_multiplicity
 from gfsl.errors import AccuracyError, DomainError
-from gfsl.global_traces import sqrt_shifted
 from gfsl.specfun import legendre_conical
-from gfsl.spherical import KBandedOperator
 
 mp.mp.dps = 30
 
@@ -196,34 +194,22 @@ def _row_loop_audit(rows, relations):
     return res
 
 
-def intertwine_residual_rows(p, table, ops):
-    """Row-loop reference for spherical.intertwine_residual."""
-    plus = table.branch == "plus"
+def intertwine_residual_rows(p, table, branch, ops):
+    """Row-loop reference for one table of spherical.intertwine_sweep:
+    `table` is spherical.coeff_table(p, N, K, branch), ops the
+    build_k_matrices(p, K) operators."""
+    plus = branch == "plus"
     b = p.b_plus if plus else p.b_minus
     usign = -1.0 if plus else 1.0
     ssign = 1.0 if plus else -1.0
-    if table.branch == "minus_renormalized":
+    if branch == "minus_renormalized":
         usign, ssign = -usign, -ssign
-    return _row_loop_audit(table.s, {
+    return _row_loop_audit(table, {
         "X": (ops["X"], lambda n: -n + b, 0),
         "U": (ops["U"],
               lambda n: usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b), -1),
         "S": (ops["S"],
               lambda n: ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1), 1),
-    })
-
-
-def intertwine_residual_ds_rows(l, table, ops):
-    """Row-loop reference for discrete.intertwine_residual_ds."""
-    npl, nmi, th = ops["Nplus"], ops["Nminus"], ops["Theta"]
-    u_op = KBandedOperator(0, table.k_max, -0.5j * th.diag,
-                           -0.5j * npl.sup, 0.5j * nmi.sub)
-    s_op = KBandedOperator(0, table.k_max, 0.5j * th.diag,
-                           -0.5j * npl.sup, 0.5j * nmi.sub)
-    return _row_loop_audit(table.forward, {
-        "X": (ops["X"], lambda n: -(n + l / 2.0), 0),
-        "U": (u_op, lambda n: math.sqrt(n) * math.sqrt(n - 1 + l), -1),
-        "S": (s_op, lambda n: -math.sqrt(n + l) * math.sqrt(n + 1), 1),
     })
 
 
@@ -233,7 +219,9 @@ def global_trace_loop(spec, t, q_max=200):
     x = math.exp(-t)
     sph = 0.0
     for mu, d in spec.entries:
-        r = sqrt_shifted(mu)
+        # sqrt(mu - 1/4), with i sqrt(1/4 - mu) below the threshold
+        r = (complex(math.sqrt(mu - 0.25)) if mu >= 0.25
+             else 1j * math.sqrt(0.25 - mu))
         sph += d * (cmath.cos(t * r)).real
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * sph
     ds = 0.0

@@ -25,17 +25,12 @@ def _report(num, text):
 
 def test_criterion_01_spherical_intertwining():
     t0 = time.monotonic()
-    worst = 0.0
     params = [spherical.SpectralParam.principal(lam) for lam in (0.3, 1.0, 5.0)]
     params += [spherical.SpectralParam.complementary(nu)
                for nu in (0.1, 0.3, 0.49)]
-    for p in params:
-        ops = spherical.build_k_matrices(p, 8)
-        for branch in ("plus", "minus"):
-            tab = (spherical.coeffs_plus(p, 40, 8) if branch == "plus"
-                   else spherical.coeffs_minus(p, 40, 8))
-            res = spherical.intertwine_residual(p, tab, ops)
-            worst = max(worst, *res.values())
+    tables = [(p, branch) for p in params for branch in ("plus", "minus")]
+    worst = max(max(res.values())
+                for res in spherical.intertwine_sweep(tables, 40, 8))
     elapsed = time.monotonic() - t0
     assert worst < 1e-9
     assert elapsed < 10.0
@@ -85,8 +80,8 @@ def test_criterion_03_threshold_coalescence():
     # the double-precision branch pipelines tell the same story on the
     # scale of the entries (which reach ~1e7 at n = 30, |k| = 6)
     p0 = spherical.SpectralParam.threshold()
-    sp = spherical.coeffs_plus(p0, 30, 6).s
-    sm = spherical.coeffs_minus(p0, 30, 6, renormalized=True).s
+    sp = spherical.coeff_table(p0, 30, 6, "plus")
+    sm = spherical.coeff_table(p0, 30, 6, "minus_renormalized")
     scale = float(np.max(np.abs(sp)))
     assert tt["float_gap"] < 1e-9 * max(1.0, scale)
     assert np.max(np.abs(tt["S"] - sp)) <= 1e-12 * max(1.0, scale)
@@ -244,7 +239,7 @@ def test_criterion_12_bolza_harness():
         rep = selberg.wave_trace_pair(sub, g, laplace=[(0.0, 1)])
         discs.append(rep.discrepancy)
     assert all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
-    weyl = selberg.weyl_consistency(ls, s_grid=(0.05, 0.1, 0.2))
+    weyl = selberg.weyl_consistency(ls)
     assert weyl["ok"]
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
@@ -255,15 +250,15 @@ def test_criterion_12_bolza_harness():
 
 def test_criterion_13_growth_laws():
     p = spherical.SpectralParam.principal(1.0)
-    tabs = {"plus": spherical.coeffs_plus(p, 400, 4),
-            "minus": spherical.coeffs_minus(p, 400, 4)}
+    tabs = {name: spherical.coeff_table(p, 400, 4, name)
+            for name in ("plus", "minus")}
     worst = 0.0
     for name, tab in tabs.items():
         for k in (0, 2, 4, -2, -4):
             n = np.arange(50, 401)
             if k == 0:
                 n = n[n % 2 == 0]
-            slope = np.polyfit(np.log(n), np.log(np.abs(tab.s[n, k + 4])), 1)[0]
+            slope = np.polyfit(np.log(n), np.log(np.abs(tab[n, k + 4])), 1)[0]
             dev = abs(slope - (abs(k) - 0.5))
             assert dev < 0.1, (name, k, slope)
             worst = max(worst, dev)

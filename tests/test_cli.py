@@ -54,8 +54,9 @@ class TestSphericalCheck:
         code = run(["spherical-check", "--out", str(tmp_path),
                     "--lambda", lams, "--n", "2000", "--k", "250"])
         assert code == cli.EXIT_CONFIG
-        assert ("error: coeffs_minus: raw branch has a pole at lam = 0; "
-                "use renormalized=True") in capsys.readouterr().err
+        assert ("error: minus-branch table at lam = 0.0, N = 2000, K = 250: "
+                "raw branch has a pole at lam = 0; use minus_renormalized"
+                ) in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_overflow_stops_at_first_block(self, tmp_path, capsys,

@@ -3,28 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gfsl import discrete, spherical
+from gfsl import discrete
 from gfsl.errors import AccuracyError, DomainError
 
-from oracles import galerkin_exp_oracle, intertwine_residual_ds_rows
-
-
-class TestDiskBasis:
-    def test_lowest(self):
-        assert discrete.disk_basis(2, 0) == 1.0
-
-    def test_known_value(self):
-        # binom(4,3) = 4
-        assert abs(discrete.disk_basis(2, 3) - 2.0) < 1e-14
-
-    def test_asymptotic_slope(self):
-        # binom(l+n-1, n) grows like (1+n)^(l-1); the product of the l-1
-        # factors is centered at n + l/2, which removes the 1/n drift
-        for l in (2, 4, 6):
-            n = np.arange(50, 400)
-            vals = np.array([discrete.disk_basis(l, int(m)) ** 2 for m in n])
-            slope = np.polyfit(np.log(n + l / 2.0), np.log(vals), 1)[0]
-            assert abs(slope - (l - 1)) < 0.05
+from oracles import galerkin_exp_oracle
 
 
 class TestDiskMatrices:
@@ -50,23 +32,6 @@ class TestDiskMatrices:
     def test_odd_l_rejected(self):
         with pytest.raises(DomainError):
             discrete.build_disk_matrices(3, 5)
-
-
-class TestDiskBasisOrthonormality:
-    def test_two_dimensional_quadrature_spot_check(self):
-        # closed-form moment normalization checked once against the actual
-        # weighted area integral on the disk
-        from scipy.integrate import quad
-        l = 4
-        for j, k in ((0, 0), (2, 2), (3, 3), (1, 3)):
-            # angular integration is exact: 2 pi delta_{jk}
-            if j != k:
-                continue
-            cjk = discrete.disk_basis(l, j) * discrete.disk_basis(l, k)
-            radial, _ = quad(
-                lambda r: r ** (j + k + 1) * (1.0 - r * r) ** (l - 2), 0.0, 1.0)
-            inner = (l - 1) / math.pi * cjk * 2.0 * math.pi * radial
-            assert abs(inner - 1.0) < 1e-10
 
 
 class TestCayleyCoeffs:
@@ -101,36 +66,6 @@ class TestCayleyCoeffs:
             discrete.cayley_coeffs(2, 2000, 200)
         msg = str(info.value)
         assert "l = 2" in msg and "N = 2000" in msg and "K = 200" in msg
-
-
-class TestIntertwining:
-    @pytest.mark.parametrize("l", [2, 8])
-    def test_residuals(self, l):
-        ops = discrete.build_disk_matrices(l, 40)
-        tab = discrete.cayley_coeffs(l, 40, 40)
-        res = discrete.intertwine_residual_ds(l, tab, ops)
-        for rel, val in res.items():
-            assert val < 1e-10, (l, rel, val)
-
-    @pytest.mark.parametrize("l", [2, 8])
-    def test_blocked_audit_equals_row_loop(self, l):
-        # (40, 40) is one audit block; at K = 100 the tables end one row
-        # before, at and after a block boundary
-        b = spherical.block_rows(101)
-        for N, K in [(40, 40), (b - 1, 100), (b, 100), (b + 1, 100)]:
-            ops = discrete.build_disk_matrices(l, K)
-            tab = discrete.cayley_coeffs(l, N, K)
-            got = discrete.intertwine_residual_ds(l, tab, ops)
-            assert got == intertwine_residual_ds_rows(l, tab, ops), N
-
-    def test_non_finite_residual_names_table(self):
-        ops = discrete.build_disk_matrices(2, 6)
-        tab = discrete.cayley_coeffs(2, 20, 6)
-        tab.forward[10, 3] = np.inf
-        with pytest.raises(AccuracyError, match=(
-                r"intertwining audit: X residual of cayley forward table at "
-                r"l = 2, N = 20, K = 6 is not finite in rows 10\.\.10")):
-            discrete.intertwine_residual_ds(2, tab, ops)
 
 
 class TestCorrelation:

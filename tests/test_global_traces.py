@@ -172,50 +172,6 @@ def _assert_same_parse(path, genus=2):
     assert np.array_equal(spec.mu, mu) and np.array_equal(spec.mult, mult)
 
 
-class TestEnumerate:
-    def test_principal_pair(self):
-        rs = gt.enumerate_resonances(toy_spectrum(), 2, 2)
-        vals = {complex(z) for z, _, _ in rs.entries}
-        want = complex(-0.5, math.sqrt(7.0) / 2.0)
-        assert any(abs(z - want) < 1e-12 for z in vals)
-        assert any(abs(z - want.conjugate()) < 1e-12 for z in vals)
-
-    def test_trivial_zero(self):
-        rs = gt.enumerate_resonances(toy_spectrum(), 1, 1)
-        zero = [e for e in rs.entries if e[0] == 0]
-        assert len(zero) == 1 and zero[0][1] == 1
-
-    def test_discrete_multiplicity(self):
-        # genus 2, value -1: only (q=1, n=0) contributes, 2 m_2 = 4
-        rs = gt.enumerate_resonances(toy_spectrum(genus=2), 4, 4)
-        at1 = [e for e in rs.entries if abs(e[0] + 1.0) < 1e-12]
-        assert len(at1) == 1 and at1[0][1] == 4
-        # value -2: (q=1,n=1) and (q=2,n=0): 2 m_2 + 2 m_4 = 4 + 6
-        at2 = [e for e in rs.entries if abs(e[0] + 2.0) < 1e-12]
-        assert at2[0][1] == 10
-
-    def test_threshold_jordan(self):
-        rs = gt.enumerate_resonances(toy_spectrum([(0.25, 2)]), 2, 1)
-        jv = rs.jordan_values()
-        assert len(jv) == 3
-        assert all(abs(z - (-n - 0.5)) < 1e-12 for n, z in enumerate(sorted(
-            jv.real, reverse=True)))
-
-    def test_matches_per_irrep_models(self):
-        # one spherical mu against the spherical module ladder
-        mu = 2.0
-        rs = gt.enumerate_resonances(toy_spectrum([(mu, 1)]), 3, 1)
-        p = spherical.SpectralParam.principal(math.sqrt(mu - 0.25))
-        model = set()
-        for n in range(4):
-            zp, zm = -n - 0.5 + 1j * p.lam, -n - 0.5 - 1j * p.lam
-            model.add((round(zp.real, 12), round(zp.imag, 12)))
-            model.add((round(zm.real, 12), round(zm.imag, 12)))
-        got = {(round(z.real, 12), round(z.imag, 12))
-               for z, _, _ in rs.entries if z.real != 0 and z.imag != 0}
-        assert model == got
-
-
 class TestGlobalTrace:
     def test_worked_value(self):
         # t = ln 2, g = 2, no spherical entries: 1 + 2 + 12 = 15
@@ -289,70 +245,3 @@ class TestGlobalTrace:
             pre, post = gt.global_trace(spec, t, q_max)
             assert abs(total - pre) < 1e-10
             assert abs(total - post) < 1e-9
-
-
-class TestBlockSemigroup:
-    def test_identity_at_zero(self):
-        spec = toy_spectrum([(0.16, 1), (2.0, 1)])
-        blocks = gt.block_semigroup(spec, 0.0, 3)
-        for key, blk in blocks.items():
-            if blk.ndim == 3:
-                assert np.allclose(blk, np.eye(2))
-            else:
-                assert np.allclose(blk, 1.0)
-
-    def test_complementary_real_branches(self):
-        spec = toy_spectrum([(0.16, 1)])
-        t = 0.7
-        blk = gt.block_semigroup(spec, t, 0)[("sph", 0.16)]
-        n_factor = math.exp(-t * 0.5)
-        assert abs(blk[0, 0, 0] - n_factor * math.exp(-0.3 * t)) < 1e-14
-        assert abs(blk[0, 1, 1] - n_factor * math.exp(0.3 * t)) < 1e-14
-        assert abs(blk[0, 0, 0].imag) == 0
-
-    def test_semigroup_law(self):
-        spec = toy_spectrum([(0.16, 1), (0.25, 1), (3.0, 1)])
-        s, t = 0.4, 1.1
-        bs = gt.block_semigroup(spec, s, 4)
-        bt = gt.block_semigroup(spec, t, 4)
-        bst = gt.block_semigroup(spec, s + t, 4)
-        for key in bst:
-            a, b, c = bs[key], bt[key], bst[key]
-            if a.ndim == 3:
-                prod = np.einsum("nij,njk->nik", a, b)
-            else:
-                prod = a * b
-            assert np.max(np.abs(prod - c)) < 1e-13
-
-    def test_jordan_nilpotent_traceless(self):
-        # the threshold block contributes the same trace as a diagonal pair
-        spec = toy_spectrum([(0.25, 1)])
-        t = 0.9
-        blk = gt.block_semigroup(spec, t, 6)[("thr",)]
-        tr = np.einsum("nii->n", blk).real
-        diag = 2.0 * np.exp(-t * (np.arange(7) + 0.5))
-        assert np.max(np.abs(tr - diag)) < 1e-14
-
-
-class TestResolventBound:
-    def test_no_threshold_single_term(self):
-        rs = gt.enumerate_resonances(toy_spectrum([(2.0, 1)]), 3, 2)
-        d = float(np.min(np.abs(rs.values() - 1.0)))
-        assert abs(gt.resolvent_bound(1.0, rs) - 1.0 / d) < 1e-14
-
-    def test_threshold_double_pole(self):
-        rs = gt.enumerate_resonances(toy_spectrum([(0.25, 1)]), 3, 2)
-        eps = 1e-3
-        got = gt.resolvent_bound(-0.5 + eps, rs)
-        assert abs(got - (1.0 / eps + 1.0 / eps ** 2)) < 1e-6 / eps
-
-    def test_monotone_away_from_spectrum(self):
-        rs = gt.enumerate_resonances(toy_spectrum([(2.0, 1), (5.0, 2)]), 5, 3)
-        xs = np.linspace(0.5, 20.0, 40)
-        vals = [gt.resolvent_bound(x, rs) for x in xs]
-        assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
-    def test_in_spectrum_rejected(self):
-        rs = gt.enumerate_resonances(toy_spectrum([(2.0, 1)]), 2, 1)
-        with pytest.raises(DomainError):
-            gt.resolvent_bound(0.0, rs)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -114,40 +113,6 @@ class TestIntertwining:
            st.floats(0.3, 2.5), st.floats(-0.8, 0.8))
     def test_property_arbitrary_data(self, poly, w_re, w_im):
         self._check(osc.GaussPolyFunction(np.array(poly), complex(w_re, w_im)))
-
-
-class TestGaussianFlow:
-    def test_identity(self):
-        beta, pref = osc.gaussian_flow(0.3 + 0.1j, 0.0)
-        assert beta == 0.3 + 0.1j and pref == 1.0
-
-    def test_known_value(self):
-        _, pref = osc.gaussian_flow(math.pi / 4, math.pi / 8)
-        want = cmath.sqrt(math.sin(math.pi / 4) / math.sin(3 * math.pi / 8))
-        assert abs(pref - want) < 1e-15
-
-    def test_inverse_composition(self):
-        beta0 = 0.5 + 0.2j
-        b1, p1 = osc.gaussian_flow(beta0, 0.4)
-        b2, p2 = osc.gaussian_flow(b1, -0.4)
-        assert abs(b2 - beta0) < 1e-14
-        assert abs(p1 * p2 - 1.0) < 1e-14
-
-    def test_strip_violation(self):
-        with pytest.raises(DomainError):
-            osc.gaussian_flow(0.3, 1.5)
-        with pytest.raises(DomainError):
-            osc.gaussian_flow(-0.1 + 0.2j, 0.3)
-
-
-class TestLadderAlgebra:
-    def test_aplus_aminus_and_commutator(self):
-        a_num, a_plus, a_minus = osc.ladder_matrices(12)
-        prod = a_plus @ a_minus
-        assert np.allclose(prod, a_num, atol=1e-14)
-        comm = a_minus @ a_plus - a_plus @ a_minus
-        # identity on interior indices (truncation corrupts the last row)
-        assert np.allclose(comm[:-1, :-1], np.eye(12), atol=1e-14)
 
 
 class TestInvariants:

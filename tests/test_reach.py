@@ -1,0 +1,56 @@
+"""Every public library function and class is reached by a run or a criterion.
+
+A public top-level function or class of a library module (each
+src/gfsl/*.py but the CLI and the package) must be referenced, by a
+Name, an Attribute or an import alias, in cli.py, in another library
+module, in its own module outside its own body, or in the acceptance
+suite.  A name that only its own unit tests reach is dead code: delete
+it with them.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gfsl"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _references(tree, skip=None):
+    """Names that `tree` references outside the node `skip`."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_public_library_name_is_referenced():
+    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    library = sorted(set(trees) - {"cli", "__init__"})
+    refs = {mod: _references(trees[mod]) for mod in library}
+    outside = _references(trees["cli"]) | _references(_parse(ACCEPTANCE))
+    unreached = []
+    for mod in library:
+        reached = outside.union(*(refs[m] for m in library if m != mod))
+        for node in trees[mod].body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in reached
+                    and node.name not in _references(trees[mod], node)):
+                unreached.append(f"{mod}.{node.name}")
+    assert not unreached, (
+        "public library names that no CLI run, other library code or "
+        f"acceptance criterion references: {', '.join(unreached)}")

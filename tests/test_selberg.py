@@ -383,10 +383,9 @@ class TestWaveTracePair:
         assert all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
 
     def test_json_report_fields(self, spectrum8):
-        import json
         g = selberg.GaussianTestFn(4.0, 0.4, 1.0)
         rep = selberg.wave_trace_pair(spectrum8, g, laplace=[(0.0, 1)])
-        payload = json.loads(rep.to_json())
+        payload = rep.to_dict()
         for key in ("geometric_side", "spectral_side", "identity_term",
                     "orbit_term", "cutoff", "discrepancy"):
             assert key in payload
@@ -452,7 +451,7 @@ class TestIdentityTerm:
 
 class TestWeylConsistency:
     def test_small_s_leading_term(self, spectrum8):
-        rep = selberg.weyl_consistency(spectrum8, s_grid=(0.05, 0.1, 0.2))
+        rep = selberg.weyl_consistency(spectrum8)
         assert rep["ok"]
         for row in rep["rows"]:
             assert abs(row["ratio"] - 1.0) <= 0.15

@@ -71,35 +71,6 @@ class TestLogGamma:
                    - specfun.log_gamma(z).conjugate()) < 1e-13
 
 
-class TestGammaRatio:
-    def test_equal_arguments(self):
-        assert specfun.gamma_ratio(0.3 + 2j, 0.3 + 2j) == 1.0
-
-    def test_recurrence_exact(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            z = complex(rng.uniform(0.1, 30), rng.uniform(-30, 30))
-            assert abs(specfun.gamma_ratio(z + 1, z) - z) <= 1e-12 * abs(z)
-
-    def test_half_integer_chain(self):
-        # Gamma(5.5)/Gamma(2.5) = 4.5 * 3.5 * 2.5
-        assert abs(specfun.gamma_ratio(5.5, 2.5) - 39.375) < 1e-12 * 39.375
-
-    def test_pole_limit_rule(self):
-        # limit of Gamma(-n - 2 i lam)/Gamma(-2 i lam) as lam -> 0, n = 3
-        got = specfun.gamma_ratio(-3.0, 0.0, pole_limit=True)
-        assert abs(got - (-1.0 / 6.0)) < 1e-15
-
-    def test_pole_signals(self):
-        with pytest.raises(PoleError):
-            specfun.gamma_ratio(-2.0, 1.0)
-        assert specfun.gamma_ratio(1.5, -4.0) == 0.0
-        with pytest.raises(DomainError):
-            specfun.gamma_ratio(-2.0, -3.0)
-        with pytest.raises(DomainError):
-            specfun.gamma_ratio(-2.0, 0.7, pole_limit=True)
-
-
 class TestTaylorTwoFactor:
     def test_trivial_cases(self):
         a = specfun.taylor_two_factor(0.0, 0.0, 5)
@@ -140,6 +111,12 @@ class TestTaylorTwoFactor:
             1.0, float(np.max(np.abs(a))))
 
 
+def _whole_table(a, s, e, x0, n_max):
+    """Rows 0..n_max of recurrence_blocks: its one-block case."""
+    ((_, x),) = specfun.recurrence_blocks(a, s, e, x0, n_max, n_max + 1)
+    return x
+
+
 class TestRecurrenceColumns:
     def test_columns_equal_scalar_loop_bitwise(self):
         # the tables must not change in the last bit when columns are
@@ -150,7 +127,7 @@ class TestRecurrenceColumns:
         s = rng.uniform(-20, 20, m) + 1j * rng.uniform(-20, 20, m)
         e = np.where(np.arange(m) % 2, 0.0, 2j * rng.uniform(0, 10, m))
         x0 = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
-        table = specfun.recurrence_columns(a, s, e, x0, 80)
+        table = _whole_table(a, s, e, x0, 80)
         for j in range(m):
             want = recurrence_scalar(a[j], s[j], e[j], x0[j], 80)
             assert np.array_equal(table[:, j], want), j
@@ -165,7 +142,7 @@ class TestRecurrenceColumns:
         a, s, x0 = (rng.uniform(-20, 20, m) + 1j * rng.uniform(-20, 20, m)
                     for _ in range(3))
         e = np.where(np.arange(m) % 2, 0.0, 2j * rng.uniform(0, 10, m))
-        whole = specfun.recurrence_columns(a, s, e, x0, n_max)
+        whole = _whole_table(a, s, e, x0, n_max)
         got, starts = [], []
         for n0, block in specfun.recurrence_blocks(a, s, e, x0, n_max, rows):
             starts.append(n0)

@@ -53,7 +53,7 @@ class TestSpectralParam:
         p = spherical.SpectralParam.complementary(nu)
         with pytest.raises(DomainError, match=f"at nu = {nu!r}, K = {k_max}:"
                            " M_0 of column") as exc:
-            spherical.coeffs_minus(p, 4, k_max)
+            spherical.coeff_table(p, 4, k_max, spherical.BRANCH_MINUS)
         assert exc.value.value == p.lam
 
     def test_interlacing_complementary(self):
@@ -137,54 +137,56 @@ class TestGauge:
 
 class TestCoeffTables:
     def test_plus_origin_value(self):
-        tab = spherical.coeffs_plus(P1, 6, 3)
-        assert abs(tab.s[0, 0 + tab.k_max] - 1.0 / SQRT_PI) < 1e-14
+        tab = spherical.coeff_table(P1, 6, 3, spherical.BRANCH_PLUS)
+        assert abs(tab[0, 0 + 3] - 1.0 / SQRT_PI) < 1e-14
 
     def test_plus_decay_bound(self):
-        tab = spherical.coeffs_plus(P1, 400, 4)
+        tab = spherical.coeff_table(P1, 400, 4, spherical.BRANCH_PLUS)
         n = np.arange(1, 401)
         for k in (0, 2, 4):
-            vals = np.abs(tab.s[1:, k + 4])
+            vals = np.abs(tab[1:, k + 4])
             bound = 40.0 * (1 + n ** 2) ** ((abs(k) - 0.5) / 2.0)
             assert np.all(vals <= bound)
 
     def test_k_reflection_parity(self):
         # generating-function substitution x -> -x gives
         # s_{n,-k} = (-1)^(n+k) s_{n,k}
-        tab = spherical.coeffs_plus(P1, 12, 5)
+        tab = spherical.coeff_table(P1, 12, 5, spherical.BRANCH_PLUS)
         for k in range(1, 6):
             for n in range(13):
-                lhs = tab.s[n, -k + tab.k_max]
-                rhs = (-1.0) ** (n + k) * tab.s[n, k + tab.k_max]
+                lhs = tab[n, -k + 5]
+                rhs = (-1.0) ** (n + k) * tab[n, k + 5]
                 assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
     def test_minus_raw_parity_zeros(self):
-        tab = spherical.coeffs_minus(P1, 11, 2)
+        tab = spherical.coeff_table(P1, 11, 2, spherical.BRANCH_MINUS)
         for n in range(1, 12, 2):
-            assert abs(tab.s[n, 0 + tab.k_max]) < 1e-13
+            assert abs(tab[n, 0 + 2]) < 1e-13
 
     def test_minus_raw_pole_at_threshold(self):
         with pytest.raises(PoleError):
-            spherical.coeffs_minus(spherical.SpectralParam.threshold(), 4, 2)
+            spherical.coeff_table(spherical.SpectralParam.threshold(), 4, 2,
+                                  spherical.BRANCH_MINUS)
 
     def test_minus_vs_binomial_reference(self):
         # recurrence route against the explicit binomial/beta closed form
         for lam in (0.7, 1.0):
             p = spherical.SpectralParam.principal(lam)
-            tab = spherical.coeffs_minus(p, 25, 3)
+            tab = spherical.coeff_table(p, 25, 3, spherical.BRANCH_MINUS)
             glog = spherical.gauge_log(p, spherical.BRANCH_MINUS, 25)
             for k in (-3, 0, 2):
                 for n in (0, 1, 5, 12, 25):
                     pre = cmath.exp(glog[n] - 0.5 * math.lgamma(n + 1))
                     phase = cmath.exp(-1j * k * math.pi / 2.0) / SQRT_PI
                     want = pre * phase * i_nk_reference(lam, k, n)
-                    got = tab.s[n, k + tab.k_max]
+                    got = tab[n, k + 3]
                     assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_threshold_renormalized_equals_plus(self):
         p0 = spherical.SpectralParam.threshold()
-        sp = spherical.coeffs_plus(p0, 12, 4).s
-        sm = spherical.coeffs_minus(p0, 12, 4, renormalized=True).s
+        sp = spherical.coeff_table(p0, 12, 4, spherical.BRANCH_PLUS)
+        sm = spherical.coeff_table(p0, 12, 4,
+                                   spherical.BRANCH_MINUS_RENORMALIZED)
         assert np.max(np.abs(sp - sm)) <= 1e-12 * max(1.0, np.max(np.abs(sp)))
 
 
@@ -193,7 +195,7 @@ class TestOverflow:
         # the plus table overflows near (N, K) = (2000, 250) at lam = 5
         p = spherical.SpectralParam.principal(5.0)
         with pytest.raises(AccuracyError) as info:
-            spherical.coeffs_plus(p, 2000, 250)
+            spherical.coeff_table(p, 2000, 250, spherical.BRANCH_PLUS)
         msg = str(info.value)
         assert "plus-branch" in msg and "lam = 5.0" in msg
         assert "N = 2000" in msg and "K = 250" in msg
@@ -201,7 +203,7 @@ class TestOverflow:
 
 class TestDualCoeffs:
     def test_dual_plus_origin(self):
-        v = spherical.dual_coeffs(P1, 4, 2, spherical.BRANCH_PLUS)
+        v = spherical.coeff_table(P1, 4, 2, spherical.BRANCH_PLUS, dual=True)
         want = cmath.exp(log_beta_line(P1.b_minus, P1.b_minus)) / SQRT_PI
         assert abs(v[0, 2] - want) < 1e-13
 
@@ -209,16 +211,18 @@ class TestDualCoeffs:
         # |v_{n,k}| = O(|k|^n): log-log slope about n at fixed n
         n_fix = 2
         ks = np.arange(8, 65)
-        v = spherical.dual_coeffs(P1, n_fix, 64, spherical.BRANCH_PLUS)
+        v = spherical.coeff_table(P1, n_fix, 64, spherical.BRANCH_PLUS,
+                                  dual=True)
         vals = np.abs(v[n_fix, 64 + ks])
         slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
         assert abs(slope - n_fix) < 0.3
 
     def test_pairing_reproduces_hc_coefficients(self):
         # v+_{2m,0} s+_{2m,0} equals the Harish-Chandra coefficient W_{2m,lam}
-        tab = spherical.full_table(P1, 12, 0, spherical.BRANCH_PLUS)
+        s = spherical.coeff_table(P1, 12, 0, spherical.BRANCH_PLUS)
+        v = spherical.coeff_table(P1, 12, 0, spherical.BRANCH_PLUS, dual=True)
         for m in range(5):
-            got = tab.dual[2 * m, 0] * tab.s[2 * m, 0]
+            got = v[2 * m, 0] * s[2 * m, 0]
             want = means.hc_coefficient(m, 1.0)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -233,22 +237,25 @@ ALL_REGIMES = [
 ]
 
 
-def _branch_tables(p, N, K):
-    yield spherical.coeffs_plus(p, N, K)
-    yield spherical.coeffs_minus(p, N, K)
-    yield spherical.coeffs_minus(p, N, K, renormalized=True)
+BRANCHES = (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS,
+            spherical.BRANCH_MINUS_RENORMALIZED)
+
+
+def _per_table(tables, N, K):
+    """The row-loop audit of the oracle on each whole table."""
+    return [intertwine_residual_rows(p, spherical.coeff_table(p, N, K, branch),
+                                     branch, spherical.build_k_matrices(p, K))
+            for p, branch in tables]
 
 
 class TestIntertwining:
     @pytest.mark.parametrize("p", ALL_REGIMES)
     def test_residuals_all_regimes(self, p):
-        ops = spherical.build_k_matrices(p, 8)
-        for branch, renorm in (("plus", False), ("minus", False), ("minus", True)):
-            tab = (spherical.coeffs_plus(p, 40, 8) if branch == "plus"
-                   else spherical.coeffs_minus(p, 40, 8, renormalized=renorm))
-            res = spherical.intertwine_residual(p, tab, ops)
+        residuals = spherical.intertwine_sweep(
+            [(p, branch) for branch in BRANCHES], 40, 8)
+        for branch, res in zip(BRANCHES, residuals):
             for rel, val in res.items():
-                assert val < 1e-10, (branch, renorm, rel, val)
+                assert val < 1e-10, (branch, rel, val)
 
     @pytest.mark.parametrize("p", ALL_REGIMES)
     def test_blocked_audit_equals_row_loop(self, p):
@@ -256,40 +263,25 @@ class TestIntertwining:
         # before, at and after a block boundary
         b = spherical.block_rows(201)
         for N, K in [(40, 8), (b - 1, 100), (b, 100), (b + 1, 100)]:
-            ops = spherical.build_k_matrices(p, K)
-            for tab in _branch_tables(p, N, K):
-                got = spherical.intertwine_residual(p, tab, ops)
-                assert got == intertwine_residual_rows(p, tab, ops), \
-                    (tab.branch, N)
+            for branch in BRANCHES:
+                got = spherical.intertwine_sweep([(p, branch)], N, K)
+                assert got == _per_table([(p, branch)], N, K), (branch, N)
 
-    def test_non_finite_residual_raises(self):
-        ops = spherical.build_k_matrices(P1, 6)
-        tab = spherical.coeffs_plus(P1, 20, 6)
-        tab.s[10, 6] = np.nan
-        with pytest.raises(AccuracyError):
-            spherical.intertwine_residual(P1, tab, ops)
+    def test_non_finite_residual_raises(self, monkeypatch):
+        # a NaN that reaches the audit past the tables' finiteness check
+        blocks = spherical._table_blocks
 
-    def test_range_mismatch_rejected(self):
-        ops = spherical.build_k_matrices(P1, 6)
-        tab = spherical.coeffs_plus(P1, 10, 8)
-        with pytest.raises(DomainError):
-            spherical.intertwine_residual(P1, tab, ops)
+        def poisoned(specs, rows):
+            for w0, n0, win in blocks(specs, rows):
+                if w0 <= 10 < w0 + len(win):
+                    win[10 - w0, 0, 6] = np.nan
+                yield w0, n0, win
 
-
-def _per_table(tables, N, K):
-    """intertwine_residual of each whole table, checked against the row
-    loop of the oracle."""
-    out = []
-    for p, branch in tables:
-        tab = (spherical.coeffs_plus(p, N, K) if branch == spherical.BRANCH_PLUS
-               else spherical.coeffs_minus(
-                   p, N, K,
-                   renormalized=branch == spherical.BRANCH_MINUS_RENORMALIZED))
-        ops = spherical.build_k_matrices(p, K)
-        res = spherical.intertwine_residual(p, tab, ops)
-        assert res == intertwine_residual_rows(p, tab, ops), (branch, N, K)
-        out.append(res)
-    return out
+        monkeypatch.setattr(spherical, "_table_blocks", poisoned)
+        with pytest.raises(AccuracyError, match=(
+                r"intertwining audit: X residual of plus-branch table at "
+                r"lam = 1\.0, N = 20, K = 6 is not finite in rows 10\.\.10")):
+            spherical.intertwine_sweep([(P1, spherical.BRANCH_PLUS)], 20, 6)
 
 
 def _outcome(f, *args):
@@ -350,11 +342,8 @@ class TestSweep:
         assert [len(r) for r in rows] == [7, 7, 7, 7, 3]
         stacked = np.concatenate(rows)
         for t, (p, br) in enumerate(tables):
-            whole = (spherical.coeffs_plus(p, 30, 4)
-                     if br == spherical.BRANCH_PLUS
-                     else spherical.coeffs_minus(
-                         p, 30, 4, renormalized=br != spherical.BRANCH_MINUS))
-            assert np.array_equal(stacked[:, t], whole.s), (t, br)
+            whole = spherical.coeff_table(p, 30, 4, br)
+            assert np.array_equal(stacked[:, t], whole), (t, br)
 
     def test_raw_minus_pole_before_any_recurrence(self, monkeypatch):
         monkeypatch.setattr(spherical, "recurrence_blocks", None)
@@ -415,30 +404,12 @@ class TestThreshold:
         tt = spherical.threshold_tables(6, 2, h=1e-4)
         h = 1e-3
         p = spherical.SpectralParam.principal(h)
-        num = (spherical.coeffs_plus(p, 6, 2).s
-               - spherical.coeffs_minus(p, 6, 2, renormalized=True).s) / (2j * h)
+        num = (spherical.coeff_table(p, 6, 2, spherical.BRANCH_PLUS)
+               - spherical.coeff_table(p, 6, 2,
+                                       spherical.BRANCH_MINUS_RENORMALIZED)
+               ) / (2j * h)
         assert np.max(np.abs(num - tt["D"])) <= 1e-2 * max(
             1.0, float(np.max(np.abs(tt["D"]))))
-
-
-class TestJordan:
-    def test_known_entry(self):
-        model = spherical.JordanBlockModel(3)
-        blocks = spherical.jordan_semigroup(model, 1.0)
-        assert abs(blocks[0, 0, 1] - 0.6065306597126334) < 1e-15
-
-    def test_identity_at_zero(self):
-        blocks = spherical.jordan_semigroup(spherical.JordanBlockModel(2), 0.0)
-        for b in blocks:
-            assert np.allclose(b, np.eye(2))
-
-    def test_semigroup_law(self):
-        model = spherical.JordanBlockModel(6)
-        b1 = spherical.jordan_semigroup(model, 0.7)
-        b2 = spherical.jordan_semigroup(model, 1.9)
-        b12 = spherical.jordan_semigroup(model, 2.6)
-        prod = np.einsum("nij,njk->nik", b1, b2)
-        assert np.max(np.abs(prod - b12)) < 1e-13
 
 
 class TestCorrelation:
@@ -499,13 +470,12 @@ class TestTrace:
 class TestGrowthLaws:
     def test_branch_table_slopes(self):
         p = spherical.SpectralParam.principal(1.0)
-        tp = spherical.coeffs_plus(p, 400, 4)
-        tm = spherical.coeffs_minus(p, 400, 4)
-        for tab in (tp, tm):
+        for branch in (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS):
+            tab = spherical.coeff_table(p, 400, 4, branch)
             for k in (0, 2, 4, -2, -4):
                 n = np.arange(50, 401)
                 if k == 0:
                     n = n[n % 2 == 0]
-                vals = np.abs(tab.s[n, k + 4])
+                vals = np.abs(tab[n, k + 4])
                 slope = np.polyfit(np.log(n), np.log(vals), 1)[0]
-                assert abs(slope - (abs(k) - 0.5)) < 0.1, (tab.branch, k, slope)
+                assert abs(slope - (abs(k) - 0.5)) < 0.1, (branch, k, slope)
