@@ -7,7 +7,7 @@ Subcommands run verification suites and emit CSV/JSON reports:
     gfsl selberg          --lmax 8 [--center 5.5 --sigma 0.5]
     gfsl means            --lambda 1,2,5 --m 8
 
-Exit codes: 0 pass, 1 usage/config error, 2 verification failure,
+Exit codes: 0 pass, 1 usage or input error, 2 verification failure,
 3 resource budget exceeded.  Reports are byte-deterministic: floats are
 written with shortest round-trip repr, keys are sorted, line endings LF.
 
@@ -112,37 +112,6 @@ def _parse_int(flag, text, minimum):
     return val
 
 
-def _load_config(path):
-    import configparser
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise GfslError(f"config file not found: {path}")
-    flat = {}
-    for section in cp.sections():
-        for key, val in cp.items(section):
-            flat[key.replace("_", "-")] = val
-    for key, val in cp.defaults().items():
-        flat[key.replace("_", "-")] = val
-    return flat
-
-
-_CONFIG_ALIASES = {"lambda": "lam"}
-
-
-def _apply_config(args, flat):
-    known = {k for k in vars(args)
-             if not k.startswith("_set_") and k not in ("func", "command")}
-    for key, val in flat.items():
-        dest = _CONFIG_ALIASES.get(key, key).replace("-", "_")
-        if dest not in known:
-            raise GfslError(f"config: unknown field '{key}'")
-        if getattr(args, f"_set_{dest}", False):
-            continue  # explicit flag wins
-        setattr(args, dest, val)
-    return args
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which here means a failed
     verification; usage errors exit EXIT_CONFIG instead.  Subparsers are
@@ -153,17 +122,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-class _TrackSet(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"_set_{self.dest}", True)
-
-
 def _add_common(sub, tol=True):
-    sub.add_argument("--config", default=None, action=_TrackSet)
     if tol:
-        sub.add_argument("--tol", default="1e-9", action=_TrackSet)
-    sub.add_argument("--out", default=".", action=_TrackSet)
+        sub.add_argument("--tol", default="1e-9")
+    sub.add_argument("--out", default=".")
 
 
 def _spectral_params(flag, values, make):
@@ -402,32 +364,31 @@ def build_parser():
 
     sp = subs.add_parser("spherical-check", help="intertwining residual sweep")
     _add_common(sp)
-    sp.add_argument("--lambda", dest="lam", default="0.3,1,5", action=_TrackSet)
-    sp.add_argument("--nu", default="0.1,0.3", action=_TrackSet)
-    sp.add_argument("--n", default="40", action=_TrackSet)
-    sp.add_argument("--k", default="8", action=_TrackSet)
+    sp.add_argument("--lambda", dest="lam", default="0.3,1,5")
+    sp.add_argument("--nu", default="0.1,0.3")
+    sp.add_argument("--n", default="40")
+    sp.add_argument("--k", default="8")
     sp.set_defaults(func=cmd_spherical_check)
 
     tr = subs.add_parser("traces", help="flat-vs-spectral trace identities")
     _add_common(tr)
-    tr.add_argument("--t", default="0.5,0.6931471805599453,1,2", action=_TrackSet)
-    tr.add_argument("--genus", default="2", action=_TrackSet)
-    tr.add_argument("--laplace-file", dest="laplace_file", default=None,
-                    action=_TrackSet)
+    tr.add_argument("--t", default="0.5,0.6931471805599453,1,2")
+    tr.add_argument("--genus", default="2")
+    tr.add_argument("--laplace-file", dest="laplace_file", default=None)
     tr.set_defaults(func=cmd_traces)
 
     se = subs.add_parser("selberg", help="Bolza length spectrum + wave-trace pair")
     # the selberg gates are fixed, so it takes no --tol
     _add_common(se, tol=False)
-    se.add_argument("--lmax", default="8", action=_TrackSet)
-    se.add_argument("--center", default="5.5", action=_TrackSet)
-    se.add_argument("--sigma", default="0.5", action=_TrackSet)
+    se.add_argument("--lmax", default="8")
+    se.add_argument("--center", default="5.5")
+    se.add_argument("--sigma", default="0.5")
     se.set_defaults(func=cmd_selberg)
 
     me = subs.add_parser("means", help="Harish-Chandra convergence and wave slopes")
     _add_common(me)
-    me.add_argument("--lambda", dest="lam", default="1,2,5", action=_TrackSet)
-    me.add_argument("--m", default="8", action=_TrackSet)
+    me.add_argument("--lambda", dest="lam", default="1,2,5")
+    me.add_argument("--m", default="8")
     me.set_defaults(func=cmd_means)
     return parser
 
@@ -436,8 +397,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args, _load_config(args.config))
         return args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,7 @@ class LaplaceSpectrum:
             raise DomainError("LaplaceSpectrum: multiplicities must be >= 1")
         self.mu.flags.writeable = self.mult.flags.writeable = False
 
+    # no CLI run reads this; bench/replay.py's _eigenvalues count hook does
     @property
     def entries(self):
         return list(zip(self.mu.tolist(), self.mult.tolist()))

@@ -37,16 +37,13 @@ _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
 
 
-def is_gamma_pole(z, tol=0.0):
-    """True if z is a non-positive integer (a pole of Gamma), within tol;
+def is_gamma_pole(z):
+    """True if z is exactly a non-positive integer (a pole of Gamma);
     DomainError if z is not finite."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"Gamma argument must be finite, got {z}")
-    if abs(z.imag) > tol:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
 
 
 def _log_gamma_right(z):
@@ -183,7 +180,7 @@ def log_beta_line(alpha, beta):
 _CONICAL_BLOCK = 1 << 15
 _ODD_COS2 = {}
 
-# Default node cap of the quadrature, and the largest t it resolves: the
+# Node cap of the quadrature, and the largest t it resolves: the
 # integrand's peak at theta = pi has width ~2 e^{-t}, so past
 # ln(2^21/pi) ~ 13.41 it is narrower than the finest grid's spacing and
 # every level agrees on a wrong value (1.2e-13 at lam = 1, t = 120, where
@@ -241,7 +238,7 @@ def _exact_parts(x):
     return parts
 
 
-def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
+def legendre_conical(lam, t, tol=1e-12):
     """P_{-1/2 + i lam}(cosh t) for real lam and 0 <= t <= _CONICAL_MAX_T
     (~13.41); a larger t raises DomainError.
 
@@ -249,9 +246,8 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
     until two levels differ by at most tol * max(1, |value|), tol finite
     and > 0: relative for |P| >= 1, absolute below that.  The exact value
     is real; doubling continues until the imaginary residue is below 1e-12,
-    after which it is discarded.  max_nodes must allow two levels (>= 32)
-    so that convergence can be tested; AccuracyError if the level after
-    the last one it allows is still unconverged.
+    after which it is discarded.  AccuracyError if the level after the
+    last one _CONICAL_MAX_NODES allows is still unconverged.
 
     The nodes of level n are the even nodes of level 2n, bit for bit, so
     each doubling evaluates only its n new (odd) nodes, from the level's
@@ -272,10 +268,9 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
             f"legendre_conical: t={t} (lam={lam}) is past the quadrature's "
             f"envelope t <= {_CONICAL_MAX_T!r}, where its theta = pi peak "
             f"is narrower than the {_CONICAL_MAX_NODES}-node grid")
-    if max_nodes < 32 or not (math.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise DomainError(
-            "legendre_conical: max_nodes must be >= 32 and tol finite and > 0, "
-            f"got max_nodes={max_nodes}, tol={tol}")
+            f"legendre_conical: tol must be finite and > 0, got tol={tol}")
     if t == 0.0:
         return 1.0
     b = -0.5 + 1j * lam
@@ -291,10 +286,10 @@ def legendre_conical(lam, t, tol=1e-12, max_nodes=_CONICAL_MAX_NODES):
                 and abs(val - prev) <= tol * max(1.0, abs(val))
                 and abs(val.imag) <= 1e-12):
             break
-        if 2 * n > max_nodes:
+        if 2 * n > _CONICAL_MAX_NODES:
             raise AccuracyError(
                 f"legendre_conical: no convergence for lam={lam}, "
-                f"t={t} at tol={tol} with {max_nodes} nodes (last "
+                f"t={t} at tol={tol} with {_CONICAL_MAX_NODES} nodes (last "
                 f"change {abs(val - prev):.3g}, imaginary residue "
                 f"{abs(val.imag):.3g})", achieved=abs(val - prev))
         prev = val

@@ -9,9 +9,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from gfsl import cli, discrete, global_traces as gt, means, oscillator as osc
+from gfsl import discrete, global_traces as gt, means, oscillator as osc
 from gfsl import selberg, spherical
 from gfsl.specfun import legendre_conical
 

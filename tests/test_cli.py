@@ -133,23 +133,6 @@ class TestSphericalCheck:
             "non-finite entries in rows 4..40 (double precision overflow)\n")
         assert not list(tmp_path.iterdir())
 
-    def test_malformed_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[spherical]\nbogus_field = 3\n")
-        code = run(["spherical-check", "--out", str(tmp_path),
-                    "--config", str(cfg)])
-        assert code == cli.EXIT_CONFIG
-        assert "bogus-field" in capsys.readouterr().err
-
-    def test_config_supplies_values(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[spherical]\nn = 25\nk = 5\nlambda = 1\nnu = 0.3\n")
-        code = run(["spherical-check", "--out", str(tmp_path),
-                    "--config", str(cfg)])
-        assert code == cli.EXIT_OK
-        lines = (tmp_path / "spherical_residuals.csv").read_text().splitlines()
-        assert len(lines) == 1 + 2 * 6
-
 
 class TestTraces:
     def test_identities_pass(self, tmp_path):
@@ -412,11 +395,14 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv", [["traces", "--format", "json"],
                                       ["means", "--tau", "2"],
-                                      ["selberg", "--tol", "1e-300"]])
-    def test_removed_flags_rejected(self, argv):
+                                      ["selberg", "--tol", "1e-300"],
+                                      ["traces", "--config", "run.cfg"]])
+    def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == cli.EXIT_CONFIG
+        assert (f"gfsl: error: unrecognized arguments: {' '.join(argv[1:])}\n"
+                in capsys.readouterr().err)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -441,26 +427,6 @@ class TestUsage:
         err = capsys.readouterr().err
         assert f"{flag}: expected an integer >= {minimum}, got {value!r}" in err
         assert not [p for p in tmp_path.iterdir() if p.is_file()]
-
-    def test_bad_integer_config_value_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[spherical]\nn = forty\n")
-        code = run(["spherical-check", "--out", str(tmp_path),
-                    "--config", str(cfg)])
-        assert code == cli.EXIT_CONFIG
-        assert "--n: expected an integer >= 0, got 'forty'" in \
-            capsys.readouterr().err
-
-    @pytest.mark.parametrize("command,field", [("traces", "format"),
-                                               ("means", "tau"),
-                                               ("selberg", "tol")])
-    def test_removed_config_fields_rejected(self, tmp_path, capsys,
-                                            command, field):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[run]\n{field} = 1\n")
-        code = run([command, "--out", str(tmp_path), "--config", str(cfg)])
-        assert code == cli.EXIT_CONFIG
-        assert f"unknown field '{field}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flag,value", [
         (["traces", "--t", "1,inf"], "--t", "inf"),
@@ -499,35 +465,15 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["spherical-check", "traces", "means"])
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_non_positive_tol_rejected(self, tmp_path, capsys, command, value,
-                                       source):
+    def test_non_positive_tol_rejected(self, tmp_path, capsys, command, value):
         # --tol -1 used to run the whole sweep and fail every relation
         # (exit 2); means silently raised it to 1e-10
-        if source == "flag":
-            extra = [f"--tol={value}"]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"[run]\ntol = {value}\n")
-            extra = ["--config", str(cfg)]
         out = tmp_path / "out"
-        code = run([command, "--out", str(out)] + extra)
+        code = run([command, "--out", str(out), f"--tol={value}"])
         assert code == cli.EXIT_CONFIG
         assert (f"--tol: expected a number > 0, got {value!r}"
                 in capsys.readouterr().err)
         assert not out.exists()
-
-    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[means]\nlambda = 1,nan\n")
-        code = run(["means", "--out", str(tmp_path), "--config", str(cfg)])
-        assert code == cli.EXIT_CONFIG
-        assert "--lambda: expected a finite number" in capsys.readouterr().err
-
-    def test_missing_config_file(self, tmp_path):
-        code = run(["traces", "--out", str(tmp_path),
-                    "--config", str(tmp_path / "nope.cfg")])
-        assert code == cli.EXIT_CONFIG
 
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         from gfsl.errors import BudgetError
@@ -597,7 +543,7 @@ class TestImport:
     def test_subcommand_loads_only_its_modules(self, tmp_path, argv, gfsl):
         # a cold run compiles and runs only the library modules its
         # subcommand calls; the others stay unrun lazy handles, and
-        # fractions and configparser stay unloaded without --config
+        # fractions and configparser stay unloaded
         script = ("import json, sys, types; from gfsl import cli; "
                   f"code = cli.main({argv!r} + ['--out', sys.argv[1]]); "
                   "mods = dict(sys.modules); "

@@ -1,18 +1,21 @@
-"""Every public library function and class is reached by a run or a criterion.
+"""Every public library function and class is reached by a run or a
+criterion, and every imported name is used.
 
 A public top-level function or class of a library module (each
 src/gfsl/*.py but the CLI and the package) must be referenced, by a
 Name, an Attribute or an import alias, in cli.py, in another library
 module, in its own module outside its own body, or in the acceptance
 suite.  A name that only its own unit tests reach is dead code: delete
-it with them.
+it with them.  A name that a module under src/gfsl/ or tests/ imports
+must be referenced, as a Name, somewhere in that module.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfsl"
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+TESTS = Path(__file__).resolve().parent
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 
 def _parse(path):
@@ -54,3 +57,25 @@ def test_every_public_library_name_is_referenced():
     assert not unreached, (
         "public library names that no CLI run, other library code or "
         f"acceptance criterion references: {', '.join(unreached)}")
+
+
+def _unused_imports(tree):
+    """Names that `tree` binds by an import and never reads as a Name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a
+                name = alias.asname or alias.name.partition(".")[0]
+                bound.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = [f"{path.parent.name}/{path.name}:{line}: {name}"
+              for path in paths
+              for line, name in _unused_imports(_parse(path))]
+    assert not unused, f"imported names never used: {', '.join(unused)}"

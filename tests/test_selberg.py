@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfsl import selberg
-from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
-                         DomainError)
+from gfsl.errors import AccuracyError, BudgetError, ConstructionError
 
 from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle,
                      identity_term_mp, length_spectrum_one, psl_key_one)
@@ -97,9 +96,10 @@ class TestLengthSpectrum:
         assert iterates == [(p, mult) for p, mult, m, _ in spectrum8.orbits()
                             if m > 1]
 
-    def test_budget_error(self, bolza):
+    def test_budget_error(self, bolza, monkeypatch):
+        monkeypatch.setattr(selberg, "_ELEMENT_BUDGET", 100)
         with pytest.raises(BudgetError) as exc_info:
-            selberg.length_spectrum(bolza, 8.0, element_budget=100)
+            selberg.length_spectrum(bolza, 8.0)
         assert len(exc_info.value.partial) > 100
 
     def test_class_key_stability(self, bolza):
@@ -365,6 +365,8 @@ class TestWaveTracePair:
         assert abs(rep.geometric_side - rep.identity_term) < 1e-20
         want = (g.fourier(0.5j) + g.fourier(-0.5j)).real
         assert abs(rep.spectral_side - want) < 1e-12
+        assert type(rep.spectral_side) is float
+        assert type(rep.discrepancy) is float
 
     def test_leakage_reported(self, spectrum8):
         g = selberg.GaussianTestFn(7.5, 0.4, 1.0)
