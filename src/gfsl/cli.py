@@ -128,9 +128,9 @@ def _add_common(sub, tol=True):
     sub.add_argument("--out", default=".")
 
 
-def _spectral_params(flag, values, make):
-    """(value, make(value)) for each value of a --lambda or --nu list; the
-    library's DomainError gains the flag's name."""
+def _per_value(flag, values, make):
+    """(value, make(value)) for each value of a flag's list (--lambda,
+    --nu, --t); the library's DomainError gains the flag's name."""
     try:
         return [(val, make(val)) for val in values]
     except DomainError as exc:
@@ -143,9 +143,9 @@ def cmd_spherical_check(args):
     nus = _parse_floats("--nu", args.nu)
     n_ord = _parse_int("--n", args.n, 0)
     k_ord = _parse_int("--k", args.k, 2)
-    params = [("principal", lam, p) for lam, p in _spectral_params(
+    params = [("principal", lam, p) for lam, p in _per_value(
         "--lambda", lams, spherical.SpectralParam.principal)]
-    params += [("complementary", nu, p) for nu, p in _spectral_params(
+    params += [("complementary", nu, p) for nu, p in _per_value(
         "--nu", nus, spherical.SpectralParam.complementary)]
     if not params:
         raise GfslError("--lambda and --nu: expected at least one number")
@@ -187,29 +187,27 @@ def cmd_traces(args):
         spec = global_traces.LaplaceSpectrum.from_csv(args.laplace_file, genus)
     else:
         spec = global_traces.LaplaceSpectrum([], [], genus)
-    entries = []
-    for t in ts:
+
+    def identities(t):
         tr = spherical.trace_spherical(spherical.SpectralParam.threshold(), t)
-        entries.append({
-            "identity": "spherical_flat_vs_spectral", "t": t, "lambda": 0.0,
-            "lhs": tr["flat"],
-            "rhs": tr["spectral_partial"][-1] + tr["tail_exact"][-1],
-        })
         td = discrete.trace_ds(2, t)
-        entries.append({
-            "identity": "discrete_flat_vs_spectral", "t": t, "l": 2,
-            "lhs": td["flat"],
-            "rhs": td["spectral_partial"][-1] + td["tail_exact"][-1],
-        })
         pre, post = global_traces.global_trace(spec, t)
-        entries.append({"identity": "pre_rr_vs_post_rr", "t": t,
-                        "genus": genus, "lhs": pre, "rhs": post})
         th = selberg.tanh_transform(t)
-        entries.append({
-            "identity": "tanh_fourier", "t": t,
-            "lhs": th["pole_sum"], "rhs": th["closed_form"],
-            "tail_bound": th["tail_bound"],
-        })
+        return [
+            {"identity": "spherical_flat_vs_spectral", "t": t, "lambda": 0.0,
+             "lhs": tr["flat"],
+             "rhs": tr["spectral_partial"][-1] + tr["tail_exact"][-1]},
+            {"identity": "discrete_flat_vs_spectral", "t": t, "l": 2,
+             "lhs": td["flat"],
+             "rhs": td["spectral_partial"][-1] + td["tail_exact"][-1]},
+            {"identity": "pre_rr_vs_post_rr", "t": t, "genus": genus,
+             "lhs": pre, "rhs": post},
+            {"identity": "tanh_fourier", "t": t, "lhs": th["pole_sum"],
+             "rhs": th["closed_form"], "tail_bound": th["tail_bound"]},
+        ]
+
+    entries = [e for _, rows in _per_value("--t", ts, identities)
+               for e in rows]
     ok = True
     for e in entries:
         e["abs_err"] = abs(e["lhs"] - e["rhs"])

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
-from .specfun import (is_gamma_pole, log_beta_line, log_gamma,
-                      recurrence_blocks, two_factor_columns)
+from .specfun import (is_gamma_pole, log_beta_line, recurrence_blocks,
+                      two_factor_columns)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -179,29 +179,26 @@ def block_rows(n_cols):
 def _moment_seeds(lam, K, renormalized=False):
     """M_0 of each moment column |k| <= K; every moment seed is made here.
 
-    Raw: the beta line integral, one log_beta_line per column; a seed that
-    is zero in double precision raises DomainError carrying lam.
-    Renormalized: rho(lam) M_0 = Gamma(1/2 - i lam)^2 /
-    (Gamma(1/2-i lam-k) Gamma(1/2-i lam+k)), finite for all real lam.
+    M_0 is even in k and M_0(k+1) / M_0(k) = (a-k-1) / (a+k), a = -b =
+    1/2 - i lam (DLMF 5.5.1): one product from M_0(0), raw the beta line
+    integral exp(log_beta_line(b, b)), renormalized rho(lam) M_0(0) = 1.
+    A zero seed (Gamma(-b-k) or Gamma(-b+k) on a pole, tested per column;
+    a zero factor a-k-1 is column k+1's pole) raises DomainError with lam.
     """
-    ks = range(-K, K + 1)
-    if renormalized:
-        lhalf = log_gamma(0.5 - 1j * lam)
-        return [cmath.exp(2.0 * lhalf - log_gamma(0.5 - 1j * lam - k)
-                          - log_gamma(0.5 - 1j * lam + k)) for k in ks]
     b = -0.5 + 1j * lam
-    seeds = []
-    for k in ks:
-        try:
-            seeds.append(cmath.exp(log_beta_line(b + k, b - k)))
-        except DomainError:
+    for k in range(-K, K + 1):
+        if is_gamma_pole(-(b + k)) or is_gamma_pole(-(b - k)):
             raise DomainError(
                 f"moment seeds at {_param_label(lam)}, K = {K}: M_0 of column "
                 f"k = {k} is zero, as b + k or b - k (b = -1/2 + i lam) rounds "
                 "onto an integer >= 0 in double precision; b must lie further "
                 f"than about {math.ulp(K) / 2.0:.2g} from an integer",
-                lam) from None
-    return seeds
+                lam)
+    j = np.arange(K)
+    half = np.cumprod(np.concatenate((
+        [1.0 if renormalized else cmath.exp(log_beta_line(b, b))],
+        (-b - (j + 1.0)) / (-b + j))))
+    return np.concatenate((half[:0:-1], half))
 
 
 def _moment_columns(lam, K, renormalized=False):

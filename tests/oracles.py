@@ -167,6 +167,20 @@ def i_nk_reference(lam, k, n):
     return complex(pref * total)
 
 
+def moment_seeds_mp(lam, K, renormalized=False):
+    """M_0 of each moment column |k| <= K at 40 digits, each column from
+    its own Gamma values: pi 2^(2b+2) Gamma(-2b-1) / (Gamma(-b-k)
+    Gamma(-b+k)) with b = -1/2 + i lam, or renormalized Gamma(-b)^2 /
+    (Gamma(-b-k) Gamma(-b+k)).  lam may be complex: i nu, or -lam for the
+    dual rows."""
+    with mp.workdps(40):
+        b = mp.mpf(-0.5) + mp.mpc(0, 1) * mp.mpc(lam)
+        top = (mp.gamma(-b) ** 2 if renormalized
+               else mp.pi * mp.mpf(2) ** (2 * b + 2) * mp.gamma(-2 * b - 1))
+        return np.array([complex(top / (mp.gamma(-b - k) * mp.gamma(-b + k)))
+                         for k in range(-K, K + 1)])
+
+
 def _banded_row(op, row):
     """Interior column action of a tridiagonal KBandedOperator on one row."""
     return (op.diag[1:-1] * row[1:-1] + op.sup[1:-1] * row[2:]

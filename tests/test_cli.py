@@ -122,6 +122,16 @@ class TestSphericalCheck:
             cli.cmd_spherical_check(cli.build_parser().parse_args(
                 ["spherical-check", "--lambda", "", "--nu", ""] + argv))
 
+    def test_large_lambda_minus_rows_pass(self, tmp_path):
+        # per-column log-Gamma seeds left minus:S at 2.0e-4 here (exit 2)
+        code = run(["spherical-check", "--out", str(tmp_path),
+                    "--lambda", "1e6"])
+        assert code == cli.EXIT_OK
+        rows = [line.split(",") for line in (
+            tmp_path / "spherical_residuals.csv").read_text().splitlines()[1:]]
+        minus = [float(r[3]) for r in rows if r[2].startswith("minus:")]
+        assert len(minus) == 9 and max(minus) < 1e-9
+
     def test_huge_lambda_overflows_without_warning(self, tmp_path, capsys):
         # the prefactors overflow to inf quietly; the sweep names the table
         # and rows (pytest turns any numpy warning into an error)
@@ -161,9 +171,10 @@ class TestTraces:
 
     @pytest.mark.parametrize("t,message", [
         # 1 - e^{-t} rounds to 0 (once a ZeroDivisionError traceback)
-        ("1e-300", "trace_spherical: 1 - e^-t rounds to 0 at t=1e-300"),
+        ("1e-300", "--t: trace_spherical: 1 - e^-t rounds to 0 at "
+                   "t=1e-300"),
         # (once an OverflowError traceback)
-        ("800", "tanh_transform: sinh(t/2)^2 overflows at t=800.0; "
+        ("800", "--t: tanh_transform: sinh(t/2)^2 overflows at t=800.0; "
                 "t must stay below about 711.17")], ids=["tiny", "overflow"])
     def test_t_out_of_range_is_typed(self, tmp_path, capsys, t, message):
         code = run(["traces", "--out", str(tmp_path), "--t", t])

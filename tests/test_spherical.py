@@ -12,7 +12,7 @@ from gfsl.errors import (AccuracyError, ConsistencyError, DomainError,
 from gfsl.specfun import legendre_conical, log_beta_line
 
 from oracles import (characteristics_correlation, i_nk_reference,
-                     intertwine_residual_rows)
+                     intertwine_residual_rows, moment_seeds_mp)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -65,6 +65,28 @@ class TestSpectralParam:
         want = [z[0, 1], z[0, 0], z[1, 1], z[1, 0], z[2, 1], z[2, 0]]
         assert np.allclose(flat[:6], want)
         assert all(a > b for a, b in zip(flat, flat[1:]))
+
+
+class TestMomentSeeds:
+    @pytest.mark.parametrize("K", [8, 100, 150])
+    @pytest.mark.parametrize("p", [
+        *map(spherical.SpectralParam.principal, (0.3, 2.0, 20.0)),
+        *map(spherical.SpectralParam.complementary, (0.1, 0.46, 0.499))],
+        ids=["lam0.3", "lam2", "lam20", "nu0.1", "nu0.46", "nu0.499"])
+    def test_seeds_match_mpmath(self, p, K):
+        # raw seeds, the plus-branch dual rows' seeds (at -lam) and, for
+        # real lam, the renormalized seeds; per-column log-Gamma seeds
+        # were off by 9.8e-12 in the column ratio at nu = 0.499, K = 100
+        cases = [(p.lam, False), (-p.lam, False)]
+        if p.regime == spherical.PRINCIPAL:
+            cases.append((p.lam, True))
+        for lam, renormalized in cases:
+            got = np.asarray(spherical._moment_seeds(lam, K, renormalized))
+            want = moment_seeds_mp(lam, K, renormalized)
+            assert abs(got[K] - want[K]) <= 1e-12 * abs(want[K])
+            ratio = want / want[K]
+            err = np.max(np.abs(got / got[K] - ratio) / np.abs(ratio))
+            assert err <= 1e-13, (lam, renormalized, err)
 
 
 class TestKMatrices:
@@ -266,6 +288,19 @@ class TestIntertwining:
             for branch in BRANCHES:
                 got = spherical.intertwine_sweep([(p, branch)], N, K)
                 assert got == _per_table([(p, branch)], N, K), (branch, N)
+
+    @settings(max_examples=20)
+    @given(p=st.one_of(
+        st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
+        st.floats(1e-7, 0.4999).map(spherical.SpectralParam.complementary)),
+        N=st.integers(0, 2000), K=st.integers(2, 150))
+    def test_residuals_within_gate_over_envelope(self, p, N, K):
+        # plus and raw minus tables, as spherical-check builds them
+        residuals = spherical.intertwine_sweep(
+            [(p, spherical.BRANCH_PLUS), (p, spherical.BRANCH_MINUS)], N, K)
+        for res in residuals:
+            for rel, val in res.items():
+                assert val < 1e-9, (p.lam, N, K, rel, val)
 
     def test_non_finite_residual_raises(self, monkeypatch):
         # a NaN that reaches the audit past the tables' finiteness check
