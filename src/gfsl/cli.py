@@ -312,17 +312,14 @@ def cmd_means(args):
     lams = _parse_floats("--lambda", args.lam)
     if not lams:
         raise GfslError("--lambda: expected at least one number")
-    t_max = specfun._CONICAL_MAX_T
-    for lam in lams:
-        # wave_residual's last time: grid top + quarter period + step h
-        if not (lam > 0.0 and 6.0 + math.pi / (2.0 * lam) + 1e-3 <= t_max):
-            raise GfslError(
-                "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + 1e-3 "
-                f"<= {t_max!r}, the quadrature's envelope (lambda "
-                f">= about 0.212), got {lam!r}")
+    _per_value("--lambda", lams, means.check_lambda)
     m_top = _parse_int("--m", args.m, 0)
+    if m_top > means.HC_M_MAX:
+        raise GfslError(f"--m: expected an integer <= {means.HC_M_MAX}, past "
+                        f"which e^(-2 m t) at t = {means.HC_T} underflows to "
+                        f"0, got {args.m!r}")
     conv = []
-    t = 3.0
+    t = means.HC_T
     for lam in lams:
         target = specfun.legendre_conical(lam, t)
         for m in range(m_top + 1):

@@ -6,8 +6,9 @@ log-Gamma, a three-term recurrence that advances any number of stacked
 columns together and yields its rows block by block (the Taylor
 coefficients of (1+ix)^a (1-ix)^b and the moment tables of the branch
 transforms, one table or a whole sweep of them at once), the logarithm
-of the regularized line integral of the same two-factor function, and
-the conical Legendre function by periodic-trapezoid quadrature.
+of the regularized line integral of the same two-factor function, the
+periodic-trapezoid levels of a function on the circle, and the conical
+Legendre function by that quadrature.
 """
 
 import cmath
@@ -171,20 +172,17 @@ def log_beta_line(alpha, beta):
             - log_gamma(-alpha) - log_gamma(-beta))
 
 
-# Nodes per block of the quadrature: no temporary array exceeds 512 KiB
-# however far the node count doubles.  The persistent half-angle tables,
-# _half_cos2(n, 1) per level n, depend on the grid alone, so each is
-# built once per process, read-only, and shared by every call (_odd_cos2).
-# They hold n/2 floats per level n: about 2 MiB for the levels up to
-# 2^18, 16 MiB up to the 2^21 cap.
-_CONICAL_BLOCK = 1 << 15
+_CONICAL_TOL = 1e-12
+
+# Read-only half-angle tables, _half_cos2(n, 1) per level n, built once per
+# process and shared by every quadrature (_odd_cos2): n/2 floats per
+# level n, 16 MiB for all the levels up to the 2^21 cap.
 _ODD_COS2 = {}
 
-# Node cap of the quadrature, and the largest t it resolves: the
-# integrand's peak at theta = pi has width ~2 e^{-t}, so past
-# ln(2^21/pi) ~ 13.41 it is narrower than the finest grid's spacing and
-# every level agrees on a wrong value (1.2e-13 at lam = 1, t = 120, where
-# P ~ e^{-60}).
+# Node cap of the trapezoid levels, and the largest t legendre_conical
+# resolves: past ln(2^21/pi) ~ 13.41 its width-2e^{-t} peak at theta = pi
+# is narrower than the finest grid's spacing, and every level agrees on a
+# wrong value (1.2e-13 at lam = 1, t = 120, where P ~ e^{-60}).
 _CONICAL_MAX_NODES = 1 << 21
 _CONICAL_MAX_T = math.log(_CONICAL_MAX_NODES / math.pi)
 
@@ -205,58 +203,47 @@ def _odd_cos2(n):
 
 def _conical_nodes(b, t, cos2):
     """(cosh t + sinh t cos theta)^b at the nodes whose cos(theta/2)^2 is
-    cos2."""
-    # cosh t + sinh t cos(theta), grouped to avoid the cancellation at
-    # theta = pi that would cost a factor e^{2t} in precision
+    cos2, grouped to avoid the cancellation at theta = pi that would cost
+    a factor e^{2t} in precision."""
     base = math.exp(-t) + 2.0 * math.sinh(t) * cos2
     return np.exp(b * np.log(base))
 
 
-def _exact_parts(x):
-    """A few floats whose exact sum is the exact sum of the 1-D array x.
-
-    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
-    2008): with 2^m >= n + 2, max|x| < 2^e and sigma = 2^(m+e), every
-    q = (sigma + x) - sigma is a multiple of ulp(sigma)/2 and |sum q| <
-    sigma, so np.sum(q) is exact in any order and x - q is exact.  Each
-    pass strips at least 52 - m bits; two or three passes finish a block
-    of quadrature nodes.  A block holding inf or nan, or one so large
-    that sigma would overflow, goes to math.fsum whole, which keeps its
-    inf, nan and ValueError behaviour.
+def trapezoid_levels(values_at):
+    """Yield (mean, nodes) per periodic-trapezoid level n = 16, 32, ...,
+    _CONICAL_MAX_NODES, where nodes = values_at(cos(theta_k/2)^2) at
+    theta_k = 2 pi k / n.  Level n is the even nodes of level 2n bit for
+    bit, so each doubling evaluates only its odd nodes (from _odd_cos2),
+    interleaved into the previous array.  The mean is np.mean below 2^14
+    nodes and the exactly rounded sum (math.fsum) over n from there on:
+    plain summation wanders at eps times the largest node.
     """
-    m = (x.size + 1).bit_length()
-    top = float(np.max(np.abs(x), initial=0.0))
-    if not top < math.ldexp(1.0, 1023 - m):
-        return [math.fsum(x.tolist())]
-    parts = []
-    while top > 0.0:
-        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
-        q = (sigma + x) - sigma
-        parts.append(float(np.sum(q)))
-        x = x - q
-        top = float(np.max(np.abs(x)))
-    return parts
+    n = 16
+    nodes = values_at(_half_cos2(n, 0))
+    while True:
+        if n < 1 << 14:
+            mean = complex(np.mean(nodes))
+        else:
+            mean = complex(math.fsum(nodes.real) / n,
+                           math.fsum(nodes.imag) / n)
+        yield mean, nodes
+        if 2 * n > _CONICAL_MAX_NODES:
+            return
+        n *= 2
+        new = np.empty(n, dtype=nodes.dtype)
+        new[0::2] = nodes
+        new[1::2] = values_at(_odd_cos2(n))
+        nodes = new
 
 
-def legendre_conical(lam, t, tol=1e-12):
+def legendre_conical(lam, t):
     """P_{-1/2 + i lam}(cosh t) for real lam and 0 <= t <= _CONICAL_MAX_T
     (~13.41); a larger t raises DomainError.
 
-    Periodic-trapezoid quadrature of the circle integral with node doubling
-    until two levels differ by at most tol * max(1, |value|), tol finite
-    and > 0: relative for |P| >= 1, absolute below that.  The exact value
-    is real; doubling continues until the imaginary residue is below 1e-12,
-    after which it is discarded.  AccuracyError if the level after the
-    last one _CONICAL_MAX_NODES allows is still unconverged.
-
-    The nodes of level n are the even nodes of level 2n, bit for bit, so
-    each doubling evaluates only its n new (odd) nodes, from the level's
-    cos(theta/2)^2 table (_odd_cos2).  Below 2^14 nodes they are
-    interleaved into the previous level's array and averaged by np.mean.
-    From 2^14 nodes on the real and imaginary sums are kept as exact parts
-    (_exact_parts), block by block, and one math.fsum over all parts
-    gives the exactly rounded mean: plain summation wanders at
-    the level of eps * e^{t/2}, above tight tolerances once t is large.
+    Periodic-trapezoid quadrature of the circle integral, doubling until
+    two levels differ by at most _CONICAL_TOL * max(1, |value|) and the
+    imaginary residue (the exact value is real) is at most 1e-12;
+    AccuracyError if _CONICAL_MAX_NODES nodes do not get there.
     """
     if not (math.isfinite(lam) and math.isfinite(t)):
         raise DomainError(
@@ -268,47 +255,19 @@ def legendre_conical(lam, t, tol=1e-12):
             f"legendre_conical: t={t} (lam={lam}) is past the quadrature's "
             f"envelope t <= {_CONICAL_MAX_T!r}, where its theta = pi peak "
             f"is narrower than the {_CONICAL_MAX_NODES}-node grid")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(
-            f"legendre_conical: tol must be finite and > 0, got tol={tol}")
     if t == 0.0:
         return 1.0
     b = -0.5 + 1j * lam
-    n = 16
-    nodes = _conical_nodes(b, t, _half_cos2(n, 0))
-    re = im = prev = None
-    while True:
-        if re is None:
-            val = complex(np.mean(nodes))
-        else:
-            val = complex(math.fsum(re) / n, math.fsum(im) / n)
-        if (prev is not None
-                and abs(val - prev) <= tol * max(1.0, abs(val))
-                and abs(val.imag) <= 1e-12):
-            break
-        if 2 * n > _CONICAL_MAX_NODES:
-            raise AccuracyError(
-                f"legendre_conical: no convergence for lam={lam}, "
-                f"t={t} at tol={tol} with {_CONICAL_MAX_NODES} nodes (last "
-                f"change {abs(val - prev):.3g}, imaginary residue "
-                f"{abs(val.imag):.3g})", achieved=abs(val - prev))
+    prev = change = None
+    for val, _ in trapezoid_levels(lambda cos2: _conical_nodes(b, t, cos2)):
+        if prev is not None:
+            change = abs(val - prev)
+            if (change <= _CONICAL_TOL * max(1.0, abs(val))
+                    and abs(val.imag) <= 1e-12):
+                return val.real
         prev = val
-        n *= 2
-        if re is None:
-            # the new level's array holds the same values in the same order
-            # as a whole-level evaluation, so np.mean sums it identically
-            new = np.empty(n, dtype=complex)
-            new[0::2] = nodes
-            new[1::2] = _conical_nodes(b, t, _odd_cos2(n))
-            nodes = new
-            if n >= 1 << 14:
-                re, im = _exact_parts(nodes.real), _exact_parts(nodes.imag)
-                nodes = None
-        else:
-            cos2 = _odd_cos2(n)
-            for lo in range(0, cos2.size, _CONICAL_BLOCK):
-                odd = _conical_nodes(b, t, cos2[lo:lo + _CONICAL_BLOCK])
-                re += _exact_parts(odd.real)
-                im += _exact_parts(odd.imag)
-    return val.real
-
+    raise AccuracyError(
+        f"legendre_conical: no convergence for lam={lam}, t={t} at "
+        f"tol={_CONICAL_TOL} with {_CONICAL_MAX_NODES} nodes (last change "
+        f"{change:.3g}, imaginary residue {abs(prev.imag):.3g})",
+        achieved=change)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfsl import cli, global_traces, means, selberg, specfun, spherical
 
@@ -346,28 +352,55 @@ class TestMeans:
     @pytest.mark.parametrize("lam,message", [
         # the quarter-period shift pi/(2 lam) of wave_residual would
         # overflow 2 sinh t; the --lambda envelope rejects it up front
-        ("1e-4", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + "
-                 "1e-3 <= 13.41136090590945, the quadrature's envelope "
-                 "(lambda >= about 0.212), got 0.0001"),
-        ("1e6", "legendre_conical: no convergence for lam=1000000.0, t=3.0 "
-                "at tol=1e-12 with 2097152 nodes (last change "),
+        ("1e-4", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) <= "
+                 "13.41 and lambda <= 1000.0, the wave residual's envelope "
+                 "(0.21198330995882544 <= lambda <= 1000.0), got 0.0001"),
+        # it used to fail late, in legendre_conical at t = 3
+        ("1e6", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) <= "
+                "13.41 and lambda <= 1000.0, the wave residual's envelope "
+                "(0.21198330995882544 <= lambda <= 1000.0), got 1000000.0"),
         # it used to write slope -0.026 from wrong quadratures and exit 2
-        ("0.01", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) + "
-                 "1e-3 <= 13.41136090590945, the quadrature's envelope "
-                 "(lambda >= about 0.212), got 0.01")],
+        ("0.01", "--lambda: expected numbers > 0 with 6 + pi/(2 lambda) <= "
+                 "13.41 and lambda <= 1000.0, the wave residual's envelope "
+                 "(0.21198330995882544 <= lambda <= 1000.0), got 0.01")],
         ids=["overflow", "unconverged", "envelope"])
     def test_quadrature_failure_fails_loudly(self, tmp_path, capsys, lam,
                                              message):
         code = run(["means", "--out", str(tmp_path), "--lambda", lam])
         assert code == cli.EXIT_CONFIG
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("lam", ["0.212", "0.25", "100", "1000"])
+    def test_envelope_passes(self, tmp_path, lam):
+        # these exited 1 late (0.212, 0.25) or 2 on the slope (100, 1000)
+        # before the residual came from exact t-derivatives
+        code = run(["means", "--out", str(tmp_path), "--lambda", lam])
+        assert code == cli.EXIT_OK
+
+    def test_m_bound_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # --m 100000 used to run past 20 s, every row from m = 125 on a
+        # copy of the one before
+        monkeypatch.setattr(specfun, "legendre_conical", None)
+        monkeypatch.setattr(means, "hc_partial_sum", None)
+        code = run(["means", "--out", str(tmp_path), "--m", "125"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --m: expected an integer <= 124, past which e^(-2 m t) "
+            "at t = 3.0 underflows to 0, got '125'\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_m_bound_accepted(self, tmp_path):
+        code = run(["means", "--out", str(tmp_path), "--lambda", "2",
+                    "--m", "124"])
+        assert code == cli.EXIT_OK
+        rows = (tmp_path / "hc_convergence.csv").read_text().splitlines()
+        assert rows[-1].split(",")[2] == "124"
 
     @pytest.mark.parametrize("lams,bad", [
         ("-1", "-1.0"), ("0", "0.0"), ("1e-300", "1e-300"),
         ("1e-9", "1e-09"), ("5e-324", "5e-324"),
-        # 6 + pi/(2 lam) + 1e-3 is 13.4139 here, just past 13.4114
+        # 6 + pi/(2 lam) is 13.4129 here, just past 13.41
         ("0.2119", "0.2119"),
         # a bad value anywhere in the list stops the run before any work
         ("2,0.01", "0.01")])
@@ -383,11 +416,10 @@ class TestMeans:
         assert not list(tmp_path.iterdir())
 
     def test_lambda_envelope_edge_accepted(self, monkeypatch):
-        # the smallest lambda whose last wave time is inside the envelope
-        # passes the check and reaches the quadrature
-        lam = math.pi / (2.0 * (specfun._CONICAL_MAX_T - 6.0 - 1e-3))
-        lam = math.nextafter(lam, math.inf)
-        assert 6.0 + math.pi / (2.0 * lam) + 1e-3 <= specfun._CONICAL_MAX_T
+        # the smallest lambda in the envelope passes the check and reaches
+        # the quadrature
+        lam = means.LAMBDA_MIN
+        assert 6.0 + math.pi / (2.0 * lam) <= means.WAVE_MAX_T
 
         def stop(*args, **kwargs):
             raise cli.GfslError("reached the quadrature")
@@ -396,6 +428,64 @@ class TestMeans:
         with pytest.raises(cli.GfslError, match="reached the quadrature"):
             cli.cmd_means(cli.build_parser().parse_args(
                 ["means", "--lambda", repr(lam)]))
+
+
+# Values of the means flags, valid and not: each end of the --lambda
+# envelope and the value just past it, zero, the smallest subnormal,
+# huge, negative and non-finite numbers.
+MEANS_LAMBDAS = (
+    ["2", repr(means.LAMBDA_MIN), repr(means.LAMBDA_MAX)],
+    ["0", "5e-324", "-5e-324", "-1", "1e308", "nan", "inf", "-inf",
+     repr(math.nextafter(means.LAMBDA_MIN, 0.0)),
+     repr(math.nextafter(means.LAMBDA_MAX, math.inf))])
+MEANS_MS = (["0", "3", str(means.HC_M_MAX)],
+            [str(means.HC_M_MAX + 1), "-1", "1e308", "nan", "2.5"])
+MEANS_TOLS = (["1e-9", "5e-324", "1e308"], ["0", "-1", "nan", "inf"])
+
+
+def _valid_or_not(values):
+    valid, invalid = values
+    return st.sampled_from(valid) | st.sampled_from(invalid)
+
+
+def _means_flag_at_fault(lams, m, tol):
+    """The flag cmd_means rejects first, or None if all are valid."""
+    tol_val = float(tol)
+    if not (math.isfinite(tol_val) and tol_val > 0.0):
+        return "--tol"
+    if not all(means.LAMBDA_MIN <= float(x) <= means.LAMBDA_MAX for x in lams):
+        return "--lambda"
+    if not (m.isdigit() and int(m) <= means.HC_M_MAX):
+        return "--m"
+    return None
+
+
+class TestMeansFuzz:
+    @settings(max_examples=60)
+    @given(st.lists(_valid_or_not(MEANS_LAMBDAS), min_size=1, max_size=2),
+           _valid_or_not(MEANS_MS), _valid_or_not(MEANS_TOLS))
+    def test_flags(self, lams, m, tol):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.main(["means", f"--lambda={','.join(lams)}",
+                             f"--m={m}", f"--tol={tol}", "--out", out])
+            written = sorted(os.listdir(out))
+        text = err.getvalue()
+        assert not caught
+        assert "Traceback" not in text and "Warning" not in text
+        flag = _means_flag_at_fault(lams, m, tol)
+        if flag is None:
+            assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+            assert written == ["hc_convergence.csv", "wave_slopes.csv"]
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert text.startswith(f"error: {flag}: ")
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert written == []
 
 
 class TestUsage:
@@ -585,7 +675,7 @@ class TestImport:
             "if n.split('.')[0] == 'gfsl']; "
             "from gfsl import means, specfun; "
             "assert means in mods and specfun in mods; "
-            "calls = []; raw = specfun.legendre_conical\n"
+            "calls = []; raw = specfun.trapezoid_levels\n"
             "def counted(*a, **kw):\n"
             "    calls.append(a); return raw(*a, **kw)\n"
             "for m in mods:\n"
@@ -595,9 +685,9 @@ class TestImport:
             "'--out', sys.argv[1]]); print(len(calls))")
         proc = _python(["-c", script, str(tmp_path)], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        # the count when gfsl.cli imported every library module eagerly:
-        # the CLI's own target and phi(0), and 54 from the wave fit
-        assert int(proc.stdout.split()[-1]) == 56
+        # one quadrature for the CLI's legendre_conical target at t = 3
+        # (phi(0) needs none), and 18 from the wave fit in means
+        assert int(proc.stdout.split()[-1]) == 19
 
     def test_module_entry_point_warns_nothing(self, tmp_path):
         proc = _python(["-W", "error::RuntimeWarning", "-m", "gfsl.cli",

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfsl import means
-from gfsl.errors import DomainError, PoleError
+from gfsl import means, specfun
+from gfsl.errors import AccuracyError, DomainError, PoleError
 from gfsl.specfun import legendre_conical, log_gamma
 
-from oracles import hc_residual_analytic, wave_residual_uncached
+from oracles import _hc_w, hc_residual_analytic
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -34,12 +36,30 @@ class TestHcCoefficient:
         with pytest.raises(PoleError):
             means.hc_coefficient(0, 0.0)
 
+    @settings(max_examples=60)
+    @given(st.integers(0, means.HC_M_MAX),
+           st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
+    def test_matches_gamma_ratio_over_envelope(self, m, lam):
+        # the Gamma-ratio formula at 30 digits; the error grows with lam,
+        # measured up to 1.7e-12 at lam = 977, m = 20
+        want = _hc_w(m, lam)
+        assert abs(means.hc_coefficient(m, lam) - want) <= 1e-11 * abs(want)
+
 
 class TestHcPartialSum:
     def test_matches_legendre(self):
         got = means.hc_partial_sum(1.0, 3.0, 8)
         want = legendre_conical(1.0, 3.0)
         assert abs(got - want) < 1e-10
+
+    def test_orders_past_the_bound_repeat(self):
+        # e^{-2 m t} at HC_T is still subnormal (1e-323) at HC_M_MAX and
+        # 0.0 one order later, whose partial sum repeats the one before
+        assert math.exp(-2.0 * means.HC_M_MAX * means.HC_T) > 0.0
+        assert math.exp(-2.0 * (means.HC_M_MAX + 1) * means.HC_T) == 0.0
+        for lam in (means.LAMBDA_MIN, 2.0):
+            assert (means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX + 1)
+                    == means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX))
 
     def test_m_zero_term_algebra(self):
         lam, t = 1.3, 2.0
@@ -87,34 +107,36 @@ class TestWaveResidual:
         assert fit.slope > -0.5
 
     def test_matches_termwise_derivative_oracle(self):
-        lam = 2.0
-        h = 1e-3
-        fit = means.wave_residual(lam, t_grid=[2.0, 3.0, 4.0], h=h)
-        for t, r_fd in zip(fit.t_grid, fit.residuals):
-            r_exact = hc_residual_analytic(lam, t)
-            # centered second difference carries an O(h^2 E'''') error
-            assert abs(r_fd - r_exact) < 5e-3 * max(1.0, abs(r_exact))
+        # the quadrature of the exact t-derivatives against the resonance
+        # expansion differentiated term by term; measured worst 2.3e-13,
+        # at lam = 12, t = 6
+        for lam in (0.3, 2.0, 12.0):
+            fit = means.wave_residual(lam)
+            for t, r in zip(means.WAVE_T, fit.residuals):
+                assert abs(r - hc_residual_analytic(lam, t)) < 3e-13
 
-    @pytest.mark.parametrize("lam", [0.5979, 2.0, 12.875992])
-    def test_each_t_evaluated_once(self, monkeypatch, lam):
-        # 9 grid points and their quarter shifts, each with t - h, t, t + h
-        calls = []
-
-        def counting(lam_, t, tol=1e-12):
-            calls.append(float(t))
-            return legendre_conical(lam_, t, tol=tol)
-
-        monkeypatch.setattr(means, "legendre_conical", counting)
+    @pytest.mark.parametrize("lam", [means.LAMBDA_MIN, means.LAMBDA_MAX])
+    def test_slope_at_envelope_ends(self, lam):
         fit = means.wave_residual(lam)
-        assert len(calls) == 54 and len(set(calls)) == 54
-        slope, residuals, floor_limited = wave_residual_uncached(lam)
-        assert fit.slope == slope
-        assert np.array_equal(fit.residuals, residuals)
-        assert fit.floor_limited == floor_limited
+        assert not fit.floor_limited
+        assert abs(fit.slope + 2.0) < 0.1
 
-    def test_grid_domain(self):
-        with pytest.raises(DomainError):
-            means.wave_residual(1.0, t_grid=[1.0, 2.0])
+    @pytest.mark.parametrize("lam", [
+        math.nextafter(means.LAMBDA_MIN, 0.0),
+        math.nextafter(means.LAMBDA_MAX, math.inf), 0.0, -2.0, math.nan])
+    def test_outside_envelope_rejected(self, monkeypatch, lam):
+        monkeypatch.setattr(means, "trapezoid_levels", None)
+        with pytest.raises(DomainError, match="the wave residual's envelope"
+                           ) as exc:
+            means.wave_residual(lam)
+        assert exc.value.value is lam
+
+    def test_no_convergence_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CONICAL_MAX_NODES", 64)
+        with pytest.raises(AccuracyError, match="wave_residual: no "
+                           "convergence for lam=2.0, t=2.0") as exc:
+            means.wave_residual(2.0)
+        assert exc.value.achieved > 0.0
 
 
 class TestWSymbol:

@@ -1,13 +1,13 @@
 import cmath
 import math
-import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfsl import cli, specfun
+from gfsl import cli, means, specfun
 from gfsl.errors import AccuracyError, DomainError, PoleError
 
 from oracles import (beta_line_quad, cauchy_two_factor,
@@ -215,31 +215,42 @@ class TestLegendreConical:
         with pytest.raises(DomainError, match="finite"):
             specfun.legendre_conical(lam, t)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
-    def test_bad_tol_rejected_before_quadrature(self, monkeypatch, tol):
-        # a nan tol used to double to the 2^21-node cap, then raise
-        # AccuracyError
-        monkeypatch.setattr(specfun, "_conical_nodes", None)
-        with pytest.raises(DomainError, match=re.escape(
-                "legendre_conical: tol must be finite and > 0, got "
-                f"tol={tol}") + "$"):
-            specfun.legendre_conical(1.0, 3.0, tol=tol)
-
     def test_blocks_match_whole_array_exactly(self, monkeypatch):
         for lam, t, tol in CONICAL_CASES:
-            assert (specfun.legendre_conical(lam, t, tol=tol)
+            monkeypatch.setattr(specfun, "_CONICAL_TOL", tol)
+            assert (specfun.legendre_conical(lam, t)
                     == legendre_conical_whole(lam, t, tol=tol))
         # capped node counts, on either side of the exact-sum threshold and
         # between two levels; those that stop short raise with the change
         # between the last two levels
         for lam, t, tol in [(0.5979, 8.63, 1e-14), (1.0, 2.0, 1e-12),
                             (13.0, 9.0, 1e-13), (0.58, 7.0, 1e-14)]:
+            monkeypatch.setattr(specfun, "_CONICAL_TOL", tol)
             for max_nodes in (32, 64, 100, 1 << 14, 3 << 14, 1 << 15, 1 << 17):
                 monkeypatch.setattr(specfun, "_CONICAL_MAX_NODES", max_nodes)
-                assert (_conical_outcome(specfun.legendre_conical, lam, t,
-                                         tol=tol)
+                assert (_conical_outcome(specfun.legendre_conical, lam, t)
                         == _conical_outcome(legendre_conical_whole, lam, t,
                                             tol=tol, max_nodes=max_nodes))
+
+    @pytest.mark.parametrize("lam,t,value", [
+        (500.0, 3.0, "-0x1.207c7da34f430p-7"),
+        (1000.0, 3.0, "-0x1.1767e5083608ep-8"),
+        (0.58, 8.71, "-0x1.957ace0fd98c1p-7"),
+        (1.0, 10.0, "-0x1.d640e78644754p-8")])
+    def test_exactly_rounded_levels_pinned(self, lam, t, value):
+        # the levels from 2^14 nodes on are exactly rounded sums, so these
+        # bits, taken from an earlier block-wise exact summation, hold for
+        # any summation that rounds exactly
+        assert specfun.legendre_conical(lam, t).hex() == value
+
+    @settings(max_examples=40)
+    @given(st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
+    def test_matches_mpmath_over_means_envelope(self, lam):
+        # at t = HC_T, where `gfsl means` compares the resonance expansion
+        # with the quadrature; measured worst 5.4e-15, at lam = 1000
+        want = mpmath.legenp(mpmath.mpc(-0.5, lam), 0,
+                             mpmath.cosh(means.HC_T), type=3)
+        assert abs(specfun.legendre_conical(lam, means.HC_T) - want) < 1e-13
 
     def test_cold_and_warm_tables_agree_exactly(self, monkeypatch):
         # cold: every level's half-angle table is built inside the call;
@@ -247,18 +258,23 @@ class TestLegendreConical:
         cold = []
         for lam, t, tol in CONICAL_CASES:
             monkeypatch.setattr(specfun, "_ODD_COS2", {})
-            cold.append(specfun.legendre_conical(lam, t, tol=tol))
+            monkeypatch.setattr(specfun, "_CONICAL_TOL", tol)
+            cold.append(specfun.legendre_conical(lam, t))
         monkeypatch.setattr(specfun, "_ODD_COS2", {})
+        monkeypatch.setattr(specfun, "_CONICAL_TOL", 1e-14)
         for lam, t in ((0.57, 8.8), (2.5, 1.0), (7.0, 4.0)):
-            specfun.legendre_conical(lam, t, tol=1e-14)
+            specfun.legendre_conical(lam, t)
         assert max(specfun._ODD_COS2) == 1 << 18
-        warm = [specfun.legendre_conical(lam, t, tol=tol)
-                for lam, t, tol in CONICAL_CASES]
+        warm = []
+        for lam, t, tol in CONICAL_CASES:
+            monkeypatch.setattr(specfun, "_CONICAL_TOL", tol)
+            warm.append(specfun.legendre_conical(lam, t))
         assert warm == cold
 
     def test_tables_read_only(self, monkeypatch):
         monkeypatch.setattr(specfun, "_ODD_COS2", {})
-        specfun.legendre_conical(0.5979, 8.63, tol=1e-14)
+        monkeypatch.setattr(specfun, "_CONICAL_TOL", 1e-14)
+        specfun.legendre_conical(0.5979, 8.63)
         assert sorted(specfun._ODD_COS2) == [1 << j for j in range(5, 19)]
         for n, table in specfun._ODD_COS2.items():
             assert table.size == n // 2 and not table.flags.writeable
@@ -297,9 +313,9 @@ class TestLegendreConical:
             return out
 
         monkeypatch.setattr(specfun, "_conical_nodes", counting)
-        specfun.legendre_conical(lam, t, tol=tol)
+        monkeypatch.setattr(specfun, "_CONICAL_TOL", tol)
+        specfun.legendre_conical(lam, t)
         assert sum(sizes) == final
-        assert max(sizes) <= specfun._CONICAL_BLOCK
 
     def test_overflowing_t_rejected(self, monkeypatch):
         # the quadrature's base reaches 2 sinh t, which overflows just
@@ -348,10 +364,8 @@ class TestLegendreConical:
 
 
 # legendre_conical cases: (0.575, 8.73) and (12.9, 6.8) double to 2^18
-# and 2^16 nodes, whose new nodes span four blocks and one; (1, 2),
-# (3, 5.5) and (-1.3, 4) stay below the exact-sum threshold.  The means
-# hot path: t = 8.63 doubles to 2^18 nodes, t = 6 stops at the first
-# exact level, 2^14
+# and 2^16 nodes, past the first exactly rounded level, 2^14, where
+# t = 6 stops; (1, 2), (3, 5.5) and (-1.3, 4) stay below it
 CONICAL_CASES = [(1.0, 2.0, 1e-12), (3.0, 5.5, 1e-13),
                  (0.575379, 8.731020259333233, 1e-14),
                  (12.875992, 6.8, 1e-14), (-1.3, 4.0, 1e-12)] + [
@@ -368,77 +382,3 @@ def _conical_outcome(f, *args, **kwargs):
         return ("AccuracyError", exc.achieved)
 
 
-def _fsum_outcome(values):
-    """repr of math.fsum over the values, or the ValueError raised."""
-    try:
-        return repr(math.fsum(values()))
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-@st.composite
-def float_blocks(draw):
-    n = draw(st.integers(1, 1 << 15))
-    kind = draw(st.sampled_from(["mixed", "wide", "subnormal", "near_top",
-                                 "cancel", "zeros"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    sign = rng.choice([-1.0, 1.0], n)
-    m = (n + 1).bit_length()
-    if kind == "mixed":
-        x = sign * np.exp(rng.uniform(-10.0, 10.0, n))
-    elif kind == "wide":
-        x = np.ldexp(sign * rng.uniform(0.5, 1.0, n), rng.integers(-600, 600, n))
-    elif kind == "subnormal":
-        # subnormals, with a few of the smallest normals mixed in
-        x = sign * rng.integers(0, 1 << 52, n) * 2.0 ** -1074
-        x[rng.random(n) < 0.05] *= 4.0
-    elif kind == "near_top":
-        # just below 2^(1023-m), where sigma reaches 2^1023; every other
-        # draw puts one value at 2^(1023-m), which takes the fsum fallback
-        x = sign * rng.uniform(0.5, 1.0, n) * 2.0 ** (1022 - m)
-        x[: draw(st.integers(0, 1))] = 2.0 ** (1023 - m)
-    elif kind == "cancel":
-        half = np.exp(rng.uniform(-10.0, 10.0, (n + 1) // 2))
-        x = np.concatenate([half, -half])[:n]
-        x[::7] += rng.uniform(-1e-300, 1e-300, x[::7].size)
-        rng.shuffle(x)
-    else:
-        x = sign * 0.0
-    return x
-
-
-class TestExactParts:
-    @settings(max_examples=80, deadline=None)
-    @given(float_blocks())
-    def test_sum_of_parts_is_fsum(self, x):
-        parts = specfun._exact_parts(x)
-        assert repr(math.fsum(parts)) == repr(math.fsum(x.tolist()))
-        # each pass strips 52 - m bits of the 2098 between 2^1024 and 2^-1074
-        assert len(parts) <= 2 + 2098 // (52 - (x.size + 1).bit_length())
-
-    def test_strided_view(self):
-        # the quadrature passes the real and imaginary views of a complex block
-        rng = np.random.default_rng(4)
-        z = np.exp(rng.uniform(-9, 9, 5000) + 1j * rng.uniform(-4, 4, 5000))
-        for x in (z.real, z.imag):
-            assert math.fsum(specfun._exact_parts(x)) == math.fsum(x.tolist())
-
-    def test_empty_block(self):
-        assert specfun._exact_parts(np.zeros(0)) == []
-
-    @pytest.mark.parametrize("specials", [
-        [math.nan], [math.inf], [-math.inf], [math.inf, -math.inf],
-        [math.nan, math.inf], [math.inf, math.inf], [math.nan, -math.inf]])
-    def test_non_finite_blocks_match_fsum(self, specials):
-        x = np.linspace(-3.0, 5.0, 100)
-        x[[7, 60][:len(specials)]] = specials
-        assert (_fsum_outcome(lambda: specfun._exact_parts(x))
-                == _fsum_outcome(x.tolist))
-
-    def test_non_finite_parts_combine_like_fsum(self):
-        # infinities of both signs in different blocks meet in the final fsum
-        a, b = np.ones(10), np.ones(10)
-        a[3], b[5] = math.inf, -math.inf
-        assert (_fsum_outcome(lambda: specfun._exact_parts(a)
-                              + specfun._exact_parts(b))
-                == _fsum_outcome(lambda: a.tolist() + b.tolist()))
