@@ -19,8 +19,17 @@ subcommand calls.
 import argparse
 import importlib.util
 import math
+import os
 import sys
 from pathlib import Path
+
+# numpy's bundled OpenBLAS starts a worker pool at import unless told not
+# to, which slows every cold start (README, "Cold start"), and no
+# subcommand uses it: the BLAS/LAPACK work is 2x2 products, det and inv,
+# and 9-point polyfits, far below the size at which OpenBLAS splits work.
+# A value the user sets wins.  This holds only if gfsl.cli is imported
+# before numpy, which is why gfsl/__init__ imports nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -151,14 +160,15 @@ def cmd_spherical_check(args):
         raise GfslError("--lambda and --nu: expected at least one number")
     branches = (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)
     # one stacked build and audit, block by block: no whole table is held;
-    # every table is set up, and so every moment seed checked, first
+    # every table is set up, and so every moment seed checked, first.  An
+    # error about one table carries its lam, which names the flag.
     flags = {p.lam: "--lambda" if regime == "principal" else "--nu"
              for regime, _, p in params}
     try:
         residuals = spherical.intertwine_sweep(
             [(p, branch) for _, _, p in params for branch in branches],
             n_ord, k_ord)
-    except DomainError as exc:
+    except GfslError as exc:
         if exc.value not in flags:
             raise
         raise GfslError(f"{flags[exc.value]}: {exc}") from None
@@ -183,6 +193,10 @@ def cmd_traces(args):
     if not ts:
         raise GfslError("--t: expected at least one number")
     genus = _parse_int("--genus", args.genus, 2)
+    if genus > global_traces.GENUS_MAX:
+        raise GfslError("--genus: expected an integer <= int(DBL_MAX) // 400 "
+                        "(about 4.49e305), where the global trace's "
+                        f"multiplicities are doubles, got {args.genus!r}")
     if args.laplace_file:
         spec = global_traces.LaplaceSpectrum.from_csv(args.laplace_file, genus)
     else:
@@ -191,8 +205,9 @@ def cmd_traces(args):
     def identities(t):
         tr = spherical.trace_spherical(spherical.SpectralParam.threshold(), t)
         td = discrete.trace_ds(2, t)
-        pre, post = global_traces.global_trace(spec, t)
+        # rejects t past about 711.17, before global_trace's cosh overflows
         th = selberg.tanh_transform(t)
+        pre, post = global_traces.global_trace(spec, t)
         return [
             {"identity": "spherical_flat_vs_spectral", "t": t, "lambda": 0.0,
              "lhs": tr["flat"],
@@ -264,11 +279,12 @@ def cmd_selberg(args):
             "6 - |center|/2)), where the spectral term stays finite), "
             f"got {args.sigma!r}")
     if l_max > 8.0:
-        raise GfslError("--lmax must be <= 8 (desk scale)")
+        raise GfslError(f"--lmax: expected a number <= 8 (desk scale), "
+                        f"got {args.lmax!r}")
     sys_expect = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
     if not l_max >= sys_expect:
-        raise GfslError(f"--lmax must be >= the systole {sys_expect!r}, "
-                        f"got {args.lmax!r}")
+        raise GfslError(f"--lmax: expected a number >= the systole "
+                        f"{sys_expect!r}, got {args.lmax!r}")
     # a bad test function fails here, before the enumeration or any report
     g = selberg.GaussianTestFn(center, sigma, 1.0)
     selberg._identity_term(g, selberg._CHI_ABS)
@@ -322,8 +338,7 @@ def cmd_means(args):
     t = means.HC_T
     for lam in lams:
         target = specfun.legendre_conical(lam, t)
-        for m in range(m_top + 1):
-            val = means.hc_partial_sum(lam, t, m)
+        for m, val in enumerate(means.hc_partial_sum(lam, t, m_top)):
             conv.append((lam, t, m, val, abs(val - target)))
     conv.sort(key=lambda r: (r[0], r[2]))
     rows = []

@@ -116,6 +116,8 @@ def trace_ds(l, t, n_max=60):
     if t <= 0:
         raise DomainError("trace_ds: t must be > 0")
     DiscreteParam(l)
+    if not math.isfinite(t * (n_max + 1 + l / 2.0)):
+        raise DomainError(f"trace_ds: t (n_max + 1 + l/2) overflows at t={t!r}")
     flat = math.exp(-t * l / 2.0) / (1.0 - math.exp(-t))
     n = np.arange(n_max + 1)
     partial = np.cumsum(np.exp(-t * (n + l / 2.0)))

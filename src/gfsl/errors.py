@@ -2,7 +2,12 @@
 
 
 class GfslError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; carries the input at fault when
+    the raiser knows it."""
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 class PoleError(GfslError):
@@ -10,19 +15,14 @@ class PoleError(GfslError):
 
 
 class DomainError(GfslError):
-    """Input outside the mathematical domain of the operation; carries the
-    input at fault when the raiser knows it."""
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
+    """Input outside the mathematical domain of the operation."""
 
 
 class AccuracyError(GfslError):
     """Requested tolerance could not be reached; carries the achieved bound."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
+    def __init__(self, message, achieved=None, value=None):
+        super().__init__(message, value)
         self.achieved = achieved
 
 

@@ -7,6 +7,7 @@ with Riemann-Roch multiplicities and the trivial representation.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,10 @@ from .errors import ConsistencyError, DomainError
 
 # `np.loadtxt` row type of a Laplace file body
 _LAPLACE_ROW = [("mu", float), ("mult", np.int64)]
+
+# The largest genus whose discrete multiplicities (2q - 1)(g - 1), q up to
+# global_trace's default q_max = 200, and |2 - 2g| convert to doubles.
+GENUS_MAX = int(sys.float_info.max) // 400
 
 
 @dataclass(eq=False)

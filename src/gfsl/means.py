@@ -34,25 +34,34 @@ def hc_coefficient(m, lam):
 
 
 def hc_partial_sum(lam, t, M):
-    """Partial resonance expansion of the spherical function at time t > 0.
+    """Partial resonance expansions of the spherical function at time t > 0.
 
-    e^{-t(1/2 - i lam)} sum_{m<=M} e^{-2mt} W_{2m,lam} plus the conjugate
-    branch (lam -> -lam); the imaginary residue is checked below 1e-12.
+    The list of the M + 1 sums over m <= 0, 1, ..., M of e^{-t(1/2 - i lam)}
+    e^{-2mt} W_{2m,lam} plus the conjugate branch (lam -> -lam), from one
+    running sum per branch; each sum's imaginary residue is checked below
+    1e-12, in order of m.
     """
     if t <= 0:
         raise DomainError("hc_partial_sum: t must be > 0")
     if M < 0:
         raise DomainError("hc_partial_sum: M must be >= 0")
-    total = 0.0 + 0.0j
+    branches = []
     for sign in (+1.0, -1.0):
         branch = 0.0 + 0.0j
+        sums = []
         for m in range(M + 1):
             branch += math.exp(-2.0 * m * t) * hc_coefficient(m, sign * lam)
-        total += cmath.exp(-t * (0.5 - 1j * sign * lam)) * branch
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise DomainError(
-            f"hc_partial_sum: imaginary residue {total.imag:.3e} too large")
-    return total.real
+            sums.append(branch)
+        branches.append((cmath.exp(-t * (0.5 - 1j * sign * lam)), sums))
+    (pre_plus, plus), (pre_minus, minus) = branches
+    partial = []
+    for b_plus, b_minus in zip(plus, minus):
+        total = 0.0 + 0.0j + pre_plus * b_plus + pre_minus * b_minus
+        if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+            raise DomainError(
+                f"hc_partial_sum: imaginary residue {total.imag:.3e} too large")
+        partial.append(total.real)
+    return partial
 
 
 # The time at which `gfsl means` compares the resonance expansion with the

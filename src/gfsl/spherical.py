@@ -65,6 +65,10 @@ class SpectralParam:
         if lam < 0:
             raise DomainError("principal: lam must be >= 0")
         lam = float(lam)
+        if not math.isfinite(2.0 * lam):
+            raise DomainError(
+                "principal: expected lam <= DBL_MAX / 2, where the gauge "
+                f"base -2b = 1 - 2i lam is finite, got {lam!r}")
         mu = lam * lam + 0.25
         if lam > 0.0 and mu == 0.25:
             raise DomainError(
@@ -247,8 +251,8 @@ class _TableSpec:
     """One table as a recurrence: entry [n, k+K] is pre[n] * x[n, k+K] *
     phase[k+K], x the rows of recurrence_blocks(*columns)."""
 
-    def __init__(self, name, columns, pre, phase):
-        self.name, self.columns = name, columns
+    def __init__(self, name, lam, columns, pre, phase):
+        self.name, self.lam, self.columns = name, lam, columns
         self.pre, self.phase = pre, phase
 
 
@@ -286,12 +290,12 @@ def _table_spec(p, N, K, branch, dual=False):
         elif p.lam == 0:
             raise PoleError(f"{_table_name('minus-branch', p, N, K)}: raw "
                             "branch has a pole at lam = 0; use "
-                            f"{BRANCH_MINUS_RENORMALIZED}")
+                            f"{BRANCH_MINUS_RENORMALIZED}", p.lam)
         else:
             name, sign = "minus-branch", -1
             columns = _moment_columns(p.lam, K)
             pre = np.exp(glog - half_lf)
-    return _TableSpec(_table_name(name, p, N, K), columns, pre,
+    return _TableSpec(_table_name(name, p, N, K), p.lam, columns, pre,
                       _phases(K, sign))
 
 
@@ -341,7 +345,8 @@ def _table_blocks(specs, rows):
         if bad:
             raise AccuracyError(
                 f"{specs[bad[0]].name} has non-finite entries in rows "
-                f"{bad[1]}..{bad[2]} (double precision overflow)")
+                f"{bad[1]}..{bad[2]} (double precision overflow)",
+                value=specs[bad[0]].lam)
         yield (n0 - 1, n0, win[:r + 1]) if n0 else (0, 0, new)
 
 
@@ -374,7 +379,7 @@ def _stack_relations(per_table):
         for name, (_, _, shift) in per_table[0].items()}
 
 
-def _audit(windows, relations, names, rows, n_cols):
+def _audit(windows, relations, specs, rows, n_cols):
     """Worst residuals of stacked ladder relations (_stack_relations) over
     stacked tables: the audit loop of intertwine_sweep.
 
@@ -382,11 +387,12 @@ def _audit(windows, relations, names, rows, n_cols):
     most rows + 1 rows; every row pair (n, n + shift) inside win that
     reaches a row from n0 on is scored, the right side summed as
     diag*c_k + sup*c_{k+1} + sub*c_{k-1} in that order.  Returns
-    {name: worst score of each table}.  The temporaries are buffers reused
-    by every window and relation.
+    {name: worst score of each table}; a non-finite score raises
+    AccuracyError naming the table of `specs` and carrying its lam.  The
+    temporaries are buffers reused by every window and relation.
     """
-    worst = {name: np.zeros(len(names)) for name in relations}
-    shape = (rows + 1, len(names), n_cols - 2)
+    worst = {name: np.zeros(len(specs)) for name in relations}
+    shape = (rows + 1, len(specs), n_cols - 2)
     lhs_buf = np.empty(shape, dtype=complex)
     rhs_buf = np.empty(shape, dtype=complex)
     mag_buf = np.empty(shape)
@@ -416,8 +422,9 @@ def _audit(windows, relations, names, rows, n_cols):
             bad = _first_non_finite(score, lo)
             if bad:
                 raise AccuracyError(
-                    f"intertwining audit: {name} residual of {names[bad[0]]} "
-                    f"is not finite in rows {bad[1]}..{bad[2]}")
+                    f"intertwining audit: {name} residual of "
+                    f"{specs[bad[0]].name} is not finite in rows "
+                    f"{bad[1]}..{bad[2]}", value=specs[bad[0]].lam)
             np.maximum(worst[name], score.max(axis=0), out=worst[name])
     return worst
 
@@ -459,7 +466,8 @@ def intertwine_sweep(tables, N, K):
     on the interior columns k, with O the KBandedOperator op.  Each row
     scores max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) and the
     relation reports its worst row; a non-finite score raises
-    AccuracyError naming the table and the rows.  The tables are built and
+    AccuracyError naming the table and the rows.  An error about one
+    table carries its p.lam as GfslError.value.  The tables are built and
     audited together, block_rows rows at a time: no whole table is held.
     Every table is set up before any recurrence runs, so a raw minus table
     at lam = 0 raises its PoleError first.
@@ -469,8 +477,8 @@ def intertwine_sweep(tables, N, K):
         [_ladder_relations(p, branch, N, build_k_matrices(p, K))
          for p, branch in tables])
     rows = min(block_rows(len(specs) * (2 * K + 1)), N + 1)
-    worst = _audit(_table_blocks(specs, rows), relations,
-                   [spec.name for spec in specs], rows, 2 * K + 1)
+    worst = _audit(_table_blocks(specs, rows), relations, specs, rows,
+                   2 * K + 1)
     return [{rel: float(w[t]) for rel, w in worst.items()}
             for t in range(len(specs))]
 
@@ -605,6 +613,9 @@ def trace_spherical(p, t, n_max=60):
     gap = 1.0 - math.exp(-t)
     if gap == 0.0:
         raise DomainError(f"trace_spherical: 1 - e^-t rounds to 0 at t={t!r}")
+    if not math.isfinite(t * (n_max + 1.5)):
+        raise DomainError(f"trace_spherical: t (n_max + 3/2) overflows at "
+                          f"t={t!r}")
     lam = p.lam
     flat = complex(2.0 * np.cos(t * lam)) * math.exp(-t / 2.0) / gap
     n = np.arange(n_max + 1)

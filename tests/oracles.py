@@ -12,7 +12,9 @@ row-by-row `csv`-module Laplace loader (`laplace_csv_rows`), the
 reference for the bulk `LaplaceSpectrum.from_csv`, and the
 per-matrix Selberg class keyer (`psl_key_one`, `ball_one`,
 `ClassKeyerOne`, `length_spectrum_one`), the reference for the batched
-keyer and the trace-pair buckets.
+keyer and the trace-pair buckets, and the order-by-order resonance sums
+(`hc_partial_sums_one`), the reference for the running sums of
+`means.hc_partial_sum`.
 """
 
 import cmath
@@ -27,6 +29,7 @@ from scipy.linalg import expm
 
 from gfsl.discrete import rr_multiplicity
 from gfsl.errors import AccuracyError, DomainError
+from gfsl.means import hc_coefficient
 
 mp.mp.dps = 30
 
@@ -141,6 +144,25 @@ def hc_residual_analytic(lam, t, m_top=30):
             mult = 4.0 * m * m - 4j * m * sign * lam
             total += mult * w * np.exp((-2.0 * m + 1j * sign * lam) * t)
     return total.real
+
+
+def hc_partial_sums_one(lam, t, M):
+    """The partial resonance expansions for m_max = 0..M, each summed from
+    scratch over m <= m_max in the library's order (one branch sum per
+    sign, then the two branches into a complex zero).  Each coefficient
+    is computed once, so the whole list costs 2 (M + 1) coefficients."""
+    coeff = {(m, sign): hc_coefficient(m, sign * lam)
+             for m in range(M + 1) for sign in (+1.0, -1.0)}
+    sums = []
+    for m_max in range(M + 1):
+        total = 0.0 + 0.0j
+        for sign in (+1.0, -1.0):
+            branch = 0.0 + 0.0j
+            for m in range(m_max + 1):
+                branch += math.exp(-2.0 * m * t) * coeff[m, sign]
+            total += cmath.exp(-t * (0.5 - 1j * sign * lam)) * branch
+        sums.append(total.real)
+    return sums
 
 
 def _hc_w(m, lam):

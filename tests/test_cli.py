@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfsl import cli, global_traces, means, selberg, specfun, spherical
@@ -60,9 +60,9 @@ class TestSphericalCheck:
         code = run(["spherical-check", "--out", str(tmp_path),
                     "--lambda", lams, "--n", "2000", "--k", "250"])
         assert code == cli.EXIT_CONFIG
-        assert ("error: minus-branch table at lam = 0.0, N = 2000, K = 250: "
-                "raw branch has a pole at lam = 0; use minus_renormalized"
-                ) in capsys.readouterr().err
+        assert ("error: --lambda: minus-branch table at lam = 0.0, N = 2000, "
+                "K = 250: raw branch has a pole at lam = 0; use "
+                "minus_renormalized") in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_overflow_stops_at_first_block(self, tmp_path, capsys,
@@ -81,9 +81,9 @@ class TestSphericalCheck:
                     "--k", "250"])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: plus-branch table at lam = 1.0, N = 2000, K = 250 has "
-            "non-finite entries in rows 774..775 (double precision "
-            "overflow)\n")
+            "error: --lambda: plus-branch table at lam = 1.0, N = 2000, "
+            "K = 250 has non-finite entries in rows 774..775 (double "
+            "precision overflow)\n")
         assert starts[-1] == 768 and len(starts) == 97
         assert not list(tmp_path.iterdir())
 
@@ -145,8 +145,9 @@ class TestSphericalCheck:
                     "--lambda", "1e300"])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: plus-branch table at lam = 1e+300, N = 40, K = 8 has "
-            "non-finite entries in rows 4..40 (double precision overflow)\n")
+            "error: --lambda: plus-branch table at lam = 1e+300, N = 40, "
+            "K = 8 has non-finite entries in rows 4..40 (double precision "
+            "overflow)\n")
         assert not list(tmp_path.iterdir())
 
 
@@ -251,10 +252,10 @@ class TestSelberg:
         assert not (tmp_path / "selberg_report.json").exists()
 
     @pytest.mark.parametrize("flag,value,match", [
-        ("--lmax", "-1", "--lmax must be >= the systole 3.057141838961996, "
-                         "got '-1'"),
-        ("--lmax", "0.5", "--lmax must be >= the systole 3.057141838961996, "
-                          "got '0.5'"),
+        ("--lmax", "-1", "--lmax: expected a number >= the systole "
+                         "3.057141838961996, got '-1'"),
+        ("--lmax", "0.5", "--lmax: expected a number >= the systole "
+                          "3.057141838961996, got '0.5'"),
         ("--sigma", "-1", "--sigma: expected a number in ["),
         ("--sigma", "1e-5", "--sigma: expected a number in ["),
     ], ids=["lmax_negative", "lmax_below_systole", "sigma_negative",
@@ -460,32 +461,161 @@ def _means_flag_at_fault(lams, m, tol):
     return None
 
 
+def _check_fuzz_run(argv, flag, reports, certain=True):
+    """Run argv in-process: no exception (a traceback from the console
+    script) and no warning may escape.  With no flag at fault, or one
+    whose rejection is not certain (certain=False) and was not made, the
+    run exits 0 or 2 and writes `reports`; otherwise it exits 1 with one
+    line `error: <flag>: ...` and writes no report."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(argv + ["--out", out])
+        written = sorted(os.listdir(out))
+    text = err.getvalue()
+    assert not caught
+    assert "Traceback" not in text and "Warning" not in text
+    if flag is not None and (certain or code == cli.EXIT_CONFIG):
+        assert code == cli.EXIT_CONFIG
+        assert text.startswith(f"error: {flag}: ")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert written == []
+    else:
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+        assert written == reports
+
+
 class TestMeansFuzz:
     @settings(max_examples=60)
     @given(st.lists(_valid_or_not(MEANS_LAMBDAS), min_size=1, max_size=2),
            _valid_or_not(MEANS_MS), _valid_or_not(MEANS_TOLS))
     def test_flags(self, lams, m, tol):
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as out, \
-                warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = cli.main(["means", f"--lambda={','.join(lams)}",
-                             f"--m={m}", f"--tol={tol}", "--out", out])
-            written = sorted(os.listdir(out))
-        text = err.getvalue()
-        assert not caught
-        assert "Traceback" not in text and "Warning" not in text
-        flag = _means_flag_at_fault(lams, m, tol)
-        if flag is None:
-            assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
-            assert written == ["hc_convergence.csv", "wave_slopes.csv"]
-        else:
-            assert code == cli.EXIT_CONFIG
-            assert text.startswith(f"error: {flag}: ")
-            assert text.count("\n") == 1 and text.endswith("\n")
-            assert written == []
+        _check_fuzz_run(["means", f"--lambda={','.join(lams)}", f"--m={m}",
+                         f"--tol={tol}"],
+                        _means_flag_at_fault(lams, m, tol),
+                        ["hc_convergence.csv", "wave_slopes.csv"])
+
+
+# Edge values of the other subcommands' numeric flags, each mapped to the
+# step of the subcommand that rejects it (its checks run in that order),
+# or to None if it passes them all.  `--tol` is shared.
+TOLS = {"1e-9": None, "0.5": None, "5e-324": None, "1e308": None,
+        "0": 0, "-1": 0, "nan": 0, "inf": 0}
+
+# spherical-check: 0 --tol, 1 --lambda and 2 --nu parse, 3 --n, 4 --k,
+# 5 and 6 the SpectralParam envelopes, 7 the raw minus pole at lambda = 0,
+# 8 a zero moment seed (1/2 + nu rounds to 1), 9 a table that overflows
+# (at lambda = 1e300 only from some N on, so it may pass).
+SPHERICAL_LAMBDAS = {"0.5": None, "2": None, "1e6": None,
+                     "0.49999999999999994": None, "0.5000000000000001": None,
+                     "nan": 1, "inf": 1, "-1": 5, "-5e-324": 5, "5e-324": 5,
+                     "1e308": 5, "0": 7, "1e300": 9}
+SPHERICAL_NUS = {"0.1": None, "0.3": None, "nan": 2, "-inf": 2, "0": 6,
+                 "5e-324": 6, "-1": 6, "0.5": 6, "1e308": 6,
+                 "0.49999999999999994": 8}
+SPHERICAL_NS = {"0": None, "3": None, "20": None, "-1": 3, "0.5": 3,
+                "5e-324": 3, "1e308": 3, "nan": 3}
+SPHERICAL_KS = {"2": None, "5": None, "1": 4, "0": 4, "-1": 4, "0.5": 4,
+                "1e308": 4, "nan": 4}
+MAY_PASS = {9}
+
+# traces: 0 --tol, 1 --t parse, 2 --genus, 3 the t envelope of the trace
+# identities (t > 0, 1 - e^-t > 0 and sinh(t/2)^2 finite).
+TRACES_TS = {"0.5": None, "1": None, "0.49999999999999994": None,
+             "700": None, "nan": 1, "inf": 1, "0": 3, "-5e-324": 3,
+             "5e-324": 3, "1e-300": 3, "-1": 3, "711.5": 3, "1e308": 3}
+TRACES_GENERA = {"2": None, "3": None, str(global_traces.GENUS_MAX): None,
+                 "1": 2, "0": 2, "-1": 2, "0.5": 2, "5e-324": 2, "1e308": 2,
+                 "nan": 2, str(global_traces.GENUS_MAX + 1): 2}
+
+# selberg: 0 --lmax, 1 --center and 2 --sigma parse, 3 the --center and
+# 4 the --sigma envelope, 5 --lmax above 8 and 6 below the systole.
+SYSTOLE = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
+SELBERG_LMAXES = {repr(SYSTOLE): None, "5": None, "8": None, "nan": 0,
+                  "inf": 0, repr(math.nextafter(8.0, math.inf)): 5,
+                  "1e308": 5, repr(math.nextafter(SYSTOLE, 0.0)): 6, "0": 6,
+                  "5e-324": 6, "0.5": 6, "-1": 6}
+SELBERG_CENTERS = {"0": None, "5.5": None, "0.5": None, "-1": None,
+                   "5e-324": None, "-5e-324": None, repr(CENTER_MAX): None,
+                   "nan": 1, "inf": 1, "1e308": 3, "-1e308": 3,
+                   repr(math.nextafter(CENTER_MAX, math.inf)): 3}
+SELBERG_SIGMAS = ["0.5", "0.49999999999999994", "2", "0", "5e-324", "-1",
+                  "1e308", "nan", "-inf"]
+
+
+def _first_fault(*faults):
+    """(flag, certain) of the first (step, flag) with a step, by step, or
+    (None, True) if none has one."""
+    found = sorted((step, flag) for step, flag in faults if step is not None)
+    if not found:
+        return None, True
+    step, flag = found[0]
+    return flag, step not in MAY_PASS
+
+
+def _sigma_step(center, sigma):
+    """The selberg step that rejects --sigma at this --center, or None."""
+    val = float(sigma)
+    if not math.isfinite(val):
+        return 2
+    if not math.isfinite(float(center)):
+        return None
+    lo, hi = cli._sigma_range(float(center))
+    return None if lo <= val <= hi else 4
+
+
+class TestFlagFuzz:
+    # Small N, K and --lmax keep each run to milliseconds.
+    @settings(max_examples=200)
+    @example(["0"], ["0.1"], "3", "2", "1e-9")
+    @example(["1e300"], ["0.1"], "3", "2", "1e-9")
+    @example(["2"], ["0.49999999999999994"], "3", "2", "1e-9")
+    @given(st.lists(st.sampled_from(sorted(SPHERICAL_LAMBDAS)), min_size=1,
+                    max_size=2),
+           st.lists(st.sampled_from(sorted(SPHERICAL_NUS)), min_size=1,
+                    max_size=2),
+           st.sampled_from(sorted(SPHERICAL_NS)),
+           st.sampled_from(sorted(SPHERICAL_KS)),
+           st.sampled_from(sorted(TOLS)))
+    def test_spherical_check(self, lams, nus, n, k, tol):
+        flag, certain = _first_fault(
+            (TOLS[tol], "--tol"), (SPHERICAL_NS[n], "--n"),
+            (SPHERICAL_KS[k], "--k"),
+            *((SPHERICAL_LAMBDAS[x], "--lambda") for x in lams),
+            *((SPHERICAL_NUS[x], "--nu") for x in nus))
+        _check_fuzz_run(["spherical-check", f"--lambda={','.join(lams)}",
+                         f"--nu={','.join(nus)}", f"--n={n}", f"--k={k}",
+                         f"--tol={tol}"],
+                        flag, ["spherical_residuals.csv"], certain)
+
+    @settings(max_examples=60)
+    @example(["1e308"], "2", "1e-9")
+    @example(["1"], str(global_traces.GENUS_MAX + 1), "1e-9")
+    @given(st.lists(st.sampled_from(sorted(TRACES_TS)), min_size=1,
+                    max_size=2),
+           st.sampled_from(sorted(TRACES_GENERA)),
+           st.sampled_from(sorted(TOLS)))
+    def test_traces(self, ts, genus, tol):
+        flag, _ = _first_fault(
+            (TOLS[tol], "--tol"), (TRACES_GENERA[genus], "--genus"),
+            *((TRACES_TS[x], "--t") for x in ts))
+        _check_fuzz_run(["traces", f"--t={','.join(ts)}", f"--genus={genus}",
+                         f"--tol={tol}"], flag, ["traces.json"])
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(sorted(SELBERG_LMAXES)),
+           st.sampled_from(sorted(SELBERG_CENTERS)),
+           st.sampled_from(SELBERG_SIGMAS))
+    def test_selberg(self, l_max, center, sigma):
+        flag, _ = _first_fault((SELBERG_LMAXES[l_max], "--lmax"),
+                               (SELBERG_CENTERS[center], "--center"),
+                               (_sigma_step(center, sigma), "--sigma"))
+        _check_fuzz_run(["selberg", f"--lmax={l_max}", f"--center={center}",
+                         f"--sigma={sigma}"],
+                        flag, ["length_spectrum.csv", "selberg_report.json"])
 
 
 class TestUsage:
@@ -587,10 +717,17 @@ class TestUsage:
         assert code == cli.EXIT_BUDGET
 
 
-def _python(args, cwd):
+def _python(args, cwd, **env_vars):
+    """A fresh interpreter on src/; env_vars set variables of its
+    environment, and a value of None removes one."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -612,7 +749,35 @@ print(codes)
 """
 
 
+# The BLAS thread setting and thread count of a process right after
+# `import gfsl.cli`.
+_COLD_START = ("import os; import gfsl.cli; "
+               "task = '/proc/self/task'; "
+               "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+               "len(os.listdir(task)) if os.path.isdir(task) else 1)")
+
+
 class TestImport:
+    def test_cli_import_starts_no_blas_pool(self, tmp_path):
+        # pytest's own environment holds the default once it has imported
+        # gfsl.cli, so the child's is removed explicitly
+        proc = _python(["-c", _COLD_START], tmp_path,
+                       OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "1"]
+
+    def test_user_blas_threads_kept(self, tmp_path):
+        proc = _python(["-c", _COLD_START], tmp_path, OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[0] == "2"
+
+    def test_package_import_loads_no_numpy(self, tmp_path):
+        # so that gfsl.cli's BLAS default runs before numpy loads
+        proc = _python(["-c", "import gfsl, sys; "
+                        "print('numpy' in sys.modules)"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: every subcommand exits as
         # it does with scipy importable

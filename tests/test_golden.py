@@ -1,13 +1,20 @@
 """Golden reports: each argv, run through `cli.main`, writes exactly the
 committed bytes under tests/golden/<name>/.
 
+The two cases that call BLAS or LAPACK, selberg_seed1 (2x2 products, det
+and inv) and means_seed1 (polyfit), also run as `python -m gfsl.cli` in a
+fresh interpreter, where numpy loads after the CLI's BLAS thread default.
+
 The bytes depend on numpy's and libm's float results; VERSIONS names the
 Python and numpy the goldens were made with.  A change that moves report
 values on purpose regenerates the goldens it moves, so the diff of
 tests/golden/ shows which fields moved.
 """
 
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +22,7 @@ import pytest
 
 from gfsl import cli
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = Path(__file__).parent / "golden"
 # A seeded 2000-row genus-2 Weyl-law spectrum, from the benchmark's
 # generator: bench/workloads.laplace_csv(random.Random("golden:traces"),
@@ -56,21 +64,40 @@ def _first_difference(want, got):
             "".join(got_lines[i - 1:i]) or "<end of file>")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_reports_match_golden(tmp_path, capsys, name):
-    argv, code = CASES[name]
-    assert cli.main(argv + ["--out", str(tmp_path)]) == code
-    capsys.readouterr()
+def _assert_matches_golden(name, out):
     want_dir = GOLDEN / name
     made = (GOLDEN / "VERSIONS").read_text().strip().replace("\n", ", ")
     here = f"python {platform.python_version()}, numpy {np.__version__}"
-    assert (sorted(p.name for p in tmp_path.iterdir())
+    assert (sorted(p.name for p in out.iterdir())
             == sorted(p.name for p in want_dir.iterdir()))
     for want_path in sorted(want_dir.iterdir()):
         want = want_path.read_bytes()
-        got = (tmp_path / want_path.name).read_bytes()
+        got = (out / want_path.name).read_bytes()
         if got != want:
             line, w, g = _first_difference(want, got)
             pytest.fail(f"{name}/{want_path.name} differs from the golden "
                         f"at line {line}:\n  golden: {w!r}\n  got:    {g!r}\n"
                         f"goldens made with {made}; this run has {here}")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reports_match_golden(tmp_path, capsys, name):
+    argv, code = CASES[name]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    _assert_matches_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["means_seed1", "selberg_seed1"])
+def test_cold_process_reports_match_golden(tmp_path, name):
+    argv, code = CASES[name]
+    env = dict(os.environ)
+    # the CLI's own default, not whatever this process was started with
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfsl.cli", *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    _assert_matches_golden(name, tmp_path)

@@ -10,7 +10,7 @@ from gfsl import means, specfun
 from gfsl.errors import AccuracyError, DomainError, PoleError
 from gfsl.specfun import legendre_conical, log_gamma
 
-from oracles import _hc_w, hc_residual_analytic
+from oracles import _hc_w, hc_partial_sums_one, hc_residual_analytic
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -48,7 +48,7 @@ class TestHcCoefficient:
 
 class TestHcPartialSum:
     def test_matches_legendre(self):
-        got = means.hc_partial_sum(1.0, 3.0, 8)
+        got = means.hc_partial_sum(1.0, 3.0, 8)[-1]
         want = legendre_conical(1.0, 3.0)
         assert abs(got - want) < 1e-10
 
@@ -58,27 +58,48 @@ class TestHcPartialSum:
         assert math.exp(-2.0 * means.HC_M_MAX * means.HC_T) > 0.0
         assert math.exp(-2.0 * (means.HC_M_MAX + 1) * means.HC_T) == 0.0
         for lam in (means.LAMBDA_MIN, 2.0):
-            assert (means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX + 1)
-                    == means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX))
+            sums = means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX + 1)
+            assert sums[-1] == sums[-2]
+
+    @settings(max_examples=25)
+    @given(st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
+    def test_running_sums_equal_order_by_order_sums(self, lam):
+        # the running sums round exactly as summing each order from scratch
+        got = means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX)
+        want = hc_partial_sums_one(lam, means.HC_T, means.HC_M_MAX)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_residue_checked_at_every_order(self, monkeypatch):
+        # a coefficient spoiled at order 3 fails the sums from m = 3 on
+        raw = means.hc_coefficient
+
+        def spoiled(m, lam):
+            return raw(m, lam) + (1j if m == 3 and lam < 0 else 0.0)
+
+        monkeypatch.setattr(means, "hc_coefficient", spoiled)
+        assert len(means.hc_partial_sum(2.0, 1.0, 2)) == 3
+        with pytest.raises(DomainError, match="imaginary residue"):
+            means.hc_partial_sum(2.0, 1.0, 3)
 
     def test_m_zero_term_algebra(self):
         lam, t = 1.3, 2.0
         w0 = means.hc_coefficient(0, lam)
         want = 2.0 * math.exp(-t / 2.0) * (cmath.exp(1j * t * lam) * w0).real
-        assert abs(means.hc_partial_sum(lam, t, 0) - want) < 1e-14
+        assert abs(means.hc_partial_sum(lam, t, 0)[0] - want) < 1e-14
 
     def test_error_monotone_in_m(self):
         lam, t = 1.0, 1.0
         target = legendre_conical(lam, t)
-        errs = [abs(means.hc_partial_sum(lam, t, m) - target) for m in range(9)]
+        errs = [abs(val - target) for val in means.hc_partial_sum(lam, t, 8)]
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_tail_majorized_by_first_omitted_term(self):
         lam = 1.5
         for t in (1.0, 2.0):
             target = legendre_conical(lam, t)
+            sums = means.hc_partial_sum(lam, t, 5)
             for m in range(1, 6):
-                err = abs(means.hc_partial_sum(lam, t, m) - target)
+                err = abs(sums[m] - target)
                 omitted = 2.0 * math.exp(-t * (0.5 + 2 * (m + 1))) * abs(
                     means.hc_coefficient(m + 1, lam))
                 assert err <= 2.0 * omitted
@@ -87,7 +108,7 @@ class TestHcPartialSum:
         # quadrature route agrees with the expansion within the first
         # omitted exponential for t >= 2
         for lam, t in ((1.0, 2.0), (2.0, 4.0)):
-            got = means.hc_partial_sum(lam, t, 6)
+            got = means.hc_partial_sum(lam, t, 6)[-1]
             want = legendre_conical(lam, t)
             # expansion tail plus the quadrature tolerance of the oracle side
             assert abs(got - want) <= 10.0 * math.exp(-(2 * 7 + 0.5) * t) + 1e-12
