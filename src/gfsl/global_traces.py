@@ -146,6 +146,26 @@ def _spherical_sum(spec, t):
     return float(np.cumsum(terms)[-1])
 
 
+def _check_phases(spec, t):
+    """DomainError naming t when a term of _spherical_sum would overflow:
+    the cosh of its first eigenvalue (when below 1/4), the largest, or
+    t sqrt(mu - 1/4) at its last (when above 1/4), the largest."""
+    mu = spec.mu
+    if mu.size and mu[0] < 0.25:
+        try:
+            top = math.cosh(t * math.sqrt(0.25 - float(mu[0])))
+        except OverflowError:
+            top = math.inf
+        if top == math.inf:
+            raise DomainError(
+                f"global_trace: cosh(t sqrt(1/4 - mu)) overflows at t={t!r}, "
+                f"mu={float(mu[0])!r}", value=t)
+    if mu.size and mu[-1] > 0.25 and \
+            t * math.sqrt(float(mu[-1]) - 0.25) == math.inf:
+        raise DomainError(f"global_trace: t sqrt(mu - 1/4) overflows at "
+                          f"t={t!r}, mu={float(mu[-1])!r}", value=t)
+
+
 def global_trace(spec, t, q_max=200):
     """Global spectral trace of the propagator at time t > 0, as the pair
     (pre_rr, post_rr) of its two closed forms over one spherical sum.
@@ -157,6 +177,10 @@ def global_trace(spec, t, q_max=200):
     if not t > 0:
         raise DomainError(f"global_trace: t must be > 0, got {t}")
     x = math.exp(-t)
+    if x == 1.0:
+        raise DomainError(f"global_trace: 1 - e^-t rounds to 0 at t={t!r}",
+                          value=t)
+    _check_phases(spec, t)
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * _spherical_sum(spec, t)
     ds = 0.0  # sum over q <= q_max of m_{2q} e^{-t q}
     for q in range(1, q_max + 1):

@@ -3,13 +3,14 @@
 The geometric side is driven by a Fuchsian length-spectrum enumerator.
 Conjugacy classes are counted exactly at desk scale: group elements are
 enumerated as matrices inside a displacement ball (breadth-first over
-generator letters, matrices deduplicated up to overall sign), and each
+generator letters, exact integer matrices deduplicated up to sign), and each
 hyperbolic element is mapped to its class key, the lexicographically
 smallest member of the finite set of minimal-displacement conjugates; two
 elements are conjugate iff those sets coincide.  Orientation convention: a
 class and its inverse count separately unless actually conjugate.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import AccuracyError, BudgetError, ConstructionError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_KEY_DECIMALS = 7
+_R = math.sqrt(1.0 + _SQRT2)
 
 # The Bolza surface: genus 2, |Euler characteristic| 2g - 2 = 2.
 _GENUS = 2
@@ -30,33 +31,79 @@ _WEYL_RTOL = 0.15
 
 BOLZA_RELATOR = ((0, 1), (1, -1), (2, 1), (3, -1), (0, -1), (1, 1), (2, -1), (3, 1))
 
+# Exact arithmetic.  Every Bolza matrix entry lies in the ring
+# Z[sqrt2] + r Z[sqrt2], r = sqrt(1 + sqrt2): it is a + b sqrt2 +
+# r (c + d sqrt2) for integers a, b, c, d.  A matrix [[x, y], [z, w]] is
+# carried as the 16 int64 coefficients of x, y, z and w, in that order.
+_BASIS = np.array([1.0, _SQRT2, _R, _R * _SQRT2])
+_IDENTITY = np.array([1] + [0] * 11 + [1, 0, 0, 0], dtype=np.int64)
+# Row 4i + j: the coefficients of e_i e_j over the basis e = (1, sqrt2, r,
+# r sqrt2), from sqrt2^2 = 2 and r^2 = 1 + sqrt2 (so r sqrt2 r = 2 + sqrt2),
+# one group of four digits each; a string, as a literal of 64 ints costs
+# the importer 128 KiB of RSS to compile
+_PRODUCTS = np.array([int(c) for c in """
+    1000 0100 0010 0001  0100 2000 0001 0020
+    0010 0001 1100 2100  0001 0020 2100 2200""" if c.isdigit()],
+                     dtype=np.int64).reshape(16, 4)
+
+
+def _mul(x, y):
+    """Exact products of two (n, 16) stacks, row by row; one row broadcasts."""
+    # [n, i, k, p, q]: sum over j of x_ij coefficient p times y_jk's q
+    pq = (x.reshape(-1, 2, 2, 1, 4, 1) * y.reshape(-1, 1, 2, 2, 1, 4)).sum(axis=2)
+    return (pq.reshape(-1, 16) @ _PRODUCTS).reshape(-1, 16)
+
+
+def _inv(x):
+    """Exact inverses [[w, -y], [-z, x]] of a (n, 16) stack, det 1."""
+    return (x.reshape(-1, 4, 4)[:, [3, 1, 2, 0]]
+            * [[1], [-1], [-1], [1]]).reshape(-1, 16)
+
+
+def _maps(gens, conjugate):
+    """(L, 16, 16) int64 for the L letters a (the exact generators gens,
+    then their inverses): a row m of 16 coefficients times map l is m a_l,
+    or a_l^-1 m a_l when conjugate."""
+    letters = np.repeat(np.concatenate([gens, _inv(gens)]), 16, axis=0)
+    unit = np.tile(np.eye(16, dtype=np.int64), (len(letters) // 16, 1))
+    left = _mul(_inv(letters), unit) if conjugate else unit
+    return _mul(left, letters).reshape(-1, 16, 16)
+
 
 @dataclass
 class FuchsianGroup:
-    """Generators (2x2 real, det 1) with a defining relator word."""
+    """Generators (2x2 real, det 1) with a defining relator word, and the
+    generators' exact forms, a (n, 16) int64 array (see _BASIS)."""
 
     generators: list
     relator: tuple
+    exact: np.ndarray
 
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=float) for g in self.generators]
+        self.exact = np.array(self.exact, dtype=np.int64)
         for i, g in enumerate(self.generators):
             if abs(np.linalg.det(g) - 1.0) > 1e-12:
                 raise ConstructionError(f"generator {i}: |det - 1| > 1e-12")
+        if not (_mul(self.exact, _inv(self.exact)) == _IDENTITY).all():
+            raise ConstructionError("exact generators: det is not exactly 1")
+        gap = float(np.abs((self.exact.reshape(-1, 4, 4) @ _BASIS).ravel()
+                           - np.ravel(self.generators)).max())
+        if gap > 1e-12:
+            raise ConstructionError(
+                f"exact and float generators differ by {gap:.3e} > 1e-12")
         res = self.relator_residual()
         if res > 1e-9:
             raise ConstructionError(f"relator product residual {res:.3e} > 1e-9")
 
     def letters(self):
         """Generators followed by their inverses; letter i inverts to i+4 mod 8."""
-        inv = [np.linalg.inv(g) for g in self.generators]
-        return self.generators + inv
+        return self.generators + [np.linalg.inv(g) for g in self.generators]
 
     def relator_residual(self):
-        m = np.eye(2)
-        inv = [np.linalg.inv(g) for g in self.generators]
+        m, letters = np.eye(2), self.letters()
         for idx, s in self.relator:
-            m = m @ (self.generators[idx] if s > 0 else inv[idx])
+            m = m @ letters[idx if s > 0 else idx + len(self.generators)]
         return min(float(np.abs(m - np.eye(2)).max()),
                    float(np.abs(m + np.eye(2)).max()))
 
@@ -72,29 +119,28 @@ def bolza_group():
 
     The translation T has trace 2(1+sqrt(2)); the k-th generator is T
     conjugated by the rotation of the plane by k*pi/4, whose SL(2,R)
-    representative is rotation(k*pi/8).  The side-pairing relator is
-    verified to multiply to +-identity.
+    representative is rotation(k*pi/8).  Exactly, it is (1 + sqrt2) I +
+    r sqrt2 [[-sin k pi/4, cos k pi/4], [cos k pi/4, sin k pi/4]].  The
+    side-pairing relator is verified to multiply to +-identity.
     """
     t = np.array([[1.0 + _SQRT2, math.sqrt(2.0 + 2.0 * _SQRT2)],
                   [math.sqrt(2.0 + 2.0 * _SQRT2), 1.0 + _SQRT2]])
     gens = [rotation(k * math.pi / 8.0) @ t @ rotation(-k * math.pi / 8.0)
             for k in range(4)]
-    return FuchsianGroup(gens, BOLZA_RELATOR)
+    # sqrt2 cos(k pi/4), sqrt2 sin(k pi/4) as (a, b) in a + b sqrt2
+    cos_sin = (((0, 1), (0, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
+               ((-1, 0), (1, 0)))
+    exact = [[1, 1, -sa, -sb, 0, 0, ca, cb, 0, 0, ca, cb, 1, 1, sa, sb]
+             for (ca, cb), (sa, sb) in cos_sin]
+    return FuchsianGroup(gens, BOLZA_RELATOR, exact)
 
 
 def _psl_keys(stack):
-    """Keys of a stack of 2x2 matrices (or of one) up to overall sign.
-
-    Each matrix is negated when its first entry with |x| > 1e-8 is
-    negative, and its entries are rounded to _KEY_DECIMALS.  Returns a
-    list of 4-tuples of floats, one per matrix.
-    """
-    flat = stack.reshape(-1, 4)
-    big = np.abs(flat) > 1e-8
-    lead = flat[np.arange(len(flat)), big.argmax(axis=1)]
-    flip = big.any(axis=1) & (lead < 0)
-    signed = np.where(flip[:, None], -flat, flat)
-    return list(map(tuple, signed.round(_KEY_DECIMALS).tolist()))
+    """Keys of a (n, 16) exact stack up to overall sign: each row, negated
+    when its first nonzero coefficient is negative, as 128 bytes."""
+    lead = stack[np.arange(len(stack)), (stack != 0).argmax(axis=1)]
+    signed = stack * np.where(lead < 0, -1, 1)[:, None]
+    return signed.view("V128").ravel().tolist()
 
 
 # Elements the ball of length_spectrum may hold before BudgetError; the
@@ -102,34 +148,41 @@ def _psl_keys(stack):
 _ELEMENT_BUDGET = 2_000_000
 
 
-def _ball(letters, max_cosh, budget):
-    """All group elements with cosh d(i, g i) = ||g||_F^2 / 2 <= max_cosh."""
-    eye = np.eye(2)
-    seen = set(_psl_keys(eye))
-    mats = [eye]
-    frontier = np.array([eye])
-    larr = np.array(letters)
+def _ball(group, max_cosh, budget):
+    """All group elements with cosh d(i, g i) = ||g||_F^2 / 2 <= max_cosh,
+    as float matrices (a list) and exact forms (a (n, 16) int64 array)."""
+    larr = np.array(group.letters())
+    right = _maps(group.exact, conjugate=False)
+    seen = set(_psl_keys(_IDENTITY[None]))
+    mats, exact = [np.eye(2)], [_IDENTITY[None]]
+    frontier, xfront = np.array(mats), exact[0]
     while len(frontier):
         prod = np.einsum("fij,ljk->flik", frontier, larr).reshape(-1, 2, 2)
         fr = (prod ** 2).sum(axis=(1, 2)) / 2.0
-        keep = prod[fr <= max_cosh]
+        inside = np.flatnonzero(fr <= max_cosh)
+        src, let = np.divmod(inside, len(right))
+        keep, xkeep = prod[inside], np.empty((len(inside), 16), dtype=np.int64)
+        for l, r in enumerate(right):  # exact products of kept pairs only
+            xkeep[let == l] = xfront[src[let == l]] @ r
         fresh = []
-        for m, key in zip(keep, _psl_keys(keep)):
+        for j, key in enumerate(_psl_keys(xkeep)):
             if key not in seen:
                 seen.add(key)
-                mats.append(m)
-                fresh.append(m)
+                mats.append(keep[j])
+                fresh.append(j)
                 if len(mats) > budget:
                     raise BudgetError(
                         f"ball enumeration exceeded budget of {budget} elements",
                         partial=mats)
-        frontier = np.array(fresh) if fresh else np.empty((0, 2, 2))
-    return mats
+        frontier, xfront = keep[fresh], xkeep[fresh]
+        exact.append(xfront)
+    return mats, np.concatenate(exact)
 
 
 def _keyed(stack):
-    """Squared Frobenius norms and _psl_keys of a (n, 2, 2) stack, as lists."""
-    return (stack * stack).sum(axis=(1, 2)).tolist(), _psl_keys(stack)
+    """Squared Frobenius norms and _psl_keys of a (n, 16) stack, as lists."""
+    vals = stack.reshape(-1, 4, 4) @ _BASIS
+    return (vals * vals).sum(axis=1).tolist(), _psl_keys(stack)
 
 
 # Energy slack of the class-key search: conjugates whose squared Frobenius
@@ -140,25 +193,30 @@ _KEY_SLACK = 40.0
 # Frontier matrices conjugated per chunk of a class-key wave; each chunk
 # forms, norms and keys KEY_BLOCK * 8 conjugates as one stack.  On a 2-core
 # x86-64 host (numpy 2.4) the L = 8 spectrum took the same time for chunks
-# of 32 to 1024 matrices, while the CLI's selberg peak RSS rose with the
-# chunk (about 34.8 MiB at 128, 35.1 at 256, 37.4 at 1024; 34.1 with the
-# per-matrix search this replaced).
+# of 32 to 1024 matrices, while the default selberg run's peak RSS rose
+# with the chunk (34.0 MiB at 32, 34.2 at 128, 34.7 at 256, 39.0 at 1024).
 KEY_BLOCK = 128
 
-# Keys one class may collect before its search is called unconverged.  At
-# L = 8 the largest class collects 26.  A search from one matrix alone can
-# run on without end: each lap around the centralizer may round an entry
-# near a 7-decimal boundary the other way, and rounding error grows lap by
-# lap.  On a fresh keyer, 97 of 1391 lone word-conjugates of L = 8
-# classes did.
+# Keys one class may collect before its search is stopped, a budget on
+# its work.  At L = 8 the largest class collects 26, and so does at most a
+# lone search from an L = 8 class conjugated by a word of 1 to 3 letters.
 _KEY_NODE_CAP = 1 << 12
 
-# Largest squared Frobenius norm class_keys accepts; rounding error grows
-# with the norm.  Keyed after the L = 8 ball, one stack per element, all
-# 595,696 conjugates of its elements by words of one to three letters
-# with squared norm <= 1e8 keyed to their class; some up to 1e9 did not.
-# length_spectrum's inputs stay below 2e4.
-_KEY_MAX_NORM = 1e8
+# Largest |coefficient| class_keys accepts, so that no conjugate the
+# search forms overflows int64.  Let C(g) be the largest |coefficient| of
+# g in the Bolza group and ||g|| its Frobenius norm.  Each entry is at most
+# (1 + sqrt2 + r + r sqrt2) C(g) < 6.17 C(g), so ||g||^2 < 153 C(g)^2.
+# And C(g) <= ||g|| / 2 + 1, as each coefficient combines the images of
+# an entry under r -> -r (g -> Q g Q^-1, Q the rotation by pi/2) and
+# sqrt2 -> -sqrt2, r -> i sqrt(sqrt2 - 1) (g -> SU(2), entries <= 1).
+# The search conjugates a node only if its squared norm is at most 40
+# (_KEY_SLACK) times an input's, so its coefficients are below 40 C + 1
+# for C the inputs' largest.  A conjugate coefficient sums 16 products of
+# these with a column of _maps, of absolute sum at most 47 for the Bolza
+# letters: each partial sum is below 47 (40 C + 1) < 2^59 if C <= 2^48.
+# The L = 8 ball has C <= 33; its hyperbolic elements' 1- to 3-letter
+# conjugates C <= 300,456.
+_KEY_MAX_COEF = 1 << 48
 
 
 class _ClassKeyer:
@@ -178,9 +236,8 @@ class _ClassKeyer:
     component is the smallest key among its nodes of least norm.
     """
 
-    def __init__(self, letters):
-        self.letters = np.array(letters)
-        self.inv = np.array([np.linalg.inv(a) for a in letters])
+    def __init__(self, gens):
+        self.maps = np.hstack(_maps(gens, conjugate=True))
         self.node = {}      # psl key -> node id
         self.keys = []      # node id -> psl key
         self.norms = []     # node id -> squared Frobenius norm
@@ -191,21 +248,19 @@ class _ClassKeyer:
         self.chunks = 0
 
     def conjugates(self, stack):
-        """a^-1 m a for every m in stack and every letter a, m-major:
-        rows 8i .. 8i+7 of the (8n, 2, 2) result conjugate stack[i]."""
-        return (self.inv[None] @ stack[:, None] @ self.letters[None]
-                ).reshape(-1, 2, 2)
+        """a^-1 m a for every m in a (n, 16) stack and every letter a:
+        rows 8i .. 8i+7 of the (8n, 16) result conjugate stack[i]."""
+        return (stack @ self.maps).reshape(-1, 16)
 
     def class_keys(self, stack):
-        """Class key of every matrix in a (n, 2, 2) stack."""
+        """Class key of every matrix in a (n, 16) exact stack."""
+        top = int(np.abs(stack).max(initial=0))
+        if top > _KEY_MAX_COEF:
+            raise AccuracyError(
+                f"class keys: coefficient {top} is above 2^48, past which "
+                "the search's conjugates could overflow int64", value=top)
         ids, fresh = [], []
         norms, keys = _keyed(stack)
-        top = max(norms, default=0.0)
-        if top > _KEY_MAX_NORM:
-            raise AccuracyError(
-                f"class keys: squared norm {top!r} is above {_KEY_MAX_NORM:g}, "
-                f"where rounding error starts to reach the {_KEY_DECIMALS}-"
-                "decimal keys")
         for i, (f, k) in enumerate(zip(norms, keys)):
             nd = self.node.get(k)
             if nd is None:
@@ -216,15 +271,17 @@ class _ClassKeyer:
         return self._class_keys_of(ids)
 
     def _class_keys_of(self, ids):
-        """Class key of the component of every node in ids."""
+        """Class key of the component of every node in ids: among its
+        nodes of least norm, the key whose coefficients come first."""
         roots = {self._find(nd) for nd in ids}
         least = {}
         for nd, (k, f) in enumerate(zip(self.keys, self.norms)):
             r = self._find(nd)
             if r in roots and f <= self.best[r] * (1.0 + 1e-9):
-                if r not in least or k < least[r]:
-                    least[r] = k
-        return [least[self._find(nd)] for nd in ids]
+                least.setdefault(r, []).append(k)
+        canon = {r: min(ks, key=lambda k: np.frombuffer(k, np.int64).tolist())
+                 for r, ks in least.items()}
+        return [canon[self._find(nd)] for nd in ids]
 
     def _find(self, i):
         parent = self.parent
@@ -255,12 +312,11 @@ class _ClassKeyer:
             raise AccuracyError(
                 f"class-key search: a class collected over {_KEY_NODE_CAP} "
                 f"keys (least squared norm {self.best[root]!r}) without "
-                "closing; rounding keeps giving its matrices new "
-                f"{_KEY_DECIMALS}-decimal keys")
+                "closing")
 
     def _search(self, frontier, mats):
         """Run waves from frontier (node ids) whose matrices are mats."""
-        n_let = len(self.letters)
+        n_let = self.maps.shape[1] // 16
         find, node, best = self._find, self.node, self.best
         while frontier:
             self.waves += 1
@@ -343,101 +399,43 @@ class LengthSpectrum:
 _OCT_COSH_R = 1.0 + _SQRT2
 
 
-def _trace_pair(tr):
-    """The integers (a, b) with tr = a + b sqrt(2) and |a - b sqrt(2)| <= 2.
-
-    Bolza traces lie in Z[sqrt 2] (Aurich, Bogomolny & Steiner, Physica D
-    48, 1991) and, the group being arithmetic, their Galois conjugates
-    lie in [-2, 2].  So 2 b sqrt(2) is within 2 of tr, which leaves at most
-    two candidates for b.  Raises AccuracyError unless exactly one pair
-    matches tr to 1e-7.
-    """
-    lo = math.ceil((tr - 2.0 - 1e-7) / (2.0 * _SQRT2))
-    hi = math.floor((tr + 2.0 + 1e-7) / (2.0 * _SQRT2))
-    found = []
-    for b in range(lo, hi + 1):
-        a = round(tr - b * _SQRT2)
-        if abs(tr - a - b * _SQRT2) <= 1e-7 and abs(a - b * _SQRT2) <= 2.0:
-            found.append((a, b))
-    if len(found) != 1:
-        raise AccuracyError(f"trace {tr!r}: {len(found)} pairs (a, b) in "
-                            "Z[sqrt 2] match it to 1e-7, expected one")
-    return found[0]
-
-
-def _power_pairs(q, m_top):
-    """Trace pairs of the m-th powers of a class with trace pair q.
-
-    Yields (m, t_m) for 2 <= m <= m_top from t_0 = 2, t_1 = q and
-    t_m = q t_{m-1} - t_{m-2}, in exact Z[sqrt 2] arithmetic.
-    """
-    (qa, qb), prev, cur = q, (2, 0), q
-    for m in range(2, m_top + 1):
-        prev, cur = cur, (qa * cur[0] + 2 * qb * cur[1] - prev[0],
-                          qa * cur[1] + qb * cur[0] - prev[1])
-        yield m, cur
-
-
 def length_spectrum(group, l_max):
     """Oriented primitive conjugacy classes with length <= l_max.
 
     Enumerates the matrix ball that is guaranteed to contain a
     minimal-displacement member of every class with ell <= l_max,
-    canonicalizes every hyperbolic candidate to its class key, and splits
-    primitives from proper powers by root search among the classes whose
-    exact trace powers to the class's own.  Lengths are bucketed by their
-    exact trace pairs, so a group whose traces are not of the Bolza form
-    (see _trace_pair) raises AccuracyError.
+    canonicalizes every hyperbolic candidate to its class key, and marks
+    as a proper power every class that the exact m-th power of a class,
+    m ell <= l_max, keys to.  Lengths are bucketed by their exact traces.
     """
     if l_max > 8.0:
         raise DomainError("length_spectrum: desk scale stops at L_max = 8")
-    letters = group.letters()
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
-    mats = _ball(letters, math.cosh(disp) * (1.0 + 1e-9), _ELEMENT_BUDGET)
+    mats, exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9), _ELEMENT_BUDGET)
     stack = np.array(mats)
-    traces = np.abs(stack[:, 0, 0] + stack[:, 1, 1])
+    traces = stack[:, 0, 0] + stack[:, 1, 1]
     hyperbolic = []
-    for i in np.flatnonzero(traces > 2.0 + 1e-12).tolist():
-        tr = float(traces[i])
+    for i in np.flatnonzero(np.abs(traces) > 2.0 + 1e-12).tolist():
+        tr = abs(float(traces[i]))
         ell = 2.0 * math.asinh(math.sqrt((tr - 2.0) * (tr + 2.0)) / 2.0) \
             if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
         if ell <= l_max + 1e-9:
-            hyperbolic.append((i, tr, ell))
-    keyer = _ClassKeyer(letters)
+            hyperbolic.append((i, ell))
+    # the hyperbolic elements' exact forms, signed to a positive trace
+    rows = [i for i, _ in hyperbolic]
+    exact = exact[rows] * np.where(traces[rows] < 0, -1, 1)[:, None]
+    keyer = _ClassKeyer(group.exact)
     classes = {}
-    ckeys = keyer.class_keys(stack[[i for i, _, _ in hyperbolic]])
-    for (i, tr, ell), ck in zip(hyperbolic, ckeys):
-        if ck not in classes:
-            classes[ck] = (ell, mats[i], _trace_pair(tr))
-    by_pair = {}
-    for ck, (ell, m, pair) in classes.items():
-        by_pair.setdefault(pair, []).append(ck)
-    # mark proper powers: a class is an m-th iterate iff some class whose
-    # m-th trace is its own has an m-th power conjugate to it
-    primitive = {ck: True for ck in classes}
-    if classes:
-        min_len = min(v[0] for v in classes.values())
-        root_pair = {}
-        for q in by_pair:
-            for mm, t in _power_pairs(q, int(l_max / min_len) + 1):
-                root_pair[mm, t] = q
-        cands = []
-        for ck, (ell, m, pair) in classes.items():
-            mm = 2
-            while ell / mm >= min_len - 1e-9:
-                cands += [(ck, rk, mm)
-                          for rk in by_pair.get(root_pair.get((mm, pair)), ())]
-                mm += 1
-        if cands:
-            powers = [np.linalg.matrix_power(classes[rk][1], mm)
-                      for _, rk, mm in cands]
-            for (ck, _, _), pk in zip(cands, keyer.class_keys(np.array(powers))):
-                if pk == ck:
-                    primitive[ck] = False
+    for j, ck in enumerate(keyer.class_keys(exact)):
+        classes.setdefault(ck, (hyperbolic[j][1], j))
+    powers = [functools.reduce(_mul, [exact[j]] * m) for ell, j in classes.values()
+              for m in range(2, int((l_max + 1e-6) / ell) + 1)]
+    proper = set(keyer.class_keys(np.concatenate(powers))) if powers else ()
     buckets = {}
-    for ck, (ell, m, pair) in classes.items():
-        if primitive[ck]:
-            buckets.setdefault(pair, []).append(ell)
+    for ck, (ell, j) in classes.items():
+        if ck not in proper:
+            tr = exact[j, :4] + exact[j, 12:]  # the trace x + w
+            buckets.setdefault(tuple(tr.tolist()), []).append(ell)
     prims = sorted((float(np.mean(v)), len(v)) for v in buckets.values())
     return LengthSpectrum(prims, l_max, classes={k: v[0] for k, v in classes.items()})
 

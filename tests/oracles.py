@@ -10,9 +10,10 @@ vectorized global trace and the level-by-level quadrature must match
 exactly.  So are the
 row-by-row `csv`-module Laplace loader (`laplace_csv_rows`), the
 reference for the bulk `LaplaceSpectrum.from_csv`, and the
-per-matrix Selberg class keyer (`psl_key_one`, `ball_one`,
-`ClassKeyerOne`, `length_spectrum_one`), the reference for the batched
-keyer and the trace-pair buckets, and the order-by-order resonance sums
+per-matrix Selberg class keyer (`ring_mul_one`, `psl_key_one`,
+`ball_one`, `ClassKeyerOne`, `length_spectrum_one`), which writes the
+exact ring product out as scalar integer formulas, the reference for the
+batched keyer, and the order-by-order resonance sums
 (`hc_partial_sums_one`), the reference for the running sums of
 `means.hc_partial_sum`.
 """
@@ -373,58 +374,123 @@ def identity_term_mp(center, sigma, amplitude=1.0, chi_abs=2):
                      * mp.sqrt(2 * mp.pi) * val)
 
 
+# Exact Bolza arithmetic one matrix at a time, in Python ints.  An entry
+# a + b sqrt2 + r (c + d sqrt2), r = sqrt(1 + sqrt2), is the tuple
+# (a, b, c, d); a matrix [[x, y], [z, w]] is the tuple (x, y, z, w).
+
+def ring_mul_one(p, q):
+    """Product of two entries, from sqrt2^2 = 2 and r^2 = 1 + sqrt2."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 + 2 * b1 * b2 + c1 * c2 + 2 * (c1 * d2 + d1 * c2)
+            + 2 * d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * c2 + c1 * d2 + d1 * c2 + 2 * d1 * d2,
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _ring_add(p, q):
+    return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3])
+
+
+def mat_mul_one(m, n):
+    (x, y, z, w), (p, q, s, t) = m, n
+    return (_ring_add(ring_mul_one(x, p), ring_mul_one(y, s)),
+            _ring_add(ring_mul_one(x, q), ring_mul_one(y, t)),
+            _ring_add(ring_mul_one(z, p), ring_mul_one(w, s)),
+            _ring_add(ring_mul_one(z, q), ring_mul_one(w, t)))
+
+
+def mat_inv_one(m):
+    """Inverse of a det-1 matrix: [[w, -y], [-z, x]]."""
+    x, y, z, w = m
+    return (w, tuple(-v for v in y), tuple(-v for v in z), x)
+
+
+def exact_one(row):
+    """A 16-integer row (x, y, z, w coefficients) as a matrix tuple."""
+    row = [int(v) for v in row]
+    return tuple(tuple(row[i:i + 4]) for i in range(0, 16, 4))
+
+
+def flat_one(m):
+    return tuple(v for e in m for v in e)
+
+
+def value_one(e):
+    a, b, c, d = e
+    s2 = math.sqrt(2.0)
+    return a + b * s2 + math.sqrt(1.0 + s2) * (c + d * s2)
+
+
+def frob_one(m):
+    return sum(value_one(e) ** 2 for e in m)
+
+
 def psl_key_one(m):
-    """Key of one 2x2 matrix up to sign: negate when the first entry with
-    |x| > 1e-8 is negative, round to 7 decimals."""
-    flat = m.reshape(-1)
-    for x in flat:
-        if abs(x) > 1e-8:
-            if x < 0:
-                m = -m
-            break
-    return tuple(np.round(m.reshape(-1), 7))
+    """The 16 integers of m, negated when the first nonzero one is
+    negative."""
+    flat = flat_one(m)
+    lead = next(v for v in flat if v != 0)
+    return tuple(-v for v in flat) if lead < 0 else flat
 
 
-def ball_one(letters, max_cosh):
-    """Breadth-first ball enumeration keying one matrix at a time."""
-    eye = np.eye(2)
-    seen = {psl_key_one(eye)}
-    mats = [eye]
-    frontier = np.array([eye])
-    larr = np.array(letters)
-    while len(frontier):
-        prod = np.einsum("fij,ljk->flik", frontier, larr).reshape(-1, 2, 2)
+def exact_letters_one(group):
+    gens = [exact_one(row) for row in group.exact]
+    return gens + [mat_inv_one(g) for g in gens]
+
+
+def ball_one(group, max_cosh):
+    """Breadth-first ball enumeration keying one exact matrix at a time.
+
+    Returns the float matrices, products of the float letters, and the
+    exact matrices as tuples."""
+    xletters = exact_letters_one(group)
+    eye, xeye = np.eye(2), exact_one([1] + [0] * 11 + [1, 0, 0, 0])
+    seen = {psl_key_one(xeye)}
+    mats, exact = [eye], [xeye]
+    frontier = [(eye, xeye)]
+    larr = np.array(group.letters())
+    while frontier:
+        prod = np.einsum("fij,ljk->flik", np.array([m for m, _ in frontier]),
+                         larr).reshape(-1, 2, 2)
         fr = (prod ** 2).sum(axis=(1, 2)) / 2.0
         fresh = []
-        for m in prod[fr <= max_cosh]:
-            key = psl_key_one(m)
+        for j, m in enumerate(prod):
+            if fr[j] > max_cosh:
+                continue
+            x = mat_mul_one(frontier[j // len(xletters)][1],
+                            xletters[j % len(xletters)])
+            key = psl_key_one(x)
             if key not in seen:
                 seen.add(key)
                 mats.append(m)
-                fresh.append(m)
-        frontier = np.array(fresh) if fresh else np.empty((0, 2, 2))
-    return mats
-
-
-def _frob_one(m):
-    return float((m * m).sum())
+                exact.append(x)
+                fresh.append((m, x))
+        frontier = fresh
+    return mats, exact
 
 
 class ClassKeyerOne:
-    """Best-first class-key search conjugating and keying one matrix at a
-    time (slack 40 above the running minimum of the squared norm)."""
+    """Best-first class-key search conjugating and keying one exact matrix
+    at a time (slack 40 above the running minimum of the squared norm).
+    The class key is the least key, as a tuple of ints, among the members
+    of least norm."""
 
-    def __init__(self, letters):
-        self.letters = letters
-        self.inv = [np.linalg.inv(a) for a in letters]
+    def __init__(self, group):
+        self.letters = exact_letters_one(group)
+        self.inv = [mat_inv_one(a) for a in self.letters]
         self.cache = {}
+
+    def conjugate(self, m, i):
+        return mat_mul_one(mat_mul_one(self.inv[i], m), self.letters[i])
 
     def key(self, m):
         k0 = psl_key_one(m)
         hit = self.cache.get(k0)
         if hit is not None:
             return hit
-        best = _frob_one(m)
+        best = frob_one(m)
         nodes = {k0: m}
         heap = [(best, k0)]
         while heap:
@@ -432,8 +498,8 @@ class ClassKeyerOne:
             if f > best * 40.0:
                 continue
             mm = nodes[kk]
-            for a, ai in zip(self.letters, self.inv):
-                c = ai @ mm @ a
+            for i in range(len(self.letters)):
+                c = self.conjugate(mm, i)
                 ck = psl_key_one(c)
                 if ck in nodes:
                     continue
@@ -442,7 +508,7 @@ class ClassKeyerOne:
                     for seen_key in nodes:
                         self.cache[seen_key] = known
                     return known
-                fc = _frob_one(c)
+                fc = frob_one(c)
                 if fc > best * 40.0:
                     continue
                 nodes[ck] = c
@@ -450,7 +516,7 @@ class ClassKeyerOne:
                 if fc < best:
                     best = fc
         members = [kk for kk, mm in nodes.items()
-                   if _frob_one(mm) <= best * (1.0 + 1e-9)]
+                   if frob_one(mm) <= best * (1.0 + 1e-9)]
         ckey = min(members)
         for kk in nodes:
             self.cache[kk] = ckey
@@ -460,13 +526,12 @@ class ClassKeyerOne:
 def length_spectrum_one(group, l_max):
     """(primitives, {class key: length}) by the per-matrix keyer, with
     lengths bucketed and roots matched by length rounded to 9 decimals."""
-    letters = group.letters()
     cosh_r = 1.0 + math.sqrt(2.0)
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * cosh_r)
-    mats = ball_one(letters, math.cosh(disp) * (1.0 + 1e-9))
-    keyer = ClassKeyerOne(letters)
+    mats, exact = ball_one(group, math.cosh(disp) * (1.0 + 1e-9))
+    keyer = ClassKeyerOne(group)
     classes = {}
-    for m in mats:
+    for m, x in zip(mats, exact):
         tr = abs(m[0, 0] + m[1, 1])
         if tr <= 2.0 + 1e-12:
             continue
@@ -474,26 +539,33 @@ def length_spectrum_one(group, l_max):
             if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
         if ell > l_max + 1e-9:
             continue
-        ck = keyer.key(m)
+        ck = keyer.key(x)
         if ck not in classes:
-            classes[ck] = (ell, m)
+            classes[ck] = (ell, x)
     by_len = {}
-    for ck, (ell, m) in classes.items():
+    for ck, (ell, x) in classes.items():
         by_len.setdefault(round(ell, 9), []).append(ck)
     primitive = {ck: True for ck in classes}
     min_len = min(v[0] for v in classes.values())
-    for ck, (ell, m) in classes.items():
+    for ck, (ell, x) in classes.items():
         mm = 2
         while primitive[ck] and ell / mm >= min_len - 1e-9:
             for rk in by_len.get(round(ell / mm, 9), ()):
-                root = classes[rk][1]
-                if keyer.key(np.linalg.matrix_power(root, mm)) == ck:
+                if keyer.key(power_one(classes[rk][1], mm)) == ck:
                     primitive[ck] = False
                     break
             mm += 1
     buckets = {}
-    for ck, (ell, m) in classes.items():
+    for ck, (ell, x) in classes.items():
         if primitive[ck]:
             buckets.setdefault(round(ell, 9), []).append(ell)
     prims = sorted((float(np.mean(v)), len(v)) for v in buckets.values())
     return prims, {k: v[0] for k, v in classes.items()}
+
+
+def power_one(m, n):
+    """m^n, n >= 1, by n - 1 products."""
+    out = m
+    for _ in range(n - 1):
+        out = mat_mul_one(out, m)
+    return out

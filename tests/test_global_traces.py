@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,27 @@ class TestGlobalTrace:
     def test_non_positive_or_nan_time_rejected(self, t):
         with pytest.raises(DomainError, match="t must be > 0"):
             gt.global_trace(toy_spectrum(), t)
+
+    @pytest.mark.parametrize("entries,t,match", [
+        ([(0.1, 1), (1.5, 1)], 1e5,
+         r"cosh\(t sqrt\(1/4 - mu\)\) overflows at t=100000\.0, mu=0\.1"),
+        ([(0.1, 1)], math.inf, r"cosh.* overflows at t=inf, mu=0\.1"),
+        ([(1.5, 1)], 1.7e308,
+         r"t sqrt\(mu - 1/4\) overflows at t=1\.7e\+308, mu=1\.5"),
+        ([(0.1, 1), (1.5, 1)], math.inf, "overflows at t=inf"),
+        ([(1.5, 1)], 1e-20, r"1 - e\^-t rounds to 0 at t=1e-20"),
+    ], ids=["cosh", "cosh_inf", "phase", "phase_inf", "tiny"])
+    def test_overflowing_time_rejected(self, entries, t, match):
+        # a DomainError naming t before any term is summed, in place of a
+        # bare OverflowError from math.cosh, numpy overflow warnings or a
+        # ZeroDivisionError; t = 1400 still sums
+        spec = toy_spectrum(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match) as exc_info:
+                gt.global_trace(spec, t)
+        assert exc_info.value.value == t
+        assert all(map(math.isfinite, gt.global_trace(spec, 1400.0)))
 
     def test_large_time_limit(self):
         spec = toy_spectrum([], genus=2)

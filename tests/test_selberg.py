@@ -1,4 +1,5 @@
 import csv
+import functools
 import itertools
 import math
 
@@ -10,10 +11,18 @@ from hypothesis import strategies as st
 from gfsl import selberg
 from gfsl.errors import AccuracyError, BudgetError, ConstructionError
 
-from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle,
-                     identity_term_mp, length_spectrum_one, psl_key_one)
+from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle, exact_one,
+                     flat_one, frob_one, identity_term_mp, length_spectrum_one,
+                     mat_inv_one, mat_mul_one, power_one, psl_key_one,
+                     ring_mul_one, value_one)
 
 SYSTOLE = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
+IDENTITY_ONE = exact_one([1] + [0] * 11 + [1, 0, 0, 0])
+
+
+def _ints(keys):
+    # library keys (128 bytes each) as tuples of their 16 integers
+    return [tuple(np.frombuffer(k, dtype=np.int64).tolist()) for k in keys]
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +50,34 @@ class TestBolzaGroup:
     def test_bad_relator_rejected(self, bolza):
         with pytest.raises(ConstructionError):
             selberg.FuchsianGroup(bolza.generators,
-                                  ((0, 1), (1, 1), (0, 1), (1, 1)))
+                                  ((0, 1), (1, 1), (0, 1), (1, 1)), bolza.exact)
+
+    def test_exact_generators(self, bolza):
+        gens = [exact_one(row) for row in bolza.exact]
+        for g, x in zip(bolza.generators, gens):
+            # det = xw - yz is exactly 1
+            xx, y, z, w = x
+            det = tuple(p - q for p, q in zip(ring_mul_one(xx, w),
+                                              ring_mul_one(y, z)))
+            assert det == (1, 0, 0, 0)
+            assert max(abs(value_one(e) - v)
+                       for e, v in zip(x, g.ravel())) <= 1e-14
+        prod = IDENTITY_ONE
+        for idx, s in selberg.BOLZA_RELATOR:
+            prod = mat_mul_one(prod, gens[idx] if s > 0
+                               else mat_inv_one(gens[idx]))
+        assert psl_key_one(prod) == flat_one(IDENTITY_ONE)
+
+    def test_exact_float_mismatch_rejected(self, bolza):
+        swapped = bolza.exact[[1, 0, 2, 3]]
+        with pytest.raises(ConstructionError, match="exact and float "
+                           "generators differ by"):
+            selberg.FuchsianGroup(bolza.generators, selberg.BOLZA_RELATOR,
+                                  swapped)
+        off = bolza.exact.copy()
+        off[0, 0] += 1
+        with pytest.raises(ConstructionError, match="det is not exactly 1"):
+            selberg.FuchsianGroup(bolza.generators, selberg.BOLZA_RELATOR, off)
 
 
 class TestLengthSpectrum:
@@ -57,10 +93,12 @@ class TestLengthSpectrum:
 
     def test_octagon_symmetry_relabeling(self, bolza):
         base = selberg.length_spectrum(bolza, 5.0)
+        x = bolza.exact
         perm = selberg.FuchsianGroup(
             [bolza.generators[1], bolza.generators[2], bolza.generators[3],
              np.linalg.inv(bolza.generators[0])],
-            ((0, 1), (1, -1), (2, 1), (3, -1), (0, -1), (1, 1), (2, -1), (3, 1)))
+            ((0, 1), (1, -1), (2, 1), (3, -1), (0, -1), (1, 1), (2, -1), (3, 1)),
+            [x[1], x[2], x[3], flat_one(mat_inv_one(exact_one(x[0])))])
         again = selberg.length_spectrum(perm, 5.0)
         assert len(again.primitives) == len(base.primitives)
         for (la, ma), (lb, mb) in zip(again.primitives, base.primitives):
@@ -106,23 +144,19 @@ class TestLengthSpectrum:
         # conjugating any class representative by a generator and
         # re-canonicalizing must return the same key (no basin splitting),
         # on the keyer that keyed the representatives and on a fresh one
-        letters = bolza.letters()
-        keyer = selberg._ClassKeyer(letters)
+        keyer = selberg._ClassKeyer(bolza.exact)
         ls = selberg.length_spectrum(bolza, 6.0)
-        mats = selberg._ball(letters, math.cosh(
-            2.0 * math.acosh(math.cosh(3.0) * (1 + math.sqrt(2)))), 10 ** 6)
-        hyp = [m for m in mats if abs(m[0, 0] + m[1, 1]) > 2.0 + 1e-12
-               and 2.0 * math.acosh(abs(m[0, 0] + m[1, 1]) / 2.0) <= 6.0]
+        mats, exact = selberg._ball(bolza, _ball_cosh(6.0), 10 ** 6)
+        hyp = exact[_hyperbolic(mats, 6.0)]
         reps = {}
-        for key, m in zip(keyer.class_keys(np.array(hyp)), hyp):
-            reps.setdefault(key, m)
+        for key, x in zip(keyer.class_keys(hyp), hyp):
+            reps.setdefault(key, x)
         reps = list(reps.items())
         assert len(reps) >= sum(mult for _, mult in ls.primitives)
-        conj = np.array([np.linalg.inv(a) @ m @ a
-                         for _, m in reps[:200] for a in letters])
-        want = [key for key, _ in reps[:200] for _ in letters]
+        conj = keyer.conjugates(np.array([x for _, x in reps[:200]]))
+        want = [key for key, _ in reps[:200] for _ in range(8)]
         assert keyer.class_keys(conj) == want
-        assert selberg._ClassKeyer(letters).class_keys(conj) == want
+        assert selberg._ClassKeyer(bolza.exact).class_keys(conj) == want
 
 
 def _ball_cosh(l_max):
@@ -131,81 +165,103 @@ def _ball_cosh(l_max):
     return math.cosh(disp) * (1.0 + 1e-9)
 
 
+def _hyperbolic(mats, l_max):
+    # indices of the ball elements length_spectrum keys: trace > 2,
+    # length <= l_max
+    return [i for i, m in enumerate(mats)
+            if abs(m[0, 0] + m[1, 1]) > 2.0 + 1e-12
+            and 2.0 * math.acosh(abs(m[0, 0] + m[1, 1]) / 2.0) <= l_max + 1e-9]
+
+
 @pytest.fixture(scope="module")
 def ball8(bolza):
-    return selberg._ball(bolza.letters(), _ball_cosh(8.0), 10 ** 6)
-
-
-def _hyperbolic_traces(mats, l_max):
-    out = []
-    for m in mats:
-        tr = float(abs(m[0, 0] + m[1, 1]))
-        if tr > 2.0 + 1e-12 and 2.0 * math.acosh(tr / 2.0) <= l_max + 1e-9:
-            out.append(tr)
-    return out
+    return selberg._ball(bolza, _ball_cosh(8.0), 10 ** 6)
 
 
 class TestBatchedKeyer:
-    # the batched keyer must give exactly what the per-matrix keyer in
-    # oracles.py gives: same keys, same ball, same classes
+    # the batched keyer must give exactly what the per-matrix exact keyer
+    # in oracles.py gives: same ball, conjugates, keys, classes and powers
 
     def test_ball_matches_reference(self, bolza, ball8):
-        ref = ball_one(bolza.letters(), _ball_cosh(8.0))
-        assert len(ball8) == len(ref) == 4401
-        assert all(np.array_equal(a, b) for a, b in zip(ball8, ref))
+        mats, exact = ball8
+        ref_mats, ref_exact = ball_one(bolza, _ball_cosh(8.0))
+        assert len(mats) == len(ref_mats) == len(exact) == 4401
+        assert all(np.array_equal(a, b) for a, b in zip(mats, ref_mats))
+        assert [tuple(r) for r in exact.tolist()] == list(map(flat_one, ref_exact))
+        # the float products stay within 1.7e-12 of the exact entries
+        vals = np.array([[value_one(e) for e in x] for x in ref_exact])
+        assert np.abs(vals - np.array(mats).reshape(-1, 4)).max() < 2e-12
+        assert np.abs(exact).max() == 33
 
     def test_keys_match_reference_on_ball(self, ball8):
-        keys = selberg._psl_keys(np.array(ball8))
-        assert keys == [psl_key_one(m) for m in ball8]
+        _, exact = ball8
+        keys = selberg._psl_keys(exact)
+        assert _ints(keys) == [psl_key_one(exact_one(r)) for r in exact]
 
-    @pytest.mark.parametrize("m", [
-        -np.eye(2),
-        [[1e-8, -2.0], [0.5, 3.0]],
-        [[-1e-8, 2.0], [-0.5, 3.0]],
-        [[0.0, -1.0], [1.0, 0.0]],
-        [[0.0, 1.0], [-1.0, 0.0]],
-        [[-2.0, 0.5], [1.0, -0.75]],
-        [[-1e-9, -1e-9], [0.0, 1e-9]],
-    ], ids=["minus_identity", "lead_plus_1e-8", "lead_minus_1e-8",
-            "zero_first_negative_second", "zero_first_positive_second",
-            "negative_first", "all_tiny"])
-    def test_sign_edge_cases(self, m):
-        m = np.array(m, dtype=float)
-        want = psl_key_one(m)
-        assert selberg._psl_keys(m) == [want]
+    @pytest.mark.parametrize("row", [
+        [-1] + [0] * 11 + [-1, 0, 0, 0],
+        [0, 0, -1, 2] + [0] * 12,
+        [0, 0, 1, -2] + [0] * 12,
+        [-2, 5, 0, 0, 1] + [0] * 11,
+        [1, -2, 0, 0, -3] + [0] * 11,
+        [-1, 2, 0, 0, 3] + [0] * 11,
+        [0] * 15 + [-1],
+    ], ids=["minus_identity", "zero_first_negative_second",
+            "zero_first_positive_second", "negative_first", "lead_plus_one",
+            "lead_minus_one", "lead_last"])
+    def test_sign_edge_cases(self, row):
+        row = np.array(row, dtype=np.int64)
+        want = psl_key_one(exact_one(row))
+        assert _ints(selberg._psl_keys(row[None])) == [want]
         # the same matrix inside a stack, after a matrix keyed the other way
-        stack = np.array([np.eye(2), m, -np.eye(2)])
-        assert selberg._psl_keys(stack)[1] == want
+        stack = np.array([selberg._IDENTITY, row, -selberg._IDENTITY])
+        assert _ints(selberg._psl_keys(stack))[1] == want
 
     def test_conjugate_stack_matches_loop(self, bolza, ball8):
-        letters = bolza.letters()
-        inv = [np.linalg.inv(a) for a in letters]
-        keyer = selberg._ClassKeyer(letters)
-        cs = keyer.conjugates(np.array(ball8))
-        ref = np.array([ai @ m @ a for m in ball8
-                        for a, ai in zip(letters, inv)])
-        assert cs.shape == ref.shape == (8 * 4401, 2, 2)
-        assert cs.tobytes() == ref.tobytes()  # bit for bit, signed zeros too
+        _, exact = ball8
+        keyer = selberg._ClassKeyer(bolza.exact)
+        ref = ClassKeyerOne(bolza)
+        cs = keyer.conjugates(exact)
+        want = [ref.conjugate(exact_one(r), i) for r in exact for i in range(8)]
+        assert cs.shape == (8 * 4401, 16)
+        assert [tuple(r) for r in cs.tolist()] == list(map(flat_one, want))
         norms, keys = selberg._keyed(cs)
-        assert norms == [float((c * c).sum()) for c in ref]
-        assert keys == [psl_key_one(c) for c in ref]
+        assert np.allclose(norms, [frob_one(c) for c in want],
+                           rtol=1e-13, atol=0.0)
+        assert _ints(keys) == list(map(psl_key_one, want))
 
     def test_class_keys_match_reference(self, bolza, ball8):
-        keyer = selberg._ClassKeyer(bolza.letters())
-        ref = ClassKeyerOne(bolza.letters())
-        assert keyer.class_keys(np.array(ball8)) == [ref.key(m) for m in ball8]
+        _, exact = ball8
+        keyer = selberg._ClassKeyer(bolza.exact)
+        ref = ClassKeyerOne(bolza)
+        assert (_ints(keyer.class_keys(exact))
+                == [ref.key(exact_one(r)) for r in exact])
         # every key both searches met belongs to the same class in each
-        shared = [k for k in ref.cache if k in keyer.node]
-        assert len(shared) > len(ball8)
-        assert (keyer._class_keys_of([keyer.node[k] for k in shared])
-                == [ref.cache[k] for k in shared])
+        shared = [k for k in keyer.node if _ints([k])[0] in ref.cache]
+        assert len(shared) > len(exact)
+        assert (_ints(keyer._class_keys_of([keyer.node[k] for k in shared]))
+                == [ref.cache[k] for k in _ints(shared)])
+
+    def test_powers_match_reference(self, ball8):
+        # the exact products and powers length_spectrum forms, bit for bit
+        _, exact = ball8
+        rows = exact[::37]
+        for n in (2, 3):
+            got = [functools.reduce(selberg._mul, [r] * n) for r in rows]
+            assert ([tuple(p.ravel().tolist()) for p in got]
+                    == [flat_one(power_one(exact_one(r), n)) for r in rows])
+        prod = selberg._mul(rows, rows[::-1])
+        assert ([tuple(p) for p in prod.tolist()]
+                == [flat_one(mat_mul_one(exact_one(a), exact_one(b)))
+                    for a, b in zip(rows, rows[::-1])])
+        assert ([tuple(p) for p in selberg._inv(rows).tolist()]
+                == [flat_one(mat_inv_one(exact_one(r))) for r in rows])
 
     def test_length_spectrum_matches_reference(self, bolza, spectrum8):
         prims, classes = length_spectrum_one(bolza, 8.0)
         assert spectrum8.primitives == prims
         assert len(spectrum8.classes) == len(classes) == 416
-        assert np.array_equal(np.array(list(spectrum8.classes)),
-                              np.array(list(classes)))
+        assert _ints(spectrum8.classes) == list(classes)
         assert list(spectrum8.classes.values()) == list(classes.values())
 
     def test_keying_runs_in_few_chunked_waves(self, bolza, monkeypatch):
@@ -216,8 +272,8 @@ class TestBatchedKeyer:
         real_keyer, real_keyed = selberg._ClassKeyer, selberg._keyed
 
         class Recording(real_keyer):
-            def __init__(self, letters):
-                super().__init__(letters)
+            def __init__(self, gens):
+                super().__init__(gens)
                 keyers.append(self)
 
         def keyed(stack):
@@ -236,16 +292,28 @@ class TestBatchedKeyer:
         assert max(sizes[1:-1]) <= 8 * selberg.KEY_BLOCK
 
 
-def _hyperbolic(mats, l_max):
-    # the ball elements length_spectrum keys: trace > 2, length <= l_max
-    return [m for m in mats if abs(m[0, 0] + m[1, 1]) > 2.0 + 1e-12
-            and 2.0 * math.acosh(abs(m[0, 0] + m[1, 1]) / 2.0) <= l_max + 1e-9]
+@pytest.fixture(scope="module")
+def keyed8(bolza, ball8):
+    mats, exact = ball8
+    stack = exact[_hyperbolic(mats, 8.0)]
+    return stack, selberg._ClassKeyer(bolza.exact).class_keys(stack)
 
 
 @pytest.fixture(scope="module")
-def keyed8(bolza, ball8):
-    stack = np.array(_hyperbolic(ball8, 8.0))
-    return stack, selberg._ClassKeyer(bolza.letters()).class_keys(stack)
+def ref_keyer(bolza):
+    return ClassKeyerOne(bolza)
+
+
+def _word_conjugate(ref, x, word):
+    # x conjugated by the letters of word one at a time, as the search
+    # conjugates, by the exact reference keyer ref
+    c = exact_one(x)
+    for a in word:
+        c = ref.conjugate(c, a)
+    return np.array(flat_one(c), dtype=np.int64)
+
+
+WORDS = [w for n in (1, 2, 3) for w in itertools.product(range(8), repeat=n)]
 
 
 class TestKeyerInvariance:
@@ -256,78 +324,112 @@ class TestKeyerInvariance:
         # any order returns the same keys in that order
         stack, keys = keyed8
         perm = np.random.default_rng(seed).permutation(len(stack)).tolist()
-        got = selberg._ClassKeyer(bolza.letters()).class_keys(stack[perm])
+        got = selberg._ClassKeyer(bolza.exact).class_keys(stack[perm])
         assert got == [keys[i] for i in perm]
 
     @settings(max_examples=5, deadline=None)
     @given(i=st.integers(0, 2183))
-    def test_word_conjugates_key_to_class(self, bolza, keyed8, i):
-        # m's conjugates by all 584 words of one to three letters, each
-        # applied one letter at a time as the search conjugates, keyed as
-        # one stack on a keyer that has keyed the ball (as length_spectrum
-        # keys its root powers), key to m's class, and the ball's keys do
-        # not move; a conjugate past the keyer's norm envelope is refused
+    def test_word_conjugates_key_to_class(self, bolza, keyed8, ref_keyer, i):
+        # m's conjugates by all 584 words of one to three letters, keyed as
+        # one stack on a keyer that has keyed the ball's hyperbolic
+        # elements, key to m's class, and the ball's keys do not move
         stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.letters())
+        keyer = selberg._ClassKeyer(bolza.exact)
         assert keyer.class_keys(stack) == keys
-        conj = []
-        for word in itertools.chain.from_iterable(
-                itertools.product(range(8), repeat=n) for n in (1, 2, 3)):
-            c = stack[i]
-            for a in word:
-                c = keyer.inv[a] @ c @ keyer.letters[a]
-            conj.append(c)
-        conj = np.array(conj)
-        inside = (conj * conj).sum(axis=(1, 2)) <= selberg._KEY_MAX_NORM
-        assert keyer.class_keys(conj[inside]) == [keys[i]] * int(inside.sum())
+        conj = np.array([_word_conjugate(ref_keyer, stack[i], w) for w in WORDS])
+        assert keyer.class_keys(conj) == [keys[i]] * len(WORDS)
         assert keyer.class_keys(stack) == keys
-        if not inside.all():
-            with pytest.raises(AccuracyError, match="class keys: squared "
-                               "norm .* is above 1e\\+08"):
-                keyer.class_keys(conj[~inside][:1])
 
-    def test_runaway_search_fails_loudly(self, bolza, keyed8):
-        # alone, without the ball's keys to join, the search from this
-        # conjugate keeps meeting new keys; it stops at the node cap
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(0, 2183), w=st.integers(0, len(WORDS) - 1))
+    def test_lone_word_conjugate_keys_to_class(self, bolza, keyed8, ref_keyer,
+                                               i, w):
+        # a word conjugate of an L = 8 class, keyed alone on a fresh keyer
+        # with no other key to join, reaches its class's key
         stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.letters())
-        conj = stack[965]
-        for a in (0, 7, 3):
-            conj = keyer.inv[a] @ conj @ keyer.letters[a]
-        assert float((conj * conj).sum()) < selberg._KEY_MAX_NORM
+        keyer = selberg._ClassKeyer(bolza.exact)
+        conj = _word_conjugate(ref_keyer, stack[i], WORDS[w])
+        assert keyer.class_keys(conj[None]) == [keys[i]]
+        assert len(keyer.keys) <= 26
+
+    def test_former_runaway_keys_to_class(self, bolza, keyed8, ref_keyer):
+        # with 7-decimal float keys the lone search from this conjugate
+        # kept meeting new keys until the node cap stopped it
+        stack, keys = keyed8
+        keyer = selberg._ClassKeyer(bolza.exact)
+        conj = _word_conjugate(ref_keyer, stack[965], (0, 7, 3))
+        assert keyer.class_keys(conj[None]) == [keys[965]]
+        assert len(keyer.keys) <= 26
+
+    def test_node_cap_is_a_budget(self, bolza, keyed8, monkeypatch):
+        # the largest L = 8 class collects 26 keys, over a cap of 8
+        stack, _ = keyed8
+        monkeypatch.setattr(selberg, "_KEY_NODE_CAP", 8)
         with pytest.raises(AccuracyError, match="class-key search: a class "
-                           "collected over 4096 keys"):
-            keyer.class_keys(conj[None])
-        assert len(keyer.keys) <= selberg._KEY_NODE_CAP + 8
+                           "collected over 8 keys"):
+            selberg._ClassKeyer(bolza.exact).class_keys(stack)
+
+    def test_coefficient_guard(self, bolza, keyed8):
+        # a coefficient past 2^48 is refused before any search; up to it,
+        # no conjugate the search forms can overflow int64 (see
+        # _KEY_MAX_COEF)
+        stack, keys = keyed8
+        keyer = selberg._ClassKeyer(bolza.exact)
+        big = np.array([selberg._IDENTITY * (2 ** 48 + 1)])
+        with pytest.raises(AccuracyError, match="class keys: coefficient "
+                           "281474976710657 is above 2\\^48") as exc_info:
+            keyer.class_keys(np.concatenate([stack[:3], big]))
+        assert exc_info.value.value == 2 ** 48 + 1
+        assert keyer.keys == []
+
+    def test_coefficient_bound_inputs(self, bolza, ball8, keyed8, ref_keyer):
+        # the facts the int64 bound of _KEY_MAX_COEF rests on: the maps'
+        # absolute column sums are at most 47, and C(g) <= ||g|| / 2 + 1
+        # on the ball and on word conjugates of its hyperbolic elements
+        maps = selberg._ClassKeyer(bolza.exact).maps
+        assert np.abs(maps).sum(axis=0).max() == 47
+        stack, _ = keyed8
+        conj = np.array([_word_conjugate(ref_keyer, x, w) for x in stack[::50]
+                         for w in WORDS[::7]])
+        for rows in (ball8[1], conj):
+            vals = rows.reshape(-1, 4, 4) @ selberg._BASIS
+            norm = np.sqrt((vals * vals).sum(axis=1))
+            assert (np.abs(rows).max(axis=1) <= norm / 2.0 + 1.0).all()
 
 
 class TestTracePairs:
     def test_ball_traces_in_nine_pairs(self, ball8):
-        pairs = {selberg._trace_pair(tr)
-                 for tr in _hyperbolic_traces(ball8, 8.0)}
+        # the exact traces x + w of the hyperbolic L = 8 ball elements lie
+        # in Z[sqrt 2] (no r part) and take nine values a + b sqrt 2, each
+        # with |a - b sqrt 2| <= 2, equal to the float traces
+        mats, exact = ball8
+        pairs = set()
+        for i in _hyperbolic(mats, 8.0):
+            tr = exact[i, :4] + exact[i, 12:]
+            if mats[i][0, 0] + mats[i][1, 1] < 0:
+                tr = -tr
+            a, b, c, d = tr.tolist()
+            assert c == d == 0
+            assert abs(a + b * math.sqrt(2.0) - abs(np.trace(mats[i]))) < 1e-11
+            pairs.add((a, b))
         assert pairs == {(2, 2), (6, 4), (10, 6), (10, 8), (14, 10),
                          (18, 12), (18, 14), (22, 16), (26, 18)}
         for a, b in pairs:
             assert abs(a - b * math.sqrt(2.0)) <= 2.0
 
-    def test_not_in_ring_fails_loudly(self):
-        with pytest.raises(AccuracyError, match=r"trace 3\.3: 0 pairs"):
-            selberg._trace_pair(3.3)
-        # within 1e-7 of a + b sqrt 2, but its conjugate is far outside [-2, 2]
-        with pytest.raises(AccuracyError, match="0 pairs"):
-            selberg._trace_pair(20.0 + math.sqrt(2.0))
-
-    def test_power_pairs_are_powers(self):
+    def test_power_pairs_are_powers(self, ball8):
+        # the exact m-th powers length_spectrum keys have the traces
+        # 2 cosh(m ell / 2) of the m-th iterates
+        mats, exact = ball8
         s2 = math.sqrt(2.0)
-        for q in ((2, 2), (6, 4), (10, 6)):
-            t = q[0] + q[1] * s2
-            ell = 2.0 * math.acosh(t / 2.0)
-            got = dict(selberg._power_pairs(q, 4))
-            assert sorted(got) == [2, 3, 4]
-            for m, (a, b) in got.items():
+        for i in _hyperbolic(mats, 8.0)[:40]:
+            ell = 2.0 * math.acosh(abs(np.trace(mats[i])) / 2.0)
+            for m in (2, 3, 4):
+                p = functools.reduce(selberg._mul, [exact[i]] * m).ravel()
+                a, b, c, d = (p[:4] + p[12:]).tolist()
                 want = 2.0 * math.cosh(m * ell / 2.0)
-                assert abs(a + b * s2 - want) <= 1e-12 * want
-        assert dict(selberg._power_pairs((2, 2), 2)) == {2: (10, 8)}
+                assert c == d == 0
+                assert abs(abs(a + b * s2) - want) <= 1e-12 * want
 
 
 class TestTanhIdentity:
