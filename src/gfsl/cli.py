@@ -25,9 +25,10 @@ from pathlib import Path
 
 # numpy's bundled OpenBLAS starts a worker pool at import unless told not
 # to, which slows every cold start (README, "Cold start"), and no
-# subcommand uses it: the BLAS/LAPACK work is 2x2 products, det and inv,
-# and 9-point polyfits, far below the size at which OpenBLAS splits work.
-# A value the user sets wins.  This holds only if gfsl.cli is imported
+# subcommand needs it: the BLAS/LAPACK work is 2x2 products, det and inv,
+# 9-point polyfits and selberg's 128 x 16 by 16 x 128 products of integer
+# coefficients, which are exact however OpenBLAS splits them.  A value
+# the user sets wins.  This holds only if gfsl.cli is imported
 # before numpy, which is why gfsl/__init__ imports nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -151,7 +152,15 @@ def cmd_spherical_check(args):
     lams = _parse_floats("--lambda", args.lam)
     nus = _parse_floats("--nu", args.nu)
     n_ord = _parse_int("--n", args.n, 0)
+    if n_ord > spherical.SWEEP_N_MAX:
+        raise GfslError(f"--n: expected an integer <= {spherical.SWEEP_N_MAX}"
+                        ", the sweep's memory budget of 16 MiB of row state "
+                        f"per table, got {args.n!r}")
     k_ord = _parse_int("--k", args.k, 2)
+    if k_ord > spherical.SWEEP_K_MAX:
+        raise GfslError(f"--k: expected an integer <= {spherical.SWEEP_K_MAX}"
+                        ", past which a table's row no longer fits one "
+                        f"block of the sweep, got {args.k!r}")
     params = [("principal", lam, p) for lam, p in _per_value(
         "--lambda", lams, spherical.SpectralParam.principal)]
     params += [("complementary", nu, p) for nu, p in _per_value(
@@ -306,7 +315,7 @@ def cmd_selberg(args):
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]
     for lm in grid:
         sub = selberg.LengthSpectrum(
-            [(ell, m) for ell, m in ls.primitives if ell <= lm + 1e-12], lm)
+            [(ell, m) for ell, m in ls.primitives if ell <= lm], lm)
         rep = selberg.wave_trace_pair(sub, g, laplace=laplace)
         discs.append(rep.discrepancy)
     monotone = all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))

@@ -143,13 +143,21 @@ def _spherical_sum(spec, t):
     terms[:k] = [d * math.cosh(t * math.sqrt(0.25 - m))
                  for m, d in zip(mu[:k].tolist(), mult[:k].tolist())]
     terms[k:] = mult[k:] * np.cos(t * np.sqrt(mu[k:] - 0.25))
-    return float(np.cumsum(terms)[-1])
+    # the cosh terms can overflow with their multiplicities, or summed,
+    # although no cosh does (_check_phases); the cos terms cannot
+    with np.errstate(over="ignore"):
+        total = float(np.cumsum(terms)[-1])
+    if not math.isfinite(total):
+        raise DomainError(f"global_trace: d cosh(t sqrt(1/4 - mu)), summed "
+                          f"over mu < 1/4, overflows at t={t!r}", value=t)
+    return total
 
 
 def _check_phases(spec, t):
-    """DomainError naming t when a term of _spherical_sum would overflow:
-    the cosh of its first eigenvalue (when below 1/4), the largest, or
-    t sqrt(mu - 1/4) at its last (when above 1/4), the largest."""
+    """DomainError naming t when a cosh or phase of _spherical_sum would
+    overflow: the cosh of its first eigenvalue (when below 1/4), the
+    largest, or t sqrt(mu - 1/4) at its last (when above 1/4), the
+    largest.  _spherical_sum itself checks the terms and their sum."""
     mu = spec.mu
     if mu.size and mu[0] < 0.25:
         try:

@@ -61,13 +61,13 @@ def _inv(x):
 
 
 def _maps(gens, conjugate):
-    """(L, 16, 16) int64 for the L letters a (the exact generators gens,
-    then their inverses): a row m of 16 coefficients times map l is m a_l,
-    or a_l^-1 m a_l when conjugate."""
+    """(16, 16 L) float64 for the L letters a (the exact generators gens,
+    then their inverses): a row m of 16 coefficients times columns 16 l ..
+    16 l + 15 is m a_l, or a_l^-1 m a_l when conjugate."""
     letters = np.repeat(np.concatenate([gens, _inv(gens)]), 16, axis=0)
     unit = np.tile(np.eye(16, dtype=np.int64), (len(letters) // 16, 1))
     left = _mul(_inv(letters), unit) if conjugate else unit
-    return _mul(left, letters).reshape(-1, 16, 16)
+    return np.hstack(_mul(left, letters).reshape(-1, 16, 16)).astype(float)
 
 
 @dataclass
@@ -150,33 +150,30 @@ _ELEMENT_BUDGET = 2_000_000
 
 def _ball(group, max_cosh, budget):
     """All group elements with cosh d(i, g i) = ||g||_F^2 / 2 <= max_cosh,
-    as float matrices (a list) and exact forms (a (n, 16) int64 array)."""
-    larr = np.array(group.letters())
+    as a (n, 16) exact stack, breadth-first; the float64 products of the
+    coefficients are exact, every partial sum an integer below 2^53."""
     right = _maps(group.exact, conjugate=False)
     seen = set(_psl_keys(_IDENTITY[None]))
-    mats, exact = [np.eye(2)], [_IDENTITY[None]]
-    frontier, xfront = np.array(mats), exact[0]
-    while len(frontier):
-        prod = np.einsum("fij,ljk->flik", frontier, larr).reshape(-1, 2, 2)
-        fr = (prod ** 2).sum(axis=(1, 2)) / 2.0
-        inside = np.flatnonzero(fr <= max_cosh)
-        src, let = np.divmod(inside, len(right))
-        keep, xkeep = prod[inside], np.empty((len(inside), 16), dtype=np.int64)
-        for l, r in enumerate(right):  # exact products of kept pairs only
-            xkeep[let == l] = xfront[src[let == l]] @ r
+    levels = [_IDENTITY[None]]
+    while len(levels[-1]):
         fresh = []
-        for j, key in enumerate(_psl_keys(xkeep)):
-            if key not in seen:
-                seen.add(key)
-                mats.append(keep[j])
-                fresh.append(j)
-                if len(mats) > budget:
-                    raise BudgetError(
-                        f"ball enumeration exceeded budget of {budget} elements",
-                        partial=mats)
-        frontier, xfront = keep[fresh], xkeep[fresh]
-        exact.append(xfront)
-    return mats, np.concatenate(exact)
+        for lo in range(0, len(levels[-1]), KEY_BLOCK):
+            prod = (levels[-1][lo:lo + KEY_BLOCK] @ right).astype(np.int64)
+            prod = prod.reshape(-1, 16)
+            vals = prod.reshape(-1, 4, 4) @ _BASIS
+            prod = prod[(vals * vals).sum(axis=1) / 2.0 <= max_cosh]
+            new = []
+            for j, key in enumerate(_psl_keys(prod)):
+                if key not in seen:
+                    seen.add(key)
+                    new.append(j)
+            fresh.append(prod[new])
+            if sum(map(len, levels + fresh)) > budget:
+                raise BudgetError(
+                    f"ball enumeration exceeded budget of {budget} elements",
+                    partial=np.concatenate(levels + fresh))
+        levels.append(np.concatenate(fresh))
+    return np.concatenate(levels)
 
 
 def _keyed(stack):
@@ -190,33 +187,34 @@ def _keyed(stack):
 # dropped.
 _KEY_SLACK = 40.0
 
-# Frontier matrices conjugated per chunk of a class-key wave; each chunk
-# forms, norms and keys KEY_BLOCK * 8 conjugates as one stack.  On a 2-core
-# x86-64 host (numpy 2.4) the L = 8 spectrum took the same time for chunks
-# of 32 to 1024 matrices, while the default selberg run's peak RSS rose
-# with the chunk (34.0 MiB at 32, 34.2 at 128, 34.7 at 256, 39.0 at 1024).
+# Frontier matrices multiplied per chunk of a ball level or class-key wave;
+# each chunk forms, norms and keys KEY_BLOCK * 8 products as one stack.
+# On a 2-core x86-64 host (numpy 2.4) the L = 8 keyer took the same time
+# for chunks of 32 to 1024 matrices, while the default selberg run's peak
+# RSS rose with the chunk (34.0 MiB at 32, 34.2 at 128, 39.0 at 1024).
 KEY_BLOCK = 128
 
-# Keys one class may collect before its search is stopped, a budget on
-# its work.  At L = 8 the largest class collects 26, and so does at most a
-# lone search from an L = 8 class conjugated by a word of 1 to 3 letters.
+# Keys the searches of one class may add (class_keys inputs do not count)
+# before they are stopped, a budget on its work.  At L = 8 the largest
+# class collects 26, and so does at most a lone search from an L = 8
+# class conjugated by a word of 1 to 3 letters.
 _KEY_NODE_CAP = 1 << 12
 
-# Largest |coefficient| class_keys accepts, so that no conjugate the
-# search forms overflows int64.  Let C(g) be the largest |coefficient| of
-# g in the Bolza group and ||g|| its Frobenius norm.  Each entry is at most
-# (1 + sqrt2 + r + r sqrt2) C(g) < 6.17 C(g), so ||g||^2 < 153 C(g)^2.
-# And C(g) <= ||g|| / 2 + 1, as each coefficient combines the images of
-# an entry under r -> -r (g -> Q g Q^-1, Q the rotation by pi/2) and
-# sqrt2 -> -sqrt2, r -> i sqrt(sqrt2 - 1) (g -> SU(2), entries <= 1).
-# The search conjugates a node only if its squared norm is at most 40
-# (_KEY_SLACK) times an input's, so its coefficients are below 40 C + 1
-# for C the inputs' largest.  A conjugate coefficient sums 16 products of
-# these with a column of _maps, of absolute sum at most 47 for the Bolza
-# letters: each partial sum is below 47 (40 C + 1) < 2^59 if C <= 2^48.
-# The L = 8 ball has C <= 33; its hyperbolic elements' 1- to 3-letter
-# conjugates C <= 300,456.
-_KEY_MAX_COEF = 1 << 48
+# Largest |coefficient| class_keys accepts, so that the search's float64
+# conjugates are exact.  Let C(g) be the largest |coefficient| of g in the
+# Bolza group and ||g|| its Frobenius norm.  Each entry is at most (1 +
+# sqrt2 + r + r sqrt2) C(g) < 6.17 C(g), so ||g||^2 < 153 C(g)^2.  And
+# C(g) <= ||g|| / 2 + 1, as each coefficient combines the images of an
+# entry under r -> -r (g -> Q g Q^-1, Q the rotation by pi/2) and sqrt2 ->
+# -sqrt2, r -> i sqrt(sqrt2 - 1) (g -> SU(2), entries <= 1).  The search
+# conjugates a node only if its squared norm is at most 40 (_KEY_SLACK)
+# times an input's, so its coefficients are below 40 C + 1 for C the
+# inputs' largest.  A conjugate coefficient sums 16 products of these
+# with a column of _maps, of absolute sum at most 47 for the Bolza
+# letters: each partial sum, in any order, is an integer below 47 (40 C
+# + 1) < 2^53 if C <= 2^42.  The L = 8 ball has C <= 33; its hyperbolic
+# elements' 1- to 3-letter conjugates C <= 300,456.
+_KEY_MAX_COEF = 1 << 42
 
 
 class _ClassKeyer:
@@ -227,38 +225,40 @@ class _ClassKeyer:
     bounded energy slack above the least norm found) reaches it from any
     starting member.  Every distinct key met is a node of one union-find
     whose components are the classes found so far, and each component
-    tracks its least squared norm.  The search runs in waves: a wave
-    conjugates the frontier nodes within the slack of their component's
-    least norm by every letter, KEY_BLOCK matrices at a time, and norms
-    and keys each chunk's conjugates as one stack.  A conjugate whose key
-    is already a node joins the two components; a new key within the
-    slack becomes a node of the next frontier.  The class key of a
-    component is the smallest key among its nodes of least norm.
+    tracks its least squared norm and its nodes of that norm.  The search
+    runs in waves: a wave conjugates the frontier nodes within the slack
+    of their component's least norm by every letter, KEY_BLOCK matrices at
+    a time, and norms and keys each chunk's conjugates as one stack.  A
+    conjugate whose key is already a node joins the two components; a new
+    key within the slack becomes a node of the next frontier.  The class
+    key of a component is the smallest key among its nodes of least norm.
     """
 
     def __init__(self, gens):
-        self.maps = np.hstack(_maps(gens, conjugate=True))
+        self.maps = _maps(gens, conjugate=True)
         self.node = {}      # psl key -> node id
         self.keys = []      # node id -> psl key
         self.norms = []     # node id -> squared Frobenius norm
         self.parent = []    # union-find links
         self.best = []      # at a root: least norm of its component
-        self.size = []      # at a root: node count of its component
+        self.least = []     # at a root: its nodes of least norm
+        self.size = []      # at a root: nodes its searches added
         self.waves = 0
         self.chunks = 0
 
     def conjugates(self, stack):
         """a^-1 m a for every m in a (n, 16) stack and every letter a:
-        rows 8i .. 8i+7 of the (8n, 16) result conjugate stack[i]."""
-        return (stack @ self.maps).reshape(-1, 16)
+        rows 8i .. 8i+7 of the (8n, 16) result conjugate stack[i], exact
+        in float64 up to _KEY_MAX_COEF."""
+        return (stack @ self.maps).astype(np.int64).reshape(-1, 16)
 
     def class_keys(self, stack):
         """Class key of every matrix in a (n, 16) exact stack."""
         top = int(np.abs(stack).max(initial=0))
         if top > _KEY_MAX_COEF:
             raise AccuracyError(
-                f"class keys: coefficient {top} is above 2^48, past which "
-                "the search's conjugates could overflow int64", value=top)
+                f"class keys: coefficient {top} is above 2^42, past which "
+                "float64 conjugates could be inexact", value=top)
         ids, fresh = [], []
         norms, keys = _keyed(stack)
         for i, (f, k) in enumerate(zip(norms, keys)):
@@ -273,14 +273,9 @@ class _ClassKeyer:
     def _class_keys_of(self, ids):
         """Class key of the component of every node in ids: among its
         nodes of least norm, the key whose coefficients come first."""
-        roots = {self._find(nd) for nd in ids}
-        least = {}
-        for nd, (k, f) in enumerate(zip(self.keys, self.norms)):
-            r = self._find(nd)
-            if r in roots and f <= self.best[r] * (1.0 + 1e-9):
-                least.setdefault(r, []).append(k)
-        canon = {r: min(ks, key=lambda k: np.frombuffer(k, np.int64).tolist())
-                 for r, ks in least.items()}
+        canon = {r: min((self.keys[nd] for nd in self.least[r]),
+                        key=lambda k: np.frombuffer(k, np.int64).tolist())
+                 for r in {self._find(nd) for nd in ids}}
         return [canon[self._find(nd)] for nd in ids]
 
     def _find(self, i):
@@ -293,26 +288,33 @@ class _ClassKeyer:
         return root
 
     def _new(self, key, norm, root):
-        """A node for key under root (a new component when root is None)."""
+        """A node for key, joined under root (a search's) unless None."""
         nd = len(self.keys)
         self.node[key] = nd
         self.keys.append(key)
         self.norms.append(norm)
-        self.parent.append(nd if root is None else root)
+        self.parent.append(nd)
         self.best.append(norm)
-        self.size.append(1)
+        self.least.append([nd])
+        self.size.append(int(root is not None))
         if root is not None:
-            self.best[root] = min(self.best[root], norm)
-            self._grow(root, 1)
+            self._join(root, nd)
         return nd
 
-    def _grow(self, root, n):
-        self.size[root] += n
-        if self.size[root] > _KEY_NODE_CAP:
+    def _join(self, src, r):
+        """Join the component of root r into that of root src."""
+        self.parent[r] = src
+        least, self.least[r] = self.least[r], None
+        best = self.best[src]
+        if self.best[r] <= best * (1.0 + 1e-9):  # else r has none of least norm
+            best = self.best[src] = min(best, self.best[r])
+            self.least[src] = [nd for nd in self.least[src] + least
+                               if self.norms[nd] <= best * (1.0 + 1e-9)]
+        self.size[src] += self.size[r]
+        if self.size[src] > _KEY_NODE_CAP:
             raise AccuracyError(
                 f"class-key search: a class collected over {_KEY_NODE_CAP} "
-                f"keys (least squared norm {self.best[root]!r}) without "
-                "closing")
+                f"keys (least squared norm {best!r}) without closing")
 
     def _search(self, frontier, mats):
         """Run waves from frontier (node ids) whose matrices are mats."""
@@ -338,9 +340,7 @@ class _ClassKeyer:
                         if nd is not None:
                             r = find(nd)
                             if r != src:
-                                self.parent[r] = src
-                                best[src] = min(best[src], best[r])
-                                self._grow(src, self.size[r])
+                                self._join(src, r)
                         elif norms[p] <= _KEY_SLACK * best[src]:
                             nxt.append(self._new(keys[p], norms[p], src))
                             picked.append(p)
@@ -406,41 +406,37 @@ def length_spectrum(group, l_max):
     minimal-displacement member of every class with ell <= l_max,
     canonicalizes every hyperbolic candidate to its class key, and marks
     as a proper power every class that the exact m-th power of a class,
-    m ell <= l_max, keys to.  Lengths are bucketed by their exact traces.
+    m ell <= l_max, keys to.  Lengths are 2 acosh(|tr| / 2) of the exact
+    traces tr, rounded once, and bucketed by them.
     """
     if l_max > 8.0:
         raise DomainError("length_spectrum: desk scale stops at L_max = 8")
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
-    mats, exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9), _ELEMENT_BUDGET)
-    stack = np.array(mats)
-    traces = stack[:, 0, 0] + stack[:, 1, 1]
-    hyperbolic = []
-    for i in np.flatnonzero(np.abs(traces) > 2.0 + 1e-12).tolist():
-        tr = abs(float(traces[i]))
-        ell = 2.0 * math.asinh(math.sqrt((tr - 2.0) * (tr + 2.0)) / 2.0) \
-            if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
-        if ell <= l_max + 1e-9:
-            hyperbolic.append((i, ell))
-    # the hyperbolic elements' exact forms, signed to a positive trace
-    rows = [i for i, _ in hyperbolic]
-    exact = exact[rows] * np.where(traces[rows] < 0, -1, 1)[:, None]
+    exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9), _ELEMENT_BUDGET)
+    # the traces x + w, in Z[sqrt2] on the Bolza group (README, keyer)
+    tr = exact[:, :4] + exact[:, 12:]
+    if tr[:, 2:].any():
+        raise DomainError("length_spectrum: a trace is not in Z[sqrt2]")
+    traces, inv = np.unique(np.abs(tr[:, 0] + tr[:, 1] * _SQRT2),
+                            return_inverse=True)
+    # all but the identity (trace 2) are hyperbolic
+    ell = np.array([2.0 * math.acosh(t / 2.0) if t > 2.0 else math.inf
+                    for t in traces.tolist()])[inv]
+    keep = ell <= l_max
+    exact, ell = exact[keep], ell[keep].tolist()
     keyer = _ClassKeyer(group.exact)
     classes = {}
-    for j, ck in enumerate(keyer.class_keys(exact)):
-        classes.setdefault(ck, (hyperbolic[j][1], j))
-    powers = [functools.reduce(_mul, [exact[j]] * m) for ell, j in classes.values()
-              for m in range(2, int((l_max + 1e-6) / ell) + 1)]
+    for i, ck in enumerate(keyer.class_keys(exact)):
+        classes.setdefault(ck, i)
+    powers = [functools.reduce(_mul, [exact[i]] * m) for i in classes.values()
+              for m in range(2, int((l_max + 1e-6) / ell[i]) + 1)]
     proper = set(keyer.class_keys(np.concatenate(powers))) if powers else ()
-    buckets = {}
-    for ck, (ell, j) in classes.items():
-        if ck not in proper:
-            tr = exact[j, :4] + exact[j, 12:]  # the trace x + w
-            buckets.setdefault(tuple(tr.tolist()), []).append(ell)
-    prims = sorted((float(np.mean(v)), len(v)) for v in buckets.values())
-    return LengthSpectrum(prims, l_max, classes={k: v[0] for k, v in classes.items()})
+    prim = [ell[i] for ck, i in classes.items() if ck not in proper]
+    return LengthSpectrum([(x, prim.count(x)) for x in sorted(set(prim))],
+                          l_max, {ck: ell[i] for ck, i in classes.items()})
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianTestFn:
     """amplitude * exp(-(t-center)^2 / (2 sigma^2)); even extension when needed."""
 
@@ -533,8 +529,10 @@ _IDENTITY_MIN_NODES = 1 << 6
 _IDENTITY_MAX_NODES = 1 << 20
 
 
+@functools.lru_cache(maxsize=16)
 def _identity_term(g, chi_abs):
-    """|chi| * int hat g(r) r tanh(pi r) dr over the real line.
+    """|chi| * int hat g(r) r tanh(pi r) dr over the real line; cached,
+    as a selberg run pairs one (frozen) g six times.
 
     The integrand is even, so this is twice the integral over [0, top],
     top = max(8/sigma, 40), where the Gaussian envelope has fallen to

@@ -41,6 +41,17 @@ _SQRT_PI = math.sqrt(math.pi)
 # one whole table at a time: 34.3 MiB).
 BLOCK_ELEMENTS = 1 << 14
 
+# The largest N and K a sweep takes, a memory budget.  Besides its blocks,
+# each table holds about 8 complex values per row n <= N (prefactors and
+# X / U / S coefficients, each also stacked) and 27 per column |k| <= K
+# (operator bands, moment columns, phases); the CLI's peak RSS grew by
+# 130 B per row and 430 B per column of a table.  SWEEP_N_MAX keeps the
+# row state of a table to 2^6 BLOCK_ELEMENTS values (16 MiB); SWEEP_K_MAX
+# keeps a table's row, 2K + 1 entries, within a block, past which the
+# blocks no longer bound the audit's buffers.
+SWEEP_N_MAX = (BLOCK_ELEMENTS << 6) // 8 - 1
+SWEEP_K_MAX = (BLOCK_ELEMENTS - 1) // 2
+
 PRINCIPAL = "principal"
 COMPLEMENTARY = "complementary"
 THRESHOLD = "threshold"

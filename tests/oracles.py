@@ -523,21 +523,27 @@ class ClassKeyerOne:
         return ckey
 
 
+def trace_length_mp(a, b):
+    """2 acosh(|a + b sqrt2| / 2) to 40 digits, rounded to a double; None
+    when |a + b sqrt2| <= 2 (not hyperbolic)."""
+    with mp.workdps(40):
+        tr = abs(a + b * mp.sqrt(2))
+        return float(2 * mp.acosh(tr / 2)) if tr > 2 else None
+
+
 def length_spectrum_one(group, l_max):
     """(primitives, {class key: length}) by the per-matrix keyer, with
-    lengths bucketed and roots matched by length rounded to 9 decimals."""
+    lengths from the exact traces by trace_length_mp, bucketed by length
+    and roots matched by length rounded to 9 decimals."""
     cosh_r = 1.0 + math.sqrt(2.0)
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * cosh_r)
-    mats, exact = ball_one(group, math.cosh(disp) * (1.0 + 1e-9))
+    _, exact = ball_one(group, math.cosh(disp) * (1.0 + 1e-9))
     keyer = ClassKeyerOne(group)
     classes = {}
-    for m, x in zip(mats, exact):
-        tr = abs(m[0, 0] + m[1, 1])
-        if tr <= 2.0 + 1e-12:
-            continue
-        ell = 2.0 * math.asinh(math.sqrt((tr - 2.0) * (tr + 2.0)) / 2.0) \
-            if tr < 2.5 else 2.0 * math.acosh(tr / 2.0)
-        if ell > l_max + 1e-9:
+    for x in exact:
+        (a, b, _, _), (p, q, _, _) = x[0], x[3]
+        ell = trace_length_mp(a + p, b + q)
+        if ell is None or ell > l_max:
             continue
         ck = keyer.key(x)
         if ck not in classes:
@@ -555,12 +561,11 @@ def length_spectrum_one(group, l_max):
                     primitive[ck] = False
                     break
             mm += 1
-    buckets = {}
+    buckets = {}  # one trace, one correctly rounded length
     for ck, (ell, x) in classes.items():
         if primitive[ck]:
-            buckets.setdefault(round(ell, 9), []).append(ell)
-    prims = sorted((float(np.mean(v)), len(v)) for v in buckets.values())
-    return prims, {k: v[0] for k, v in classes.items()}
+            buckets[ell] = buckets.get(ell, 0) + 1
+    return sorted(buckets.items()), {k: v[0] for k, v in classes.items()}
 
 
 def power_one(m, n):

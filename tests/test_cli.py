@@ -235,6 +235,14 @@ class TestSelberg:
         assert report["checks"]["relator_residual"] < 1e-9
         assert abs(report["checks"]["systole"] - 3.0571418389619963) < 1e-9
 
+    def test_identity_term_computed_once(self, tmp_path):
+        # one quadrature for the run's test function, reused by its five
+        # wave-trace pairs, and one for each heat Gaussian of the Weyl check
+        selberg._identity_term.cache_clear()
+        assert run(["selberg", "--out", str(tmp_path)]) == cli.EXIT_OK
+        info = selberg._identity_term.cache_info()
+        assert (info.misses, info.hits) == (1 + 3, 5)
+
     def test_unconverged_identity_term_fails_loudly(self, tmp_path, capsys):
         # quad used to warn, return a wrong value and exit 0 here; the
         # trapezoid rule would not converge within its node cap, so the
@@ -517,9 +525,12 @@ SPHERICAL_NUS = {"0.1": None, "0.3": None, "nan": 2, "-inf": 2, "0": 6,
                  "5e-324": 6, "-1": 6, "0.5": 6, "1e308": 6,
                  "0.49999999999999994": 8}
 SPHERICAL_NS = {"0": None, "3": None, "20": None, "-1": 3, "0.5": 3,
-                "5e-324": 3, "1e308": 3, "nan": 3}
+                "5e-324": 3, "1e308": 3, "nan": 3,
+                str(spherical.SWEEP_N_MAX + 1): 3, "10" * 11: 3,
+                "9" * 400: 3}
 SPHERICAL_KS = {"2": None, "5": None, "1": 4, "0": 4, "-1": 4, "0.5": 4,
-                "1e308": 4, "nan": 4}
+                "1e308": 4, "nan": 4, str(spherical.SWEEP_K_MAX + 1): 4,
+                "10" * 11: 4, "9" * 400: 4}
 MAY_PASS = {9}
 
 # traces: 0 --tol, 1 --t parse, 2 --genus, 3 the t envelope of the trace
@@ -573,6 +584,8 @@ class TestFlagFuzz:
     @example(["0"], ["0.1"], "3", "2", "1e-9")
     @example(["1e300"], ["0.1"], "3", "2", "1e-9")
     @example(["2"], ["0.49999999999999994"], "3", "2", "1e-9")
+    @example(["2"], ["0.1"], "10" * 11, "2", "1e-9")
+    @example(["2"], ["0.1"], "3", "9" * 400, "1e-9")
     @given(st.lists(st.sampled_from(sorted(SPHERICAL_LAMBDAS)), min_size=1,
                     max_size=2),
            st.lists(st.sampled_from(sorted(SPHERICAL_NUS)), min_size=1,
@@ -640,6 +653,26 @@ class TestUsage:
             run(["selberg", "--help"])
         assert exc.value.code == cli.EXIT_OK
         assert "--tol" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,top", [
+        ("--n", spherical.SWEEP_N_MAX), ("--k", spherical.SWEEP_K_MAX)])
+    def test_sweep_sizes_past_budget_rejected(self, tmp_path, capsys, flag,
+                                              top):
+        # --n 10^20 exited 1 with numpy's "Maximum allowed dimension
+        # exceeded", naming no flag, and 10^8 would allocate gigabytes
+        for value in (str(top + 1), "100000000000000000000"):
+            code = run(["spherical-check", flag, value, "--out", str(tmp_path)])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{flag}: expected an integer <= {top}" in err
+            assert err.endswith(f"got {value!r}\n")
+            assert not list(tmp_path.iterdir())
+
+    def test_largest_k_runs(self, tmp_path):
+        code = run(["spherical-check", "--lambda", "1", "--nu", "", "--n", "2",
+                    "--k", str(spherical.SWEEP_K_MAX), "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+        assert (tmp_path / "spherical_residuals.csv").exists()
 
     @pytest.mark.parametrize("argv,flag,value,minimum", [
         (["spherical-check", "--n", "x"], "--n", "x", 0),

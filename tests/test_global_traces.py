@@ -18,6 +18,10 @@ MIXED = ([(0.25 * (j + 0.5) / 40, 1 + j % 3) for j in range(40)] + [(0.25, 2)]
 TRACE_TIMES = (0.1, 0.5, math.log(2.0), 1.0, 3.0, 7.0, 40.0)
 
 
+# a multiplicity d with d cosh(1800 sqrt(1/4 - 0.1)) just below 1e308
+TERM_1E308 = int(1e308 / math.cosh(1800.0 * math.sqrt(0.15)))
+
+
 def toy_spectrum(entries=((2.0, 1),), genus=2):
     return gt.LaplaceSpectrum([m for m, _ in entries],
                               [d for _, d in entries], genus)
@@ -237,6 +241,23 @@ class TestGlobalTrace:
                 gt.global_trace(spec, t)
         assert exc_info.value.value == t
         assert all(map(math.isfinite, gt.global_trace(spec, 1400.0)))
+
+    @pytest.mark.parametrize("mults", [[10 ** 18], [TERM_1E308] * 2],
+                             ids=["product", "sum"])
+    def test_overflowing_cosh_terms_rejected(self, mults):
+        # at t = 1800 no cosh(t sqrt(1/4 - mu)) overflows, but one term d
+        # cosh(...) does, or the sum of two finite terms near 1e308; both
+        # returned (nan, nan)
+        mus = [0.1, math.nextafter(0.1, 1.0)][:len(mults)]
+        spec = toy_spectrum(list(zip(mus, mults)) + [(1.5, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=(
+                    r"d cosh\(t sqrt\(1/4 - mu\)\), summed over mu < 1/4, "
+                    r"overflows at t=1800\.0")) as exc_info:
+                gt.global_trace(spec, 1800.0)
+        assert exc_info.value.value == 1800.0
+        assert all(map(math.isfinite, gt.global_trace(spec, 1000.0)))
 
     def test_large_time_limit(self):
         spec = toy_spectrum([], genus=2)

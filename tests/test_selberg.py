@@ -14,7 +14,7 @@ from gfsl.errors import AccuracyError, BudgetError, ConstructionError
 from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle, exact_one,
                      flat_one, frob_one, identity_term_mp, length_spectrum_one,
                      mat_inv_one, mat_mul_one, power_one, psl_key_one,
-                     ring_mul_one, value_one)
+                     ring_mul_one, trace_length_mp, value_one)
 
 SYSTOLE = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
 IDENTITY_ONE = exact_one([1] + [0] * 11 + [1, 0, 0, 0])
@@ -82,7 +82,9 @@ class TestBolzaGroup:
 
 class TestLengthSpectrum:
     def test_systole(self, spectrum8):
-        assert abs(spectrum8.systole - SYSTOLE) < 1e-9
+        # the systole's trace 2 + 2 sqrt 2 rounds to 2 fl(1 + sqrt 2), so
+        # its length is SYSTOLE to the bit
+        assert spectrum8.systole == SYSTOLE
 
     def test_systole_vs_word_oracle(self, spectrum8):
         words = bolza_words_oracle(max_letters=2)
@@ -146,8 +148,8 @@ class TestLengthSpectrum:
         # on the keyer that keyed the representatives and on a fresh one
         keyer = selberg._ClassKeyer(bolza.exact)
         ls = selberg.length_spectrum(bolza, 6.0)
-        mats, exact = selberg._ball(bolza, _ball_cosh(6.0), 10 ** 6)
-        hyp = exact[_hyperbolic(mats, 6.0)]
+        exact = selberg._ball(bolza, _ball_cosh(6.0), 10 ** 6)
+        hyp = exact[_hyperbolic(exact, 6.0)]
         reps = {}
         for key, x in zip(keyer.class_keys(hyp), hyp):
             reps.setdefault(key, x)
@@ -165,12 +167,22 @@ def _ball_cosh(l_max):
     return math.cosh(disp) * (1.0 + 1e-9)
 
 
-def _hyperbolic(mats, l_max):
-    # indices of the ball elements length_spectrum keys: trace > 2,
+def _trace_pair(x):
+    # the exact trace x + w of a 16-coefficient row, a + b sqrt 2 (its r
+    # part is 0 on the Bolza group), as (a, b) signed to a + b sqrt 2 >= 0
+    a, b = x[0] + x[12], x[1] + x[13]
+    return (-a, -b) if a + b * math.sqrt(2.0) < 0 else (a, b)
+
+
+def _hyperbolic(exact, l_max):
+    # indices of the ball elements length_spectrum keys: |trace| > 2,
     # length <= l_max
-    return [i for i, m in enumerate(mats)
-            if abs(m[0, 0] + m[1, 1]) > 2.0 + 1e-12
-            and 2.0 * math.acosh(abs(m[0, 0] + m[1, 1]) / 2.0) <= l_max + 1e-9]
+    out = []
+    for i, x in enumerate(exact.tolist()):
+        ell = trace_length_mp(*_trace_pair(x))
+        if ell is not None and ell <= l_max:
+            out.append(i)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -183,20 +195,21 @@ class TestBatchedKeyer:
     # in oracles.py gives: same ball, conjugates, keys, classes and powers
 
     def test_ball_matches_reference(self, bolza, ball8):
-        mats, exact = ball8
+        # the exact ball, normed from its exact coefficients, is the
+        # reference's, normed from chains of float products
         ref_mats, ref_exact = ball_one(bolza, _ball_cosh(8.0))
-        assert len(mats) == len(ref_mats) == len(exact) == 4401
-        assert all(np.array_equal(a, b) for a, b in zip(mats, ref_mats))
-        assert [tuple(r) for r in exact.tolist()] == list(map(flat_one, ref_exact))
-        # the float products stay within 1.7e-12 of the exact entries
+        assert ball8.dtype == np.int64
+        assert len(ball8) == len(ref_exact) == 4401
+        assert [tuple(r) for r in ball8.tolist()] == list(map(flat_one, ref_exact))
+        # the reference's float products stay within 1.7e-12 of the exact
+        # entries
         vals = np.array([[value_one(e) for e in x] for x in ref_exact])
-        assert np.abs(vals - np.array(mats).reshape(-1, 4)).max() < 2e-12
-        assert np.abs(exact).max() == 33
+        assert np.abs(vals - np.array(ref_mats).reshape(-1, 4)).max() < 2e-12
+        assert np.abs(ball8).max() == 33
 
     def test_keys_match_reference_on_ball(self, ball8):
-        _, exact = ball8
-        keys = selberg._psl_keys(exact)
-        assert _ints(keys) == [psl_key_one(exact_one(r)) for r in exact]
+        keys = selberg._psl_keys(ball8)
+        assert _ints(keys) == [psl_key_one(exact_one(r)) for r in ball8]
 
     @pytest.mark.parametrize("row", [
         [-1] + [0] * 11 + [-1, 0, 0, 0],
@@ -218,7 +231,7 @@ class TestBatchedKeyer:
         assert _ints(selberg._psl_keys(stack))[1] == want
 
     def test_conjugate_stack_matches_loop(self, bolza, ball8):
-        _, exact = ball8
+        exact = ball8
         keyer = selberg._ClassKeyer(bolza.exact)
         ref = ClassKeyerOne(bolza)
         cs = keyer.conjugates(exact)
@@ -231,7 +244,7 @@ class TestBatchedKeyer:
         assert _ints(keys) == list(map(psl_key_one, want))
 
     def test_class_keys_match_reference(self, bolza, ball8):
-        _, exact = ball8
+        exact = ball8
         keyer = selberg._ClassKeyer(bolza.exact)
         ref = ClassKeyerOne(bolza)
         assert (_ints(keyer.class_keys(exact))
@@ -244,8 +257,7 @@ class TestBatchedKeyer:
 
     def test_powers_match_reference(self, ball8):
         # the exact products and powers length_spectrum forms, bit for bit
-        _, exact = ball8
-        rows = exact[::37]
+        rows = ball8[::37]
         for n in (2, 3):
             got = [functools.reduce(selberg._mul, [r] * n) for r in rows]
             assert ([tuple(p.ravel().tolist()) for p in got]
@@ -258,11 +270,16 @@ class TestBatchedKeyer:
                 == [flat_one(mat_inv_one(exact_one(r))) for r in rows])
 
     def test_length_spectrum_matches_reference(self, bolza, spectrum8):
+        # same classes and multiplicities; every length within 2 ulp of
+        # 2 acosh(|a + b sqrt 2| / 2) to 40 digits, of its exact trace
         prims, classes = length_spectrum_one(bolza, 8.0)
-        assert spectrum8.primitives == prims
+        assert [m for _, m in spectrum8.primitives] == [m for _, m in prims]
         assert len(spectrum8.classes) == len(classes) == 416
         assert _ints(spectrum8.classes) == list(classes)
-        assert list(spectrum8.classes.values()) == list(classes.values())
+        pairs = [(got, want) for (got, _), (want, _) in
+                 zip(spectrum8.primitives, prims)]
+        pairs += zip(spectrum8.classes.values(), classes.values())
+        assert all(abs(got - want) <= 2 * math.ulp(want) for got, want in pairs)
 
     def test_keying_runs_in_few_chunked_waves(self, bolza, monkeypatch):
         # the L = 8 spectrum keys its classes in a few waves; every stack
@@ -294,8 +311,7 @@ class TestBatchedKeyer:
 
 @pytest.fixture(scope="module")
 def keyed8(bolza, ball8):
-    mats, exact = ball8
-    stack = exact[_hyperbolic(mats, 8.0)]
+    stack = ball8[_hyperbolic(ball8, 8.0)]
     return stack, selberg._ClassKeyer(bolza.exact).class_keys(stack)
 
 
@@ -370,17 +386,73 @@ class TestKeyerInvariance:
             selberg._ClassKeyer(bolza.exact).class_keys(stack)
 
     def test_coefficient_guard(self, bolza, keyed8):
-        # a coefficient past 2^48 is refused before any search; up to it,
-        # no conjugate the search forms can overflow int64 (see
+        # a coefficient past 2^42 is refused before any search; up to it,
+        # every conjugate the search forms is exact in float64 (see
         # _KEY_MAX_COEF)
         stack, keys = keyed8
         keyer = selberg._ClassKeyer(bolza.exact)
-        big = np.array([selberg._IDENTITY * (2 ** 48 + 1)])
+        big = np.array([selberg._IDENTITY * (2 ** 42 + 1)])
         with pytest.raises(AccuracyError, match="class keys: coefficient "
-                           "281474976710657 is above 2\\^48") as exc_info:
+                           "4398046511105 is above 2\\^42") as exc_info:
             keyer.class_keys(np.concatenate([stack[:3], big]))
-        assert exc_info.value.value == 2 ** 48 + 1
+        assert exc_info.value.value == 2 ** 42 + 1
         assert keyer.keys == []
+        # at the bound itself the (central) matrix is keyed
+        edge = selberg._IDENTITY * 2 ** 42
+        assert _ints(keyer.class_keys(edge[None])) == [tuple(edge.tolist())]
+
+    def test_float_conjugates_exact_at_bound(self, bolza):
+        # the float64 conjugates equal the Python-int products of the
+        # reference for coefficients at 2^42, and for the 40 * 2^42 + 1 a
+        # search node may reach from such inputs, signed so that every
+        # partial sum of some column is as large as it can be
+        keyer = selberg._ClassKeyer(bolza.exact)
+        ref = ClassKeyerOne(bolza)
+        rng = np.random.default_rng(5)
+        rows = []
+        for top in (2 ** 42, 40 * 2 ** 42 + 1):
+            signs = np.sign(keyer.maps).T.astype(np.int64)  # one per column
+            rows += [top * signs, -top * signs,
+                     rng.integers(-top, top, size=(40, 16), endpoint=True)]
+        stack = np.concatenate(rows)
+        got = keyer.conjugates(stack)
+        want = [ref.conjugate(exact_one(r), i) for r in stack for i in range(8)]
+        assert [tuple(r) for r in got.tolist()] == list(map(flat_one, want))
+        assert np.abs(got).max() > 2 ** 52
+
+    def test_node_cap_counts_search_nodes_only(self, bolza, keyed8,
+                                               monkeypatch):
+        # one call holding all 26 keys of the largest L = 8 class, more
+        # than the cap of 8, passes: its search adds no key, and a call's
+        # inputs do not count towards the cap
+        stack, keys = keyed8
+        keyer = selberg._ClassKeyer(bolza.exact)
+        assert keyer.class_keys(stack) == keys
+        members = {}
+        for key, nd in keyer.node.items():
+            members.setdefault(keyer._find(nd), []).append(key)
+        biggest = max(members.values(), key=len)
+        assert len(biggest) == 26
+        monkeypatch.setattr(selberg, "_KEY_NODE_CAP", 8)
+        fresh = selberg._ClassKeyer(bolza.exact)
+        rows = np.array([np.frombuffer(k, np.int64) for k in biggest])
+        (want,) = keyer._class_keys_of([keyer.node[biggest[0]]])
+        assert fresh.class_keys(rows) == [want] * 26
+        assert len(fresh.keys) == 26
+
+    def test_class_keys_of_matches_full_scan(self, bolza, keyed8):
+        # the class keys kept per component equal a scan of every node,
+        # after keying the L = 8 hyperbolic stack and after its powers
+        stack, _ = keyed8
+        keyer = selberg._ClassKeyer(bolza.exact)
+        classes = {}
+        for x, key in zip(stack, keyer.class_keys(stack)):
+            classes.setdefault(key, x)
+        _assert_full_scan(keyer)
+        powers = [functools.reduce(selberg._mul, [x] * m)
+                  for x in classes.values() for m in (2, 3)]
+        keyer.class_keys(np.concatenate(powers))
+        _assert_full_scan(keyer)
 
     def test_coefficient_bound_inputs(self, bolza, ball8, keyed8, ref_keyer):
         # the facts the int64 bound of _KEY_MAX_COEF rests on: the maps'
@@ -391,26 +463,39 @@ class TestKeyerInvariance:
         stack, _ = keyed8
         conj = np.array([_word_conjugate(ref_keyer, x, w) for x in stack[::50]
                          for w in WORDS[::7]])
-        for rows in (ball8[1], conj):
+        for rows in (ball8, conj):
             vals = rows.reshape(-1, 4, 4) @ selberg._BASIS
             norm = np.sqrt((vals * vals).sum(axis=1))
             assert (np.abs(rows).max(axis=1) <= norm / 2.0 + 1.0).all()
+
+
+def _assert_full_scan(keyer):
+    # every node's class key by a scan of all nodes: among its component's
+    # nodes of least norm, the least key as integers
+    roots = [keyer._find(nd) for nd in range(len(keyer.keys))]
+    least = {}
+    for r, f in zip(roots, keyer.norms):
+        least[r] = min(least.get(r, f), f)
+    canon = {}
+    for r, k, f in zip(roots, keyer.keys, keyer.norms):
+        if f <= least[r] * (1.0 + 1e-9):
+            canon[r] = min(canon.get(r, k), k, key=lambda b: _ints([b])[0])
+    ids = list(range(len(keyer.keys)))
+    assert keyer._class_keys_of(ids) == [canon[r] for r in roots]
 
 
 class TestTracePairs:
     def test_ball_traces_in_nine_pairs(self, ball8):
         # the exact traces x + w of the hyperbolic L = 8 ball elements lie
         # in Z[sqrt 2] (no r part) and take nine values a + b sqrt 2, each
-        # with |a - b sqrt 2| <= 2, equal to the float traces
-        mats, exact = ball8
+        # with |a - b sqrt 2| <= 2, equal to the traces of the float values
         pairs = set()
-        for i in _hyperbolic(mats, 8.0):
-            tr = exact[i, :4] + exact[i, 12:]
-            if mats[i][0, 0] + mats[i][1, 1] < 0:
-                tr = -tr
-            a, b, c, d = tr.tolist()
-            assert c == d == 0
-            assert abs(a + b * math.sqrt(2.0) - abs(np.trace(mats[i]))) < 1e-11
+        for i in _hyperbolic(ball8, 8.0):
+            x = ball8[i]
+            assert x[2] + x[14] == x[3] + x[15] == 0
+            a, b = _trace_pair(x.tolist())
+            vals = x.reshape(4, 4) @ selberg._BASIS
+            assert abs(a + b * math.sqrt(2.0) - abs(vals[0] + vals[3])) < 1e-11
             pairs.add((a, b))
         assert pairs == {(2, 2), (6, 4), (10, 6), (10, 8), (14, 10),
                          (18, 12), (18, 14), (22, 16), (26, 18)}
@@ -420,12 +505,11 @@ class TestTracePairs:
     def test_power_pairs_are_powers(self, ball8):
         # the exact m-th powers length_spectrum keys have the traces
         # 2 cosh(m ell / 2) of the m-th iterates
-        mats, exact = ball8
         s2 = math.sqrt(2.0)
-        for i in _hyperbolic(mats, 8.0)[:40]:
-            ell = 2.0 * math.acosh(abs(np.trace(mats[i])) / 2.0)
+        for i in _hyperbolic(ball8, 8.0)[:40]:
+            ell = trace_length_mp(*_trace_pair(ball8[i].tolist()))
             for m in (2, 3, 4):
-                p = functools.reduce(selberg._mul, [exact[i]] * m).ravel()
+                p = functools.reduce(selberg._mul, [ball8[i]] * m).ravel()
                 a, b, c, d = (p[:4] + p[12:]).tolist()
                 want = 2.0 * math.cosh(m * ell / 2.0)
                 assert c == d == 0
