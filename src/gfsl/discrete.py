@@ -37,14 +37,14 @@ def build_disk_matrices(l, K):
     ks = np.arange(K + 1, dtype=float)
     c = np.sqrt((l + ks) * (ks + 1.0)).astype(complex)  # N+ psi_k = c_k psi_{k+1}
     zero = np.zeros(K + 1, dtype=complex)
-    n_plus = KBandedOperator(0, K, zero.copy(), c.copy(), zero.copy())
+    n_plus = KBandedOperator(zero.copy(), c.copy(), zero.copy())
     # N- psi_0 = 0, N- psi_{k} = -c_{k-1} psi_{k-1}
     sub = np.zeros(K + 1, dtype=complex)
     sub[1:] = -c[:-1]
-    n_minus = KBandedOperator(0, K, zero.copy(), zero.copy(), sub)
-    theta = KBandedOperator(0, K, (l + 2 * ks).astype(complex), zero.copy(),
+    n_minus = KBandedOperator(zero.copy(), zero.copy(), sub)
+    theta = KBandedOperator((l + 2 * ks).astype(complex), zero.copy(),
                             zero.copy())
-    x_op = KBandedOperator(0, K, zero.copy(), 0.5 * c, 0.5 * sub)
+    x_op = KBandedOperator(zero.copy(), 0.5 * c, 0.5 * sub)
     return {"Theta": theta, "Nplus": n_plus, "Nminus": n_minus, "X": x_op}
 
 
@@ -53,14 +53,11 @@ class DiskCoeffTable:
     """Cayley coefficient tables for one holomorphic discrete series.
 
     forward[n, k]  : coefficient of psi_n in the inverse-Cayley image of psi_k,
-                     0 <= n <= n_max, 0 <= k <= k_max.
+                     0 <= n <= N, 0 <= k <= K.
     backward[k, n] : coefficient of psi_k in the forward-Cayley image of psi_n,
                      same index ranges transposed.
     """
 
-    l: int
-    n_max: int
-    k_max: int
     forward: np.ndarray
     backward: np.ndarray
 
@@ -88,7 +85,7 @@ def cayley_coeffs(l, N, K):
     bwd *= np.exp(-half[: K + 1])[:, None]
     for name, tab in (("forward", fwd), ("backward", bwd)):
         require_finite(tab, f"cayley {name} table at l = {l}, N = {N}, K = {K}")
-    return DiskCoeffTable(l, N, K, fwd, bwd)
+    return DiskCoeffTable(fwd, bwd)
 
 
 def correlation_ds(l, k_out, k_in, tau, N):
@@ -108,7 +105,7 @@ def correlation_ds(l, k_out, k_in, tau, N):
     c_est = float(np.max(np.abs(prod[last]) / (1.0 + n[last]) ** power))
     tail = (c_est * math.exp(-tau * (N + 1 + l / 2.0))
             * (2.0 + N) ** power / (1.0 - math.exp(-tau)))
-    return CorrelationResult(value, tail, N)
+    return CorrelationResult(value, tail)
 
 
 def trace_ds(l, t, n_max=60):

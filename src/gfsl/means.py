@@ -2,9 +2,11 @@
 
 The spherical function phi_lam(t) = P_{-1/2+i lam}(cosh t) is computed by
 quadrature (specfun.legendre_conical) and compared against its large-time
-expansion in decaying exponentials with explicit Gamma-ratio coefficients.
-The renormalized mean e^{t/2} phi_lam satisfies the shifted wave equation
-up to an e^{-2t} remainder; we fit that decay exponent per mode.
+expansion in decaying exponentials with explicit Gamma-ratio coefficients:
+one running sum of the lam branch, whose lam -> -lam image is its complex
+conjugate, so the expansion is twice its real part.  The renormalized
+mean e^{t/2} phi_lam satisfies the shifted wave equation up to an e^{-2t}
+remainder; we fit that decay exponent per mode.
 """
 
 import cmath
@@ -37,30 +39,23 @@ def hc_partial_sum(lam, t, M):
     """Partial resonance expansions of the spherical function at time t > 0.
 
     The list of the M + 1 sums over m <= 0, 1, ..., M of e^{-t(1/2 - i lam)}
-    e^{-2mt} W_{2m,lam} plus the conjugate branch (lam -> -lam), from one
-    running sum per branch; each sum's imaginary residue is checked below
-    1e-12, in order of m.
+    e^{-2mt} W_{2m,lam} plus its lam -> -lam image, from one running sum.
+    For real lam the image is the complex conjugate bit for bit
+    (hc_coefficient and the prefactor are conjugate-symmetric), so each
+    order is (0 + x) + x with x the real part of the one branch: what
+    0j + P + conj(P) rounds to, the sign of zero included.
     """
     if t <= 0:
         raise DomainError("hc_partial_sum: t must be > 0")
     if M < 0:
         raise DomainError("hc_partial_sum: M must be >= 0")
-    branches = []
-    for sign in (+1.0, -1.0):
-        branch = 0.0 + 0.0j
-        sums = []
-        for m in range(M + 1):
-            branch += math.exp(-2.0 * m * t) * hc_coefficient(m, sign * lam)
-            sums.append(branch)
-        branches.append((cmath.exp(-t * (0.5 - 1j * sign * lam)), sums))
-    (pre_plus, plus), (pre_minus, minus) = branches
+    pre = cmath.exp(-t * (0.5 - 1j * lam))
+    branch = 0.0 + 0.0j
     partial = []
-    for b_plus, b_minus in zip(plus, minus):
-        total = 0.0 + 0.0j + pre_plus * b_plus + pre_minus * b_minus
-        if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-            raise DomainError(
-                f"hc_partial_sum: imaginary residue {total.imag:.3e} too large")
-        partial.append(total.real)
+    for m in range(M + 1):
+        branch += math.exp(-2.0 * m * t) * hc_coefficient(m, lam)
+        x = (pre * branch).real
+        partial.append((0.0 + x) + x)
     return partial
 
 

@@ -12,7 +12,7 @@ class and its inverse count separately unless actually conjugate.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -365,7 +365,7 @@ class LengthSpectrum:
             raise DomainError("LengthSpectrum: lengths must be strictly increasing")
         if any(x <= 0 for x in ls) or any(m < 1 for _, m in self.primitives):
             raise DomainError("LengthSpectrum: invalid lengths/multiplicities")
-        if ls and ls[-1] > self.cutoff + 1e-9:
+        if ls and ls[-1] > self.cutoff:
             raise DomainError("LengthSpectrum: length above cutoff")
 
     @property
@@ -377,7 +377,7 @@ class LengthSpectrum:
         out = []
         for ell, mult in self.primitives:
             m = 1
-            while m * ell <= self.cutoff + 1e-12:
+            while m * ell <= self.cutoff:
                 out.append((m * ell, mult, m, ell))
                 m += 1
         out.sort()
@@ -508,17 +508,7 @@ class SelbergReport:
     def to_dict(self):
         """The report's fields; spectral_side and discrepancy only when
         eigenvalues were paired."""
-        payload = {
-            "geometric_side": self.geometric_side,
-            "identity_term": self.identity_term,
-            "orbit_term": self.orbit_term,
-            "cutoff": self.cutoff,
-            "support_leakage": self.support_leakage,
-        }
-        if self.spectral_side is not None:
-            payload["spectral_side"] = self.spectral_side
-            payload["discrepancy"] = self.discrepancy
-        return payload
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 # Trapezoid rule for the identity term (see _identity_term): relative

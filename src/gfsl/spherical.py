@@ -10,9 +10,10 @@ One kernel builds every table: a recurrence over the stacked columns of
 one or several tables, scaled and checked block by block of rows, which
 the intertwining sweep audits as they come.
 
-Conventions.  The spectral parameter is lam with mu = lam^2 + 1/4 and
-b_pm = -1/2 +- i lam; the complementary regime is the substitution
-lam = i nu, 0 < nu < 1/2, everywhere in the same algebraic formulas.
+Conventions.  The spectral parameter lam alone fixes the irreducible:
+mu = lam^2 + 1/4 and b_pm = -1/2 +- i lam are derived from it; the
+complementary regime is the substitution lam = i nu, 0 < nu < 1/2,
+everywhere in the same algebraic formulas.
 Coefficient tables are indexed [n, k+K] for 0 <= n <= N, |k| <= K.
 The dual table stores v[n, k] = <psi_k | T_branch^{-1} e_n>, which for
 real lam is the complex conjugate of the weak dual coefficient; the
@@ -63,13 +64,11 @@ BRANCH_MINUS_RENORMALIZED = "minus_renormalized"
 
 @dataclass
 class SpectralParam:
-    """Parameters of one spherical irreducible: mu, lam, branch exponents, regime."""
+    """One spherical irreducible, fixed by lam alone (i nu in the
+    complementary regime); mu = lam^2 + 1/4, the branch exponents b_pm =
+    -1/2 +- i lam and the regime are derived from it."""
 
-    mu: float
     lam: complex
-    b_plus: complex
-    b_minus: complex
-    regime: str
 
     @classmethod
     def principal(cls, lam):
@@ -80,60 +79,52 @@ class SpectralParam:
             raise DomainError(
                 "principal: expected lam <= DBL_MAX / 2, where the gauge "
                 f"base -2b = 1 - 2i lam is finite, got {lam!r}")
-        mu = lam * lam + 0.25
-        if lam > 0.0 and mu == 0.25:
+        p = cls(lam)
+        if lam > 0.0 and p.mu == 0.25:
             raise DomainError(
                 "principal: expected lam = 0 or mu = lam^2 + 1/4 above 1/4 in "
                 f"double precision (lam >= about 5.3e-9), got {lam!r}")
-        return cls(mu, complex(lam), -0.5 + 1j * lam, -0.5 - 1j * lam,
-                   THRESHOLD if lam == 0.0 else PRINCIPAL)
+        return p
 
     @classmethod
     def complementary(cls, nu):
         if not 0.0 < nu < 0.5:
             raise DomainError("complementary: nu must lie in (0, 1/2)")
-        mu = 0.25 - nu * nu
-        if mu == 0.25:
+        p = cls(1j * nu)
+        if p.mu == 0.25:
             raise DomainError(
                 "complementary: expected mu = 1/4 - nu^2 below 1/4 in double "
                 f"precision (nu >= about 3.7e-9), got {nu!r}")
-        return cls(mu, 1j * nu, -0.5 - nu, -0.5 + nu, COMPLEMENTARY)
+        return p
 
     @classmethod
     def threshold(cls):
-        return cls(0.25, 0.0 + 0.0j, -0.5 + 0.0j, -0.5 + 0.0j, THRESHOLD)
+        return cls(0.0)
 
     def __post_init__(self):
-        self.lam = complex(self.lam)
-        if abs(self.b_plus * self.b_minus - self.mu) > 1e-14 * max(1.0, abs(self.mu)):
-            raise ConsistencyError("SpectralParam: b+ * b- != mu")
-        want = THRESHOLD if self.mu == 0.25 else (
+        lam = self.lam = complex(self.lam)
+        self.mu = (lam * lam + 0.25).real
+        self.b_plus = -0.5 + 1j * lam
+        self.b_minus = -0.5 - 1j * lam
+        self.regime = THRESHOLD if self.mu == 0.25 else (
             PRINCIPAL if self.mu > 0.25 else COMPLEMENTARY)
-        if self.regime != want:
-            raise ConsistencyError(
-                f"SpectralParam: regime {self.regime} inconsistent with mu = {self.mu}")
-
-    def branch_b(self, branch):
-        return self.b_plus if branch == BRANCH_PLUS else self.b_minus
 
 
 @dataclass
 class KBandedOperator:
-    """Tridiagonal operator on circle modes psi_k, k_min <= k <= k_max.
+    """Tridiagonal operator on a run of consecutive circle modes.
 
-    diag[i], sup[i], sub[i] are the amplitudes coupling psi_k (k = k_min+i)
-    to psi_k, psi_{k+1}, psi_{k-1} respectively.
+    diag[i], sup[i], sub[i] are the amplitudes coupling the run's i-th mode
+    psi_k to psi_k, psi_{k+1}, psi_{k-1} respectively.
     """
 
-    k_min: int
-    k_max: int
     diag: np.ndarray
     sup: np.ndarray
     sub: np.ndarray
 
     def as_dense(self):
         """Matrix M[j, k] acting on coefficient vectors of functions."""
-        m = self.k_max - self.k_min + 1
+        m = self.diag.size
         out = np.zeros((m, m), dtype=complex)
         idx = np.arange(m)
         out[idx, idx] = self.diag
@@ -156,13 +147,13 @@ def build_k_matrices(p, K):
     us_raise = -0.5j * np_raise
     us_lower = 0.5j * nm_lower
     return {
-        "X": KBandedOperator(-K, K, zero.copy(), 0.5 * np_raise, 0.5 * nm_lower),
-        "U": KBandedOperator(-K, K, -1j * ks, us_raise.copy(), us_lower.copy()),
-        "S": KBandedOperator(-K, K, 1j * ks, us_raise.copy(), us_lower.copy()),
-        "Theta": KBandedOperator(-K, K, (2 * ks).astype(complex), zero.copy(),
+        "X": KBandedOperator(zero.copy(), 0.5 * np_raise, 0.5 * nm_lower),
+        "U": KBandedOperator(-1j * ks, us_raise.copy(), us_lower.copy()),
+        "S": KBandedOperator(1j * ks, us_raise.copy(), us_lower.copy()),
+        "Theta": KBandedOperator((2 * ks).astype(complex), zero.copy(),
                                  zero.copy()),
-        "Nplus": KBandedOperator(-K, K, zero.copy(), np_raise, zero.copy()),
-        "Nminus": KBandedOperator(-K, K, zero.copy(), zero.copy(), nm_lower),
+        "Nplus": KBandedOperator(zero.copy(), np_raise, zero.copy()),
+        "Nminus": KBandedOperator(zero.copy(), zero.copy(), nm_lower),
     }
 
 
@@ -173,7 +164,7 @@ def gauge_log(p, branch, n_max):
     complementary regime), so per-factor principal powers give the
     continuous branch with t_0 = 1.
     """
-    b = p.branch_b(branch if branch != BRANCH_MINUS_RENORMALIZED else BRANCH_MINUS)
+    b = p.b_plus if branch == BRANCH_PLUS else p.b_minus
     c = -2.0 * b
     if is_gamma_pole(c):
         raise DomainError(f"gauge: -2b = {c} hits a branch point")
@@ -564,8 +555,6 @@ def threshold_tables(N, K, h=1e-4):
         "S_plus": s_plus,
         "S_minus": s_minus,
         "D": d_extrap,
-        "D_coarse": d_coarse,
-        "D_fine": d_fine,
         "richardson_error": err,
         "float_gap": float_gap,
     }
@@ -575,7 +564,6 @@ def threshold_tables(N, K, h=1e-4):
 class CorrelationResult:
     value: complex
     tail_bound: float
-    n_max: int
 
 
 def correlation(p, k_out, k_in, tau, N):
@@ -608,7 +596,7 @@ def correlation(p, k_out, k_in, tau, N):
     tail = (2.0 * c_est * math.exp(-tau * (N + 1.5))
             * (1.0 + (N + 1.0) ** 2) ** (power / 2.0)
             / (1.0 - math.exp(-tau)))
-    return CorrelationResult(value, tail, N)
+    return CorrelationResult(value, tail)
 
 
 def trace_spherical(p, t, n_max=60):

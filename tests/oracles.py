@@ -149,9 +149,10 @@ def hc_residual_analytic(lam, t, m_top=30):
 
 def hc_partial_sums_one(lam, t, M):
     """The partial resonance expansions for m_max = 0..M, each summed from
-    scratch over m <= m_max in the library's order (one branch sum per
-    sign, then the two branches into a complex zero).  Each coefficient
-    is computed once, so the whole list costs 2 (M + 1) coefficients."""
+    scratch over m <= m_max: one branch sum per sign of lam, then the two
+    branches into a complex zero.  The library's one-branch running sum
+    must round to exactly these.  Each coefficient is computed once, so
+    the whole list costs 2 (M + 1) coefficients."""
     coeff = {(m, sign): hc_coefficient(m, sign * lam)
              for m in range(M + 1) for sign in (+1.0, -1.0)}
     sums = []

@@ -1,13 +1,15 @@
-"""Every public library function and class is reached by a run or a
-criterion, and every imported name is used.
+"""Every public library function, class, method and property is reached
+by a run or a criterion, and every imported name is used.
 
 A public top-level function or class of a library module (each
 src/gfsl/*.py but the CLI and the package) must be referenced, by a
 Name, an Attribute or an import alias, in cli.py, in another library
 module, in its own module outside its own body, or in the acceptance
-suite.  A name that only its own unit tests reach is dead code: delete
-it with them.  A name that a module under src/gfsl/ or tests/ imports
-must be referenced, as a Name, somewhere in that module.
+suite.  So must a public method or property of a library class, or else
+in bench/*.py, whose replay reads library attributes.  A name that only
+its own unit tests reach is dead code: delete it with them.  A name that
+a module under src/gfsl/ or tests/ imports must be referenced, as a
+Name, somewhere in that module.
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfsl"
 TESTS = Path(__file__).resolve().parent
 ACCEPTANCE = TESTS / "test_acceptance.py"
+BENCH = TESTS.parent / "bench"
 
 
 def _parse(path):
@@ -40,23 +43,37 @@ def _references(tree, skip=None):
     return names
 
 
+def _public(nodes, kinds):
+    return [node for node in nodes
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def test_every_public_library_name_is_referenced():
     trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
     library = sorted(set(trees) - {"cli", "__init__"})
     refs = {mod: _references(trees[mod]) for mod in library}
     outside = _references(trees["cli"]) | _references(_parse(ACCEPTANCE))
+    bench = set().union(*(_references(_parse(path))
+                          for path in sorted(BENCH.glob("*.py"))))
     unreached = []
     for mod in library:
         reached = outside.union(*(refs[m] for m in library if m != mod))
-        for node in trees[mod].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in reached
+        for node in _public(trees[mod].body, (ast.FunctionDef, ast.ClassDef)):
+            if (node.name not in reached
                     and node.name not in _references(trees[mod], node)):
                 unreached.append(f"{mod}.{node.name}")
+        # methods and properties of every class, by attribute name
+        for node in trees[mod].body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for meth in _public(node.body, ast.FunctionDef):
+                if (meth.name not in reached and meth.name not in bench
+                        and meth.name not in _references(trees[mod], meth)):
+                    unreached.append(f"{mod}.{node.name}.{meth.name}")
     assert not unreached, (
-        "public library names that no CLI run, other library code or "
-        f"acceptance criterion references: {', '.join(unreached)}")
+        "public library names that no CLI run, other library code, "
+        "acceptance criterion or (for methods) bench script references: "
+        f"{', '.join(unreached)}")
 
 
 def _unused_imports(tree):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfsl import selberg
-from gfsl.errors import AccuracyError, BudgetError, ConstructionError
+from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
+                         DomainError)
 
 from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle, exact_one,
                      flat_one, frob_one, identity_term_mp, length_spectrum_one,
@@ -121,6 +122,17 @@ class TestLengthSpectrum:
         doubled = [o for o in orbits if abs(o[0] - 2 * SYSTOLE) < 1e-9]
         assert doubled and all(m == 2 for _, _, m, _ in doubled)
         assert all(abs(ell - 2 * SYSTOLE) > 1e-9 for ell, _ in spectrum8.primitives)
+
+    def test_cutoff_has_no_slack(self):
+        # lengths come from exact traces: an iterate at the cutoff is kept,
+        # and one ulp below the cutoff it is dropped; a primitive is
+        # rejected one ulp above
+        at = selberg.LengthSpectrum([(1.5, 2)], 3.0)
+        assert [(p, m) for p, _, m, _ in at.orbits()] == [(1.5, 1), (3.0, 2)]
+        below = selberg.LengthSpectrum([(1.5, 2)], math.nextafter(3.0, 0.0))
+        assert [(p, m) for p, _, m, _ in below.orbits()] == [(1.5, 1)]
+        with pytest.raises(DomainError, match="length above cutoff"):
+            selberg.LengthSpectrum([(3.0, 1)], math.nextafter(3.0, 0.0))
 
     def test_csv_roundtrip(self, spectrum8, tmp_path):
         path = tmp_path / "lengths.csv"

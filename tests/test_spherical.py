@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfsl import means, spherical
-from gfsl.errors import (AccuracyError, ConsistencyError, DomainError,
-                         GfslError, PoleError)
+from gfsl.errors import AccuracyError, DomainError, GfslError, PoleError
 from gfsl.specfun import legendre_conical, log_beta_line
 
 from oracles import (characteristics_correlation, i_nk_reference,
@@ -31,10 +30,26 @@ class TestSpectralParam:
         assert PC.b_plus == -0.8
         assert PC.b_minus == -0.2
 
-    def test_regime_consistency_enforced(self):
-        with pytest.raises(ConsistencyError):
-            spherical.SpectralParam(2.0, 1.0 + 0j, -0.5 + 1j, -0.5 - 1j,
-                                    spherical.COMPLEMENTARY)
+    @pytest.mark.parametrize("p,mu,b_plus,b_minus,regime", [
+        (P1, 1.0 * 1.0 + 0.25, -0.5 + 1j * 1.0, -0.5 - 1j * 1.0,
+         spherical.PRINCIPAL),
+        (spherical.SpectralParam.principal(12.3), 12.3 * 12.3 + 0.25,
+         -0.5 + 1j * 12.3, -0.5 - 1j * 12.3, spherical.PRINCIPAL),
+        (PC, 0.25 - 0.3 * 0.3, -0.5 - 0.3, -0.5 + 0.3,
+         spherical.COMPLEMENTARY),
+        (spherical.SpectralParam.complementary(0.4999), 0.25 - 0.4999 * 0.4999,
+         -0.5 - 0.4999, -0.5 + 0.4999, spherical.COMPLEMENTARY),
+        (spherical.SpectralParam.threshold(), 0.25, -0.5, -0.5,
+         spherical.THRESHOLD),
+        (spherical.SpectralParam.principal(0.0), 0.25, -0.5, -0.5,
+         spherical.THRESHOLD),
+    ], ids=["principal", "principal-large", "complementary",
+            "complementary-edge", "threshold", "principal-zero"])
+    def test_derived_fields_exact(self, p, mu, b_plus, b_minus, regime):
+        # lam is the only field; mu = lam^2 + 1/4 (1/4 - nu^2) and b_pm =
+        # -1/2 +- i lam (-1/2 -+ nu) are its closed forms to the bit
+        assert p.mu == mu and p.regime == regime
+        assert p.b_plus == b_plus and p.b_minus == b_minus
 
     @pytest.mark.parametrize("make,val", [
         (spherical.SpectralParam.principal, 1e-9),
