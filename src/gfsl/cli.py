@@ -25,8 +25,8 @@ from pathlib import Path
 
 # numpy's bundled OpenBLAS starts a worker pool at import unless told not
 # to, which slows every cold start (README, "Cold start"), and no
-# subcommand needs it: the BLAS/LAPACK work is 2x2 products, det and inv,
-# 9-point polyfits and selberg's 128 x 16 by 16 x 128 products of integer
+# subcommand needs it: the BLAS/LAPACK work is 9-point polyfits, 4-term
+# norms and selberg's 128 x 16 by 16 x 128 products of integer
 # coefficients, which are exact however OpenBLAS splits them.  A value
 # the user sets wins.  This holds only if gfsl.cli is imported
 # before numpy, which is why gfsl/__init__ imports nothing.

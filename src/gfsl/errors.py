@@ -33,7 +33,7 @@ class ConsistencyError(GfslError):
 class BudgetError(GfslError):
     """Resource budget exhausted; carries whatever partial result exists."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial
 

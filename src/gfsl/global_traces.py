@@ -87,7 +87,10 @@ class LaplaceSpectrum:
         except UnicodeDecodeError as exc:
             raise DomainError(
                 f"laplace file {path}, {_undecodable_line(path)}") from exc
-        spec = cls(rows["mu"], rows["mult"], genus)
+        try:
+            spec = cls(rows["mu"], rows["mult"], genus)
+        except DomainError as exc:
+            raise DomainError(f"laplace file {path}: {exc}") from exc
         if spec.mu.size:
             r2 = max(float(spec.mu[-1]) - 0.25, 1e-12)
             ratio = float(spec.mult[spec.mu <= r2 + 0.25].sum()) / ((genus - 1) * r2)

@@ -3,7 +3,7 @@
 The geometric side is driven by a Fuchsian length-spectrum enumerator.
 Conjugacy classes are counted exactly at desk scale: group elements are
 enumerated as matrices inside a displacement ball (breadth-first over
-generator letters, exact integer matrices deduplicated up to sign), and each
+words, exact integer matrices deduplicated up to sign), and each
 hyperbolic element is mapped to its class key, the lexicographically
 smallest member of the finite set of minimal-displacement conjugates; two
 elements are conjugate iff those sets coincide.  Orientation convention: a
@@ -61,78 +61,56 @@ def _inv(x):
 
 
 def _maps(gens, conjugate):
-    """(16, 16 L) float64 for the L letters a (the exact generators gens,
+    """(16, 16 L) float64 for the L letter matrices a (the rows of gens,
     then their inverses): a row m of 16 coefficients times columns 16 l ..
     16 l + 15 is m a_l, or a_l^-1 m a_l when conjugate."""
-    letters = np.repeat(np.concatenate([gens, _inv(gens)]), 16, axis=0)
-    unit = np.tile(np.eye(16, dtype=np.int64), (len(letters) // 16, 1))
-    left = _mul(_inv(letters), unit) if conjugate else unit
-    return np.hstack(_mul(left, letters).reshape(-1, 16, 16)).astype(float)
+    alphabet = np.repeat(np.concatenate([gens, _inv(gens)]), 16, axis=0)
+    unit = np.tile(np.eye(16, dtype=np.int64), (len(alphabet) // 16, 1))
+    left = _mul(_inv(alphabet), unit) if conjugate else unit
+    return np.hstack(_mul(left, alphabet).reshape(-1, 16, 16)).astype(float)
 
 
 @dataclass
 class FuchsianGroup:
-    """Generators (2x2 real, det 1) with a defining relator word, and the
-    generators' exact forms, a (n, 16) int64 array (see _BASIS)."""
+    """Generating matrices, a (n, 16) int64 array (see _BASIS) of det
+    exactly 1, and a defining relator word whose product is exactly +-I;
+    its letter (i, s) is row i for s > 0, its inverse otherwise."""
 
-    generators: list
-    relator: tuple
     exact: np.ndarray
+    relator: tuple
 
     def __post_init__(self):
-        self.generators = [np.asarray(g, dtype=float) for g in self.generators]
         self.exact = np.array(self.exact, dtype=np.int64)
-        for i, g in enumerate(self.generators):
-            if abs(np.linalg.det(g) - 1.0) > 1e-12:
-                raise ConstructionError(f"generator {i}: |det - 1| > 1e-12")
         if not (_mul(self.exact, _inv(self.exact)) == _IDENTITY).all():
-            raise ConstructionError("exact generators: det is not exactly 1")
-        gap = float(np.abs((self.exact.reshape(-1, 4, 4) @ _BASIS).ravel()
-                           - np.ravel(self.generators)).max())
-        if gap > 1e-12:
-            raise ConstructionError(
-                f"exact and float generators differ by {gap:.3e} > 1e-12")
-        res = self.relator_residual()
-        if res > 1e-9:
-            raise ConstructionError(f"relator product residual {res:.3e} > 1e-9")
-
-    def letters(self):
-        """Generators followed by their inverses; letter i inverts to i+4 mod 8."""
-        return self.generators + [np.linalg.inv(g) for g in self.generators]
+            raise ConstructionError("a generator's det is not exactly 1")
+        if self.relator_residual():
+            raise ConstructionError("relator product is not exactly +-I")
 
     def relator_residual(self):
-        m, letters = np.eye(2), self.letters()
-        for idx, s in self.relator:
-            m = m @ letters[idx if s > 0 else idx + len(self.generators)]
-        return min(float(np.abs(m - np.eye(2)).max()),
-                   float(np.abs(m + np.eye(2)).max()))
-
-
-def rotation(phi):
-    """SO(2) matrix; as an isometry it rotates the hyperbolic plane by 2*phi."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
+        """Largest |coefficient| of P - I or of P + I, whichever is
+        smaller, for P the exact relator product: 0.0 iff P = +-I."""
+        inv = _inv(self.exact)
+        prod = functools.reduce(_mul, [self.exact[i] if s > 0 else inv[i]
+                                       for i, s in self.relator],
+                                _IDENTITY[None])
+        return float(min(np.abs(prod - _IDENTITY).max(),
+                         np.abs(prod + _IDENTITY).max()))
 
 
 def bolza_group():
     """Genus-2 regular-octagon side-pairing group.
 
-    The translation T has trace 2(1+sqrt(2)); the k-th generator is T
-    conjugated by the rotation of the plane by k*pi/4, whose SL(2,R)
-    representative is rotation(k*pi/8).  Exactly, it is (1 + sqrt2) I +
-    r sqrt2 [[-sin k pi/4, cos k pi/4], [cos k pi/4, sin k pi/4]].  The
-    side-pairing relator is verified to multiply to +-identity.
+    The translation T = [[1 + sqrt2, r sqrt2], [r sqrt2, 1 + sqrt2]] has
+    trace 2(1 + sqrt2); the k-th generator is T conjugated by the elliptic
+    element turning the plane by k pi/4 about i, exactly (1 + sqrt2) I +
+    r sqrt2 [[-sin k pi/4, cos k pi/4], [cos k pi/4, sin k pi/4]].
     """
-    t = np.array([[1.0 + _SQRT2, math.sqrt(2.0 + 2.0 * _SQRT2)],
-                  [math.sqrt(2.0 + 2.0 * _SQRT2), 1.0 + _SQRT2]])
-    gens = [rotation(k * math.pi / 8.0) @ t @ rotation(-k * math.pi / 8.0)
-            for k in range(4)]
     # sqrt2 cos(k pi/4), sqrt2 sin(k pi/4) as (a, b) in a + b sqrt2
     cos_sin = (((0, 1), (0, 0)), ((1, 0), (1, 0)), ((0, 0), (0, 1)),
                ((-1, 0), (1, 0)))
     exact = [[1, 1, -sa, -sb, 0, 0, ca, cb, 0, 0, ca, cb, 1, 1, sa, sb]
              for (ca, cb), (sa, sb) in cos_sin]
-    return FuchsianGroup(gens, BOLZA_RELATOR, exact)
+    return FuchsianGroup(exact, BOLZA_RELATOR)
 
 
 def _psl_keys(stack):
@@ -197,7 +175,7 @@ KEY_BLOCK = 128
 # Keys the searches of one class may add (class_keys inputs do not count)
 # before they are stopped, a budget on its work.  At L = 8 the largest
 # class collects 26, and so does at most a lone search from an L = 8
-# class conjugated by a word of 1 to 3 letters.
+# class conjugated by a word of length 1 to 3.
 _KEY_NODE_CAP = 1 << 12
 
 # Largest |coefficient| class_keys accepts, so that the search's float64
@@ -205,13 +183,13 @@ _KEY_NODE_CAP = 1 << 12
 # Bolza group and ||g|| its Frobenius norm.  Each entry is at most (1 +
 # sqrt2 + r + r sqrt2) C(g) < 6.17 C(g), so ||g||^2 < 153 C(g)^2.  And
 # C(g) <= ||g|| / 2 + 1, as each coefficient combines the images of an
-# entry under r -> -r (g -> Q g Q^-1, Q the rotation by pi/2) and sqrt2 ->
+# entry under r -> -r (g -> Q g Q^-1, Q the quarter turn about i) and sqrt2 ->
 # -sqrt2, r -> i sqrt(sqrt2 - 1) (g -> SU(2), entries <= 1).  The search
 # conjugates a node only if its squared norm is at most 40 (_KEY_SLACK)
 # times an input's, so its coefficients are below 40 C + 1 for C the
 # inputs' largest.  A conjugate coefficient sums 16 products of these
 # with a column of _maps, of absolute sum at most 47 for the Bolza
-# letters: each partial sum, in any order, is an integer below 47 (40 C
+# alphabet: each partial sum, in any order, is an integer below 47 (40 C
 # + 1) < 2^53 if C <= 2^42.  The L = 8 ball has C <= 33; its hyperbolic
 # elements' 1- to 3-letter conjugates C <= 300,456.
 _KEY_MAX_COEF = 1 << 42
@@ -442,7 +420,7 @@ class GaussianTestFn:
 
     center: float
     sigma: float
-    amplitude: float = 1.0
+    amplitude: float
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -501,14 +479,12 @@ class SelbergReport:
     identity_term: float
     orbit_term: float
     cutoff: float
-    support_leakage: float = 0.0
-    spectral_side: float | None = None
-    discrepancy: float | None = None
+    support_leakage: float
+    spectral_side: float
+    discrepancy: float
 
     def to_dict(self):
-        """The report's fields; spectral_side and discrepancy only when
-        eigenvalues were paired."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return asdict(self)
 
 
 # Trapezoid rule for the identity term (see _identity_term): relative
@@ -569,13 +545,13 @@ def _identity_term(g, chi_abs):
         achieved=change)
 
 
-def wave_trace_pair(ls, g, laplace=None):
+def wave_trace_pair(ls, g, laplace):
     """Both sides of the wave-trace identity paired with the Gaussian g.
 
     geometric = |chi| int hat g(r) r tanh(pi r) dr
                 + sum ell mult g(m ell) / (2 sinh(m ell / 2));
-    spectral (when laplace eigenvalues are supplied, including mu = 0)
-              = sum d_j (hat g(r_j) + hat g(-r_j)),  r_j = sqrt(mu_j - 1/4).
+    spectral = sum d_j (hat g(r_j) + hat g(-r_j)),  r_j = sqrt(mu_j - 1/4),
+    over the (mu_j, d_j) of laplace, mu = 0 included.
 
     Distributional equality is claimed only over the windowed support; any
     test-function mass outside (0, cutoff) is recorded in the report as
@@ -587,15 +563,12 @@ def wave_trace_pair(ls, g, laplace=None):
     for period, mult, m, ell in ls.orbits():
         orbit += ell * mult * float(g(period)) / (2.0 * math.sinh(period / 2.0))
     geometric = ident + orbit
-    spectral = None
-    disc = None
-    if laplace is not None:
-        spectral = 0.0
-        for mu, d in laplace:
-            r = complex(math.sqrt(mu - 0.25)) if mu >= 0.25 \
-                else 1j * math.sqrt(0.25 - mu)
-            spectral += d * float((g.fourier(r) + g.fourier(-r)).real)
-        disc = spectral - geometric
+    spectral = 0.0
+    for mu, d in laplace:
+        r = complex(math.sqrt(mu - 0.25)) if mu >= 0.25 \
+            else 1j * math.sqrt(0.25 - mu)
+        spectral += d * float((g.fourier(r) + g.fourier(-r)).real)
+    disc = spectral - geometric
     _require_finite(f"wave-trace pair (center {g.center!r}, sigma "
                     f"{g.sigma!r}, amplitude {g.amplitude!r})",
                     [("geometric side", geometric), ("spectral side", spectral),
@@ -606,9 +579,9 @@ def wave_trace_pair(ls, g, laplace=None):
 
 def _require_finite(where, values):
     """AccuracyError naming `where` and the first non-finite value of
-    `values`, (name, value) pairs; a value of None was not computed."""
+    `values`, (name, value) pairs."""
     for name, val in values:
-        if val is not None and not math.isfinite(val):
+        if not math.isfinite(val):
             raise AccuracyError(f"{where}: {name} is {float(val)!r}, not finite")
 
 

@@ -182,7 +182,7 @@ def block_rows(n_cols):
     return max(1, BLOCK_ELEMENTS // n_cols)
 
 
-def _moment_seeds(lam, K, renormalized=False):
+def _moment_seeds(lam, K, renormalized):
     """M_0 of each moment column |k| <= K; every moment seed is made here.
 
     M_0 is even in k and M_0(k+1) / M_0(k) = (a-k-1) / (a+k), a = -b =
@@ -505,7 +505,7 @@ def _threshold_rationals(k, n_max):
     return r[: n_max + 1], q[: n_max + 1]
 
 
-def threshold_tables(N, K, h=1e-4):
+def threshold_tables(N, K, h):
     """Common threshold table S and divided-difference table D at mu = 1/4.
 
     S is the lam = 0 value computed independently from both branch closed

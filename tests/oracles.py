@@ -326,8 +326,11 @@ def legendre_conical_whole(lam, t, tol=1e-12, max_nodes=1 << 21):
                         achieved=change)
 
 
-def bolza_words_oracle(max_letters=2):
-    """Brute-force lengths from all reduced words of length <= max_letters."""
+def bolza_float_one():
+    """The Bolza generators in float64, the reference for the library's
+    exact table: the translation T of trace 2(1 + sqrt 2) conjugated by
+    the rotation matrix of angle k pi/8 (turning the plane by k pi/4),
+    k = 0..3, followed by their inverses."""
     s2 = math.sqrt(2.0)
     t = np.array([[1 + s2, math.sqrt(2 + 2 * s2)],
                   [math.sqrt(2 + 2 * s2), 1 + s2]])
@@ -337,7 +340,12 @@ def bolza_words_oracle(max_letters=2):
                          [math.sin(phi), math.cos(phi)]])
 
     gens = [rot(k * math.pi / 8) @ t @ rot(-k * math.pi / 8) for k in range(4)]
-    letters = gens + [np.linalg.inv(g) for g in gens]
+    return gens + [np.linalg.inv(g) for g in gens]
+
+
+def bolza_words_oracle(max_letters=2):
+    """Brute-force lengths from all reduced words of length <= max_letters."""
+    letters = bolza_float_one()
     lengths = set()
     frontier = [(np.eye(2), None)]
     for _ in range(max_letters):
@@ -444,14 +452,15 @@ def exact_letters_one(group):
 def ball_one(group, max_cosh):
     """Breadth-first ball enumeration keying one exact matrix at a time.
 
-    Returns the float matrices, products of the float letters, and the
-    exact matrices as tuples."""
+    Returns the float matrices, products of the float Bolza letters of
+    bolza_float_one (so `group` must be the Bolza group), and the exact
+    matrices as tuples."""
     xletters = exact_letters_one(group)
     eye, xeye = np.eye(2), exact_one([1] + [0] * 11 + [1, 0, 0, 0])
     seen = {psl_key_one(xeye)}
     mats, exact = [eye], [xeye]
     frontier = [(eye, xeye)]
-    larr = np.array(group.letters())
+    larr = np.array(bolza_float_one())
     while frontier:
         prod = np.einsum("fij,ljk->flik", np.array([m for m, _ in frontier]),
                          larr).reshape(-1, 2, 2)

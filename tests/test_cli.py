@@ -631,6 +631,68 @@ class TestFlagFuzz:
                         flag, ["length_spectrum.csv", "selberg_report.json"])
 
 
+# Rows of a fuzzed Laplace file: valid (mu, multiplicity) pairs, and
+# each kind of bad row the loader must reject: a missing or extra field,
+# a quoted field, nan or inf, mu <= 0, a multiplicity of 0 or above
+# 2^63 - 1, and bytes that are not UTF-8.
+LAPLACE_PAIRS = st.tuples(
+    st.sampled_from(["0.3", "0.5", "2", "2.0", "7.5", "30"])
+    | st.floats(0.01, 400.0).map(repr),
+    st.integers(1, 4))
+LAPLACE_BAD_ROWS = st.sampled_from([
+    b"", b"0.5", b"0.5,", b",1", b",", b"0.5,1,7", b'"0.5",1', b'0.5,"1"',
+    b"nan,1", b"inf,1", b"-inf,1", b"0.5,nan", b"0.5,inf", b"0,1", b"-1,1",
+    b"-0.0,1", b"0.5,0", b"0.5,-1", b"0.5,9223372036854775807",
+    b"0.5,9223372036854775808", b"0.5,\xff", b"\xe9,1", b"0.5,1\x80",
+    b"\xc3(,1"])
+
+
+def _laplace_row(pair):
+    return "{},{}".format(*pair).encode()
+
+
+def _mu(pair):
+    return float(pair[0])
+
+
+# Half the files hold valid rows in increasing mu, so that some pass; in
+# the other half mu may also repeat or fall.
+LAPLACE_FILES = (
+    st.lists(LAPLACE_PAIRS, max_size=5, unique_by=_mu).map(
+        lambda pairs: [_laplace_row(p) for p in sorted(pairs, key=_mu)])
+    | st.lists(LAPLACE_PAIRS.map(_laplace_row) | LAPLACE_BAD_ROWS,
+               max_size=5))
+
+
+class TestLaplaceFileFuzz:
+    @settings(max_examples=150)
+    @example([b"0.5,9223372036854775808"])
+    @example([b"2,1", b"0.5,1"])
+    @example([b"0.3,1", b"-1,1"])
+    @given(LAPLACE_FILES)
+    def test_laplace_file(self, rows):
+        # exit 0, 2, or 1 with one error line that names the file; no
+        # traceback and no warning (pytest makes a warning an error)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            path = Path(out) / "laplace.csv"
+            path.write_bytes(b"mu,multiplicity\n" + b"".join(
+                row + b"\n" for row in rows))
+            code = cli.main(["traces", "--t", "1", "--laplace-file",
+                             str(path), "--out", out])
+            written = sorted(os.listdir(out))
+        text = err.getvalue()
+        assert "Traceback" not in text
+        if code == cli.EXIT_CONFIG:
+            assert text.startswith("error: ") and str(path) in text
+            assert text.count("\n") == 1 and written == ["laplace.csv"]
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_VERIFY) and text == ""
+            assert written == ["laplace.csv", "traces.json"]
+
+
 class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,10 @@
 """Golden reports: each argv, run through `cli.main`, writes exactly the
 committed bytes under tests/golden/<name>/.
 
-The two cases that call BLAS or LAPACK, selberg_seed1 (2x2 products, det
-and inv, and exact float64 products of integer coefficients) and
-means_seed1 (polyfit), also run as `python -m gfsl.cli` in a
-fresh interpreter, where numpy loads after the CLI's BLAS thread default.
+The two cases that call BLAS or LAPACK, selberg_seed1 (exact float64
+products of integer coefficients) and means_seed1 (polyfit), also run
+as `python -m gfsl.cli` in a fresh interpreter, where numpy loads after
+the CLI's BLAS thread default.
 
 The bytes depend on numpy's and libm's float results; VERSIONS names the
 Python and numpy the goldens were made with.  A change that moves report

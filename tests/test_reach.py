@@ -9,7 +9,10 @@ suite.  So must a public method or property of a library class, or else
 in bench/*.py, whose replay reads library attributes.  A name that only
 its own unit tests reach is dead code: delete it with them.  A name that
 a module under src/gfsl/ or tests/ imports must be referenced, as a
-Name, somewhere in that module.
+Name, somewhere in that module.  Every default of a library function or
+method parameter, or of a dataclass field, must be left out by at least
+one call in cli.py, the library or the acceptance suite: a default that
+all of them override belongs to a parameter that should be required.
 """
 
 import ast
@@ -74,6 +77,132 @@ def test_every_public_library_name_is_referenced():
         "public library names that no CLI run, other library code, "
         "acceptance criterion or (for methods) bench script references: "
         f"{', '.join(unreached)}")
+
+
+def _defaulted(args, skip):
+    """(parameter, position) of each parameter of `args` with a default;
+    positions count past `skip` leading ones, None if keyword-only."""
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return ([(a.arg, i - skip) for i, a in enumerate(pos) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _decorators(node):
+    return {getattr(getattr(d, "func", d), "id", None)
+            for d in node.decorator_list}
+
+
+def _signatures(library):
+    """{called name: [(owner, parameter, position)]} for every default in
+    the `library` trees, a class's __init__ and dataclass fields under the
+    class's name, and {class: base} for each class that inherits its
+    constructor."""
+    sigs, base = {}, {}
+    for tree in library:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                sigs.setdefault(node.name, []).extend(
+                    (node.name, *p) for p in _defaulted(node.args, 0))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            own = "dataclass" in _decorators(node)
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            init = [(node.name, s.target.id, i) for i, s in enumerate(fields)
+                    if own and s.value is not None]
+            for meth in node.body:
+                if not isinstance(meth, ast.FunctionDef):
+                    continue
+                skip = int("staticmethod" not in _decorators(meth))
+                if meth.name == "__init__":
+                    own = True
+                    init += [(node.name, *p)
+                             for p in _defaulted(meth.args, skip)]
+                else:
+                    sigs.setdefault(meth.name, []).extend(
+                        (f"{node.name}.{meth.name}", *p)
+                        for p in _defaulted(meth.args, skip))
+            if own:
+                sigs.setdefault(node.name, []).extend(init)
+            elif node.bases and isinstance(node.bases[0], ast.Name):
+                base[node.name] = node.bases[0].id
+    return sigs, base
+
+
+def unomitted_defaults(library, callers):
+    """Defaults, as "owner.parameter", of the functions, methods and
+    dataclass fields of the `library` trees that no call in `library` or
+    `callers` leaves out.  A call matches by the name it calls: the
+    function's or method's, or a class's for its constructor (a subclass
+    that inherits the constructor counts as its base).  A call with *args
+    or **kwargs may pass anything, so it leaves nothing out."""
+    sigs, base = _signatures(library)
+    omitted = set()
+    for tree in library + callers:
+        for call in ast.walk(tree):
+            if (not isinstance(call, ast.Call)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            while name in base and name not in sigs:
+                name = base[name]
+            passed = {k.arg for k in call.keywords}
+            for owner, param, at in sigs.get(name, ()):
+                if param not in passed and (at is None
+                                            or at >= len(call.args)):
+                    omitted.add((owner, param))
+    return sorted(f"{owner}.{param}" for params in sigs.values()
+                  for owner, param, _ in params
+                  if (owner, param) not in omitted)
+
+
+def test_every_default_is_left_out_by_some_call():
+    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    library = [tree for mod, tree in trees.items()
+               if mod not in ("cli", "__init__")]
+    unused = unomitted_defaults(library, [trees["cli"], _parse(ACCEPTANCE)])
+    assert not unused, (
+        "defaults that every call in cli.py, the library and the acceptance "
+        f"suite overrides: {', '.join(unused)}")
+
+
+# A library in which exactly the defaults of `passed` and `Field.y` are
+# always passed; the other four are each left out by some call.
+_MUTANT_LIBRARY = """
+from dataclasses import dataclass
+
+class Base(Exception):
+    def __init__(self, message, value=None):
+        super().__init__(message)
+
+class Child(Base):
+    pass
+
+@dataclass(frozen=True)
+class Field:
+    x: float
+    y: float = 1.0
+
+def passed(a, b=2):
+    return Field(a, b)
+
+def left_out(a, b=2, *, c=3):
+    return passed(a, *[b])
+"""
+_MUTANT_CALLS = """
+passed(1, b=3)
+left_out(1, c=0)
+left_out(1, 5)
+raise Child("inherits Base's value")
+"""
+
+
+def test_always_passed_default_is_flagged():
+    unused = unomitted_defaults([ast.parse(_MUTANT_LIBRARY)],
+                                [ast.parse(_MUTANT_CALLS)])
+    assert unused == ["Field.y", "passed.b"]
 
 
 def _unused_imports(tree):

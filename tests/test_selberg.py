@@ -12,7 +12,8 @@ from gfsl import selberg
 from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
                          DomainError)
 
-from oracles import (ClassKeyerOne, ball_one, bolza_words_oracle, exact_one,
+from oracles import (ClassKeyerOne, ball_one, bolza_float_one,
+                     bolza_words_oracle, exact_one,
                      flat_one, frob_one, identity_term_mp, length_spectrum_one,
                      mat_inv_one, mat_mul_one, power_one, psl_key_one,
                      ring_mul_one, trace_length_mp, value_one)
@@ -38,47 +39,48 @@ def spectrum8(bolza):
 
 class TestBolzaGroup:
     def test_generator_traces(self, bolza):
-        for g in bolza.generators:
-            assert abs(np.trace(g) - 2.0 * (1.0 + math.sqrt(2.0))) < 1e-12
+        # x + w is exactly 2 + 2 sqrt2
+        for row in bolza.exact:
+            x = exact_one(row)
+            assert tuple(p + q for p, q in zip(x[0], x[3])) == (2, 2, 0, 0)
 
     def test_determinants(self, bolza):
-        for g in bolza.generators:
-            assert abs(np.linalg.det(g) - 1.0) < 1e-12
-
-    def test_relator(self, bolza):
-        assert bolza.relator_residual() < 1e-9
-
-    def test_bad_relator_rejected(self, bolza):
-        with pytest.raises(ConstructionError):
-            selberg.FuchsianGroup(bolza.generators,
-                                  ((0, 1), (1, 1), (0, 1), (1, 1)), bolza.exact)
-
-    def test_exact_generators(self, bolza):
-        gens = [exact_one(row) for row in bolza.exact]
-        for g, x in zip(bolza.generators, gens):
-            # det = xw - yz is exactly 1
-            xx, y, z, w = x
-            det = tuple(p - q for p, q in zip(ring_mul_one(xx, w),
+        # xw - yz is exactly 1
+        for row in bolza.exact:
+            x, y, z, w = exact_one(row)
+            det = tuple(p - q for p, q in zip(ring_mul_one(x, w),
                                               ring_mul_one(y, z)))
             assert det == (1, 0, 0, 0)
-            assert max(abs(value_one(e) - v)
-                       for e, v in zip(x, g.ravel())) <= 1e-14
+
+    def test_relator(self, bolza):
+        assert bolza.relator_residual() == 0.0
+        gens = [exact_one(row) for row in bolza.exact]
         prod = IDENTITY_ONE
         for idx, s in selberg.BOLZA_RELATOR:
             prod = mat_mul_one(prod, gens[idx] if s > 0
                                else mat_inv_one(gens[idx]))
         assert psl_key_one(prod) == flat_one(IDENTITY_ONE)
 
-    def test_exact_float_mismatch_rejected(self, bolza):
-        swapped = bolza.exact[[1, 0, 2, 3]]
-        with pytest.raises(ConstructionError, match="exact and float "
-                           "generators differ by"):
-            selberg.FuchsianGroup(bolza.generators, selberg.BOLZA_RELATOR,
-                                  swapped)
+    def test_bad_relator_rejected(self, bolza):
+        with pytest.raises(ConstructionError, match="relator product"):
+            selberg.FuchsianGroup(bolza.exact,
+                                  ((0, 1), (1, 1), (0, 1), (1, 1)))
+        # the relator of the table with its first two rows swapped
+        with pytest.raises(ConstructionError, match="relator product"):
+            selberg.FuchsianGroup(bolza.exact[[1, 0, 2, 3]],
+                                  selberg.BOLZA_RELATOR)
+
+    def test_exact_generators(self, bolza):
+        # the exact table is the oracle's rotation construction
+        for row, g in zip(bolza.exact, bolza_float_one()[:4]):
+            assert max(abs(value_one(e) - v)
+                       for e, v in zip(exact_one(row), g.ravel())) <= 1e-14
+
+    def test_bad_determinant_rejected(self, bolza):
         off = bolza.exact.copy()
         off[0, 0] += 1
         with pytest.raises(ConstructionError, match="det is not exactly 1"):
-            selberg.FuchsianGroup(bolza.generators, selberg.BOLZA_RELATOR, off)
+            selberg.FuchsianGroup(off, selberg.BOLZA_RELATOR)
 
 
 class TestLengthSpectrum:
@@ -98,10 +100,9 @@ class TestLengthSpectrum:
         base = selberg.length_spectrum(bolza, 5.0)
         x = bolza.exact
         perm = selberg.FuchsianGroup(
-            [bolza.generators[1], bolza.generators[2], bolza.generators[3],
-             np.linalg.inv(bolza.generators[0])],
-            ((0, 1), (1, -1), (2, 1), (3, -1), (0, -1), (1, 1), (2, -1), (3, 1)),
-            [x[1], x[2], x[3], flat_one(mat_inv_one(exact_one(x[0])))])
+            [x[1], x[2], x[3], flat_one(mat_inv_one(exact_one(x[0])))],
+            ((0, 1), (1, -1), (2, 1), (3, -1),
+             (0, -1), (1, 1), (2, -1), (3, 1)))
         again = selberg.length_spectrum(perm, 5.0)
         assert len(again.primitives) == len(base.primitives)
         for (la, ma), (lb, mb) in zip(again.primitives, base.primitives):
@@ -568,7 +569,7 @@ class TestWaveTracePair:
 
     def test_leakage_reported(self, spectrum8):
         g = selberg.GaussianTestFn(7.5, 0.4, 1.0)
-        rep = selberg.wave_trace_pair(spectrum8, g)
+        rep = selberg.wave_trace_pair(spectrum8, g, laplace=[(0.0, 1)])
         assert rep.support_leakage > 1e-9
 
     def test_discrepancy_monotone_in_cutoff(self, spectrum8):
@@ -597,10 +598,11 @@ class TestWaveTracePair:
                            r"5\.5, sigma 100\.0, amplitude 1\.0\): spectral "
                            r"side is inf, not finite"):
             selberg.wave_trace_pair(spectrum8, g, laplace=[(0.0, 1)])
-        # without eigenvalues only the (finite) geometric side is formed
-        rep = selberg.wave_trace_pair(spectrum8, g)
-        assert math.isfinite(rep.geometric_side)
-        assert rep.spectral_side is None and rep.discrepancy is None
+        # with no eigenvalues the spectral side is 0.0 and the (finite)
+        # geometric side alone sets the discrepancy
+        rep = selberg.wave_trace_pair(spectrum8, g, laplace=[])
+        assert math.isfinite(rep.geometric_side) and rep.spectral_side == 0.0
+        assert rep.discrepancy == -rep.geometric_side
 
 
 def _heat_gaussian(s):
@@ -625,7 +627,7 @@ class TestIdentityTerm:
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_node_cap_fails_loudly(self):
-        g = selberg.GaussianTestFn(5.5, 1e-5)
+        g = selberg.GaussianTestFn(5.5, 1e-5, 1.0)
         with pytest.raises(AccuracyError, match=r"identity term \(center 5\.5, "
                            r"sigma 1e-05\).* not converged .* at 1048576 nodes"):
             selberg._identity_term(g, 2)

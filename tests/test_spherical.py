@@ -431,11 +431,11 @@ class TestSweep:
 
 class TestThreshold:
     def test_common_table_origin(self):
-        tt = spherical.threshold_tables(8, 3)
+        tt = spherical.threshold_tables(8, 3, h=1e-4)
         assert abs(tt["S"][0, 3] - 1.0 / SQRT_PI) < 1e-15
 
     def test_parity_zeros(self):
-        tt = spherical.threshold_tables(9, 2)
+        tt = spherical.threshold_tables(9, 2, h=1e-4)
         for n in range(1, 10, 2):
             assert tt["S"][n, 2] == 0
 
