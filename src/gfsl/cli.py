@@ -28,11 +28,11 @@ from pathlib import Path
 # subcommand needs it: the BLAS/LAPACK work is 9-point polyfits, 4-term
 # norms and selberg's 128 x 16 by 16 x 128 products of integer
 # coefficients, which are exact however OpenBLAS splits them.  A value
-# the user sets wins.  This holds only if gfsl.cli is imported
-# before numpy, which is why gfsl/__init__ imports nothing.
+# the user sets wins.  gfsl.cli imports no numpy: numpy loads with the
+# first library module a subcommand runs (_lazy), after this line.  So
+# the default holds unless numpy was imported before gfsl.cli, which is
+# why gfsl/__init__ imports nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from .errors import BudgetError, DomainError, GfslError
 
@@ -68,11 +68,8 @@ EXIT_BUDGET = 3
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
-        return repr(float(x))
-    return str(x)
+    # float(x): repr of numpy's float64, a float subclass, is np.float64(...)
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 def write_csv(path, header, rows):
@@ -138,6 +135,17 @@ def _add_common(sub, tol=True):
     sub.add_argument("--out", default=".")
 
 
+def _out_dir(text):
+    """--out as a directory, made with its parents if missing."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise GfslError(f"--out: cannot make directory {text!r}: "
+                        f"{exc.strerror}") from None
+    return out
+
+
 def _per_value(flag, values, make):
     """(value, make(value)) for each value of a flag's list (--lambda,
     --nu, --t); the library's DomainError gains the flag's name."""
@@ -187,8 +195,7 @@ def cmd_spherical_check(args):
             for (regime, val, branch), res in zip(labels, residuals)
             for rel in ("X", "U", "S")]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_csv(out / "spherical_residuals.csv",
               ["regime", "lambda", "relation", "max_residual"], rows)
     worst = max(r[3] for r in rows)
@@ -237,8 +244,7 @@ def cmd_traces(args):
         e["abs_err"] = abs(e["lhs"] - e["rhs"])
         # written so that a NaN error fails
         ok = ok and e["abs_err"] <= tol + e.get("tail_bound", 0.0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_json(out / "traces.json", {"identities": entries})
     print(f"traces: {len(entries)} identities checked")
     ln2 = math.log(2.0)
@@ -297,8 +303,7 @@ def cmd_selberg(args):
     # a bad test function fails here, before the enumeration or any report
     g = selberg.GaussianTestFn(center, sigma, 1.0)
     selberg._identity_term(g, selberg._CHI_ABS)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     try:
         group = selberg.bolza_group()
         ls = selberg.length_spectrum(group, l_max)
@@ -361,8 +366,7 @@ def cmd_means(args):
                      bound))
         ok = ok and (fit.floor_limited or abs(fit.slope + 2.0) <= 0.1)
         ok = ok and phi0 == 1.0 and defect <= bound
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_csv(out / "hc_convergence.csv",
               ["lambda", "t", "m_max", "partial_sum", "abs_err"], conv)
     write_csv(out / "wave_slopes.csv",

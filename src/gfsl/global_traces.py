@@ -87,6 +87,9 @@ class LaplaceSpectrum:
         except UnicodeDecodeError as exc:
             raise DomainError(
                 f"laplace file {path}, {_undecodable_line(path)}") from exc
+        except OSError as exc:
+            raise DomainError(
+                f"laplace file {path}: {exc.strerror}") from exc
         try:
             spec = cls(rows["mu"], rows["mult"], genus)
         except DomainError as exc:

@@ -9,6 +9,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -222,6 +223,18 @@ class TestTraces:
             f"error: laplace file {path}, line 3: not UTF-8 text, byte 0xff "
             "at column 5 (invalid start byte)\n")
         assert not (tmp_path / "traces.json").exists()
+
+    @pytest.mark.parametrize("name,reason", [
+        ("missing.csv", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_unopenable_laplace_file(self, tmp_path, capsys, name, reason):
+        path = tmp_path / name
+        code = run(["traces", "--out", str(tmp_path / "out"),
+                    "--laplace-file", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: laplace file {path}: {reason}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSelberg:
@@ -801,6 +814,31 @@ class TestUsage:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["spherical-check", "--n", "4", "--k", "2"],
+        ["traces", "--t", "1"],
+        ["selberg", "--lmax", "5"],
+        ["means", "--lambda", "2", "--m", "1"]],
+        ids=["spherical-check", "traces", "selberg", "means"])
+    @pytest.mark.parametrize("sub,reason", [
+        ("", "File exists"), ("sub", "Not a directory")])
+    def test_out_not_a_directory(self, tmp_path, capsys, argv, sub, reason):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = str(afile / sub) if sub else str(afile)
+        code = run(argv + ["--out", out])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --out: cannot make directory {out!r}: {reason}\n")
+        assert os.listdir(tmp_path) == ["afile"]
+        assert afile.read_text() == "kept\n"
+
+    def test_numpy_float_written_as_float(self, tmp_path):
+        # np.float64 is a float subclass whose repr is np.float64(...)
+        path = tmp_path / "x.csv"
+        cli.write_csv(path, ["a", "b"], [(np.float64(0.1), np.float64(-0.0))])
+        assert path.read_text() == "a,b\n0.1,-0.0\n"
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         from gfsl.errors import BudgetError
 
@@ -844,15 +882,48 @@ print(codes)
 """
 
 
-# The BLAS thread setting and thread count of a process right after
-# `import gfsl.cli`.
-_COLD_START = ("import os; import gfsl.cli; "
+# The BLAS thread setting and thread count of a process that imports
+# gfsl.cli and then loads numpy through a library module, as a subcommand
+# does.
+_COLD_START = ("import os; import gfsl.cli; gfsl.cli.specfun.log_gamma; "
                "task = '/proc/self/task'; "
                "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
                "len(os.listdir(task)) if os.path.isdir(task) else 1)")
 
 
+# The exit code of one in-process CLI call (argv None: the import alone)
+# and whether numpy was loaded by then.
+_NUMPY_FREE = """
+import sys
+from gfsl import cli
+code = 0
+if {argv!r} is not None:
+    try:
+        code = cli.main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(code, 'numpy' in sys.modules)
+"""
+
+
 class TestImport:
+    @pytest.mark.parametrize("argv,code", [
+        (None, 0),
+        (["--help"], 0),
+        (["bogus"], 1),
+        (["spherical-check", "--tol", "x"], 1),
+        (["traces", "--t", ","], 1),
+        (["means", "--lambda", ""], 1),
+    ], ids=["import", "help", "usage", "tol", "t", "lambda"])
+    def test_paths_before_library_code_load_no_numpy(self, tmp_path, argv,
+                                                       code):
+        # numpy loads with the first library module a subcommand runs, so
+        # the import and every exit before library code skip its import
+        proc = _python(["-c", _NUMPY_FREE.format(argv=argv)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} False"
+        assert os.listdir(tmp_path) == []
+
     def test_cli_import_starts_no_blas_pool(self, tmp_path):
         # pytest's own environment holds the default once it has imported
         # gfsl.cli, so the child's is removed explicitly
