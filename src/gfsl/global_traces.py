@@ -7,6 +7,7 @@ with Riemann-Roch multiplicities and the trivial representation.
 """
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ from .errors import ConsistencyError, DomainError
 
 # `np.loadtxt` row type of a Laplace file body
 _LAPLACE_ROW = [("mu", float), ("mult", np.int64)]
+
+# names np.loadtxt (np.lib._datasource) decompresses when given a path
+_ZIP_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 # The largest genus whose discrete multiplicities (2q - 1)(g - 1), q up to
 # global_trace's default q_max = 200, and |2 - 2g| convert to doubles.
@@ -63,7 +67,10 @@ class LaplaceSpectrum:
         """Read a `mu,multiplicity` CSV; blank lines are skipped.
 
         Every other row must have exactly two fields, a float and an int,
-        parsed by one `np.loadtxt` call.  ConsistencyError unless
+        parsed by one `np.loadtxt` call: in chunks from the path, joined
+        to the working directory unnormalized so no relative name looks
+        like a URL numpy would fetch, or line by line from the handle for
+        a name numpy would decompress.  ConsistencyError unless
         count(mu <= R^2 + 1/4) / ((g-1) R^2) is in [0.2, 5] at the top R.
         """
         try:
@@ -76,9 +83,12 @@ class LaplaceSpectrum:
                 # np.loadtxt warns on a body of blank lines; such a body is empty
                 rows = np.empty(0, dtype=_LAPLACE_ROW)
                 if any(line != "\n" for line in fh):
-                    fh.seek(body)
+                    fh.seek(0)
+                    src = fh if os.fspath(path).endswith(_ZIP_SUFFIXES) \
+                        else os.path.join(os.getcwd(), path)
                     try:
-                        rows = np.loadtxt(fh, delimiter=",", comments=None,
+                        rows = np.loadtxt(src, delimiter=",", comments=None,
+                                          skiprows=1, encoding="utf-8",
                                           ndmin=1, dtype=_LAPLACE_ROW)
                     except ValueError as exc:
                         fh.seek(body)
@@ -89,7 +99,7 @@ class LaplaceSpectrum:
                 f"laplace file {path}, {_undecodable_line(path)}") from exc
         except OSError as exc:
             raise DomainError(
-                f"laplace file {path}: {exc.strerror}") from exc
+                f"laplace file {path}: {exc.strerror or exc}") from exc
         try:
             spec = cls(rows["mu"], rows["mult"], genus)
         except DomainError as exc:

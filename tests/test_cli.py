@@ -236,6 +236,21 @@ class TestTraces:
             f"error: laplace file {path}: {reason}\n")
         assert not (tmp_path / "out").exists()
 
+    def test_errno_less_oserror_named(self, tmp_path, capsys, monkeypatch):
+        # numpy's reader raises OSErrors with no strerror, such as
+        # "... not found." for a file gone before it opens it
+        def disk_gone(*args, **kwargs):
+            raise OSError("disk gone")
+        monkeypatch.setattr(np, "loadtxt", disk_gone)
+        path = tmp_path / "laplace.csv"
+        path.write_text("mu,multiplicity\n0.3,1\n")
+        code = run(["traces", "--out", str(tmp_path / "out"),
+                    "--laplace-file", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: laplace file {path}: disk gone\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSelberg:
     def test_harness_small_cutoff(self, tmp_path):
@@ -685,25 +700,35 @@ class TestLaplaceFileFuzz:
     @given(LAPLACE_FILES)
     def test_laplace_file(self, rows):
         # exit 0, 2, or 1 with one error line that names the file; no
-        # traceback and no warning (pytest makes a warning an error)
+        # traceback and no warning (pytest makes a warning an error).  A
+        # .gz name, read from the open handle because numpy would
+        # decompress it, gives the same exit code and message.
+        code, text, written = self._traces(rows, "laplace.csv")
+        assert self._traces(rows, "laplace.csv.gz") == (code, text, written)
+        assert "Traceback" not in text
+        if code == cli.EXIT_CONFIG:
+            assert text.startswith("error: ") and "PATH" in text
+            assert text.count("\n") == 1 and written == ["PATH"]
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_VERIFY) and text == ""
+            assert written == ["PATH", "traces.json"]
+
+    @staticmethod
+    def _traces(rows, name):
+        """Exit code, stderr and sorted --out listing of `traces` on a
+        Laplace file of `rows` named `name`, its path and name as PATH."""
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
-            path = Path(out) / "laplace.csv"
+            path = Path(out) / name
             path.write_bytes(b"mu,multiplicity\n" + b"".join(
                 row + b"\n" for row in rows))
             code = cli.main(["traces", "--t", "1", "--laplace-file",
                              str(path), "--out", out])
-            written = sorted(os.listdir(out))
-        text = err.getvalue()
-        assert "Traceback" not in text
-        if code == cli.EXIT_CONFIG:
-            assert text.startswith("error: ") and str(path) in text
-            assert text.count("\n") == 1 and written == ["laplace.csv"]
-        else:
-            assert code in (cli.EXIT_OK, cli.EXIT_VERIFY) and text == ""
-            assert written == ["laplace.csv", "traces.json"]
+            written = sorted("PATH" if f == name else f
+                             for f in os.listdir(out))
+        return code, err.getvalue().replace(str(path), "PATH"), written
 
 
 class TestUsage:

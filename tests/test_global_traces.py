@@ -1,5 +1,7 @@
 import math
+import urllib.request
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,25 @@ TERM_1E308 = int(1e308 / math.cosh(1800.0 * math.sqrt(0.15)))
 def toy_spectrum(entries=((2.0, 1),), genus=2):
     return gt.LaplaceSpectrum([m for m, _ in entries],
                               [d for _, d in entries], genus)
+
+
+BULK_TEXTS = pytest.mark.parametrize("text", [
+    "mu,multiplicity\r\n0.9,2\r\n\r\n2.0,1\r\n",
+    "mu,multiplicity\n\n0.9,2\n\n\n2.0,1\n\n\n",
+    " mu , multiplicity \n 0.9 , 2 \n\t2.0,\t1\t\n",
+    "mu,multiplicity\n9e-1,+2\n+2.0E0,1\n",
+    "mu,multiplicity\n2.0,1\n",
+    "mu,multiplicity\n",
+    "mu,multiplicity",
+    "mu,multiplicity\n\n\n",
+    "mu,multiplicity\n0.9,2\n2.0,1",
+], ids=["crlf", "blank_lines", "whitespace", "exponent_plus", "single_row",
+        "header_only", "header_no_newline", "header_blank_lines",
+        "no_final_newline"])
+
+
+def _no_network(url, *args, **kwargs):
+    raise AssertionError(f"tried to fetch {url!r}")
 
 
 class TestLaplaceSpectrum:
@@ -101,22 +122,26 @@ class TestLaplaceSpectrum:
         with pytest.raises(DomainError):
             gt.LaplaceSpectrum.from_csv(path, 2)
 
-    @pytest.mark.parametrize("text", [
-        "mu,multiplicity\r\n0.9,2\r\n\r\n2.0,1\r\n",
-        "mu,multiplicity\n\n0.9,2\n\n\n2.0,1\n\n\n",
-        " mu , multiplicity \n 0.9 , 2 \n\t2.0,\t1\t\n",
-        "mu,multiplicity\n9e-1,+2\n+2.0E0,1\n",
-        "mu,multiplicity\n2.0,1\n",
-        "mu,multiplicity\n",
-        "mu,multiplicity",
-        "mu,multiplicity\n\n\n",
-        "mu,multiplicity\n0.9,2\n2.0,1",
-    ], ids=["crlf", "blank_lines", "whitespace", "exponent_plus",
-            "single_row", "header_only", "header_no_newline",
-            "header_blank_lines", "no_final_newline"])
+    @BULK_TEXTS
     def test_bulk_parse_matches_csv_rows(self, tmp_path, text):
         path = tmp_path / "laplace.csv"
         path.write_bytes(text.encode())
+        _assert_same_parse(path)
+
+    @BULK_TEXTS
+    def test_bulk_parse_under_special_names(self, tmp_path, monkeypatch, text):
+        # np.loadtxt decompresses a path with these suffixes and fetches a
+        # URL-shaped one; here each is a local plain-text file
+        monkeypatch.setattr(urllib.request, "urlopen", _no_network)
+        for name in ("laplace.csv.gz", "laplace.csv.bz2", "laplace.csv.xz",
+                     "laplace.csv.lzma"):
+            path = tmp_path / name
+            path.write_bytes(text.encode())
+            _assert_same_parse(path)
+        (tmp_path / "http:" / "example.invalid").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        path = "http://example.invalid/s.csv"
+        Path(path).write_bytes(text.encode())
         _assert_same_parse(path)
 
     @settings(max_examples=60, deadline=None)
