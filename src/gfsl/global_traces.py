@@ -70,7 +70,7 @@ class LaplaceSpectrum:
         parsed by one `np.loadtxt` call: in chunks from the path, joined
         to the working directory unnormalized so no relative name looks
         like a URL numpy would fetch, or line by line from the handle for
-        a name numpy would decompress.  ConsistencyError unless
+        a name numpy would decompress or with no cwd.  ConsistencyError unless
         count(mu <= R^2 + 1/4) / ((g-1) R^2) is in [0.2, 5] at the top R.
         """
         try:
@@ -84,8 +84,11 @@ class LaplaceSpectrum:
                 rows = np.empty(0, dtype=_LAPLACE_ROW)
                 if any(line != "\n" for line in fh):
                     fh.seek(0)
-                    src = fh if os.fspath(path).endswith(_ZIP_SUFFIXES) \
-                        else os.path.join(os.getcwd(), path)
+                    try:
+                        src = fh if os.fspath(path).endswith(_ZIP_SUFFIXES) \
+                            else os.path.join(os.getcwd(), path)
+                    except OSError:  # no working directory
+                        src = fh
                     try:
                         rows = np.loadtxt(src, delimiter=",", comments=None,
                                           skiprows=1, encoding="utf-8",

@@ -104,7 +104,9 @@ def recurrence_blocks(a, s, e, x0, n_max, rows):
     # rows 0 and 1 carry x_{n0-2} and x_{n0-1}; x_{-2} = x_{-1} = 0
     buf = np.zeros((rows + 2, a.size), dtype=complex)
     xr, xi = buf.real, buf.imag
-    ar, ai, sr, si = a.real, a.imag, s.real, s.imag
+    ar, ai, sr, si = np.array([a.real, a.imag, s.real, s.imag])
+    cr, t1, t2, t3 = np.empty((4, a.size))
+    d = np.empty(a.size, dtype=complex)
     for n0 in range(0, n_max + 1, rows):
         n1 = min(n0 + rows, n_max + 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -112,12 +114,16 @@ def recurrence_blocks(a, s, e, x0, n_max, rows):
                 if n == 0:
                     buf[i] = x0
                     continue
-                # step n - 1 -> n
+                # step n - 1 -> n in the buffers: xr = (ar qr - ai qi) +
+                # (cr pr - si pi), xi = (ar qi + ai qr) + (cr pi + si pr)
                 qr, qi, pr, pi = xr[i - 1], xi[i - 1], xr[i - 2], xi[i - 2]
-                cr = sr - (n - 2)
-                xr[i] = (ar * qr - ai * qi) + (cr * pr - si * pi)
-                xi[i] = (ar * qi + ai * qr) + (cr * pi + si * pr)
-                np.divide(buf[i], float(n) + e, out=buf[i])
+                np.subtract(sr, n - 2, out=cr)
+                for x, op, u, v, w, z in ((xr[i], np.subtract, qr, qi, pr, pi),
+                                          (xi[i], np.add, qi, qr, pi, pr)):
+                    op(np.multiply(ar, u, t1), np.multiply(ai, v, t2), t1)
+                    op(np.multiply(cr, w, t2), np.multiply(si, z, t3), t2)
+                    np.add(t1, t2, x)
+                np.divide(buf[i], np.add(float(n), e, out=d), out=buf[i])
         block = buf[2:n1 - n0 + 2]
         buf[:2] = buf[n1 - n0:n1 - n0 + 2]
         yield n0, block

@@ -22,6 +22,7 @@ exp(tau z) * v[n, k_out] * s[n, k_in].
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,10 +37,9 @@ _SQRT_PI = math.sqrt(math.pi)
 # Entries (rows x tables x columns) per block of a stacked build and
 # audit; the recurrence buffer, the scaled rows and each audit temporary
 # hold about this many however large N is and however many tables are
-# stacked.  On a 12-table sweep at (N, K) = (1000, 100) (2-core x86-64
-# host, numpy 2.4), 2^13..2^16 ran equally fast (0.30-0.34 s), 2^17 more
-# slowly, and 2^14 kept the CLI's peak RSS at 33.8 MiB (2^15: 34.8 MiB;
-# one whole table at a time: 34.3 MiB).
+# stacked.  On a 12-table sweep at (N, K) = (1000, 100) (2-core x86-64,
+# numpy 2.4, medians of 9 runs) 2^13..2^17 took 0.260, 0.227, 0.228, 0.245
+# and 0.262 s; 2^13..2^16 peaked the CLI at 31.6, 32.1, 33.2, 35.4 MiB.
 BLOCK_ELEMENTS = 1 << 14
 
 # The largest N and K a sweep takes, a memory budget.  Besides its blocks,
@@ -258,6 +258,15 @@ class _TableSpec:
         self.pre, self.phase = pre, phase
 
 
+@functools.lru_cache(maxsize=1)
+def _row_constants(N):
+    """Read-only 0.5 log n! and (-1)^n, n <= N, and sqrt(n), n <= N + 1."""
+    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
+    parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    half_lf.flags.writeable = parity.flags.writeable = False
+    return half_lf, parity, tuple(math.sqrt(n) for n in range(N + 2))
+
+
 def _table_spec(p, N, K, branch, dual=False):
     """One branch table, or with dual=True the dual rows of the plus or
     minus branch.  Plus: t_n^+ sqrt(n!) phase_k [x^n] two-factor; minus:
@@ -265,8 +274,7 @@ def _table_spec(p, N, K, branch, dual=False):
     minus_renormalized: the rho-rescaled moments times (-1)^n, finite at
     lam = 0, where they coalesce with plus."""
     glog = gauge_log(p, branch, N)
-    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
-    parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    half_lf, parity, _ = _row_constants(N)
     ks = np.arange(-K, K + 1)
     # a prefactor may overflow to inf: _table_blocks names the table and
     # rows of every non-finite entry
@@ -305,10 +313,10 @@ def _first_non_finite(values, n0):
     """None if values[row, table, ...] (rows from n0) is all finite, else
     the first table with a non-finite value and its first and last rows
     holding one."""
-    finite = np.isfinite(values).reshape(values.shape[0], values.shape[1], -1)
-    finite = finite.all(axis=2)
+    finite = np.isfinite(values)
     if finite.all():
         return None
+    finite = finite.reshape(values.shape[0], values.shape[1], -1).all(axis=2)
     t = int(np.argmin(finite.all(axis=0)))
     bad = np.flatnonzero(~finite[:, t])
     return t, n0 + int(bad[0]), n0 + int(bad[-1])
@@ -340,8 +348,8 @@ def _table_blocks(specs, rows):
             win[0] = win[rows]
         new = win[1:r + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(pre[n0:n0 + r, :, None],
-                        x.reshape(r, len(specs), n_cols), out=new)
+            new[...] = pre[n0:n0 + r, :, None]
+            np.multiply(new, x.reshape(r, len(specs), n_cols), out=new)
             new *= phase
         bad = _first_non_finite(new, n0)
         if bad:
@@ -370,15 +378,17 @@ def coeff_table(p, N, K, branch, dual=False):
 def _stack_relations(per_table):
     """The relations {name: (op, coef, shift)} of _ladder_relations, one
     per table, stacked as _audit takes them: {name: (diag, sup, sub, coef,
-    shift)}, the operator's interior bands [table, column] and coef[n,
-    table]."""
-    return {
-        name: (*(np.stack([getattr(rels[name][0], band)[1:-1]
-                           for rels in per_table])
-                 for band in ("diag", "sup", "sub")),
-               np.stack([np.asarray(rels[name][1], dtype=complex)
-                         for rels in per_table], axis=1), shift)
-        for name, (_, _, shift) in per_table[0].items()}
+    shift)}, the operator's bands over all tables' columns end to end,
+    less the first and last (diag None if zero), and coef[n, table]."""
+    stacked = {}
+    for name, (_, _, shift) in per_table[0].items():
+        diag, sup, sub = (np.concatenate([getattr(rels[name][0], band)
+                                          for rels in per_table])[1:-1]
+                          for band in ("diag", "sup", "sub"))
+        stacked[name] = (diag if diag.any() else None, sup, sub,
+                         np.stack([np.asarray(rels[name][1], dtype=complex)
+                                   for rels in per_table], axis=1), shift)
+    return stacked
 
 
 def _audit(windows, relations, specs, rows, n_cols):
@@ -388,39 +398,44 @@ def _audit(windows, relations, specs, rows, n_cols):
     windows yields (w0, n0, win) as _table_blocks does, win holding at
     most rows + 1 rows; every row pair (n, n + shift) inside win that
     reaches a row from n0 on is scored, the right side summed as
-    diag*c_k + sup*c_{k+1} + sub*c_{k-1} in that order.  Returns
-    {name: worst score of each table}; a non-finite score raises
-    AccuracyError naming the table of `specs` and carrying its lam.  The
-    temporaries are buffers reused by every window and relation.
+    diag*c_k + sup*c_{k+1} + sub*c_{k-1} in that order, an absent diag's
+    term (+-0 on finite tables) left out, in contiguous loops over each
+    row's tables end to end.  Returns {name: worst score of each table};
+    a non-finite score raises AccuracyError naming the table of `specs`
+    and carrying its lam.  Its temporaries are buffers reused throughout.
     """
     worst = {name: np.zeros(len(specs)) for name in relations}
-    shape = (rows + 1, len(specs), n_cols - 2)
-    lhs_buf = np.empty(shape, dtype=complex)
-    rhs_buf = np.empty(shape, dtype=complex)
-    mag_buf = np.empty(shape)
+    width = len(specs) * n_cols
+    lhs_buf, rhs_buf = np.zeros((2, rows + 1, width), dtype=complex)
+    mag_buf = np.empty((rows + 1, width))
+
+    def peaks(x):
+        # max |x| over the interior columns of each table, per row
+        m = np.abs(x, out=mag_buf[:len(x)]).reshape(len(x), -1, n_cols)
+        return m[..., 1:-1].max(axis=2)
+
     for w0, n0, win in windows:
         w1 = w0 + win.shape[0]
+        flat = win.reshape(win.shape[0], width)
         for name, (diag, sup, sub, coef, shift) in relations.items():
             lo = max(w0, w0 - shift, n0 - max(shift, 0))
             hi = min(w1, w1 - shift)
             if lo >= hi:
                 continue
-            c, h = win[lo - w0:hi - w0], hi - lo
-            lhs, rhs, mag = lhs_buf[:h], rhs_buf[:h], mag_buf[:h]
+            c, h = flat[lo - w0:hi - w0], hi - lo
+            lhs, rhs = lhs_buf[:h], rhs_buf[:h]
+            lin, rin = lhs[:, 1:-1], rhs[:, 1:-1]
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(diag, c[..., 1:-1], out=rhs)
-                np.multiply(sup, c[..., 2:], out=lhs)
-                np.add(rhs, lhs, out=rhs)
-                np.multiply(sub, c[..., :-2], out=lhs)
-                np.add(rhs, lhs, out=rhs)
-                np.multiply(coef[lo:hi, :, None],
-                            win[lo - w0 + shift:hi - w0 + shift, :, 1:-1],
-                            out=lhs)
-                scale = np.abs(lhs, out=mag).max(axis=2)
-                np.maximum(scale, np.abs(rhs, out=mag).max(axis=2), out=scale)
-                np.maximum(scale, 1e-300, out=scale)
-                np.subtract(lhs, rhs, out=lhs)
-                score = np.abs(lhs, out=mag).max(axis=2) / scale
+                np.multiply(sup, c[:, 2:], out=rin)
+                if diag is not None:
+                    rin += np.multiply(diag, c[:, 1:-1], out=lin)
+                rin += np.multiply(sub, c[:, :-2], out=lin)
+                # lhs = coef[n] * c[n + shift], coef spread over its table
+                lhs.reshape(h, -1, n_cols)[...] = coef[lo:hi, :, None]
+                np.multiply(lin, flat[lo - w0 + shift:hi - w0 + shift, 1:-1],
+                            out=lin)
+                scale = np.maximum(np.maximum(peaks(lhs), peaks(rhs)), 1e-300)
+                score = peaks(np.subtract(lhs, rhs, out=lhs)) / scale
             bad = _first_non_finite(score, lo)
             if bad:
                 raise AccuracyError(
@@ -447,14 +462,15 @@ def _ladder_relations(p, branch, N, ops):
     ssign = 1.0 if plus else -1.0
     if branch == BRANCH_MINUS_RENORMALIZED:
         usign, ssign = -usign, -ssign
-    ns = range(N + 1)
+    sqrt_n = _row_constants(N)[2]
+    # (m - 2b)^(1/2), m = -1..N: U's factor at n = m + 1, S's at n = m
+    roots = [cmath.sqrt(m - 2 * b) for m in range(-1, N + 1)]
     return {
-        "X": (ops["X"], np.array([-n + b for n in ns]), 0),
-        "U": (ops["U"], np.array([usign * math.sqrt(n)
-                                  * cmath.sqrt(n - 1 - 2 * b) for n in ns]),
-              -1),
-        "S": (ops["S"], np.array([ssign * cmath.sqrt(n - 2 * b)
-                                  * math.sqrt(n + 1) for n in ns]), 1),
+        "X": (ops["X"], np.array([-n + b for n in range(N + 1)]), 0),
+        "U": (ops["U"], np.array([usign * r * q
+                                  for r, q in zip(sqrt_n, roots[:-1])]), -1),
+        "S": (ops["S"], np.array([ssign * q * r for q, r
+                                  in zip(roots[1:], sqrt_n[1:])]), 1),
     }
 
 

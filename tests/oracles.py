@@ -231,23 +231,29 @@ def _row_loop_audit(rows, relations):
     return res
 
 
-def intertwine_residual_rows(p, table, branch, ops):
-    """Row-loop reference for one table of spherical.intertwine_sweep:
-    `table` is spherical.coeff_table(p, N, K, branch), ops the
-    build_k_matrices(p, K) operators."""
+def ladder_coefficients(p, branch):
+    """{relation: (coef(n), shift)} of the X / U / S ladder relations of
+    one branch table, each coefficient from its own per-n formula."""
     plus = branch == "plus"
     b = p.b_plus if plus else p.b_minus
     usign = -1.0 if plus else 1.0
     ssign = 1.0 if plus else -1.0
     if branch == "minus_renormalized":
         usign, ssign = -usign, -ssign
+    return {
+        "X": (lambda n: -n + b, 0),
+        "U": (lambda n: usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b), -1),
+        "S": (lambda n: ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1), 1),
+    }
+
+
+def intertwine_residual_rows(p, table, branch, ops):
+    """Row-loop reference for one table of spherical.intertwine_sweep:
+    `table` is spherical.coeff_table(p, N, K, branch), ops the
+    build_k_matrices(p, K) operators."""
     return _row_loop_audit(table, {
-        "X": (ops["X"], lambda n: -n + b, 0),
-        "U": (ops["U"],
-              lambda n: usign * math.sqrt(n) * cmath.sqrt(n - 1 - 2 * b), -1),
-        "S": (ops["S"],
-              lambda n: ssign * cmath.sqrt(n - 2 * b) * math.sqrt(n + 1), 1),
-    })
+        name: (ops[name], coef, shift)
+        for name, (coef, shift) in ladder_coefficients(p, branch).items()})
 
 
 def global_trace_loop(spec, t, q_max=200):

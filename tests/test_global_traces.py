@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import urllib.request
 import warnings
 from pathlib import Path
@@ -19,6 +22,9 @@ MIXED = ([(0.25 * (j + 0.5) / 40, 1 + j % 3) for j in range(40)] + [(0.25, 2)]
          + [(0.35 + 0.37 * j ** 1.3, 1 + j % 4) for j in range(300)])
 TRACE_TIMES = (0.1, 0.5, math.log(2.0), 1.0, 3.0, 7.0, 40.0)
 
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LAPLACE_FILE = Path(__file__).parent / "data" / "laplace_g2.csv"
 
 # a multiplicity d with d cosh(1800 sqrt(1/4 - 0.1)) just below 1e308
 TERM_1E308 = int(1e308 / math.cosh(1800.0 * math.sqrt(0.15)))
@@ -186,6 +192,27 @@ class TestLaplaceSpectrum:
         path.write_text("mu,multiplicity\n0.9,2\n1_0,1\nx,1\n")
         with pytest.raises(DomainError, match="line 3: "):
             gt.LaplaceSpectrum.from_csv(path, 2)
+
+    def test_absolute_path_read_from_removed_cwd(self, tmp_path):
+        # os.getcwd() raises in a process whose working directory was
+        # removed; numpy's path reader resolves it, the handle does not
+        path = tmp_path / "laplace.csv"
+        path.write_bytes(LAPLACE_FILE.read_bytes())
+        child = ("import os, sys\n"
+                 "os.mkdir('gone'); os.chdir('gone'); os.rmdir('../gone')\n"
+                 "from gfsl.global_traces import LaplaceSpectrum\n"
+                 "spec = LaplaceSpectrum.from_csv(sys.argv[1], 2)\n"
+                 "print(repr(spec.mu.tolist()), repr(spec.mult.tolist()))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        spec = gt.LaplaceSpectrum.from_csv(path, 2)
+        assert proc.stdout == (f"{spec.mu.tolist()!r} "
+                               f"{spec.mult.tolist()!r}\n")
 
     def test_weyl_ingestion_check(self, tmp_path):
         path = tmp_path / "weyl.csv"

@@ -2,9 +2,10 @@
 committed bytes under tests/golden/<name>/.
 
 The two cases that call BLAS or LAPACK, selberg_seed1 (exact float64
-products of integer coefficients) and means_seed1 (polyfit), also run
-as `python -m gfsl.cli` in a fresh interpreter, where numpy loads after
-the CLI's BLAS thread default.
+products of integer coefficients) and means_seed1 (polyfit), and
+ladder_seed1, the largest run of the coefficient-table recurrence and
+audit, also run as `python -m gfsl.cli` in a fresh interpreter, where
+numpy loads after the CLI's BLAS thread default.
 
 The bytes depend on numpy's and libm's float results; VERSIONS names the
 Python and numpy the goldens were made with.  A change that moves report
@@ -89,7 +90,8 @@ def test_reports_match_golden(tmp_path, capsys, name):
     _assert_matches_golden(name, tmp_path)
 
 
-@pytest.mark.parametrize("name", ["means_seed1", "selberg_seed1"])
+@pytest.mark.parametrize("name", ["ladder_seed1", "means_seed1",
+                                  "selberg_seed1"])
 def test_cold_process_reports_match_golden(tmp_path, name):
     argv, code = CASES[name]
     env = dict(os.environ)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfsl import means, spherical
@@ -11,7 +11,8 @@ from gfsl.errors import AccuracyError, DomainError, GfslError, PoleError
 from gfsl.specfun import legendre_conical, log_beta_line
 
 from oracles import (characteristics_correlation, i_nk_reference,
-                     intertwine_residual_rows, moment_seeds_mp)
+                     intertwine_residual_rows, ladder_coefficients,
+                     moment_seeds_mp)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -317,6 +318,25 @@ class TestIntertwining:
             for rel, val in res.items():
                 assert val < 1e-9, (p.lam, N, K, rel, val)
 
+    def test_zero_band_skip_reads_values_not_names(self, monkeypatch):
+        # the audit leaves out a diagonal that is zero in every stacked
+        # table; give X a nonzero one in P1's tables only and the sweep
+        # must still score it there, while PC's X relation holds
+        build = spherical.build_k_matrices
+
+        def x_with_diagonal(p, K):
+            ops = build(p, K)
+            if p is P1:
+                ops["X"].diag = 0.25j * np.arange(-K, K + 1)
+            return ops
+
+        monkeypatch.setattr(spherical, "build_k_matrices", x_with_diagonal)
+        tables = [(p, branch) for p in (P1, PC) for branch in BRANCHES]
+        N = spherical.block_rows(len(tables) * 17) + 3
+        got = spherical.intertwine_sweep(tables, N, 8)
+        assert got == _per_table(tables, N, 8)
+        assert [res["X"] > 0.1 for res in got] == [True] * 3 + [False] * 3
+
     def test_non_finite_residual_raises(self, monkeypatch):
         # a NaN that reaches the audit past the tables' finiteness check
         blocks = spherical._table_blocks
@@ -367,6 +387,22 @@ class TestSweep:
         N = {"0": 0, "1": 1, "b-1": b - 1, "b": b, "b+1": b + 1}[at]
         assert _outcome(spherical.intertwine_sweep, tables, N, K) == \
             _outcome(_per_table, tables, N, K)
+
+    @settings(max_examples=30)
+    @given(p=st.one_of(_PARAMS, st.just(spherical.SpectralParam.threshold())),
+           branch=_BRANCHES, N=st.integers(0, 4000))
+    @example(p=PC, branch=spherical.BRANCH_MINUS_RENORMALIZED, N=4000)
+    @example(p=spherical.SpectralParam.principal(19.5),
+             branch=spherical.BRANCH_MINUS, N=4000)
+    def test_ladder_coefficients_equal_per_n_formulas(self, p, branch, N):
+        # the sweep's X / U / S coefficients, to the bit, against each
+        # coefficient from its own per-n formula
+        rels = spherical._ladder_relations(p, branch, N,
+                                           spherical.build_k_matrices(p, 2))
+        for name, (coef, shift) in ladder_coefficients(p, branch).items():
+            want = np.array([coef(n) for n in range(N + 1)], dtype=complex)
+            assert rels[name][2] == shift
+            assert rels[name][1].tobytes() == want.tobytes(), (name, N)
 
     def test_cli_sweep_equals_per_table(self):
         # the shape of a spherical-check sweep: several points, plus and
