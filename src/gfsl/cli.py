@@ -210,8 +210,8 @@ def cmd_traces(args):
         raise GfslError("--t: expected at least one number")
     genus = _parse_int("--genus", args.genus, 2)
     if genus > global_traces.GENUS_MAX:
-        raise GfslError("--genus: expected an integer <= int(DBL_MAX) // 400 "
-                        "(about 4.49e305), where the global trace's "
+        raise GfslError("--genus: expected an integer <= int(DBL_MAX) // 3 "
+                        "(about 5.99e307), where the global trace's "
                         f"multiplicities are doubles, got {args.genus!r}")
     if args.laplace_file:
         spec = global_traces.LaplaceSpectrum.from_csv(args.laplace_file, genus)
@@ -219,20 +219,19 @@ def cmd_traces(args):
         spec = global_traces.LaplaceSpectrum([], [], genus)
 
     def identities(t):
-        tr = spherical.trace_spherical(spherical.SpectralParam.threshold(), t)
-        td = discrete.trace_ds(2, t)
+        tr = spherical.trace_spherical(spherical.SpectralParam.threshold(),
+                                       t, tol)
+        td = discrete.trace_ds(2, t, tol)
         # rejects t past about 711.17, before global_trace's cosh overflows
-        th = selberg.tanh_transform(t)
-        pre, post = global_traces.global_trace(spec, t)
+        th = selberg.tanh_transform(t, tol)
+        pre, post, tail = global_traces.global_trace(spec, t, tol)
         return [
             {"identity": "spherical_flat_vs_spectral", "t": t, "lambda": 0.0,
-             "lhs": tr["flat"],
-             "rhs": tr["spectral_partial"][-1] + tr["tail_exact"][-1]},
+             "lhs": tr["flat"], "rhs": tr["spectral"]},
             {"identity": "discrete_flat_vs_spectral", "t": t, "l": 2,
-             "lhs": td["flat"],
-             "rhs": td["spectral_partial"][-1] + td["tail_exact"][-1]},
+             "lhs": td["flat"], "rhs": td["spectral"]},
             {"identity": "pre_rr_vs_post_rr", "t": t, "genus": genus,
-             "lhs": pre, "rhs": post},
+             "lhs": pre, "rhs": post, "tail_bound": tail},
             {"identity": "tanh_fourier", "t": t, "lhs": th["pole_sum"],
              "rhs": th["closed_form"], "tail_bound": th["tail_bound"]},
         ]

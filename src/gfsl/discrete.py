@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spherical import CorrelationResult, KBandedOperator, require_finite
-from .specfun import taylor_two_factor
+from .specfun import geometric_sum, taylor_two_factor
 
 
 @dataclass
@@ -108,18 +108,12 @@ def correlation_ds(l, k_out, k_in, tau, N):
     return CorrelationResult(value, tail)
 
 
-def trace_ds(l, t, n_max=60):
-    """Holomorphic flat trace e^{-tl/2}/(1-e^{-t}) and its resonance partials."""
-    if t <= 0:
-        raise DomainError("trace_ds: t must be > 0")
+def trace_ds(l, t, tol):
+    """Holomorphic flat trace e^{-tl/2}/(1-e^{-t}) and its resonance sum."""
     DiscreteParam(l)
-    if not math.isfinite(t * (n_max + 1 + l / 2.0)):
-        raise DomainError(f"trace_ds: t (n_max + 1 + l/2) overflows at t={t!r}")
-    flat = math.exp(-t * l / 2.0) / (1.0 - math.exp(-t))
-    n = np.arange(n_max + 1)
-    partial = np.cumsum(np.exp(-t * (n + l / 2.0)))
-    tail_exact = np.exp(-t * (n + 1 + l / 2.0)) / (1.0 - math.exp(-t))
-    return {"flat": flat, "spectral_partial": partial, "tail_exact": tail_exact}
+    spectral, tail = geometric_sum(t, 1.0, 0.0, l / 2.0, tol)
+    flat = math.exp(-t * l / 2.0) / -math.expm1(-t)
+    return {"flat": flat, "spectral": spectral, "tail_bound": tail}
 
 
 def rr_multiplicity(genus, l):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .discrete import rr_multiplicity
 from .errors import ConsistencyError, DomainError
 
@@ -22,9 +23,11 @@ _LAPLACE_ROW = [("mu", float), ("mult", np.int64)]
 # names np.loadtxt (np.lib._datasource) decompresses when given a path
 _ZIP_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-# The largest genus whose discrete multiplicities (2q - 1)(g - 1), q up to
-# global_trace's default q_max = 200, and |2 - 2g| convert to doubles.
-GENUS_MAX = int(sys.float_info.max) // 400
+# The largest genus whose multiplicities m_4 = 3(g - 1), m_6 - m_4 and
+# |2 - 2g|, global_trace's coefficients, are doubles.
+GENUS_MAX = int(sys.float_info.max) // 3
+# global_trace's rounding scale, relative to its terms' magnitude
+_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 @dataclass(eq=False)
@@ -193,25 +196,29 @@ def _check_phases(spec, t):
                           f"t={t!r}, mu={float(mu[-1])!r}", value=t)
 
 
-def global_trace(spec, t, q_max=200):
-    """Global spectral trace of the propagator at time t > 0, as the pair
-    (pre_rr, post_rr) of its two closed forms over one spherical sum.
-
-    pre_rr sums the discrete multiplicities explicitly to q_max; post_rr
-    uses the closed form with the |Euler characteristic| term.  The two
-    agree up to the geometric q_max tail.
-    """
+def global_trace(spec, t, tol):
+    """Global spectral trace of the propagator at time t > 0 as (pre_rr,
+    post_rr, tail), its two closed forms over one spherical sum: pre_rr
+    sums the Riemann-Roch multiplicities explicitly until its `tail` is
+    at most tol/2, post_rr uses the |Euler characteristic|.  They differ
+    by the tail and by rounding, at most _ROUNDING times their terms'
+    magnitude, ~(g - 1)/t^3: DomainError naming t, the genus and that
+    scale when it is above tol/2."""
     if not t > 0:
         raise DomainError(f"global_trace: t must be > 0, got {t}")
-    x = math.exp(-t)
-    if x == 1.0:
-        raise DomainError(f"global_trace: 1 - e^-t rounds to 0 at t={t!r}",
-                          value=t)
     _check_phases(spec, t)
-    base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * _spherical_sum(spec, t)
-    ds = 0.0  # sum over q <= q_max of m_{2q} e^{-t q}
-    for q in range(1, q_max + 1):
-        ds += rr_multiplicity(spec.genus, 2 * q) * x ** q
-    chi = abs(2 - 2 * spec.genus)
-    return (base + 2.0 / (1.0 - x) * ds,
-            base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3)
+    x, gap = math.exp(-t), -math.expm1(-t)
+    base = 1.0 + 2.0 * math.exp(-t / 2.0) / gap * _spherical_sum(spec, t)
+    head = 2.0 * x / gap
+    # divided thrice: gap ** 3 underflows to 0 for t below about 1e-108
+    closed = abs(2 - 2 * spec.genus) * x * (1.0 + x) / gap / gap / gap
+    scale = _ROUNDING * (abs(base) + head + closed)
+    if not scale <= tol / 2.0:
+        raise DomainError(f"global_trace: rounding scale {scale:.3g} of the "
+                          f"pre/post-RR traces at t={t!r}, genus {spec.genus}"
+                          f" is above tol/2 = {tol / 2.0:.3g}", value=t)
+    # m_2q = m_4 + (m_6 - m_4)(q - 2); times x^2 they stay below `closed`
+    m2, m4, m6 = (rr_multiplicity(spec.genus, l) for l in (2, 4, 6))
+    x2 = 2.0 * x * x / gap
+    ds, tail = specfun.geometric_sum(t, m4 * x2, (m6 - m4) * x2, 0.0, tol)
+    return base + 2.0 * m2 * x / gap + ds, base + head + closed, tail

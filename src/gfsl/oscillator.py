@@ -58,39 +58,39 @@ def euler_half(u):
     return GaussPolyFunction(p, u.width)
 
 
-def _taylor_at_zero(u, n_max):
+def _taylor_at_zero(u, n_top):
     # Taylor coefficients of u: convolution of P with the Gaussian series.
-    c = np.zeros(n_max + 1, dtype=complex)
-    g = np.zeros(n_max + 1, dtype=complex)
+    c = np.zeros(n_top + 1, dtype=complex)
+    g = np.zeros(n_top + 1, dtype=complex)
     half = -0.5 * u.width
     term = 1.0 + 0.0j
-    for j in range(0, n_max + 1, 2):
+    for j in range(0, n_top + 1, 2):
         g[j] = term
         term *= half / (j // 2 + 1)
-    for m, pm in enumerate(u.poly[: n_max + 1]):
+    for m, pm in enumerate(u.poly[: n_top + 1]):
         if pm != 0:
-            c[m:] += pm * g[: n_max + 1 - m]
+            c[m:] += pm * g[: n_top + 1 - m]
     return c
 
 
-def t_plus(u, n_max):
-    """Entries u^(n)(0)/sqrt(n!) for n = 0..n_max."""
-    c = _taylor_at_zero(u, n_max)
+def t_plus(u, n_top):
+    """Entries u^(n)(0)/sqrt(n!) for n = 0..n_top."""
+    c = _taylor_at_zero(u, n_top)
     # u^(n)(0)/sqrt(n!) = sqrt(n!) * c_n
-    fac = np.exp(0.5 * np.array([math.lgamma(n + 1) for n in range(n_max + 1)]))
+    fac = np.exp(0.5 * np.array([math.lgamma(n + 1) for n in range(n_top + 1)]))
     return fac * c
 
 
-def t_minus(u, n_max):
-    """Entries (1/sqrt(n!)) * integral of x^n u(x) dx for n = 0..n_max."""
+def t_minus(u, n_top):
+    """Entries (1/sqrt(n!)) * integral of x^n u(x) dx for n = 0..n_top."""
     deg = u.poly.size - 1
-    top = n_max + deg
+    top = n_top + deg
     mom = np.zeros(top + 1, dtype=complex)
     mom[0] = cmath.sqrt(2.0 * math.pi / u.width)
     for j in range(0, top - 1, 2):
         mom[j + 2] = (j + 1) / u.width * mom[j]
-    out = np.zeros(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
+    out = np.zeros(n_top + 1, dtype=complex)
+    for n in range(n_top + 1):
         out[n] = np.dot(u.poly, mom[n : n + deg + 1])
         out[n] *= math.exp(-0.5 * math.lgamma(n + 1))
     return out

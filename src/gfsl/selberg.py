@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import specfun
 from .errors import AccuracyError, BudgetError, ConstructionError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -371,9 +372,12 @@ class LengthSpectrum:
                 fh.write(f"{ell!r},{mult},{prim}\n")
 
 
-# Circumradius of the Bolza Dirichlet octagon: every geodesic meets a
-# translate of the fundamental domain, so each class has a member with
-# cosh(d(i, g i)/2) <= cosh(ell/2) * (1 + sqrt(2)).
+# cosh r = cot(pi/8) for the inradius r of the Bolza octagon (its
+# circumradius has cosh R = (1 + sqrt 2)^2).  The open r-disks about the 8
+# centres around a vertex are tangent in a ring at the side midpoints, so
+# a closed geodesic enters one of them or is a side line, at distance r
+# (inside the ball's 1e-9 slack): each class has a member g with its axis
+# within r of i, and cosh(d(i, g i)/2) <= cosh(ell/2) cosh r.
 _OCT_COSH_R = 1.0 + _SQRT2
 
 
@@ -452,24 +456,16 @@ class GaussianTestFn:
         return max(0.0, 1.0 - inside)
 
 
-def tanh_transform(t, n_terms=50):
-    """Both sides of the tanh Fourier identity at time t > 0.
-
-    pole_sum: -2 sum_{k<n_terms} (k+1/2) e^{-t(k+1/2)}
-    closed_form: -cosh(t/2) / (2 sinh^2(t/2))
-    plus the geometric bound on the truncated tail.
-    """
-    if t <= 0:
-        raise DomainError("tanh_transform: t must be > 0")
-    k = np.arange(n_terms)
-    pole_sum = -2.0 * float(np.sum((k + 0.5) * np.exp(-t * (k + 0.5))))
+def tanh_transform(t, tol):
+    """Both sides of the tanh Fourier identity at t > 0: pole_sum, -2
+    sum_k (k + 1/2) e^{-t(k + 1/2)} until its tail, tail_bound, is at most
+    tol/2, and closed_form, -cosh(t/2) / (2 sinh^2(t/2))."""
+    pole_sum, tail = specfun.geometric_sum(t, -1.0, -2.0, 0.5, tol)
     try:
         closed = -0.5 * math.cosh(t / 2.0) / math.sinh(t / 2.0) ** 2
     except OverflowError:
         raise DomainError(f"tanh_transform: sinh(t/2)^2 overflows at "
                           f"t={t!r}; t must stay below about 711.17") from None
-    tail = (2.0 * (n_terms + 0.5) * math.exp(-t * (n_terms + 0.5))
-            / (1.0 - math.exp(-t)) ** 2)
     return {"pole_sum": pole_sum, "closed_form": closed, "tail_bound": tail}
 
 

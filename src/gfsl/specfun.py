@@ -7,8 +7,8 @@ columns together and yields its rows block by block (the Taylor
 coefficients of (1+ix)^a (1-ix)^b and the moment tables of the branch
 transforms, one table or a whole sweep of them at once), the logarithm
 of the regularized line integral of the same two-factor function, the
-periodic-trapezoid levels of a function on the circle, and the conical
-Legendre function by that quadrature.
+periodic-trapezoid levels of a function on the circle, the conical
+Legendre function by that quadrature, and the traces' geometric series.
 """
 
 import cmath
@@ -78,8 +78,8 @@ def log_gamma(z):
     return _LOG_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
 
 
-def recurrence_blocks(a, s, e, x0, n_max, rows):
-    """Rows x_0..x_{n_max} of the forward three-term recurrence
+def recurrence_blocks(a, s, e, x0, n_top, rows):
+    """Rows x_0..x_{n_top} of the forward three-term recurrence
 
         (n+1+e) x_{n+1} = a x_n + (s-(n-1)) x_{n-1},   x_{-1} = 0,
 
@@ -94,21 +94,21 @@ def recurrence_blocks(a, s, e, x0, n_max, rows):
     numpy's SIMD complex multiply fuses one product and would not.
     Overflow gives inf/nan entries without a warning; callers check them.
     """
-    if n_max < 0:
-        raise DomainError("recurrence_blocks: n_max must be >= 0")
+    if n_top < 0:
+        raise DomainError("recurrence_blocks: n_top must be >= 0")
     if rows < 1:
         raise DomainError("recurrence_blocks: rows must be >= 1")
     a, s, e, x0 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=complex)) for v in (a, s, e, x0)))
-    rows = min(rows, n_max + 1)
+    rows = min(rows, n_top + 1)
     # rows 0 and 1 carry x_{n0-2} and x_{n0-1}; x_{-2} = x_{-1} = 0
     buf = np.zeros((rows + 2, a.size), dtype=complex)
     xr, xi = buf.real, buf.imag
     ar, ai, sr, si = np.array([a.real, a.imag, s.real, s.imag])
     cr, t1, t2, t3 = np.empty((4, a.size))
     d = np.empty(a.size, dtype=complex)
-    for n0 in range(0, n_max + 1, rows):
-        n1 = min(n0 + rows, n_max + 1)
+    for n0 in range(0, n_top + 1, rows):
+        n1 = min(n0 + rows, n_top + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, n in enumerate(range(n0, n1), start=2):
                 if n == 0:
@@ -135,8 +135,8 @@ def two_factor_columns(alpha, beta):
     return 1j * (alpha - beta), alpha + beta, 0.0, 1.0
 
 
-def taylor_two_factor(alpha, beta, n_max):
-    """Taylor coefficients a_n of (1+ix)^alpha (1-ix)^beta, n = 0..n_max.
+def taylor_two_factor(alpha, beta, n_top):
+    """Taylor coefficients a_n of (1+ix)^alpha (1-ix)^beta, n = 0..n_top.
 
     alpha and beta are scalars, giving a 1-D result, or equal-length 1-D
     arrays, giving one column per (alpha, beta) pair.  Uses the exact
@@ -146,15 +146,15 @@ def taylor_two_factor(alpha, beta, n_max):
     Both fundamental solutions are polynomially bounded, so the forward
     recurrence is stable.
     """
-    if n_max < 0:
-        raise DomainError("taylor_two_factor: n_max must be >= 0")
+    if n_top < 0:
+        raise DomainError("taylor_two_factor: n_top must be >= 0")
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     if alpha.shape != beta.shape or alpha.ndim > 1:
         raise DomainError("taylor_two_factor: alpha and beta must be scalars "
                           "or equal-length 1-D arrays")
-    ((_, a),) = recurrence_blocks(*two_factor_columns(alpha, beta), n_max,
-                                  n_max + 1)
+    ((_, a),) = recurrence_blocks(*two_factor_columns(alpha, beta), n_top,
+                                  n_top + 1)
     return a[:, 0] if alpha.ndim == 0 else a
 
 
@@ -277,3 +277,28 @@ def legendre_conical(lam, t):
         f"tol={_CONICAL_TOL} with {_CONICAL_MAX_NODES} nodes (last change "
         f"{change:.3g}, imaginary residue {abs(prev.imag):.3g})",
         achieved=change)
+
+
+# geometric_sum's term budget: t >= ~6.2e-4 at tol 1e-9 (README, --t)
+_SERIES_MAX_TERMS = 1 << 16
+
+
+def geometric_sum(t, p0, p1, c, tol):
+    """(sum, tail): sum_{n<N} (p0 + p1 n) x^(n+c), x = e^-t, t > 0, for
+    the least N whose closed-form tail |x^(N+c) ((p0 + p1 N)/(1 - x) +
+    p1 x/(1 - x)^2)| is at most tol/2, with 1 - x = -expm1(-t) and the
+    terms summed exactly rounded; DomainError naming t past
+    _SERIES_MAX_TERMS terms (or when the tail is not finite)."""
+    if not t > 0:
+        raise DomainError(f"geometric_sum: t must be > 0, got {t!r}", value=t)
+    gap = -math.expm1(-t)
+    a, b, lag = p0 / gap, p1 / gap, math.exp(-t) / gap
+    terms = []
+    for n in range(_SERIES_MAX_TERMS + 1):
+        xn = math.exp(-t * (n + c))
+        tail = abs(xn * (a + b * (n + lag)))
+        if tail <= tol / 2.0:
+            return math.fsum(terms), tail
+        terms.append((p0 + p1 * n) * xn)
+    raise DomainError(f"geometric_sum: tail above tol/2 = {tol / 2.0!r} "
+                      f"after {_SERIES_MAX_TERMS} terms at t={t!r}", value=t)

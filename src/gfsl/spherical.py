@@ -23,14 +23,15 @@ exp(tau z) * v[n, k_out] * s[n, k_in].
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
-from .specfun import (is_gamma_pole, log_beta_line, recurrence_blocks,
-                      two_factor_columns)
+from .specfun import (geometric_sum, is_gamma_pole, log_beta_line,
+                      recurrence_blocks, two_factor_columns)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -157,7 +158,7 @@ def build_k_matrices(p, K):
     }
 
 
-def gauge_log(p, branch, n_max):
+def gauge_log(p, branch, n_top):
     """log t_n for t_n = prod_{j<n} (-2 b_branch + j)^{-+1/2}, principal factors.
 
     The factors -2b +- j all have real part >= 1 (- 2 nu > 0 in the
@@ -169,12 +170,8 @@ def gauge_log(p, branch, n_max):
     if is_gamma_pole(c):
         raise DomainError(f"gauge: -2b = {c} hits a branch point")
     expo = -0.5 if branch == BRANCH_PLUS else 0.5
-    logs = np.zeros(n_max + 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for n in range(n_max):
-        acc += expo * cmath.log(c + n)
-        logs[n + 1] = acc
-    return logs
+    steps = (expo * cmath.log(c + n) for n in range(n_top))
+    return np.array(list(itertools.accumulate(steps, initial=0j)))
 
 
 def block_rows(n_cols):
@@ -501,7 +498,7 @@ def intertwine_sweep(tables, N, K):
             for t in range(len(specs))]
 
 
-def _threshold_rationals(k, n_max):
+def _threshold_rationals(k, n_top):
     """Exact lam = 0 data: both branch recurrences in rational arithmetic.
 
     Plus branch (Taylor route): a_n = i^n r_n with
@@ -515,10 +512,10 @@ def _threshold_rationals(k, n_max):
     r = [Fraction(1), Fraction(2 * k)]
     q0 = Fraction((-1) ** (k % 2))
     q = [q0, Fraction(2 * k) * q0]
-    for n in range(1, n_max):
+    for n in range(1, n_top):
         r.append((2 * k * r[n] + n * r[n - 1]) / Fraction(n + 1))
         q.append((2 * k * q[n] + n * q[n - 1]) / Fraction(n + 1))
-    return r[: n_max + 1], q[: n_max + 1]
+    return r[: n_top + 1], q[: n_top + 1]
 
 
 def threshold_tables(N, K, h):
@@ -615,33 +612,15 @@ def correlation(p, k_out, k_in, tau, N):
     return CorrelationResult(value, tail)
 
 
-def trace_spherical(p, t, n_max=60):
-    """Flat trace of exp(tX) on one spherical irreducible, plus partial sums.
-
-    flat = 2 cos(t lam) e^{-t/2} / (1 - e^{-t}); in the complementary regime
-    cos(t i nu) = cosh(t nu), at threshold lam = 0.  spectral_partial[N] is
-    the resonance sum to order N; tail_exact[N] is the closed geometric tail
-    so that flat = spectral_partial + tail_exact identically.
-    """
-    if t <= 0:
-        raise DomainError("trace_spherical: t must be > 0")
-    gap = 1.0 - math.exp(-t)
-    if gap == 0.0:
-        raise DomainError(f"trace_spherical: 1 - e^-t rounds to 0 at t={t!r}")
-    if not math.isfinite(t * (n_max + 1.5)):
-        raise DomainError(f"trace_spherical: t (n_max + 3/2) overflows at "
-                          f"t={t!r}")
-    lam = p.lam
-    flat = complex(2.0 * np.cos(t * lam)) * math.exp(-t / 2.0) / gap
-    n = np.arange(n_max + 1)
-    terms = np.exp(t * (-n - 0.5 + 1j * lam)) + np.exp(t * (-n - 0.5 - 1j * lam))
-    partial = np.cumsum(terms)
-    zp = np.exp(t * (-(n + 1) - 0.5 + 1j * lam))
-    zm = np.exp(t * (-(n + 1) - 0.5 - 1j * lam))
-    tail_exact = (zp + zm) / gap
-    return {
-        "flat": flat.real,
-        "spectral_partial": partial.real,
-        "tail_exact": tail_exact.real,
-        "tail_bound": 2.0 * np.exp(-t * (n + 1.5)) / gap,
-    }
+def trace_spherical(p, t, tol):
+    """Flat trace 2 cos(t lam) e^{-t/2} / (1 - e^{-t}) of exp(tX) on one
+    spherical irreducible (cosh(t nu) if lam = i nu) and its resonance sum:
+    the ladders e^{-t(n + 1/2 -+ i lam)} of both branches in one series."""
+    try:
+        p0 = 2.0 * cmath.cos(t * p.lam).real
+    except (OverflowError, ValueError):
+        raise DomainError(f"trace_spherical: cos(t lam) overflows at "
+                          f"t={t!r}, lam={p.lam}", value=t) from None
+    spectral, tail = geometric_sum(t, p0, 0.0, 0.5, tol)
+    flat = p0 * math.exp(-t / 2.0) / -math.expm1(-t)
+    return {"flat": flat, "spectral": spectral, "tail_bound": tail}

@@ -31,6 +31,7 @@ from scipy.linalg import expm
 from gfsl.discrete import rr_multiplicity
 from gfsl.errors import AccuracyError, DomainError
 from gfsl.means import hc_coefficient
+from gfsl.specfun import geometric_sum
 
 mp.mp.dps = 30
 
@@ -256,23 +257,25 @@ def intertwine_residual_rows(p, table, branch, ops):
         for name, (coef, shift) in ladder_coefficients(p, branch).items()})
 
 
-def global_trace_loop(spec, t, q_max=200):
-    """Scalar-loop reference for global_traces.global_trace: the pair
-    (pre_rr, post_rr)."""
-    x = math.exp(-t)
+def global_trace_loop(spec, t, tol):
+    """Scalar-loop reference for global_traces.global_trace: the triple
+    (pre_rr, post_rr, tail), its spherical sum a scalar loop and its
+    pre-RR series the kernel's, truncated as global_trace truncates it."""
+    x, gap = math.exp(-t), -math.expm1(-t)
     sph = 0.0
     for mu, d in spec.entries:
         # sqrt(mu - 1/4), with i sqrt(1/4 - mu) below the threshold
         r = (complex(math.sqrt(mu - 0.25)) if mu >= 0.25
              else 1j * math.sqrt(0.25 - mu))
         sph += d * (cmath.cos(t * r)).real
-    base = 1.0 + 2.0 * math.exp(-t / 2.0) / (1.0 - x) * sph
-    ds = 0.0
-    for q in range(1, q_max + 1):
-        ds += rr_multiplicity(spec.genus, 2 * q) * x ** q
+    base = 1.0 + 2.0 * math.exp(-t / 2.0) / gap * sph
+    m2, m4, m6 = (rr_multiplicity(spec.genus, l) for l in (2, 4, 6))
+    x2 = 2.0 * x * x / gap
+    ds, tail = geometric_sum(t, m4 * x2, (m6 - m4) * x2, 0.0, tol)
     chi = abs(2 - 2 * spec.genus)
-    return (base + 2.0 / (1.0 - x) * ds,
-            base + 2.0 * x / (1.0 - x) + chi * x * (1.0 + x) / (1.0 - x) ** 3)
+    return (base + 2.0 * m2 * x / gap + ds,
+            base + 2.0 * x / gap + chi * x * (1.0 + x) / gap / gap / gap,
+            tail)
 
 
 def laplace_csv_rows(path):

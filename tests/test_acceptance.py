@@ -99,18 +99,14 @@ def test_criterion_04_per_irrep_traces():
         p = (spherical.SpectralParam.threshold() if lam == 0.0
              else spherical.SpectralParam.principal(lam))
         for t in (0.5, 1.0, 2.0):
-            tr = spherical.trace_spherical(p, t, n_max=60)
-            gap = abs(tr["flat"]
-                      - (tr["spectral_partial"][-1] + tr["tail_exact"][-1]))
-            worst = max(worst, gap)
+            tr = spherical.trace_spherical(p, t, 1e-12)
+            worst = max(worst, abs(tr["flat"] - tr["spectral"]))
     for l in (2, 4):
         for t in (0.5, 1.0, 2.0):
-            tr = discrete.trace_ds(l, t, n_max=60)
-            gap = abs(tr["flat"]
-                      - (tr["spectral_partial"][-1] + tr["tail_exact"][-1]))
-            worst = max(worst, gap)
+            tr = discrete.trace_ds(l, t, 1e-12)
+            worst = max(worst, abs(tr["flat"] - tr["spectral"]))
     assert worst < 1e-12
-    _report(4, f"flat traces equal resonance sums after exact tail "
+    _report(4, f"flat traces equal resonance sums, tails at most 5e-13 "
                f"(worst {worst:.2e})")
 
 
@@ -158,31 +154,32 @@ def test_criterion_07_global_trace_algebra():
     for genus in (2, 3):
         spec = gt.LaplaceSpectrum([0.16, 2.0], [1, 2], genus)
         for t in (0.5, 0.7, 1.0, 2.0, 5.0):
-            pre, post = gt.global_trace(spec, t, q_max=200)
+            pre, post, _ = gt.global_trace(spec, t, 1e-12)
             worst = max(worst, abs(pre - post))
     assert worst < 1e-10
     empty = gt.LaplaceSpectrum([], [], 2)
-    _, worked = gt.global_trace(empty, math.log(2.0))
+    _, worked, _ = gt.global_trace(empty, math.log(2.0), 1e-9)
     assert abs(worked - 15.0) < 1e-12
     _report(7, f"pre/post Riemann-Roch forms agree (worst {worst:.2e}); "
                f"worked value 15 reproduced")
 
 
 def test_criterion_08_tanh_identity():
-    th2 = selberg.tanh_transform(2.0, n_terms=50)
+    th2 = selberg.tanh_transform(2.0, 1e-10)
     assert abs(th2["pole_sum"] - th2["closed_form"]) < 1e-10
     worst = 0.0
     for t in np.linspace(0.5, 5.0, 19):
-        n_terms = max(50, int(80.0 / t))
-        th = selberg.tanh_transform(float(t), n_terms=n_terms)
+        th = selberg.tanh_transform(float(t), 1e-12)
         gap = abs(th["pole_sum"] - th["closed_form"])
         assert gap < 1e-10
         worst = max(worst, gap)
-        th50 = selberg.tanh_transform(float(t), n_terms=50)
-        assert (abs(th50["pole_sum"] - th50["closed_form"])
-                <= th50["tail_bound"] + 1e-10)
+        th9 = selberg.tanh_transform(float(t), 1e-9)
+        assert th9["tail_bound"] <= 5e-10
+        assert (abs(th9["pole_sum"] - th9["closed_form"])
+                <= th9["tail_bound"] + 1e-10)
     _report(8, f"tanh Fourier identity pointwise on [0.5, 5] "
-               f"(worst converged gap {worst:.2e}; 50-term tails majorized)")
+               f"(worst converged gap {worst:.2e}; tails at tol 1e-9 "
+               f"majorized)")
 
 
 def test_criterion_09_hc_convergence():

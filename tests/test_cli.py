@@ -154,7 +154,9 @@ class TestSphericalCheck:
 
 class TestTraces:
     def test_identities_pass(self, tmp_path):
-        code = run(["traces", "--out", str(tmp_path), "--genus", "2"])
+        # each series is summed until its tail is at most tol/2
+        code = run(["traces", "--out", str(tmp_path), "--genus", "2",
+                    "--tol", "1e-10"])
         assert code == cli.EXIT_OK
         payload = json.loads((tmp_path / "traces.json").read_text())
         rows = payload["identities"]
@@ -178,9 +180,10 @@ class TestTraces:
         assert not (tmp_path / "traces.json").exists()
 
     @pytest.mark.parametrize("t,message", [
-        # 1 - e^{-t} rounds to 0 (once a ZeroDivisionError traceback)
-        ("1e-300", "--t: trace_spherical: 1 - e^-t rounds to 0 at "
-                   "t=1e-300"),
+        # past the series' term budget (once 1 - e^{-t} rounding to 0, and
+        # before that a ZeroDivisionError traceback)
+        ("1e-300", "--t: geometric_sum: tail above tol/2 = 5e-10 after "
+                   "65536 terms at t=1e-300"),
         # (once an OverflowError traceback)
         ("800", "--t: tanh_transform: sinh(t/2)^2 overflows at t=800.0; "
                 "t must stay below about 711.17")], ids=["tiny", "overflow"])
@@ -192,7 +195,7 @@ class TestTraces:
 
     def test_nan_trace_error_fails_verification(self, tmp_path, monkeypatch):
         monkeypatch.setattr(global_traces, "global_trace",
-                            lambda *args, **kwargs: (math.nan, math.nan))
+                            lambda *args, **kwargs: (math.nan,) * 3)
         code = run(["traces", "--out", str(tmp_path), "--t", "1"])
         assert code == cli.EXIT_VERIFY
         rows = json.loads((tmp_path / "traces.json").read_text())["identities"]
@@ -562,11 +565,15 @@ SPHERICAL_KS = {"2": None, "5": None, "1": 4, "0": 4, "-1": 4, "0.5": 4,
 MAY_PASS = {9}
 
 # traces: 0 --tol, 1 --t parse, 2 --genus, 3 the t envelope of the trace
-# identities (t > 0, 1 - e^-t > 0 and sinh(t/2)^2 finite).
+# identities (t > 0, each series within its term budget and sinh(t/2)^2
+# finite), 4 the rounding scale of the pre/post-RR traces at that genus
+# and --tol (_rounding_step).
 TRACES_TS = {"0.5": None, "1": None, "0.49999999999999994": None,
-             "700": None, "nan": 1, "inf": 1, "0": 3, "-5e-324": 3,
-             "5e-324": 3, "1e-300": 3, "-1": 3, "711.5": 3, "1e308": 3}
-TRACES_GENERA = {"2": None, "3": None, str(global_traces.GENUS_MAX): None,
+             "700": None, "0.02": None, "nan": 1, "inf": 1, "0": 3,
+             "-5e-324": 3, "5e-324": 3, "1e-300": 3, "-1": 3, "711.5": 3,
+             "1e308": 3}
+TRACES_GENERA = {"2": None, "3": None, "1000000": None,
+                 str(global_traces.GENUS_MAX): None,
                  "1": 2, "0": 2, "-1": 2, "0.5": 2, "5e-324": 2, "1e308": 2,
                  "nan": 2, str(global_traces.GENUS_MAX + 1): 2}
 
@@ -593,6 +600,16 @@ def _first_fault(*faults):
         return None, True
     step, flag = found[0]
     return flag, step not in MAY_PASS
+
+
+def _rounding_step(t, genus, tol):
+    """4 if the pre/post-RR traces over no eigenvalue, at valid t, genus
+    and tol, carry a rounding scale above tol/2, else None."""
+    t, genus = float(t), int(genus)
+    x, gap = math.exp(-t), -math.expm1(-t)
+    size = (1.0 + 2.0 * x / gap
+            + 2.0 * (genus - 1) * x * (1.0 + x) / gap / gap / gap)
+    return None if global_traces._ROUNDING * size <= float(tol) / 2.0 else 4
 
 
 def _sigma_step(center, sigma):
@@ -634,15 +651,23 @@ class TestFlagFuzz:
 
     @settings(max_examples=60)
     @example(["1e308"], "2", "1e-9")
+    @example(["1"], str(global_traces.GENUS_MAX), "1e-9")
+    @example(["700"], str(global_traces.GENUS_MAX), "1e-9")
     @example(["1"], str(global_traces.GENUS_MAX + 1), "1e-9")
+    @example(["0.5"], "1000000", "1e-9")
+    @example(["0.02"], "2", "1e-9")
+    @example(["0.02"], "2", "0.5")
     @given(st.lists(st.sampled_from(sorted(TRACES_TS)), min_size=1,
                     max_size=2),
            st.sampled_from(sorted(TRACES_GENERA)),
            st.sampled_from(sorted(TOLS)))
     def test_traces(self, ts, genus, tol):
+        valid = TOLS[tol] is None and TRACES_GENERA[genus] is None
         flag, _ = _first_fault(
             (TOLS[tol], "--tol"), (TRACES_GENERA[genus], "--genus"),
-            *((TRACES_TS[x], "--t") for x in ts))
+            *((TRACES_TS[x], "--t") for x in ts),
+            *((_rounding_step(x, genus, tol), "--t") for x in ts
+              if valid and TRACES_TS[x] is None))
         _check_fuzz_run(["traces", f"--t={','.join(ts)}", f"--genus={genus}",
                          f"--tol={tol}"], flag, ["traces.json"])
 

@@ -103,18 +103,17 @@ class TestCorrelation:
 
 class TestTrace:
     def test_worked_value(self):
-        tr = discrete.trace_ds(2, math.log(2.0))
+        tr = discrete.trace_ds(2, math.log(2.0), 1e-9)
         assert abs(tr["flat"] - 1.0) < 1e-15
 
     def test_flat_equals_partial_plus_tail(self):
         for l in (2, 4):
             for t in (0.5, 1.0, 2.0):
-                tr = discrete.trace_ds(l, t, n_max=60)
-                recon = tr["spectral_partial"] + tr["tail_exact"]
-                assert np.max(np.abs(recon - tr["flat"])) < 1e-13
+                tr = discrete.trace_ds(l, t, 1e-13)
+                assert abs(tr["spectral"] - tr["flat"]) < 1e-13
 
     def test_large_weight_vanishes(self):
-        assert discrete.trace_ds(40, 1.0)["flat"] < 1e-8
+        assert discrete.trace_ds(40, 1.0, 1e-9)["flat"] < 1e-8
 
 
 class TestRiemannRoch:

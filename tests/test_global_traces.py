@@ -6,6 +6,7 @@ import urllib.request
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,32 +234,70 @@ class TestGlobalTrace:
     def test_worked_value(self):
         # t = ln 2, g = 2, no spherical entries: 1 + 2 + 12 = 15
         spec = toy_spectrum([], genus=2)
-        assert abs(gt.global_trace(spec, math.log(2.0))[1] - 15.0) < 1e-12
+        assert abs(gt.global_trace(spec, math.log(2.0), 1e-9)[1] - 15.0) < 1e-12
 
     @pytest.mark.parametrize("genus", [2, 3])
     def test_pre_equals_post(self, genus):
         spec = toy_spectrum([(0.16, 1), (2.0, 2), (5.5, 1)], genus)
         for t in (0.5, 1.0, 2.0):
-            pre, post = gt.global_trace(spec, t, q_max=200)
+            pre, post, _ = gt.global_trace(spec, t, 1e-11)
             assert abs(pre - post) < 1e-10
 
-    def test_qmax_convergence_rate(self):
+    def test_tail_tracks_tol(self):
+        # the pre/post gap is the tail of the least order whose tail is at
+        # most tol/2: the order before had a tail above tol/2, and each
+        # order shrinks the tail by at most e^{-t}
         spec = toy_spectrum([], genus=2)
         t = 1.0
-        gaps = []
-        for q_max in (10, 15, 20):
-            pre, post = gt.global_trace(spec, t, q_max=q_max)
-            gaps.append(abs(pre - post))
-        # geometric decay at rate e^{-t}
-        assert gaps[1] / gaps[0] < 1.5 * math.exp(-5 * t)
-        assert gaps[2] / gaps[1] < 1.5 * math.exp(-5 * t)
+        for tol in (1e-4, 1e-6, 1e-8):
+            pre, post, tail = gt.global_trace(spec, t, tol)
+            assert math.exp(-t) * tol / 2.0 < tail <= tol / 2.0
+            assert abs(abs(pre - post) - tail) < 1e-14
+
+    @settings(max_examples=40)
+    @given(st.floats(0.02, 30.0), st.integers(2, 10 ** 7), st.booleans())
+    def test_rounding_scale_bounds_error(self, t, genus, spectral):
+        # at tol = 4 scales, pre (truncated where its tail falls to tol/2)
+        # and post are together within one rounding scale of their
+        # 40-digit values; at tol = 1 scale the call is refused
+        entries = [(0.16, 1), (2.0, 2), (5.5, 1)] if spectral else []
+        spec = toy_spectrum(entries, genus)
+        with mpmath.workdps(40):
+            mt = mpmath.mpf(t)
+            x = mpmath.exp(-mt)
+            gap = 1 - x
+            sph = sum(d * mpmath.re(mpmath.cos(
+                mt * mpmath.sqrt(mpmath.mpf(mu) - 0.25))) for mu, d in entries)
+            base = 1 + 2 * mpmath.exp(-mt / 2) / gap * sph
+            head = 2 * x / gap
+            closed = (2 * genus - 2) * x * (1 + x) / gap ** 3
+            scale = gt._ROUNDING * float(abs(base) + head + closed)
+            # the pre-RR series: 2 m_l e^{-t l/2} / (1 - e^-t), l = 2q >= 4
+            p0, p1 = 6 * (genus - 1) / gap, 4 * (genus - 1) / gap
+
+            def rest(n):
+                return x ** (n + 2) * ((p0 + p1 * n) / gap
+                                       + p1 * x / gap ** 2)
+
+            pre, post, tail = gt.global_trace(spec, t, 4.0 * scale)
+            n = 0
+            while rest(n) > 2.0 * scale:
+                n += 1
+            post_want = base + head + closed
+            pre_want = post_want - rest(n)
+            err = abs(pre - pre_want) + abs(post - post_want)
+        assert tail <= 2.0 * scale
+        assert err <= scale
+        with pytest.raises(DomainError, match="rounding scale"):
+            gt.global_trace(spec, t, scale)
 
     @pytest.mark.parametrize("entries", [[], MIXED], ids=["empty", "mixed"])
     def test_matches_scalar_loop_exactly(self, entries):
         # the vectorized sum must not move a bit
         spec = toy_spectrum(entries, genus=3)
         for t in TRACE_TIMES:
-            assert gt.global_trace(spec, t) == global_trace_loop(spec, t)
+            assert (gt.global_trace(spec, t, 1e-9)
+                    == global_trace_loop(spec, t, 1e-9))
 
     def test_each_term_matches_scalar_loop_exactly(self):
         # one entry at a time, so a last-bit change in a single term is not
@@ -266,12 +305,13 @@ class TestGlobalTrace:
         for entry in MIXED:
             spec = toy_spectrum([entry])
             for t in TRACE_TIMES:
-                assert gt.global_trace(spec, t) == global_trace_loop(spec, t)
+                assert (gt.global_trace(spec, t, 1e-9)
+                    == global_trace_loop(spec, t, 1e-9))
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
     def test_non_positive_or_nan_time_rejected(self, t):
         with pytest.raises(DomainError, match="t must be > 0"):
-            gt.global_trace(toy_spectrum(), t)
+            gt.global_trace(toy_spectrum(), t, 1e-9)
 
     @pytest.mark.parametrize("entries,t,match", [
         ([(0.1, 1), (1.5, 1)], 1e5,
@@ -280,7 +320,8 @@ class TestGlobalTrace:
         ([(1.5, 1)], 1.7e308,
          r"t sqrt\(mu - 1/4\) overflows at t=1\.7e\+308, mu=1\.5"),
         ([(0.1, 1), (1.5, 1)], math.inf, "overflows at t=inf"),
-        ([(1.5, 1)], 1e-20, r"1 - e\^-t rounds to 0 at t=1e-20"),
+        ([(1.5, 1)], 1e-20, r"rounding scale .* of the pre/post-RR "
+                            r"traces at t=1e-20, genus 2 is above tol/2"),
     ], ids=["cosh", "cosh_inf", "phase", "phase_inf", "tiny"])
     def test_overflowing_time_rejected(self, entries, t, match):
         # a DomainError naming t before any term is summed, in place of a
@@ -290,9 +331,9 @@ class TestGlobalTrace:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=match) as exc_info:
-                gt.global_trace(spec, t)
+                gt.global_trace(spec, t, 1e-9)
         assert exc_info.value.value == t
-        assert all(map(math.isfinite, gt.global_trace(spec, 1400.0)))
+        assert all(map(math.isfinite, gt.global_trace(spec, 1400.0, 1e-9)))
 
     @pytest.mark.parametrize("mults", [[10 ** 18], [TERM_1E308] * 2],
                              ids=["product", "sum"])
@@ -307,13 +348,13 @@ class TestGlobalTrace:
             with pytest.raises(DomainError, match=(
                     r"d cosh\(t sqrt\(1/4 - mu\)\), summed over mu < 1/4, "
                     r"overflows at t=1800\.0")) as exc_info:
-                gt.global_trace(spec, 1800.0)
+                gt.global_trace(spec, 1800.0, 1e-9)
         assert exc_info.value.value == 1800.0
-        assert all(map(math.isfinite, gt.global_trace(spec, 1000.0)))
+        assert all(map(math.isfinite, gt.global_trace(spec, 1000.0, 1e-9)))
 
     def test_large_time_limit(self):
         spec = toy_spectrum([], genus=2)
-        assert abs(gt.global_trace(spec, 40.0)[1] - 1.0) < 1e-12
+        assert abs(gt.global_trace(spec, 40.0, 1e-9)[1] - 1.0) < 1e-12
 
     def test_cross_module_sum(self):
         # sum of per-irrep flat traces with multiplicities equals the global
@@ -333,10 +374,10 @@ class TestGlobalTrace:
                         math.sqrt(0.25 - mu))
                 else:
                     p = spherical.SpectralParam.threshold()
-                total += d * spherical.trace_spherical(p, t)["flat"]
+                total += d * spherical.trace_spherical(p, t, 1e-9)["flat"]
             for q in range(1, q_max + 1):
                 ml = discrete.rr_multiplicity(genus, 2 * q)
-                total += 2 * ml * discrete.trace_ds(2 * q, t)["flat"]
-            pre, post = gt.global_trace(spec, t, q_max)
+                total += 2 * ml * discrete.trace_ds(2 * q, t, 1e-9)["flat"]
+            pre, post, _ = gt.global_trace(spec, t, 1e-12)
             assert abs(total - pre) < 1e-10
             assert abs(total - post) < 1e-9

@@ -51,6 +51,8 @@ CASES = {
     "traces_default": (["traces"], cli.EXIT_OK),
     "traces_file": (["traces", "--laplace-file", str(LAPLACE_FILE),
                      "--genus", "2"], cli.EXIT_OK),
+    # small t, where each series needs hundreds of terms to reach tol/2
+    "traces_small_t": (["traces", "--t", "0.1,0.15,0.2"], cli.EXIT_OK),
 }
 
 

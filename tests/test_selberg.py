@@ -530,29 +530,30 @@ class TestTracePairs:
 
 
 class TestTanhIdentity:
-    def test_worked_example_fifty_terms(self):
-        th = selberg.tanh_transform(2.0, n_terms=50)
+    def test_worked_example(self):
+        th = selberg.tanh_transform(2.0, 1e-10)
         assert abs(th["pole_sum"] - th["closed_form"]) < 1e-10
 
     def test_pointwise_with_converged_sum(self):
         for t in np.linspace(0.5, 5.0, 10):
-            n_terms = max(50, int(80.0 / t))
-            th = selberg.tanh_transform(float(t), n_terms=n_terms)
+            th = selberg.tanh_transform(float(t), 1e-12)
             assert abs(th["pole_sum"] - th["closed_form"]) < 1e-10
 
     def test_truncation_majorized_and_monotone(self):
         t = 0.8
-        closed = selberg.tanh_transform(t)["closed_form"]
         gaps = []
-        for n_terms in (5, 10, 20, 40):
-            th = selberg.tanh_transform(t, n_terms=n_terms)
-            gap = abs(th["pole_sum"] - closed)
-            assert gap <= th["tail_bound"]
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8):
+            th = selberg.tanh_transform(t, tol)
+            gap = abs(th["pole_sum"] - th["closed_form"])
+            # the tail is the exact rest of the series: equal to the gap
+            # up to rounding
+            assert gap <= th["tail_bound"] + 1e-14
+            assert th["tail_bound"] <= tol / 2.0
             gaps.append(gap)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_large_time_limit(self):
-        th = selberg.tanh_transform(40.0)
+        th = selberg.tanh_transform(40.0, 1e-9)
         assert abs(th["closed_form"]) < 1e-8
 
 

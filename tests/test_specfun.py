@@ -4,10 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfsl import cli, means, specfun
+from gfsl import cli, discrete, means, selberg, specfun, spherical
 from gfsl.errors import AccuracyError, DomainError, PoleError
 
 from oracles import (beta_line_quad, cauchy_two_factor,
@@ -361,6 +361,91 @@ class TestLegendreConical:
         assert f"last change {exc.value.achieved:.3g}, imaginary residue " \
             in msg
         assert exc.value.achieved > 1e-12
+
+
+EPS = 2.0 ** -52
+
+
+def _mp_tail(t, p0, p1, c, n):
+    """The rest of the series sum (p0 + p1 k) e^{-t(k + c)} over k >= n,
+    in closed form at 40 digits (at n = 0, the whole sum)."""
+    with mpmath.workdps(40):
+        x = mpmath.exp(-mpmath.mpf(t))
+        return x ** (n + c) * ((p0 + p1 * n) / (1 - x)
+                               + p1 * x / (1 - x) ** 2)
+
+
+def _least_order(t, p0, p1, c, tol):
+    """The least n whose 40-digit tail is at most tol/2."""
+    n = 0
+    while abs(_mp_tail(t, p0, p1, c, n)) > tol / 2.0:
+        n += 1
+    return n
+
+
+class TestGeometricSum:
+    @settings(max_examples=60)
+    @given(st.floats(0.02, 30.0), st.floats(-50.0, 50.0),
+           st.floats(-50.0, 50.0), st.floats(0.0, 3.0),
+           st.floats(1e-14, 1e-3))
+    def test_least_order_vs_mpmath(self, t, p0, p1, c, tol):
+        # the sum to the least order whose tail is at most tol/2, and that
+        # tail, against 40-digit closed forms; each term is off by at most
+        # (4 + t (k + c)) eps of its coefficients' size, and fsum by half
+        # an ulp
+        got, tail = specfun.geometric_sum(t, p0, p1, c, tol)
+        n = _least_order(t, p0, p1, c, tol)
+        want = _mp_tail(t, p0, p1, c, 0) - _mp_tail(t, p0, p1, c, n)
+        k = np.arange(n)
+        size = (abs(p0) + abs(p1) * k) * np.exp(-t * (k + c))
+        rounding = EPS * (float(np.sum(size * (4.0 + t * (k + c))))
+                          + abs(got))
+        assert tail <= tol / 2.0
+        assert abs(tail - abs(_mp_tail(t, p0, p1, c, n))) <= 1e-12 * tail
+        assert abs(got - want) <= 2.0 * rounding + 1e-300
+
+    # at t = 0.15 the fixed counts this kernel replaced left tails of 1.6e-3
+    # (60 ladder terms) and 2.7 (50 tanh terms)
+    @settings(max_examples=40)
+    @example(0.15, 1e-9, 0.0, 0.3, 2)
+    @given(st.floats(0.02, 30.0), st.floats(1e-13, 1e-5), st.floats(1e-3, 5.0),
+           st.floats(0.01, 0.49), st.integers(1, 10).map(lambda k: 2 * k))
+    def test_trace_series_vs_mpmath(self, t, tol, lam, nu, l):
+        # each closed form and each series, to within its tail (at most
+        # tol/2), of the 40-digit sum of the whole series; the series'
+        # terms are off by (4 + t (k + c)) eps relative, and cos(t lam)
+        # by t lam eps
+        with mpmath.workdps(40):
+            mt = mpmath.mpf(t)
+            x = mpmath.exp(-mt)
+            gap = 1 - x
+            ladder = 2 * mpmath.exp(-mt / 2) / gap
+            cases = [
+                (spherical.trace_spherical(
+                    spherical.SpectralParam.principal(lam), t, tol),
+                 mpmath.cos(mt * lam) * ladder, ladder * (1.0 + t * lam)),
+                (spherical.trace_spherical(
+                    spherical.SpectralParam.complementary(nu), t, tol),
+                 mpmath.cosh(mt * nu) * ladder,
+                 mpmath.cosh(mt * nu) * ladder),
+                (discrete.trace_ds(l, t, tol), x ** (l / 2) / gap,
+                 x ** (l / 2) / gap)]
+            tanh = -mpmath.sqrt(x) * (1 + x) / gap ** 2
+        th = selberg.tanh_transform(t, tol)
+        cases.append(({"flat": th["closed_form"], "spectral": th["pole_sum"],
+                       "tail_bound": th["tail_bound"]}, tanh, abs(tanh)))
+        for got, want, size in cases:
+            slack = 64.0 * EPS * (1.0 + t) * float(size)
+            assert got["tail_bound"] <= tol / 2.0
+            assert abs(got["flat"] - want) <= slack
+            assert abs(got["spectral"] - want) <= got["tail_bound"] + slack
+
+    def test_budget_names_t(self):
+        with pytest.raises(DomainError, match=(
+                r"geometric_sum: tail above tol/2 = 5e-10 after 65536 "
+                r"terms at t=1e-05")) as exc_info:
+            specfun.geometric_sum(1e-5, 1.0, 0.0, 0.5, 1e-9)
+        assert exc_info.value.value == 1e-5
 
 
 # legendre_conical cases: (0.575, 8.73) and (12.9, 6.8) double to 2^18
