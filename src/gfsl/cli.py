@@ -272,7 +272,7 @@ def _sigma_range(center):
     stays finite while sigma^2/8 + |center|/2 <= _LOG_ROOM.
     """
     lo = (8.0 * (abs(center) + 64.0)
-          / (math.pi * selberg._IDENTITY_MAX_NODES))
+          / (math.pi * selberg.IDENTITY_MAX_NODES))
     return lo, math.sqrt(8.0 * max(_LOG_ROOM - abs(center) / 2.0, 0.0))
 
 
@@ -301,14 +301,10 @@ def cmd_selberg(args):
                         f"{sys_expect!r}, got {args.lmax!r}")
     # a bad test function fails here, before the enumeration or any report
     g = selberg.GaussianTestFn(center, sigma, 1.0)
-    selberg._identity_term(g, selberg._CHI_ABS)
+    selberg.identity_term(g)
     out = _out_dir(args.out)
-    try:
-        group = selberg.bolza_group()
-        ls = selberg.length_spectrum(group, l_max)
-    except BudgetError as exc:
-        print(f"selberg: budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    group = selberg.bolza_group()
+    ls = selberg.length_spectrum(group, l_max)
     ls.to_csv(out / "length_spectrum.csv")
     checks = {"relator_residual": group.relator_residual()}
     checks["systole"] = ls.systole
@@ -325,8 +321,9 @@ def cmd_selberg(args):
     monotone = all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
     checks["discrepancies"] = discs
     checks["discrepancy_monotone"] = monotone
-    checks["weyl"] = selberg.weyl_consistency(ls)["rows"]
-    ok = ok and monotone
+    weyl = selberg.weyl_consistency(ls)
+    checks["weyl"] = weyl["rows"]
+    ok = ok and monotone and weyl["ok"]
     rep = selberg.wave_trace_pair(ls, g, laplace=laplace)
     payload = rep.to_dict()
     payload["checks"] = checks
@@ -360,7 +357,7 @@ def cmd_means(args):
         fit = means.wave_residual(lam)
         phi0 = specfun.legendre_conical(lam, 0.0)
         defect = means.w_symbol_defect(lam)
-        bound = 0.2 / lam if lam >= 5.0 else float("inf")
+        bound = 0.2 / lam
         rows.append((lam, fit.slope, int(fit.floor_limited), phi0, defect,
                      bound))
         ok = ok and (fit.floor_limited or abs(fit.slope + 2.0) <= 0.1)

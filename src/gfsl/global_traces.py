@@ -58,7 +58,13 @@ class LaplaceSpectrum:
             raise DomainError("LaplaceSpectrum: eigenvalues must be strictly increasing")
         if not np.all(self.mult >= 1):
             raise DomainError("LaplaceSpectrum: multiplicities must be >= 1")
-        self.mu.flags.writeable = self.mult.flags.writeable = False
+        # split once for every t of global_trace: the `_split` entries
+        # mu < 1/4 come first, `_nu` = sqrt(1/4 - mu), `_r` = sqrt(mu - 1/4)
+        self._split = int(np.searchsorted(self.mu, 0.25))
+        self._nu = np.sqrt(0.25 - self.mu[:self._split])
+        self._r = np.sqrt(self.mu[self._split:] - 0.25)
+        for arr in (self.mu, self.mult, self._nu, self._r):
+            arr.flags.writeable = False
 
     # no CLI run reads this; bench/replay.py's _eigenvalues count hook does
     @property
@@ -74,7 +80,8 @@ class LaplaceSpectrum:
         to the working directory unnormalized so no relative name looks
         like a URL numpy would fetch, or line by line from the handle for
         a name numpy would decompress or with no cwd.  ConsistencyError unless
-        count(mu <= R^2 + 1/4) / ((g-1) R^2) is in [0.2, 5] at the top R.
+        count / ((g-1) R^2) is in [0.2, 5] at the top R, R^2 + 1/4 the
+        largest mu, where the count is the sum of all multiplicities.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -112,7 +119,7 @@ class LaplaceSpectrum:
             raise DomainError(f"laplace file {path}: {exc}") from exc
         if spec.mu.size:
             r2 = max(float(spec.mu[-1]) - 0.25, 1e-12)
-            ratio = float(spec.mult[spec.mu <= r2 + 0.25].sum()) / ((genus - 1) * r2)
+            ratio = float(spec.mult.sum()) / ((genus - 1) * r2)
             if not 0.2 <= ratio <= 5.0:
                 raise ConsistencyError(f"laplace file {path}: Weyl sanity "
                                        f"ratio {ratio:.3g} outside [0.2, 5]")
@@ -156,44 +163,34 @@ def _spherical_sum(spec, t):
     # scalar loop.  mu increases, so the complementary entries (mu < 1/4,
     # where cos(t sqrt(mu - 1/4)) = cosh(t sqrt(1/4 - mu))) are a prefix;
     # they go through math.cosh one by one, because np.cosh differs from
-    # libm in the last bit.
-    mu, mult = spec.mu, spec.mult
-    if mu.size == 0:
+    # libm in the last bit.  DomainError naming t, before any numpy
+    # warning, when the largest cosh (the first) or phase (the last)
+    # overflows, or the cosh terms do with their multiplicities or summed.
+    k, nu, r, mult = spec._split, spec._nu, spec._r, spec.mult
+    if k:
+        try:
+            top = math.cosh(t * float(nu[0]))
+        except OverflowError:
+            top = math.inf
+        if top == math.inf:
+            raise DomainError(
+                f"global_trace: cosh(t sqrt(1/4 - mu)) overflows at t={t!r}, "
+                f"mu={float(spec.mu[0])!r}", value=t)
+    if r.size and t * float(r[-1]) == math.inf:
+        raise DomainError(f"global_trace: t sqrt(mu - 1/4) overflows at "
+                          f"t={t!r}, mu={float(spec.mu[-1])!r}", value=t)
+    if mult.size == 0:
         return 0.0
-    k = int(np.searchsorted(mu, 0.25))
-    terms = np.empty(mu.size)
-    terms[:k] = [d * math.cosh(t * math.sqrt(0.25 - m))
-                 for m, d in zip(mu[:k].tolist(), mult[:k].tolist())]
-    terms[k:] = mult[k:] * np.cos(t * np.sqrt(mu[k:] - 0.25))
-    # the cosh terms can overflow with their multiplicities, or summed,
-    # although no cosh does (_check_phases); the cos terms cannot
+    terms = np.empty(mult.size)
+    terms[:k] = [d * math.cosh(t * n)
+                 for n, d in zip(nu.tolist(), mult[:k].tolist())]
+    terms[k:] = mult[k:] * np.cos(t * r)
     with np.errstate(over="ignore"):
         total = float(np.cumsum(terms)[-1])
     if not math.isfinite(total):
         raise DomainError(f"global_trace: d cosh(t sqrt(1/4 - mu)), summed "
                           f"over mu < 1/4, overflows at t={t!r}", value=t)
     return total
-
-
-def _check_phases(spec, t):
-    """DomainError naming t when a cosh or phase of _spherical_sum would
-    overflow: the cosh of its first eigenvalue (when below 1/4), the
-    largest, or t sqrt(mu - 1/4) at its last (when above 1/4), the
-    largest.  _spherical_sum itself checks the terms and their sum."""
-    mu = spec.mu
-    if mu.size and mu[0] < 0.25:
-        try:
-            top = math.cosh(t * math.sqrt(0.25 - float(mu[0])))
-        except OverflowError:
-            top = math.inf
-        if top == math.inf:
-            raise DomainError(
-                f"global_trace: cosh(t sqrt(1/4 - mu)) overflows at t={t!r}, "
-                f"mu={float(mu[0])!r}", value=t)
-    if mu.size and mu[-1] > 0.25 and \
-            t * math.sqrt(float(mu[-1]) - 0.25) == math.inf:
-        raise DomainError(f"global_trace: t sqrt(mu - 1/4) overflows at "
-                          f"t={t!r}, mu={float(mu[-1])!r}", value=t)
 
 
 def global_trace(spec, t, tol):
@@ -206,7 +203,6 @@ def global_trace(spec, t, tol):
     scale when it is above tol/2."""
     if not t > 0:
         raise DomainError(f"global_trace: t must be > 0, got {t}")
-    _check_phases(spec, t)
     x, gap = math.exp(-t), -math.expm1(-t)
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / gap * _spherical_sum(spec, t)
     head = 2.0 * x / gap

@@ -483,16 +483,16 @@ class SelbergReport:
         return asdict(self)
 
 
-# Trapezoid rule for the identity term (see _identity_term): relative
+# Trapezoid rule for the identity term (see identity_term): relative
 # tolerance, first level that may be accepted, and node cap (enough for
 # sigma >= 1.6e-4).
 _IDENTITY_TOL = 1e-14
 _IDENTITY_MIN_NODES = 1 << 6
-_IDENTITY_MAX_NODES = 1 << 20
+IDENTITY_MAX_NODES = 1 << 20
 
 
 @functools.lru_cache(maxsize=16)
-def _identity_term(g, chi_abs):
+def identity_term(g):
     """|chi| * int hat g(r) r tanh(pi r) dr over the real line; cached,
     as a selberg run pairs one (frozen) g six times.
 
@@ -521,7 +521,7 @@ def _identity_term(g, chi_abs):
     mass = abs(total)
     prev = total * top
     where = f"identity term (center {g.center!r}, sigma {g.sigma!r})"
-    while n < _IDENTITY_MAX_NODES:
+    while n < IDENTITY_MAX_NODES:
         n *= 2
         step = top / n
         odd = integrand(np.arange(1, n, 2) * step)
@@ -533,12 +533,22 @@ def _identity_term(g, chi_abs):
         change = abs(val - prev)
         if (n >= _IDENTITY_MIN_NODES and g.sigma * step <= 0.5
                 and change <= _IDENTITY_TOL * scale):
-            return chi_abs * 2.0 * val
+            return _CHI_ABS * 2.0 * val
         prev = val
     raise AccuracyError(
         f"{where}: trapezoid rule not converged to {_IDENTITY_TOL:g} at {n} "
         f"nodes (last change {change:.3e}, sum of |integrand| {scale:.3e})",
         achieved=change)
+
+
+def _geometric_side(ls, g):
+    """(identity, orbit): the identity term of g and the orbit sum
+    sum ell mult g(m ell) / (2 sinh(m ell / 2)) over the classes of ls."""
+    ident = identity_term(g)
+    orbit = 0.0
+    for period, mult, m, ell in ls.orbits():
+        orbit += ell * mult * float(g(period)) / (2.0 * math.sinh(period / 2.0))
+    return ident, orbit
 
 
 def wave_trace_pair(ls, g, laplace):
@@ -554,10 +564,7 @@ def wave_trace_pair(ls, g, laplace):
     support_leakage rather than raised.
     """
     leak = g.mass_outside(0.0, ls.cutoff)
-    ident = _identity_term(g, _CHI_ABS)
-    orbit = 0.0
-    for period, mult, m, ell in ls.orbits():
-        orbit += ell * mult * float(g(period)) / (2.0 * math.sinh(period / 2.0))
+    ident, orbit = _geometric_side(ls, g)
     geometric = ident + orbit
     spectral = 0.0
     for mu, d in laplace:
@@ -588,17 +595,14 @@ def heat_pair(ls, s):
     e^{-s/4} e^{-t^2/(4s)} / (2 sqrt(pi s)), whose transform is
     e^{-s (r^2 + 1/4)}.  With an even test function the symmetrized pairing
     G = g + g(-.) doubles both g-hat and the orbit samples, and the
-    spectral side is twice the heat trace; hence the estimate below.
+    spectral side is twice the heat trace: the estimate is half the
+    identity term plus the orbit sum of g.
     """
     if s <= 0:
         raise DomainError("heat_pair: s must be > 0")
     amp = math.exp(-s / 4.0) / (2.0 * math.sqrt(math.pi * s))
-    g = GaussianTestFn(0.0, math.sqrt(2.0 * s), amp)
-    ident = _identity_term(g, _CHI_ABS)
-    orbit = 0.0
-    for period, mult, m, ell in ls.orbits():
-        orbit += ell * mult * float(g(period)) / math.sinh(period / 2.0)
-    estimate = 0.5 * (ident + orbit)
+    ident, orbit = _geometric_side(ls, GaussianTestFn(0.0, math.sqrt(2.0 * s), amp))
+    estimate = 0.5 * ident + orbit
     _require_finite(f"heat pair (s {s!r})", [("estimate", estimate)])
     return estimate
 

@@ -6,7 +6,8 @@ series products, adaptive quadrature, characteristics ODE integration, and
 dense matrix exponentials.  The row-at-a-time intertwining audit, the
 scalar global-trace loop and the whole-array conical quadrature are the
 exception: they are the references the blocked library audit, the
-vectorized global trace and the level-by-level quadrature must match
+vectorized global trace, the level-by-level quadrature and the shared
+Selberg orbit sum of `heat_pair` (`heat_pair_loop`) must match
 exactly.  So are the
 row-by-row `csv`-module Laplace loader (`laplace_csv_rows`), the
 reference for the bulk `LaplaceSpectrum.from_csv`, and the
@@ -31,6 +32,7 @@ from scipy.linalg import expm
 from gfsl.discrete import rr_multiplicity
 from gfsl.errors import AccuracyError, DomainError
 from gfsl.means import hc_coefficient
+from gfsl.selberg import GaussianTestFn, identity_term
 from gfsl.specfun import geometric_sum
 
 mp.mp.dps = 30
@@ -390,6 +392,18 @@ def identity_term_mp(center, sigma, amplitude=1.0, chi_abs=2):
                       * r * mp.tanh(mp.pi * r), pts, method="gauss-legendre")
         return float(2 * chi_abs * mp.mpf(amplitude) * s
                      * mp.sqrt(2 * mp.pi) * val)
+
+
+def heat_pair_loop(ls, s):
+    """Reference for selberg.heat_pair by its own orbit loop: (identity +
+    sum ell mult g(m ell) / sinh(m ell / 2)) / 2 for the heat Gaussian g
+    of s, on the library's identity term."""
+    amp = math.exp(-s / 4.0) / (2.0 * math.sqrt(math.pi * s))
+    g = GaussianTestFn(0.0, math.sqrt(2.0 * s), amp)
+    orbit = 0.0
+    for period, mult, m, ell in ls.orbits():
+        orbit += ell * mult * float(g(period)) / math.sinh(period / 2.0)
+    return 0.5 * (identity_term(g) + orbit)
 
 
 # Exact Bolza arithmetic one matrix at a time, in Python ints.  An entry

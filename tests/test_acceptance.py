@@ -211,12 +211,16 @@ def test_criterion_10_wave_emergence():
 
 
 def test_criterion_11_w_symbol():
+    # the whole --lambda envelope's low end, where `means` gates it too
     worst_margin = 0.0
-    for lam in np.linspace(5.0, 100.0, 39):
+    for lam in np.concatenate([np.geomspace(means.LAMBDA_MIN, 5.0, 40,
+                                            endpoint=False),
+                               np.linspace(5.0, 100.0, 39)]):
         defect = means.w_symbol_defect(float(lam))
         assert defect <= 0.2 / lam
         worst_margin = max(worst_margin, defect * lam)
-    _report(11, f"principal symbol defect <= 0.2/lam on [5, 100] "
+    _report(11, f"principal symbol defect <= 0.2/lam on "
+                f"[{means.LAMBDA_MIN:.4f}, 100] "
                 f"(max lam*defect {worst_margin:.3f})")
 
 

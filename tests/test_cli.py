@@ -269,9 +269,9 @@ class TestSelberg:
     def test_identity_term_computed_once(self, tmp_path):
         # one quadrature for the run's test function, reused by its five
         # wave-trace pairs, and one for each heat Gaussian of the Weyl check
-        selberg._identity_term.cache_clear()
+        selberg.identity_term.cache_clear()
         assert run(["selberg", "--out", str(tmp_path)]) == cli.EXIT_OK
-        info = selberg._identity_term.cache_info()
+        info = selberg.identity_term.cache_info()
         assert (info.misses, info.hits) == (1 + 3, 5)
 
     def test_unconverged_identity_term_fails_loudly(self, tmp_path, capsys):
@@ -335,7 +335,7 @@ class TestSelberg:
                                               monkeypatch, argv, flag, bad):
         # one line naming the flag and the value, no numpy warning, no
         # quadrature, no enumeration and no report
-        monkeypatch.setattr(selberg, "_identity_term", None)
+        monkeypatch.setattr(selberg, "identity_term", None)
         monkeypatch.setattr(selberg, "length_spectrum", None)
         code = run(["selberg", "--out", str(tmp_path)] + argv)
         assert code == cli.EXIT_CONFIG
@@ -365,6 +365,19 @@ class TestSelberg:
         assert CENTER_MAX == 2.0 * (math.log(sys.float_info.max) - 6.0)
         assert cli._sigma_range(CENTER_MAX)[1] == 0.0
 
+    def test_weyl_rows_gated(self, tmp_path, monkeypatch, capsys):
+        # an identity term 1.5 times too large moves every Weyl ratio past
+        # 15 %, while the discrepancies stay monotone: exit 2 from the Weyl
+        # rows alone, with the reports written
+        raw = selberg.identity_term
+        monkeypatch.setattr(selberg, "identity_term", lambda g: 1.5 * raw(g))
+        code = run(["selberg", "--out", str(tmp_path), "--lmax", "5"])
+        assert code == cli.EXIT_VERIFY
+        assert "monotone=True" in capsys.readouterr().out
+        report = json.loads((tmp_path / "selberg_report.json").read_text())
+        assert all(abs(row["ratio"] - 1.0) > 0.15
+                   for row in report["checks"]["weyl"])
+
 
 class TestMeans:
     def test_reports(self, tmp_path):
@@ -378,6 +391,20 @@ class TestMeans:
         row = slopes[1].split(",")
         assert abs(float(row[1]) + 2.0) < 0.1
         assert float(row[3]) == 1.0
+
+    def test_w_symbol_gated_below_five(self, tmp_path, monkeypatch):
+        # W_0 off by 0.3/lam fails the W-symbol gate 0.2/lam at lam = 1,
+        # where the bound was once inf; --tol 1 keeps the terminal HC
+        # error, which the same coefficient moves, from failing the run
+        raw = means.hc_coefficient
+        monkeypatch.setattr(means, "hc_coefficient", lambda m, lam: (
+            raw(m, lam) + (0.3 / lam if m == 0 else 0.0)))
+        code = run(["means", "--out", str(tmp_path), "--lambda", "1",
+                    "--tol", "1"])
+        assert code == cli.EXIT_VERIFY
+        row = (tmp_path / "wave_slopes.csv").read_text().splitlines()[1]
+        defect, bound = map(float, row.split(",")[4:])
+        assert bound == 0.2 and defect > bound
 
     @pytest.mark.parametrize("tol,expected", [("1e-11", cli.EXIT_OK),
                                               ("1e-14", cli.EXIT_VERIFY)])

@@ -13,6 +13,8 @@ Name, somewhere in that module.  Every default of a library function or
 method parameter, or of a dataclass field, must be left out by at least
 one call in cli.py, the library or the acceptance suite: a default that
 all of them override belongs to a parameter that should be required.
+No module under src/gfsl/ reads an underscore name of another: what one
+module needs of another is public.
 """
 
 import ast
@@ -77,6 +79,35 @@ def test_every_public_library_name_is_referenced():
         "public library names that no CLI run, other library code, "
         "acceptance criterion or (for methods) bench script references: "
         f"{', '.join(unreached)}")
+
+
+def _private_reads(trees):
+    """"module.py:line: other.name" for each underscore name (not a
+    dunder) that a module of `trees` reads from another, as an attribute
+    of that module's name or by a relative import."""
+    found = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in trees and node.value.id != mod):
+                reads = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                reads = [(node.module or alias.name, alias.name)
+                         for alias in node.names]
+            else:
+                continue
+            found += [f"{mod}.py:{node.lineno}: {other}.{name}"
+                      for other, name in reads
+                      if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def test_no_module_reads_another_private_name():
+    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    found = _private_reads(trees)
+    assert not found, ("underscore names read across library modules: "
+                       f"{', '.join(found)}")
 
 
 def _defaulted(args, skip):

@@ -14,7 +14,8 @@ from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
 
 from oracles import (ClassKeyerOne, ball_one, bolza_float_one,
                      bolza_words_oracle, exact_one,
-                     flat_one, frob_one, identity_term_mp, length_spectrum_one,
+                     flat_one, frob_one, heat_pair_loop, identity_term_mp,
+                     length_spectrum_one,
                      mat_inv_one, mat_mul_one, power_one, psl_key_one,
                      ring_mul_one, trace_length_mp, value_one)
 
@@ -624,20 +625,20 @@ class TestIdentityTerm:
     def test_vs_mpmath(self, center, sigma, amp):
         g = selberg.GaussianTestFn(center, sigma, amp)
         want = identity_term_mp(center, sigma, amp, chi_abs=2)
-        got = selberg._identity_term(g, 2)
+        got = selberg.identity_term(g)
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_node_cap_fails_loudly(self):
         g = selberg.GaussianTestFn(5.5, 1e-5, 1.0)
         with pytest.raises(AccuracyError, match=r"identity term \(center 5\.5, "
                            r"sigma 1e-05\).* not converged .* at 1048576 nodes"):
-            selberg._identity_term(g, 2)
+            selberg.identity_term(g)
 
     def test_non_finite_sum_fails_loudly(self):
         g = selberg.GaussianTestFn(5.5, 0.5, 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(AccuracyError, match="non-finite trapezoid sum"):
-                selberg._identity_term(g, 2)
+                selberg.identity_term(g)
 
     def test_fourier_array_matches_scalar_calls(self):
         # the spectral side calls fourier on scalars, the identity term on
@@ -666,10 +667,18 @@ class TestWeylConsistency:
         assert abs(est - 1.0) < 0.1
 
     def test_non_finite_estimate_fails_loudly(self, spectrum8, monkeypatch):
-        monkeypatch.setattr(selberg, "_identity_term", lambda g, chi: math.nan)
+        monkeypatch.setattr(selberg, "identity_term", lambda g: math.nan)
         with pytest.raises(AccuracyError,
                            match=r"heat pair \(s 0\.2\): estimate is nan"):
             selberg.heat_pair(spectrum8, 0.2)
+
+    @pytest.mark.parametrize("l_max", [6.0, 8.0])
+    @pytest.mark.parametrize("s", [0.05, 0.1, 0.2, 0.8, 1.5])
+    def test_matches_own_loop_exactly(self, bolza, spectrum8, l_max, s):
+        # half the identity term plus the wave pairing's orbit sum is half
+        # of identity + (orbit sum with weight 1/sinh), bit for bit
+        ls = spectrum8 if l_max == 8.0 else selberg.length_spectrum(bolza, l_max)
+        assert selberg.heat_pair(ls, s) == heat_pair_loop(ls, s)
 
     def test_positivity(self, spectrum8):
         for s in (0.05, 0.2, 0.8, 1.5):
