@@ -311,21 +311,20 @@ def cmd_selberg(args):
     checks["systole_error"] = abs(ls.systole - sys_expect)
     ok = checks["systole_error"] < 1e-9
     laplace = [(0.0, 1)]
-    discs = []
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]
-    for lm in grid:
-        sub = selberg.LengthSpectrum(
-            [(ell, m) for ell, m in ls.primitives if ell <= lm], lm)
-        rep = selberg.wave_trace_pair(sub, g, laplace=laplace)
-        discs.append(rep.discrepancy)
+    reps = [selberg.wave_trace_pair(selberg.LengthSpectrum(
+        [(ell, m) for ell, m in ls.primitives if ell <= lm], lm), g,
+        laplace=laplace) for lm in grid]
+    discs = [rep.discrepancy for rep in reps]
     monotone = all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
     checks["discrepancies"] = discs
     checks["discrepancy_monotone"] = monotone
     weyl = selberg.weyl_consistency(ls)
     checks["weyl"] = weyl["rows"]
     ok = ok and monotone and weyl["ok"]
-    rep = selberg.wave_trace_pair(ls, g, laplace=laplace)
-    payload = rep.to_dict()
+    if grid[-1:] != [l_max]:  # else the last pair was on ls's own cutoff
+        reps.append(selberg.wave_trace_pair(ls, g, laplace=laplace))
+    payload = reps[-1].to_dict()
     payload["checks"] = checks
     write_json(out / "selberg_report.json", payload)
     print(f"selberg: systole {ls.systole:.9f}, relator residual "

@@ -6,9 +6,9 @@ dual (inverse-transform) rows, the per-coefficient intertwining audit,
 the threshold coalescence data, the correlation expansion and the
 flat-vs-spectral trace identity.
 
-One kernel builds every table: a recurrence over the stacked columns of
-one or several tables, scaled and checked block by block of rows, which
-the intertwining sweep audits as they come.
+One kernel builds every table: a recurrence over the stacked k >= 0
+columns of one or several tables (the k < 0 half is their exact mirror),
+scaled and checked block by block of rows, audited as they come.
 
 Conventions.  The spectral parameter lam alone fixes the irreducible:
 mu = lam^2 + 1/4 and b_pm = -1/2 +- i lam are derived from it; the
@@ -25,7 +25,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .specfun import (geometric_sum, is_gamma_pole, log_beta_line,
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Entries (rows x tables x columns) per block of a stacked build and
-# audit; the recurrence buffer, the scaled rows and each audit temporary
-# hold about this many however large N is and however many tables are
-# stacked.  On a 12-table sweep at (N, K) = (1000, 100) (2-core x86-64,
-# numpy 2.4, medians of 9 runs) 2^13..2^17 took 0.260, 0.227, 0.228, 0.245
-# and 0.262 s; 2^13..2^16 peaked the CLI at 31.6, 32.1, 33.2, 35.4 MiB.
+# Entries (rows x tables x 2K + 1 columns) per block of a stacked build
+# and audit; its buffers, over the k >= 0 half, hold about half as many
+# however large N is and however many tables are stacked.  On a 12-table
+# sweep at (N, K) = (1000, 100) building both halves (2-core x86-64, numpy
+# 2.4, medians of 9 runs) 2^13..2^17 took 0.260, 0.227, 0.228, 0.245 and
+# 0.262 s; 2^13..2^16 peaked the CLI at 31.6, 32.1, 33.2, 35.4 MiB.
 BLOCK_ELEMENTS = 1 << 14
 
 # The largest N and K a sweep takes, a memory budget.  Besides its blocks,
@@ -319,41 +319,61 @@ def _first_non_finite(values, n0):
     return t, n0 + int(bad[0]), n0 + int(bad[-1])
 
 
+def _require_mirrored(x, mirror, specs, what):
+    """Raise unless x[t, ..., -k] == mirror[t, ..., k] for every table t."""
+    bad = np.flatnonzero(~(x[..., ::-1] == mirror).reshape(len(x), -1).all(1))
+    if bad.size:
+        raise ConsistencyError(f"{what.format(specs[bad[0]].name)} is not "
+                               "mirrored in k", specs[bad[0]].lam)
+
+
 def _table_blocks(specs, rows):
     """Scaled rows of the stacked tables `specs` (common N and K), by block.
 
-    One recurrence advances the columns of every table.  Each block of
-    `rows` rows is scaled as np.multiply(pre, x) and then * phase, in that
-    order (numpy's complex multiply is not bitwise commutative), and
-    checked finite: AccuracyError names the first table with a non-finite
-    entry in the first block holding one, and its rows.  Yields
-    (w0, n0, win), win[i, t, j] being row w0 + i of table t: the block's
-    rows n0.., after row n0 - 1 when n0 > 0, which the U and S relations
-    pair with row n0.  The next block overwrites win.
+    One recurrence advances the k >= 0 columns of every table: x -> -x
+    maps column k to -k, entry[n, -k] = (-1)^(n+k) entry[n, k], exact up
+    to signs of zeros while a is odd in k, s, e, x0 even and phase(-k) =
+    (-1)^k phase(k), else ConsistencyError.  A block of `rows` rows is
+    scaled as np.multiply(pre, x), then * phase (numpy's complex multiply
+    is not bitwise commutative), and checked finite: AccuracyError names
+    the first table with a non-finite entry in the first block holding
+    one, and its rows.  Yields (w0, n0, win), win[i, t, k + 1] being row
+    w0 + i of table t, k = -1..K (0 at -1 if K = 0): rows n0.., after row
+    n0 - 1 if n0 > 0, which U and S pair with row n0.  The next block
+    overwrites win.
     """
-    n_rows, n_cols = specs[0].pre.size, specs[0].phase.size
-    cols = [np.concatenate([np.broadcast_to(np.asarray(c, dtype=complex),
-                                            (n_cols,)) for c in per_col])
-            for per_col in zip(*(spec.columns for spec in specs))]
+    n_rows, K = specs[0].pre.size, specs[0].phase.size // 2
+    ks = np.arange(-K, K + 1)
+    cols = np.array([[np.broadcast_to(c, ks.shape) for c in spec.columns]
+                     + [spec.phase] for spec in specs], dtype=complex)
+    # mirror signs of a, s, e, x0 and phase
+    sign = (-1.0) ** np.stack([ks ** 0, 0 * ks, 0 * ks, 0 * ks, ks])
+    _require_mirrored(cols, sign * cols, specs, "{}: its recurrence")
+    phase = cols[:, 4, K:].copy()
+    cols = cols[:, :4, K:].transpose(1, 0, 2).reshape(4, -1)
     pre = np.stack([spec.pre for spec in specs], axis=1)
-    phase = np.stack([spec.phase for spec in specs])
+    odd = -_row_constants(n_rows - 1)[1]
     rows = min(rows, n_rows)
-    win = np.empty((rows + 1, len(specs), n_cols), dtype=complex)
+    win = np.zeros((rows + 1, len(specs), K + 2), dtype=complex)
+    half = np.empty((rows, len(specs), K + 1), dtype=complex)
     for n0, x in recurrence_blocks(*cols, n_rows - 1, rows):
         r = x.shape[0]
         if n0:
             win[0] = win[rows]
-        new = win[1:r + 1]
+        new, scaled = win[1:r + 1], half[:r]
         with np.errstate(over="ignore", invalid="ignore"):
-            new[...] = pre[n0:n0 + r, :, None]
-            np.multiply(new, x.reshape(r, len(specs), n_cols), out=new)
-            new *= phase
-        bad = _first_non_finite(new, n0)
+            scaled[...] = pre[n0:n0 + r, :, None]
+            np.multiply(scaled, x.reshape(scaled.shape), out=scaled)
+            scaled *= phase
+        bad = _first_non_finite(scaled, n0)
         if bad:
             raise AccuracyError(
                 f"{specs[bad[0]].name} has non-finite entries in rows "
                 f"{bad[1]}..{bad[2]} (double precision overflow)",
                 value=specs[bad[0]].lam)
+        new[..., 1:] = scaled
+        if K:  # entry[n, -1] = (-1)^(n+1) entry[n, 1]
+            np.multiply(new[..., 2], odd[n0:n0 + r, None], out=new[..., 0])
         yield (n0 - 1, n0, win[:r + 1]) if n0 else (0, 0, new)
 
 
@@ -369,77 +389,99 @@ def coeff_table(p, N, K, branch, dual=False):
     """
     spec = _table_spec(p, N, K, branch, dual)
     ((_, _, win),) = _table_blocks([spec], spec.pre.size)
-    return win[:, 0, :]
+    half = win[:, 0, 1:]
+    sign = (-1.0) ** np.add.outer(np.arange(N + 1), np.arange(K, 0, -1))
+    return np.concatenate((half[:, :0:-1] * sign, half), axis=1)
 
 
-def _stack_relations(per_table):
+def _stack_relations(per_table, specs, rows):
     """The relations {name: (op, coef, shift)} of _ladder_relations, one
-    per table, stacked as _audit takes them: {name: (diag, sup, sub, coef,
-    shift)}, the operator's bands over all tables' columns end to end,
-    less the first and last (diag None if zero), and coef[n, table]."""
-    stacked = {}
+    per table, stacked for _audit: ({name: (diag, group, coef, shift)},
+    bands), each band laid out as the windows' rows (columns k = 0..K-1,
+    0 at k = -1, K) tiled over rows + 1 rows, diag None if all zero,
+    coef[n, table], bands[group] the (sup, sub) of all relations whose
+    pairs are equal.  Each operator must be mirrored as its table: for
+    shift s, sup(-k) = -(-1)^s sub(k), diag(-k) = (-1)^s diag(k).
+    """
+    K, stacked, bands = specs[0].phase.size // 2, {}, []
     for name, (_, _, shift) in per_table[0].items():
-        diag, sup, sub = (np.concatenate([getattr(rels[name][0], band)
-                                          for rels in per_table])[1:-1]
-                          for band in ("diag", "sup", "sub"))
-        stacked[name] = (diag if diag.any() else None, sup, sub,
-                         np.stack([np.asarray(rels[name][1], dtype=complex)
-                                   for rels in per_table], axis=1), shift)
-    return stacked
+        ops = np.array([astuple(rels[name][0]) for rels in per_table])
+        sign = np.array([[1.0], [-1.0], [-1.0]]) * (-1.0) ** shift
+        _require_mirrored(ops, sign * ops[:, [0, 2, 1]], specs,
+                          f"ladder relation {name} of {{}}")
+        laid = np.pad(ops[..., K:-1], [(0, 0), (0, 0), (1, 1)])
+        diag, *pair = np.tile(laid.transpose(1, 0, 2).reshape(3, -1), rows + 1)
+        if not any(np.array_equal(p, pair) for p in bands):
+            bands.append(np.array(pair))
+        group = next(g for g, p in enumerate(bands) if np.array_equal(p, pair))
+        stacked[name] = (diag.copy() if diag.any() else None, group,
+                         np.stack([r[name][1] for r in per_table], 1), shift)
+    return stacked, bands
 
 
-def _audit(windows, relations, specs, rows, n_cols):
+def _audit(windows, relations, bands, specs, rows):
     """Worst residuals of stacked ladder relations (_stack_relations) over
     stacked tables: the audit loop of intertwine_sweep.
 
     windows yields (w0, n0, win) as _table_blocks does, win holding at
     most rows + 1 rows; every row pair (n, n + shift) inside win that
-    reaches a row from n0 on is scored, the right side summed as
-    diag*c_k + sup*c_{k+1} + sub*c_{k-1} in that order, an absent diag's
-    term (+-0 on finite tables) left out, in contiguous loops over each
-    row's tables end to end.  Returns {name: worst score of each table};
-    a non-finite score raises AccuracyError naming the table of `specs`
-    and carrying its lam.  Its temporaries are buffers reused throughout.
+    reaches a row from n0 on is scored.  Column k = 0..K-1 sums its right
+    side as (sup*c_{k+1} + diag*c_k) + sub*c_{k-1}; by the mirror the
+    full-width column -k (k = 1..K-1) sums the same products, up to sign,
+    as (sub*c_{k-1} + diag*c_k) + sup*c_{k+1}.  The score takes both, so it
+    is the full-width one to the bit (one sum without diag).  Returns
+    {name: worst score of each table}; a non-finite score raises
+    AccuracyError naming the table of `specs` and carrying its lam.
     """
-    worst = {name: np.zeros(len(specs)) for name in relations}
-    width = len(specs) * n_cols
-    lhs_buf, rhs_buf = np.zeros((2, rows + 1, width), dtype=complex)
-    mag_buf = np.empty((rows + 1, width))
-
-    def peaks(x):
-        # max |x| over the interior columns of each table, per row
-        m = np.abs(x, out=mag_buf[:len(x)]).reshape(len(x), -1, n_cols)
-        return m[..., 1:-1].max(axis=2)
-
-    for w0, n0, win in windows:
-        w1 = w0 + win.shape[0]
-        flat = win.reshape(win.shape[0], width)
-        for name, (diag, sup, sub, coef, shift) in relations.items():
-            lo = max(w0, w0 - shift, n0 - max(shift, 0))
-            hi = min(w1, w1 - shift)
-            if lo >= hi:
-                continue
-            c, h = flat[lo - w0:hi - w0], hi - lo
-            lhs, rhs = lhs_buf[:h], rhs_buf[:h]
-            lin, rin = lhs[:, 1:-1], rhs[:, 1:-1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(sup, c[:, 2:], out=rin)
-                if diag is not None:
-                    rin += np.multiply(diag, c[:, 1:-1], out=lin)
-                rin += np.multiply(sub, c[:, :-2], out=lin)
+    n_tab, K = len(specs), specs[0].phase.size // 2
+    width, size = n_tab * (K + 2), (rows + 1) * n_tab * (K + 2)
+    worst = {name: np.zeros(n_tab) for name in relations}
+    prods = np.zeros((len(bands), 2, size), dtype=complex)
+    terms, mags = np.zeros((3, size), dtype=complex), np.empty((5, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w0, n0, win in windows:
+            c, m = win.reshape(-1), win.size
+            for (sup, sub), (up, down) in zip(bands, prods):
+                np.multiply(sup[1:m - 1], c[2:], out=up[1:m - 1])
+                np.multiply(sub[1:m - 1], c[:-2], out=down[1:m - 1])
+            for name, (diag, group, coef, shift) in relations.items():
+                lo = max(w0, w0 - shift, n0 - max(shift, 0))
+                hi = min(w0 + len(win), w0 + len(win) - shift)
+                if lo >= hi:
+                    continue
+                i, j, h = (lo - w0) * width, (hi - w0) * width, hi - lo
+                up, down = prods[group, :, i:j]
+                # |lhs|, |rhs|, |lhs - rhs|, the mirror's |lhs - rhs2|, |rhs2|
+                (lhs, rhs, rhs2), mag = terms[:, :j - i], mags[:, :j - i]
+                n_gap, gaps = 1 if diag is None else 2, terms[1:3, :j - i]
+                if diag is None:
+                    np.add(up, down, out=rhs)
+                else:
+                    dc = np.multiply(diag[:j - i], c[i:j], out=lhs)
+                    np.add(np.add(up, dc, out=rhs), down, out=rhs)
+                    np.add(np.add(down, dc, out=rhs2), up, out=rhs2)
+                    np.abs(rhs2, out=mag[4])
                 # lhs = coef[n] * c[n + shift], coef spread over its table
-                lhs.reshape(h, -1, n_cols)[...] = coef[lo:hi, :, None]
-                np.multiply(lin, flat[lo - w0 + shift:hi - w0 + shift, 1:-1],
-                            out=lin)
-                scale = np.maximum(np.maximum(peaks(lhs), peaks(rhs)), 1e-300)
-                score = peaks(np.subtract(lhs, rhs, out=lhs)) / scale
-            bad = _first_non_finite(score, lo)
-            if bad:
-                raise AccuracyError(
-                    f"intertwining audit: {name} residual of "
-                    f"{specs[bad[0]].name} is not finite in rows "
-                    f"{bad[1]}..{bad[2]}", value=specs[bad[0]].lam)
-            np.maximum(worst[name], score.max(axis=0), out=worst[name])
+                lhs.reshape(h, n_tab, K + 2)[...] = coef[lo:hi, :, None]
+                np.multiply(lhs, c[i + shift * width:j + shift * width],
+                            out=lhs)
+                np.abs(terms[:2, :j - i], out=mag[:2])
+                np.subtract(lhs, gaps[:n_gap], out=gaps[:n_gap])
+                np.abs(gaps[:n_gap], out=mag[2:2 + n_gap])
+                # max over columns k = 0..K-1, the mirror's over 1..K-1
+                mag = mag.reshape(5, h, n_tab, K + 2)
+                peak = mag[:3, ..., 1:-1].max(axis=3)
+                if diag is not None:
+                    np.maximum(peak[:0:-1], mag[3:, ..., 2:-1].max(axis=3),
+                               out=peak[:0:-1])
+                score = peak[2] / np.maximum(peak[:2].max(axis=0), 1e-300)
+                bad = _first_non_finite(score, lo)
+                if bad:
+                    raise AccuracyError(
+                        f"intertwining audit: {name} residual of "
+                        f"{specs[bad[0]].name} is not finite in rows "
+                        f"{bad[1]}..{bad[2]}", value=specs[bad[0]].lam)
+                np.maximum(worst[name], score.max(axis=0), out=worst[name])
     return worst
 
 
@@ -488,12 +530,11 @@ def intertwine_sweep(tables, N, K):
     at lam = 0 raises its PoleError first.
     """
     specs = [_table_spec(p, N, K, branch) for p, branch in tables]
-    relations = _stack_relations(
-        [_ladder_relations(p, branch, N, build_k_matrices(p, K))
-         for p, branch in tables])
     rows = min(block_rows(len(specs) * (2 * K + 1)), N + 1)
-    worst = _audit(_table_blocks(specs, rows), relations, specs, rows,
-                   2 * K + 1)
+    relations, bands = _stack_relations(
+        [_ladder_relations(p, branch, N, build_k_matrices(p, K))
+         for p, branch in tables], specs, rows)
+    worst = _audit(_table_blocks(specs, rows), relations, bands, specs, rows)
     return [{rel: float(w[t]) for rel, w in worst.items()}
             for t in range(len(specs))]
 

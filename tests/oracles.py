@@ -16,7 +16,9 @@ per-matrix Selberg class keyer (`ring_mul_one`, `psl_key_one`,
 exact ring product out as scalar integer formulas, the reference for the
 batched keyer, and the order-by-order resonance sums
 (`hc_partial_sums_one`), the reference for the running sums of
-`means.hc_partial_sum`.
+`means.hc_partial_sum`, and the full-width table build
+(`coeff_table_full_width`), the reference for the mirrored k < 0 half of
+`spherical.coeff_table`.
 """
 
 import cmath
@@ -33,7 +35,7 @@ from gfsl.discrete import rr_multiplicity
 from gfsl.errors import AccuracyError, DomainError
 from gfsl.means import hc_coefficient
 from gfsl.selberg import GaussianTestFn, identity_term
-from gfsl.specfun import geometric_sum
+from gfsl.specfun import geometric_sum, recurrence_blocks
 
 mp.mp.dps = 30
 
@@ -205,6 +207,54 @@ def moment_seeds_mp(lam, K, renormalized=False):
                else mp.pi * mp.mpf(2) ** (2 * b + 2) * mp.gamma(-2 * b - 1))
         return np.array([complex(top / (mp.gamma(-b - k) * mp.gamma(-b + k)))
                          for k in range(-K, K + 1)])
+
+
+def coeff_table_full_width(spec):
+    """One table of spherical._table_spec built over all its columns
+    |k| <= K, as every table was built before the sweep went half-width:
+    one recurrence_blocks run over the 2K + 1 columns, scaled as
+    np.multiply(pre, x) and then * phase."""
+    n_top = spec.pre.size - 1
+    ((_, x),) = recurrence_blocks(*spec.columns, n_top, n_top + 1)
+    out = np.empty_like(x)
+    out[...] = spec.pre[:, None]
+    np.multiply(out, x, out=out)
+    out *= spec.phase
+    return out
+
+
+def branch_table_mp(lam, branch, N, k):
+    """Column k of spherical.coeff_table(p, N, K, branch), |k| <= K, at 40
+    digits, from its own recurrence run at column k itself (a negative k
+    included): plus, t_n^+ sqrt(n!) e^{ik pi/2} [x^n] (1+ix)^(b+k)
+    (1-ix)^(b-k); minus, t_n^- / sqrt(n!) e^{-ik pi/2} times the moments
+    M_n = int x^n (1+ix)^(b_+ +k) (1-ix)^(b_+ -k) dx, each / sqrt(pi),
+    with t_n = prod_{j<n} (-2b + j)^(-+1/2) and b = b_+ or b_-; lam may
+    be i nu."""
+    with mp.workdps(40):
+        lam = mp.mpc(lam)
+        plus = branch == "plus"
+        b = mp.mpf(-0.5) + (1 if plus else -1) * mp.mpc(0, 1) * lam
+        if plus:
+            a, s, e = 2 * mp.mpc(0, 1) * k, 2 * b, 0
+            x = [mp.mpc(1)]
+        else:
+            a, s, e = -2 * mp.mpc(0, 1) * k, -1, 2 * mp.mpc(0, 1) * lam
+            bm = mp.mpf(-0.5) + mp.mpc(0, 1) * lam
+            x = [mp.pi * mp.mpf(2) ** (2 * bm + 2) * mp.gamma(-2 * bm - 1)
+                 / (mp.gamma(-bm - k) * mp.gamma(-bm + k))]
+        for n in range(N):
+            prev = x[n - 1] if n else 0
+            x.append((a * x[n] + (s - (n - 1)) * prev) / (n + 1 + e))
+        sign = 1 if plus else -1
+        phase = mp.expjpi(sign * mp.mpf(k) / 2) / mp.sqrt(mp.pi)
+        out, log_t, log_f = [], mp.mpc(0), mp.mpf(0)
+        for n in range(N + 1):
+            out.append(complex(mp.exp(log_t + sign * log_f / 2) * x[n]
+                               * phase))
+            log_t += -sign * mp.log(-2 * b + n) / 2
+            log_f += mp.log(n + 1)
+        return np.array(out)
 
 
 def _banded_row(op, row):

@@ -267,12 +267,35 @@ class TestSelberg:
         assert abs(report["checks"]["systole"] - 3.0571418389619963) < 1e-9
 
     def test_identity_term_computed_once(self, tmp_path):
-        # one quadrature for the run's test function, reused by its five
+        # one quadrature for the run's test function, reused by its four
         # wave-trace pairs, and one for each heat Gaussian of the Weyl check
         selberg.identity_term.cache_clear()
         assert run(["selberg", "--out", str(tmp_path)]) == cli.EXIT_OK
         info = selberg.identity_term.cache_info()
-        assert (info.misses, info.hits) == (1 + 3, 5)
+        assert (info.misses, info.hits) == (1 + 3, 4)
+
+    @pytest.mark.parametrize("lmax,cutoffs", [
+        ("8", [5.0, 6.0, 7.0, 8.0]), ("7.5", [5.0, 6.0, 7.0, 7.5]),
+        ("4", [4.0])])
+    def test_report_pair_reuses_last_cutoff(self, tmp_path, monkeypatch,
+                                            lmax, cutoffs):
+        # the report pairs the whole spectrum; when the cutoff grid ends
+        # at --lmax, its last pair is that one, and is not paired again
+        pair, seen = selberg.wave_trace_pair, []
+
+        def counting(ls, g, laplace):
+            seen.append(ls.cutoff)
+            return pair(ls, g, laplace)
+
+        monkeypatch.setattr(selberg, "wave_trace_pair", counting)
+        assert run(["selberg", "--out", str(tmp_path), "--lmax", lmax]) \
+            == cli.EXIT_OK
+        assert seen == cutoffs
+        report = json.loads((tmp_path / "selberg_report.json").read_text())
+        assert report["cutoff"] == cutoffs[-1]
+        if lmax == "8":
+            assert report["checks"]["discrepancies"][-1] == \
+                report["discrepancy"]
 
     def test_unconverged_identity_term_fails_loudly(self, tmp_path, capsys):
         # quad used to warn, return a wrong value and exit 0 here; the

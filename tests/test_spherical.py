@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfsl import means, spherical
-from gfsl.errors import AccuracyError, DomainError, GfslError, PoleError
+from gfsl.errors import (AccuracyError, ConsistencyError, DomainError,
+                         GfslError, PoleError)
 from gfsl.specfun import legendre_conical, log_beta_line
 
-from oracles import (characteristics_correlation, i_nk_reference,
+from oracles import (branch_table_mp, characteristics_correlation,
+                     coeff_table_full_width, i_nk_reference,
                      intertwine_residual_rows, ladder_coefficients,
                      moment_seeds_mp)
 
@@ -228,6 +230,58 @@ class TestCoeffTables:
         assert np.max(np.abs(sp - sm)) <= 1e-12 * max(1.0, np.max(np.abs(sp)))
 
 
+    @pytest.mark.parametrize("K", [0, 1, 2, 9, 64])
+    @pytest.mark.parametrize("p,branch,dual", [
+        (p, branch, dual)
+        for p in (P1, PC, spherical.SpectralParam.principal(5.0))
+        for branch, dual in (
+            (spherical.BRANCH_PLUS, False), (spherical.BRANCH_MINUS, False),
+            (spherical.BRANCH_MINUS_RENORMALIZED, False),
+            (spherical.BRANCH_PLUS, True), (spherical.BRANCH_MINUS, True))] + [
+        # at lam = 0 the raw moments (minus branch, both duals) have a pole
+        (spherical.SpectralParam.threshold(), branch, False)
+        for branch in (spherical.BRANCH_PLUS,
+                       spherical.BRANCH_MINUS_RENORMALIZED)])
+    def test_half_width_equals_full_width_recurrence(self, p, branch, dual,
+                                                     K):
+        # the k < 0 half is the mirror of the k >= 0 half: value for value
+        # the table of one recurrence over all 2K + 1 columns
+        want = coeff_table_full_width(
+            spherical._table_spec(p, 40, K, branch, dual))
+        got = spherical.coeff_table(p, 40, K, branch, dual)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=10)
+    @given(p=st.one_of(
+        st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
+        st.floats(1e-7, 0.4999).map(spherical.SpectralParam.complementary)),
+        branch=st.sampled_from([spherical.BRANCH_PLUS,
+                                spherical.BRANCH_MINUS]),
+        N=st.integers(0, 2000), K=st.integers(2, 150), data=st.data())
+    @example(p=P1, branch=spherical.BRANCH_MINUS, N=2,
+             K=spherical.SWEEP_K_MAX, data=None)
+    @example(p=PC, branch=spherical.BRANCH_PLUS, N=3,
+             K=spherical.SWEEP_K_MAX, data=None)
+    @example(p=spherical.SpectralParam.principal(1e-7),
+             branch=spherical.BRANCH_MINUS, N=2000, K=150, data=None)
+    @example(p=spherical.SpectralParam.complementary(0.4999),
+             branch=spherical.BRANCH_PLUS, N=2000, K=150, data=None)
+    def test_tables_equal_40_digit_recurrence(self, p, branch, N, K, data):
+        # Taylor (plus) and moment (minus) tables against each column's
+        # own 40-digit recurrence, run at a negative k, so the mirror is
+        # checked against an independent reference.  The worst relative
+        # error seen is 4.6e-11 (raw minus at lam = 1e-7, N = 2000); the
+        # prefactor exp(log t_n -+ log sqrt(n!)), two rounded N-term log
+        # sums of size up to ~1e4, alone gives up to 8e-12.
+        k = -K if data is None else data.draw(st.integers(-K, -1))
+        tab = spherical.coeff_table(p, N, K, branch)
+        for col in {k, -K}:
+            want = branch_table_mp(p.lam, branch, N, col)
+            got = tab[:, col + K]
+            err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
+            assert err.max() <= 1e-10, (p.lam, branch, N, K, col, err.max())
+
+
 class TestOverflow:
     def test_large_tables_rejected(self):
         # the plus table overflows near (N, K) = (2000, 250) at lam = 5
@@ -318,24 +372,57 @@ class TestIntertwining:
             for rel, val in res.items():
                 assert val < 1e-9, (p.lam, N, K, rel, val)
 
-    def test_zero_band_skip_reads_values_not_names(self, monkeypatch):
-        # the audit leaves out a diagonal that is zero in every stacked
-        # table; give X a nonzero one in P1's tables only and the sweep
-        # must still score it there, while PC's X relation holds
+    @staticmethod
+    def _x_with_diagonal(monkeypatch, diag):
+        # give X the diagonal diag(ks) in P1's tables only
         build = spherical.build_k_matrices
 
         def x_with_diagonal(p, K):
             ops = build(p, K)
             if p is P1:
-                ops["X"].diag = 0.25j * np.arange(-K, K + 1)
+                ops["X"].diag = diag(np.arange(-K, K + 1))
             return ops
 
         monkeypatch.setattr(spherical, "build_k_matrices", x_with_diagonal)
-        tables = [(p, branch) for p in (P1, PC) for branch in BRANCHES]
+        return [(p, branch) for p in (P1, PC) for branch in BRANCHES]
+
+    def test_zero_band_skip_reads_values_not_names(self, monkeypatch):
+        # the audit leaves out a diagonal that is zero in every stacked
+        # table; give X a nonzero one, even in k as X's shift 0 needs, in
+        # P1's tables only, and the sweep must still score it there,
+        # while PC's X relation holds
+        tables = self._x_with_diagonal(monkeypatch, lambda k: 0.25j * abs(k))
         N = spherical.block_rows(len(tables) * 17) + 3
         got = spherical.intertwine_sweep(tables, N, 8)
         assert got == _per_table(tables, N, 8)
         assert [res["X"] > 0.1 for res in got] == [True] * 3 + [False] * 3
+
+    def test_odd_diagonal_breaks_the_mirror(self, monkeypatch):
+        # an X diagonal odd in k is not mirrored as the tables are, so the
+        # half-width audit cannot score its k < 0 columns: it refuses
+        tables = self._x_with_diagonal(monkeypatch, lambda k: 0.25j * k)
+        with pytest.raises(ConsistencyError, match=(
+                r"^ladder relation X of plus-branch table at lam = 1\.0, "
+                r"N = 20, K = 8 is not mirrored in k$")):
+            spherical.intertwine_sweep(tables, 20, 8)
+
+    def test_band_sharing_reads_values_not_names(self, monkeypatch):
+        # U and S share their sup and sub products only while the bands
+        # are equal in every stacked table; scale S's in P1's tables only
+        build = spherical.build_k_matrices
+
+        def s_scaled(p, K):
+            ops = build(p, K)
+            if p is P1:
+                ops["S"].sup, ops["S"].sub = 2 * ops["S"].sup, 2 * ops["S"].sub
+            return ops
+
+        monkeypatch.setattr(spherical, "build_k_matrices", s_scaled)
+        tables = [(p, branch) for p in (PC, P1) for branch in BRANCHES]
+        N = spherical.block_rows(len(tables) * 17) + 3
+        got = spherical.intertwine_sweep(tables, N, 8)
+        assert got == _per_table(tables, N, 8)
+        assert [res["S"] > 0.1 for res in got] == [False] * 3 + [True] * 3
 
     def test_non_finite_residual_raises(self, monkeypatch):
         # a NaN that reaches the audit past the tables' finiteness check
@@ -428,8 +515,72 @@ class TestSweep:
         assert [len(r) for r in rows] == [7, 7, 7, 7, 3]
         stacked = np.concatenate(rows)
         for t, (p, br) in enumerate(tables):
+            # a window holds the columns k = -1..K of each table
             whole = spherical.coeff_table(p, 30, 4, br)
-            assert np.array_equal(stacked[:, t], whole), (t, br)
+            assert np.array_equal(stacked[:, t], whole[:, 3:]), (t, br)
+
+    @settings(max_examples=12)
+    @given(tables=st.one_of(
+        st.just([(spherical.SpectralParam.threshold(),
+                  spherical.BRANCH_PLUS)]),
+        st.lists(st.tuples(st.one_of(
+            st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
+            st.floats(1e-7, 0.4999).map(
+                spherical.SpectralParam.complementary)), _BRANCHES),
+            min_size=1, max_size=2)),
+        N=st.integers(0, 2000), K=st.integers(2, 150))
+    @example(tables=[(P1, spherical.BRANCH_PLUS), (PC, spherical.BRANCH_MINUS)],
+             N=0, K=spherical.SWEEP_K_MAX)
+    @example(tables=[(spherical.SpectralParam.threshold(),
+                      spherical.BRANCH_MINUS_RENORMALIZED)],
+             N=1, K=spherical.SWEEP_K_MAX)
+    @example(tables=[(P1, spherical.BRANCH_MINUS)], N=3,
+             K=spherical.SWEEP_K_MAX)
+    @example(tables=[(spherical.SpectralParam.principal(20.0),
+                      spherical.BRANCH_PLUS), (PC, spherical.BRANCH_MINUS)],
+             N=2000, K=150)
+    def test_half_width_sweep_equals_full_width_row_loop(self, tables, N,
+                                                          K):
+        # the half-width audit against the row-loop audit of each whole
+        # table, bit for bit; an overflowing table raises on both paths
+        # (the sweep names the rows of its first block holding one)
+        got = _outcome(spherical.intertwine_sweep, tables, N, K)
+        want = _outcome(_per_table, tables, N, K)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got[0] is want[0]
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("branch", [spherical.BRANCH_PLUS,
+                                        spherical.BRANCH_MINUS])
+    @pytest.mark.parametrize("which", ["a", "s", "e", "x0", "phase"])
+    def test_column_off_at_one_negative_k_raises(self, monkeypatch, branch,
+                                                 which):
+        # one recurrence parameter (or the phase) off at k = -2 only: the
+        # k >= 0 half no longer gives the k < 0 half, and both the sweep
+        # and coeff_table refuse the table, naming it
+        make = spherical._table_spec
+
+        def off_at_minus_two(p, N, K, br, dual=False):
+            spec = make(p, N, K, br, dual)
+            if p is not P1:
+                return spec
+            cols = [np.array(np.broadcast_to(c, (2 * K + 1,)), dtype=complex)
+                    for c in (*spec.columns, spec.phase)]
+            i = ("a", "s", "e", "x0", "phase").index(which)
+            cols[i][K - 2] += 1e-9 * (1.0 + abs(cols[i][K - 2]))
+            spec.columns, spec.phase = tuple(cols[:4]), cols[4]
+            return spec
+
+        monkeypatch.setattr(spherical, "_table_spec", off_at_minus_two)
+        name = ("plus-branch" if branch == spherical.BRANCH_PLUS
+                else "minus-branch")
+        match = (rf"^{name} table at lam = 1\.0, N = 20, K = 6: its "
+                 r"recurrence is not mirrored in k$")
+        with pytest.raises(ConsistencyError, match=match):
+            spherical.intertwine_sweep([(PC, branch), (P1, branch)], 20, 6)
+        with pytest.raises(ConsistencyError, match=match):
+            spherical.coeff_table(P1, 20, 6, branch)
 
     def test_raw_minus_pole_before_any_recurrence(self, monkeypatch):
         monkeypatch.setattr(spherical, "recurrence_blocks", None)
