@@ -254,51 +254,15 @@ def cmd_traces(args):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-# ln of the largest double, less 6 >= ln(2 sigma sqrt(2 pi)) for every
-# sigma the --sigma envelope admits (sigma < sqrt(8 * 709.8) < 80).
-_LOG_ROOM = math.log(sys.float_info.max) - 6.0
-
-
-def _sigma_range(center):
-    """The --sigma envelope [lo, hi] of `gfsl selberg` at a given --center.
-
-    lo: two trapezoid levels of the identity term agree to its 1e-14
-    (about e^{-32}) only once the coarser step 2h aliases neither the
-    centre's oscillation, of frequency |center|, nor the tanh poles at
-    distance 1/2: pi / h >= |center| + 64.  With h = 8 / (sigma n) below
-    sigma = 0.2 and at most 2^20 nodes, sigma >= 8 (|center| + 64) /
-    (pi 2^20).  hi: the spectral term of the constant eigenfunction,
-    hat g(i/2) + hat g(-i/2) <= 2 sigma sqrt(2 pi) e^{sigma^2/8 + |center|/2},
-    stays finite while sigma^2/8 + |center|/2 <= _LOG_ROOM.
-    """
-    lo = (8.0 * (abs(center) + 64.0)
-          / (math.pi * selberg.IDENTITY_MAX_NODES))
-    return lo, math.sqrt(8.0 * max(_LOG_ROOM - abs(center) / 2.0, 0.0))
-
-
 def cmd_selberg(args):
     l_max = _parse_float("--lmax", args.lmax)
     center = _parse_float("--center", args.center)
     sigma = _parse_float("--sigma", args.sigma)
-    if not abs(center) <= 2.0 * _LOG_ROOM:
-        raise GfslError(
-            f"--center: expected |center| <= {2.0 * _LOG_ROOM!r}, where "
-            f"the spectral term stays finite, got {args.center!r}")
-    lo, hi = _sigma_range(center)
-    if not lo <= sigma <= hi:
-        raise GfslError(
-            f"--sigma: expected a number in [{lo!r}, {hi!r}] at --center "
-            f"{center!r} (low end 8 (|center| + 64) / (pi 2^20), from the "
-            "identity term's 2^20-node cap; high end sqrt(8 (ln DBL_MAX - "
-            "6 - |center|/2)), where the spectral term stays finite), "
-            f"got {args.sigma!r}")
-    if l_max > 8.0:
-        raise GfslError(f"--lmax: expected a number <= 8 (desk scale), "
-                        f"got {args.lmax!r}")
-    sys_expect = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
-    if not l_max >= sys_expect:
-        raise GfslError(f"--lmax: expected a number >= the systole "
-                        f"{sys_expect!r}, got {args.lmax!r}")
+    try:
+        selberg.check_envelope(l_max, center, sigma)
+    except DomainError as exc:  # its value is the flag's name
+        raise GfslError(f"--{exc.value}: {exc}, got "
+                        f"{getattr(args, exc.value)!r}") from None
     # a bad test function fails here, before the enumeration or any report
     g = selberg.GaussianTestFn(center, sigma, 1.0)
     selberg.identity_term(g)
@@ -308,7 +272,7 @@ def cmd_selberg(args):
     ls.to_csv(out / "length_spectrum.csv")
     checks = {"relator_residual": group.relator_residual()}
     checks["systole"] = ls.systole
-    checks["systole_error"] = abs(ls.systole - sys_expect)
+    checks["systole_error"] = abs(ls.systole - selberg.SYSTOLE)
     ok = checks["systole_error"] < 1e-9
     laplace = [(0.0, 1)]
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]

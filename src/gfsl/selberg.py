@@ -2,22 +2,24 @@
 
 The geometric side is driven by a Fuchsian length-spectrum enumerator.
 Conjugacy classes are counted exactly at desk scale: group elements are
-enumerated as matrices inside a displacement ball (breadth-first over
-words, exact integer matrices deduplicated up to sign), and each
-hyperbolic element is mapped to its class key, the lexicographically
-smallest member of the finite set of minimal-displacement conjugates; two
-elements are conjugate iff those sets coincide.  Orientation convention: a
-class and its inverse count separately unless actually conjugate.
+enumerated as exact matrices inside a displacement ball (breadth-first
+over words, deduplicated up to sign), and each class's closed geodesic is
+walked through the fundamental octagon (Bowen & Series, Publ. IHES 50,
+1979), which keys the class and gives its primitive length.  Orientation
+convention: a class and its inverse count separately unless conjugate.
 """
 
 import functools
+import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, BudgetError, ConstructionError, DomainError
+from .errors import (AccuracyError, BudgetError, ConsistencyError,
+                     ConstructionError, DomainError)
 
 _SQRT2 = math.sqrt(2.0)
 _R = math.sqrt(1.0 + _SQRT2)
@@ -155,178 +157,145 @@ def _ball(group, max_cosh, budget):
     return np.concatenate(levels)
 
 
-def _keyed(stack):
-    """Squared Frobenius norms and _psl_keys of a (n, 16) stack, as lists."""
-    vals = stack.reshape(-1, 4, 4) @ _BASIS
-    return (vals * vals).sum(axis=1).tolist(), _psl_keys(stack)
-
-
-# Energy slack of the class-key search: conjugates whose squared Frobenius
-# norm exceeds their component's least norm by more than this factor are
-# dropped.
-_KEY_SLACK = 40.0
-
-# Frontier matrices multiplied per chunk of a ball level or class-key wave;
-# each chunk forms, norms and keys KEY_BLOCK * 8 products as one stack.
-# On a 2-core x86-64 host (numpy 2.4) the L = 8 keyer took the same time
-# for chunks of 32 to 1024 matrices, while the default selberg run's peak
-# RSS rose with the chunk (34.0 MiB at 32, 34.2 at 128, 39.0 at 1024).
+# Frontier matrices multiplied per chunk of a ball level; each chunk forms,
+# norms and keys KEY_BLOCK * 8 products as one stack.  On a 2-core x86-64
+# host (numpy 2.4) the default selberg run's peak RSS rose with the chunk
+# (32.5 MiB at 32 and 128, 33.3 at 1024), while the L = 8 spectrum's time
+# did not tell the chunks apart.
 KEY_BLOCK = 128
 
-# Keys the searches of one class may add (class_keys inputs do not count)
-# before they are stopped, a budget on its work.  At L = 8 the largest
-# class collects 26, and so does at most a lone search from an L = 8
-# class conjugated by a word of length 1 to 3.
-_KEY_NODE_CAP = 1 << 12
-
-# Largest |coefficient| class_keys accepts, so that the search's float64
-# conjugates are exact.  Let C(g) be the largest |coefficient| of g in the
-# Bolza group and ||g|| its Frobenius norm.  Each entry is at most (1 +
-# sqrt2 + r + r sqrt2) C(g) < 6.17 C(g), so ||g||^2 < 153 C(g)^2.  And
-# C(g) <= ||g|| / 2 + 1, as each coefficient combines the images of an
-# entry under r -> -r (g -> Q g Q^-1, Q the quarter turn about i) and sqrt2 ->
-# -sqrt2, r -> i sqrt(sqrt2 - 1) (g -> SU(2), entries <= 1).  The search
-# conjugates a node only if its squared norm is at most 40 (_KEY_SLACK)
-# times an input's, so its coefficients are below 40 C + 1 for C the
-# inputs' largest.  A conjugate coefficient sums 16 products of these
-# with a column of _maps, of absolute sum at most 47 for the Bolza
-# alphabet: each partial sum, in any order, is an integer below 47 (40 C
-# + 1) < 2^53 if C <= 2^42.  The L = 8 ball has C <= 33; its hyperbolic
-# elements' 1- to 3-letter conjugates C <= 300,456.
-_KEY_MAX_COEF = 1 << 42
+# An axis meets the octagon's interior in a segment of at least _SEG_FLOOR
+# or not at all; one through a vertex only rounds to within _SEG_ZERO of 0
+# (at L = 8: least positive segment 0.163, largest zero one 4.6e-14).
+_SEG_ZERO, _SEG_FLOOR = 1e-9, 1e-3
 
 
-class _ClassKeyer:
-    """Canonical conjugacy-class keys via minimal-displacement conjugates.
+def _disk(stack):
+    """(alpha, conj beta) of the disk forms [[alpha, beta], [conj beta, conj
+    alpha]] of a (n, 16) stack, conjugated by z -> (z - i) / (z + i)."""
+    x, y, z, w = np.moveaxis(stack.reshape(-1, 4, 4) @ _BASIS, 1, 0)
+    return (x + w + 1j * (y - z)) / 2.0, (x - w + 1j * (y + z)) / 2.0
 
-    The members of a class with the smallest Frobenius norm form a finite,
-    class-intrinsic set; a search over generator conjugations (allowing a
-    bounded energy slack above the least norm found) reaches it from any
-    starting member.  Every distinct key met is a node of one union-find
-    whose components are the classes found so far, and each component
-    tracks its least squared norm and its nodes of that norm.  The search
-    runs in waves: a wave conjugates the frontier nodes within the slack
-    of their component's least norm by every letter, KEY_BLOCK matrices at
-    a time, and norms and keys each chunk's conjugates as one stack.  A
-    conjugate whose key is already a node joins the two components; a new
-    key within the slack becomes a node of the next frontier.  The class
-    key of a component is the smallest key among its nodes of least norm.
-    """
 
-    def __init__(self, gens):
-        self.maps = _maps(gens, conjugate=True)
-        self.node = {}      # psl key -> node id
-        self.keys = []      # node id -> psl key
-        self.norms = []     # node id -> squared Frobenius norm
-        self.parent = []    # union-find links
-        self.best = []      # at a root: least norm of its component
-        self.least = []     # at a root: its nodes of least norm
-        self.size = []      # at a root: nodes its searches added
-        self.waves = 0
-        self.chunks = 0
+def _octagon(gens):
+    """(conj u, c): the Dirichlet octagon F about 0 is {x : Re(x conj u_l) <=
+    c_l} in the Klein disk, for a_l(0) = c_l u_l over the letters a_l of
+    _maps; across side l lies a_l F (README, class walk)."""
+    alpha, beta_bar = _disk(np.concatenate([gens, _inv(gens)]))
+    at0_bar = beta_bar / alpha
+    return at0_bar / np.abs(at0_bar), np.abs(at0_bar)
 
-    def conjugates(self, stack):
-        """a^-1 m a for every m in a (n, 16) stack and every letter a:
-        rows 8i .. 8i+7 of the (8n, 16) result conjugate stack[i], exact
-        in float64 up to _KEY_MAX_COEF."""
-        return (stack @ self.maps).astype(np.int64).reshape(-1, 16)
 
-    def class_keys(self, stack):
-        """Class key of every matrix in a (n, 16) exact stack."""
-        top = int(np.abs(stack).max(initial=0))
-        if top > _KEY_MAX_COEF:
-            raise AccuracyError(
-                f"class keys: coefficient {top} is above 2^42, past which "
-                "float64 conjugates could be inexact", value=top)
-        ids, fresh = [], []
-        norms, keys = _keyed(stack)
-        for i, (f, k) in enumerate(zip(norms, keys)):
-            nd = self.node.get(k)
-            if nd is None:
-                nd = self._new(k, f, None)
-                fresh.append(i)
-            ids.append(nd)
-        self._search([ids[i] for i in fresh], stack[fresh])
-        return self._class_keys_of(ids)
+def _chords(stack):
+    """(tail, span): the Klein chord tail + s span, 0 <= s <= 1, of each axis
+    of a (n, 16) hyperbolic stack, from its repelling fixed point to its
+    attracting one, where |conj beta w + conj alpha| > 1."""
+    alpha, beta_bar = _disk(stack)
+    one, other = (1j * alpha.imag + [[1.0], [-1.0]]
+                  * np.sqrt(alpha.real ** 2 - 1.0)) / beta_bar
+    swap = np.abs(beta_bar * one + np.conj(alpha)) <= 1.0
+    tail = np.where(swap, one, other)
+    return tail, np.where(swap, other, one) - tail
 
-    def _class_keys_of(self, ids):
-        """Class key of the component of every node in ids: among its
-        nodes of least norm, the key whose coefficients come first."""
-        canon = {r: min((self.keys[nd] for nd in self.least[r]),
-                        key=lambda k: np.frombuffer(k, np.int64).tolist())
-                 for r in {self._find(nd) for nd in ids}}
-        return [canon[self._find(nd)] for nd in ids]
 
-    def _find(self, i):
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
+def _clip(tail, span, octagon):
+    """(segment, exit) of each chord: the length 1/2 ln(s1 (1 - s0) / (s0 (1 -
+    s1))) of its part in F, s0 and s1 the parameters where it enters and
+    leaves F, and the letter of the side it leaves by.  Negative for a
+    chord that misses F, -inf when it runs parallel to a side outside F;
+    ConsistencyError in (_SEG_ZERO, _SEG_FLOOR)."""
+    conj_u, c = octagon
+    room = c - (tail[:, None] * conj_u).real
+    slope = (span[:, None] * conj_u).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        meet = room / slope
+        # slope 0: no bound inside the side's half-plane, empty outside it
+        s0 = np.where(slope < 0.0, meet, np.where(room < 0.0, 1.0, 0.0))
+        leave = np.where(slope > 0.0, meet, 1.0)
+        s0, s1 = s0.max(axis=1), leave.min(axis=1)
+        seg = np.where((s0 < 1.0) & (s1 > 0.0),
+                       0.5 * np.log(s1 * (1.0 - s0) / (s0 * (1.0 - s1))), -np.inf)
+    gap = seg[(seg > _SEG_ZERO) & (seg < _SEG_FLOOR)]
+    if len(gap):
+        raise ConsistencyError(
+            f"class walk: an axis meets the octagon in a segment of "
+            f"{float(gap[0])!r}, between {_SEG_ZERO:g} and {_SEG_FLOOR:g}")
+    return seg, leave.argmin(axis=1)
 
-    def _new(self, key, norm, root):
-        """A node for key, joined under root (a search's) unless None."""
-        nd = len(self.keys)
-        self.node[key] = nd
-        self.keys.append(key)
-        self.norms.append(norm)
-        self.parent.append(nd)
-        self.best.append(norm)
-        self.least.append([nd])
-        self.size.append(int(root is not None))
-        if root is not None:
-            self._join(root, nd)
-        return nd
 
-    def _join(self, src, r):
-        """Join the component of root r into that of root src."""
-        self.parent[r] = src
-        least, self.least[r] = self.least[r], None
-        best = self.best[src]
-        if self.best[r] <= best * (1.0 + 1e-9):  # else r has none of least norm
-            best = self.best[src] = min(best, self.best[r])
-            self.least[src] = [nd for nd in self.least[src] + least
-                               if self.norms[nd] <= best * (1.0 + 1e-9)]
-        self.size[src] += self.size[r]
-        if self.size[src] > _KEY_NODE_CAP:
-            raise AccuracyError(
-                f"class-key search: a class collected over {_KEY_NODE_CAP} "
-                f"keys (least squared norm {best!r}) without closing")
+def _side_classes(group, l_max):
+    """(keys, {class key: (ell, m)}) of the m-th powers, ell <= l_max, of the
+    16 elements whose axes are F's side lines: the cyclic three-letter
+    subwords of the relator and their inverses.  Each has one letter
+    conjugate among them, the other of its class (README, class walk); a
+    class is keyed by the lesser key of its two."""
+    inv = _inv(group.exact)
+    word = np.array([group.exact[i] if s > 0 else inv[i] for i, s in group.relator])
+    side = _mul(_mul(word, np.roll(word, -1, axis=0)), np.roll(word, -2, axis=0))
+    side = np.concatenate([side, _inv(side)])
+    index = {key: i for i, key in enumerate(_psl_keys(side))}
+    conj = (side @ _maps(group.exact, conjugate=True)).astype(np.int64)
+    pairs = [(j // len(word), index[k])
+             for j, k in enumerate(_psl_keys(conj.reshape(-1, 16))) if k in index]
+    if ([i for i, _ in pairs] != list(range(len(side)))
+            or set(pairs) != {(j, i) for i, j in pairs}):
+        raise ConsistencyError(f"side lines: letter conjugates {pairs} do not "
+                               f"pair the {len(side)} side-line elements")
+    keys, found, power = set(), {}, side
+    for m in itertools.count(1):
+        ell, power_keys = _lengths(power), _psl_keys(power)
+        if min(ell) > l_max:
+            return keys, found
+        keys.update(power_keys)
+        found.update({min(power_keys[i], power_keys[j]): (ell[i], m)
+                      for i, j in pairs if ell[i] <= l_max})
+        power = _mul(power, side)
 
-    def _search(self, frontier, mats):
-        """Run waves from frontier (node ids) whose matrices are mats."""
-        n_let = self.maps.shape[1] // 16
-        find, node, best = self._find, self.node, self.best
-        while frontier:
-            self.waves += 1
-            nxt, nxt_mats = [], []
-            for lo in range(0, len(frontier), KEY_BLOCK):
-                rows = [lo + j for j, nd in enumerate(frontier[lo:lo + KEY_BLOCK])
-                        if self.norms[nd] <= _KEY_SLACK * best[find(nd)]]
-                if not rows:
-                    continue
-                self.chunks += 1
-                cs = self.conjugates(mats[rows])
-                norms, keys = _keyed(cs)
-                picked = []
-                for j, row in enumerate(rows):
-                    # joins and new nodes below keep src a root
-                    src = find(frontier[row])
-                    for p in range(j * n_let, (j + 1) * n_let):
-                        nd = node.get(keys[p])
-                        if nd is not None:
-                            r = find(nd)
-                            if r != src:
-                                self._join(src, r)
-                        elif norms[p] <= _KEY_SLACK * best[src]:
-                            nxt.append(self._new(keys[p], norms[p], src))
-                            picked.append(p)
-                if picked:
-                    nxt_mats.append(cs[picked])
-            frontier = nxt
-            mats = np.concatenate(nxt_mats) if nxt_mats else None
+
+def _walk(group, stack, ells, l_max):
+    """{class key: (ell, m)} of the elements of a (n, 16) stack, of lengths
+    ells, whose axes cross F's interior: each is gamma_0^m, gamma_0
+    primitive (README, class walk).
+
+    From each, a walker steps gamma <- h^-1 gamma h by the letter h of the
+    side its axis leaves F by, onto the next piece of the same closed
+    geodesic, until its own key comes back: the segments then sum to ell /
+    m.  The class key is the least key among the walk's elements with a
+    positive segment.  ConsistencyError when an axis misses F (a wrong
+    exit), a walk does not close within the step cap, or ell / sum is not
+    an integer."""
+    maps, octagon = _maps(group.exact, conjugate=True), _octagon(group.exact)
+    cross = _clip(*_chords(stack), octagon)[0] >= _SEG_FLOOR
+    now, ells = stack[cross], np.asarray(ells)[cross]
+    # each positive step may be followed by 3 zero-length ones, at a vertex
+    cap = 4 * math.ceil(l_max / _SEG_FLOOR)
+    home = _psl_keys(now)
+    best, total, rows = list(home), np.zeros(len(now)), np.arange(len(now))
+    for _ in range(cap):
+        seg, exit_ = _clip(*_chords(now), octagon)
+        if not (seg >= -_SEG_ZERO).all():
+            raise ConsistencyError(f"class walk: an axis misses the octagon "
+                                   f"(segment {float(seg.min())!r}) after a "
+                                   "wrong exit")
+        pos = seg >= _SEG_FLOOR
+        total[rows[pos]] += seg[pos]
+        for i, key in zip(rows[pos], itertools.compress(_psl_keys(now), pos)):
+            best[i] = min(best[i], key)
+        for h in range(maps.shape[1] // 16):
+            now[exit_ == h] = now[exit_ == h] @ maps[:, 16 * h:16 * h + 16]
+        open_ = [key != home[i] for i, key in zip(rows, _psl_keys(now))]
+        rows, now = rows[open_], now[open_]
+        if not len(rows):
+            break
+    else:
+        raise ConsistencyError(f"class walk: {len(rows)} walks did not close "
+                               f"within {cap} steps")
+    ratio = ells / total
+    if (off := np.abs(ratio - np.rint(ratio)) > 1e-9).any():
+        raise ConsistencyError(f"class walk: a length over its walk's segment "
+                               f"sum is {float(ratio[off][0])!r}, not an integer")
+    return {key: (x, int(m))
+            for key, x, m in zip(best, ells.tolist(), np.rint(ratio))}
 
 
 @dataclass
@@ -381,41 +350,37 @@ class LengthSpectrum:
 _OCT_COSH_R = 1.0 + _SQRT2
 
 
+def _lengths(stack):
+    """2 acosh(|tr| / 2) of the exact traces tr = x + w of a (n, 16) stack,
+    in Z[sqrt2] on the Bolza group (README, class walk), each rounded once,
+    as a list; inf for the identity (trace 2)."""
+    tr = stack[:, :4] + stack[:, 12:]
+    if tr[:, 2:].any():
+        raise DomainError("length_spectrum: a trace is not in Z[sqrt2]")
+    return [2.0 * math.acosh(t / 2.0) if t > 2.0 else math.inf
+            for t in np.abs(tr[:, 0] + tr[:, 1] * _SQRT2).tolist()]
+
+
 def length_spectrum(group, l_max):
     """Oriented primitive conjugacy classes with length <= l_max.
 
-    Enumerates the matrix ball that is guaranteed to contain a
-    minimal-displacement member of every class with ell <= l_max,
-    canonicalizes every hyperbolic candidate to its class key, and marks
-    as a proper power every class that the exact m-th power of a class,
-    m ell <= l_max, keys to.  Lengths are 2 acosh(|tr| / 2) of the exact
-    traces tr, rounded once, and bucketed by them.
+    Enumerates the matrix ball that is guaranteed to hold a member of every
+    class with ell <= l_max whose axis crosses the interior of F, keys each
+    such class by walking its closed geodesic (_walk), which also tells
+    what power of a primitive class it is, and adds the side-line classes
+    (_side_classes).  Lengths are 2 acosh(|tr| / 2) of the exact traces tr,
+    rounded once, and bucketed by them.
     """
-    if l_max > 8.0:
-        raise DomainError("length_spectrum: desk scale stops at L_max = 8")
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
     exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9), _ELEMENT_BUDGET)
-    # the traces x + w, in Z[sqrt2] on the Bolza group (README, keyer)
-    tr = exact[:, :4] + exact[:, 12:]
-    if tr[:, 2:].any():
-        raise DomainError("length_spectrum: a trace is not in Z[sqrt2]")
-    traces, inv = np.unique(np.abs(tr[:, 0] + tr[:, 1] * _SQRT2),
-                            return_inverse=True)
-    # all but the identity (trace 2) are hyperbolic
-    ell = np.array([2.0 * math.acosh(t / 2.0) if t > 2.0 else math.inf
-                    for t in traces.tolist()])[inv]
-    keep = ell <= l_max
-    exact, ell = exact[keep], ell[keep].tolist()
-    keyer = _ClassKeyer(group.exact)
-    classes = {}
-    for i, ck in enumerate(keyer.class_keys(exact)):
-        classes.setdefault(ck, i)
-    powers = [functools.reduce(_mul, [exact[i]] * m) for i in classes.values()
-              for m in range(2, int((l_max + 1e-6) / ell[i]) + 1)]
-    proper = set(keyer.class_keys(np.concatenate(powers))) if powers else ()
-    prim = [ell[i] for ck, i in classes.items() if ck not in proper]
+    skip, found = _side_classes(group, l_max)
+    ell = _lengths(exact)
+    inner = [x <= l_max and key not in skip
+             for x, key in zip(ell, _psl_keys(exact))]
+    found.update(_walk(group, exact[inner], np.array(ell)[inner], l_max))
+    prim = [x for x, m in found.values() if m == 1]
     return LengthSpectrum([(x, prim.count(x)) for x in sorted(set(prim))],
-                          l_max, {ck: ell[i] for ck, i in classes.items()})
+                          l_max, {key: x for key, (x, _) in found.items()})
 
 
 @dataclass(frozen=True)
@@ -488,7 +453,49 @@ class SelbergReport:
 # sigma >= 1.6e-4).
 _IDENTITY_TOL = 1e-14
 _IDENTITY_MIN_NODES = 1 << 6
-IDENTITY_MAX_NODES = 1 << 20
+_IDENTITY_MAX_NODES = 1 << 20
+# ln of the largest double, less 6 >= ln(2 sigma sqrt(2 pi)) for every
+# sigma the envelope admits (sigma < sqrt(8 * 709.8) < 80).
+_LOG_ROOM = math.log(sys.float_info.max) - 6.0
+# The Bolza systole, 2 acosh(1 + sqrt 2): the least cutoff of a run.
+SYSTOLE = 2.0 * math.acosh(1.0 + _SQRT2)
+
+
+def _sigma_range(center):
+    """The sigma envelope [lo, hi] of a Gaussian of this center.
+
+    lo: two trapezoid levels of the identity term agree to its 1e-14
+    (about e^{-32}) only once the coarser step 2h aliases neither the
+    centre's oscillation, of frequency |center|, nor the tanh poles at
+    distance 1/2: pi / h >= |center| + 64.  With h = 8 / (sigma n) below
+    sigma = 0.2 and at most 2^20 nodes, sigma >= 8 (|center| + 64) /
+    (pi 2^20).  hi: the spectral term of the constant eigenfunction,
+    hat g(i/2) + hat g(-i/2) <= 2 sigma sqrt(2 pi) e^{sigma^2/8 + |center|/2},
+    stays finite while sigma^2/8 + |center|/2 <= _LOG_ROOM.
+    """
+    lo = 8.0 * (abs(center) + 64.0) / (math.pi * _IDENTITY_MAX_NODES)
+    return lo, math.sqrt(8.0 * max(_LOG_ROOM - abs(center) / 2.0, 0.0))
+
+
+def check_envelope(lmax, center, sigma):
+    """DomainError, whose value names the parameter at fault, unless
+    |center| <= 2 _LOG_ROOM, sigma lies in _sigma_range(center) and SYSTOLE
+    <= lmax <= 8 (desk scale), checked in that order."""
+    if not abs(center) <= 2.0 * _LOG_ROOM:
+        raise DomainError(f"expected |center| <= {2.0 * _LOG_ROOM!r}, where "
+                          "the spectral term stays finite", "center")
+    lo, hi = _sigma_range(center)
+    if not lo <= sigma <= hi:
+        raise DomainError(
+            f"expected a number in [{lo!r}, {hi!r}] at --center {center!r} "
+            "(low end 8 (|center| + 64) / (pi 2^20), from the identity "
+            "term's 2^20-node cap; high end sqrt(8 (ln DBL_MAX - 6 - "
+            "|center|/2)), where the spectral term stays finite)", "sigma")
+    if lmax > 8.0:
+        raise DomainError("expected a number <= 8 (desk scale)", "lmax")
+    if not lmax >= SYSTOLE:
+        raise DomainError(f"expected a number >= the systole {SYSTOLE!r}",
+                          "lmax")
 
 
 @functools.lru_cache(maxsize=16)
@@ -521,7 +528,7 @@ def identity_term(g):
     mass = abs(total)
     prev = total * top
     where = f"identity term (center {g.center!r}, sigma {g.sigma!r})"
-    while n < IDENTITY_MAX_NODES:
+    while n < _IDENTITY_MAX_NODES:
         n *= 2
         step = top / n
         odd = integrand(np.arange(1, n, 2) * step)

@@ -185,11 +185,12 @@ def _moment_seeds(lam, K, renormalized):
     M_0 is even in k and M_0(k+1) / M_0(k) = (a-k-1) / (a+k), a = -b =
     1/2 - i lam (DLMF 5.5.1): one product from M_0(0), raw the beta line
     integral exp(log_beta_line(b, b)), renormalized rho(lam) M_0(0) = 1.
-    A zero seed (Gamma(-b-k) or Gamma(-b+k) on a pole, tested per column;
-    a zero factor a-k-1 is column k+1's pole) raises DomainError with lam.
+    A zero seed (Gamma(-b-k) or Gamma(-b+k) on a pole, tested for k = 0..K,
+    as k and -k test the same pair; a zero factor a-k-1 is column k+1's
+    pole) raises DomainError with lam, naming the least such k >= 0.
     """
     b = -0.5 + 1j * lam
-    for k in range(-K, K + 1):
+    for k in range(K + 1):
         if is_gamma_pole(-(b + k)) or is_gamma_pole(-(b - k)):
             raise DomainError(
                 f"moment seeds at {_param_label(lam)}, K = {K}: M_0 of column "

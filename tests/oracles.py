@@ -13,8 +13,11 @@ row-by-row `csv`-module Laplace loader (`laplace_csv_rows`), the
 reference for the bulk `LaplaceSpectrum.from_csv`, and the
 per-matrix Selberg class keyer (`ring_mul_one`, `psl_key_one`,
 `ball_one`, `ClassKeyerOne`, `length_spectrum_one`), which writes the
-exact ring product out as scalar integer formulas, the reference for the
-batched keyer, and the order-by-order resonance sums
+exact ring product out as scalar integer formulas and keys each class by
+a search over minimal-norm conjugates: the reference for the batched
+ball, conjugates and powers, and for the classes, primitive lengths and
+side-line pairs the library's octagon walk finds, and the order-by-order
+resonance sums
 (`hc_partial_sums_one`), the reference for the running sums of
 `means.hc_partial_sum`, and the full-width table build
 (`coeff_table_full_width`), the reference for the mirrored k < 0 half of

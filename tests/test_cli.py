@@ -372,7 +372,7 @@ class TestSelberg:
     def test_test_fn_envelope_edges_run(self, tmp_path, capsys, center, end):
         # at either end of the --sigma range the identity term converges
         # and every report value is finite
-        lo, hi = cli._sigma_range(center)
+        lo, hi = selberg._sigma_range(center)
         sigma = lo if end == "low" else hi
         code = run(["selberg", "--out", str(tmp_path), "--lmax", "5",
                     f"--center={center!r}", "--sigma", repr(sigma)])
@@ -384,9 +384,9 @@ class TestSelberg:
 
     def test_sigma_range_values(self):
         # the ends stated in README
-        assert cli._sigma_range(5.5) == (LO_55, HI_55)
+        assert selberg._sigma_range(5.5) == (LO_55, HI_55)
         assert CENTER_MAX == 2.0 * (math.log(sys.float_info.max) - 6.0)
-        assert cli._sigma_range(CENTER_MAX)[1] == 0.0
+        assert selberg._sigma_range(CENTER_MAX)[1] == 0.0
 
     def test_weyl_rows_gated(self, tmp_path, monkeypatch, capsys):
         # an identity term 1.5 times too large moves every Weyl ratio past
@@ -669,7 +669,7 @@ def _sigma_step(center, sigma):
         return 2
     if not math.isfinite(float(center)):
         return None
-    lo, hi = cli._sigma_range(float(center))
+    lo, hi = selberg._sigma_range(float(center))
     return None if lo <= val <= hi else 4
 
 

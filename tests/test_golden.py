@@ -42,6 +42,9 @@ CASES = {
     # the selberg bench workload at seed 1
     "selberg_seed1": (["selberg", "--lmax", "8", "--center", "5.328746",
                        "--sigma", "0.531748"], cli.EXIT_OK),
+    # the first cutoff past twice the systole, where the squared side-line
+    # classes and the first proper powers enter
+    "selberg_lmax6_2": (["selberg", "--lmax", "6.2"], cli.EXIT_OK),
     "spherical_default": (["spherical-check"], cli.EXIT_OK),
     # the ladder bench workload at seed 1
     "ladder_seed1": (["spherical-check",

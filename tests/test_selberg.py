@@ -1,20 +1,20 @@
+import cmath
 import csv
 import functools
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfsl import selberg
-from gfsl.errors import (AccuracyError, BudgetError, ConstructionError,
-                         DomainError)
+from gfsl.errors import (AccuracyError, BudgetError, ConsistencyError,
+                         ConstructionError, DomainError)
 
 from oracles import (ClassKeyerOne, ball_one, bolza_float_one,
-                     bolza_words_oracle, exact_one,
-                     flat_one, frob_one, heat_pair_loop, identity_term_mp,
+                     bolza_words_oracle, exact_letters_one, exact_one,
+                     flat_one, heat_pair_loop, identity_term_mp,
                      length_spectrum_one,
                      mat_inv_one, mat_mul_one, power_one, psl_key_one,
                      ring_mul_one, trace_length_mp, value_one)
@@ -156,24 +156,6 @@ class TestLengthSpectrum:
             selberg.length_spectrum(bolza, 8.0)
         assert len(exc_info.value.partial) > 100
 
-    def test_class_key_stability(self, bolza):
-        # conjugating any class representative by a generator and
-        # re-canonicalizing must return the same key (no basin splitting),
-        # on the keyer that keyed the representatives and on a fresh one
-        keyer = selberg._ClassKeyer(bolza.exact)
-        ls = selberg.length_spectrum(bolza, 6.0)
-        exact = selberg._ball(bolza, _ball_cosh(6.0), 10 ** 6)
-        hyp = exact[_hyperbolic(exact, 6.0)]
-        reps = {}
-        for key, x in zip(keyer.class_keys(hyp), hyp):
-            reps.setdefault(key, x)
-        reps = list(reps.items())
-        assert len(reps) >= sum(mult for _, mult in ls.primitives)
-        conj = keyer.conjugates(np.array([x for _, x in reps[:200]]))
-        want = [key for key, _ in reps[:200] for _ in range(8)]
-        assert keyer.class_keys(conj) == want
-        assert selberg._ClassKeyer(bolza.exact).class_keys(conj) == want
-
 
 def _ball_cosh(l_max):
     # the displacement bound length_spectrum enumerates to
@@ -204,9 +186,9 @@ def ball8(bolza):
     return selberg._ball(bolza, _ball_cosh(8.0), 10 ** 6)
 
 
-class TestBatchedKeyer:
-    # the batched keyer must give exactly what the per-matrix exact keyer
-    # in oracles.py gives: same ball, conjugates, keys, classes and powers
+class TestExactStacks:
+    # the batched exact arithmetic must give exactly what the per-matrix
+    # reference in oracles.py gives: same ball, keys, conjugates and powers
 
     def test_ball_matches_reference(self, bolza, ball8):
         # the exact ball, normed from its exact coefficients, is the
@@ -244,33 +226,19 @@ class TestBatchedKeyer:
         stack = np.array([selberg._IDENTITY, row, -selberg._IDENTITY])
         assert _ints(selberg._psl_keys(stack))[1] == want
 
-    def test_conjugate_stack_matches_loop(self, bolza, ball8):
-        exact = ball8
-        keyer = selberg._ClassKeyer(bolza.exact)
+    def test_conjugate_maps_match_loop(self, bolza, ball8):
+        # the walk's letter conjugates a^-1 m a, rows of _maps(conjugate=True),
+        # are the reference's exact products
         ref = ClassKeyerOne(bolza)
-        cs = keyer.conjugates(exact)
-        want = [ref.conjugate(exact_one(r), i) for r in exact for i in range(8)]
+        cs = (ball8 @ selberg._maps(bolza.exact, conjugate=True))
+        cs = cs.astype(np.int64).reshape(-1, 16)
+        want = [ref.conjugate(exact_one(r), i) for r in ball8 for i in range(8)]
         assert cs.shape == (8 * 4401, 16)
         assert [tuple(r) for r in cs.tolist()] == list(map(flat_one, want))
-        norms, keys = selberg._keyed(cs)
-        assert np.allclose(norms, [frob_one(c) for c in want],
-                           rtol=1e-13, atol=0.0)
-        assert _ints(keys) == list(map(psl_key_one, want))
-
-    def test_class_keys_match_reference(self, bolza, ball8):
-        exact = ball8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        ref = ClassKeyerOne(bolza)
-        assert (_ints(keyer.class_keys(exact))
-                == [ref.key(exact_one(r)) for r in exact])
-        # every key both searches met belongs to the same class in each
-        shared = [k for k in keyer.node if _ints([k])[0] in ref.cache]
-        assert len(shared) > len(exact)
-        assert (_ints(keyer._class_keys_of([keyer.node[k] for k in shared]))
-                == [ref.cache[k] for k in _ints(shared)])
+        assert _ints(selberg._psl_keys(cs)) == list(map(psl_key_one, want))
 
     def test_powers_match_reference(self, ball8):
-        # the exact products and powers length_spectrum forms, bit for bit
+        # the exact products, inverses and powers, bit for bit
         rows = ball8[::37]
         for n in (2, 3):
             got = [functools.reduce(selberg._mul, [r] * n) for r in rows]
@@ -283,219 +251,215 @@ class TestBatchedKeyer:
         assert ([tuple(p) for p in selberg._inv(rows).tolist()]
                 == [flat_one(mat_inv_one(exact_one(r))) for r in rows])
 
-    def test_length_spectrum_matches_reference(self, bolza, spectrum8):
-        # same classes and multiplicities; every length within 2 ulp of
-        # 2 acosh(|a + b sqrt 2| / 2) to 40 digits, of its exact trace
-        prims, classes = length_spectrum_one(bolza, 8.0)
+
+@pytest.fixture(scope="module")
+def oracle8(bolza):
+    # the per-matrix keyer's L = 8 (primitives, {class key: length})
+    return length_spectrum_one(bolza, 8.0)
+
+
+def _near(x, l_max):
+    # a length within 2 ulp of a cutoff may round to either side of it
+    return abs(x - l_max) <= 2 * math.ulp(x)
+
+
+@pytest.fixture(scope="module")
+def starts8(bolza, ball8):
+    # the L = 8 walk's starts and their lengths: hyperbolic, off the side
+    # lines and their squares, and crossing F's interior
+    skip, _ = selberg._side_classes(bolza, 8.0)
+    ell = np.array(selberg._lengths(ball8))
+    keep = (ell <= 8.0) & [k not in skip for k in selberg._psl_keys(ball8)]
+    stack, ell = ball8[keep], ell[keep]
+    seg, _ = selberg._clip(*selberg._chords(stack), selberg._octagon(bolza.exact))
+    return stack[seg >= selberg._SEG_FLOOR], ell[seg >= selberg._SEG_FLOOR]
+
+
+@pytest.fixture(scope="module")
+def walked8(bolza, starts8):
+    return selberg._walk(bolza, *starts8, 8.0)
+
+
+class TestClassWalk:
+    def test_length_spectrum_matches_reference(self, spectrum8, oracle8):
+        # the per-matrix keyer's primitives and class count; every length
+        # within 2 ulp of 2 acosh(|a + b sqrt 2| / 2) to 40 digits, of its
+        # exact trace
+        prims, classes = oracle8
         assert [m for _, m in spectrum8.primitives] == [m for _, m in prims]
         assert len(spectrum8.classes) == len(classes) == 416
-        assert _ints(spectrum8.classes) == list(classes)
         pairs = [(got, want) for (got, _), (want, _) in
                  zip(spectrum8.primitives, prims)]
-        pairs += zip(spectrum8.classes.values(), classes.values())
+        pairs += zip(sorted(spectrum8.classes.values()), sorted(classes.values()))
         assert all(abs(got - want) <= 2 * math.ulp(want) for got, want in pairs)
 
-    def test_keying_runs_in_few_chunked_waves(self, bolza, monkeypatch):
-        # the L = 8 spectrum keys its classes in a few waves; every stack
-        # normed and keyed is a class_keys argument or one chunk of at
-        # most KEY_BLOCK frontier matrices times the 8 letters
-        keyers, sizes = [], []
-        real_keyer, real_keyed = selberg._ClassKeyer, selberg._keyed
+    @settings(max_examples=12, deadline=None)
+    @example(l_max=SYSTOLE)
+    @example(l_max=6.2)
+    @example(l_max=8.0)
+    @given(l_max=st.floats(SYSTOLE, 8.0))
+    def test_primitives_match_reference_at_every_cutoff(self, bolza, oracle8,
+                                                         l_max):
+        # the oracle's L = 8 primitives up to l_max; a bucket within 2 ulp
+        # of l_max is left out of both sides
+        got = [(x, m) for x, m in selberg.length_spectrum(bolza, l_max).primitives
+               if not _near(x, l_max)]
+        want = [(x, m) for x, m in oracle8[0]
+                if x <= l_max and not _near(x, l_max)]
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(abs(a - b) <= 2 * math.ulp(b)
+                   for (a, _), (b, _) in zip(got, want))
 
-        class Recording(real_keyer):
-            def __init__(self, gens):
-                super().__init__(gens)
-                keyers.append(self)
-
-        def keyed(stack):
-            sizes.append(len(stack))
-            return real_keyed(stack)
-
-        monkeypatch.setattr(selberg, "_ClassKeyer", Recording)
-        monkeypatch.setattr(selberg, "_keyed", keyed)
-        ls = selberg.length_spectrum(bolza, 8.0)
-        (keyer,) = keyers
-        assert len(ls.classes) == 416
-        assert 1 <= keyer.waves <= 5
-        assert len(sizes) == keyer.chunks + 2  # hyperbolic stack, powers
-        assert keyer.chunks <= keyer.waves * -(-len(keyer.keys)
-                                              // selberg.KEY_BLOCK)
-        assert max(sizes[1:-1]) <= 8 * selberg.KEY_BLOCK
-
-
-@pytest.fixture(scope="module")
-def keyed8(bolza, ball8):
-    stack = ball8[_hyperbolic(ball8, 8.0)]
-    return stack, selberg._ClassKeyer(bolza.exact).class_keys(stack)
-
-
-@pytest.fixture(scope="module")
-def ref_keyer(bolza):
-    return ClassKeyerOne(bolza)
-
-
-def _word_conjugate(ref, x, word):
-    # x conjugated by the letters of word one at a time, as the search
-    # conjugates, by the exact reference keyer ref
-    c = exact_one(x)
-    for a in word:
-        c = ref.conjugate(c, a)
-    return np.array(flat_one(c), dtype=np.int64)
-
-
-WORDS = [w for n in (1, 2, 3) for w in itertools.product(range(8), repeat=n)]
-
-
-class TestKeyerInvariance:
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1))
-    def test_shuffled_stack_gives_shuffled_keys(self, bolza, keyed8, seed):
-        # union order does not matter: a fresh keyer given the stack in
-        # any order returns the same keys in that order
-        stack, keys = keyed8
-        perm = np.random.default_rng(seed).permutation(len(stack)).tolist()
-        got = selberg._ClassKeyer(bolza.exact).class_keys(stack[perm])
-        assert got == [keys[i] for i in perm]
-
-    @settings(max_examples=5, deadline=None)
-    @given(i=st.integers(0, 2183))
-    def test_word_conjugates_key_to_class(self, bolza, keyed8, ref_keyer, i):
-        # m's conjugates by all 584 words of one to three letters, keyed as
-        # one stack on a keyer that has keyed the ball's hyperbolic
-        # elements, key to m's class, and the ball's keys do not move
-        stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        assert keyer.class_keys(stack) == keys
-        conj = np.array([_word_conjugate(ref_keyer, stack[i], w) for w in WORDS])
-        assert keyer.class_keys(conj) == [keys[i]] * len(WORDS)
-        assert keyer.class_keys(stack) == keys
-
-    @settings(max_examples=200, deadline=None)
-    @given(i=st.integers(0, 2183), w=st.integers(0, len(WORDS) - 1))
-    def test_lone_word_conjugate_keys_to_class(self, bolza, keyed8, ref_keyer,
-                                               i, w):
-        # a word conjugate of an L = 8 class, keyed alone on a fresh keyer
-        # with no other key to join, reaches its class's key
-        stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        conj = _word_conjugate(ref_keyer, stack[i], WORDS[w])
-        assert keyer.class_keys(conj[None]) == [keys[i]]
-        assert len(keyer.keys) <= 26
-
-    def test_former_runaway_keys_to_class(self, bolza, keyed8, ref_keyer):
-        # with 7-decimal float keys the lone search from this conjugate
-        # kept meeting new keys until the node cap stopped it
-        stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        conj = _word_conjugate(ref_keyer, stack[965], (0, 7, 3))
-        assert keyer.class_keys(conj[None]) == [keys[965]]
-        assert len(keyer.keys) <= 26
-
-    def test_node_cap_is_a_budget(self, bolza, keyed8, monkeypatch):
-        # the largest L = 8 class collects 26 keys, over a cap of 8
-        stack, _ = keyed8
-        monkeypatch.setattr(selberg, "_KEY_NODE_CAP", 8)
-        with pytest.raises(AccuracyError, match="class-key search: a class "
-                           "collected over 8 keys"):
-            selberg._ClassKeyer(bolza.exact).class_keys(stack)
-
-    def test_coefficient_guard(self, bolza, keyed8):
-        # a coefficient past 2^42 is refused before any search; up to it,
-        # every conjugate the search forms is exact in float64 (see
-        # _KEY_MAX_COEF)
-        stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        big = np.array([selberg._IDENTITY * (2 ** 42 + 1)])
-        with pytest.raises(AccuracyError, match="class keys: coefficient "
-                           "4398046511105 is above 2\\^42") as exc_info:
-            keyer.class_keys(np.concatenate([stack[:3], big]))
-        assert exc_info.value.value == 2 ** 42 + 1
-        assert keyer.keys == []
-        # at the bound itself the (central) matrix is keyed
-        edge = selberg._IDENTITY * 2 ** 42
-        assert _ints(keyer.class_keys(edge[None])) == [tuple(edge.tolist())]
-
-    def test_float_conjugates_exact_at_bound(self, bolza):
-        # the float64 conjugates equal the Python-int products of the
-        # reference for coefficients at 2^42, and for the 40 * 2^42 + 1 a
-        # search node may reach from such inputs, signed so that every
-        # partial sum of some column is as large as it can be
-        keyer = selberg._ClassKeyer(bolza.exact)
+    def test_side_lines_form_eight_classes(self, bolza):
+        # the cyclic three-letter subwords of the relator and their inverses
+        # lie on F's side lines; the per-matrix keyer puts them in 8 classes
+        # of two, w_j ~ w_(j+4)^-1, the classes _side_classes keys
+        letters = exact_letters_one(bolza)
+        word = [letters[i if s > 0 else i + 4] for i, s in selberg.BOLZA_RELATOR]
+        side = [mat_mul_one(mat_mul_one(word[j], word[(j + 1) % 8]),
+                            word[(j + 2) % 8]) for j in range(8)]
+        side += [mat_inv_one(w) for w in side]
         ref = ClassKeyerOne(bolza)
-        rng = np.random.default_rng(5)
-        rows = []
-        for top in (2 ** 42, 40 * 2 ** 42 + 1):
-            signs = np.sign(keyer.maps).T.astype(np.int64)  # one per column
-            rows += [top * signs, -top * signs,
-                     rng.integers(-top, top, size=(40, 16), endpoint=True)]
-        stack = np.concatenate(rows)
-        got = keyer.conjugates(stack)
-        want = [ref.conjugate(exact_one(r), i) for r in stack for i in range(8)]
-        assert [tuple(r) for r in got.tolist()] == list(map(flat_one, want))
-        assert np.abs(got).max() > 2 ** 52
+        ckeys = [ref.key(w) for w in side]
+        assert len(set(ckeys)) == 8
+        assert all(ckeys[j] == ckeys[8 + (j + 4) % 8] for j in range(8))
+        stack = np.array([flat_one(w) for w in side], dtype=np.int64)
+        keys = selberg._psl_keys(stack)
+        want = {min(k for k, c in zip(keys, ckeys) if c == ck): (SYSTOLE, 1)
+                for ck in ckeys}
+        assert selberg._side_classes(bolza, SYSTOLE) == (set(keys), want)
+        # their squares join at twice the systole
+        skip, found = selberg._side_classes(bolza, 8.0)
+        assert len(skip) == 32 and len(found) == 16
+        assert [m for _, m in sorted(found.values())] == [1] * 8 + [2] * 8
+        assert all(abs(x - m * SYSTOLE) <= 2 * math.ulp(x)
+                   for x, m in found.values())
+        # each axis runs along a side line: one letter's bound is tight
+        # along the whole chord
+        tail, span = selberg._chords(stack)
+        conj_u, c = selberg._octagon(bolza.exact)
+        room = np.abs(c - (tail[:, None] * conj_u).real)
+        slope = np.abs((span[:, None] * conj_u).real)
+        assert ((room + slope).min(axis=1) < 1e-15).all()
 
-    def test_node_cap_counts_search_nodes_only(self, bolza, keyed8,
-                                               monkeypatch):
-        # one call holding all 26 keys of the largest L = 8 class, more
-        # than the cap of 8, passes: its search adds no key, and a call's
-        # inputs do not count towards the cap
-        stack, keys = keyed8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        assert keyer.class_keys(stack) == keys
-        members = {}
-        for key, nd in keyer.node.items():
-            members.setdefault(keyer._find(nd), []).append(key)
-        biggest = max(members.values(), key=len)
-        assert len(biggest) == 26
-        monkeypatch.setattr(selberg, "_KEY_NODE_CAP", 8)
-        fresh = selberg._ClassKeyer(bolza.exact)
-        rows = np.array([np.frombuffer(k, np.int64) for k in biggest])
-        (want,) = keyer._class_keys_of([keyer.node[biggest[0]]])
-        assert fresh.class_keys(rows) == [want] * 26
-        assert len(fresh.keys) == 26
+    def test_walk_classes_and_powers(self, starts8, walked8):
+        # the 1336 starts key every class but the 16 side-line ones (8 at
+        # the systole, 8 at twice it): the 392 primitive classes less the 8
+        # side-line ones, and the squares of the other 16 at the systole
+        assert len(starts8[0]) == 1336 and len(walked8) == 416 - 16
+        powers = [m for _, m in walked8.values()]
+        assert powers.count(1) == 392 - 8 and powers.count(2) == 16
 
-    def test_class_keys_of_matches_full_scan(self, bolza, keyed8):
-        # the class keys kept per component equal a scan of every node,
-        # after keying the L = 8 hyperbolic stack and after its powers
-        stack, _ = keyed8
-        keyer = selberg._ClassKeyer(bolza.exact)
-        classes = {}
-        for x, key in zip(stack, keyer.class_keys(stack)):
-            classes.setdefault(key, x)
-        _assert_full_scan(keyer)
-        powers = [functools.reduce(selberg._mul, [x] * m)
-                  for x in classes.values() for m in (2, 3)]
-        keyer.class_keys(np.concatenate(powers))
-        _assert_full_scan(keyer)
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_walk_order_free(self, bolza, starts8, walked8, seed):
+        # the walkers do not interact: the starts in any order give the same
+        # classes
+        stack, ell = starts8
+        perm = np.random.default_rng(seed).permutation(len(stack))
+        assert selberg._walk(bolza, stack[perm], ell[perm], 8.0) == walked8
 
-    def test_coefficient_bound_inputs(self, bolza, ball8, keyed8, ref_keyer):
-        # the facts the int64 bound of _KEY_MAX_COEF rests on: the maps'
-        # absolute column sums are at most 47, and C(g) <= ||g|| / 2 + 1
-        # on the ball and on word conjugates of its hyperbolic elements
-        maps = selberg._ClassKeyer(bolza.exact).maps
-        assert np.abs(maps).sum(axis=0).max() == 47
-        stack, _ = keyed8
-        conj = np.array([_word_conjugate(ref_keyer, x, w) for x in stack[::50]
-                         for w in WORDS[::7]])
-        for rows in (ball8, conj):
-            vals = rows.reshape(-1, 4, 4) @ selberg._BASIS
-            norm = np.sqrt((vals * vals).sum(axis=1))
-            assert (np.abs(rows).max(axis=1) <= norm / 2.0 + 1.0).all()
+    def test_class_key_is_conjugation_invariant(self, bolza, starts8):
+        # the conjugates of an element by words of one and two letters whose
+        # axes cross F walk to its class alone
+        stack, ell = starts8
+        maps = selberg._maps(bolza.exact, conjugate=True)
+        crossing = 0
+        for i in range(0, len(stack), 67):
+            one = (stack[i:i + 1] @ maps).astype(np.int64).reshape(-1, 16)
+            two = (one @ maps).astype(np.int64).reshape(-1, 16)
+            conj = np.concatenate([one, two])
+            seg, _ = selberg._clip(*selberg._chords(conj),
+                                   selberg._octagon(bolza.exact))
+            crossing += int((seg >= selberg._SEG_FLOOR).sum())
+            want = selberg._walk(bolza, stack[i:i + 1], ell[i:i + 1], 8.0)
+            assert len(want) == 1
+            assert selberg._walk(bolza, conj, [ell[i]] * len(conj), 8.0) == want
+        assert crossing > 100
+
+    def test_clip_parallel_side(self, bolza):
+        # letter 0's side is the line y = -c; a horizontal chord is exactly
+        # parallel to it (slope 0): outside the side (y = -0.96) it misses
+        # F, and the horizontal diameter runs between two side midpoints,
+        # twice the inradius, which is the systole
+        octagon = selberg._octagon(bolza.exact)
+        assert octagon[0][0] == 1j
+        tail = np.array([-0.28 - 0.96j, -1.0 + 0j])
+        seg, _ = selberg._clip(tail, np.array([0.56 + 0j, 2.0 + 0j]), octagon)
+        assert seg[0] == -math.inf
+        assert abs(seg[1] - SYSTOLE) < 1e-14
+
+    def test_sliver_segment_raises(self, bolza):
+        # a chord cutting F's corner at angle pi/8, 1e-6 inside the vertex:
+        # a segment of 2.8e-5, in the gap no Bolza axis falls into
+        octagon = selberg._octagon(bolza.exact)
+        turn = cmath.exp(1j * math.pi / 8)
+        rho = octagon[1][0] / math.cos(math.pi / 8) - 1e-6
+        half = math.sqrt(1.0 - rho * rho)
+        with pytest.raises(ConsistencyError, match=r"in a segment of 2\.8.*e-05, "
+                           "between 1e-09 and 0.001"):
+            selberg._clip(np.array([(rho - 1j * half) * turn]),
+                          np.array([2j * half * turn]), octagon)
+
+    def test_non_integral_power_raises(self, bolza, starts8):
+        stack, ell = starts8
+        with pytest.raises(ConsistencyError, match=r"segment sum is 1\.(5|49999.*), not "
+                           "an integer"):
+            selberg._walk(bolza, stack[:40], 1.5 * ell[:40], 8.0)
+
+    def test_wrong_exit_misses_octagon(self, bolza, starts8, monkeypatch):
+        # leaving by the next side instead pulls an axis into a tile it
+        # does not cross
+        clip = selberg._clip
+
+        def next_side(tail, span, octagon):
+            seg, exit_ = clip(tail, span, octagon)
+            return seg, (exit_ + 1) % 8
+
+        monkeypatch.setattr(selberg, "_clip", next_side)
+        with pytest.raises(ConsistencyError, match="an axis misses the "
+                           "octagon .* after a wrong exit"):
+            selberg._walk(bolza, *[a[:40] for a in starts8], 8.0)
+
+    def test_unclosed_walk_hits_cap(self, bolza, starts8, monkeypatch):
+        # after the clip that picks the start, two honest steps, then back
+        # and forth between the two elements met: every segment is real,
+        # but the start never comes back.  A floor of 0.15, below every
+        # L = 8 segment, makes the cap 4 * ceil(8 / 0.15) = 216 steps
+        clip, exits = selberg._clip, []
+
+        def back_and_forth(tail, span, octagon):
+            seg, exit_ = clip(tail, span, octagon)
+            if len(exits) >= 3 and len(exits) % 2 == 1:
+                exit_ = np.full_like(exit_, (exits[2] + 4) % 8)
+            exits.append(int(exit_[0]))
+            return seg, exit_
+
+        monkeypatch.setattr(selberg, "_SEG_FLOOR", 0.15)
+        monkeypatch.setattr(selberg, "_clip", back_and_forth)
+        stack, ell = starts8
+        i = int(np.argmax(ell))
+        with pytest.raises(ConsistencyError, match="1 walks did not close "
+                           "within 216 steps"):
+            selberg._walk(bolza, stack[i:i + 1], ell[i:i + 1], 8.0)
+        assert len(exits) == 1 + 216
 
 
-def _assert_full_scan(keyer):
-    # every node's class key by a scan of all nodes: among its component's
-    # nodes of least norm, the least key as integers
-    roots = [keyer._find(nd) for nd in range(len(keyer.keys))]
-    least = {}
-    for r, f in zip(roots, keyer.norms):
-        least[r] = min(least.get(r, f), f)
-    canon = {}
-    for r, k, f in zip(roots, keyer.keys, keyer.norms):
-        if f <= least[r] * (1.0 + 1e-9):
-            canon[r] = min(canon.get(r, k), k, key=lambda b: _ints([b])[0])
-    ids = list(range(len(keyer.keys)))
-    assert keyer._class_keys_of(ids) == [canon[r] for r in roots]
+class TestEnvelope:
+    @pytest.mark.parametrize("args,name", [
+        ((8.0, 1e300, 0.5), "center"), ((8.0, 5.5, 0.0), "sigma"),
+        ((8.0, 5.5, math.inf), "sigma"), ((8.5, 5.5, 0.5), "lmax"),
+        ((3.0, 5.5, 0.5), "lmax"), ((9.0, 1e300, 0.0), "center")])
+    def test_fault_names_parameter(self, args, name):
+        with pytest.raises(DomainError, match="^expected ") as exc_info:
+            selberg.check_envelope(*args)
+        assert exc_info.value.value == name
+
+    def test_edges_pass(self):
+        lo, hi = selberg._sigma_range(5.5)
+        for l_max in (SYSTOLE, 8.0):
+            for sigma in (lo, hi):
+                assert selberg.check_envelope(l_max, 5.5, sigma) is None
 
 
 class TestTracePairs:

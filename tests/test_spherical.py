@@ -64,13 +64,14 @@ class TestSpectralParam:
                            match=f"double precision .*got {val!r}$"):
             make(val)
 
-    @pytest.mark.parametrize("nu,k_max", [(0.49999999999999994, 2),
-                                          (0.4999999999999998, 8)])
-    def test_moment_seed_on_pole_names_parameter(self, nu, k_max):
-        # 1/2 + nu - k rounds onto a pole: the seed is zero, before any row
+    @pytest.mark.parametrize("nu,k_max,k", [(0.49999999999999994, 2, 1),
+                                            (0.4999999999999998, 8, 3)])
+    def test_moment_seed_on_pole_names_parameter(self, nu, k_max, k):
+        # 1/2 + nu - k rounds onto a pole: the seed is zero, before any row;
+        # the error names the least such column k >= 0
         p = spherical.SpectralParam.complementary(nu)
         with pytest.raises(DomainError, match=f"at nu = {nu!r}, K = {k_max}:"
-                           " M_0 of column") as exc:
+                           f" M_0 of column k = {k} is zero") as exc:
             spherical.coeff_table(p, 4, k_max, spherical.BRANCH_MINUS)
         assert exc.value.value == p.lam
 
