@@ -22,8 +22,6 @@ exp(tau z) * v[n, k_out] * s[n, k_in].
 """
 
 import cmath
-import functools
-import itertools
 import math
 from dataclasses import astuple, dataclass
 
@@ -159,19 +157,31 @@ def build_k_matrices(p, K):
 
 
 def gauge_log(p, branch, n_top):
-    """log t_n for t_n = prod_{j<n} (-2 b_branch + j)^{-+1/2}, principal factors.
+    """L_n = sum_{j<n} 1/2 log((j + 1) / (-2b + j)), n <= n_top, b = b_branch:
+    log(t_n sqrt(n!)) for the gauge t_n = prod_{j<n} (-2b + j)^(-1/2).
 
-    The factors -2b +- j all have real part >= 1 (- 2 nu > 0 in the
-    complementary regime), so per-factor principal powers give the
-    continuous branch with t_0 = 1.
+    One running sum of ratios near 1, not the difference of two rounded
+    n-term sums of size ~1e4 (off by up to 8e-12 at n = 2000).  The
+    factors -2b + j all have real part >= 1, or >= 1 - 2 nu > 0 in the
+    complementary regime, so each ratio's principal log is the
+    difference of per-factor principal logs: the gauge's continuous
+    branch, with L_0 = 0.  Each part of the steps keeps one sign and
+    shrinks, so a partial sum is at least the next step and (total - new)
+    + step is the addition's rounding exactly (Fast2Sum); carried along,
+    it keeps L_n within 3e-14 of its 40-digit value for n <= 2000 (the
+    plain sum drifts to 4.0e-13 at lam = 20).
     """
-    b = p.b_plus if branch == BRANCH_PLUS else p.b_minus
-    c = -2.0 * b
+    c = -2.0 * (p.b_plus if branch == BRANCH_PLUS else p.b_minus)
     if is_gamma_pole(c):
         raise DomainError(f"gauge: -2b = {c} hits a branch point")
-    expo = -0.5 if branch == BRANCH_PLUS else 0.5
-    steps = (expo * cmath.log(c + n) for n in range(n_top))
-    return np.array(list(itertools.accumulate(steps, initial=0j)))
+    logs, total, comp = [0j], 0j, 0j
+    for j in range(n_top):
+        step = 0.5 * cmath.log((j + 1) / (c + j))
+        new = total + step
+        comp += (total - new) + step
+        total = new
+        logs.append(total + comp)
+    return np.array(logs)
 
 
 def block_rows(n_cols):
@@ -256,23 +266,14 @@ class _TableSpec:
         self.pre, self.phase = pre, phase
 
 
-@functools.lru_cache(maxsize=1)
-def _row_constants(N):
-    """Read-only 0.5 log n! and (-1)^n, n <= N, and sqrt(n), n <= N + 1."""
-    half_lf = 0.5 * np.array([math.lgamma(n + 1) for n in range(N + 1)])
-    parity = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    half_lf.flags.writeable = parity.flags.writeable = False
-    return half_lf, parity, tuple(math.sqrt(n) for n in range(N + 2))
-
-
 def _table_spec(p, N, K, branch, dual=False):
     """One branch table, or with dual=True the dual rows of the plus or
-    minus branch.  Plus: t_n^+ sqrt(n!) phase_k [x^n] two-factor; minus:
-    moments with t_n^- / sqrt(n!), a Gamma pole at lam = 0 (PoleError);
-    minus_renormalized: the rho-rescaled moments times (-1)^n, finite at
-    lam = 0, where they coalesce with plus."""
-    glog = gauge_log(p, branch, N)
-    half_lf, parity, _ = _row_constants(N)
+    minus branch.  Plus: t_n^+ sqrt(n!) = exp(L_n) (gauge_log) times
+    phase_k [x^n] two-factor; minus: moments with t_n^- / sqrt(n!) =
+    exp(-L_n), a Gamma pole at lam = 0 (PoleError); minus_renormalized:
+    the rho-rescaled moments times (-1)^n exp(-L_n), finite at lam = 0,
+    where they coalesce with plus.  The dual rows take (-1)^n exp(-+L_n)."""
+    logs = gauge_log(p, branch, N)
     ks = np.arange(-K, K + 1)
     # a prefactor may overflow to inf: _table_blocks names the table and
     # rows of every non-finite entry
@@ -280,21 +281,17 @@ def _table_spec(p, N, K, branch, dual=False):
         if dual and branch == BRANCH_PLUS:
             name, sign = "plus-branch dual", -1
             columns = _moment_columns(-p.lam, K)
-            pre = parity * np.exp(-glog - half_lf)
         elif dual and branch == BRANCH_MINUS:
             name, sign = "minus-branch dual", +1
             columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
-            pre = parity * np.exp(half_lf - glog)
         elif dual:
             raise DomainError(f"dual rows: unsupported branch {branch}")
         elif branch == BRANCH_PLUS:
             name, sign = "plus-branch", +1
             columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
-            pre = np.exp(glog + half_lf)
         elif branch == BRANCH_MINUS_RENORMALIZED:
             name, sign = "renormalized minus-branch", -1
             columns = _moment_columns(p.lam, K, renormalized=True)
-            pre = parity * np.exp(glog - half_lf)
         elif p.lam == 0:
             raise PoleError(f"{_table_name('minus-branch', p, N, K)}: raw "
                             "branch has a pole at lam = 0; use "
@@ -302,7 +299,10 @@ def _table_spec(p, N, K, branch, dual=False):
         else:
             name, sign = "minus-branch", -1
             columns = _moment_columns(p.lam, K)
-            pre = np.exp(glog - half_lf)
+        # exp(L_n) with the phase i^k / sqrt(pi), exp(-L_n) with (-i)^k
+        pre = np.exp(logs if sign > 0 else -logs)
+        if dual or branch == BRANCH_MINUS_RENORMALIZED:
+            pre *= (-1.0) ** np.arange(N + 1)
     return _TableSpec(_table_name(name, p, N, K), p.lam, columns, pre,
                       _phases(K, sign))
 
@@ -353,7 +353,7 @@ def _table_blocks(specs, rows):
     phase = cols[:, 4, K:].copy()
     cols = cols[:, :4, K:].transpose(1, 0, 2).reshape(4, -1)
     pre = np.stack([spec.pre for spec in specs], axis=1)
-    odd = -_row_constants(n_rows - 1)[1]
+    odd = np.where(np.arange(n_rows) % 2, 1.0, -1.0)
     rows = min(rows, n_rows)
     win = np.zeros((rows + 1, len(specs), K + 2), dtype=complex)
     half = np.empty((rows, len(specs), K + 1), dtype=complex)
@@ -426,25 +426,32 @@ def _audit(windows, relations, bands, specs, rows):
 
     windows yields (w0, n0, win) as _table_blocks does, win holding at
     most rows + 1 rows; every row pair (n, n + shift) inside win that
-    reaches a row from n0 on is scored.  Column k = 0..K-1 sums its right
-    side as (sup*c_{k+1} + diag*c_k) + sub*c_{k-1}; by the mirror the
-    full-width column -k (k = 1..K-1) sums the same products, up to sign,
-    as (sub*c_{k-1} + diag*c_k) + sup*c_{k+1}.  The score takes both, so it
-    is the full-width one to the bit (one sum without diag).  Returns
-    {name: worst score of each table}; a non-finite score raises
-    AccuracyError naming the table of `specs` and carrying its lam.
+    reaches a row from n0 on is scored.  Each entry of the columns
+    k = 0..K-1 scores its componentwise backward error (Oettli and
+    Prager, Numer. Math. 6, 1964), |lhs - rhs| / (((|S| + |L|) + |D|) +
+    |lhs|) with rhs = (S + D) + L, S = sup*c_{k+1}, D = diag*c_k and
+    L = sub*c_{k-1} (0/0 scores 0): the error against the size of the
+    entry's own terms, which does not grow with their cancellation as K
+    does.  The mirrored columns -k sum the same products in another order
+    and score the same up to rounding.  Relations with equal bands share
+    S, L and |S| + |L|.  Returns {name: worst score of each table}; a
+    non-finite score raises AccuracyError naming the table of `specs` and
+    carrying its lam.
     """
     n_tab, K = len(specs), specs[0].phase.size // 2
     width, size = n_tab * (K + 2), (rows + 1) * n_tab * (K + 2)
     worst = {name: np.zeros(n_tab) for name in relations}
     prods = np.zeros((len(bands), 2, size), dtype=complex)
-    terms, mags = np.zeros((3, size), dtype=complex), np.empty((5, size))
+    band_abs = np.zeros((len(bands), size))  # |S| + |L| per band pair
+    terms, mags = np.empty((2, size), dtype=complex), np.empty((2, size))
     with np.errstate(over="ignore", invalid="ignore"):
         for w0, n0, win in windows:
             c, m = win.reshape(-1), win.size
-            for (sup, sub), (up, down) in zip(bands, prods):
+            for (sup, sub), (up, down), both in zip(bands, prods, band_abs):
                 np.multiply(sup[1:m - 1], c[2:], out=up[1:m - 1])
                 np.multiply(sub[1:m - 1], c[:-2], out=down[1:m - 1])
+                np.add(np.abs(up[:m], out=mags[0, :m]),
+                       np.abs(down[:m], out=mags[1, :m]), out=both[:m])
             for name, (diag, group, coef, shift) in relations.items():
                 lo = max(w0, w0 - shift, n0 - max(shift, 0))
                 hi = min(w0 + len(win), w0 + len(win) - shift)
@@ -452,30 +459,24 @@ def _audit(windows, relations, bands, specs, rows):
                     continue
                 i, j, h = (lo - w0) * width, (hi - w0) * width, hi - lo
                 up, down = prods[group, :, i:j]
-                # |lhs|, |rhs|, |lhs - rhs|, the mirror's |lhs - rhs2|, |rhs2|
-                (lhs, rhs, rhs2), mag = terms[:, :j - i], mags[:, :j - i]
-                n_gap, gaps = 1 if diag is None else 2, terms[1:3, :j - i]
-                if diag is None:
-                    np.add(up, down, out=rhs)
-                else:
-                    dc = np.multiply(diag[:j - i], c[i:j], out=lhs)
-                    np.add(np.add(up, dc, out=rhs), down, out=rhs)
-                    np.add(np.add(down, dc, out=rhs2), up, out=rhs2)
-                    np.abs(rhs2, out=mag[4])
+                (lhs, rhs), (den, mag) = terms[:, :j - i], mags[:, :j - i]
                 # lhs = coef[n] * c[n + shift], coef spread over its table
                 lhs.reshape(h, n_tab, K + 2)[...] = coef[lo:hi, :, None]
                 np.multiply(lhs, c[i + shift * width:j + shift * width],
                             out=lhs)
-                np.abs(terms[:2, :j - i], out=mag[:2])
-                np.subtract(lhs, gaps[:n_gap], out=gaps[:n_gap])
-                np.abs(gaps[:n_gap], out=mag[2:2 + n_gap])
-                # max over columns k = 0..K-1, the mirror's over 1..K-1
-                mag = mag.reshape(5, h, n_tab, K + 2)
-                peak = mag[:3, ..., 1:-1].max(axis=3)
-                if diag is not None:
-                    np.maximum(peak[:0:-1], mag[3:, ..., 2:-1].max(axis=3),
-                               out=peak[:0:-1])
-                score = peak[2] / np.maximum(peak[:2].max(axis=0), 1e-300)
+                np.abs(lhs, out=mag)
+                if diag is None:
+                    np.add(up, down, out=rhs)
+                    np.add(band_abs[group, i:j], mag, out=den)
+                else:
+                    np.multiply(diag[:j - i], c[i:j], out=rhs)
+                    np.add(band_abs[group, i:j], np.abs(rhs, out=den), out=den)
+                    np.add(den, mag, out=den)
+                    np.add(np.add(up, rhs, out=rhs), down, out=rhs)
+                np.abs(np.subtract(lhs, rhs, out=rhs), out=mag)
+                np.divide(mag, np.maximum(den, 5e-324, out=den), out=mag)
+                # worst over columns k = 0..K-1 of each row and table
+                score = mag.reshape(h, n_tab, K + 2)[..., 1:-1].max(axis=2)
                 bad = _first_non_finite(score, lo)
                 if bad:
                     raise AccuracyError(
@@ -491,44 +492,42 @@ def _ladder_relations(p, branch, N, ops):
 
     The model actions are
         X:  (-n + b) s_{n,k}
-        U:  usign * sqrt(n) (n-1-2b)^(1/2) s_{n-1,k}
-        S:  ssign * (n-2b)^(1/2) sqrt(n+1) s_{n+1,k}
-    against the column action of the tridiagonal matrices.  Square roots
-    are per-factor principal, matching the gauge branch.
+        U:  sign * sqrt(n) (n-1-2b)^(1/2) s_{n-1,k}
+        S:  -sign * (n-2b)^(1/2) sqrt(n+1) s_{n+1,k}
+    against the column action of the tridiagonal matrices, sign = 1 on
+    the raw minus branch and -1 on the others.  Square roots are
+    per-factor principal, matching the gauge branch.
     """
-    plus = branch == BRANCH_PLUS
-    b = p.b_plus if plus else p.b_minus
-    usign = -1.0 if plus else 1.0
-    ssign = 1.0 if plus else -1.0
-    if branch == BRANCH_MINUS_RENORMALIZED:
-        usign, ssign = -usign, -ssign
-    sqrt_n = _row_constants(N)[2]
+    b = p.b_plus if branch == BRANCH_PLUS else p.b_minus
+    sign = 1.0 if branch == BRANCH_MINUS else -1.0
+    sqrt_n = [math.sqrt(n) for n in range(N + 2)]
     # (m - 2b)^(1/2), m = -1..N: U's factor at n = m + 1, S's at n = m
     roots = [cmath.sqrt(m - 2 * b) for m in range(-1, N + 1)]
     return {
         "X": (ops["X"], np.array([-n + b for n in range(N + 1)]), 0),
-        "U": (ops["U"], np.array([usign * r * q
+        "U": (ops["U"], np.array([sign * r * q
                                   for r, q in zip(sqrt_n, roots[:-1])]), -1),
-        "S": (ops["S"], np.array([ssign * q * r for q, r
+        "S": (ops["S"], np.array([-sign * q * r for q, r
                                   in zip(roots[1:], sqrt_n[1:])]), 1),
     }
 
 
 def intertwine_sweep(tables, N, K):
-    """Max relative residual of the X / U / S intertwining identities of
-    each (p, branch) table of `tables`, one {relation: residual} per table.
+    """Worst residual of the X / U / S intertwining identities of each
+    (p, branch) table of `tables`, one {relation: residual} per table.
 
     Relation (op, coef, shift) of _ladder_relations states, for every row
     n with 0 <= n + shift <= N,
         coef[n] * table[n + shift, k] = sum_j O_{jk} table[n, j]
-    on the interior columns k, with O the KBandedOperator op.  Each row
-    scores max|lhs - rhs| / max(max|lhs|, max|rhs|, 1e-300) and the
-    relation reports its worst row; a non-finite score raises
-    AccuracyError naming the table and the rows.  An error about one
-    table carries its p.lam as GfslError.value.  The tables are built and
-    audited together, block_rows rows at a time: no whole table is held.
-    Every table is set up before any recurrence runs, so a raw minus table
-    at lam = 0 raises its PoleError first.
+    on the interior columns k, with O the KBandedOperator op.  Each entry
+    of the columns k = 0..K-1 scores |lhs - rhs| / (|lhs| + |sup c_{k+1}|
+    + |diag c_k| + |sub c_{k-1}|), c = table[n], its componentwise
+    backward error (_audit), and the relation reports its worst entry; a
+    non-finite score raises AccuracyError naming the table and the rows.
+    An error about one table carries its p.lam as GfslError.value.  The
+    tables are built and audited together, block_rows rows at a time: no
+    whole table is held.  Every table is set up before any recurrence
+    runs, so a raw minus table at lam = 0 raises its PoleError first.
     """
     specs = [_table_spec(p, N, K, branch) for p, branch in tables]
     rows = min(block_rows(len(specs) * (2 * K + 1)), N + 1)

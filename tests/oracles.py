@@ -226,6 +226,20 @@ def coeff_table_full_width(spec):
     return out
 
 
+def gauge_log_mp(lam, branch, n_top):
+    """spherical.gauge_log at 40 digits: L_n = sum_{j<n} (log(j + 1) -
+    log(-2b + j)) / 2, n <= n_top, each log principal, b = b_+ for the
+    plus branch and b_- for any other; lam may be i nu."""
+    with mp.workdps(40):
+        sign = 1 if branch == "plus" else -1
+        c = 1 - 2 * sign * mp.mpc(0, 1) * mp.mpc(lam)
+        out, acc = [], mp.mpc(0)
+        for j in range(n_top + 1):
+            out.append(complex(acc))
+            acc += (mp.log(j + 1) - mp.log(c + j)) / 2
+        return np.array(out)
+
+
 def branch_table_mp(lam, branch, N, k):
     """Column k of spherical.coeff_table(p, N, K, branch), |k| <= K, at 40
     digits, from its own recurrence run at column k itself (a negative k
@@ -260,30 +274,30 @@ def branch_table_mp(lam, branch, N, k):
         return np.array(out)
 
 
-def _banded_row(op, row):
-    """Interior column action of a tridiagonal KBandedOperator on one row."""
-    return (op.diag[1:-1] * row[1:-1] + op.sup[1:-1] * row[2:]
-            + op.sub[1:-1] * row[:-2])
-
-
-def _row_loop_audit(rows, relations):
+def _row_loop_audit(rows, relations, first):
     """Intertwining residuals one coefficient row at a time.
 
     relations: name -> (op, coef(n), shift), stating
     coef(n) * rows[n + shift] = op applied to rows[n] on interior columns.
+    Each interior entry scores |lhs - rhs| / (((|S| + |L|) + |D|) + |lhs|)
+    with rhs = (S + D) + L, S, D, L the sup, diag and sub products (0/0
+    scores 0), summed as the sweep sums them; a relation reports its
+    worst entry over the interior columns from index `first` on.
     """
     res = dict.fromkeys(relations, 0.0)
     n_rows = len(rows)
     for n in range(n_rows):
+        row = rows[n]
         for name, (op, coef, shift) in relations.items():
             if not 0 <= n + shift < n_rows:
                 continue
             lhs = (coef(n) * rows[n + shift])[1:-1]
-            rhs = _banded_row(op, rows[n])
-            scale = max(float(np.max(np.abs(lhs))),
-                        float(np.max(np.abs(rhs))), 1e-300)
-            res[name] = max(res[name],
-                            float(np.max(np.abs(lhs - rhs))) / scale)
+            up = op.sup[1:-1] * row[2:]
+            dc = op.diag[1:-1] * row[1:-1]
+            down = op.sub[1:-1] * row[:-2]
+            den = ((np.abs(up) + np.abs(down)) + np.abs(dc)) + np.abs(lhs)
+            score = np.abs(lhs - ((up + dc) + down)) / np.maximum(den, 5e-324)
+            res[name] = max(res[name], float(np.max(score[first:])))
     return res
 
 
@@ -303,13 +317,17 @@ def ladder_coefficients(p, branch):
     }
 
 
-def intertwine_residual_rows(p, table, branch, ops):
+def intertwine_residual_rows(p, table, branch, ops, full_width=False):
     """Row-loop reference for one table of spherical.intertwine_sweep:
     `table` is spherical.coeff_table(p, N, K, branch), ops the
-    build_k_matrices(p, K) operators."""
+    build_k_matrices(p, K) operators.  It scores the sweep's columns
+    k = 0..K-1, or with full_width=True every interior column, the
+    mirrored k < 0 ones included."""
+    K = table.shape[1] // 2
     return _row_loop_audit(table, {
         name: (ops[name], coef, shift)
-        for name, (coef, shift) in ladder_coefficients(p, branch).items()})
+        for name, (coef, shift) in ladder_coefficients(p, branch).items()},
+        0 if full_width else K - 1)
 
 
 def global_trace_loop(spec, t, tol):

@@ -7,7 +7,10 @@ Name, an Attribute or an import alias, in cli.py, in another library
 module, in its own module outside its own body, or in the acceptance
 suite.  So must a public method or property of a library class, or else
 in bench/*.py, whose replay reads library attributes.  A name that only
-its own unit tests reach is dead code: delete it with them.  A name that
+its own unit tests reach is dead code: delete it with them.  So is an
+underscore-named top-level function, class or constant of any module
+under src/gfsl/ that its own module does not reference outside its own
+definition (no other module may read it).  A name that
 a module under src/gfsl/ or tests/ imports must be referenced, as a
 Name, somewhere in that module.  Every default of a library function or
 method parameter, or of a dataclass field, must be left out by at least
@@ -79,6 +82,41 @@ def test_every_public_library_name_is_referenced():
         "public library names that no CLI run, other library code, "
         "acceptance criterion or (for methods) bench script references: "
         f"{', '.join(unreached)}")
+
+
+def unreferenced_private(tree):
+    """Underscore names (not dunders) of the top-level functions, classes
+    and assigned constants of `tree` that `tree` references nowhere
+    outside their own definition."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            defined += [(name.id, node) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+    return [name for name, node in defined
+            if name.startswith("_") and not name.endswith("__")
+            and name not in _references(tree, node)]
+
+
+def test_every_private_library_name_is_referenced():
+    unused = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in unreferenced_private(_parse(path))]
+    assert not unused, ("underscore names that their own module never "
+                        f"references: {', '.join(unused)}")
+
+
+def test_unreferenced_private_name_is_flagged():
+    tree = ast.parse("_USED, _SPARE = 1, 2\n_ALONE: int = 3\n"
+                     "def _helper():\n    return _USED + _helper()\n"
+                     "class _Shape:\n    pass\n"
+                     "def public():\n    return __name__\n")
+    assert unreferenced_private(tree) == ["_SPARE", "_ALONE", "_helper",
+                                          "_Shape"]
 
 
 def _private_reads(trees):
