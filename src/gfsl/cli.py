@@ -26,12 +26,12 @@ from pathlib import Path
 # numpy's bundled OpenBLAS starts a worker pool at import unless told not
 # to, which slows every cold start (README, "Cold start"), and no
 # subcommand needs it: the BLAS/LAPACK work is 9-point polyfits, 4-term
-# norms and selberg's 128 x 16 by 16 x 128 products of integer
-# coefficients, which are exact however OpenBLAS splits them.  A value
-# the user sets wins.  gfsl.cli imports no numpy: numpy loads with the
-# first library module a subcommand runs (_lazy), after this line.  So
-# the default holds unless numpy was imported before gfsl.cli, which is
-# why gfsl/__init__ imports nothing.
+# norms and the selberg ball's 128 x 16 by 16 x 128 and walk's n x 16 by
+# 16 x 16 products of integer coefficients, exact however OpenBLAS splits
+# them.  A value the user sets wins.  gfsl.cli imports no numpy: numpy
+# loads with the first library module a subcommand runs (_lazy), after
+# this line.  So the default holds unless numpy was imported before
+# gfsl.cli, which is why gfsl/__init__ imports nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import BudgetError, DomainError, GfslError

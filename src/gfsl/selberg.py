@@ -500,8 +500,8 @@ def check_envelope(lmax, center, sigma):
 
 @functools.lru_cache(maxsize=16)
 def identity_term(g):
-    """|chi| * int hat g(r) r tanh(pi r) dr over the real line; cached,
-    as a selberg run pairs one (frozen) g six times.
+    """|chi| * int hat g(r) r tanh(pi r) dr over the real line; cached, as
+    a selberg run checks one (frozen) g up front, then pairs it per cutoff.
 
     The integrand is even, so this is twice the integral over [0, top],
     top = max(8/sigma, 40), where the Gaussian envelope has fallen to

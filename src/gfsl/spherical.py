@@ -6,9 +6,10 @@ dual (inverse-transform) rows, the per-coefficient intertwining audit,
 the threshold coalescence data, the correlation expansion and the
 flat-vs-spectral trace identity.
 
-One kernel builds every table: a recurrence over the stacked k >= 0
-columns of one or several tables (the k < 0 half is their exact mirror),
-scaled and checked block by block of rows, audited as they come.
+One kernel builds every table: a recurrence over the stacked columns
+k = 0..K of one or several tables (x -> -x maps mode k to -k, so the
+k < 0 half is the mirror entry[n, -k] = (-1)^(n+k) entry[n, k]), scaled
+and checked block by block of rows, audited as they come.
 
 Conventions.  The spectral parameter lam alone fixes the irreducible:
 mu = lam^2 + 1/4 and b_pm = -1/2 +- i lam are derived from it; the
@@ -35,10 +36,10 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # Entries (rows x tables x 2K + 1 columns) per block of a stacked build
 # and audit; its buffers, over the k >= 0 half, hold about half as many
-# however large N is and however many tables are stacked.  On a 12-table
-# sweep at (N, K) = (1000, 100) building both halves (2-core x86-64, numpy
-# 2.4, medians of 9 runs) 2^13..2^17 took 0.260, 0.227, 0.228, 0.245 and
-# 0.262 s; 2^13..2^16 peaked the CLI at 31.6, 32.1, 33.2, 35.4 MiB.
+# however large N is and however many tables are stacked.  The 12-table
+# ladder sweep, (N, K) = (1000, 100), took 0.161, 0.139, 0.136, 0.155 s at
+# 2^13..2^16 (medians of 31 alternating runs in process, quartiles overlap;
+# 2-core x86-64, numpy 2.4), the CLI peaking at 31.6, 32.5, 34.7, 39.3 MiB.
 BLOCK_ELEMENTS = 1 << 14
 
 # The largest N and K a sweep takes, a memory budget.  Besides its blocks,
@@ -190,7 +191,7 @@ def block_rows(n_cols):
 
 
 def _moment_seeds(lam, K, renormalized):
-    """M_0 of each moment column |k| <= K; every moment seed is made here.
+    """M_0 of each moment column k = 0..K; every moment seed is made here.
 
     M_0 is even in k and M_0(k+1) / M_0(k) = (a-k-1) / (a+k), a = -b =
     1/2 - i lam (DLMF 5.5.1): one product from M_0(0), raw the beta line
@@ -209,15 +210,14 @@ def _moment_seeds(lam, K, renormalized):
                 f"than about {math.ulp(K) / 2.0:.2g} from an integer",
                 lam)
     j = np.arange(K)
-    half = np.cumprod(np.concatenate((
+    return np.cumprod(np.concatenate((
         [1.0 if renormalized else cmath.exp(log_beta_line(b, b))],
         (-b - (j + 1.0)) / (-b + j))))
-    return np.concatenate((half[:0:-1], half))
 
 
 def _moment_columns(lam, K, renormalized=False):
     """(a, s, e, x0) of recurrence_blocks for the regularized moments
-    M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx, one column per |k| <= K.
+    M_n = int x^n (1+ix)^(b+k) (1-ix)^(b-k) dx, one column per k = 0..K.
 
     The recurrence (n+1+2 i lam) M_{n+1} = -2 i k M_n - n M_{n-1} is the
     moment form of (1+x^2) f' = (2ik + (2b) x) f.  Both fundamental
@@ -226,7 +226,7 @@ def _moment_columns(lam, K, renormalized=False):
     renormalizer rho(lam) = Gamma(1/2 - i lam) / (sqrt(pi) Gamma(-i lam)),
     which cancels the pole of Gamma(-2 i lam) in M_0 exactly.
     """
-    return (-2j * np.arange(-K, K + 1), -1.0, 2j * lam,
+    return (-2j * np.arange(K + 1), -1.0, 2j * lam,
             _moment_seeds(lam, K, renormalized))
 
 
@@ -237,8 +237,8 @@ def _phase(k, sign):
 
 
 def _phases(K, sign):
-    """Row of exp(sign * i k pi / 2) / sqrt(pi) over |k| <= K."""
-    return np.array([_phase(k, sign) / _SQRT_PI for k in range(-K, K + 1)])
+    """Row of exp(sign * i k pi / 2) / sqrt(pi) over k = 0..K."""
+    return np.array([_phase(k, sign) / _SQRT_PI for k in range(K + 1)])
 
 
 def require_finite(table, where):
@@ -258,8 +258,10 @@ def _table_name(branch, p, N, K):
 
 
 class _TableSpec:
-    """One table as a recurrence: entry [n, k+K] is pre[n] * x[n, k+K] *
-    phase[k+K], x the rows of recurrence_blocks(*columns)."""
+    """One table as a recurrence over k = 0..K (scalars or K + 1 values):
+    entry [n, k] is pre[n] * x[n, k] * phase[k], x the rows of
+    recurrence_blocks(*columns).  a is odd in k, s, e and x0 even and
+    phase(-k) = (-1)^k phase(k), so entry[n, -k] is (-1)^(n+k) entry[n, k]."""
 
     def __init__(self, name, lam, columns, pre, phase):
         self.name, self.lam, self.columns = name, lam, columns
@@ -274,7 +276,7 @@ def _table_spec(p, N, K, branch, dual=False):
     the rho-rescaled moments times (-1)^n exp(-L_n), finite at lam = 0,
     where they coalesce with plus.  The dual rows take (-1)^n exp(-+L_n)."""
     logs = gauge_log(p, branch, N)
-    ks = np.arange(-K, K + 1)
+    ks = np.arange(K + 1)
     # a prefactor may overflow to inf: _table_blocks names the table and
     # rows of every non-finite entry
     with np.errstate(over="ignore"):
@@ -320,21 +322,12 @@ def _first_non_finite(values, n0):
     return t, n0 + int(bad[0]), n0 + int(bad[-1])
 
 
-def _require_mirrored(x, mirror, specs, what):
-    """Raise unless x[t, ..., -k] == mirror[t, ..., k] for every table t."""
-    bad = np.flatnonzero(~(x[..., ::-1] == mirror).reshape(len(x), -1).all(1))
-    if bad.size:
-        raise ConsistencyError(f"{what.format(specs[bad[0]].name)} is not "
-                               "mirrored in k", specs[bad[0]].lam)
-
-
 def _table_blocks(specs, rows):
     """Scaled rows of the stacked tables `specs` (common N and K), by block.
 
-    One recurrence advances the k >= 0 columns of every table: x -> -x
-    maps column k to -k, entry[n, -k] = (-1)^(n+k) entry[n, k], exact up
-    to signs of zeros while a is odd in k, s, e, x0 even and phase(-k) =
-    (-1)^k phase(k), else ConsistencyError.  A block of `rows` rows is
+    One recurrence advances the columns k = 0..K of every table, as
+    _TableSpec describes them; the one k < 0 column kept, k = -1, is the
+    mirror (-1)^(n+1) entry[n, 1].  A block of `rows` rows is
     scaled as np.multiply(pre, x), then * phase (numpy's complex multiply
     is not bitwise commutative), and checked finite: AccuracyError names
     the first table with a non-finite entry in the first block holding
@@ -343,15 +336,10 @@ def _table_blocks(specs, rows):
     n0 - 1 if n0 > 0, which U and S pair with row n0.  The next block
     overwrites win.
     """
-    n_rows, K = specs[0].pre.size, specs[0].phase.size // 2
-    ks = np.arange(-K, K + 1)
-    cols = np.array([[np.broadcast_to(c, ks.shape) for c in spec.columns]
-                     + [spec.phase] for spec in specs], dtype=complex)
-    # mirror signs of a, s, e, x0 and phase
-    sign = (-1.0) ** np.stack([ks ** 0, 0 * ks, 0 * ks, 0 * ks, ks])
-    _require_mirrored(cols, sign * cols, specs, "{}: its recurrence")
-    phase = cols[:, 4, K:].copy()
-    cols = cols[:, :4, K:].transpose(1, 0, 2).reshape(4, -1)
+    n_rows, K = specs[0].pre.size, specs[0].phase.size - 1
+    cols = np.array([np.broadcast_arrays(*spec.columns, spec.phase)
+                     for spec in specs], dtype=complex).transpose(1, 0, 2)
+    phase, cols = cols[4].copy(), cols[:4].reshape(4, -1)
     pre = np.stack([spec.pre for spec in specs], axis=1)
     odd = np.where(np.arange(n_rows) % 2, 1.0, -1.0)
     rows = min(rows, n_rows)
@@ -404,12 +392,16 @@ def _stack_relations(per_table, specs, rows):
     pairs are equal.  Each operator must be mirrored as its table: for
     shift s, sup(-k) = -(-1)^s sub(k), diag(-k) = (-1)^s diag(k).
     """
-    K, stacked, bands = specs[0].phase.size // 2, {}, []
+    K, stacked, bands = specs[0].phase.size - 1, {}, []
     for name, (_, _, shift) in per_table[0].items():
         ops = np.array([astuple(rels[name][0]) for rels in per_table])
         sign = np.array([[1.0], [-1.0], [-1.0]]) * (-1.0) ** shift
-        _require_mirrored(ops, sign * ops[:, [0, 2, 1]], specs,
-                          f"ladder relation {name} of {{}}")
+        mirrored = ops[..., ::-1] == sign * ops[:, [0, 2, 1]]
+        bad = np.flatnonzero(~mirrored.reshape(len(ops), -1).all(1))
+        if bad.size:
+            raise ConsistencyError(
+                f"ladder relation {name} of {specs[bad[0]].name} is not "
+                "mirrored in k", specs[bad[0]].lam)
         laid = np.pad(ops[..., K:-1], [(0, 0), (0, 0), (1, 1)])
         diag, *pair = np.tile(laid.transpose(1, 0, 2).reshape(3, -1), rows + 1)
         if not any(np.array_equal(p, pair) for p in bands):
@@ -438,7 +430,7 @@ def _audit(windows, relations, bands, specs, rows):
     non-finite score raises AccuracyError naming the table of `specs` and
     carrying its lam.
     """
-    n_tab, K = len(specs), specs[0].phase.size // 2
+    n_tab, K = len(specs), specs[0].phase.size - 1
     width, size = n_tab * (K + 2), (rows + 1) * n_tab * (K + 2)
     worst = {name: np.zeros(n_tab) for name in relations}
     prods = np.zeros((len(bands), 2, size), dtype=complex)

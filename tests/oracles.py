@@ -215,14 +215,23 @@ def moment_seeds_mp(lam, K, renormalized=False):
 def coeff_table_full_width(spec):
     """One table of spherical._table_spec built over all its columns
     |k| <= K, as every table was built before the sweep went half-width:
-    one recurrence_blocks run over the 2K + 1 columns, scaled as
+    the columns k < 0 made from the description of k = 0..K (a odd in k;
+    s, e and x0 even; phase(-k) = (-1)^k phase(k)), then one
+    recurrence_blocks run over the 2K + 1 columns, scaled as
     np.multiply(pre, x) and then * phase."""
-    n_top = spec.pre.size - 1
-    ((_, x),) = recurrence_blocks(*spec.columns, n_top, n_top + 1)
+    n_top, K = spec.pre.size - 1, spec.phase.size - 1
+    a, s, e, x0, phase = np.broadcast_arrays(*spec.columns, spec.phase)
+
+    def full(col, sign=1.0):  # columns -K..K from k = 0..K
+        return np.concatenate((sign * col[:0:-1], col))
+
+    columns = full(a, -1.0), full(s), full(e), full(x0)
+    phase = full(phase, (-1.0) ** np.arange(K, 0, -1))
+    ((_, x),) = recurrence_blocks(*columns, n_top, n_top + 1)
     out = np.empty_like(x)
     out[...] = spec.pre[:, None]
     np.multiply(out, x, out=out)
-    out *= spec.phase
+    out *= phase
     return out
 
 

@@ -139,15 +139,21 @@ class TestSphericalCheck:
         minus = [float(r[3]) for r in rows if r[2].startswith("minus:")]
         assert len(minus) == 9 and max(minus) < 1e-9
 
-    def test_huge_lambda_overflows_without_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,lam,rows", [
+        (["--lambda", "1e300"], "1e+300", "4..40"),
+        (["--lambda", "8.9e307", "--nu", ""], "8.9e+307", "3..40"),
+    ], ids=["1e300", "8.9e307"])
+    def test_huge_lambda_overflows_without_warning(self, tmp_path, capsys,
+                                                   argv, lam, rows):
         # the prefactors overflow to inf quietly; the sweep names the table
-        # and rows (pytest turns any numpy warning into an error)
-        code = run(["spherical-check", "--out", str(tmp_path),
-                    "--lambda", "1e300"])
+        # and rows (pytest turns any numpy warning into an error).  At
+        # 8.9e307 the minus table's moment seeds are NaN as well, which an
+        # overflow must report as one, not as a broken recurrence
+        code = run(["spherical-check", "--out", str(tmp_path)] + argv)
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: --lambda: plus-branch table at lam = 1e+300, N = 40, "
-            "K = 8 has non-finite entries in rows 4..40 (double precision "
+            f"error: --lambda: plus-branch table at lam = {lam}, N = 40, "
+            f"K = 8 has non-finite entries in rows {rows} (double precision "
             "overflow)\n")
         assert not list(tmp_path.iterdir())
 
@@ -596,12 +602,13 @@ TOLS = {"1e-9": None, "0.5": None, "5e-324": None, "1e308": None,
 
 # spherical-check: 0 --tol, 1 --lambda and 2 --nu parse, 3 --n, 4 --k,
 # 5 and 6 the SpectralParam envelopes, 7 the raw minus pole at lambda = 0,
-# 8 a zero moment seed (1/2 + nu rounds to 1), 9 a table that overflows
-# (at lambda = 1e300 only from some N on, so it may pass).
+# 8 a zero moment seed (1/2 + nu rounds to 1), 9 and 10 a table that
+# overflows: at lambda = 1e300 only from some N on, so it may pass (9), at
+# 8.9e307 at every N, as the minus table's moment seeds are NaN (10).
 SPHERICAL_LAMBDAS = {"0.5": None, "2": None, "1e6": None,
                      "0.49999999999999994": None, "0.5000000000000001": None,
                      "nan": 1, "inf": 1, "-1": 5, "-5e-324": 5, "5e-324": 5,
-                     "1e308": 5, "0": 7, "1e300": 9}
+                     "1e308": 5, "0": 7, "1e300": 9, "8.9e307": 10}
 SPHERICAL_NUS = {"0.1": None, "0.3": None, "nan": 2, "-inf": 2, "0": 6,
                  "5e-324": 6, "-1": 6, "0.5": 6, "1e308": 6,
                  "0.49999999999999994": 8}
@@ -678,6 +685,7 @@ class TestFlagFuzz:
     @settings(max_examples=200)
     @example(["0"], ["0.1"], "3", "2", "1e-9")
     @example(["1e300"], ["0.1"], "3", "2", "1e-9")
+    @example(["8.9e307"], ["0.1"], "3", "2", "1e-9")
     @example(["2"], ["0.49999999999999994"], "3", "2", "1e-9")
     @example(["2"], ["0.1"], "10" * 11, "2", "1e-9")
     @example(["2"], ["0.1"], "3", "9" * 400, "1e-9")

@@ -95,16 +95,21 @@ class TestMomentSeeds:
     def test_seeds_match_mpmath(self, p, K):
         # raw seeds, the plus-branch dual rows' seeds (at -lam) and, for
         # real lam, the renormalized seeds; per-column log-Gamma seeds
-        # were off by 9.8e-12 in the column ratio at nu = 0.499, K = 100
+        # were off by 9.8e-12 in the column ratio at nu = 0.499, K = 100.
+        # The seeds cover k = 0..K; column -k takes column k's, which the
+        # 40-digit seeds, each from its own Gamma values, bear out exactly
         cases = [(p.lam, False), (-p.lam, False)]
         if p.regime == spherical.PRINCIPAL:
             cases.append((p.lam, True))
         for lam, renormalized in cases:
             got = np.asarray(spherical._moment_seeds(lam, K, renormalized))
-            want = moment_seeds_mp(lam, K, renormalized)
-            assert abs(got[K] - want[K]) <= 1e-12 * abs(want[K])
-            ratio = want / want[K]
-            err = np.max(np.abs(got / got[K] - ratio) / np.abs(ratio))
+            full = moment_seeds_mp(lam, K, renormalized)
+            assert np.array_equal(full[:K], full[:K:-1])
+            want = full[K:]
+            assert got.shape == want.shape
+            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+            ratio = want / want[0]
+            err = np.max(np.abs(got / got[0] - ratio) / np.abs(ratio))
             assert err <= 1e-13, (lam, renormalized, err)
 
 
@@ -317,6 +322,17 @@ class TestOverflow:
         msg = str(info.value)
         assert "plus-branch" in msg and "lam = 5.0" in msg
         assert "N = 2000" in msg and "K = 250" in msg
+
+    def test_nan_moment_seeds_are_an_overflow(self):
+        # at lam = 8.9e307 the minus table's moment seeds are NaN: an
+        # overflow from row 0, not a recurrence that fails its mirror
+        p = spherical.SpectralParam.principal(8.9e307)
+        with pytest.raises(AccuracyError) as info:
+            spherical.coeff_table(p, 40, 8, spherical.BRANCH_MINUS)
+        assert str(info.value) == (
+            "minus-branch table at lam = 8.9e+307, N = 40, K = 8 has "
+            "non-finite entries in rows 0..40 (double precision overflow)")
+        assert info.value.value == p.lam
 
 
 class TestDualCoeffs:
@@ -615,37 +631,6 @@ class TestSweep:
         full = _per_table(tables, N, K, full_width=True)
         gap = max(abs(f[rel] - g[rel]) for f, g in zip(full, got) for rel in g)
         assert gap <= 1e-16, gap
-
-    @pytest.mark.parametrize("branch", [spherical.BRANCH_PLUS,
-                                        spherical.BRANCH_MINUS])
-    @pytest.mark.parametrize("which", ["a", "s", "e", "x0", "phase"])
-    def test_column_off_at_one_negative_k_raises(self, monkeypatch, branch,
-                                                 which):
-        # one recurrence parameter (or the phase) off at k = -2 only: the
-        # k >= 0 half no longer gives the k < 0 half, and both the sweep
-        # and coeff_table refuse the table, naming it
-        make = spherical._table_spec
-
-        def off_at_minus_two(p, N, K, br, dual=False):
-            spec = make(p, N, K, br, dual)
-            if p is not P1:
-                return spec
-            cols = [np.array(np.broadcast_to(c, (2 * K + 1,)), dtype=complex)
-                    for c in (*spec.columns, spec.phase)]
-            i = ("a", "s", "e", "x0", "phase").index(which)
-            cols[i][K - 2] += 1e-9 * (1.0 + abs(cols[i][K - 2]))
-            spec.columns, spec.phase = tuple(cols[:4]), cols[4]
-            return spec
-
-        monkeypatch.setattr(spherical, "_table_spec", off_at_minus_two)
-        name = ("plus-branch" if branch == spherical.BRANCH_PLUS
-                else "minus-branch")
-        match = (rf"^{name} table at lam = 1\.0, N = 20, K = 6: its "
-                 r"recurrence is not mirrored in k$")
-        with pytest.raises(ConsistencyError, match=match):
-            spherical.intertwine_sweep([(PC, branch), (P1, branch)], 20, 6)
-        with pytest.raises(ConsistencyError, match=match):
-            spherical.coeff_table(P1, 20, 6, branch)
 
     def test_raw_minus_pole_before_any_recurrence(self, monkeypatch):
         monkeypatch.setattr(spherical, "recurrence_blocks", None)
