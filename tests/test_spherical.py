@@ -632,6 +632,41 @@ class TestSweep:
         gap = max(abs(f[rel] - g[rel]) for f, g in zip(full, got) for rel in g)
         assert gap <= 1e-16, gap
 
+    @pytest.mark.parametrize("branch", [spherical.BRANCH_PLUS,
+                                        spherical.BRANCH_MINUS])
+    @pytest.mark.parametrize("which", ["a", "s", "e", "x0", "phase"])
+    def test_column_off_at_one_k_fails_the_audit(self, monkeypatch, branch,
+                                                 which):
+        # one recurrence parameter (or the phase) off at k = 2 only: the
+        # audit scores that table's relations far above round-off, the
+        # other table's to the bit as before, and coeff_table carries the
+        # change to k = -2 alone, still mirrored
+        make, K = spherical._table_spec, 6
+        clean = spherical.intertwine_sweep([(PC, branch), (P1, branch)], 20, K)
+        whole = spherical.coeff_table(P1, 20, K, branch)
+
+        def off_at_two(p, N, K, br, dual=False):
+            spec = make(p, N, K, br, dual)
+            if p is not P1:
+                return spec
+            cols = [np.array(np.broadcast_to(c, (K + 1,)), dtype=complex)
+                    for c in (*spec.columns, spec.phase)]
+            i = ("a", "s", "e", "x0", "phase").index(which)
+            cols[i][2] += 1e-9 * (1.0 + abs(cols[i][2]))
+            spec.columns, spec.phase = tuple(cols[:4]), cols[4]
+            return spec
+
+        monkeypatch.setattr(spherical, "_table_spec", off_at_two)
+        got = spherical.intertwine_sweep([(PC, branch), (P1, branch)], 20, K)
+        assert got[0] == clean[0]
+        assert max(clean[1].values()) < 1e-15
+        assert max(got[1].values()) > 1e-10, got[1]
+        table = spherical.coeff_table(P1, 20, K, branch)
+        assert np.flatnonzero((table != whole).any(0)).tolist() == \
+            [K - 2, K + 2]
+        sign = (-1.0) ** np.arange(21)
+        assert np.array_equal(table[:, K - 2], sign * table[:, K + 2])
+
     def test_raw_minus_pole_before_any_recurrence(self, monkeypatch):
         monkeypatch.setattr(spherical, "recurrence_blocks", None)
         p0 = spherical.SpectralParam.threshold()
