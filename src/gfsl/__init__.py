@@ -6,12 +6,12 @@ specfun        complex log-Gamma, two-factor Taylor series, log of the
                regularized beta line integral, conical Legendre function
 oscillator     polynomial-times-Gaussian weak transforms
 spherical      one spherical irreducible: branch tables, gauge,
-               intertwining audit, threshold coalescence, correlation,
-               flat trace
+               intertwining audit, threshold coalescence, correlation
 discrete       one holomorphic discrete series: disk model, Cayley tables,
-               correlation, holomorphic flat trace
-global_traces  Laplace-spectrum ingestion, global trace forms
-selberg        Bolza group, length spectrum, tanh identity, wave-trace pair
+               correlation
+global_traces  per-irreducible flat traces, Riemann-Roch multiplicities,
+               tanh identity, Laplace-spectrum ingestion, global traces
+selberg        Bolza group, length spectrum, wave-trace pair
 means          Harish-Chandra expansion, wave residual, W-symbol defect
 cli            batch front end (entry point `gfsl`)
 

@@ -7,9 +7,9 @@ Subcommands run verification suites and emit CSV/JSON reports:
     gfsl selberg          --lmax 8 [--center 5.5 --sigma 0.5]
     gfsl means            --lambda 1,2,5 --m 8
 
-Exit codes: 0 pass, 1 usage or input error, 2 verification failure,
-3 resource budget exceeded.  Reports are byte-deterministic: floats are
-written with shortest round-trip repr, keys are sorted, line endings LF.
+Exit codes: 0 pass, 1 usage or input error, 2 verification failure.
+Reports are byte-deterministic: floats are written with shortest
+round-trip repr, keys are sorted, line endings LF.
 
 The library modules are bound here but compiled and run on their first
 attribute access (_lazy), so a cold process loads only the modules its
@@ -34,7 +34,7 @@ from pathlib import Path
 # gfsl.cli, which is why gfsl/__init__ imports nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import BudgetError, DomainError, GfslError
+from .errors import DomainError, GfslError
 
 
 def _lazy(name):
@@ -56,7 +56,6 @@ def _lazy(name):
 
 specfun = _lazy("specfun")
 spherical = _lazy("spherical")
-discrete = _lazy("discrete")
 global_traces = _lazy("global_traces")
 selberg = _lazy("selberg")
 means = _lazy("means")
@@ -64,7 +63,6 @@ means = _lazy("means")
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
-EXIT_BUDGET = 3
 
 
 def _fmt(x):
@@ -219,11 +217,10 @@ def cmd_traces(args):
         spec = global_traces.LaplaceSpectrum([], [], genus)
 
     def identities(t):
-        tr = spherical.trace_spherical(spherical.SpectralParam.threshold(),
-                                       t, tol)
-        td = discrete.trace_ds(2, t, tol)
+        tr = global_traces.trace_spherical(0j, t, tol)  # the threshold
+        td = global_traces.trace_ds(2, t, tol)
         # rejects t past about 711.17, before global_trace's cosh overflows
-        th = selberg.tanh_transform(t, tol)
+        th = global_traces.tanh_transform(t, tol)
         pre, post, tail = global_traces.global_trace(spec, t, tol)
         return [
             {"identity": "spherical_flat_vs_spectral", "t": t, "lambda": 0.0,
@@ -380,9 +377,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (GfslError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

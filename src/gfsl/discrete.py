@@ -1,4 +1,5 @@
-"""One holomorphic discrete series: disk model, Cayley coefficients, traces.
+"""One holomorphic discrete series: disk model, Cayley coefficients,
+correlation.
 
 The weighted Bergman basis is psi_k = binom(l+k-1, k)^(1/2) w^k.  The
 algebraic Cayley transform carries the circle-mode ladder into the
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spherical import CorrelationResult, KBandedOperator, require_finite
-from .specfun import geometric_sum, taylor_two_factor
+from .specfun import recurrence_blocks, two_factor_columns
 
 
 @dataclass
@@ -70,7 +71,8 @@ def cayley_coeffs(l, N, K):
     half = 0.5 * lb
     cay_f = (1.0 + 1j) ** l
     ks = np.arange(K + 1)
-    fwd = taylor_two_factor(-l - ks, ks, N)
+    ((_, fwd),) = recurrence_blocks(*two_factor_columns(-l - ks, ks), N,
+                                    N + 1)
     const = np.array([cay_f * (-1.0) ** k * math.exp(half[k])
                       for k in range(K + 1)])
     np.multiply(const, fwd, out=fwd)
@@ -78,7 +80,8 @@ def cayley_coeffs(l, N, K):
     cay_b = (1.0 - 1j) ** l
     im = np.array([(-1j) ** m for m in range(N + K + 2)])
     ns = np.arange(N + 1)
-    bwd = taylor_two_factor(ns, -l - ns, K)
+    ((_, bwd),) = recurrence_blocks(*two_factor_columns(ns, -l - ns), K,
+                                    K + 1)
     const = np.array([cay_b * math.exp(half[n]) for n in range(N + 1)])
     np.multiply(const, bwd, out=bwd)
     bwd *= im[ks[:, None] + ns]           # (-i)^(n+k) at [k, n]
@@ -107,20 +110,3 @@ def correlation_ds(l, k_out, k_in, tau, N):
             * (2.0 + N) ** power / (1.0 - math.exp(-tau)))
     return CorrelationResult(value, tail)
 
-
-def trace_ds(l, t, tol):
-    """Holomorphic flat trace e^{-tl/2}/(1-e^{-t}) and its resonance sum."""
-    DiscreteParam(l)
-    spectral, tail = geometric_sum(t, 1.0, 0.0, l / 2.0, tol)
-    flat = math.exp(-t * l / 2.0) / -math.expm1(-t)
-    return {"flat": flat, "spectral": spectral, "tail_bound": tail}
-
-
-def rr_multiplicity(genus, l):
-    """Multiplicity of the discrete series with lowest K-type l on genus g."""
-    if genus < 2:
-        raise DomainError("rr_multiplicity: genus must be >= 2")
-    DiscreteParam(l)
-    if l == 2:
-        return genus
-    return (l - 1) * (genus - 1)

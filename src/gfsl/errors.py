@@ -30,13 +30,5 @@ class ConsistencyError(GfslError):
     """Two routes that must agree numerically do not."""
 
 
-class BudgetError(GfslError):
-    """Resource budget exhausted; carries whatever partial result exists."""
-
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = partial
-
-
 class ConstructionError(GfslError):
     """A constructed object failed its own defining checks."""

@@ -1,11 +1,15 @@
-"""Global spectral trace over an ingested Laplace spectrum.
+"""Flat-vs-spectral traces, per irreducible and over a Laplace spectrum.
 
-Reads a Laplace spectrum (eigenvalues with multiplicities) and sums the
-global spectral trace of the propagator in its pre- and post-Riemann-Roch
-closed forms: the spherical branches per eigenvalue, the discrete series
-with Riemann-Roch multiplicities and the trivial representation.
+The flat trace of e^{tX} on one spherical irreducible or holomorphic
+discrete series against its resonance sum, the tanh Fourier identity,
+and the global spectral trace of the propagator over a Laplace spectrum
+(eigenvalues with multiplicities), the sum of those traces over the
+spherical branches per eigenvalue, the discrete series with Riemann-Roch
+multiplicities and the trivial representation, in its pre- and
+post-Riemann-Roch closed forms.
 """
 
+import cmath
 import math
 import os
 import sys
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .discrete import rr_multiplicity
 from .errors import ConsistencyError, DomainError
 
 # `np.loadtxt` row type of a Laplace file body
@@ -155,6 +158,60 @@ def _undecodable_line(path):
                         f"0x{raw[exc.start]:02x} at column {exc.start + 1} "
                         f"({exc.reason})")
     return "not UTF-8 text"
+
+
+def _ladder_trace(t, p0, c, tol):
+    # flat trace p0 e^{-tc} / (1 - e^{-t}) and its resonance sum
+    spectral, tail = specfun.geometric_sum(t, p0, 0.0, c, tol)
+    flat = p0 * math.exp(-t * c) / -math.expm1(-t)
+    return {"flat": flat, "spectral": spectral, "tail_bound": tail}
+
+
+def trace_spherical(lam, t, tol):
+    """Flat trace 2 cos(t lam) e^{-t/2} / (1 - e^{-t}) of exp(tX) on the
+    spherical irreducible lam (i nu if complementary: cosh(t nu)) and its
+    resonance sum, the ladders e^{-t(n + 1/2 -+ i lam)} of both branches."""
+    try:
+        p0 = 2.0 * cmath.cos(t * lam).real
+    except (OverflowError, ValueError):
+        raise DomainError(f"trace_spherical: cos(t lam) overflows at "
+                          f"t={t!r}, lam={lam}", value=t) from None
+    return _ladder_trace(t, p0, 0.5, tol)
+
+
+def _check_weight(l):
+    # the lowest K-type of a holomorphic discrete series
+    if l < 2 or l % 2:
+        raise DomainError(f"DiscreteParam: l = {l} must be even and >= 2")
+
+
+def trace_ds(l, t, tol):
+    """Holomorphic flat trace e^{-tl/2}/(1-e^{-t}) and its resonance sum."""
+    _check_weight(l)
+    return _ladder_trace(t, 1.0, l / 2.0, tol)
+
+
+def rr_multiplicity(genus, l):
+    """Multiplicity of the discrete series with lowest K-type l on genus g."""
+    if genus < 2:
+        raise DomainError("rr_multiplicity: genus must be >= 2")
+    _check_weight(l)
+    if l == 2:
+        return genus
+    return (l - 1) * (genus - 1)
+
+
+def tanh_transform(t, tol):
+    """Both sides of the tanh Fourier identity at t > 0: pole_sum, -2
+    sum_k (k + 1/2) e^{-t(k + 1/2)} until its tail, tail_bound, is at most
+    tol/2, and closed_form, -cosh(t/2) / (2 sinh^2(t/2))."""
+    pole_sum, tail = specfun.geometric_sum(t, -1.0, -2.0, 0.5, tol)
+    try:
+        closed = -0.5 * math.cosh(t / 2.0) / math.sinh(t / 2.0) ** 2
+    except OverflowError:
+        raise DomainError(f"tanh_transform: sinh(t/2)^2 overflows at "
+                          f"t={t!r}; t must stay below about 711.17") from None
+    return {"pole_sum": pole_sum, "closed_form": closed, "tail_bound": tail}
 
 
 def _spherical_sum(spec, t):

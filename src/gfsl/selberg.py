@@ -1,4 +1,4 @@
-"""Tanh identity and a desk-scale Selberg wave-trace harness.
+"""A desk-scale Selberg wave-trace harness.
 
 The geometric side is driven by a Fuchsian length-spectrum enumerator.
 Conjugacy classes are counted exactly at desk scale: group elements are
@@ -17,9 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import specfun
-from .errors import (AccuracyError, BudgetError, ConsistencyError,
-                     ConstructionError, DomainError)
+from .errors import (AccuracyError, ConsistencyError, ConstructionError,
+                     DomainError)
 
 _SQRT2 = math.sqrt(2.0)
 _R = math.sqrt(1.0 + _SQRT2)
@@ -124,12 +123,7 @@ def _psl_keys(stack):
     return signed.view("V128").ravel().tolist()
 
 
-# Elements the ball of length_spectrum may hold before BudgetError; the
-# L = 8 ball holds 4401.
-_ELEMENT_BUDGET = 2_000_000
-
-
-def _ball(group, max_cosh, budget):
+def _ball(group, max_cosh):
     """All group elements with cosh d(i, g i) = ||g||_F^2 / 2 <= max_cosh,
     as a (n, 16) exact stack, breadth-first; the float64 products of the
     coefficients are exact, every partial sum an integer below 2^53."""
@@ -149,10 +143,6 @@ def _ball(group, max_cosh, budget):
                     seen.add(key)
                     new.append(j)
             fresh.append(prod[new])
-            if sum(map(len, levels + fresh)) > budget:
-                raise BudgetError(
-                    f"ball enumeration exceeded budget of {budget} elements",
-                    partial=np.concatenate(levels + fresh))
         levels.append(np.concatenate(fresh))
     return np.concatenate(levels)
 
@@ -372,7 +362,7 @@ def length_spectrum(group, l_max):
     rounded once, and bucketed by them.
     """
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
-    exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9), _ELEMENT_BUDGET)
+    exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9))
     skip, found = _side_classes(group, l_max)
     ell = _lengths(exact)
     inner = [x <= l_max and key not in skip
@@ -419,19 +409,6 @@ class GaussianTestFn:
         z_hi = (hi - self.center) / (self.sigma * _SQRT2)
         inside = 0.5 * (math.erf(z_hi) - math.erf(z_lo))
         return max(0.0, 1.0 - inside)
-
-
-def tanh_transform(t, tol):
-    """Both sides of the tanh Fourier identity at t > 0: pole_sum, -2
-    sum_k (k + 1/2) e^{-t(k + 1/2)} until its tail, tail_bound, is at most
-    tol/2, and closed_form, -cosh(t/2) / (2 sinh^2(t/2))."""
-    pole_sum, tail = specfun.geometric_sum(t, -1.0, -2.0, 0.5, tol)
-    try:
-        closed = -0.5 * math.cosh(t / 2.0) / math.sinh(t / 2.0) ** 2
-    except OverflowError:
-        raise DomainError(f"tanh_transform: sinh(t/2)^2 overflows at "
-                          f"t={t!r}; t must stay below about 711.17") from None
-    return {"pole_sum": pole_sum, "closed_form": closed, "tail_bound": tail}
 
 
 @dataclass

@@ -131,31 +131,12 @@ def recurrence_blocks(a, s, e, x0, n_top, rows):
 
 def two_factor_columns(alpha, beta):
     """(a, s, e, x0) of recurrence_blocks whose columns are the Taylor
-    coefficients of (1+ix)^alpha (1-ix)^beta (see taylor_two_factor)."""
-    return 1j * (alpha - beta), alpha + beta, 0.0, 1.0
-
-
-def taylor_two_factor(alpha, beta, n_top):
-    """Taylor coefficients a_n of (1+ix)^alpha (1-ix)^beta, n = 0..n_top.
-
-    alpha and beta are scalars, giving a 1-D result, or equal-length 1-D
-    arrays, giving one column per (alpha, beta) pair.  Uses the exact
-    two-term recurrence obtained from
+    coefficients a_n of (1+ix)^alpha (1-ix)^beta, exact by
     (1+x^2) f' = (i(alpha-beta) + (alpha+beta) x) f:
         (n+1) a_{n+1} = i(alpha-beta) a_n + (alpha+beta-(n-1)) a_{n-1}.
     Both fundamental solutions are polynomially bounded, so the forward
-    recurrence is stable.
-    """
-    if n_top < 0:
-        raise DomainError("taylor_two_factor: n_top must be >= 0")
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    if alpha.shape != beta.shape or alpha.ndim > 1:
-        raise DomainError("taylor_two_factor: alpha and beta must be scalars "
-                          "or equal-length 1-D arrays")
-    ((_, a),) = recurrence_blocks(*two_factor_columns(alpha, beta), n_top,
-                                  n_top + 1)
-    return a[:, 0] if alpha.ndim == 0 else a
+    recurrence is stable."""
+    return 1j * (alpha - beta), alpha + beta, 0.0, 1.0
 
 
 def log_beta_line(alpha, beta):

@@ -3,8 +3,7 @@
 Builds the tridiagonal generator matrices on the circle-mode basis, the
 two branch-transform coefficient tables with their diagonal gauges, the
 dual (inverse-transform) rows, the per-coefficient intertwining audit,
-the threshold coalescence data, the correlation expansion and the
-flat-vs-spectral trace identity.
+the threshold coalescence data and the correlation expansion.
 
 One kernel builds every table: a recurrence over the stacked columns
 k = 0..K of one or several tables (x -> -x maps mode k to -k, so the
@@ -29,8 +28,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
-from .specfun import (geometric_sum, is_gamma_pole, log_beta_line,
-                      recurrence_blocks, two_factor_columns)
+from .specfun import (is_gamma_pole, log_beta_line, recurrence_blocks,
+                      two_factor_columns)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -644,16 +643,3 @@ def correlation(p, k_out, k_in, tau, N):
             / (1.0 - math.exp(-tau)))
     return CorrelationResult(value, tail)
 
-
-def trace_spherical(p, t, tol):
-    """Flat trace 2 cos(t lam) e^{-t/2} / (1 - e^{-t}) of exp(tX) on one
-    spherical irreducible (cosh(t nu) if lam = i nu) and its resonance sum:
-    the ladders e^{-t(n + 1/2 -+ i lam)} of both branches in one series."""
-    try:
-        p0 = 2.0 * cmath.cos(t * p.lam).real
-    except (OverflowError, ValueError):
-        raise DomainError(f"trace_spherical: cos(t lam) overflows at "
-                          f"t={t!r}, lam={p.lam}", value=t) from None
-    spectral, tail = geometric_sum(t, p0, 0.0, 0.5, tol)
-    flat = p0 * math.exp(-t / 2.0) / -math.expm1(-t)
-    return {"flat": flat, "spectral": spectral, "tail_bound": tail}

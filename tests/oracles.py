@@ -34,8 +34,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from gfsl.discrete import rr_multiplicity
 from gfsl.errors import AccuracyError, DomainError
+from gfsl.global_traces import rr_multiplicity
 from gfsl.means import hc_coefficient
 from gfsl.selberg import GaussianTestFn, identity_term
 from gfsl.specfun import geometric_sum, recurrence_blocks

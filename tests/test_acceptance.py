@@ -99,11 +99,11 @@ def test_criterion_04_per_irrep_traces():
         p = (spherical.SpectralParam.threshold() if lam == 0.0
              else spherical.SpectralParam.principal(lam))
         for t in (0.5, 1.0, 2.0):
-            tr = spherical.trace_spherical(p, t, 1e-12)
+            tr = gt.trace_spherical(p.lam, t, 1e-12)
             worst = max(worst, abs(tr["flat"] - tr["spectral"]))
     for l in (2, 4):
         for t in (0.5, 1.0, 2.0):
-            tr = discrete.trace_ds(l, t, 1e-12)
+            tr = gt.trace_ds(l, t, 1e-12)
             worst = max(worst, abs(tr["flat"] - tr["spectral"]))
     assert worst < 1e-12
     _report(4, f"flat traces equal resonance sums, tails at most 5e-13 "
@@ -165,15 +165,15 @@ def test_criterion_07_global_trace_algebra():
 
 
 def test_criterion_08_tanh_identity():
-    th2 = selberg.tanh_transform(2.0, 1e-10)
+    th2 = gt.tanh_transform(2.0, 1e-10)
     assert abs(th2["pole_sum"] - th2["closed_form"]) < 1e-10
     worst = 0.0
     for t in np.linspace(0.5, 5.0, 19):
-        th = selberg.tanh_transform(float(t), 1e-12)
+        th = gt.tanh_transform(float(t), 1e-12)
         gap = abs(th["pole_sum"] - th["closed_form"])
         assert gap < 1e-10
         worst = max(worst, gap)
-        th9 = selberg.tanh_transform(float(t), 1e-9)
+        th9 = gt.tanh_transform(float(t), 1e-9)
         assert th9["tail_bound"] <= 5e-10
         assert (abs(th9["pole_sum"] - th9["closed_form"])
                 <= th9["tail_bound"] + 1e-10)

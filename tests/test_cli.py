@@ -949,16 +949,6 @@ class TestUsage:
         cli.write_csv(path, ["a", "b"], [(np.float64(0.1), np.float64(-0.0))])
         assert path.read_text() == "a,b\n0.1,-0.0\n"
 
-    def test_budget_exit_code(self, tmp_path, monkeypatch):
-        from gfsl.errors import BudgetError
-
-        def exhausted(*args, **kwargs):
-            raise BudgetError("enumeration exceeded budget", partial=[])
-
-        monkeypatch.setattr(selberg, "length_spectrum", exhausted)
-        code = run(["selberg", "--out", str(tmp_path), "--lmax", "5"])
-        assert code == cli.EXIT_BUDGET
-
 
 def _python(args, cwd, **env_vars):
     """A fresh interpreter on src/; env_vars set variables of its
@@ -1078,9 +1068,7 @@ class TestImport:
         (["means", "--lambda", "2", "--m", "4"], {"specfun", "means"}),
         (["spherical-check", "--n", "20", "--k", "4"],
          {"specfun", "spherical"}),
-        # every library module but means and oscillator
-        (["traces", "--t", "1"], {"specfun", "spherical", "discrete",
-                                  "global_traces", "selberg"}),
+        (["traces", "--t", "1"], {"specfun", "global_traces"}),
     ], ids=["selberg", "means", "spherical-check", "traces"])
     def test_subcommand_loads_only_its_modules(self, tmp_path, argv, gfsl):
         # a cold run compiles and runs only the library modules its
@@ -1102,7 +1090,7 @@ class TestImport:
         want |= {f"gfsl.{name}" for name in gfsl}
         assert set(loaded) == want
         assert set(registered) == {"gfsl", "gfsl.cli", "gfsl.errors"} | {
-            f"gfsl.{name}" for name in ("specfun", "spherical", "discrete",
+            f"gfsl.{name}" for name in ("specfun", "spherical",
                                         "global_traces", "selberg", "means")}
 
     def test_library_modules_bound_at_cli_import(self, tmp_path):

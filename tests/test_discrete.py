@@ -99,34 +99,3 @@ class TestCorrelation:
         x_dense = discrete.build_disk_matrices(2, 200)["X"].as_dense()
         e_conj = galerkin_exp_oracle(np.conj(x_dense), 1.0)
         assert abs(mirror - e_conj[2, 1]) < 1e-8
-
-
-class TestTrace:
-    def test_worked_value(self):
-        tr = discrete.trace_ds(2, math.log(2.0), 1e-9)
-        assert abs(tr["flat"] - 1.0) < 1e-15
-
-    def test_flat_equals_partial_plus_tail(self):
-        for l in (2, 4):
-            for t in (0.5, 1.0, 2.0):
-                tr = discrete.trace_ds(l, t, 1e-13)
-                assert abs(tr["spectral"] - tr["flat"]) < 1e-13
-
-    def test_large_weight_vanishes(self):
-        assert discrete.trace_ds(40, 1.0, 1e-9)["flat"] < 1e-8
-
-
-class TestRiemannRoch:
-    @pytest.mark.parametrize("l,want", [(2, 2), (4, 3), (6, 5)])
-    def test_genus_two(self, l, want):
-        assert discrete.rr_multiplicity(2, l) == want
-
-    def test_general(self):
-        assert discrete.rr_multiplicity(3, 2) == 3
-        assert discrete.rr_multiplicity(3, 10) == 18
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            discrete.rr_multiplicity(1, 2)
-        with pytest.raises(DomainError):
-            discrete.rr_multiplicity(2, 3)

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfsl import discrete, global_traces as gt, spherical
+from gfsl import global_traces as gt, spherical
 from gfsl.errors import ConsistencyError, DomainError
 from oracles import global_trace_loop, laplace_csv_rows
 
 
+P1 = spherical.SpectralParam.principal(1.0)
+PC = spherical.SpectralParam.complementary(0.3)
 # complementary entries, mu = 1/4 exactly, principal entries and
 # multiplicities above 1
 MIXED = ([(0.25 * (j + 0.5) / 40, 1 + j % 3) for j in range(40)] + [(0.25, 2)]
@@ -374,10 +376,93 @@ class TestGlobalTrace:
                         math.sqrt(0.25 - mu))
                 else:
                     p = spherical.SpectralParam.threshold()
-                total += d * spherical.trace_spherical(p, t, 1e-9)["flat"]
+                total += d * gt.trace_spherical(p.lam, t, 1e-9)["flat"]
             for q in range(1, q_max + 1):
-                ml = discrete.rr_multiplicity(genus, 2 * q)
-                total += 2 * ml * discrete.trace_ds(2 * q, t, 1e-9)["flat"]
+                ml = gt.rr_multiplicity(genus, 2 * q)
+                total += 2 * ml * gt.trace_ds(2 * q, t, 1e-9)["flat"]
             pre, post, _ = gt.global_trace(spec, t, 1e-12)
             assert abs(total - pre) < 1e-10
             assert abs(total - post) < 1e-9
+
+
+class TestTraceSpherical:
+    def test_threshold_worked_value(self):
+        tr = gt.trace_spherical(spherical.SpectralParam.threshold().lam,
+                                 math.log(2.0), 1e-9)
+        assert abs(tr["flat"] - 2.8284271247461903) < 1e-14
+
+    def test_flat_equals_partial_plus_tail(self):
+        for p in (P1, PC, spherical.SpectralParam.threshold()):
+            for t in (0.5, 1.0, 2.0):
+                tr = gt.trace_spherical(p.lam, t, 1e-12)
+                assert abs(tr["spectral"] - tr["flat"]) < 1e-12
+
+    def test_geometric_tail_bound(self):
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+            tr = gt.trace_spherical(P1.lam, 1.0, tol)
+            gap = abs(tr["flat"] - tr["spectral"])
+            assert gap <= tr["tail_bound"] + 1e-15
+            assert tr["tail_bound"] <= tol / 2.0
+
+    def test_large_time_limit(self):
+        tr = gt.trace_spherical(P1.lam, 50.0, 1e-9)
+        assert abs(tr["flat"]) < 1e-10
+
+
+class TestTraceDS:
+    def test_worked_value(self):
+        tr = gt.trace_ds(2, math.log(2.0), 1e-9)
+        assert abs(tr["flat"] - 1.0) < 1e-15
+
+    def test_flat_equals_partial_plus_tail(self):
+        for l in (2, 4):
+            for t in (0.5, 1.0, 2.0):
+                tr = gt.trace_ds(l, t, 1e-13)
+                assert abs(tr["spectral"] - tr["flat"]) < 1e-13
+
+    def test_large_weight_vanishes(self):
+        assert gt.trace_ds(40, 1.0, 1e-9)["flat"] < 1e-8
+
+
+class TestRiemannRoch:
+    @pytest.mark.parametrize("l,want", [(2, 2), (4, 3), (6, 5)])
+    def test_genus_two(self, l, want):
+        assert gt.rr_multiplicity(2, l) == want
+
+    def test_general(self):
+        assert gt.rr_multiplicity(3, 2) == 3
+        assert gt.rr_multiplicity(3, 10) == 18
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            gt.rr_multiplicity(1, 2)
+        with pytest.raises(DomainError):
+            gt.rr_multiplicity(2, 3)
+
+
+class TestTanhIdentity:
+    def test_worked_example(self):
+        th = gt.tanh_transform(2.0, 1e-10)
+        assert abs(th["pole_sum"] - th["closed_form"]) < 1e-10
+
+    def test_pointwise_with_converged_sum(self):
+        for t in np.linspace(0.5, 5.0, 10):
+            th = gt.tanh_transform(float(t), 1e-12)
+            assert abs(th["pole_sum"] - th["closed_form"]) < 1e-10
+
+    def test_truncation_majorized_and_monotone(self):
+        t = 0.8
+        gaps = []
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8):
+            th = gt.tanh_transform(t, tol)
+            gap = abs(th["pole_sum"] - th["closed_form"])
+            # the tail is the exact rest of the series: equal to the gap
+            # up to rounding
+            assert gap <= th["tail_bound"] + 1e-14
+            assert th["tail_bound"] <= tol / 2.0
+            gaps.append(gap)
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_large_time_limit(self):
+        th = gt.tanh_transform(40.0, 1e-9)
+        assert abs(th["closed_form"]) < 1e-8

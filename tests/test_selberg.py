@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfsl import selberg
-from gfsl.errors import (AccuracyError, BudgetError, ConsistencyError,
-                         ConstructionError, DomainError)
+from gfsl.errors import (AccuracyError, ConsistencyError, ConstructionError,
+                         DomainError)
 
 from oracles import (ClassKeyerOne, ball_one, bolza_float_one,
                      bolza_words_oracle, exact_letters_one, exact_one,
@@ -150,12 +150,6 @@ class TestLengthSpectrum:
         assert iterates == [(p, mult) for p, mult, m, _ in spectrum8.orbits()
                             if m > 1]
 
-    def test_budget_error(self, bolza, monkeypatch):
-        monkeypatch.setattr(selberg, "_ELEMENT_BUDGET", 100)
-        with pytest.raises(BudgetError) as exc_info:
-            selberg.length_spectrum(bolza, 8.0)
-        assert len(exc_info.value.partial) > 100
-
 
 def _ball_cosh(l_max):
     # the displacement bound length_spectrum enumerates to
@@ -183,7 +177,7 @@ def _hyperbolic(exact, l_max):
 
 @pytest.fixture(scope="module")
 def ball8(bolza):
-    return selberg._ball(bolza, _ball_cosh(8.0), 10 ** 6)
+    return selberg._ball(bolza, _ball_cosh(8.0))
 
 
 class TestExactStacks:
@@ -492,34 +486,6 @@ class TestTracePairs:
                 want = 2.0 * math.cosh(m * ell / 2.0)
                 assert c == d == 0
                 assert abs(abs(a + b * s2) - want) <= 1e-12 * want
-
-
-class TestTanhIdentity:
-    def test_worked_example(self):
-        th = selberg.tanh_transform(2.0, 1e-10)
-        assert abs(th["pole_sum"] - th["closed_form"]) < 1e-10
-
-    def test_pointwise_with_converged_sum(self):
-        for t in np.linspace(0.5, 5.0, 10):
-            th = selberg.tanh_transform(float(t), 1e-12)
-            assert abs(th["pole_sum"] - th["closed_form"]) < 1e-10
-
-    def test_truncation_majorized_and_monotone(self):
-        t = 0.8
-        gaps = []
-        for tol in (1e-2, 1e-4, 1e-6, 1e-8):
-            th = selberg.tanh_transform(t, tol)
-            gap = abs(th["pole_sum"] - th["closed_form"])
-            # the tail is the exact rest of the series: equal to the gap
-            # up to rounding
-            assert gap <= th["tail_bound"] + 1e-14
-            assert th["tail_bound"] <= tol / 2.0
-            gaps.append(gap)
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
-
-    def test_large_time_limit(self):
-        th = selberg.tanh_transform(40.0, 1e-9)
-        assert abs(th["closed_form"]) < 1e-8
 
 
 class TestWaveTracePair:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfsl import cli, discrete, means, selberg, specfun, spherical
+from gfsl import cli, global_traces, means, specfun, spherical
 from gfsl.errors import AccuracyError, DomainError, PoleError
 
 from oracles import (beta_line_quad, cauchy_two_factor,
@@ -72,42 +72,44 @@ class TestLogGamma:
                    - specfun.log_gamma(z).conjugate()) < 1e-13
 
 
-class TestTaylorTwoFactor:
+def _two_factor(alpha, beta, n_top):
+    # Taylor coefficients of (1+ix)^alpha (1-ix)^beta, n = 0..n_top, one
+    # column per entry of alpha and beta
+    return _whole_table(*specfun.two_factor_columns(alpha, beta), n_top)
+
+
+class TestTwoFactorColumns:
     def test_trivial_cases(self):
-        a = specfun.taylor_two_factor(0.0, 0.0, 5)
+        a = _two_factor(0.0, 0.0, 5)[:, 0]
         assert np.allclose(a, [1, 0, 0, 0, 0, 0])
-        a = specfun.taylor_two_factor(1.0, 0.0, 4)
+        a = _two_factor(1.0, 0.0, 4)[:, 0]
         assert np.allclose(a, [1, 1j, 0, 0, 0])
 
     def test_vs_cauchy_product(self):
         b = -0.5 + 1j
-        a = specfun.taylor_two_factor(b + 1, b - 1, 20)
+        a = _two_factor(b + 1, b - 1, 20)[:, 0]
         want = cauchy_two_factor(b + 1, b - 1, 20)
         assert np.max(np.abs(a - want) / np.maximum(np.abs(want), 1e-30)) < 1e-12
 
     def test_column_batched(self):
         b = -0.5 + 1.3j
         ks = np.arange(-4, 5)
-        table = specfun.taylor_two_factor(b + ks, b - ks, 30)
+        table = _two_factor(b + ks, b - ks, 30)
         assert table.shape == (31, ks.size)
         for j, k in enumerate(ks):
             col = table[:, j]
             want = cauchy_two_factor(b + k, b - k, 30)
             # parity zeros at k = 0 make entrywise relative errors meaningless
             assert np.max(np.abs(col - want)) <= 1e-12 * np.max(np.abs(want))
-            assert np.array_equal(col, specfun.taylor_two_factor(b + k, b - k, 30))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(DomainError):
-            specfun.taylor_two_factor([1.0, 2.0], [1.0], 5)
+            assert np.array_equal(col, _two_factor(b + k, b - k, 30)[:, 0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
     def test_conjugate_swap_symmetry(self, ar, ai, br, bi):
         alpha = complex(ar, ai)
         beta = complex(br, bi)
-        a = specfun.taylor_two_factor(alpha, beta, 12)
-        swapped = specfun.taylor_two_factor(beta.conjugate(), alpha.conjugate(), 12)
+        a = _two_factor(alpha, beta, 12)[:, 0]
+        swapped = _two_factor(beta.conjugate(), alpha.conjugate(), 12)[:, 0]
         assert np.max(np.abs(swapped - np.conj(a))) <= 1e-12 * max(
             1.0, float(np.max(np.abs(a))))
 
@@ -421,17 +423,17 @@ class TestGeometricSum:
             gap = 1 - x
             ladder = 2 * mpmath.exp(-mt / 2) / gap
             cases = [
-                (spherical.trace_spherical(
-                    spherical.SpectralParam.principal(lam), t, tol),
+                (global_traces.trace_spherical(
+                    spherical.SpectralParam.principal(lam).lam, t, tol),
                  mpmath.cos(mt * lam) * ladder, ladder * (1.0 + t * lam)),
-                (spherical.trace_spherical(
-                    spherical.SpectralParam.complementary(nu), t, tol),
+                (global_traces.trace_spherical(
+                    spherical.SpectralParam.complementary(nu).lam, t, tol),
                  mpmath.cosh(mt * nu) * ladder,
                  mpmath.cosh(mt * nu) * ladder),
-                (discrete.trace_ds(l, t, tol), x ** (l / 2) / gap,
+                (global_traces.trace_ds(l, t, tol), x ** (l / 2) / gap,
                  x ** (l / 2) / gap)]
             tanh = -mpmath.sqrt(x) * (1 + x) / gap ** 2
-        th = selberg.tanh_transform(t, tol)
+        th = global_traces.tanh_transform(t, tol)
         cases.append(({"flat": th["closed_form"], "spectral": th["pole_sum"],
                        "tail_bound": th["tail_bound"]}, tanh, abs(tanh)))
         for got, want, size in cases:

@@ -766,30 +766,6 @@ class TestCorrelation:
             spherical.correlation(spherical.SpectralParam.threshold(), 0, 0, 1.0, 10)
 
 
-class TestTrace:
-    def test_threshold_worked_value(self):
-        tr = spherical.trace_spherical(spherical.SpectralParam.threshold(),
-                                       math.log(2.0), 1e-9)
-        assert abs(tr["flat"] - 2.8284271247461903) < 1e-14
-
-    def test_flat_equals_partial_plus_tail(self):
-        for p in (P1, PC, spherical.SpectralParam.threshold()):
-            for t in (0.5, 1.0, 2.0):
-                tr = spherical.trace_spherical(p, t, 1e-12)
-                assert abs(tr["spectral"] - tr["flat"]) < 1e-12
-
-    def test_geometric_tail_bound(self):
-        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
-            tr = spherical.trace_spherical(P1, 1.0, tol)
-            gap = abs(tr["flat"] - tr["spectral"])
-            assert gap <= tr["tail_bound"] + 1e-15
-            assert tr["tail_bound"] <= tol / 2.0
-
-    def test_large_time_limit(self):
-        tr = spherical.trace_spherical(P1, 50.0, 1e-9)
-        assert abs(tr["flat"]) < 1e-10
-
-
 class TestGrowthLaws:
     def test_branch_table_slopes(self):
         p = spherical.SpectralParam.principal(1.0)
