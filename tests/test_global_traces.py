@@ -408,6 +408,27 @@ class TestTraceSpherical:
         tr = gt.trace_spherical(P1.lam, 50.0, 1e-9)
         assert abs(tr["flat"]) < 1e-10
 
+    def test_threshold_lam_is_zero(self):
+        # the CLI passes 0j for the threshold irreducible
+        p = spherical.SpectralParam.threshold()
+        for t in (0.5, math.log(2.0), 3.0):
+            assert gt.trace_spherical(0j, t, 1e-12) == \
+                gt.trace_spherical(p.lam, t, 1e-12)
+
+    def test_complementary_flat_is_cosh(self):
+        # lam = i nu: 2 cos(t lam) = 2 cosh(t nu)
+        for t in (0.5, 1.0, 2.0):
+            want = (2.0 * math.cosh(t * 0.3) * math.exp(-t / 2.0)
+                    / -math.expm1(-t))
+            tr = gt.trace_spherical(PC.lam, t, 1e-12)
+            assert abs(tr["flat"] - want) <= 4e-16 * want
+
+    def test_cosh_overflow_names_t(self):
+        with pytest.raises(DomainError, match=r"cos\(t lam\) overflows at "
+                           r"t=10000.0, lam=0.3j") as exc_info:
+            gt.trace_spherical(PC.lam, 1e4, 1e-9)
+        assert exc_info.value.value == 1e4
+
 
 class TestTraceDS:
     def test_worked_value(self):
@@ -422,6 +443,18 @@ class TestTraceDS:
 
     def test_large_weight_vanishes(self):
         assert gt.trace_ds(40, 1.0, 1e-9)["flat"] < 1e-8
+
+    @pytest.mark.parametrize("l", [-2, 0, 1, 3])
+    def test_weight_checked_as_discrete_param(self, l):
+        # trace_ds and rr_multiplicity reject l with DiscreteParam's text
+        from gfsl.discrete import DiscreteParam
+        with pytest.raises(DomainError) as want:
+            DiscreteParam(l)
+        for call in (lambda: gt.trace_ds(l, 1.0, 1e-9),
+                     lambda: gt.rr_multiplicity(2, l)):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
 
 
 class TestRiemannRoch:
