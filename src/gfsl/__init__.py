@@ -2,15 +2,19 @@
 
 Modules
 -------
-specfun        complex log-Gamma, two-factor Taylor series, log of the
-               regularized beta line integral, conical Legendre function
+specfun        complex log-Gamma, row-blocked three-term recurrence
+               (two-factor Taylor series, moment tables), log of the
+               regularized beta line integral, periodic-trapezoid levels,
+               conical Legendre function, the traces' geometric series
 oscillator     polynomial-times-Gaussian weak transforms
-spherical      one spherical irreducible: branch tables, gauge,
-               intertwining audit, threshold coalescence, correlation
-discrete       one holomorphic discrete series: disk model, Cayley tables,
+spherical      one spherical irreducible, held as its complex lam: branch
+               tables, gauge, intertwining audit, threshold coalescence,
                correlation
-global_traces  per-irreducible flat traces, Riemann-Roch multiplicities,
-               tanh identity, Laplace-spectrum ingestion, global traces
+discrete       one holomorphic discrete series, held as its lowest K-type
+               l: disk model, Cayley tables, correlation
+global_traces  per-irreducible flat traces, the check of l, Riemann-Roch
+               multiplicities, tanh identity, Laplace-spectrum ingestion,
+               global traces
 selberg        Bolza group, length spectrum, wave-trace pair
 means          Harish-Chandra expansion, wave residual, W-symbol defect
 cli            batch front end (entry point `gfsl`)

@@ -167,21 +167,21 @@ def cmd_spherical_check(args):
         raise GfslError(f"--k: expected an integer <= {spherical.SWEEP_K_MAX}"
                         ", past which a table's row no longer fits one "
                         f"block of the sweep, got {args.k!r}")
-    params = [("principal", lam, p) for lam, p in _per_value(
-        "--lambda", lams, spherical.SpectralParam.principal)]
-    params += [("complementary", nu, p) for nu, p in _per_value(
-        "--nu", nus, spherical.SpectralParam.complementary)]
+    params = [("principal", val, lam) for val, lam in _per_value(
+        "--lambda", lams, spherical.principal)]
+    params += [("complementary", val, lam) for val, lam in _per_value(
+        "--nu", nus, spherical.complementary)]
     if not params:
         raise GfslError("--lambda and --nu: expected at least one number")
     branches = (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)
     # one stacked build and audit, block by block: no whole table is held;
     # every table is set up, and so every moment seed checked, first.  An
     # error about one table carries its lam, which names the flag.
-    flags = {p.lam: "--lambda" if regime == "principal" else "--nu"
-             for regime, _, p in params}
+    flags = {lam: "--lambda" if regime == "principal" else "--nu"
+             for regime, _, lam in params}
     try:
         residuals = spherical.intertwine_sweep(
-            [(p, branch) for _, _, p in params for branch in branches],
+            [(lam, branch) for _, _, lam in params for branch in branches],
             n_ord, k_ord)
     except GfslError as exc:
         if exc.value not in flags:
@@ -266,7 +266,10 @@ def cmd_selberg(args):
     out = _out_dir(args.out)
     group = selberg.bolza_group()
     ls = selberg.length_spectrum(group, l_max)
-    ls.to_csv(out / "length_spectrum.csv")
+    rows = [(ell, mult, 1) for ell, mult in ls.primitives]
+    rows += [(p, mult, 0) for p, mult, m, _ in ls.orbits() if m > 1]
+    write_csv(out / "length_spectrum.csv",
+              ["length", "multiplicity", "is_primitive"], sorted(rows))
     checks = {"relator_residual": group.relator_residual()}
     checks["systole"] = ls.systole
     checks["systole_error"] = abs(ls.systole - selberg.SYSTOLE)

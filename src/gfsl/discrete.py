@@ -1,12 +1,14 @@
 """One holomorphic discrete series: disk model, Cayley coefficients,
 correlation.
 
-The weighted Bergman basis is psi_k = binom(l+k-1, k)^(1/2) w^k.  The
-algebraic Cayley transform carries the circle-mode ladder into the
-resonance ladder -n - l/2; its forward/backward coefficient tables are
-two-factor Taylor expansions with explicit constants, so the correlation
-expansion needs no extra renormalization.  The anti-holomorphic series is
-the entrywise complex conjugate throughout.
+A series is held as its lowest K-type l alone, even and >= 2
+(global_traces.check_weight).  The weighted Bergman basis is psi_k =
+binom(l+k-1, k)^(1/2) w^k, k >= 0.  The algebraic Cayley transform
+carries the circle-mode ladder into the resonance ladder -n - l/2; its
+forward/backward coefficient tables are two-factor Taylor expansions
+with explicit constants, so the correlation expansion needs no extra
+renormalization.  The anti-holomorphic series is the entrywise complex
+conjugate throughout.
 """
 
 import math
@@ -15,26 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .global_traces import check_weight
 from .spherical import CorrelationResult, KBandedOperator, require_finite
 from .specfun import recurrence_blocks, two_factor_columns
-
-
-@dataclass
-class DiscreteParam:
-    """Lowest K-type l (even, >= 2); its Casimir value is -l(l-2)/4."""
-
-    l: int
-
-    def __post_init__(self):
-        if self.l < 2 or self.l % 2:
-            raise DomainError(f"DiscreteParam: l = {self.l} must be even and >= 2")
 
 
 def build_disk_matrices(l, K):
     """Theta, N+, N-, X on the truncated disk basis 0 <= k <= K."""
     if K < 2:
         raise DomainError("build_disk_matrices: K must be >= 2")
-    DiscreteParam(l)
+    check_weight(l)
     ks = np.arange(K + 1, dtype=float)
     c = np.sqrt((l + ks) * (ks + 1.0)).astype(complex)  # N+ psi_k = c_k psi_{k+1}
     zero = np.zeros(K + 1, dtype=complex)
@@ -65,7 +57,7 @@ class DiskCoeffTable:
 
 def cayley_coeffs(l, N, K):
     """Forward and backward Cayley tables with all constants included."""
-    DiscreteParam(l)
+    check_weight(l)
     lb = np.array([math.lgamma(l + n) - math.lgamma(n + 1) - math.lgamma(l)
                    for n in range(max(N, K) + 1)])
     half = 0.5 * lb
@@ -97,8 +89,11 @@ def correlation_ds(l, k_out, k_in, tau, N):
     value = sum_n exp(-tau (n + l/2)) backward[k_out, n] forward[n, k_in];
     the anti-holomorphic (mirror) series value is its complex conjugate.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError("correlation_ds: tau must be > 0")
+    for name, k in (("k_out", k_out), ("k_in", k_in)):
+        if k < 0:  # the disk basis has k >= 0 only
+            raise DomainError(f"correlation_ds: {name} = {k} must be >= 0")
     tab = cayley_coeffs(l, N, max(k_out, k_in))
     n = np.arange(N + 1)
     prod = tab.backward[k_out, :] * tab.forward[:, k_in]

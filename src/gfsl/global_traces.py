@@ -179,15 +179,16 @@ def trace_spherical(lam, t, tol):
     return _ladder_trace(t, p0, 0.5, tol)
 
 
-def _check_weight(l):
-    # the lowest K-type of a holomorphic discrete series
+def check_weight(l):
+    """DomainError unless l, the lowest K-type of a holomorphic discrete
+    series (Casimir value -l(l-2)/4), is even and >= 2."""
     if l < 2 or l % 2:
-        raise DomainError(f"DiscreteParam: l = {l} must be even and >= 2")
+        raise DomainError(f"discrete series: l = {l} must be even and >= 2")
 
 
 def trace_ds(l, t, tol):
     """Holomorphic flat trace e^{-tl/2}/(1-e^{-t}) and its resonance sum."""
-    _check_weight(l)
+    check_weight(l)
     return _ladder_trace(t, 1.0, l / 2.0, tol)
 
 
@@ -195,7 +196,7 @@ def rr_multiplicity(genus, l):
     """Multiplicity of the discrete series with lowest K-type l on genus g."""
     if genus < 2:
         raise DomainError("rr_multiplicity: genus must be >= 2")
-    _check_weight(l)
+    check_weight(l)
     if l == 2:
         return genus
     return (l - 1) * (genus - 1)

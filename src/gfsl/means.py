@@ -45,7 +45,7 @@ def hc_partial_sum(lam, t, M):
     order is (0 + x) + x with x the real part of the one branch: what
     0j + P + conj(P) rounds to, the sign of zero included.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("hc_partial_sum: t must be > 0")
     if M < 0:
         raise DomainError("hc_partial_sum: M must be >= 0")

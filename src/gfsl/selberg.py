@@ -321,15 +321,6 @@ class LengthSpectrum:
         out.sort()
         return out
 
-    def to_csv(self, path):
-        rows = [(ell, mult, 1) for ell, mult in self.primitives]
-        rows += [(p, mult, 0) for p, mult, m, _ in self.orbits() if m > 1]
-        rows.sort()
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("length,multiplicity,is_primitive\n")
-            for ell, mult, prim in rows:
-                fh.write(f"{ell!r},{mult},{prim}\n")
-
 
 # cosh r = cot(pi/8) for the inradius r of the Bolza octagon (its
 # circumradius has cosh R = (1 + sqrt 2)^2).  The open r-disks about the 8
@@ -382,7 +373,7 @@ class GaussianTestFn:
     amplitude: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise DomainError("GaussianTestFn: sigma must be > 0")
 
     def __call__(self, t):

@@ -10,10 +10,11 @@ k = 0..K of one or several tables (x -> -x maps mode k to -k, so the
 k < 0 half is the mirror entry[n, -k] = (-1)^(n+k) entry[n, k]), scaled
 and checked block by block of rows, audited as they come.
 
-Conventions.  The spectral parameter lam alone fixes the irreducible:
-mu = lam^2 + 1/4 and b_pm = -1/2 +- i lam are derived from it; the
-complementary regime is the substitution lam = i nu, 0 < nu < 1/2,
-everywhere in the same algebraic formulas.
+Conventions.  An irreducible is held as its spectral parameter lam
+alone, a complex number (principal, complementary): mu = lam^2 + 1/4 and
+the branch exponents b_pm = -1/2 +- i lam are formed from it where they
+are used; the complementary regime is the substitution lam = i nu,
+0 < nu < 1/2, everywhere in the same algebraic formulas.
 Coefficient tables are indexed [n, k+K] for 0 <= n <= N, |k| <= K.
 The dual table stores v[n, k] = <psi_k | T_branch^{-1} e_n>, which for
 real lam is the complex conjugate of the weak dual coefficient; the
@@ -52,61 +53,41 @@ BLOCK_ELEMENTS = 1 << 14
 SWEEP_N_MAX = (BLOCK_ELEMENTS << 6) // 8 - 1
 SWEEP_K_MAX = (BLOCK_ELEMENTS - 1) // 2
 
-PRINCIPAL = "principal"
-COMPLEMENTARY = "complementary"
-THRESHOLD = "threshold"
-
 BRANCH_PLUS = "plus"
 BRANCH_MINUS = "minus"
 BRANCH_MINUS_RENORMALIZED = "minus_renormalized"
 
 
-@dataclass
-class SpectralParam:
-    """One spherical irreducible, fixed by lam alone (i nu in the
-    complementary regime); mu = lam^2 + 1/4, the branch exponents b_pm =
-    -1/2 +- i lam and the regime are derived from it."""
+def principal(lam):
+    """The principal-series irreducible lam >= 0, as the complex lam."""
+    if lam < 0:
+        raise DomainError("principal: lam must be >= 0")
+    lam = float(lam)
+    if not math.isfinite(2.0 * lam):
+        raise DomainError(
+            "principal: expected lam <= DBL_MAX / 2, where the gauge "
+            f"base -2b = 1 - 2i lam is finite, got {lam!r}")
+    if lam > 0.0 and lam * lam + 0.25 == 0.25:
+        raise DomainError(
+            "principal: expected lam = 0 or mu = lam^2 + 1/4 above 1/4 in "
+            f"double precision (lam >= about 5.3e-9), got {lam!r}")
+    return complex(lam)
 
-    lam: complex
 
-    @classmethod
-    def principal(cls, lam):
-        if lam < 0:
-            raise DomainError("principal: lam must be >= 0")
-        lam = float(lam)
-        if not math.isfinite(2.0 * lam):
-            raise DomainError(
-                "principal: expected lam <= DBL_MAX / 2, where the gauge "
-                f"base -2b = 1 - 2i lam is finite, got {lam!r}")
-        p = cls(lam)
-        if lam > 0.0 and p.mu == 0.25:
-            raise DomainError(
-                "principal: expected lam = 0 or mu = lam^2 + 1/4 above 1/4 in "
-                f"double precision (lam >= about 5.3e-9), got {lam!r}")
-        return p
+def complementary(nu):
+    """The complementary-series irreducible 0 < nu < 1/2, as lam = i nu."""
+    if not 0.0 < nu < 0.5:
+        raise DomainError("complementary: nu must lie in (0, 1/2)")
+    if 0.25 - nu * nu == 0.25:
+        raise DomainError(
+            "complementary: expected mu = 1/4 - nu^2 below 1/4 in double "
+            f"precision (nu >= about 3.7e-9), got {nu!r}")
+    return complex(1j * nu)
 
-    @classmethod
-    def complementary(cls, nu):
-        if not 0.0 < nu < 0.5:
-            raise DomainError("complementary: nu must lie in (0, 1/2)")
-        p = cls(1j * nu)
-        if p.mu == 0.25:
-            raise DomainError(
-                "complementary: expected mu = 1/4 - nu^2 below 1/4 in double "
-                f"precision (nu >= about 3.7e-9), got {nu!r}")
-        return p
 
-    @classmethod
-    def threshold(cls):
-        return cls(0.0)
-
-    def __post_init__(self):
-        lam = self.lam = complex(self.lam)
-        self.mu = (lam * lam + 0.25).real
-        self.b_plus = -0.5 + 1j * lam
-        self.b_minus = -0.5 - 1j * lam
-        self.regime = THRESHOLD if self.mu == 0.25 else (
-            PRINCIPAL if self.mu > 0.25 else COMPLEMENTARY)
+def _b(lam, branch):
+    # the branch exponent b = -1/2 + i lam of plus, -1/2 - i lam otherwise
+    return -0.5 + 1j * lam if branch == BRANCH_PLUS else -0.5 - 1j * lam
 
 
 @dataclass
@@ -132,11 +113,10 @@ class KBandedOperator:
         return out
 
 
-def build_k_matrices(p, K):
+def build_k_matrices(lam, K):
     """Tridiagonal matrices of X, U, S, Theta, N+, N- on |k| <= K."""
     if K < 2:
         raise DomainError("build_k_matrices: K must be >= 2")
-    lam = p.lam
     ks = np.arange(-K, K + 1, dtype=float)
     zero = np.zeros_like(ks, dtype=complex)
     # raising/lowering amplitudes of N+ and N-
@@ -156,7 +136,7 @@ def build_k_matrices(p, K):
     }
 
 
-def gauge_log(p, branch, n_top):
+def gauge_log(lam, branch, n_top):
     """L_n = sum_{j<n} 1/2 log((j + 1) / (-2b + j)), n <= n_top, b = b_branch:
     log(t_n sqrt(n!)) for the gauge t_n = prod_{j<n} (-2b + j)^(-1/2).
 
@@ -171,7 +151,7 @@ def gauge_log(p, branch, n_top):
     it keeps L_n within 3e-14 of its 40-digit value for n <= 2000 (the
     plain sum drifts to 4.0e-13 at lam = 20).
     """
-    c = -2.0 * (p.b_plus if branch == BRANCH_PLUS else p.b_minus)
+    c = -2.0 * _b(lam, branch)
     if is_gamma_pole(c):
         raise DomainError(f"gauge: -2b = {c} hits a branch point")
     logs, total, comp = [0j], 0j, 0j
@@ -199,7 +179,7 @@ def _moment_seeds(lam, K, renormalized):
     as k and -k test the same pair; a zero factor a-k-1 is column k+1's
     pole) raises DomainError with lam, naming the least such k >= 0.
     """
-    b = -0.5 + 1j * lam
+    b = _b(lam, BRANCH_PLUS)
     for k in range(K + 1):
         if is_gamma_pole(-(b + k)) or is_gamma_pole(-(b - k)):
             raise DomainError(
@@ -252,8 +232,8 @@ def _param_label(lam):
     return f"lam = {lam.real!r}" if lam.imag == 0 else f"nu = {lam.imag!r}"
 
 
-def _table_name(branch, p, N, K):
-    return f"{branch} table at {_param_label(p.lam)}, N = {N}, K = {K}"
+def _table_name(branch, lam, N, K):
+    return f"{branch} table at {_param_label(lam)}, N = {N}, K = {K}"
 
 
 class _TableSpec:
@@ -267,44 +247,46 @@ class _TableSpec:
         self.pre, self.phase = pre, phase
 
 
-def _table_spec(p, N, K, branch, dual=False):
+def _table_spec(lam, N, K, branch, dual=False):
     """One branch table, or with dual=True the dual rows of the plus or
     minus branch.  Plus: t_n^+ sqrt(n!) = exp(L_n) (gauge_log) times
     phase_k [x^n] two-factor; minus: moments with t_n^- / sqrt(n!) =
     exp(-L_n), a Gamma pole at lam = 0 (PoleError); minus_renormalized:
     the rho-rescaled moments times (-1)^n exp(-L_n), finite at lam = 0,
     where they coalesce with plus.  The dual rows take (-1)^n exp(-+L_n)."""
-    logs = gauge_log(p, branch, N)
+    logs = gauge_log(lam, branch, N)
     ks = np.arange(K + 1)
     # a prefactor may overflow to inf: _table_blocks names the table and
     # rows of every non-finite entry
     with np.errstate(over="ignore"):
         if dual and branch == BRANCH_PLUS:
             name, sign = "plus-branch dual", -1
-            columns = _moment_columns(-p.lam, K)
+            columns = _moment_columns(-lam, K)
         elif dual and branch == BRANCH_MINUS:
             name, sign = "minus-branch dual", +1
-            columns = two_factor_columns(p.b_minus + ks, p.b_minus - ks)
+            b = _b(lam, BRANCH_MINUS)
+            columns = two_factor_columns(b + ks, b - ks)
         elif dual:
             raise DomainError(f"dual rows: unsupported branch {branch}")
         elif branch == BRANCH_PLUS:
             name, sign = "plus-branch", +1
-            columns = two_factor_columns(p.b_plus + ks, p.b_plus - ks)
+            b = _b(lam, BRANCH_PLUS)
+            columns = two_factor_columns(b + ks, b - ks)
         elif branch == BRANCH_MINUS_RENORMALIZED:
             name, sign = "renormalized minus-branch", -1
-            columns = _moment_columns(p.lam, K, renormalized=True)
-        elif p.lam == 0:
-            raise PoleError(f"{_table_name('minus-branch', p, N, K)}: raw "
+            columns = _moment_columns(lam, K, renormalized=True)
+        elif lam == 0:
+            raise PoleError(f"{_table_name('minus-branch', lam, N, K)}: raw "
                             "branch has a pole at lam = 0; use "
-                            f"{BRANCH_MINUS_RENORMALIZED}", p.lam)
+                            f"{BRANCH_MINUS_RENORMALIZED}", lam)
         else:
             name, sign = "minus-branch", -1
-            columns = _moment_columns(p.lam, K)
+            columns = _moment_columns(lam, K)
         # exp(L_n) with the phase i^k / sqrt(pi), exp(-L_n) with (-i)^k
         pre = np.exp(logs if sign > 0 else -logs)
         if dual or branch == BRANCH_MINUS_RENORMALIZED:
             pre *= (-1.0) ** np.arange(N + 1)
-    return _TableSpec(_table_name(name, p, N, K), p.lam, columns, pre,
+    return _TableSpec(_table_name(name, lam, N, K), lam, columns, pre,
                       _phases(K, sign))
 
 
@@ -365,7 +347,7 @@ def _table_blocks(specs, rows):
         yield (n0 - 1, n0, win[:r + 1]) if n0 else (0, 0, new)
 
 
-def coeff_table(p, N, K, branch, dual=False):
+def coeff_table(lam, N, K, branch, dual=False):
     """Entries [n, k+K] of one branch table (plus, minus or
     minus_renormalized; see _table_spec), or with dual=True the dual rows
     v[n, k] = <psi_k | T_branch^{-1} e_n> of the plus or minus branch.
@@ -375,7 +357,7 @@ def coeff_table(p, N, K, branch, dual=False):
     analytically in lam they remain valid verbatim in the complementary
     regime.  The table is the one-table, one-block case of _table_blocks.
     """
-    spec = _table_spec(p, N, K, branch, dual)
+    spec = _table_spec(lam, N, K, branch, dual)
     ((_, _, win),) = _table_blocks([spec], spec.pre.size)
     half = win[:, 0, 1:]
     sign = (-1.0) ** np.add.outer(np.arange(N + 1), np.arange(K, 0, -1))
@@ -478,7 +460,7 @@ def _audit(windows, relations, bands, specs, rows):
     return worst
 
 
-def _ladder_relations(p, branch, N, ops):
+def _ladder_relations(lam, branch, N, ops):
     """The X / U / S relations of one branch table, for intertwine_sweep.
 
     The model actions are
@@ -489,7 +471,7 @@ def _ladder_relations(p, branch, N, ops):
     the raw minus branch and -1 on the others.  Square roots are
     per-factor principal, matching the gauge branch.
     """
-    b = p.b_plus if branch == BRANCH_PLUS else p.b_minus
+    b = _b(lam, branch)
     sign = 1.0 if branch == BRANCH_MINUS else -1.0
     sqrt_n = [math.sqrt(n) for n in range(N + 2)]
     # (m - 2b)^(1/2), m = -1..N: U's factor at n = m + 1, S's at n = m
@@ -505,7 +487,7 @@ def _ladder_relations(p, branch, N, ops):
 
 def intertwine_sweep(tables, N, K):
     """Worst residual of the X / U / S intertwining identities of each
-    (p, branch) table of `tables`, one {relation: residual} per table.
+    (lam, branch) table of `tables`, one {relation: residual} per table.
 
     Relation (op, coef, shift) of _ladder_relations states, for every row
     n with 0 <= n + shift <= N,
@@ -515,16 +497,16 @@ def intertwine_sweep(tables, N, K):
     + |diag c_k| + |sub c_{k-1}|), c = table[n], its componentwise
     backward error (_audit), and the relation reports its worst entry; a
     non-finite score raises AccuracyError naming the table and the rows.
-    An error about one table carries its p.lam as GfslError.value.  The
+    An error about one table carries its lam as GfslError.value.  The
     tables are built and audited together, block_rows rows at a time: no
     whole table is held.  Every table is set up before any recurrence
     runs, so a raw minus table at lam = 0 raises its PoleError first.
     """
-    specs = [_table_spec(p, N, K, branch) for p, branch in tables]
+    specs = [_table_spec(lam, N, K, branch) for lam, branch in tables]
     rows = min(block_rows(len(specs) * (2 * K + 1)), N + 1)
     relations, bands = _stack_relations(
-        [_ladder_relations(p, branch, N, build_k_matrices(p, K))
-         for p, branch in tables], specs, rows)
+        [_ladder_relations(lam, branch, N, build_k_matrices(lam, K))
+         for lam, branch in tables], specs, rows)
     worst = _audit(_table_blocks(specs, rows), relations, bands, specs, rows)
     return [{rel: float(w[t]) for rel, w in worst.items()}
             for t in range(len(specs))]
@@ -577,18 +559,17 @@ def threshold_tables(N, K, h):
             f"threshold branches disagree at lam = 0: {gap:.3e} (scale {scale:.3e})")
     s_tab = s_plus
     # double-precision pipelines should tell the same story
-    p0 = SpectralParam.threshold()
-    sp = coeff_table(p0, N, K, BRANCH_PLUS)
-    sm = coeff_table(p0, N, K, BRANCH_MINUS_RENORMALIZED)
+    sp = coeff_table(0j, N, K, BRANCH_PLUS)
+    sm = coeff_table(0j, N, K, BRANCH_MINUS_RENORMALIZED)
     float_gap = float(np.max(np.abs(sp - sm)))
     if float_gap > 1e-9 * scale:
         raise ConsistencyError(
             f"threshold float pipelines disagree: {float_gap:.3e} (scale {scale:.3e})")
 
     def divided(hh):
-        pp = SpectralParam.principal(hh)
-        a = coeff_table(pp, N, K, BRANCH_PLUS)
-        bren = coeff_table(pp, N, K, BRANCH_MINUS_RENORMALIZED)
+        lam = principal(hh)
+        a = coeff_table(lam, N, K, BRANCH_PLUS)
+        bren = coeff_table(lam, N, K, BRANCH_MINUS_RENORMALIZED)
         return (a - bren) / (2j * hh)
 
     d_coarse = divided(h)
@@ -611,25 +592,25 @@ class CorrelationResult:
     tail_bound: float
 
 
-def correlation(p, k_out, k_in, tau, N):
+def correlation(lam, k_out, k_in, tau, N):
     """Resonance expansion of <psi_kout | exp(tau X) psi_kin>.
 
     Sums exp(tau z_{n,branch}) v[n,k_out] s[n,k_in] over n <= N and both
     branches, and reports a tail bound of the form
     C exp(-tau (N+1)) <N>^(|k_in|+|k_out|-1) calibrated on the last terms.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError("correlation: tau must be > 0")
-    if p.regime == THRESHOLD:
+    if (lam * lam + 0.25).real == 0.25:
         raise DomainError("correlation: defined for principal/complementary only")
     K = max(abs(k_out), abs(k_in))
-    sp = coeff_table(p, N, K, BRANCH_PLUS)
-    vp = coeff_table(p, N, K, BRANCH_PLUS, dual=True)
-    sm = coeff_table(p, N, K, BRANCH_MINUS)
-    vm = coeff_table(p, N, K, BRANCH_MINUS, dual=True)
+    sp = coeff_table(lam, N, K, BRANCH_PLUS)
+    vp = coeff_table(lam, N, K, BRANCH_PLUS, dual=True)
+    sm = coeff_table(lam, N, K, BRANCH_MINUS)
+    vm = coeff_table(lam, N, K, BRANCH_MINUS, dual=True)
     n = np.arange(N + 1)
-    ep = np.exp(tau * (-n - 0.5 + 1j * p.lam))
-    em = np.exp(tau * (-n - 0.5 - 1j * p.lam))
+    ep = np.exp(tau * (-n - 0.5 + 1j * lam))
+    em = np.exp(tau * (-n - 0.5 - 1j * lam))
     prod_p = vp[:, k_out + K] * sp[:, k_in + K]
     prod_m = vm[:, k_out + K] * sm[:, k_in + K]
     value = complex(np.sum(ep * prod_p) + np.sum(em * prod_m))

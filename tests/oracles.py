@@ -250,7 +250,7 @@ def gauge_log_mp(lam, branch, n_top):
 
 
 def branch_table_mp(lam, branch, N, k):
-    """Column k of spherical.coeff_table(p, N, K, branch), |k| <= K, at 40
+    """Column k of spherical.coeff_table(lam, N, K, branch), |k| <= K, at 40
     digits, from its own recurrence run at column k itself (a negative k
     included): plus, t_n^+ sqrt(n!) e^{ik pi/2} [x^n] (1+ix)^(b+k)
     (1-ix)^(b-k); minus, t_n^- / sqrt(n!) e^{-ik pi/2} times the moments
@@ -310,11 +310,11 @@ def _row_loop_audit(rows, relations, first):
     return res
 
 
-def ladder_coefficients(p, branch):
+def ladder_coefficients(lam, branch):
     """{relation: (coef(n), shift)} of the X / U / S ladder relations of
     one branch table, each coefficient from its own per-n formula."""
     plus = branch == "plus"
-    b = p.b_plus if plus else p.b_minus
+    b = -0.5 + 1j * lam if plus else -0.5 - 1j * lam
     usign = -1.0 if plus else 1.0
     ssign = 1.0 if plus else -1.0
     if branch == "minus_renormalized":
@@ -326,16 +326,16 @@ def ladder_coefficients(p, branch):
     }
 
 
-def intertwine_residual_rows(p, table, branch, ops, full_width=False):
+def intertwine_residual_rows(lam, table, branch, ops, full_width=False):
     """Row-loop reference for one table of spherical.intertwine_sweep:
-    `table` is spherical.coeff_table(p, N, K, branch), ops the
-    build_k_matrices(p, K) operators.  It scores the sweep's columns
+    `table` is spherical.coeff_table(lam, N, K, branch), ops the
+    build_k_matrices(lam, K) operators.  It scores the sweep's columns
     k = 0..K-1, or with full_width=True every interior column, the
     mirrored k < 0 ones included."""
     K = table.shape[1] // 2
     return _row_loop_audit(table, {
         name: (ops[name], coef, shift)
-        for name, (coef, shift) in ladder_coefficients(p, branch).items()},
+        for name, (coef, shift) in ladder_coefficients(lam, branch).items()},
         0 if full_width else K - 1)
 
 

@@ -24,10 +24,9 @@ def _report(num, text):
 
 def test_criterion_01_spherical_intertwining():
     t0 = time.monotonic()
-    params = [spherical.SpectralParam.principal(lam) for lam in (0.3, 1.0, 5.0)]
-    params += [spherical.SpectralParam.complementary(nu)
-               for nu in (0.1, 0.3, 0.49)]
-    tables = [(p, branch) for p in params for branch in ("plus", "minus")]
+    lams = [spherical.principal(lam) for lam in (0.3, 1.0, 5.0)]
+    lams += [spherical.complementary(nu) for nu in (0.1, 0.3, 0.49)]
+    tables = [(lam, branch) for lam in lams for branch in ("plus", "minus")]
     worst = max(max(res.values())
                 for res in spherical.intertwine_sweep(tables, 40, 8))
     elapsed = time.monotonic() - t0
@@ -78,9 +77,8 @@ def test_criterion_03_threshold_coalescence():
     assert gap_exact < 1e-9
     # the double-precision branch pipelines tell the same story on the
     # scale of the entries (which reach ~1e7 at n = 30, |k| = 6)
-    p0 = spherical.SpectralParam.threshold()
-    sp = spherical.coeff_table(p0, 30, 6, "plus")
-    sm = spherical.coeff_table(p0, 30, 6, "minus_renormalized")
+    sp = spherical.coeff_table(0j, 30, 6, "plus")
+    sm = spherical.coeff_table(0j, 30, 6, "minus_renormalized")
     scale = float(np.max(np.abs(sp)))
     assert tt["float_gap"] < 1e-9 * max(1.0, scale)
     assert np.max(np.abs(tt["S"] - sp)) <= 1e-12 * max(1.0, scale)
@@ -95,11 +93,9 @@ def test_criterion_03_threshold_coalescence():
 
 def test_criterion_04_per_irrep_traces():
     worst = 0.0
-    for lam in (0.0, 1.0):
-        p = (spherical.SpectralParam.threshold() if lam == 0.0
-             else spherical.SpectralParam.principal(lam))
+    for lam in (0j, spherical.principal(1.0)):
         for t in (0.5, 1.0, 2.0):
-            tr = gt.trace_spherical(p.lam, t, 1e-12)
+            tr = gt.trace_spherical(lam, t, 1e-12)
             worst = max(worst, abs(tr["flat"] - tr["spectral"]))
     for l in (2, 4):
         for t in (0.5, 1.0, 2.0):
@@ -112,11 +108,11 @@ def test_criterion_04_per_irrep_traces():
 
 def test_criterion_05_correlations_vs_oracles():
     t0 = time.monotonic()
-    p = spherical.SpectralParam.principal(1.0)
+    lam = spherical.principal(1.0)
     worst_sph = 0.0
     for ko in range(4):
         for ki in range(4):
-            got = spherical.correlation(p, ko, ki, 1.0, 50).value
+            got = spherical.correlation(lam, ko, ki, 1.0, 50).value
             want = characteristics_correlation(1.0, ko, ki, 1.0)
             worst_sph = max(worst_sph, abs(got - want))
     x_dense = discrete.build_disk_matrices(2, 200)["X"].as_dense()
@@ -141,8 +137,8 @@ def test_criterion_05_correlations_vs_oracles():
 def test_criterion_06_correlation_equals_spherical_function():
     worst = 0.0
     for lam, tau in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
-        p = spherical.SpectralParam.principal(lam)
-        got = spherical.correlation(p, 0, 0, tau, 60).value
+        got = spherical.correlation(spherical.principal(lam), 0, 0, tau,
+                                    60).value
         worst = max(worst, abs(got - legendre_conical(lam, tau)))
     assert worst < 1e-8
     _report(6, f"k=0 correlation equals the conical Legendre value "
@@ -250,8 +246,8 @@ def test_criterion_12_bolza_harness():
 
 
 def test_criterion_13_growth_laws():
-    p = spherical.SpectralParam.principal(1.0)
-    tabs = {name: spherical.coeff_table(p, 400, 4, name)
+    lam = spherical.principal(1.0)
+    tabs = {name: spherical.coeff_table(lam, 400, 4, name)
             for name in ("plus", "minus")}
     worst = 0.0
     for name, tab in tabs.items():

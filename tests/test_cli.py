@@ -601,10 +601,11 @@ TOLS = {"1e-9": None, "0.5": None, "5e-324": None, "1e308": None,
         "0": 0, "-1": 0, "nan": 0, "inf": 0}
 
 # spherical-check: 0 --tol, 1 --lambda and 2 --nu parse, 3 --n, 4 --k,
-# 5 and 6 the SpectralParam envelopes, 7 the raw minus pole at lambda = 0,
-# 8 a zero moment seed (1/2 + nu rounds to 1), 9 and 10 a table that
-# overflows: at lambda = 1e300 only from some N on, so it may pass (9), at
-# 8.9e307 at every N, as the minus table's moment seeds are NaN (10).
+# 5 and 6 the principal and complementary envelopes, 7 the raw minus pole
+# at lambda = 0, 8 a zero moment seed (1/2 + nu rounds to 1), 9 and 10 a
+# table that overflows: at lambda = 1e300 only from some N on, so it may
+# pass (9), at 8.9e307 at every N, as the minus table's moment seeds are
+# NaN (10).
 SPHERICAL_LAMBDAS = {"0.5": None, "2": None, "1e6": None,
                      "0.49999999999999994": None, "0.5000000000000001": None,
                      "nan": 1, "inf": 1, "-1": 5, "-5e-324": 5, "5e-324": 5,

@@ -99,3 +99,18 @@ class TestCorrelation:
         x_dense = discrete.build_disk_matrices(2, 200)["X"].as_dense()
         e_conj = galerkin_exp_oracle(np.conj(x_dense), 1.0)
         assert abs(mirror - e_conj[2, 1]) < 1e-8
+
+    @pytest.mark.parametrize("k_out,k_in,name", [(-1, 0, "k_out = -1"),
+                                                  (0, -2, "k_in = -2")])
+    def test_negative_mode_rejected(self, k_out, k_in, name):
+        # the disk basis has k >= 0 only: a negative index would read the
+        # tables' last row (k_out = -1 gave the k_out = 0 value at l = 4)
+        with pytest.raises(DomainError) as exc:
+            discrete.correlation_ds(4, k_out, k_in, 1.0, 10)
+        assert str(exc.value) == f"correlation_ds: {name} must be >= 0"
+
+    @pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0])
+    def test_tau_not_positive_rejected(self, tau):
+        with pytest.raises(DomainError,
+                           match=r"^correlation_ds: tau must be > 0$"):
+            discrete.correlation_ds(2, 0, 0, tau, 10)

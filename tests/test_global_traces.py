@@ -17,8 +17,8 @@ from gfsl.errors import ConsistencyError, DomainError
 from oracles import global_trace_loop, laplace_csv_rows
 
 
-P1 = spherical.SpectralParam.principal(1.0)
-PC = spherical.SpectralParam.complementary(0.3)
+P1 = spherical.principal(1.0)
+PC = spherical.complementary(0.3)
 # complementary entries, mu = 1/4 exactly, principal entries and
 # multiplicities above 1
 MIXED = ([(0.25 * (j + 0.5) / 40, 1 + j % 3) for j in range(40)] + [(0.25, 2)]
@@ -370,13 +370,12 @@ class TestGlobalTrace:
             total = 1.0
             for mu, d in entries:
                 if mu > 0.25:
-                    p = spherical.SpectralParam.principal(math.sqrt(mu - 0.25))
+                    lam = spherical.principal(math.sqrt(mu - 0.25))
                 elif mu < 0.25:
-                    p = spherical.SpectralParam.complementary(
-                        math.sqrt(0.25 - mu))
+                    lam = spherical.complementary(math.sqrt(0.25 - mu))
                 else:
-                    p = spherical.SpectralParam.threshold()
-                total += d * gt.trace_spherical(p.lam, t, 1e-9)["flat"]
+                    lam = 0j
+                total += d * gt.trace_spherical(lam, t, 1e-9)["flat"]
             for q in range(1, q_max + 1):
                 ml = gt.rr_multiplicity(genus, 2 * q)
                 total += 2 * ml * gt.trace_ds(2 * q, t, 1e-9)["flat"]
@@ -387,46 +386,47 @@ class TestGlobalTrace:
 
 class TestTraceSpherical:
     def test_threshold_worked_value(self):
-        tr = gt.trace_spherical(spherical.SpectralParam.threshold().lam,
-                                 math.log(2.0), 1e-9)
+        tr = gt.trace_spherical(0j, math.log(2.0), 1e-9)
         assert abs(tr["flat"] - 2.8284271247461903) < 1e-14
 
     def test_flat_equals_partial_plus_tail(self):
-        for p in (P1, PC, spherical.SpectralParam.threshold()):
+        for lam in (P1, PC, 0j):
             for t in (0.5, 1.0, 2.0):
-                tr = gt.trace_spherical(p.lam, t, 1e-12)
+                tr = gt.trace_spherical(lam, t, 1e-12)
                 assert abs(tr["spectral"] - tr["flat"]) < 1e-12
 
     def test_geometric_tail_bound(self):
         for tol in (1e-3, 1e-6, 1e-9, 1e-12):
-            tr = gt.trace_spherical(P1.lam, 1.0, tol)
+            tr = gt.trace_spherical(P1, 1.0, tol)
             gap = abs(tr["flat"] - tr["spectral"])
             assert gap <= tr["tail_bound"] + 1e-15
             assert tr["tail_bound"] <= tol / 2.0
 
     def test_large_time_limit(self):
-        tr = gt.trace_spherical(P1.lam, 50.0, 1e-9)
+        tr = gt.trace_spherical(P1, 50.0, 1e-9)
         assert abs(tr["flat"]) < 1e-10
 
     def test_threshold_lam_is_zero(self):
-        # the CLI passes 0j for the threshold irreducible
-        p = spherical.SpectralParam.threshold()
+        # the CLI passes 0j for the threshold irreducible: the bits of
+        # principal(0.0), and the same traces
+        lam = spherical.principal(0.0)
+        assert repr(lam) == repr(0j)
         for t in (0.5, math.log(2.0), 3.0):
             assert gt.trace_spherical(0j, t, 1e-12) == \
-                gt.trace_spherical(p.lam, t, 1e-12)
+                gt.trace_spherical(lam, t, 1e-12)
 
     def test_complementary_flat_is_cosh(self):
         # lam = i nu: 2 cos(t lam) = 2 cosh(t nu)
         for t in (0.5, 1.0, 2.0):
             want = (2.0 * math.cosh(t * 0.3) * math.exp(-t / 2.0)
                     / -math.expm1(-t))
-            tr = gt.trace_spherical(PC.lam, t, 1e-12)
+            tr = gt.trace_spherical(PC, t, 1e-12)
             assert abs(tr["flat"] - want) <= 4e-16 * want
 
     def test_cosh_overflow_names_t(self):
         with pytest.raises(DomainError, match=r"cos\(t lam\) overflows at "
                            r"t=10000.0, lam=0.3j") as exc_info:
-            gt.trace_spherical(PC.lam, 1e4, 1e-9)
+            gt.trace_spherical(PC, 1e4, 1e-9)
         assert exc_info.value.value == 1e4
 
 
@@ -445,16 +445,18 @@ class TestTraceDS:
         assert gt.trace_ds(40, 1.0, 1e-9)["flat"] < 1e-8
 
     @pytest.mark.parametrize("l", [-2, 0, 1, 3])
-    def test_weight_checked_as_discrete_param(self, l):
-        # trace_ds and rr_multiplicity reject l with DiscreteParam's text
-        from gfsl.discrete import DiscreteParam
-        with pytest.raises(DomainError) as want:
-            DiscreteParam(l)
+    def test_weight_checked_by_every_caller(self, l):
+        # trace_ds, rr_multiplicity and the disk model's two tables reject
+        # l through the one check_weight, with its one text
+        from gfsl import discrete
         for call in (lambda: gt.trace_ds(l, 1.0, 1e-9),
-                     lambda: gt.rr_multiplicity(2, l)):
+                     lambda: gt.rr_multiplicity(2, l),
+                     lambda: discrete.build_disk_matrices(l, 4),
+                     lambda: discrete.cayley_coeffs(l, 4, 4)):
             with pytest.raises(DomainError) as got:
                 call()
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == (
+                f"discrete series: l = {l} must be even and >= 2")
 
 
 class TestRiemannRoch:

@@ -113,6 +113,13 @@ class TestHcPartialSum:
             # expansion tail plus the quadrature tolerance of the oracle side
             assert abs(got - want) <= 10.0 * math.exp(-(2 * 7 + 0.5) * t) + 1e-12
 
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+    def test_t_not_positive_rejected(self, t):
+        # NaN fails the guard as 0 and negatives do, not NaN partial sums
+        with pytest.raises(DomainError,
+                           match=r"^hc_partial_sum: t must be > 0$"):
+            means.hc_partial_sum(1.0, t, 2)
+
 
 class TestWaveResidual:
     @pytest.mark.parametrize("lam", [1.0, 2.0, 5.0])

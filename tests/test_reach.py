@@ -17,7 +17,9 @@ method parameter, or of a dataclass field, must be left out by at least
 one call in cli.py, the library or the acceptance suite: a default that
 all of them override belongs to a parameter that should be required.
 No module under src/gfsl/ reads an underscore name of another: what one
-module needs of another is public.
+module needs of another is public.  No two raise sites under src/gfsl/
+share the constant text of their message, if it is _MIN_SHARED_TEXT
+characters or more: a check written twice is one check to share.
 """
 
 import ast
@@ -27,6 +29,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gfsl"
 TESTS = Path(__file__).resolve().parent
 ACCEPTANCE = TESTS / "test_acceptance.py"
 BENCH = TESTS.parent / "bench"
+# shorter shared texts are separators and prefixes, such as "|: |"
+_MIN_SHARED_TEXT = 20
 
 
 def _parse(path):
@@ -294,3 +298,60 @@ def test_every_imported_name_is_used():
               for path in paths
               for line, name in _unused_imports(_parse(path))]
     assert not unused, f"imported names never used: {', '.join(unused)}"
+
+
+def _message_text(node):
+    """The constant text of a raise's message: a string literal, or an
+    f-string's literal parts with "|" for each formatted value; None if
+    the raise writes no message of its own."""
+    exc = node.exc
+    if not (isinstance(exc, ast.Call) and exc.args):
+        return None
+    msg = exc.args[0]
+    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+        return msg.value
+    if isinstance(msg, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "|"
+                       for part in msg.values)
+    return None
+
+
+def shared_raise_texts(trees):
+    """{text: ["module.py:line", ...]} for each constant message text, of
+    at least _MIN_SHARED_TEXT characters, that two or more raise sites of
+    the {module: tree} `trees` write."""
+    sites = {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                text = _message_text(node)
+                if text is not None and len(text) >= _MIN_SHARED_TEXT:
+                    sites.setdefault(text, []).append(
+                        f"{mod}.py:{node.lineno}")
+    return {text: where for text, where in sites.items() if len(where) > 1}
+
+
+def test_no_check_is_written_twice():
+    trees = {path.stem: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    shared = shared_raise_texts(trees)
+    assert not shared, "raise sites that share their message text: " + (
+        "; ".join(f"{', '.join(where)}: {text!r}"
+                  for text, where in shared.items()))
+
+
+def test_shared_raise_text_is_flagged():
+    # the two weight checks share their text, whatever they format; the
+    # "|: |" separators and the bare re-raise are not flagged
+    one = ast.parse("def f(l):\n"
+                    "    if l < 2:\n"
+                    "        raise ValueError(f'weight: l = {l} must be 2+')\n"
+                    "    raise KeyError(f'{l}: {l}')\n")
+    two = ast.parse("def g(l, exc):\n"
+                    "    if l < 2:\n"
+                    "        raise TypeError(f'weight: l = {l!r} must be 2+')"
+                    "\n"
+                    "    if l > 9:\n"
+                    "        raise KeyError(f'{exc}: {l}')\n"
+                    "    raise exc\n")
+    assert shared_raise_texts({"one": one, "two": two}) == {
+        "weight: l = | must be 2+": ["one.py:3", "two.py:3"]}

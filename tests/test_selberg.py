@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gfsl import selberg
+from gfsl import cli, selberg
 from gfsl.errors import (AccuracyError, ConsistencyError, ConstructionError,
                          DomainError)
 
@@ -136,10 +136,13 @@ class TestLengthSpectrum:
         with pytest.raises(DomainError, match="length above cutoff"):
             selberg.LengthSpectrum([(3.0, 1)], math.nextafter(3.0, 0.0))
 
-    def test_csv_roundtrip(self, spectrum8, tmp_path):
-        path = tmp_path / "lengths.csv"
-        spectrum8.to_csv(path)
-        with open(path, newline="", encoding="utf-8") as fh:
+    def test_csv_roundtrip(self, spectrum8, tmp_path, capsys):
+        # the length spectrum file that `gfsl selberg --lmax 8` writes
+        assert cli.main(["selberg", "--lmax", "8", "--out",
+                         str(tmp_path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        with open(tmp_path / "length_spectrum.csv", newline="",
+                  encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["length", "multiplicity", "is_primitive"]
         back = [(float(ell), int(mult)) for ell, mult, prim in rows[1:]
@@ -557,6 +560,13 @@ class TestIdentityTerm:
         want = identity_term_mp(center, sigma, amp, chi_abs=2)
         got = selberg.identity_term(g)
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("sigma", [math.nan, 0.0, -0.5])
+    def test_sigma_not_positive_rejected(self, sigma):
+        # NaN fails the guard as 0 and negatives do
+        with pytest.raises(DomainError,
+                           match=r"^GaussianTestFn: sigma must be > 0$"):
+            selberg.GaussianTestFn(5.5, sigma, 1.0)
 
     def test_node_cap_fails_loudly(self):
         g = selberg.GaussianTestFn(5.5, 1e-5, 1.0)

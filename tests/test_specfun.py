@@ -424,10 +424,10 @@ class TestGeometricSum:
             ladder = 2 * mpmath.exp(-mt / 2) / gap
             cases = [
                 (global_traces.trace_spherical(
-                    spherical.SpectralParam.principal(lam).lam, t, tol),
+                    spherical.principal(lam), t, tol),
                  mpmath.cos(mt * lam) * ladder, ladder * (1.0 + t * lam)),
                 (global_traces.trace_spherical(
-                    spherical.SpectralParam.complementary(nu).lam, t, tol),
+                    spherical.complementary(nu), t, tol),
                  mpmath.cosh(mt * nu) * ladder,
                  mpmath.cosh(mt * nu) * ladder),
                 (global_traces.trace_ds(l, t, tol), x ** (l / 2) / gap,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,66 +19,95 @@ from oracles import (branch_table_mp, characteristics_correlation,
 
 SQRT_PI = math.sqrt(math.pi)
 
-P1 = spherical.SpectralParam.principal(1.0)
-PC = spherical.SpectralParam.complementary(0.3)
+P1 = spherical.principal(1.0)
+PC = spherical.complementary(0.3)
+DBL_MAX = sys.float_info.max
 
 
-class TestSpectralParam:
+def _b_pm(lam):
+    # (b_plus, b_minus) through the one helper that forms them
+    return (spherical._b(lam, spherical.BRANCH_PLUS),
+            spherical._b(lam, spherical.BRANCH_MINUS))
+
+
+class TestParams:
     def test_principal(self):
-        assert P1.mu == 1.25
-        assert P1.b_plus == -0.5 + 1j
-        assert abs(P1.b_plus * P1.b_minus - P1.mu) < 1e-15
+        b_plus, b_minus = _b_pm(P1)
+        mu = (P1 * P1 + 0.25).real
+        assert mu == 1.25
+        assert b_plus == -0.5 + 1j
+        assert abs(b_plus * b_minus - mu) < 1e-15
 
     def test_complementary(self):
-        assert abs(PC.mu - 0.16) < 1e-15
-        assert PC.b_plus == -0.8
-        assert PC.b_minus == -0.2
+        b_plus, b_minus = _b_pm(PC)
+        assert abs((PC * PC + 0.25).real - 0.16) < 1e-15
+        assert b_plus == -0.8
+        assert b_minus == -0.2
 
-    @pytest.mark.parametrize("p,mu,b_plus,b_minus,regime", [
-        (P1, 1.0 * 1.0 + 0.25, -0.5 + 1j * 1.0, -0.5 - 1j * 1.0,
-         spherical.PRINCIPAL),
-        (spherical.SpectralParam.principal(12.3), 12.3 * 12.3 + 0.25,
-         -0.5 + 1j * 12.3, -0.5 - 1j * 12.3, spherical.PRINCIPAL),
-        (PC, 0.25 - 0.3 * 0.3, -0.5 - 0.3, -0.5 + 0.3,
-         spherical.COMPLEMENTARY),
-        (spherical.SpectralParam.complementary(0.4999), 0.25 - 0.4999 * 0.4999,
-         -0.5 - 0.4999, -0.5 + 0.4999, spherical.COMPLEMENTARY),
-        (spherical.SpectralParam.threshold(), 0.25, -0.5, -0.5,
-         spherical.THRESHOLD),
-        (spherical.SpectralParam.principal(0.0), 0.25, -0.5, -0.5,
-         spherical.THRESHOLD),
+    @pytest.mark.parametrize("lam,want,mu,b_plus,b_minus", [
+        (P1, complex(1.0, 0.0), 1.0 * 1.0 + 0.25, -0.5 + 1j * 1.0,
+         -0.5 - 1j * 1.0),
+        (spherical.principal(12.3), complex(12.3, 0.0), 12.3 * 12.3 + 0.25,
+         -0.5 + 1j * 12.3, -0.5 - 1j * 12.3),
+        (PC, complex(0.0, 0.3), 0.25 - 0.3 * 0.3, -0.5 - 0.3, -0.5 + 0.3),
+        (spherical.complementary(0.4999), complex(0.0, 0.4999),
+         0.25 - 0.4999 * 0.4999, -0.5 - 0.4999, -0.5 + 0.4999),
+        (0j, complex(0.0, 0.0), 0.25, -0.5, -0.5),
+        (spherical.principal(0.0), complex(0.0, 0.0), 0.25, -0.5, -0.5),
     ], ids=["principal", "principal-large", "complementary",
             "complementary-edge", "threshold", "principal-zero"])
-    def test_derived_fields_exact(self, p, mu, b_plus, b_minus, regime):
-        # lam is the only field; mu = lam^2 + 1/4 (1/4 - nu^2) and b_pm =
-        # -1/2 +- i lam (-1/2 -+ nu) are its closed forms to the bit
-        assert p.mu == mu and p.regime == regime
-        assert p.b_plus == b_plus and p.b_minus == b_minus
+    def test_lam_and_closed_forms_exact(self, lam, want, mu, b_plus,
+                                        b_minus):
+        # each constructor returns the complex lam (i nu), zeros' signs
+        # included; mu = lam^2 + 1/4 (1/4 - nu^2) and b_pm = -1/2 +- i lam
+        # (-1/2 -+ nu) are its closed forms to the bit
+        assert type(lam) is complex and repr(lam) == repr(want)
+        assert (lam * lam + 0.25).real == mu
+        assert _b_pm(lam) == (b_plus, b_minus)
+
+    @pytest.mark.parametrize("make,val,text", [
+        # mu would round to 1/4, the threshold, in a non-threshold regime
+        (spherical.principal, 5.26e-9,
+         "principal: expected lam = 0 or mu = lam^2 + 1/4 above 1/4 in "
+         "double precision (lam >= about 5.3e-9), got 5.26e-09"),
+        (spherical.complementary, 3.72e-9,
+         "complementary: expected mu = 1/4 - nu^2 below 1/4 in double "
+         "precision (nu >= about 3.7e-9), got 3.72e-09"),
+        # the gauge base -2b = 1 - 2i lam overflows
+        (spherical.principal, math.nextafter(DBL_MAX / 2, math.inf),
+         "principal: expected lam <= DBL_MAX / 2, where the gauge base "
+         "-2b = 1 - 2i lam is finite, got 8.98846567431158e+307"),
+        (spherical.principal, -1.0, "principal: lam must be >= 0"),
+        (spherical.complementary, 0.5,
+         "complementary: nu must lie in (0, 1/2)"),
+    ], ids=["principal-mu", "complementary-mu", "principal-gauge",
+            "principal-negative", "complementary-half"])
+    def test_rejections_name_their_envelope(self, make, val, text):
+        with pytest.raises(DomainError) as exc:
+            make(val)
+        assert str(exc.value) == text
 
     @pytest.mark.parametrize("make,val", [
-        (spherical.SpectralParam.principal, 1e-9),
-        (spherical.SpectralParam.complementary, 3.7e-9),
-    ], ids=["principal", "complementary"])
-    def test_mu_rounding_to_threshold_rejected(self, make, val):
-        # mu would round to 1/4, the threshold, in a non-threshold regime
-        with pytest.raises(DomainError,
-                           match=f"double precision .*got {val!r}$"):
-            make(val)
+        (spherical.principal, 5.27e-9), (spherical.complementary, 3.73e-9),
+        (spherical.principal, DBL_MAX / 2)])
+    def test_envelope_edges_accepted(self, make, val):
+        lam = make(val)
+        assert abs(lam) == val and (lam * lam + 0.25).real != 0.25
 
     @pytest.mark.parametrize("nu,k_max,k", [(0.49999999999999994, 2, 1),
                                             (0.4999999999999998, 8, 3)])
     def test_moment_seed_on_pole_names_parameter(self, nu, k_max, k):
         # 1/2 + nu - k rounds onto a pole: the seed is zero, before any row;
         # the error names the least such column k >= 0
-        p = spherical.SpectralParam.complementary(nu)
+        lam = spherical.complementary(nu)
         with pytest.raises(DomainError, match=f"at nu = {nu!r}, K = {k_max}:"
                            f" M_0 of column k = {k} is zero") as exc:
-            spherical.coeff_table(p, 4, k_max, spherical.BRANCH_MINUS)
-        assert exc.value.value == p.lam
+            spherical.coeff_table(lam, 4, k_max, spherical.BRANCH_MINUS)
+        assert exc.value.value == lam
 
     def test_interlacing_complementary(self):
         n = np.arange(4)
-        z = np.stack([-n - 0.5 + 1j * PC.lam, -n - 0.5 - 1j * PC.lam],
+        z = np.stack([-n - 0.5 + 1j * PC, -n - 0.5 - 1j * PC],
                      axis=1).real
         flat = sorted(np.concatenate([z[:, 0], z[:, 1]]), reverse=True)
         # z_{0,-} > z_{0,+} > z_{1,-} > z_{1,+} > ...
@@ -88,22 +118,22 @@ class TestSpectralParam:
 
 class TestMomentSeeds:
     @pytest.mark.parametrize("K", [8, 100, 150])
-    @pytest.mark.parametrize("p", [
-        *map(spherical.SpectralParam.principal, (0.3, 2.0, 20.0)),
-        *map(spherical.SpectralParam.complementary, (0.1, 0.46, 0.499))],
+    @pytest.mark.parametrize("lam", [
+        *map(spherical.principal, (0.3, 2.0, 20.0)),
+        *map(spherical.complementary, (0.1, 0.46, 0.499))],
         ids=["lam0.3", "lam2", "lam20", "nu0.1", "nu0.46", "nu0.499"])
-    def test_seeds_match_mpmath(self, p, K):
+    def test_seeds_match_mpmath(self, lam, K):
         # raw seeds, the plus-branch dual rows' seeds (at -lam) and, for
         # real lam, the renormalized seeds; per-column log-Gamma seeds
         # were off by 9.8e-12 in the column ratio at nu = 0.499, K = 100.
         # The seeds cover k = 0..K; column -k takes column k's, which the
         # 40-digit seeds, each from its own Gamma values, bear out exactly
-        cases = [(p.lam, False), (-p.lam, False)]
-        if p.regime == spherical.PRINCIPAL:
-            cases.append((p.lam, True))
-        for lam, renormalized in cases:
-            got = np.asarray(spherical._moment_seeds(lam, K, renormalized))
-            full = moment_seeds_mp(lam, K, renormalized)
+        cases = [(lam, False), (-lam, False)]
+        if lam.imag == 0:  # principal
+            cases.append((lam, True))
+        for arg, renormalized in cases:
+            got = np.asarray(spherical._moment_seeds(arg, K, renormalized))
+            full = moment_seeds_mp(arg, K, renormalized)
             assert np.array_equal(full[:K], full[:K:-1])
             want = full[K:]
             assert got.shape == want.shape
@@ -127,13 +157,14 @@ class TestKMatrices:
 
     def test_np_nm_product_identity(self):
         # interior rows: N+ N- = -mu Id - Theta(Theta-2)/4
-        for p in (P1, spherical.SpectralParam.principal(5.0)):
-            ops = spherical.build_k_matrices(p, 6)
+        for lam in (P1, spherical.principal(5.0)):
+            ops = spherical.build_k_matrices(lam, 6)
             npl = ops["Nplus"].as_dense()
             nmi = ops["Nminus"].as_dense()
             th = ops["Theta"].as_dense()
             lhs = npl @ nmi
-            rhs = -p.mu * np.eye(13) - 0.25 * th @ (th - 2 * np.eye(13))
+            mu = (lam * lam + 0.25).real
+            rhs = -mu * np.eye(13) - 0.25 * th @ (th - 2 * np.eye(13))
             assert np.max(np.abs((lhs - rhs)[1:-1, 1:-1])) < 1e-12
 
     def test_skew_adjointness(self):
@@ -144,13 +175,13 @@ class TestKMatrices:
 
     def test_ladder_norm_identity(self):
         # squared N+ column norm at K-type 2k is mu + 2k(2k+2)/4, exactly
-        for lam in (0.0, 0.7, 5.0):
-            p = spherical.SpectralParam.principal(lam)
+        for val in (0.0, 0.7, 5.0):
+            lam = spherical.principal(val)
             K = 8
-            ops = spherical.build_k_matrices(p, K)
+            ops = spherical.build_k_matrices(lam, K)
             for k in range(-7, 8):
                 col = abs(ops["Nplus"].sup[k + K]) ** 2
-                want = p.mu + 0.25 * (2 * k) * (2 * k + 2)
+                want = (lam * lam + 0.25).real + 0.25 * (2 * k) * (2 * k + 2)
                 assert abs(col - want) <= 1e-12 * max(1.0, want)
 
 
@@ -177,25 +208,25 @@ class TestGauge:
 
     @pytest.mark.parametrize("branch", [spherical.BRANCH_PLUS,
                                         spherical.BRANCH_MINUS])
-    @pytest.mark.parametrize("p", [
-        *map(spherical.SpectralParam.principal, (1e-7, 1.0, 17.0, 20.0)),
-        *map(spherical.SpectralParam.complementary, (1e-7, 0.3, 0.4999))],
+    @pytest.mark.parametrize("lam", [
+        *map(spherical.principal, (1e-7, 1.0, 17.0, 20.0)),
+        *map(spherical.complementary, (1e-7, 0.3, 0.4999))],
         ids=["lam1e-7", "lam1", "lam17", "lam20", "nu1e-7", "nu0.3",
              "nu0.4999"])
-    def test_running_sum_equals_40_digits(self, p, branch):
+    def test_running_sum_equals_40_digits(self, lam, branch):
         # one compensated running sum: the plain sum drifted to 4.0e-13 at
         # lam = 20 (the phase), and exp(log t_n -+ log sqrt(n!)), the
         # difference of two sums of size ~1e4, to 8e-12; 2.8e-14 seen
-        got = spherical.gauge_log(p, branch, 2000)
-        want = gauge_log_mp(p.lam, branch, 2000)
+        got = spherical.gauge_log(lam, branch, 2000)
+        want = gauge_log_mp(lam, branch, 2000)
         assert np.max(np.abs(got - want)) <= 5e-14
 
     def test_branch_point_rejected(self):
-        p = spherical.SpectralParam.complementary(0.499999999)
+        lam = spherical.complementary(0.499999999)
         # fine here; the excluded point nu = 1/2 cannot be constructed at all
-        np.exp(spherical.gauge_log(p, spherical.BRANCH_MINUS, 3))
+        np.exp(spherical.gauge_log(lam, spherical.BRANCH_MINUS, 3))
         with pytest.raises(DomainError):
-            spherical.SpectralParam.complementary(0.5)
+            spherical.complementary(0.5)
 
 
 class TestCoeffTables:
@@ -228,14 +259,13 @@ class TestCoeffTables:
 
     def test_minus_raw_pole_at_threshold(self):
         with pytest.raises(PoleError):
-            spherical.coeff_table(spherical.SpectralParam.threshold(), 4, 2,
-                                  spherical.BRANCH_MINUS)
+            spherical.coeff_table(0j, 4, 2, spherical.BRANCH_MINUS)
 
     def test_minus_vs_binomial_reference(self):
         # recurrence route against the explicit binomial/beta closed form
         for lam in (0.7, 1.0):
-            p = spherical.SpectralParam.principal(lam)
-            tab = spherical.coeff_table(p, 25, 3, spherical.BRANCH_MINUS)
+            tab = spherical.coeff_table(spherical.principal(lam), 25, 3,
+                                        spherical.BRANCH_MINUS)
             # t_n^- / sqrt(n!) = exp(-L_n), L_n at 40 digits
             logs = gauge_log_mp(lam, spherical.BRANCH_MINUS, 25)
             for k in (-3, 0, 2):
@@ -247,52 +277,51 @@ class TestCoeffTables:
                     assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
     def test_threshold_renormalized_equals_plus(self):
-        p0 = spherical.SpectralParam.threshold()
-        sp = spherical.coeff_table(p0, 12, 4, spherical.BRANCH_PLUS)
-        sm = spherical.coeff_table(p0, 12, 4,
+        sp = spherical.coeff_table(0j, 12, 4, spherical.BRANCH_PLUS)
+        sm = spherical.coeff_table(0j, 12, 4,
                                    spherical.BRANCH_MINUS_RENORMALIZED)
         assert np.max(np.abs(sp - sm)) <= 1e-12 * max(1.0, np.max(np.abs(sp)))
 
 
     @pytest.mark.parametrize("K", [0, 1, 2, 9, 64])
-    @pytest.mark.parametrize("p,branch,dual", [
-        (p, branch, dual)
-        for p in (P1, PC, spherical.SpectralParam.principal(5.0))
+    @pytest.mark.parametrize("lam,branch,dual", [
+        (lam, branch, dual)
+        for lam in (P1, PC, spherical.principal(5.0))
         for branch, dual in (
             (spherical.BRANCH_PLUS, False), (spherical.BRANCH_MINUS, False),
             (spherical.BRANCH_MINUS_RENORMALIZED, False),
             (spherical.BRANCH_PLUS, True), (spherical.BRANCH_MINUS, True))] + [
         # at lam = 0 the raw moments (minus branch, both duals) have a pole
-        (spherical.SpectralParam.threshold(), branch, False)
+        (0j, branch, False)
         for branch in (spherical.BRANCH_PLUS,
                        spherical.BRANCH_MINUS_RENORMALIZED)])
-    def test_half_width_equals_full_width_recurrence(self, p, branch, dual,
+    def test_half_width_equals_full_width_recurrence(self, lam, branch, dual,
                                                      K):
         # the k < 0 half is the mirror of the k >= 0 half: value for value
         # the table of one recurrence over all 2K + 1 columns
         want = coeff_table_full_width(
-            spherical._table_spec(p, 40, K, branch, dual))
-        got = spherical.coeff_table(p, 40, K, branch, dual)
+            spherical._table_spec(lam, 40, K, branch, dual))
+        got = spherical.coeff_table(lam, 40, K, branch, dual)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     @settings(max_examples=10)
-    @given(p=st.one_of(
-        st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
-        st.floats(1e-7, 0.4999).map(spherical.SpectralParam.complementary)),
+    @given(lam=st.one_of(
+        st.floats(1e-7, 20.0).map(spherical.principal),
+        st.floats(1e-7, 0.4999).map(spherical.complementary)),
         branch=st.sampled_from([spherical.BRANCH_PLUS,
                                 spherical.BRANCH_MINUS]),
         N=st.integers(0, 2000), K=st.integers(2, 150), data=st.data())
-    @example(p=P1, branch=spherical.BRANCH_MINUS, N=2,
+    @example(lam=P1, branch=spherical.BRANCH_MINUS, N=2,
              K=spherical.SWEEP_K_MAX, data=None)
-    @example(p=PC, branch=spherical.BRANCH_PLUS, N=3,
+    @example(lam=PC, branch=spherical.BRANCH_PLUS, N=3,
              K=spherical.SWEEP_K_MAX, data=None)
-    @example(p=spherical.SpectralParam.principal(1e-7),
+    @example(lam=spherical.principal(1e-7),
              branch=spherical.BRANCH_MINUS, N=2000, K=150, data=None)
-    @example(p=spherical.SpectralParam.complementary(0.4999),
+    @example(lam=spherical.complementary(0.4999),
              branch=spherical.BRANCH_PLUS, N=2000, K=150, data=None)
-    @example(p=spherical.SpectralParam.complementary(0.2664865771756157),
+    @example(lam=spherical.complementary(0.2664865771756157),
              branch=spherical.BRANCH_PLUS, N=2000, K=56, data=None)
-    def test_tables_equal_40_digit_recurrence(self, p, branch, N, K, data):
+    def test_tables_equal_40_digit_recurrence(self, lam, branch, N, K, data):
         # Taylor (plus) and moment (minus) tables against each column's
         # own 40-digit recurrence, run at a negative k, so the mirror is
         # checked against an independent reference.  The worst relative
@@ -304,21 +333,21 @@ class TestCoeffTables:
         # log sqrt(n!)), two rounded N-term sums of size ~1e4, was off by
         # up to 8e-12.
         k = -K if data is None else data.draw(st.integers(-K, -1))
-        tab = spherical.coeff_table(p, N, K, branch)
+        tab = spherical.coeff_table(lam, N, K, branch)
         bound = 1e-10 if branch == spherical.BRANCH_MINUS else 1e-13
         for col in {k, -K}:
-            want = branch_table_mp(p.lam, branch, N, col)
+            want = branch_table_mp(lam, branch, N, col)
             got = tab[:, col + K]
             err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
-            assert err.max() <= bound, (p.lam, branch, N, K, col, err.max())
+            assert err.max() <= bound, (lam, branch, N, K, col, err.max())
 
 
 class TestOverflow:
     def test_large_tables_rejected(self):
         # the plus table overflows near (N, K) = (2000, 250) at lam = 5
-        p = spherical.SpectralParam.principal(5.0)
+        lam = spherical.principal(5.0)
         with pytest.raises(AccuracyError) as info:
-            spherical.coeff_table(p, 2000, 250, spherical.BRANCH_PLUS)
+            spherical.coeff_table(lam, 2000, 250, spherical.BRANCH_PLUS)
         msg = str(info.value)
         assert "plus-branch" in msg and "lam = 5.0" in msg
         assert "N = 2000" in msg and "K = 250" in msg
@@ -326,19 +355,20 @@ class TestOverflow:
     def test_nan_moment_seeds_are_an_overflow(self):
         # at lam = 8.9e307 the minus table's moment seeds are NaN: an
         # overflow from row 0, not a recurrence that fails its mirror
-        p = spherical.SpectralParam.principal(8.9e307)
+        lam = spherical.principal(8.9e307)
         with pytest.raises(AccuracyError) as info:
-            spherical.coeff_table(p, 40, 8, spherical.BRANCH_MINUS)
+            spherical.coeff_table(lam, 40, 8, spherical.BRANCH_MINUS)
         assert str(info.value) == (
             "minus-branch table at lam = 8.9e+307, N = 40, K = 8 has "
             "non-finite entries in rows 0..40 (double precision overflow)")
-        assert info.value.value == p.lam
+        assert info.value.value == lam
 
 
 class TestDualCoeffs:
     def test_dual_plus_origin(self):
         v = spherical.coeff_table(P1, 4, 2, spherical.BRANCH_PLUS, dual=True)
-        want = cmath.exp(log_beta_line(P1.b_minus, P1.b_minus)) / SQRT_PI
+        b = spherical._b(P1, spherical.BRANCH_MINUS)
+        want = cmath.exp(log_beta_line(b, b)) / SQRT_PI
         assert abs(v[0, 2] - want) < 1e-13
 
     def test_growth_in_k(self):
@@ -362,12 +392,12 @@ class TestDualCoeffs:
 
 
 ALL_REGIMES = [
-    spherical.SpectralParam.principal(0.3),
-    spherical.SpectralParam.principal(1.0),
-    spherical.SpectralParam.principal(5.0),
-    spherical.SpectralParam.complementary(0.1),
-    spherical.SpectralParam.complementary(0.3),
-    spherical.SpectralParam.complementary(0.49),
+    spherical.principal(0.3),
+    spherical.principal(1.0),
+    spherical.principal(5.0),
+    spherical.complementary(0.1),
+    spherical.complementary(0.3),
+    spherical.complementary(0.49),
 ]
 
 
@@ -379,62 +409,63 @@ def _per_table(tables, N, K, full_width=False):
     """The row-loop audit of the oracle on each whole table, over the
     sweep's columns k = 0..K-1, or with full_width=True over every
     interior column."""
-    return [intertwine_residual_rows(p, spherical.coeff_table(p, N, K, branch),
-                                     branch, spherical.build_k_matrices(p, K),
-                                     full_width)
-            for p, branch in tables]
+    return [intertwine_residual_rows(
+        lam, spherical.coeff_table(lam, N, K, branch), branch,
+        spherical.build_k_matrices(lam, K), full_width)
+        for lam, branch in tables]
 
 
 class TestIntertwining:
-    @pytest.mark.parametrize("p", ALL_REGIMES)
-    def test_residuals_all_regimes(self, p):
+    @pytest.mark.parametrize("lam", ALL_REGIMES)
+    def test_residuals_all_regimes(self, lam):
         residuals = spherical.intertwine_sweep(
-            [(p, branch) for branch in BRANCHES], 40, 8)
+            [(lam, branch) for branch in BRANCHES], 40, 8)
         for branch, res in zip(BRANCHES, residuals):
             for rel, val in res.items():
                 assert val < 1e-10, (branch, rel, val)
 
-    @pytest.mark.parametrize("p", ALL_REGIMES)
-    def test_blocked_audit_equals_row_loop(self, p):
+    @pytest.mark.parametrize("lam", ALL_REGIMES)
+    def test_blocked_audit_equals_row_loop(self, lam):
         # (40, 8) is one audit block; at K = 100 the tables end one row
         # before, at and after a block boundary
         b = spherical.block_rows(201)
         for N, K in [(40, 8), (b - 1, 100), (b, 100), (b + 1, 100)]:
             for branch in BRANCHES:
-                got = spherical.intertwine_sweep([(p, branch)], N, K)
-                assert got == _per_table([(p, branch)], N, K), (branch, N)
+                got = spherical.intertwine_sweep([(lam, branch)], N, K)
+                assert got == _per_table([(lam, branch)], N, K), (branch, N)
 
     @settings(max_examples=20)
-    @given(p=st.one_of(
-        st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
-        st.floats(1e-7, 0.4999).map(spherical.SpectralParam.complementary)),
+    @given(lam=st.one_of(
+        st.floats(1e-7, 20.0).map(spherical.principal),
+        st.floats(1e-7, 0.4999).map(spherical.complementary)),
         N=st.integers(0, 2000), K=st.integers(2, 150))
-    @example(p=P1, N=2, K=spherical.SWEEP_K_MAX)
-    @example(p=spherical.SpectralParam.complementary(0.4999), N=3,
+    @example(lam=P1, N=2, K=spherical.SWEEP_K_MAX)
+    @example(lam=spherical.complementary(0.4999), N=3,
              K=spherical.SWEEP_K_MAX)
-    def test_residuals_within_gate_over_envelope(self, p, N, K):
+    def test_residuals_within_gate_over_envelope(self, lam, N, K):
         # plus and raw minus tables, as spherical-check builds them; at
         # lam = 1, N = 2 a row-wise score, |lhs - rhs| against the row's
         # largest term, grew like K^2 to 2.7e-8 at K_MAX
         residuals = spherical.intertwine_sweep(
-            [(p, spherical.BRANCH_PLUS), (p, spherical.BRANCH_MINUS)], N, K)
+            [(lam, spherical.BRANCH_PLUS), (lam, spherical.BRANCH_MINUS)],
+            N, K)
         for res in residuals:
             for rel, val in res.items():
-                assert val < 1e-9, (p.lam, N, K, rel, val)
+                assert val < 1e-9, (lam, N, K, rel, val)
 
     @staticmethod
     def _x_with_diagonal(monkeypatch, diag):
         # give X the diagonal diag(ks) in P1's tables only
         build = spherical.build_k_matrices
 
-        def x_with_diagonal(p, K):
-            ops = build(p, K)
-            if p is P1:
+        def x_with_diagonal(lam, K):
+            ops = build(lam, K)
+            if lam is P1:
                 ops["X"].diag = diag(np.arange(-K, K + 1))
             return ops
 
         monkeypatch.setattr(spherical, "build_k_matrices", x_with_diagonal)
-        return [(p, branch) for p in (P1, PC) for branch in BRANCHES]
+        return [(lam, branch) for lam in (P1, PC) for branch in BRANCHES]
 
     def test_zero_band_skip_reads_values_not_names(self, monkeypatch):
         # the audit leaves out a diagonal that is zero in every stacked
@@ -465,14 +496,14 @@ class TestIntertwining:
         # there, while PC's S relation holds to rounding
         build = spherical.build_k_matrices
 
-        def s_scaled(p, K):
-            ops = build(p, K)
-            if p is P1:
+        def s_scaled(lam, K):
+            ops = build(lam, K)
+            if lam is P1:
                 ops["S"].sup, ops["S"].sub = 2 * ops["S"].sup, 2 * ops["S"].sub
             return ops
 
         monkeypatch.setattr(spherical, "build_k_matrices", s_scaled)
-        tables = [(p, branch) for p in (PC, P1) for branch in BRANCHES]
+        tables = [(lam, branch) for lam in (PC, P1) for branch in BRANCHES]
         N = spherical.block_rows(len(tables) * 17) + 3
         got = spherical.intertwine_sweep(tables, N, 8)
         assert got == _per_table(tables, N, 8)
@@ -527,9 +558,9 @@ def _outcome(f, *args):
 
 # Below lam, nu ~ 5e-9 the point itself is rejected: mu rounds to 1/4.
 _PARAMS = st.one_of(
-    st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
+    st.floats(1e-7, 20.0).map(spherical.principal),
     st.floats(1e-7, 0.5, exclude_max=True).map(
-        spherical.SpectralParam.complementary))
+        spherical.complementary))
 _BRANCHES = st.sampled_from([spherical.BRANCH_PLUS, spherical.BRANCH_MINUS,
                              spherical.BRANCH_MINUS_RENORMALIZED])
 _TABLES = st.lists(st.tuples(_PARAMS, _BRANCHES), min_size=1, max_size=3)
@@ -551,17 +582,17 @@ class TestSweep:
             _outcome(_per_table, tables, N, K)
 
     @settings(max_examples=30)
-    @given(p=st.one_of(_PARAMS, st.just(spherical.SpectralParam.threshold())),
+    @given(lam=st.one_of(_PARAMS, st.just(0j)),
            branch=_BRANCHES, N=st.integers(0, 4000))
-    @example(p=PC, branch=spherical.BRANCH_MINUS_RENORMALIZED, N=4000)
-    @example(p=spherical.SpectralParam.principal(19.5),
+    @example(lam=PC, branch=spherical.BRANCH_MINUS_RENORMALIZED, N=4000)
+    @example(lam=spherical.principal(19.5),
              branch=spherical.BRANCH_MINUS, N=4000)
-    def test_ladder_coefficients_equal_per_n_formulas(self, p, branch, N):
+    def test_ladder_coefficients_equal_per_n_formulas(self, lam, branch, N):
         # the sweep's X / U / S coefficients, to the bit, against each
         # coefficient from its own per-n formula
-        rels = spherical._ladder_relations(p, branch, N,
-                                           spherical.build_k_matrices(p, 2))
-        for name, (coef, shift) in ladder_coefficients(p, branch).items():
+        rels = spherical._ladder_relations(lam, branch, N,
+                                           spherical.build_k_matrices(lam, 2))
+        for name, (coef, shift) in ladder_coefficients(lam, branch).items():
             want = np.array([coef(n) for n in range(N + 1)], dtype=complex)
             assert rels[name][2] == shift
             assert rels[name][1].tobytes() == want.tobytes(), (name, N)
@@ -569,10 +600,10 @@ class TestSweep:
     def test_cli_sweep_equals_per_table(self):
         # the shape of a spherical-check sweep: several points, plus and
         # raw minus each, three full blocks and a partial one
-        params = [spherical.SpectralParam.principal(lam)
+        params = [spherical.principal(lam)
                   for lam in (2.170264, 17.491455)]
-        params.append(spherical.SpectralParam.complementary(0.479578))
-        tables = [(p, branch) for p in params
+        params.append(spherical.complementary(0.479578))
+        tables = [(lam, branch) for lam in params
                   for branch in (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)]
         N = 3 * spherical.block_rows(len(tables) * 201) + 5
         assert spherical.intertwine_sweep(tables, N, 100) == \
@@ -582,36 +613,34 @@ class TestSweep:
                                         spherical.BRANCH_MINUS_RENORMALIZED])
     def test_blocks_equal_whole_tables_bitwise(self, branch):
         # stacked blocks of 7 rows against each table built whole
-        tables = [(p, br) for p in (P1, PC, spherical.SpectralParam.principal(5.0))
+        tables = [(lam, br) for lam in (P1, PC, spherical.principal(5.0))
                   for br in (branch, spherical.BRANCH_MINUS)]
-        specs = [spherical._table_spec(p, 30, 4, br) for p, br in tables]
+        specs = [spherical._table_spec(lam, 30, 4, br) for lam, br in tables]
         rows = [win[n0 - w0:].copy()
                 for w0, n0, win in spherical._table_blocks(specs, 7)]
         assert [len(r) for r in rows] == [7, 7, 7, 7, 3]
         stacked = np.concatenate(rows)
-        for t, (p, br) in enumerate(tables):
+        for t, (lam, br) in enumerate(tables):
             # a window holds the columns k = -1..K of each table
-            whole = spherical.coeff_table(p, 30, 4, br)
+            whole = spherical.coeff_table(lam, 30, 4, br)
             assert np.array_equal(stacked[:, t], whole[:, 3:]), (t, br)
 
     @settings(max_examples=12)
     @given(tables=st.one_of(
-        st.just([(spherical.SpectralParam.threshold(),
-                  spherical.BRANCH_PLUS)]),
+        st.just([(0j, spherical.BRANCH_PLUS)]),
         st.lists(st.tuples(st.one_of(
-            st.floats(1e-7, 20.0).map(spherical.SpectralParam.principal),
+            st.floats(1e-7, 20.0).map(spherical.principal),
             st.floats(1e-7, 0.4999).map(
-                spherical.SpectralParam.complementary)), _BRANCHES),
+                spherical.complementary)), _BRANCHES),
             min_size=1, max_size=2)),
         N=st.integers(0, 2000), K=st.integers(2, 150))
     @example(tables=[(P1, spherical.BRANCH_PLUS), (PC, spherical.BRANCH_MINUS)],
              N=0, K=spherical.SWEEP_K_MAX)
-    @example(tables=[(spherical.SpectralParam.threshold(),
-                      spherical.BRANCH_MINUS_RENORMALIZED)],
+    @example(tables=[(0j, spherical.BRANCH_MINUS_RENORMALIZED)],
              N=1, K=spherical.SWEEP_K_MAX)
     @example(tables=[(P1, spherical.BRANCH_MINUS)], N=3,
              K=spherical.SWEEP_K_MAX)
-    @example(tables=[(spherical.SpectralParam.principal(20.0),
+    @example(tables=[(spherical.principal(20.0),
                       spherical.BRANCH_PLUS), (PC, spherical.BRANCH_MINUS)],
              N=2000, K=150)
     def test_half_width_sweep_equals_full_width_row_loop(self, tables, N,
@@ -645,9 +674,9 @@ class TestSweep:
         clean = spherical.intertwine_sweep([(PC, branch), (P1, branch)], 20, K)
         whole = spherical.coeff_table(P1, 20, K, branch)
 
-        def off_at_two(p, N, K, br, dual=False):
-            spec = make(p, N, K, br, dual)
-            if p is not P1:
+        def off_at_two(lam, N, K, br, dual=False):
+            spec = make(lam, N, K, br, dual)
+            if lam is not P1:
                 return spec
             cols = [np.array(np.broadcast_to(c, (K + 1,)), dtype=complex)
                     for c in (*spec.columns, spec.phase)]
@@ -669,9 +698,8 @@ class TestSweep:
 
     def test_raw_minus_pole_before_any_recurrence(self, monkeypatch):
         monkeypatch.setattr(spherical, "recurrence_blocks", None)
-        p0 = spherical.SpectralParam.threshold()
-        tables = [(P1, spherical.BRANCH_PLUS), (p0, spherical.BRANCH_PLUS),
-                  (p0, spherical.BRANCH_MINUS)]
+        tables = [(P1, spherical.BRANCH_PLUS), (0j, spherical.BRANCH_PLUS),
+                  (0j, spherical.BRANCH_MINUS)]
         with pytest.raises(PoleError, match="raw branch has a pole at lam = 0"):
             spherical.intertwine_sweep(tables, 10, 3)
 
@@ -688,8 +716,8 @@ class TestSweep:
                 yield n0, x
 
         monkeypatch.setattr(spherical, "recurrence_blocks", counting)
-        p5 = spherical.SpectralParam.principal(5.0)
-        nu = spherical.SpectralParam.complementary(0.2)
+        p5 = spherical.principal(5.0)
+        nu = spherical.complementary(0.2)
         tables = [(p5, spherical.BRANCH_PLUS), (nu, spherical.BRANCH_MINUS)]
         tables += [(p5, spherical.BRANCH_PLUS)] * 10
         assert spherical.block_rows(12 * 501) == 2
@@ -725,9 +753,9 @@ class TestThreshold:
         # wider centered difference of the plus/minus gap
         tt = spherical.threshold_tables(6, 2, h=1e-4)
         h = 1e-3
-        p = spherical.SpectralParam.principal(h)
-        num = (spherical.coeff_table(p, 6, 2, spherical.BRANCH_PLUS)
-               - spherical.coeff_table(p, 6, 2,
+        lam = spherical.principal(h)
+        num = (spherical.coeff_table(lam, 6, 2, spherical.BRANCH_PLUS)
+               - spherical.coeff_table(lam, 6, 2,
                                        spherical.BRANCH_MINUS_RENORMALIZED)
                ) / (2j * h)
         assert np.max(np.abs(num - tt["D"])) <= 1e-2 * max(
@@ -744,7 +772,7 @@ class TestCorrelation:
 
     def test_complementary_vs_oracle(self):
         got = spherical.correlation(PC, 1, 1, 1.0, 50)
-        want = characteristics_correlation(PC.lam, 1, 1, 1.0)
+        want = characteristics_correlation(PC, 1, 1, 1.0)
         assert abs(got.value - want) < 1e-10
 
     def test_diagonal_equals_legendre(self):
@@ -763,14 +791,21 @@ class TestCorrelation:
 
     def test_threshold_rejected(self):
         with pytest.raises(DomainError):
-            spherical.correlation(spherical.SpectralParam.threshold(), 0, 0, 1.0, 10)
+            spherical.correlation(0j, 0, 0, 1.0, 10)
+
+    @pytest.mark.parametrize("tau", [math.nan, 0.0, -1.0])
+    def test_tau_not_positive_rejected(self, tau):
+        # NaN fails the guard as 0 and negatives do, not a NaN result
+        with pytest.raises(DomainError,
+                           match=r"^correlation: tau must be > 0$"):
+            spherical.correlation(P1, 0, 0, tau, 10)
 
 
 class TestGrowthLaws:
     def test_branch_table_slopes(self):
-        p = spherical.SpectralParam.principal(1.0)
+        lam = spherical.principal(1.0)
         for branch in (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS):
-            tab = spherical.coeff_table(p, 400, 4, branch)
+            tab = spherical.coeff_table(lam, 400, 4, branch)
             for k in (0, 2, 4, -2, -4):
                 n = np.arange(50, 401)
                 if k == 0:
