@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .global_traces import check_weight
-from .spherical import CorrelationResult, KBandedOperator, require_finite
+from .spherical import KBandedOperator, require_finite
 from .specfun import recurrence_blocks, two_factor_columns
 
 
@@ -84,10 +84,10 @@ def cayley_coeffs(l, N, K):
 
 
 def correlation_ds(l, k_out, k_in, tau, N):
-    """Resonance expansion of the disk matrix element of exp(tau X).
-
-    value = sum_n exp(-tau (n + l/2)) backward[k_out, n] forward[n, k_in];
-    the anti-holomorphic (mirror) series value is its complex conjugate.
+    """Resonance expansion of the disk matrix element of exp(tau X),
+    truncated: the complex sum over n <= N of exp(-tau (n + l/2))
+    backward[k_out, n] forward[n, k_in]; the anti-holomorphic (mirror)
+    series value is its complex conjugate.
     """
     if not tau > 0:
         raise DomainError("correlation_ds: tau must be > 0")
@@ -97,11 +97,4 @@ def correlation_ds(l, k_out, k_in, tau, N):
     tab = cayley_coeffs(l, N, max(k_out, k_in))
     n = np.arange(N + 1)
     prod = tab.backward[k_out, :] * tab.forward[:, k_in]
-    value = complex(np.sum(np.exp(-tau * (n + l / 2.0)) * prod))
-    power = k_in + k_out + l - 1
-    last = slice(max(0, N - 4), N + 1)
-    c_est = float(np.max(np.abs(prod[last]) / (1.0 + n[last]) ** power))
-    tail = (c_est * math.exp(-tau * (N + 1 + l / 2.0))
-            * (2.0 + N) ** power / (1.0 - math.exp(-tau)))
-    return CorrelationResult(value, tail)
-
+    return complex(np.sum(np.exp(-tau * (n + l / 2.0)) * prod))

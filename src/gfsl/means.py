@@ -28,6 +28,8 @@ def hc_coefficient(m, lam):
     """
     if m < 0:
         raise DomainError("hc_coefficient: m must be >= 0")
+    if not cmath.isfinite(lam):
+        raise DomainError(f"hc_coefficient: lam must be finite, got {lam!r}")
     if is_gamma_pole(1j * lam - m):
         raise PoleError(f"hc_coefficient: pole at lam = {lam}")
     val = (math.lgamma(m + 0.5) - math.lgamma(m + 1)
@@ -162,7 +164,7 @@ def wave_residual(lam, shift=None):
 
 def w_symbol_defect(lam):
     """|sqrt(pi) e^{i pi/4} sqrt(lam) W_{0,lam} - 1|; O(1/(8 lam)) at large lam."""
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("w_symbol_defect: lam must be > 0")
     w0 = hc_coefficient(0, lam)
     return abs(_SQRT_PI * cmath.exp(1j * math.pi / 4.0) * math.sqrt(lam) * w0 - 1.0)

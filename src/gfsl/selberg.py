@@ -352,6 +352,8 @@ def length_spectrum(group, l_max):
     (_side_classes).  Lengths are 2 acosh(|tr| / 2) of the exact traces tr,
     rounded once, and bucketed by them.
     """
+    if not math.isfinite(l_max):
+        raise DomainError(f"length_spectrum: l_max must be finite, got {l_max!r}")
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
     exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9))
     skip, found = _side_classes(group, l_max)
@@ -573,7 +575,7 @@ def heat_pair(ls, s):
     spectral side is twice the heat trace: the estimate is half the
     identity term plus the orbit sum of g.
     """
-    if s <= 0:
+    if not s > 0:
         raise DomainError("heat_pair: s must be > 0")
     amp = math.exp(-s / 4.0) / (2.0 * math.sqrt(math.pi * s))
     ident, orbit = _geometric_side(ls, GaussianTestFn(0.0, math.sqrt(2.0 * s), amp))

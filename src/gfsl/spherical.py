@@ -3,7 +3,9 @@
 Builds the tridiagonal generator matrices on the circle-mode basis, the
 two branch-transform coefficient tables with their diagonal gauges, the
 dual (inverse-transform) rows, the per-coefficient intertwining audit,
-the threshold coalescence data and the correlation expansion.
+the threshold data (the common table S of both branches at lam = 0 and
+their exact lam-derivative D, a Jordan chain of X) and the truncated
+correlation expansion.
 
 One kernel builds every table: a recurrence over the stacked columns
 k = 0..K of one or several tables (x -> -x maps mode k to -k, so the
@@ -357,6 +359,8 @@ def coeff_table(lam, N, K, branch, dual=False):
     analytically in lam they remain valid verbatim in the complementary
     regime.  The table is the one-table, one-block case of _table_blocks.
     """
+    if not cmath.isfinite(lam):
+        raise DomainError(f"coeff_table: lam must be finite, got {lam!r}")
     spec = _table_spec(lam, N, K, branch, dual)
     ((_, _, win),) = _table_blocks([spec], spec.pre.size)
     half = win[:, 0, 1:]
@@ -513,51 +517,65 @@ def intertwine_sweep(tables, N, K):
 
 
 def _threshold_rationals(k, n_top):
-    """Exact lam = 0 data: both branch recurrences in rational arithmetic.
+    """Exact lam = 0 data of column k, n <= n_top, and its first lam-derivative:
+    both branch recurrences in rational arithmetic, at lam = eps, eps^2 = 0.
 
-    Plus branch (Taylor route): a_n = i^n r_n with
-        r_{n+1} = (2 k r_n + n r_{n-1}) / (n+1),  r_0 = 1, r_1 = 2k.
-    Renormalized minus branch (moment route): M_n = (-i)^n q_n with the same
-    recurrence and q_0 = (-1)^k.  Coalescence is the exact identity
-    q_n = (-1)^k r_n; we run both and insist on it.
+    Plus branch (Taylor route): a_n = i^n (r_n + i eps rho_n) with
+        (n+1) r_{n+1} = 2 k r_n + n r_{n-1},                    r_0 = 1,
+        (n+1) rho_{n+1} = 2 k rho_n + n rho_{n-1} - 2 r_{n-1},  rho_0 = 0.
+    Renormalized minus branch (moment route): M_n = (-i)^n (q_n + i eps mu_n),
+    q by r's recurrence from q_0 = (-1)^k and
+        (n+1) mu_{n+1} = 2 k mu_n + n mu_{n-1} - 2 q_{n+1},
+    mu_0 = (-1)^k sum_{j<|k|} 4/(2j+1), as each seed ratio (-b-j-1)/(-b+j)
+    is -1 at lam = 0 with log-derivative 4i/(2j+1); r, rho, q, mu vanish at
+    n = -1.  Coalescence is the exact identity q_n = (-1)^k r_n; we run both
+    and insist on it.  Returns the lists (r, q, rho, mu).
     """
     from fractions import Fraction  # no CLI run reaches this
 
-    r = [Fraction(1), Fraction(2 * k)]
-    q0 = Fraction((-1) ** (k % 2))
-    q = [q0, Fraction(2 * k) * q0]
-    for n in range(1, n_top):
-        r.append((2 * k * r[n] + n * r[n - 1]) / Fraction(n + 1))
-        q.append((2 * k * q[n] + n * q[n - 1]) / Fraction(n + 1))
-    return r[: n_top + 1], q[: n_top + 1]
+    sign = (-1) ** (k % 2)
+    # position n + 1 holds the n-th value, position 0 the zero at n = -1
+    r, q, rho = [0, Fraction(1)], [0, Fraction(sign)], [0, Fraction(0)]
+    mu = [0, sign * sum(Fraction(4, 2 * j + 1) for j in range(abs(k)))]
+    for n in range(n_top):
+        r.append((2 * k * r[n + 1] + n * r[n]) / (n + 1))
+        q.append((2 * k * q[n + 1] + n * q[n]) / (n + 1))
+        rho.append((2 * k * rho[n + 1] + n * rho[n] - 2 * r[n]) / (n + 1))
+        mu.append((2 * k * mu[n + 1] + n * mu[n] - 2 * q[n + 2]) / (n + 1))
+    return r[1:], q[1:], rho[1:], mu[1:]
 
 
-def threshold_tables(N, K, h):
-    """Common threshold table S and divided-difference table D at mu = 1/4.
+def threshold_tables(N, K):
+    """Common threshold table S and threshold derivative D at mu = 1/4.
 
     S is the lam = 0 value computed independently from both branch closed
-    forms in exact rational arithmetic (they must agree identically).
-    D is the divided difference (s+(h) - s^-(h)) / (2 i h) with one
-    Richardson step h -> h/2; the extrapolation error estimate is recorded.
+    forms in exact rational arithmetic (they must agree identically); the
+    double-precision pipelines at lam = 0 must agree too (float_gap).  D is
+    d/d lam of (s+ - s^-) / 2i at lam = 0, from the exact lam-derivatives of
+    both routes (_threshold_rationals).  Both gauges, exp(L+_n) and
+    exp(-L-_n), are 1 + i lam H_n to first order and cancel in the
+    difference, so D[n, k] = i^(n+k) (rho_n - (-1)^k mu_n) / (2 sqrt(pi)),
+    rounded once from its exact value.  The two X relations of the branch
+    tables then give the Jordan chain (X(0) + n + 1/2) D_n = S_n.
     """
-    if not 0.0 < h <= 1e-3:
-        raise DomainError("threshold_tables: require 0 < h <= 1e-3")
-    s_plus = np.zeros((N + 1, 2 * K + 1), dtype=complex)
-    s_minus = np.zeros((N + 1, 2 * K + 1), dtype=complex)
+    shape = (N + 1, 2 * K + 1)
+    s_plus, s_minus, d_tab = (np.zeros(shape, dtype=complex) for _ in range(3))
     for k in range(-K, K + 1):
-        r, q = _threshold_rationals(k, N)
+        r, q, rho, mu = _threshold_rationals(k, N)
+        sign = (-1) ** (k % 2)
         for n in range(N + 1):
             # plus route: e^{ik pi/2} [x^n] = i^k i^n r_n
             s_plus[n, k + K] = _phase(n + k, +1) * float(r[n]) / _SQRT_PI
             # minus route: (-1)^n e^{-ik pi/2} M_n, M_n = (-i)^n q_n
             ph = _phase(k, -1) * _phase(n, -1) * (1.0 if n % 2 == 0 else -1.0)
             s_minus[n, k + K] = ph * float(q[n]) / _SQRT_PI
+            d_tab[n, k + K] = (_phase(n + k, +1) * float(rho[n] - sign * mu[n])
+                               / (2.0 * _SQRT_PI))
     gap = float(np.max(np.abs(s_plus - s_minus)))
     scale = max(1.0, float(np.max(np.abs(s_plus))))
     if gap > 1e-9 * scale:
         raise ConsistencyError(
             f"threshold branches disagree at lam = 0: {gap:.3e} (scale {scale:.3e})")
-    s_tab = s_plus
     # double-precision pipelines should tell the same story
     sp = coeff_table(0j, N, K, BRANCH_PLUS)
     sm = coeff_table(0j, N, K, BRANCH_MINUS_RENORMALIZED)
@@ -565,40 +583,14 @@ def threshold_tables(N, K, h):
     if float_gap > 1e-9 * scale:
         raise ConsistencyError(
             f"threshold float pipelines disagree: {float_gap:.3e} (scale {scale:.3e})")
-
-    def divided(hh):
-        lam = principal(hh)
-        a = coeff_table(lam, N, K, BRANCH_PLUS)
-        bren = coeff_table(lam, N, K, BRANCH_MINUS_RENORMALIZED)
-        return (a - bren) / (2j * hh)
-
-    d_coarse = divided(h)
-    d_fine = divided(h / 2.0)
-    d_extrap = 2.0 * d_fine - d_coarse
-    err = np.abs(d_fine - d_coarse)
-    return {
-        "S": s_tab,
-        "S_plus": s_plus,
-        "S_minus": s_minus,
-        "D": d_extrap,
-        "richardson_error": err,
-        "float_gap": float_gap,
-    }
-
-
-@dataclass
-class CorrelationResult:
-    value: complex
-    tail_bound: float
+    return {"S": s_plus, "S_plus": s_plus, "S_minus": s_minus, "D": d_tab,
+            "float_gap": float_gap}
 
 
 def correlation(lam, k_out, k_in, tau, N):
-    """Resonance expansion of <psi_kout | exp(tau X) psi_kin>.
-
-    Sums exp(tau z_{n,branch}) v[n,k_out] s[n,k_in] over n <= N and both
-    branches, and reports a tail bound of the form
-    C exp(-tau (N+1)) <N>^(|k_in|+|k_out|-1) calibrated on the last terms.
-    """
+    """Resonance expansion of <psi_kout | exp(tau X) psi_kin>, truncated:
+    the complex sum of exp(tau z_{n,branch}) v[n,k_out] s[n,k_in] over
+    n <= N and both branches."""
     if not tau > 0:
         raise DomainError("correlation: tau must be > 0")
     if (lam * lam + 0.25).real == 0.25:
@@ -613,14 +605,4 @@ def correlation(lam, k_out, k_in, tau, N):
     em = np.exp(tau * (-n - 0.5 - 1j * lam))
     prod_p = vp[:, k_out + K] * sp[:, k_in + K]
     prod_m = vm[:, k_out + K] * sm[:, k_in + K]
-    value = complex(np.sum(ep * prod_p) + np.sum(em * prod_m))
-    power = abs(k_in) + abs(k_out) - 1
-    last = slice(max(0, N - 4), N + 1)
-    weights = (1.0 + n[last] ** 2) ** (power / 2.0)
-    c_est = float(np.max(
-        (np.abs(prod_p[last]) + np.abs(prod_m[last])) / weights))
-    tail = (2.0 * c_est * math.exp(-tau * (N + 1.5))
-            * (1.0 + (N + 1.0) ** 2) ** (power / 2.0)
-            / (1.0 - math.exp(-tau)))
-    return CorrelationResult(value, tail)
-
+    return complex(np.sum(ep * prod_p) + np.sum(em * prod_m))

@@ -249,38 +249,68 @@ def gauge_log_mp(lam, branch, n_top):
         return np.array(out)
 
 
+def _branch_column_mp(lam, branch, N, k):
+    """Column k of a branch table (plus, minus or minus_renormalized) as mpc
+    values at the working precision, from its own recurrence run at column
+    k itself (a negative k included): plus, t_n^+ sqrt(n!) e^{ik pi/2}
+    [x^n] (1+ix)^(b+k) (1-ix)^(b-k); minus, t_n^- / sqrt(n!) e^{-ik pi/2}
+    times the moments M_n = int x^n (1+ix)^(b_+ +k) (1-ix)^(b_+ -k) dx,
+    renormalized by Gamma(1/2 - i lam) / (sqrt(pi) Gamma(-i lam)) and
+    signed (-1)^n for minus_renormalized; each / sqrt(pi), with t_n =
+    prod_{j<n} (-2b + j)^(-+1/2) and b = b_+ or b_-.  lam may be i nu, or
+    real and negative."""
+    lam = mp.mpc(lam)
+    plus = branch == "plus"
+    b = mp.mpf(-0.5) + (1 if plus else -1) * mp.mpc(0, 1) * lam
+    if plus:
+        a, s, e = 2 * mp.mpc(0, 1) * k, 2 * b, 0
+        x = [mp.mpc(1)]
+    else:
+        a, s, e = -2 * mp.mpc(0, 1) * k, -1, 2 * mp.mpc(0, 1) * lam
+        bm = mp.mpf(-0.5) + mp.mpc(0, 1) * lam
+        top = (mp.gamma(-bm) ** 2 if branch == "minus_renormalized"
+               else mp.pi * mp.mpf(2) ** (2 * bm + 2) * mp.gamma(-2 * bm - 1))
+        x = [top / (mp.gamma(-bm - k) * mp.gamma(-bm + k))]
+    for n in range(N):
+        prev = x[n - 1] if n else 0
+        x.append((a * x[n] + (s - (n - 1)) * prev) / (n + 1 + e))
+    sign = 1 if plus else -1
+    phase = mp.expjpi(sign * mp.mpf(k) / 2) / mp.sqrt(mp.pi)
+    out, log_t, log_f = [], mp.mpc(0), mp.mpf(0)
+    for n in range(N + 1):
+        parity = -1 if branch == "minus_renormalized" and n % 2 else 1
+        out.append(parity * mp.exp(log_t + sign * log_f / 2) * x[n] * phase)
+        log_t += -sign * mp.log(-2 * b + n) / 2
+        log_f += mp.log(n + 1)
+    return out
+
+
 def branch_table_mp(lam, branch, N, k):
     """Column k of spherical.coeff_table(lam, N, K, branch), |k| <= K, at 40
-    digits, from its own recurrence run at column k itself (a negative k
-    included): plus, t_n^+ sqrt(n!) e^{ik pi/2} [x^n] (1+ix)^(b+k)
-    (1-ix)^(b-k); minus, t_n^- / sqrt(n!) e^{-ik pi/2} times the moments
-    M_n = int x^n (1+ix)^(b_+ +k) (1-ix)^(b_+ -k) dx, each / sqrt(pi),
-    with t_n = prod_{j<n} (-2b + j)^(-+1/2) and b = b_+ or b_-; lam may
-    be i nu."""
+    digits (_branch_column_mp)."""
     with mp.workdps(40):
-        lam = mp.mpc(lam)
-        plus = branch == "plus"
-        b = mp.mpf(-0.5) + (1 if plus else -1) * mp.mpc(0, 1) * lam
-        if plus:
-            a, s, e = 2 * mp.mpc(0, 1) * k, 2 * b, 0
-            x = [mp.mpc(1)]
-        else:
-            a, s, e = -2 * mp.mpc(0, 1) * k, -1, 2 * mp.mpc(0, 1) * lam
-            bm = mp.mpf(-0.5) + mp.mpc(0, 1) * lam
-            x = [mp.pi * mp.mpf(2) ** (2 * bm + 2) * mp.gamma(-2 * bm - 1)
-                 / (mp.gamma(-bm - k) * mp.gamma(-bm + k))]
-        for n in range(N):
-            prev = x[n - 1] if n else 0
-            x.append((a * x[n] + (s - (n - 1)) * prev) / (n + 1 + e))
-        sign = 1 if plus else -1
-        phase = mp.expjpi(sign * mp.mpf(k) / 2) / mp.sqrt(mp.pi)
-        out, log_t, log_f = [], mp.mpc(0), mp.mpf(0)
-        for n in range(N + 1):
-            out.append(complex(mp.exp(log_t + sign * log_f / 2) * x[n]
-                               * phase))
-            log_t += -sign * mp.log(-2 * b + n) / 2
-            log_f += mp.log(n + 1)
-        return np.array(out)
+        column = _branch_column_mp(lam, branch, N, k)
+        return np.array([complex(v) for v in column])
+
+
+def threshold_derivative_mp(N, K, h):
+    """D of spherical.threshold_tables(N, K) at 40 digits, by a central
+    difference: (G(h) - G(-h)) / 2h with G(lam) = (plus - minus_renormalized)
+    / 2i, both tables from _branch_column_mp at lam = +-h, never from the
+    derivative recurrences.  Its error is O(h^2) relative, plus the 40-digit
+    rounding of the tables over h: with h = 1e-16, about 1e-24 of the
+    largest table entry."""
+    with mp.workdps(40):
+        h = mp.mpf(h)
+        out = np.zeros((N + 1, 2 * K + 1), dtype=complex)
+        for k in range(-K, K + 1):
+            g_plus, g_minus = ([(p - m) / mp.mpc(0, 2) for p, m in zip(
+                _branch_column_mp(lam, "plus", N, k),
+                _branch_column_mp(lam, "minus_renormalized", N, k))]
+                for lam in (h, -h))
+            out[:, k + K] = [complex((a - b) / (2 * h))
+                             for a, b in zip(g_plus, g_minus)]
+        return out
 
 
 def _row_loop_audit(rows, relations, first):

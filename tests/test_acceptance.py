@@ -70,25 +70,45 @@ def test_criterion_02_oscillator_identities():
 
 
 def test_criterion_03_threshold_coalescence():
-    tt = spherical.threshold_tables(30, 6, h=1e-4)
+    N, K = 30, 6
+    tt = spherical.threshold_tables(N, K)
     # the two branch closed forms at lam = 0, evaluated by their own exact
     # recurrences and phase algebra, agree entrywise
     gap_exact = float(np.max(np.abs(tt["S_plus"] - tt["S_minus"])))
     assert gap_exact < 1e-9
     # the double-precision branch pipelines tell the same story on the
     # scale of the entries (which reach ~1e7 at n = 30, |k| = 6)
-    sp = spherical.coeff_table(0j, 30, 6, "plus")
-    sm = spherical.coeff_table(0j, 30, 6, "minus_renormalized")
+    sp = spherical.coeff_table(0j, N, K, "plus")
+    sm = spherical.coeff_table(0j, N, K, "minus_renormalized")
     scale = float(np.max(np.abs(sp)))
     assert tt["float_gap"] < 1e-9 * max(1.0, scale)
     assert np.max(np.abs(tt["S"] - sp)) <= 1e-12 * max(1.0, scale)
     assert np.max(np.abs(tt["S"] - sm)) <= 1e-12 * max(1.0, scale)
-    # Richardson consistency: second extrapolation agrees within estimates
-    t2 = spherical.threshold_tables(30, 6, h=5e-5)
-    gap = np.abs(tt["D"] - t2["D"])
-    assert np.all(gap <= tt["richardson_error"] + t2["richardson_error"] + 1e-9)
+    # The Jordan chain (X(0) + n + 1/2) D_n = S_n on the interior columns,
+    # scored entry by entry as the intertwining audit is: |lhs - S| over
+    # the sum of its terms' magnitudes.  Each term is one entry of D or S,
+    # rounded from its exact value with relative error <= 3u (u = eps / 2),
+    # times an exact band entry or n + 1/2 (one rounding, u); each entry
+    # and so each term is real or imaginary, and summing four of them adds
+    # at most 3u of the terms' magnitudes.  So a correct D scores at most
+    # 7u = 3.5 eps, to first order; 4 eps allows for the second.
+    x_op = spherical.build_k_matrices(0j, K)["X"]
+    d_tab, s_int = tt["D"], tt["S"][:, 1:-1]
+    terms = (x_op.sup[1:-1] * d_tab[:, 2:], x_op.sub[1:-1] * d_tab[:, :-2],
+             (np.arange(N + 1)[:, None] + 0.5) * d_tab[:, 1:-1])
+    lhs = sum(terms)
+    size = sum(np.abs(t) for t in terms) + np.abs(s_int)
+    chain = float(np.max(np.abs(lhs - s_int) / np.maximum(size, 5e-324)))
+    assert chain <= 4.0 * np.finfo(float).eps
+    # The block is nontrivial: (X(0) + n + 1/2) D is not zero, so D is no
+    # eigenvector.  An eigenvector would leave round-off, about 1e-15 of
+    # the table; the margin 1e-2 of the largest |S| sits far above that.
+    margin = float(np.max(np.abs(lhs)) / np.max(np.abs(tt["S"])))
+    assert margin >= 1e-2
     _report(3, f"s+(0) = s^-(0) entrywise (exact routes gap {gap_exact:.1e}; "
-               f"float routes within {tt['float_gap']:.2e} on scale {scale:.1e})")
+               f"float routes within {tt['float_gap']:.2e} on scale {scale:.1e}); "
+               f"Jordan chain (X(0) + n + 1/2) D = S to {chain:.2e}, "
+               f"max |(X(0) + n + 1/2) D| / max |S| = {margin:.4f}")
 
 
 def test_criterion_04_per_irrep_traces():
@@ -112,7 +132,7 @@ def test_criterion_05_correlations_vs_oracles():
     worst_sph = 0.0
     for ko in range(4):
         for ki in range(4):
-            got = spherical.correlation(lam, ko, ki, 1.0, 50).value
+            got = spherical.correlation(lam, ko, ki, 1.0, 50)
             want = characteristics_correlation(1.0, ko, ki, 1.0)
             worst_sph = max(worst_sph, abs(got - want))
     x_dense = discrete.build_disk_matrices(2, 200)["X"].as_dense()
@@ -123,7 +143,7 @@ def test_criterion_05_correlations_vs_oracles():
     for ko in range(4):
         for ki in range(4):
             assert abs(e_oracle[ko, ki] - e_check[ko, ki]) < 1e-10
-            got = discrete.correlation_ds(2, ko, ki, 1.0, 120).value
+            got = discrete.correlation_ds(2, ko, ki, 1.0, 120)
             worst_ds = max(worst_ds, abs(got - e_oracle[ko, ki]))
     elapsed = time.monotonic() - t0
     assert worst_sph < 1e-6
@@ -137,8 +157,7 @@ def test_criterion_05_correlations_vs_oracles():
 def test_criterion_06_correlation_equals_spherical_function():
     worst = 0.0
     for lam, tau in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
-        got = spherical.correlation(spherical.principal(lam), 0, 0, tau,
-                                    60).value
+        got = spherical.correlation(spherical.principal(lam), 0, 0, tau, 60)
         worst = max(worst, abs(got - legendre_conical(lam, tau)))
     assert worst < 1e-8
     _report(6, f"k=0 correlation equals the conical Legendre value "

@@ -76,25 +76,25 @@ class TestCorrelation:
             e_big = galerkin_exp_oracle(x_dense, tau)
             for (ko, ki) in [(0, 0), (1, 0), (2, 2), (3, 1)]:
                 got = discrete.correlation_ds(l, ko, ki, tau, 120)
-                assert abs(got.value - e_big[ko, ki]) < 1e-8
+                assert abs(got - e_big[ko, ki]) < 1e-8
 
     def test_closed_form_diagonal(self):
         # l = 2 diagonal matrix element is 1/cosh^2(tau/2)
         got = discrete.correlation_ds(2, 0, 0, 1.0, 200)
-        assert abs(got.value - 0.7864477329659274) < 1e-12
+        assert abs(got - 0.7864477329659274) < 1e-12
 
     def test_decay_rate(self):
         taus = np.linspace(4.0, 8.0, 5)
-        vals = [abs(discrete.correlation_ds(2, 0, 0, t, 80).value) for t in taus]
+        vals = [abs(discrete.correlation_ds(2, 0, 0, t, 80)) for t in taus]
         slope = np.polyfit(taus, np.log(vals), 1)[0]
         assert abs(slope - (-1.0)) < 0.05  # leading resonance -l/2 = -1
 
     def test_unitarity_limit(self):
         got = discrete.correlation_ds(2, 0, 0, 0.1, 4000)
-        assert abs(got.value - 1.0) < 1e-2
+        assert abs(got - 1.0) < 1e-2
 
     def test_antiholomorphic_conjugation(self):
-        mirror = discrete.correlation_ds(2, 2, 1, 1.0, 100).value.conjugate()
+        mirror = discrete.correlation_ds(2, 2, 1, 1.0, 100).conjugate()
         # mirror series matches the exponential of the conjugated generator
         x_dense = discrete.build_disk_matrices(2, 200)["X"].as_dense()
         e_conj = galerkin_exp_oracle(np.conj(x_dense), 1.0)

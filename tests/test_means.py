@@ -48,6 +48,12 @@ class TestHcCoefficient:
         with pytest.raises(PoleError):
             means.hc_coefficient(0, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, -math.inf, complex(1.0, math.inf)])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(DomainError, match=r"^hc_coefficient: lam must be "
+                           r"finite, got "):
+            means.hc_coefficient(2, lam)
+
     @settings(max_examples=60)
     @given(st.integers(0, means.HC_M_MAX),
            st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
@@ -171,6 +177,13 @@ class TestWSymbol:
     def test_defect_bound(self):
         for lam in np.linspace(5.0, 100.0, 20):
             assert means.w_symbol_defect(float(lam)) <= 0.2 / lam
+
+    @pytest.mark.parametrize("lam", [math.nan, 0.0, -1.0])
+    def test_lam_not_positive_rejected(self, lam):
+        # NaN fails the guard as 0 and negatives do
+        with pytest.raises(DomainError,
+                           match=r"^w_symbol_defect: lam must be > 0$"):
+            means.w_symbol_defect(lam)
 
     def test_normalization_at_origin(self):
         # phi_lam(0) = 1 for all lam

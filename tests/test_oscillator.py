@@ -116,6 +116,12 @@ class TestIntertwining:
 
 
 class TestInvariants:
-    def test_width_domain(self):
-        with pytest.raises(DomainError):
-            osc.GaussPolyFunction([1.0], -0.5 + 1j)
+    @pytest.mark.parametrize("width", [-0.5 + 1j, complex(math.nan, 0.0),
+                                       complex(1.0, math.nan),
+                                       complex(math.inf, 0.5)])
+    def test_width_domain(self, width):
+        # a NaN real part fails as a real part <= 0 does, not silently
+        with pytest.raises(DomainError) as exc:
+            osc.GaussPolyFunction([1.0], width)
+        assert str(exc.value) == (f"GaussPolyFunction: width = {width} must "
+                                  "be finite with Re(width) > 0")

@@ -125,6 +125,14 @@ class TestLengthSpectrum:
         assert doubled and all(m == 2 for _, _, m, _ in doubled)
         assert all(abs(ell - 2 * SYSTOLE) > 1e-9 for ell, _ in spectrum8.primitives)
 
+    @pytest.mark.parametrize("l_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_l_max_rejected(self, bolza, l_max):
+        # NaN never ends the side-line power search, +-inf never the ball
+        with pytest.raises(DomainError) as exc:
+            selberg.length_spectrum(bolza, l_max)
+        assert str(exc.value) == (
+            f"length_spectrum: l_max must be finite, got {l_max!r}")
+
     def test_cutoff_has_no_slack(self):
         # lengths come from exact traces: an iterate at the cutoff is kept,
         # and one ulp below the cutoff it is dropped; a primitive is
@@ -619,6 +627,12 @@ class TestWeylConsistency:
         # of identity + (orbit sum with weight 1/sinh), bit for bit
         ls = spectrum8 if l_max == 8.0 else selberg.length_spectrum(bolza, l_max)
         assert selberg.heat_pair(ls, s) == heat_pair_loop(ls, s)
+
+    @pytest.mark.parametrize("s", [math.nan, 0.0, -1.0])
+    def test_s_not_positive_rejected(self, spectrum8, s):
+        # NaN fails the guard as 0 and negatives do, not GaussianTestFn's
+        with pytest.raises(DomainError, match=r"^heat_pair: s must be > 0$"):
+            selberg.heat_pair(spectrum8, s)
 
     def test_positivity(self, spectrum8):
         for s in (0.05, 0.2, 0.8, 1.5):
