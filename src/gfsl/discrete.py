@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .global_traces import check_weight
-from .spherical import KBandedOperator, require_finite
+from .spherical import KBandedOperator
 from .specfun import recurrence_blocks, two_factor_columns
 
 
@@ -39,6 +39,13 @@ def build_disk_matrices(l, K):
                             zero.copy())
     x_op = KBandedOperator(zero.copy(), 0.5 * c, 0.5 * sub)
     return {"Theta": theta, "Nplus": n_plus, "Nminus": n_minus, "X": x_op}
+
+
+def require_finite(table, where):
+    """Raise AccuracyError naming `where` if table has inf/nan entries."""
+    if not np.all(np.isfinite(table)):
+        raise AccuracyError(
+            f"{where} has non-finite entries (double precision overflow)")
 
 
 @dataclass

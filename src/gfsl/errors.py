@@ -1,4 +1,7 @@
-"""Exception types shared by all gfsl modules."""
+"""Exception types shared by all gfsl modules, and the finiteness check
+of scalar parameters that names them."""
+
+import cmath
 
 
 class GfslError(Exception):
@@ -32,3 +35,12 @@ class ConsistencyError(GfslError):
 
 class ConstructionError(GfslError):
     """A constructed object failed its own defining checks."""
+
+
+def check_finite(where, **params):
+    """DomainError naming `where` and the first of `params` (name=value,
+    real or complex) that is not finite, carrying that value."""
+    for name, value in params.items():
+        if not cmath.isfinite(value):
+            raise DomainError(
+                f"{where}: {name} must be finite, got {value!r}", value)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_finite
 
 # `np.loadtxt` row type of a Laplace file body
 _LAPLACE_ROW = [("mu", float), ("mult", np.int64)]
@@ -47,8 +47,9 @@ class LaplaceSpectrum:
     genus: int
 
     def __post_init__(self):
-        if self.genus < 2:
-            raise DomainError("LaplaceSpectrum: genus must be >= 2")
+        if not self.genus >= 2:
+            raise DomainError("LaplaceSpectrum: genus must be >= 2",
+                              self.genus)
         self.mu = np.array(self.mu, dtype=float)
         self.mult = np.array(self.mult, dtype=np.int64)
         if self.mu.ndim != 1 or self.mu.shape != self.mult.shape:
@@ -171,6 +172,7 @@ def trace_spherical(lam, t, tol):
     """Flat trace 2 cos(t lam) e^{-t/2} / (1 - e^{-t}) of exp(tX) on the
     spherical irreducible lam (i nu if complementary: cosh(t nu)) and its
     resonance sum, the ladders e^{-t(n + 1/2 -+ i lam)} of both branches."""
+    check_finite("trace_spherical", lam=lam, t=t, tol=tol)
     try:
         p0 = 2.0 * cmath.cos(t * lam).real
     except (OverflowError, ValueError):
@@ -189,13 +191,14 @@ def check_weight(l):
 def trace_ds(l, t, tol):
     """Holomorphic flat trace e^{-tl/2}/(1-e^{-t}) and its resonance sum."""
     check_weight(l)
+    check_finite("trace_ds", t=t, tol=tol)
     return _ladder_trace(t, 1.0, l / 2.0, tol)
 
 
 def rr_multiplicity(genus, l):
     """Multiplicity of the discrete series with lowest K-type l on genus g."""
-    if genus < 2:
-        raise DomainError("rr_multiplicity: genus must be >= 2")
+    if not genus >= 2:
+        raise DomainError("rr_multiplicity: genus must be >= 2", genus)
     check_weight(l)
     if l == 2:
         return genus
@@ -206,6 +209,7 @@ def tanh_transform(t, tol):
     """Both sides of the tanh Fourier identity at t > 0: pole_sum, -2
     sum_k (k + 1/2) e^{-t(k + 1/2)} until its tail, tail_bound, is at most
     tol/2, and closed_form, -cosh(t/2) / (2 sinh^2(t/2))."""
+    check_finite("tanh_transform", t=t, tol=tol)
     pole_sum, tail = specfun.geometric_sum(t, -1.0, -2.0, 0.5, tol)
     try:
         closed = -0.5 * math.cosh(t / 2.0) / math.sinh(t / 2.0) ** 2
@@ -261,6 +265,7 @@ def global_trace(spec, t, tol):
     scale when it is above tol/2."""
     if not t > 0:
         raise DomainError(f"global_trace: t must be > 0, got {t}")
+    check_finite("global_trace", tol=tol)
     x, gap = math.exp(-t), -math.expm1(-t)
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / gap * _spherical_sum(spec, t)
     head = 2.0 * x / gap

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError, check_finite
 from .specfun import is_gamma_pole, log_gamma, trapezoid_levels
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -28,8 +28,7 @@ def hc_coefficient(m, lam):
     """
     if m < 0:
         raise DomainError("hc_coefficient: m must be >= 0")
-    if not cmath.isfinite(lam):
-        raise DomainError(f"hc_coefficient: lam must be finite, got {lam!r}")
+    check_finite("hc_coefficient", lam=lam)
     if is_gamma_pole(1j * lam - m):
         raise PoleError(f"hc_coefficient: pole at lam = {lam}")
     val = (math.lgamma(m + 0.5) - math.lgamma(m + 1)
@@ -51,6 +50,7 @@ def hc_partial_sum(lam, t, M):
         raise DomainError("hc_partial_sum: t must be > 0")
     if M < 0:
         raise DomainError("hc_partial_sum: M must be >= 0")
+    check_finite("hc_partial_sum", lam=lam, t=t)
     pre = cmath.exp(-t * (0.5 - 1j * lam))
     branch = 0.0 + 0.0j
     partial = []
@@ -152,6 +152,7 @@ def wave_residual(lam, shift=None):
     check_lambda(lam)
     if shift is None:
         shift = lam * lam
+    check_finite("wave_residual", shift=shift)
     quarter = math.pi / (2.0 * lam)
     res, floor = np.array([_wave_point(lam, t, shift) for t in WAVE_T]).T
     res_q, floor_q = math.exp(2.0 * quarter) * np.array(
@@ -166,5 +167,6 @@ def w_symbol_defect(lam):
     """|sqrt(pi) e^{i pi/4} sqrt(lam) W_{0,lam} - 1|; O(1/(8 lam)) at large lam."""
     if not lam > 0:
         raise DomainError("w_symbol_defect: lam must be > 0")
+    check_finite("w_symbol_defect", lam=lam)
     w0 = hc_coefficient(0, lam)
     return abs(_SQRT_PI * cmath.exp(1j * math.pi / 4.0) * math.sqrt(lam) * w0 - 1.0)

@@ -27,6 +27,9 @@ class GaussPolyFunction:
         self.width = complex(self.width)
         if self.poly.ndim != 1 or self.poly.size == 0:
             raise DomainError("GaussPolyFunction: poly must be a 1-d nonempty array")
+        if not np.all(np.isfinite(self.poly)):
+            raise DomainError("GaussPolyFunction: poly coefficients must be "
+                              "finite", self.poly)
         if not (self.width.real > 0 and cmath.isfinite(self.width)):
             raise DomainError(f"GaussPolyFunction: width = {self.width} must "
                               "be finite with Re(width) > 0")

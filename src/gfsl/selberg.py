@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (AccuracyError, ConsistencyError, ConstructionError,
-                     DomainError)
+                     DomainError, check_finite)
 
 _SQRT2 = math.sqrt(2.0)
 _R = math.sqrt(1.0 + _SQRT2)
@@ -352,8 +352,7 @@ def length_spectrum(group, l_max):
     (_side_classes).  Lengths are 2 acosh(|tr| / 2) of the exact traces tr,
     rounded once, and bucketed by them.
     """
-    if not math.isfinite(l_max):
-        raise DomainError(f"length_spectrum: l_max must be finite, got {l_max!r}")
+    check_finite("length_spectrum", l_max=l_max)
     disp = 2.0 * math.acosh(math.cosh(l_max / 2.0) * _OCT_COSH_R)
     exact = _ball(group, math.cosh(disp) * (1.0 + 1e-9))
     skip, found = _side_classes(group, l_max)
@@ -377,6 +376,8 @@ class GaussianTestFn:
     def __post_init__(self):
         if not self.sigma > 0:
             raise DomainError("GaussianTestFn: sigma must be > 0")
+        check_finite("GaussianTestFn", center=self.center, sigma=self.sigma,
+                     amplitude=self.amplitude)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -577,6 +578,7 @@ def heat_pair(ls, s):
     """
     if not s > 0:
         raise DomainError("heat_pair: s must be > 0")
+    check_finite("heat_pair", s=s)
     amp = math.exp(-s / 4.0) / (2.0 * math.sqrt(math.pi * s))
     ident, orbit = _geometric_side(ls, GaussianTestFn(0.0, math.sqrt(2.0 * s), amp))
     estimate = 0.5 * ident + orbit

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError, check_finite
 
 # Lanczos, g = 7, 9 coefficients.  Standard double-precision set,
 # ~13 significant digits on the right half-plane.
@@ -149,6 +149,7 @@ def log_beta_line(alpha, beta):
     """
     alpha = complex(alpha)
     beta = complex(beta)
+    check_finite("log_beta_line", alpha=alpha, beta=beta)
     c = -alpha - beta - 1.0
     if is_gamma_pole(c):
         raise PoleError(
@@ -272,6 +273,7 @@ def geometric_sum(t, p0, p1, c, tol):
     _SERIES_MAX_TERMS terms (or when the tail is not finite)."""
     if not t > 0:
         raise DomainError(f"geometric_sum: t must be > 0, got {t!r}", value=t)
+    check_finite("geometric_sum", t=t, p0=p0, p1=p1, c=c, tol=tol)
     gap = -math.expm1(-t)
     a, b, lag = p0 / gap, p1 / gap, math.exp(-t) / gap
     terms = []

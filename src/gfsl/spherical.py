@@ -2,10 +2,9 @@
 
 Builds the tridiagonal generator matrices on the circle-mode basis, the
 two branch-transform coefficient tables with their diagonal gauges, the
-dual (inverse-transform) rows, the per-coefficient intertwining audit,
-the threshold data (the common table S of both branches at lam = 0 and
-their exact lam-derivative D, a Jordan chain of X) and the truncated
-correlation expansion.
+per-coefficient intertwining audit, the threshold data (the common table
+S of both branches at lam = 0 and their exact lam-derivative D, a Jordan
+chain of X) and the truncated correlation expansion.
 
 One kernel builds every table: a recurrence over the stacked columns
 k = 0..K of one or several tables (x -> -x maps mode k to -k, so the
@@ -18,10 +17,11 @@ the branch exponents b_pm = -1/2 +- i lam are formed from it where they
 are used; the complementary regime is the substitution lam = i nu,
 0 < nu < 1/2, everywhere in the same algebraic formulas.
 Coefficient tables are indexed [n, k+K] for 0 <= n <= N, |k| <= K.
-The dual table stores v[n, k] = <psi_k | T_branch^{-1} e_n>, which for
-real lam is the complex conjugate of the weak dual coefficient; the
-correlation expansion is sum over n, branch of
-exp(tau z) * v[n, k_out] * s[n, k_in].
+The dual rows v[n, k] = <psi_k | T_branch^{-1} e_n> of a branch are no
+table of their own: since b_plus(lam) = b_minus(-lam), they are (-1)^n
+times the other branch's table at -lam (for real lam, the complex
+conjugate of the weak dual coefficient).  The correlation expansion is
+the sum over n, branch of exp(tau z) * v[n, k_out] * s[n, k_in].
 """
 
 import cmath
@@ -30,7 +30,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConsistencyError, DomainError, PoleError
+from .errors import (AccuracyError, ConsistencyError, DomainError, PoleError,
+                     check_finite)
 from .specfun import (is_gamma_pole, log_beta_line, recurrence_blocks,
                       two_factor_columns)
 
@@ -64,6 +65,7 @@ def principal(lam):
     """The principal-series irreducible lam >= 0, as the complex lam."""
     if lam < 0:
         raise DomainError("principal: lam must be >= 0")
+    check_finite("principal", lam=lam)
     lam = float(lam)
     if not math.isfinite(2.0 * lam):
         raise DomainError(
@@ -119,6 +121,7 @@ def build_k_matrices(lam, K):
     """Tridiagonal matrices of X, U, S, Theta, N+, N- on |k| <= K."""
     if K < 2:
         raise DomainError("build_k_matrices: K must be >= 2")
+    check_finite("build_k_matrices", lam=lam)
     ks = np.arange(-K, K + 1, dtype=float)
     zero = np.zeros_like(ks, dtype=complex)
     # raising/lowering amplitudes of N+ and N-
@@ -153,6 +156,7 @@ def gauge_log(lam, branch, n_top):
     it keeps L_n within 3e-14 of its 40-digit value for n <= 2000 (the
     plain sum drifts to 4.0e-13 at lam = 20).
     """
+    check_finite("gauge_log", lam=lam)
     c = -2.0 * _b(lam, branch)
     if is_gamma_pole(c):
         raise DomainError(f"gauge: -2b = {c} hits a branch point")
@@ -222,14 +226,6 @@ def _phases(K, sign):
     return np.array([_phase(k, sign) / _SQRT_PI for k in range(K + 1)])
 
 
-def require_finite(table, where):
-    """Return table, or raise AccuracyError naming `where` if it has inf/nan."""
-    if not np.all(np.isfinite(table)):
-        raise AccuracyError(
-            f"{where} has non-finite entries (double precision overflow)")
-    return table
-
-
 def _param_label(lam):
     return f"lam = {lam.real!r}" if lam.imag == 0 else f"nu = {lam.imag!r}"
 
@@ -249,30 +245,19 @@ class _TableSpec:
         self.pre, self.phase = pre, phase
 
 
-def _table_spec(lam, N, K, branch, dual=False):
-    """One branch table, or with dual=True the dual rows of the plus or
-    minus branch.  Plus: t_n^+ sqrt(n!) = exp(L_n) (gauge_log) times
+def _table_spec(lam, N, K, branch):
+    """One branch table.  Plus: t_n^+ sqrt(n!) = exp(L_n) (gauge_log) times
     phase_k [x^n] two-factor; minus: moments with t_n^- / sqrt(n!) =
     exp(-L_n), a Gamma pole at lam = 0 (PoleError); minus_renormalized:
     the rho-rescaled moments times (-1)^n exp(-L_n), finite at lam = 0,
-    where they coalesce with plus.  The dual rows take (-1)^n exp(-+L_n)."""
+    where they coalesce with plus."""
     logs = gauge_log(lam, branch, N)
-    ks = np.arange(K + 1)
     # a prefactor may overflow to inf: _table_blocks names the table and
     # rows of every non-finite entry
     with np.errstate(over="ignore"):
-        if dual and branch == BRANCH_PLUS:
-            name, sign = "plus-branch dual", -1
-            columns = _moment_columns(-lam, K)
-        elif dual and branch == BRANCH_MINUS:
-            name, sign = "minus-branch dual", +1
-            b = _b(lam, BRANCH_MINUS)
-            columns = two_factor_columns(b + ks, b - ks)
-        elif dual:
-            raise DomainError(f"dual rows: unsupported branch {branch}")
-        elif branch == BRANCH_PLUS:
+        if branch == BRANCH_PLUS:
             name, sign = "plus-branch", +1
-            b = _b(lam, BRANCH_PLUS)
+            b, ks = _b(lam, BRANCH_PLUS), np.arange(K + 1)
             columns = two_factor_columns(b + ks, b - ks)
         elif branch == BRANCH_MINUS_RENORMALIZED:
             name, sign = "renormalized minus-branch", -1
@@ -286,7 +271,7 @@ def _table_spec(lam, N, K, branch, dual=False):
             columns = _moment_columns(lam, K)
         # exp(L_n) with the phase i^k / sqrt(pi), exp(-L_n) with (-i)^k
         pre = np.exp(logs if sign > 0 else -logs)
-        if dual or branch == BRANCH_MINUS_RENORMALIZED:
+        if branch == BRANCH_MINUS_RENORMALIZED:
             pre *= (-1.0) ** np.arange(N + 1)
     return _TableSpec(_table_name(name, lam, N, K), lam, columns, pre,
                       _phases(K, sign))
@@ -349,19 +334,12 @@ def _table_blocks(specs, rows):
         yield (n0 - 1, n0, win[:r + 1]) if n0 else (0, 0, new)
 
 
-def coeff_table(lam, N, K, branch, dual=False):
+def coeff_table(lam, N, K, branch):
     """Entries [n, k+K] of one branch table (plus, minus or
-    minus_renormalized; see _table_spec), or with dual=True the dual rows
-    v[n, k] = <psi_k | T_branch^{-1} e_n> of the plus or minus branch.
-
-    For real lam the dual rows are the conjugates of the weak dual
-    coefficients u[n,k] = <e_n | (T^{-1})^dagger psi_k>; written
-    analytically in lam they remain valid verbatim in the complementary
-    regime.  The table is the one-table, one-block case of _table_blocks.
-    """
-    if not cmath.isfinite(lam):
-        raise DomainError(f"coeff_table: lam must be finite, got {lam!r}")
-    spec = _table_spec(lam, N, K, branch, dual)
+    minus_renormalized; see _table_spec): the one-table, one-block case
+    of _table_blocks."""
+    check_finite("coeff_table", lam=lam)
+    spec = _table_spec(lam, N, K, branch)
     ((_, _, win),) = _table_blocks([spec], spec.pre.size)
     half = win[:, 0, 1:]
     sign = (-1.0) ** np.add.outer(np.arange(N + 1), np.arange(K, 0, -1))
@@ -506,6 +484,8 @@ def intertwine_sweep(tables, N, K):
     whole table is held.  Every table is set up before any recurrence
     runs, so a raw minus table at lam = 0 raises its PoleError first.
     """
+    for lam, _ in tables:
+        check_finite("intertwine_sweep", lam=lam)
     specs = [_table_spec(lam, N, K, branch) for lam, branch in tables]
     rows = min(block_rows(len(specs) * (2 * K + 1)), N + 1)
     relations, bands = _stack_relations(
@@ -523,68 +503,52 @@ def _threshold_rationals(k, n_top):
     Plus branch (Taylor route): a_n = i^n (r_n + i eps rho_n) with
         (n+1) r_{n+1} = 2 k r_n + n r_{n-1},                    r_0 = 1,
         (n+1) rho_{n+1} = 2 k rho_n + n rho_{n-1} - 2 r_{n-1},  rho_0 = 0.
-    Renormalized minus branch (moment route): M_n = (-i)^n (q_n + i eps mu_n),
-    q by r's recurrence from q_0 = (-1)^k and
+    Renormalized minus branch (moment route): M_n = (-i)^n (q_n + i eps mu_n)
+    with q_n = (-1)^k r_n, the coalescence of the branches (q obeys r's
+    recurrence from q_0 = (-1)^k), and
         (n+1) mu_{n+1} = 2 k mu_n + n mu_{n-1} - 2 q_{n+1},
     mu_0 = (-1)^k sum_{j<|k|} 4/(2j+1), as each seed ratio (-b-j-1)/(-b+j)
-    is -1 at lam = 0 with log-derivative 4i/(2j+1); r, rho, q, mu vanish at
-    n = -1.  Coalescence is the exact identity q_n = (-1)^k r_n; we run both
-    and insist on it.  Returns the lists (r, q, rho, mu).
+    is -1 at lam = 0 with log-derivative 4i/(2j+1); r, rho, mu vanish at
+    n = -1.  Returns the lists (r, rho, mu).
     """
     from fractions import Fraction  # no CLI run reaches this
 
     sign = (-1) ** (k % 2)
     # position n + 1 holds the n-th value, position 0 the zero at n = -1
-    r, q, rho = [0, Fraction(1)], [0, Fraction(sign)], [0, Fraction(0)]
+    r, rho = [0, Fraction(1)], [0, Fraction(0)]
     mu = [0, sign * sum(Fraction(4, 2 * j + 1) for j in range(abs(k)))]
     for n in range(n_top):
         r.append((2 * k * r[n + 1] + n * r[n]) / (n + 1))
-        q.append((2 * k * q[n + 1] + n * q[n]) / (n + 1))
         rho.append((2 * k * rho[n + 1] + n * rho[n] - 2 * r[n]) / (n + 1))
-        mu.append((2 * k * mu[n + 1] + n * mu[n] - 2 * q[n + 2]) / (n + 1))
-    return r[1:], q[1:], rho[1:], mu[1:]
+        mu.append((2 * k * mu[n + 1] + n * mu[n] - 2 * sign * r[n + 2])
+                  / (n + 1))
+    return r[1:], rho[1:], mu[1:]
 
 
 def threshold_tables(N, K):
-    """Common threshold table S and threshold derivative D at mu = 1/4.
+    """(S, D): the common threshold table S at mu = 1/4 and the threshold
+    derivative D.
 
-    S is the lam = 0 value computed independently from both branch closed
-    forms in exact rational arithmetic (they must agree identically); the
-    double-precision pipelines at lam = 0 must agree too (float_gap).  D is
-    d/d lam of (s+ - s^-) / 2i at lam = 0, from the exact lam-derivatives of
-    both routes (_threshold_rationals).  Both gauges, exp(L+_n) and
-    exp(-L-_n), are 1 + i lam H_n to first order and cancel in the
-    difference, so D[n, k] = i^(n+k) (rho_n - (-1)^k mu_n) / (2 sqrt(pi)),
-    rounded once from its exact value.  The two X relations of the branch
-    tables then give the Jordan chain (X(0) + n + 1/2) D_n = S_n.
+    S is the lam = 0 value of both branch tables, rounded once from its
+    exact rational value.  D is d/d lam of (s+ - s^-) / 2i at lam = 0,
+    from the exact lam-derivatives of both routes (_threshold_rationals).
+    Both gauges, exp(L+_n) and exp(-L-_n), are 1 + i lam H_n to first
+    order and cancel in the difference, so D[n, k] = i^(n+k) (rho_n -
+    (-1)^k mu_n) / (2 sqrt(pi)), rounded once from its exact value.  The
+    two X relations of the branch tables then give the Jordan chain
+    (X(0) + n + 1/2) D_n = S_n.
     """
-    shape = (N + 1, 2 * K + 1)
-    s_plus, s_minus, d_tab = (np.zeros(shape, dtype=complex) for _ in range(3))
+    s_tab, d_tab = (np.zeros((N + 1, 2 * K + 1), dtype=complex)
+                    for _ in range(2))
     for k in range(-K, K + 1):
-        r, q, rho, mu = _threshold_rationals(k, N)
+        r, rho, mu = _threshold_rationals(k, N)
         sign = (-1) ** (k % 2)
         for n in range(N + 1):
-            # plus route: e^{ik pi/2} [x^n] = i^k i^n r_n
-            s_plus[n, k + K] = _phase(n + k, +1) * float(r[n]) / _SQRT_PI
-            # minus route: (-1)^n e^{-ik pi/2} M_n, M_n = (-i)^n q_n
-            ph = _phase(k, -1) * _phase(n, -1) * (1.0 if n % 2 == 0 else -1.0)
-            s_minus[n, k + K] = ph * float(q[n]) / _SQRT_PI
+            # e^{ik pi/2} [x^n] = i^k i^n r_n
+            s_tab[n, k + K] = _phase(n + k, +1) * float(r[n]) / _SQRT_PI
             d_tab[n, k + K] = (_phase(n + k, +1) * float(rho[n] - sign * mu[n])
                                / (2.0 * _SQRT_PI))
-    gap = float(np.max(np.abs(s_plus - s_minus)))
-    scale = max(1.0, float(np.max(np.abs(s_plus))))
-    if gap > 1e-9 * scale:
-        raise ConsistencyError(
-            f"threshold branches disagree at lam = 0: {gap:.3e} (scale {scale:.3e})")
-    # double-precision pipelines should tell the same story
-    sp = coeff_table(0j, N, K, BRANCH_PLUS)
-    sm = coeff_table(0j, N, K, BRANCH_MINUS_RENORMALIZED)
-    float_gap = float(np.max(np.abs(sp - sm)))
-    if float_gap > 1e-9 * scale:
-        raise ConsistencyError(
-            f"threshold float pipelines disagree: {float_gap:.3e} (scale {scale:.3e})")
-    return {"S": s_plus, "S_plus": s_plus, "S_minus": s_minus, "D": d_tab,
-            "float_gap": float_gap}
+    return s_tab, d_tab
 
 
 def correlation(lam, k_out, k_in, tau, N):
@@ -593,14 +557,17 @@ def correlation(lam, k_out, k_in, tau, N):
     n <= N and both branches."""
     if not tau > 0:
         raise DomainError("correlation: tau must be > 0")
+    check_finite("correlation", lam=lam)
     if (lam * lam + 0.25).real == 0.25:
         raise DomainError("correlation: defined for principal/complementary only")
     K = max(abs(k_out), abs(k_in))
-    sp = coeff_table(lam, N, K, BRANCH_PLUS)
-    vp = coeff_table(lam, N, K, BRANCH_PLUS, dual=True)
-    sm = coeff_table(lam, N, K, BRANCH_MINUS)
-    vm = coeff_table(lam, N, K, BRANCH_MINUS, dual=True)
     n = np.arange(N + 1)
+    # the dual rows of each branch: (-1)^n times the other branch at -lam
+    odd = (-1.0) ** n[:, None]
+    sp = coeff_table(lam, N, K, BRANCH_PLUS)
+    vp = odd * coeff_table(-lam, N, K, BRANCH_MINUS)
+    sm = coeff_table(lam, N, K, BRANCH_MINUS)
+    vm = odd * coeff_table(-lam, N, K, BRANCH_PLUS)
     ep = np.exp(tau * (-n - 0.5 + 1j * lam))
     em = np.exp(tau * (-n - 0.5 - 1j * lam))
     prod_p = vp[:, k_out + K] * sp[:, k_in + K]

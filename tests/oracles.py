@@ -203,7 +203,7 @@ def moment_seeds_mp(lam, K, renormalized=False):
     its own Gamma values: pi 2^(2b+2) Gamma(-2b-1) / (Gamma(-b-k)
     Gamma(-b+k)) with b = -1/2 + i lam, or renormalized Gamma(-b)^2 /
     (Gamma(-b-k) Gamma(-b+k)).  lam may be complex: i nu, or -lam for the
-    dual rows."""
+    tables the dual rows are taken from."""
     with mp.workdps(40):
         b = mp.mpf(-0.5) + mp.mpc(0, 1) * mp.mpc(lam)
         top = (mp.gamma(-b) ** 2 if renormalized

@@ -71,19 +71,17 @@ def test_criterion_02_oscillator_identities():
 
 def test_criterion_03_threshold_coalescence():
     N, K = 30, 6
-    tt = spherical.threshold_tables(N, K)
-    # the two branch closed forms at lam = 0, evaluated by their own exact
-    # recurrences and phase algebra, agree entrywise
-    gap_exact = float(np.max(np.abs(tt["S_plus"] - tt["S_minus"])))
-    assert gap_exact < 1e-9
-    # the double-precision branch pipelines tell the same story on the
-    # scale of the entries (which reach ~1e7 at n = 30, |k| = 6)
+    s_tab, d_tab = spherical.threshold_tables(N, K)
+    # both double-precision branch pipelines at lam = 0 meet the exact
+    # common table S on the scale of the entries (which reach ~1e7 at
+    # n = 30, |k| = 6)
     sp = spherical.coeff_table(0j, N, K, "plus")
     sm = spherical.coeff_table(0j, N, K, "minus_renormalized")
     scale = float(np.max(np.abs(sp)))
-    assert tt["float_gap"] < 1e-9 * max(1.0, scale)
-    assert np.max(np.abs(tt["S"] - sp)) <= 1e-12 * max(1.0, scale)
-    assert np.max(np.abs(tt["S"] - sm)) <= 1e-12 * max(1.0, scale)
+    gap_plus = float(np.max(np.abs(s_tab - sp)))
+    gap_minus = float(np.max(np.abs(s_tab - sm)))
+    assert gap_plus <= 1e-12 * max(1.0, scale)
+    assert gap_minus <= 1e-12 * max(1.0, scale)
     # The Jordan chain (X(0) + n + 1/2) D_n = S_n on the interior columns,
     # scored entry by entry as the intertwining audit is: |lhs - S| over
     # the sum of its terms' magnitudes.  Each term is one entry of D or S,
@@ -93,7 +91,7 @@ def test_criterion_03_threshold_coalescence():
     # at most 3u of the terms' magnitudes.  So a correct D scores at most
     # 7u = 3.5 eps, to first order; 4 eps allows for the second.
     x_op = spherical.build_k_matrices(0j, K)["X"]
-    d_tab, s_int = tt["D"], tt["S"][:, 1:-1]
+    s_int = s_tab[:, 1:-1]
     terms = (x_op.sup[1:-1] * d_tab[:, 2:], x_op.sub[1:-1] * d_tab[:, :-2],
              (np.arange(N + 1)[:, None] + 0.5) * d_tab[:, 1:-1])
     lhs = sum(terms)
@@ -103,12 +101,13 @@ def test_criterion_03_threshold_coalescence():
     # The block is nontrivial: (X(0) + n + 1/2) D is not zero, so D is no
     # eigenvector.  An eigenvector would leave round-off, about 1e-15 of
     # the table; the margin 1e-2 of the largest |S| sits far above that.
-    margin = float(np.max(np.abs(lhs)) / np.max(np.abs(tt["S"])))
+    margin = float(np.max(np.abs(lhs)) / np.max(np.abs(s_tab)))
     assert margin >= 1e-2
-    _report(3, f"s+(0) = s^-(0) entrywise (exact routes gap {gap_exact:.1e}; "
-               f"float routes within {tt['float_gap']:.2e} on scale {scale:.1e}); "
-               f"Jordan chain (X(0) + n + 1/2) D = S to {chain:.2e}, "
-               f"max |(X(0) + n + 1/2) D| / max |S| = {margin:.4f}")
+    _report(3, f"s+(0) = s^-(0) = exact S (plus within {gap_plus:.1e}, "
+               f"renormalized minus within {gap_minus:.1e} on scale "
+               f"{scale:.1e}); Jordan chain (X(0) + n + 1/2) D = S to "
+               f"{chain:.2e}, max |(X(0) + n + 1/2) D| / max |S| = "
+               f"{margin:.4f}")
 
 
 def test_criterion_04_per_irrep_traces():

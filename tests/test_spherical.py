@@ -123,7 +123,8 @@ class TestMomentSeeds:
         *map(spherical.complementary, (0.1, 0.46, 0.499))],
         ids=["lam0.3", "lam2", "lam20", "nu0.1", "nu0.46", "nu0.499"])
     def test_seeds_match_mpmath(self, lam, K):
-        # raw seeds, the plus-branch dual rows' seeds (at -lam) and, for
+        # raw seeds, the seeds at -lam (of the minus table that gives
+        # correlation the plus branch's dual rows) and, for
         # real lam, the renormalized seeds; per-column log-Gamma seeds
         # were off by 9.8e-12 in the column ratio at nu = 0.499, K = 100.
         # The seeds cover k = 0..K; column -k takes column k's, which the
@@ -284,24 +285,25 @@ class TestCoeffTables:
 
 
     @pytest.mark.parametrize("K", [0, 1, 2, 9, 64])
-    @pytest.mark.parametrize("lam,branch,dual", [
-        (lam, branch, dual)
+    @pytest.mark.parametrize("lam,branch", [
+        (lam, branch)
         for lam in (P1, PC, spherical.principal(5.0))
-        for branch, dual in (
-            (spherical.BRANCH_PLUS, False), (spherical.BRANCH_MINUS, False),
-            (spherical.BRANCH_MINUS_RENORMALIZED, False),
-            (spherical.BRANCH_PLUS, True), (spherical.BRANCH_MINUS, True))] + [
-        # at lam = 0 the raw moments (minus branch, both duals) have a pole
-        (0j, branch, False)
+        for branch in (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS,
+                       spherical.BRANCH_MINUS_RENORMALIZED)] + [
+        # the tables at -lam that correlation takes its dual rows from
+        (-lam, branch)
+        for lam in (P1, PC, spherical.principal(5.0))
+        for branch in (spherical.BRANCH_PLUS, spherical.BRANCH_MINUS)] + [
+        # at lam = 0 the raw moments (minus branch) have a pole
+        (0j, branch)
         for branch in (spherical.BRANCH_PLUS,
                        spherical.BRANCH_MINUS_RENORMALIZED)])
-    def test_half_width_equals_full_width_recurrence(self, lam, branch, dual,
-                                                     K):
+    def test_half_width_equals_full_width_recurrence(self, lam, branch, K):
         # the k < 0 half is the mirror of the k >= 0 half: value for value
         # the table of one recurrence over all 2K + 1 columns
         want = coeff_table_full_width(
-            spherical._table_spec(lam, 40, K, branch, dual))
-        got = spherical.coeff_table(lam, 40, K, branch, dual)
+            spherical._table_spec(lam, 40, K, branch))
+        got = spherical.coeff_table(lam, 40, K, branch)
         assert got.shape == want.shape and np.array_equal(got, want)
 
     @settings(max_examples=10)
@@ -321,6 +323,10 @@ class TestCoeffTables:
              branch=spherical.BRANCH_PLUS, N=2000, K=150, data=None)
     @example(lam=spherical.complementary(0.2664865771756157),
              branch=spherical.BRANCH_PLUS, N=2000, K=56, data=None)
+    @example(lam=-spherical.principal(20.0),
+             branch=spherical.BRANCH_PLUS, N=600, K=150, data=None)
+    @example(lam=-spherical.principal(20.0),
+             branch=spherical.BRANCH_MINUS, N=600, K=150, data=None)
     def test_tables_equal_40_digit_recurrence(self, lam, branch, N, K, data):
         # Taylor (plus) and moment (minus) tables against each column's
         # own 40-digit recurrence, run at a negative k, so the mirror is
@@ -331,7 +337,9 @@ class TestCoeffTables:
         # lam = 0 pole.  The prefactor exp(+-L_n), one compensated running
         # sum, is within 3e-14 (2.9e-14 of the 7.4e-14); exp(log t_n -+
         # log sqrt(n!)), two rounded N-term sums of size ~1e4, was off by
-        # up to 8e-12.
+        # up to 8e-12.  At -lam, the tables correlation takes its dual
+        # rows from, lam = -20 and N = 600 read 8.1e-15 (plus) and
+        # 3.6e-13 (minus).
         k = -K if data is None else data.draw(st.integers(-K, -1))
         tab = spherical.coeff_table(lam, N, K, branch)
         bound = 1e-10 if branch == spherical.BRANCH_MINUS else 1e-13
@@ -371,9 +379,29 @@ class TestOverflow:
         assert info.value.value == lam
 
 
+def _dual_rows(lam, N, K, branch):
+    # v[n, k] = <psi_k | T_branch^{-1} e_n>: (-1)^n times the other raw
+    # branch at -lam, as correlation builds them
+    other = (spherical.BRANCH_MINUS if branch == spherical.BRANCH_PLUS
+             else spherical.BRANCH_PLUS)
+    return ((-1.0) ** np.arange(N + 1)[:, None]
+            * spherical.coeff_table(-lam, N, K, other))
+
+
 class TestDualCoeffs:
+    @pytest.mark.parametrize("lam", [P1, PC, spherical.principal(5.0),
+                                     spherical.complementary(0.49)])
+    def test_branch_exponents_swap_at_minus_lam(self, lam):
+        # b_plus(lam) = b_minus(-lam) and b_minus(lam) = b_plus(-lam), bit
+        # for bit (zeros' signs included): the identity the dual rows
+        # rest on
+        plus, minus = spherical.BRANCH_PLUS, spherical.BRANCH_MINUS
+        for one, other in ((plus, minus), (minus, plus)):
+            assert repr(spherical._b(lam, one)) == \
+                repr(spherical._b(-lam, other))
+
     def test_dual_plus_origin(self):
-        v = spherical.coeff_table(P1, 4, 2, spherical.BRANCH_PLUS, dual=True)
+        v = _dual_rows(P1, 4, 2, spherical.BRANCH_PLUS)
         b = spherical._b(P1, spherical.BRANCH_MINUS)
         want = cmath.exp(log_beta_line(b, b)) / SQRT_PI
         assert abs(v[0, 2] - want) < 1e-13
@@ -382,19 +410,21 @@ class TestDualCoeffs:
         # |v_{n,k}| = O(|k|^n): log-log slope about n at fixed n
         n_fix = 2
         ks = np.arange(8, 65)
-        v = spherical.coeff_table(P1, n_fix, 64, spherical.BRANCH_PLUS,
-                                  dual=True)
+        v = _dual_rows(P1, n_fix, 64, spherical.BRANCH_PLUS)
         vals = np.abs(v[n_fix, 64 + ks])
         slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
         assert abs(slope - n_fix) < 0.3
 
-    def test_pairing_reproduces_hc_coefficients(self):
-        # v+_{2m,0} s+_{2m,0} equals the Harish-Chandra coefficient W_{2m,lam}
-        s = spherical.coeff_table(P1, 12, 0, spherical.BRANCH_PLUS)
-        v = spherical.coeff_table(P1, 12, 0, spherical.BRANCH_PLUS, dual=True)
+    @pytest.mark.parametrize("branch,sign", [(spherical.BRANCH_PLUS, 1.0),
+                                             (spherical.BRANCH_MINUS, -1.0)])
+    def test_pairing_reproduces_hc_coefficients(self, branch, sign):
+        # v_{2m,0} s_{2m,0} equals the Harish-Chandra coefficient
+        # W_{2m,lam} on the plus branch, W_{2m,-lam} on the minus branch
+        s = spherical.coeff_table(P1, 12, 0, branch)
+        v = _dual_rows(P1, 12, 0, branch)
         for m in range(5):
             got = v[2 * m, 0] * s[2 * m, 0]
-            want = means.hc_coefficient(m, 1.0)
+            want = means.hc_coefficient(m, sign * 1.0)
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -681,8 +711,8 @@ class TestSweep:
         clean = spherical.intertwine_sweep([(PC, branch), (P1, branch)], 20, K)
         whole = spherical.coeff_table(P1, 20, K, branch)
 
-        def off_at_two(lam, N, K, br, dual=False):
-            spec = make(lam, N, K, br, dual)
+        def off_at_two(lam, N, K, br):
+            spec = make(lam, N, K, br)
             if lam is not P1:
                 return spec
             cols = [np.array(np.broadcast_to(c, (K + 1,)), dtype=complex)
@@ -738,20 +768,20 @@ class TestSweep:
 
 class TestThreshold:
     def test_common_table_origin(self):
-        tt = spherical.threshold_tables(8, 3)
-        assert abs(tt["S"][0, 3] - 1.0 / SQRT_PI) < 1e-15
+        s_tab, _ = spherical.threshold_tables(8, 3)
+        assert abs(s_tab[0, 3] - 1.0 / SQRT_PI) < 1e-15
 
     def test_parity_zeros(self):
-        tt = spherical.threshold_tables(9, 2)
+        s_tab, _ = spherical.threshold_tables(9, 2)
         for n in range(1, 10, 2):
-            assert tt["S"][n, 2] == 0
+            assert s_tab[n, 2] == 0
 
     @staticmethod
     def _check_derivative_oracle(N, K):
         # each entry of D is its exact value rounded, so it meets the
         # 40-digit central difference entrywise; the parity zeros of
         # column k = 0 are exact zeros of both
-        got = spherical.threshold_tables(N, K)["D"]
+        _, got = spherical.threshold_tables(N, K)
         want = threshold_derivative_mp(N, K, 1e-16)
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
@@ -766,15 +796,15 @@ class TestThreshold:
     def test_divided_difference_matches_derivative(self):
         # D is d/d lam of (s+ - s^-)/2i at 0: cross-check by a wider
         # centered difference of the double-precision plus/minus gap
-        tt = spherical.threshold_tables(6, 2)
+        _, d_tab = spherical.threshold_tables(6, 2)
         h = 1e-3
         lam = spherical.principal(h)
         num = (spherical.coeff_table(lam, 6, 2, spherical.BRANCH_PLUS)
                - spherical.coeff_table(lam, 6, 2,
                                        spherical.BRANCH_MINUS_RENORMALIZED)
                ) / (2j * h)
-        assert np.max(np.abs(num - tt["D"])) <= 1e-2 * max(
-            1.0, float(np.max(np.abs(tt["D"]))))
+        assert np.max(np.abs(num - d_tab)) <= 1e-2 * max(
+            1.0, float(np.max(np.abs(d_tab))))
 
 
 class TestCorrelation:
