@@ -274,12 +274,11 @@ def cmd_selberg(args):
     checks["systole"] = ls.systole
     checks["systole_error"] = abs(ls.systole - selberg.SYSTOLE)
     ok = checks["systole_error"] < 1e-9
-    laplace = [(0.0, 1)]
     grid = [x for x in (5.0, 6.0, 7.0, 8.0) if x <= l_max]
     reps = [selberg.wave_trace_pair(selberg.LengthSpectrum(
-        [(ell, m) for ell, m in ls.primitives if ell <= lm], lm), g,
-        laplace=laplace) for lm in grid]
-    discs = [rep.discrepancy for rep in reps]
+        [(ell, m) for ell, m in ls.primitives if ell <= lm], lm), g)
+        for lm in grid]
+    discs = [rep["discrepancy"] for rep in reps]
     monotone = all(b <= a + 1e-12 for a, b in zip(discs, discs[1:]))
     checks["discrepancies"] = discs
     checks["discrepancy_monotone"] = monotone
@@ -287,8 +286,8 @@ def cmd_selberg(args):
     checks["weyl"] = weyl["rows"]
     ok = ok and monotone and weyl["ok"]
     if grid[-1:] != [l_max]:  # else the last pair was on ls's own cutoff
-        reps.append(selberg.wave_trace_pair(ls, g, laplace=laplace))
-    payload = reps[-1].to_dict()
+        reps.append(selberg.wave_trace_pair(ls, g))
+    payload = reps[-1]
     payload["checks"] = checks
     write_json(out / "selberg_report.json", payload)
     print(f"selberg: systole {ls.systole:.9f}, relator residual "
@@ -317,13 +316,12 @@ def cmd_means(args):
     rows = []
     ok = True
     for lam in lams:
-        fit = means.wave_residual(lam)
+        slope, floor_limited = means.wave_residual(lam)
         phi0 = specfun.legendre_conical(lam, 0.0)
         defect = means.w_symbol_defect(lam)
         bound = 0.2 / lam
-        rows.append((lam, fit.slope, int(fit.floor_limited), phi0, defect,
-                     bound))
-        ok = ok and (fit.floor_limited or abs(fit.slope + 2.0) <= 0.1)
+        rows.append((lam, slope, int(floor_limited), phi0, defect, bound))
+        ok = ok and (floor_limited or abs(slope + 2.0) <= 0.1)
         ok = ok and phi0 == 1.0 and defect <= bound
     out = _out_dir(args.out)
     write_csv(out / "hc_convergence.csv",

@@ -12,7 +12,6 @@ conjugate throughout.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,22 +47,14 @@ def require_finite(table, where):
             f"{where} has non-finite entries (double precision overflow)")
 
 
-@dataclass
-class DiskCoeffTable:
-    """Cayley coefficient tables for one holomorphic discrete series.
+def cayley_coeffs(l, N, K):
+    """(forward, backward) Cayley tables with all constants included.
 
     forward[n, k]  : coefficient of psi_n in the inverse-Cayley image of psi_k,
                      0 <= n <= N, 0 <= k <= K.
     backward[k, n] : coefficient of psi_k in the forward-Cayley image of psi_n,
                      same index ranges transposed.
     """
-
-    forward: np.ndarray
-    backward: np.ndarray
-
-
-def cayley_coeffs(l, N, K):
-    """Forward and backward Cayley tables with all constants included."""
     check_weight(l)
     lb = np.array([math.lgamma(l + n) - math.lgamma(n + 1) - math.lgamma(l)
                    for n in range(max(N, K) + 1)])
@@ -87,7 +78,7 @@ def cayley_coeffs(l, N, K):
     bwd *= np.exp(-half[: K + 1])[:, None]
     for name, tab in (("forward", fwd), ("backward", bwd)):
         require_finite(tab, f"cayley {name} table at l = {l}, N = {N}, K = {K}")
-    return DiskCoeffTable(fwd, bwd)
+    return fwd, bwd
 
 
 def correlation_ds(l, k_out, k_in, tau, N):
@@ -101,7 +92,7 @@ def correlation_ds(l, k_out, k_in, tau, N):
     for name, k in (("k_out", k_out), ("k_in", k_in)):
         if k < 0:  # the disk basis has k >= 0 only
             raise DomainError(f"correlation_ds: {name} = {k} must be >= 0")
-    tab = cayley_coeffs(l, N, max(k_out, k_in))
+    fwd, bwd = cayley_coeffs(l, N, max(k_out, k_in))
     n = np.arange(N + 1)
-    prod = tab.backward[k_out, :] * tab.forward[:, k_in]
+    prod = bwd[k_out, :] * fwd[:, k_in]
     return complex(np.sum(np.exp(-tau * (n + l / 2.0)) * prod))

@@ -11,7 +11,6 @@ remainder; we fit that decay exponent per mode.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,13 +88,6 @@ def check_lambda(lam):
             value=lam)
 
 
-@dataclass
-class WaveSlopeFit:
-    slope: float
-    residuals: np.ndarray
-    floor_limited: bool
-
-
 def _wave_terms(b, t, shift, cos2):
     """e^{-t/2} r(t) per node psi_k, whose cos(psi_k/2)^2 is cos2.
 
@@ -135,7 +127,8 @@ def _wave_point(lam, t, shift):
 
 
 def wave_residual(lam, shift=None):
-    """Fit the decay exponent of the shifted-wave-equation residual.
+    """(slope, floor_limited): the fitted decay exponent of the
+    shifted-wave-equation residual, and whether rounding limits it.
 
     E(t) = e^{t/2} phi_lam(t); the residual r = E'' + shift * E (shift
     defaults to lam^2, the shifted wave multiplier) is one quadrature per
@@ -149,6 +142,7 @@ def wave_residual(lam, shift=None):
     negative control: the unshifted equation leaves an O(1) defect and
     the slope collapses toward 0.
     """
+    check_finite("wave_residual", lam=lam)
     check_lambda(lam)
     if shift is None:
         shift = lam * lam
@@ -160,7 +154,7 @@ def wave_residual(lam, shift=None):
     env = np.hypot(res, res_q)
     floor_limited = bool(np.max(env) < 10.0 * np.max(np.hypot(floor, floor_q)))
     slope = float(np.polyfit(WAVE_T, np.log(env), 1)[0])
-    return WaveSlopeFit(slope, res, floor_limited)
+    return slope, floor_limited
 
 
 def w_symbol_defect(lam):

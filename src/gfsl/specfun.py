@@ -233,9 +233,7 @@ def legendre_conical(lam, t):
     imaginary residue (the exact value is real) is at most 1e-12;
     AccuracyError if _CONICAL_MAX_NODES nodes do not get there.
     """
-    if not (math.isfinite(lam) and math.isfinite(t)):
-        raise DomainError(
-            f"legendre_conical: lam and t must be finite, got {lam}, {t}")
+    check_finite("legendre_conical", lam=lam, t=t)
     if t < 0:
         raise DomainError("legendre_conical: t must be >= 0")
     if t > _CONICAL_MAX_T:

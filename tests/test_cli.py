@@ -289,9 +289,9 @@ class TestSelberg:
         # at --lmax, its last pair is that one, and is not paired again
         pair, seen = selberg.wave_trace_pair, []
 
-        def counting(ls, g, laplace):
+        def counting(ls, g):
             seen.append(ls.cutoff)
-            return pair(ls, g, laplace)
+            return pair(ls, g)
 
         monkeypatch.setattr(selberg, "wave_trace_pair", counting)
         assert run(["selberg", "--out", str(tmp_path), "--lmax", lmax]) \

@@ -58,8 +58,20 @@ def _global_trace_nan_tol():
      "correlation: lam must be finite, got (nan+0j)"),
     (lambda: means.w_symbol_defect(INF),
      "w_symbol_defect: lam must be finite, got inf"),
+    (lambda: means.wave_residual(NAN),
+     "wave_residual: lam must be finite, got nan"),
     (lambda: means.wave_residual(1.0, shift=NAN),
      "wave_residual: shift must be finite, got nan"),
+    (lambda: specfun.legendre_conical(NAN, 2.0),
+     "legendre_conical: lam must be finite, got nan"),
+    (lambda: specfun.legendre_conical(1.0, INF),
+     "legendre_conical: t must be finite, got inf"),
+    # orbits() enumerates iterates up to the cutoff: an infinite one
+    # never ends
+    (lambda: selberg.LengthSpectrum([(3.0, 2)], NAN),
+     "LengthSpectrum: cutoff must be finite, got nan"),
+    (lambda: selberg.LengthSpectrum([(3.0, 2)], INF),
+     "LengthSpectrum: cutoff must be finite, got inf"),
     (lambda: specfun.log_beta_line(complex(NAN), -0.5),
      "log_beta_line: alpha must be finite, got (nan+0j)"),
     (lambda: global_traces.rr_multiplicity(NAN, 4),
@@ -73,7 +85,9 @@ def _global_trace_nan_tol():
         "trace_ds-tol", "geometric_sum-tol", "global_trace-tol",
         "GaussianTestFn-sigma", "heat_pair-s", "build_k_matrices-lam",
         "principal-lam", "intertwine_sweep-lam", "gauge_log-lam",
-        "correlation-lam", "w_symbol_defect-lam", "wave_residual-shift",
+        "correlation-lam", "w_symbol_defect-lam", "wave_residual-lam",
+        "wave_residual-shift", "legendre_conical-lam", "legendre_conical-t",
+        "LengthSpectrum-cutoff-nan", "LengthSpectrum-cutoff-inf",
         "log_beta_line-alpha", "rr_multiplicity-genus",
         "LaplaceSpectrum-genus", "GaussPolyFunction-poly"])
 def test_non_finite_input_named_at_entry(call, text):
