@@ -5,7 +5,7 @@ Subcommands run verification suites and emit CSV/JSON reports:
     gfsl spherical-check  --lambda 0.3,1,5 --nu 0.1,0.3 --n 40 --k 8
     gfsl traces           --t 0.5,1,2 --genus 2 [--laplace-file F]
     gfsl selberg          --lmax 8 [--center 5.5 --sigma 0.5]
-    gfsl means            --lambda 1,2,5 --m 8
+    gfsl means            --lambda 1,2,5
 
 Exit codes: 0 pass, 1 usage or input error, 2 verification failure.
 Reports are byte-deterministic: floats are written with shortest
@@ -64,6 +64,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 
+# The gate of spherical-check's worst residual, of each traces identity
+# (beside its tail_bound) and of means' worst terminal Harish-Chandra
+# error; the traces series are summed to tails of at most TOL/2.
+TOL = 1e-9
+
 
 def _fmt(x):
     # float(x): repr of numpy's float64, a float subclass, is np.float64(...)
@@ -94,14 +99,6 @@ def _parse_float(flag, text):
     return val
 
 
-def _parse_tol(text):
-    """--tol as a finite number > 0; GfslError (exit 1) otherwise."""
-    tol = _parse_float("--tol", text)
-    if not tol > 0.0:
-        raise GfslError(f"--tol: expected a number > 0, got {text!r}")
-    return tol
-
-
 def _parse_floats(flag, text):
     return [_parse_float(flag, x) for x in text.split(",") if x.strip()]
 
@@ -127,12 +124,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, tol=True):
-    if tol:
-        sub.add_argument("--tol", default="1e-9")
-    sub.add_argument("--out", default=".")
-
-
 def _out_dir(text):
     """--out as a directory, made with its parents if missing."""
     out = Path(text)
@@ -154,7 +145,6 @@ def _per_value(flag, values, make):
 
 
 def cmd_spherical_check(args):
-    tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     nus = _parse_floats("--nu", args.nu)
     n_ord = _parse_int("--n", args.n, 0)
@@ -198,11 +188,10 @@ def cmd_spherical_check(args):
               ["regime", "lambda", "relation", "max_residual"], rows)
     worst = max(r[3] for r in rows)
     print(f"spherical-check: {len(rows)} relations, worst residual {worst:.3e}")
-    return EXIT_OK if worst < tol else EXIT_VERIFY
+    return EXIT_OK if worst < TOL else EXIT_VERIFY
 
 
 def cmd_traces(args):
-    tol = _parse_tol(args.tol)
     ts = _parse_floats("--t", args.t)
     if not ts:
         raise GfslError("--t: expected at least one number")
@@ -217,11 +206,11 @@ def cmd_traces(args):
         spec = global_traces.LaplaceSpectrum([], [], genus)
 
     def identities(t):
-        tr = global_traces.trace_spherical(0j, t, tol)  # the threshold
-        td = global_traces.trace_ds(2, t, tol)
+        tr = global_traces.trace_spherical(0j, t, TOL)  # the threshold
+        td = global_traces.trace_ds(2, t, TOL)
         # rejects t past about 711.17, before global_trace's cosh overflows
-        th = global_traces.tanh_transform(t, tol)
-        pre, post, tail = global_traces.global_trace(spec, t, tol)
+        th = global_traces.tanh_transform(t, TOL)
+        pre, post, tail = global_traces.global_trace(spec, t, TOL)
         return [
             {"identity": "spherical_flat_vs_spectral", "t": t, "lambda": 0.0,
              "lhs": tr["flat"], "rhs": tr["spectral"]},
@@ -239,7 +228,7 @@ def cmd_traces(args):
     for e in entries:
         e["abs_err"] = abs(e["lhs"] - e["rhs"])
         # written so that a NaN error fails
-        ok = ok and e["abs_err"] <= tol + e.get("tail_bound", 0.0)
+        ok = ok and e["abs_err"] <= TOL + e.get("tail_bound", 0.0)
     out = _out_dir(args.out)
     write_json(out / "traces.json", {"identities": entries})
     print(f"traces: {len(entries)} identities checked")
@@ -296,18 +285,12 @@ def cmd_selberg(args):
 
 
 def cmd_means(args):
-    tol = _parse_tol(args.tol)
     lams = _parse_floats("--lambda", args.lam)
     if not lams:
         raise GfslError("--lambda: expected at least one number")
     _per_value("--lambda", lams, means.check_lambda)
-    m_top = _parse_int("--m", args.m, 0)
-    if m_top > means.HC_M_MAX:
-        raise GfslError(f"--m: expected an integer <= {means.HC_M_MAX}, past "
-                        f"which e^(-2 m t) at t = {means.HC_T} underflows to "
-                        f"0, got {args.m!r}")
     conv = []
-    t = means.HC_T
+    t, m_top = means.HC_T, means.HC_M
     for lam in lams:
         target = specfun.legendre_conical(lam, t)
         for m, val in enumerate(means.hc_partial_sum(lam, t, m_top)):
@@ -331,7 +314,7 @@ def cmd_means(args):
                "w_symbol_defect", "w_symbol_bound"], rows)
     final_err = max(r[4] for r in conv if r[2] == m_top)
     print(f"means: worst terminal HC error {final_err:.3e}, checks ok={ok}")
-    if not ok or final_err > tol:
+    if not ok or final_err > TOL:
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -343,7 +326,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("spherical-check", help="intertwining residual sweep")
-    _add_common(sp)
+    sp.add_argument("--out", default=".")
     sp.add_argument("--lambda", dest="lam", default="0.3,1,5")
     sp.add_argument("--nu", default="0.1,0.3")
     sp.add_argument("--n", default="40")
@@ -351,24 +334,22 @@ def build_parser():
     sp.set_defaults(func=cmd_spherical_check)
 
     tr = subs.add_parser("traces", help="flat-vs-spectral trace identities")
-    _add_common(tr)
+    tr.add_argument("--out", default=".")
     tr.add_argument("--t", default="0.5,0.6931471805599453,1,2")
     tr.add_argument("--genus", default="2")
     tr.add_argument("--laplace-file", dest="laplace_file", default=None)
     tr.set_defaults(func=cmd_traces)
 
     se = subs.add_parser("selberg", help="Bolza length spectrum + wave-trace pair")
-    # the selberg gates are fixed, so it takes no --tol
-    _add_common(se, tol=False)
+    se.add_argument("--out", default=".")
     se.add_argument("--lmax", default="8")
     se.add_argument("--center", default="5.5")
     se.add_argument("--sigma", default="0.5")
     se.set_defaults(func=cmd_selberg)
 
     me = subs.add_parser("means", help="Harish-Chandra convergence and wave slopes")
-    _add_common(me)
+    me.add_argument("--out", default=".")
     me.add_argument("--lambda", dest="lam", default="1,2,5")
-    me.add_argument("--m", default="8")
     me.set_defaults(func=cmd_means)
     return parser
 

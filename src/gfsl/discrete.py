@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, check_finite
 from .global_traces import check_weight
 from .spherical import KBandedOperator
 from .specfun import recurrence_blocks, two_factor_columns
@@ -89,6 +89,7 @@ def correlation_ds(l, k_out, k_in, tau, N):
     """
     if not tau > 0:
         raise DomainError("correlation_ds: tau must be > 0")
+    check_finite("correlation_ds", tau=tau)
     for name, k in (("k_out", k_out), ("k_in", k_in)):
         if k < 0:  # the disk basis has k >= 0 only
             raise DomainError(f"correlation_ds: {name} = {k} must be >= 0")

@@ -265,7 +265,7 @@ def global_trace(spec, t, tol):
     scale when it is above tol/2."""
     if not t > 0:
         raise DomainError(f"global_trace: t must be > 0, got {t}")
-    check_finite("global_trace", tol=tol)
+    check_finite("global_trace", t=t, tol=tol)
     x, gap = math.exp(-t), -math.expm1(-t)
     base = 1.0 + 2.0 * math.exp(-t / 2.0) / gap * _spherical_sum(spec, t)
     head = 2.0 * x / gap

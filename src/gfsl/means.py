@@ -61,10 +61,9 @@ def hc_partial_sum(lam, t, M):
 
 
 # The time at which `gfsl means` compares the resonance expansion with the
-# quadrature, and the last order whose e^{-2 m t} does not underflow to 0
-# there: from m = 125 on every partial sum repeats the one before.
+# quadrature, and the last order it reports.
 HC_T = 3.0
-HC_M_MAX = math.floor(1074.0 * math.log(2.0) / (2.0 * HC_T))
+HC_M = 8
 
 WAVE_T = np.linspace(2.0, 6.0, 9)
 

@@ -299,10 +299,14 @@ class LengthSpectrum:
 
     def __post_init__(self):
         check_finite("LengthSpectrum", cutoff=self.cutoff)
+        if not self.cutoff > 0:
+            raise DomainError("LengthSpectrum: cutoff must be > 0", self.cutoff)
         ls = [x for x, _ in self.primitives]
         if any(b <= a for a, b in zip(ls, ls[1:])):
             raise DomainError("LengthSpectrum: lengths must be strictly increasing")
-        if any(x <= 0 for x in ls) or any(m < 1 for _, m in self.primitives):
+        # written so that a NaN length or multiplicity fails
+        if (any(not x > 0 for x in ls)
+                or any(not m >= 1 for _, m in self.primitives)):
             raise DomainError("LengthSpectrum: invalid lengths/multiplicities")
         if ls and ls[-1] > self.cutoff:
             raise DomainError("LengthSpectrum: length above cutoff")

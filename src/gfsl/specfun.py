@@ -42,8 +42,7 @@ def is_gamma_pole(z):
     """True if z is exactly a non-positive integer (a pole of Gamma);
     DomainError if z is not finite."""
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"Gamma argument must be finite, got {z}")
+    check_finite("is_gamma_pole", z=z)
     return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
 
 
@@ -68,6 +67,7 @@ def _log_sin_pi_upper(z):
 def log_gamma(z):
     """Principal-branch log Gamma(z); raises PoleError at non-positive integers."""
     z = complex(z)
+    check_finite("log_gamma", z=z)
     if is_gamma_pole(z):
         raise PoleError(f"log_gamma: pole at z = {z}")
     if z.real >= 0.5:

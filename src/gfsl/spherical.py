@@ -557,7 +557,7 @@ def correlation(lam, k_out, k_in, tau, N):
     n <= N and both branches."""
     if not tau > 0:
         raise DomainError("correlation: tau must be > 0")
-    check_finite("correlation", lam=lam)
+    check_finite("correlation", lam=lam, tau=tau)
     if (lam * lam + 0.25).real == 0.25:
         raise DomainError("correlation: defined for principal/complementary only")
     K = max(abs(k_out), abs(k_in))

@@ -13,6 +13,9 @@ from gfsl.specfun import legendre_conical, log_gamma
 from oracles import _hc_w, hc_partial_sums_one, hc_residual_analytic
 
 SQRT_PI = math.sqrt(math.pi)
+# The last order whose e^{-2 m t} does not underflow to 0 at HC_T: from
+# m = 125 on every partial sum repeats the one before.
+HC_M_MAX = math.floor(1074.0 * math.log(2.0) / (2.0 * means.HC_T))
 
 
 class TestHcCoefficient:
@@ -33,7 +36,7 @@ class TestHcCoefficient:
             assert b == a.conjugate()
 
     @settings(max_examples=60)
-    @given(st.integers(0, means.HC_M_MAX),
+    @given(st.integers(0, HC_M_MAX),
            st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
     def test_conjugation_exact_over_envelope(self, m, lam):
         # hc_partial_sum sums only the lam branch and doubles its real
@@ -55,7 +58,7 @@ class TestHcCoefficient:
             means.hc_coefficient(2, lam)
 
     @settings(max_examples=60)
-    @given(st.integers(0, means.HC_M_MAX),
+    @given(st.integers(0, HC_M_MAX),
            st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
     def test_matches_gamma_ratio_over_envelope(self, m, lam):
         # the Gamma-ratio formula at 30 digits; the error grows with lam,
@@ -73,18 +76,18 @@ class TestHcPartialSum:
     def test_orders_past_the_bound_repeat(self):
         # e^{-2 m t} at HC_T is still subnormal (1e-323) at HC_M_MAX and
         # 0.0 one order later, whose partial sum repeats the one before
-        assert math.exp(-2.0 * means.HC_M_MAX * means.HC_T) > 0.0
-        assert math.exp(-2.0 * (means.HC_M_MAX + 1) * means.HC_T) == 0.0
+        assert math.exp(-2.0 * HC_M_MAX * means.HC_T) > 0.0
+        assert math.exp(-2.0 * (HC_M_MAX + 1) * means.HC_T) == 0.0
         for lam in (means.LAMBDA_MIN, 2.0):
-            sums = means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX + 1)
+            sums = means.hc_partial_sum(lam, means.HC_T, HC_M_MAX + 1)
             assert sums[-1] == sums[-2]
 
     @settings(max_examples=25)
     @given(st.floats(means.LAMBDA_MIN, means.LAMBDA_MAX))
     def test_running_sums_equal_order_by_order_sums(self, lam):
         # the running sums round exactly as summing each order from scratch
-        got = means.hc_partial_sum(lam, means.HC_T, means.HC_M_MAX)
-        want = hc_partial_sums_one(lam, means.HC_T, means.HC_M_MAX)
+        got = means.hc_partial_sum(lam, means.HC_T, HC_M_MAX)
+        want = hc_partial_sums_one(lam, means.HC_T, HC_M_MAX)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_m_zero_term_algebra(self):

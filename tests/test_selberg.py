@@ -144,6 +144,22 @@ class TestLengthSpectrum:
         with pytest.raises(DomainError, match="length above cutoff"):
             selberg.LengthSpectrum([(3.0, 1)], math.nextafter(3.0, 0.0))
 
+    @pytest.mark.parametrize("primitives,cutoff,text", [
+        # was paired with orbit_term 0.0
+        ([(math.nan, 1)], 8.0, "invalid lengths/multiplicities"),
+        # failed only in the pairing, as "geometric side is nan"
+        ([(3.0, math.nan)], 8.0, "invalid lengths/multiplicities"),
+        # was paired with support_leakage 1.4999999990, a relative mass
+        # above 1
+        ([], -3.0, "cutoff must be > 0"),
+        ([], 0.0, "cutoff must be > 0"),
+    ], ids=["length-nan", "multiplicity-nan", "cutoff-negative",
+            "cutoff-zero"])
+    def test_invalid_data_rejected(self, primitives, cutoff, text):
+        with pytest.raises(DomainError) as exc:
+            selberg.LengthSpectrum(primitives, cutoff)
+        assert str(exc.value) == f"LengthSpectrum: {text}"
+
     def test_csv_roundtrip(self, spectrum8, tmp_path, capsys):
         # the length spectrum file that `gfsl selberg --lmax 8` writes
         assert cli.main(["selberg", "--lmax", "8", "--out",

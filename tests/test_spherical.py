@@ -551,7 +551,7 @@ class TestIntertwining:
     @pytest.mark.parametrize("branch", [spherical.BRANCH_PLUS,
                                         spherical.BRANCH_MINUS])
     def test_one_entry_off_by_ten_tol_fails(self, monkeypatch, branch, K):
-        # entry [1, 3] off by 1e-8 relative, 10 x the default --tol: X, U
+        # entry [1, 3] off by 1e-8 relative, 10 x the CLI's gate: X, U
         # and S each score it at 4.5e-9..4.9e-9, in the columns whose S,
         # D or L term it is.  Against the row's largest term, X and S saw
         # it at K = 8191 as 3.7e-12
